@@ -63,11 +63,25 @@ class PresentedAbelianGroup:
     def invariant_factors(self) -> tuple[int, tuple[int, ...]]:
         """(free_rank, torsion) with each torsion entry > 1 dividing the next."""
         if self._inv is None:
-            snf = smith_normal_form(self.relations)
+            # In the Hermite form a row with pivot 1 is the only relation
+            # on its pivot's generator, so the row and the generator drop
+            # out together; the Smith form runs on what is left.
+            units = set()
+            rest = []
+            for row in self.relation_rows:
+                lead = next(k for k, v in enumerate(row) if v)
+                if row[lead] == 1:
+                    units.add(lead)
+                else:
+                    rest.append(row)
+            keep = [k for k in range(self.generator_count) if k not in units]
+            snf = smith_normal_form(
+                IntMatrix([[r[k] for k in keep] for r in rest], cols=len(keep))
+            )
             diag = snf.diagonal
             rank = sum(1 for d in diag if d)
             torsion = tuple(d for d in diag if d > 1)
-            self._inv = (self.generator_count - rank, torsion)
+            self._inv = (len(keep) - rank, torsion)
         return self._inv
 
     @property

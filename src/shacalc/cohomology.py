@@ -10,8 +10,25 @@ order.  The differential is the standard one,
                            + sum_k (-1)^k c(...,g_k g_{k+1},...)
                            + (-1)^{i+1} c(g_1,...,g_i),
 
-with no normalization assumed.  H^i is ker d^i / im d^{i-1} computed on
-presented groups, so modules with torsion are handled transparently.
+with no normalization assumed.  H^i is Z^i / B^i computed on presented
+groups, where B^i = im d^{i-1} plus the module's relation rows in every
+tuple block, and Z^i is the lattice of cochains whose coboundary lies in
+the relation rows of C^{i+1}.  Z^i is computed along one of two routes:
+
+* the saturation route, for Z-free coefficients K whenever HH^i of the
+  trivial group is finite: a module in degree >= 1, a complex in degree
+  >= 2, or a complex in degree 1 when coker f is finite.  Since
+  cor o res = |G|, e = |G| * exp HH^i(1, K) kills HH^i(G, K) (Brown,
+  Cohomology of Groups, III.9-10).  C^{i+1} is torsion-free, so Z^i is
+  the saturation of B^i: the vectors with a multiple in B^i.  It is
+  found by saturating B^i at the primes of e.  Only d^{i-1} is built;
+  d^i and C^{i+1} never are;
+* the kernel route, everywhere else (degree 0, coefficients with
+  torsion, an infinite coker f): Z^i is read off the sparse kernel of
+  d^i augmented by the relation rows of C^{i+1}.
+
+Both routes give the same lattice, and its canonical Hermite basis gives
+the representatives, so the route never shows in the results.
 
 For a two-term complex f : A -> B (A in degree 0, B in degree 1) the total
 complex is T^n = C^n(A) + C^{n-1}(B) with the fixed sign convention
@@ -25,12 +42,12 @@ so that representative-level tests are stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
 from .errors import ResourceError, StructuralError
 from .gmodules import GModule, GModuleHom, restrict
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _prime_factors
 from .intlinalg import (
     IntMatrix,
     hermite_rows,
@@ -38,6 +55,7 @@ from .intlinalg import (
     sparse_apply,
     sparse_from_matrix,
     sparse_kernel,
+    sparse_saturation,
 )
 
 DEFAULT_COCHAIN_CAP = 20000
@@ -254,17 +272,19 @@ class CohomologyGroup:
     group_value: PresentedAbelianGroup
     representatives: tuple[tuple[int, ...], ...]
     _basis_rows: tuple[tuple[int, ...], ...]
-    _cocycle_cols: list[dict[int, int]] = field(repr=False)
-    _target_dim: int = field(repr=False)
-    _target_contains: Callable[[Sequence[int]], bool] = field(repr=False)
-    _dims: tuple[int, ...] = field(repr=False, default=())
+    _cochains: _Cochains | _TotalComplex = field(repr=False)
+    _cocycle_cols: list[dict[int, int]] | None = field(repr=False, default=None)
 
     def is_cocycle(self, vec: Sequence[int]) -> bool:
+        # the kernel route keeps the d^i it built; the saturation route
+        # never builds it, so it is built here on the first call
+        if self._cocycle_cols is None:
+            self._cocycle_cols = self._cochains.diff_cols(self.degree)
         img = sparse_apply(self._cocycle_cols, vec)
-        dense = [0] * self._target_dim
+        dense = [0] * self._cochains.dim(self.degree + 1)
         for k, v in img.items():
             dense[k] = v
-        return self._target_contains(dense)
+        return self._cochains.block_contains(self.degree + 1, dense)
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cocycle's class on the computed generators."""
@@ -293,13 +313,39 @@ def _homology_from_cols(
     image_cols: list[dict[int, int]],
     ambient_rel_cols: list[dict[int, int]],
 ) -> tuple[PresentedAbelianGroup, tuple[tuple[int, ...], ...]]:
-    """Shared ker/im pipeline on sparse data.
+    """The kernel route: Z^i is the preimage under d^i of the relation
+    rows of C^{i+1}, read off the sparse kernel of [d^i | relations].
 
     Returns the presented value group and the Hermite basis of the kernel
     lattice (whose rows are the representative cocycles)."""
     aug = list(kernel_cols) + list(target_rel_cols)
     ker = sparse_kernel(aug, target_dim)
     basis = hermite_rows([row[:dim_i] for row in ker], dim_i)
+    return _value_on_basis(dim_i, basis, image_cols, ambient_rel_cols), basis
+
+
+def _homology_by_saturation(
+    dim_i: int,
+    image_cols: list[dict[int, int]],
+    ambient_rel_cols: list[dict[int, int]],
+    torsion_bound: int,
+) -> tuple[PresentedAbelianGroup, tuple[tuple[int, ...], ...]]:
+    """The saturation route: Z^i is the saturation of B^i, valid when
+    ``torsion_bound`` kills Z^i / B^i and C^{i+1} is torsion-free.
+
+    Returns what :func:`_homology_from_cols` returns for the same data."""
+    primes = sorted(_prime_factors(torsion_bound))
+    basis = sparse_saturation(list(image_cols) + list(ambient_rel_cols), dim_i, primes)
+    return _value_on_basis(dim_i, basis, image_cols, ambient_rel_cols), basis
+
+
+def _value_on_basis(
+    dim_i: int,
+    basis: tuple[tuple[int, ...], ...],
+    image_cols: list[dict[int, int]],
+    ambient_rel_cols: list[dict[int, int]],
+) -> PresentedAbelianGroup:
+    """Z^i / B^i presented on the Hermite basis of Z^i."""
     relators = []
     for col in list(image_cols) + list(ambient_rel_cols):
         dense = [0] * dim_i
@@ -309,8 +355,41 @@ def _homology_from_cols(
         if coeffs is None:
             raise StructuralError("image vector escapes the kernel lattice")
         relators.append(coeffs)
-    value = PresentedAbelianGroup(len(basis), relators)
-    return value, basis
+    return PresentedAbelianGroup(len(basis), relators)
+
+
+def _computed(
+    group: FiniteGroup,
+    coefficients: object,
+    cochains: _Cochains | _TotalComplex,
+    degree: int,
+    torsion_bound: int | None,
+) -> CohomologyGroup:
+    """HH^degree of a cochain complex, by the saturation route when a
+    ``torsion_bound`` is known, else by the kernel route."""
+    image = cochains.diff_cols(degree - 1) if degree >= 1 else []
+    ambient_rels = cochains.relation_cols(degree)
+    d_i = None
+    if torsion_bound is not None:
+        value, basis = _homology_by_saturation(
+            cochains.dim(degree), image, ambient_rels, torsion_bound
+        )
+    else:
+        d_i = cochains.diff_cols(degree)
+        value, basis = _homology_from_cols(
+            cochains.dim(degree), d_i, cochains.dim(degree + 1),
+            cochains.relation_cols(degree + 1), image, ambient_rels,
+        )
+    return CohomologyGroup(
+        degree=degree,
+        group=group,
+        coefficients=coefficients,
+        group_value=value,
+        representatives=basis,
+        _basis_rows=basis,
+        _cochains=cochains,
+        _cocycle_cols=d_i,
+    )
 
 
 def cohomology(
@@ -327,24 +406,9 @@ def cohomology(
         raise StructuralError("module is not a module over the given group")
     c = _Cochains(group, module)
     _budget_check(group.order**2 * c.gm, cochain_cap)
-    d_i = c.diff_cols(degree)
-    target_rels = c.relation_cols(degree + 1)
-    image = c.diff_cols(degree - 1) if degree >= 1 else []
-    value, basis = _homology_from_cols(
-        c.dim(degree), d_i, c.dim(degree + 1), target_rels, image, c.relation_cols(degree)
-    )
-    return CohomologyGroup(
-        degree=degree,
-        group=group,
-        coefficients=module,
-        group_value=value,
-        representatives=basis,
-        _basis_rows=basis,
-        _cocycle_cols=d_i,
-        _target_dim=c.dim(degree + 1),
-        _target_contains=lambda v: c.block_contains(degree + 1, v),
-        _dims=(c.dim(degree),),
-    )
+    # H^i(1, M) = 0 for i >= 1, so |G| kills H^i(G, M)
+    bound = group.order if degree >= 1 and module.is_z_free() else None
+    return _computed(group, module, c, degree, bound)
 
 
 @dataclass(frozen=True)
@@ -477,24 +541,28 @@ def hypercohomology(
         raise StructuralError("complex is not over the given group")
     t = _TotalComplex(group, complex_)
     _budget_check(t.dim(2), cochain_cap)
-    d_n = t.diff_cols(degree)
-    image = t.diff_cols(degree - 1) if degree >= 1 else []
-    value, basis = _homology_from_cols(
-        t.dim(degree), d_n, t.dim(degree + 1), t.relation_cols(degree + 1),
-        image, t.relation_cols(degree),
+    return _computed(group, complex_, t, degree, _hyper_torsion_bound(complex_, degree))
+
+
+def _hyper_torsion_bound(complex_: TwoTermComplex, degree: int) -> int | None:
+    """A multiple of the exponent of HH^degree(G, A -> B), or None when
+    the saturation route does not apply.
+
+    For the trivial group HH^0 = ker f, HH^1 = coker f and HH^i = 0 for
+    i >= 2, and |G| * exp HH^i(1, K) kills HH^i(G, K)."""
+    a, b = complex_.degree0, complex_.degree1
+    if degree == 0 or not (a.is_z_free() and b.is_z_free()):
+        return None
+    order = complex_.group.order
+    if degree >= 2:
+        return order
+    coker = PresentedAbelianGroup(
+        b.rank, list(b.underlying.relation_rows) + list(complex_.f.matrix.transpose().rows)
     )
-    return CohomologyGroup(
-        degree=degree,
-        group=group,
-        coefficients=complex_,
-        group_value=value,
-        representatives=basis,
-        _basis_rows=basis,
-        _cocycle_cols=d_n,
-        _target_dim=t.dim(degree + 1),
-        _target_contains=lambda v: t.block_contains(degree + 1, v),
-        _dims=(t.ca.dim(degree), t.cb.dim(degree - 1) if degree >= 1 else 0),
-    )
+    free, torsion = coker.invariant_factors()
+    if free:
+        return None
+    return order * (torsion[-1] if torsion else 1)
 
 
 def hyper_restriction(

@@ -243,8 +243,10 @@ def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, 
         _echelon_insert(pivots, rr)
     order = sorted(pivots)
     ech = [pivots[c] for c in order]
-    # reduce entries above each pivot into [0, pivot)
-    for idx in range(len(order) - 1, -1, -1):
+    # reduce entries above each pivot into [0, pivot), left to right: the
+    # rows subtracted at column c are zero left of c, so the columns
+    # already reduced stay reduced
+    for idx in range(len(order)):
         c = order[idx]
         prow = ech[idx]
         pv = prow[c]
@@ -266,11 +268,14 @@ def lattice_solve(
     (as produced by :func:`hermite_rows`)."""
     work = list(vec)
     coeffs = []
+    prev = -1
     for row in basis:
-        lead = next((k for k, v in enumerate(row) if v), None)
+        # pivots strictly increase, so each search starts past the last one
+        lead = next((k for k in range(prev + 1, len(row)) if row[k]), None)
         if lead is None:
             coeffs.append(0)
             continue
+        prev = lead
         q, r = divmod(work[lead], row[lead])
         if r:
             return None
@@ -291,10 +296,12 @@ def lattice_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[
     """Canonical representative of ``vec`` modulo the row lattice: at each
     pivot column the result lies in [0, pivot)."""
     work = list(vec)
+    prev = -1
     for row in basis:
-        lead = next((k for k, v in enumerate(row) if v), None)
+        lead = next((k for k in range(prev + 1, len(row)) if row[k]), None)
         if lead is None:
             continue
+        prev = lead
         q = work[lead] // row[lead]
         if q:
             for k in range(lead, len(work)):
@@ -343,6 +350,17 @@ def _sparse_sub(row: dict[int, int], other: dict[int, int], q: int) -> dict[int,
         else:
             out.pop(k, None)
     return out
+
+
+def _sparse_sub_inplace(row: dict[int, int], other: dict[int, int], q: int) -> None:
+    """row -= q * other in place, dropping zeros: the cost is that of
+    ``other`` alone, which matters when ``row`` is the longer one."""
+    for k, v in other.items():
+        w = row.get(k, 0) - q * v
+        if w:
+            row[k] = w
+        else:
+            row.pop(k, None)
 
 
 def _back_reduce(
@@ -411,15 +429,94 @@ def sparse_kernel(
         row = dict(col)
         row[nrows + j] = 1
         _sparse_insert(pivots, row)
+    kernel = {
+        key - nrows: {k - nrows: v for k, v in row.items()}
+        for key, row in pivots.items()
+        if key >= nrows
+    }
+    return _hermite_from_echelon(kernel, n)
+
+
+def _hermite_from_echelon(
+    pivots: dict[int, dict[int, int]], width: int
+) -> tuple[tuple[int, ...], ...]:
+    """:func:`hermite_rows` of a sparse echelon basis, given as leading
+    column -> row with a positive leading entry.
+
+    Only the reduction above the pivots is left to do.  It runs on the
+    sparse rows from the bottom up, each row reduced left to right by the
+    finished rows below it, which are sparser than half-reduced ones."""
+    order = sorted(pivots)
+    ech = [dict(pivots[c]) for c in order]
+    for idx in range(len(order) - 2, -1, -1):
+        row = ech[idx]
+        for below in range(idx + 1, len(order)):
+            c = order[below]
+            q = row.get(c, 0) // ech[below][c]
+            if q:
+                _sparse_sub_inplace(row, ech[below], q)
+    out = []
+    for row in ech:
+        vec = [0] * width
+        for k, v in row.items():
+            vec[k] = v
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def _left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:
+    """Basis of {x in F_p^m : sum x_k * rows[k] = 0 mod p}, each x as a
+    {k: x_k} dict with entries in [0, p)."""
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     kernel = []
-    for key in sorted(pivots):
-        if key >= nrows:
-            r = pivots[key]
-            vec = [0] * n
-            for k, v in r.items():
-                vec[k - nrows] = v
-            kernel.append(vec)
-    return hermite_rows(kernel, n)
+    for k, row in enumerate(rows):
+        r = {c: v % p for c, v in row.items() if v % p}
+        combo = {k: 1}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = pow(r[c], -1, p)
+                pivots[c] = (
+                    {i: v * inv % p for i, v in r.items()},
+                    {i: v * inv % p for i, v in combo.items()},
+                )
+                break
+            prow, pcombo = pivots[c]
+            q = r[c]
+            r = {i: v % p for i, v in _sparse_sub(r, prow, q).items() if v % p}
+            combo = {i: v % p for i, v in _sparse_sub(combo, pcombo, q).items() if v % p}
+        else:
+            kernel.append(combo)
+    return kernel
+
+
+def sparse_saturation(
+    rows: Iterable[dict[int, int]], width: int, primes: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Canonical Hermite basis of {x : n * x in L for some n whose prime
+    factors are in ``primes``}, where L is the lattice spanned by the
+    sparse ``rows`` of the given width.
+
+    At each prime p the gcd-echelon basis E of the current lattice is
+    independent mod p exactly when the lattice is p-saturated; otherwise
+    every left kernel vector x mod p gives a new vector (sum x_k E_k) / p.
+    Adding those and repeating terminates, because each step grows the
+    lattice inside its saturation, where its index is finite."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        _sparse_insert(pivots, dict(row))
+    for p in primes:
+        while True:
+            ech = [pivots[c] for c in sorted(pivots)]
+            kernel = _left_kernel_mod(ech, p)
+            if not kernel:
+                break
+            for combo in kernel:
+                acc: dict[int, int] = {}
+                for k, x in combo.items():
+                    _sparse_sub_inplace(acc, ech[k], -x)
+                _sparse_insert(pivots, {c: v // p for c, v in acc.items()})
+    return _hermite_from_echelon(pivots, width)
 
 
 def preimage_kernel(

@@ -194,6 +194,28 @@ def _classify_by_orders(classes, add, zero, coset_of) -> tuple[int, ...]:
     return tuple(sorted(f for f in out if f > 1))
 
 
+def abelianization_invariants(table: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors of G/[G,G] for the group with multiplication
+    table ``table`` (element 0 the identity): the commutator subgroup by
+    closure, its cosets enumerated, then classified by element orders."""
+    n = len(table)
+    inv = [row.index(0) for row in table]
+    commutators = {table[table[a][b]][table[inv[a]][inv[b]]] for a in range(n) for b in range(n)}
+    derived = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [table[x][c] for x in frontier for c in commutators if table[x][c] not in derived]
+        derived.update(frontier)
+    coset_of: dict[int, int] = {}
+    classes = []
+    for x in range(n):
+        if x not in coset_of:
+            classes.append(x)
+            for k in derived:
+                coset_of[table[x][k]] = x
+    return _classify_by_orders(classes, lambda a, b: coset_of[table[a][b]], 0, coset_of)
+
+
 # -- naive subquotient inside a box group -----------------------------------
 
 

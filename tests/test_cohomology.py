@@ -2,10 +2,15 @@
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from shacalc.abelian import invariant_factors, subquotient
+from shacalc.arith import dual_complex
 from shacalc.cohomology import (
     CochainComplexSegment,
     TwoTermComplex,
+    _homology_from_cols,
     cohomology,
     hyper_restriction,
     hypercohomology,
@@ -17,6 +22,7 @@ from shacalc.gmodules import (
     GModule,
     GModuleHom,
     augmentation_ideal,
+    augmentation_quotient,
     permutation_cover,
     permutation_module,
     regular_module,
@@ -28,9 +34,10 @@ from shacalc.groups import from_permutations
 from shacalc.intlinalg import IntMatrix, preimage_kernel, sparse_from_matrix
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
+from shacalc.suites import random_module
 
 from helpers import all_subgroups, catalog
-from oracles import cyclic_cohomology_invariants
+from oracles import abelianization_invariants, cyclic_cohomology_invariants
 
 GROUPS = catalog()
 
@@ -137,15 +144,138 @@ class TestLowDegrees:
         assert invariant_factors(h.group_value) == (0, (4,))
 
     def test_representatives_are_cocycles_with_correct_classes(self):
-        g = GROUPS["S3"]
-        m = augmentation_ideal(g)
-        h = cohomology(g, m, 1)
-        for j, rep in enumerate(h.representatives):
-            assert h.is_cocycle(rep)
-            coords = h.class_coords(rep)
-            expected = [0] * h.group_value.generator_count
-            expected[j] = 1
-            assert list(coords) == list(h.group_value.reduce_element(expected))
+        s3, v4 = GROUPS["S3"], GROUPS["V4"]
+        cases = [
+            cohomology(s3, augmentation_ideal(s3), 1),
+            # Z-free coefficients in degree 2, and J^D in degree 1, take the
+            # saturation route, which never builds d^i
+            cohomology(v4, trivial_module(v4, 1), 2),
+            hypercohomology(v4, j_dual(v4), 1),
+        ]
+        assert all(h._cocycle_cols is None for h in cases)
+        for h in cases:
+            assert h.representatives
+            for j, rep in enumerate(h.representatives):
+                assert h.is_cocycle(rep)
+                coords = h.class_coords(rep)
+                expected = [0] * h.group_value.generator_count
+                expected[j] = 1
+                assert list(coords) == list(h.group_value.reduce_element(expected))
+            assert not h.is_cocycle([1] + [0] * (len(h.representatives[0]) - 1))
+
+
+def j_dual(g):
+    """J^D: the dual complex of the augmentation quotient, covered from e_1."""
+    return dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)])
+
+
+def kernel_route(h):
+    """The value and Hermite basis of the kernel route on the cochains of
+    ``h``, whatever route computed ``h``."""
+    c, d = h._cochains, h.degree
+    return _homology_from_cols(
+        c.dim(d), c.diff_cols(d), c.dim(d + 1), c.relation_cols(d + 1),
+        c.diff_cols(d - 1) if d else [], c.relation_cols(d),
+    )
+
+
+def assert_routes_agree(h):
+    assert h._cocycle_cols is None, "expected the saturation route"
+    value, basis = kernel_route(h)
+    assert basis == h.representatives
+    assert value.relation_rows == h.group_value.relation_rows
+
+
+LADDER = {
+    "V4": [[1, 0, 2, 3], [0, 1, 3, 2]],
+    "D4": [[1, 2, 3, 0], [0, 3, 2, 1]],
+    "Q8": [[1, 2, 3, 0, 5, 6, 7, 4], [4, 7, 6, 5, 2, 1, 0, 3]],
+    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
+    "D6": [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]],
+    "S4": [[1, 2, 3, 0], [1, 0, 2, 3]],
+}
+LADDER_GROUPS = {name: from_permutations(perms) for name, perms in LADDER.items()}
+
+
+class TestRouteEquivalence:
+    """The saturation route against the kernel route: the same Hermite
+    basis, so the same representatives, and the same relators."""
+
+    # the ladder cases (G x {Z, I_G, J^D} x {1, 2}) that take under 1 s on
+    # the kernel route
+    CASES = (
+        [(name, coef, d) for name in ("V4", "D4", "Q8") for coef in ("Z", "I_G", "J^D")
+         for d in (1, 2) if not (name != "V4" and coef == "I_G" and d == 2)]
+        + [(name, coef, d) for name in ("A4", "D6") for coef, d in
+           (("Z", 1), ("Z", 2), ("I_G", 1), ("J^D", 1))]
+        + [("S4", "Z", 1)]
+    )
+
+    @pytest.mark.parametrize("name,coef,degree", CASES)
+    def test_ladder(self, name, coef, degree):
+        g = LADDER_GROUPS[name]
+        if coef == "J^D":
+            h = hypercohomology(g, j_dual(g), degree)
+        else:
+            m = trivial_module(g, 1) if coef == "Z" else augmentation_ideal(g)
+            h = cohomology(g, m, degree)
+        assert_routes_agree(h)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["Z2", "Z3", "Z4", "V4", "S3", "D4"]),
+        seed=st.integers(0, 2**63 - 1),
+        degree=st.sampled_from([1, 2]),
+    )
+    def test_random_relation_free_modules(self, name, seed, degree):
+        g = GROUPS[name]
+        m = random_module(g, SplitMix64(seed), max_rank=4, max_torsion_relators=0)
+        assert m.is_z_free()
+        assert_routes_agree(cohomology(g, m, degree))
+
+    def test_complex_with_finite_cokernel(self):
+        """HH^1(Z/2, Z --3--> Z) = coker(3 on H^0) = Z/3: the prime 3
+        comes from exp HH^1(1, K) = 3, not from the group order."""
+        for name in ("Z2", "S3"):
+            g = GROUPS[name]
+            triv = trivial_module(g, 1)
+            c = TwoTermComplex(GModuleHom(triv, triv, IntMatrix([[3]])))
+            h = hypercohomology(g, c, 1)
+            assert invariant_factors(h.group_value) == (0, (3,))
+            assert_routes_agree(h)
+
+    def test_torsion_and_degree_zero_keep_the_kernel_route(self):
+        g = GROUPS["Z2"]
+        torsion = GModule(g, PresentedAbelianGroup(1, [[4]]), [IntMatrix([[3]])])
+        assert cohomology(g, torsion, 1)._cocycle_cols is not None
+        assert cohomology(g, augmentation_ideal(g), 0)._cocycle_cols is not None
+        # coker(Z[g] -> Z, x -> 0) = Z is infinite: HH^1 keeps the kernel route
+        reg, triv = regular_module(g), trivial_module(g, 1)
+        c = TwoTermComplex(GModuleHom(reg, triv, IntMatrix.zeros(1, 2)))
+        assert hypercohomology(g, c, 1)._cocycle_cols is not None
+        assert hypercohomology(g, c, 2)._cocycle_cols is None
+
+
+class TestClosedForms:
+    """Values read off the multiplication table alone."""
+
+    def test_h2_augmentation_ideal_vanishes(self):
+        for name in ("A4", "D6"):
+            g = LADDER_GROUPS[name]
+            assert cohomology(g, augmentation_ideal(g), 2).group_value.is_trivial(), name
+
+    def test_h2_trivial_is_abelianization(self):
+        """H^2(G, Z) = Hom(G^ab, Q/Z), which is isomorphic to G^ab."""
+        for name, g in list(LADDER_GROUPS.items()) + [("Z2xZ4", GROUPS["Z2xZ4"])]:
+            want = abelianization_invariants([list(r) for r in g.table])
+            assert invariant_factors(cohomology(g, trivial_module(g, 1), 2).group_value) == (0, want), name
+
+    def test_h1_augmentation_ideal_is_cyclic_of_order(self):
+        """H^1(G, I_G) = H^0(G, Z)/N = Z/|G|."""
+        for name in ("A4", "D6", "S4"):
+            g = LADDER_GROUPS[name]
+            h = cohomology(g, augmentation_ideal(g), 1)
+            assert invariant_factors(h.group_value) == (0, (g.order,)), name
 
 
 class TestComplexSegment:

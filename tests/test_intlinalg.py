@@ -13,6 +13,7 @@ from shacalc.intlinalg import (
     smith_normal_form,
     sparse_from_matrix,
     sparse_kernel,
+    sparse_saturation,
     unimodular_inverse,
 )
 from shacalc.prng import SplitMix64
@@ -160,6 +161,56 @@ class TestHermite:
             mixed.append([a + b for a, b in zip(base[0], base[1])])
             mixed.append([3 * a for a in base[2]])
             assert hermite_rows(base, 4) == hermite_rows(mixed, 4)
+
+    def test_reduced_at_every_pivot(self):
+        # reducing at column 1 moves row 0's entry at the later pivot
+        # column 2 out of [0, 3): that column must be reduced afterwards
+        rows = hermite_rows([[1, 3, 0], [0, 2, 1], [0, 0, 3]], 3)
+        assert rows == ((1, 1, 2), (0, 2, 1), (0, 0, 3))
+
+    def test_idempotent_randomized(self):
+        rng = SplitMix64(22)
+        for _ in range(60):
+            m = random_matrix(rng, rng.randint(1, 5), 5, bound=9)
+            rows = hermite_rows(m.rows, 5)
+            assert hermite_rows(rows, 5) == rows
+            for idx, row in enumerate(rows):
+                lead = next(k for k, v in enumerate(row) if v)
+                assert row[lead] > 0
+                assert all(0 <= above[lead] < row[lead] for above in rows[:idx])
+
+
+class TestSaturation:
+    def test_primes_select_what_is_saturated(self):
+        rows = [{0: 2}, {1: 3}]
+        assert sparse_saturation(rows, 2, []) == ((2, 0), (0, 3))
+        assert sparse_saturation(rows, 2, [2]) == ((1, 0), (0, 3))
+        assert sparse_saturation(rows, 2, [2, 3]) == ((1, 0), (0, 1))
+
+    def test_without_primes_is_the_hermite_form_randomized(self):
+        """The sparse echelon and its reduction agree with hermite_rows."""
+        rng = SplitMix64(24)
+        for _ in range(40):
+            m = random_matrix(rng, rng.randint(1, 6), 6, bound=9)
+            rows = [{k: v for k, v in enumerate(r) if v} for r in m.rows]
+            assert sparse_saturation(rows, 6, []) == hermite_rows(m.rows, 6)
+
+    def test_matches_kernel_of_the_kernel_randomized(self):
+        """With every prime of the index, the saturation is the lattice
+        orthogonal to the rational kernel of the rows."""
+        rng = SplitMix64(23)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            m = random_matrix(rng, rng.randint(1, 4), n, bound=6)
+            index = 1
+            for d in smith_normal_form(m).diagonal:
+                index *= d or 1
+            primes = [p for p in range(2, index + 1)
+                      if index % p == 0 and all(p % q for q in range(2, p))]
+            rows = [{k: v for k, v in enumerate(r) if v} for r in m.rows]
+            ker = sparse_kernel(sparse_from_matrix(m), m.nrows)  # {y : m y = 0}
+            want = sparse_kernel(sparse_from_matrix(IntMatrix(ker, cols=n)), len(ker))
+            assert sparse_saturation(rows, n, primes) == want
 
 
 class TestKernels:
