@@ -41,7 +41,6 @@ from .arith import (
     quasi_trivial_cover,
 )
 from .cohomology import (
-    CochainComplexSegment,
     CohomologyGroup,
     TwoTermComplex,
     cohomology,
@@ -50,7 +49,7 @@ from .cohomology import (
     les_segment,
     restriction,
 )
-from .errors import InputError, ResourceError, ShacalcError, StructuralError
+from .errors import InputError, InternalError, ResourceError, ShacalcError, StructuralError
 from .gmodules import (
     GModule,
     GModuleHom,

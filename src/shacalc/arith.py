@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .abelian import PresentedAbelianGroup
 from .cohomology import DEFAULT_COCHAIN_CAP, TwoTermComplex
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .gmodules import (
     GModule,
     GModuleHom,
@@ -192,7 +192,7 @@ def brauer_obstruction_groups(
     }
     for label, (one, two) in checks.items():
         if one != two:
-            raise StructuralError(
+            raise InternalError(
                 f"route cross-check failed at {label}: degree-1 gives {one}, "
                 f"degree-2 gives {two} (implementation bug)"
             )
@@ -236,7 +236,7 @@ def pi1_obstruction_groups(
     q_group, _ = faithful_quotient(m)
     metacyclic = is_metacyclic(q_group)
     if metacyclic and not omega.value.is_trivial():
-        raise StructuralError(
+        raise InternalError(
             "metacyclic faithful image but nonzero omega group (implementation bug)"
         )
     excluded_all_cyclic = all(
@@ -245,7 +245,7 @@ def pi1_obstruction_groups(
         if name in selection.excluded
     )
     if excluded_all_cyclic and not quotient.is_trivial():
-        raise StructuralError(
+        raise InternalError(
             "every excluded place is cyclic but the S-quotient is nonzero "
             "(implementation bug)"
         )
@@ -371,7 +371,7 @@ def quasi_trivial_cover(d: CocharacterDatum) -> CoverResult:
         "failing_elements": failures,
     }
     if failures:
-        raise StructuralError(
+        raise InternalError(
             "cover character module is not split by the splitting extension "
             f"(elements {failures}); implementation bug"
         )

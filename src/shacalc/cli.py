@@ -24,7 +24,7 @@ from .arith import (
     verdict_for,
 )
 from .cohomology import DEFAULT_COCHAIN_CAP, cohomology
-from .errors import InputError, ResourceError, StructuralError
+from .errors import InputError, InternalError, ResourceError, StructuralError
 from .jsonio import (
     SCHEMA_VERSION,
     ProblemFile,
@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -228,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except StructuralError as exc:
         _emit_error("input", str(exc), "$")
         return EXIT_INPUT
+    except InternalError as exc:
+        _emit_error("internal", str(exc), "$")
+        return EXIT_INTERNAL
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.monotonic() - started, 3)}
     if args.format == "json":

@@ -25,7 +25,23 @@ the relation rows of C^{i+1}.  Z^i is computed along one of two routes:
   d^i and C^{i+1} never are;
 * the kernel route, everywhere else (degree 0, coefficients with
   torsion, an infinite coker f): Z^i is read off the sparse kernel of
-  d^i augmented by the relation rows of C^{i+1}.
+  d^i augmented by the relation rows of C^{i+1}.  Only the rows of
+  C^{i+1} whose tuple ends in a listed generator s in S are kept, with
+  the relation rows of those tuples, so |G|^i * |S| rows per rank
+  instead of |G|^{i+1}.
+
+The kernel route may drop the other rows by this lemma: if
+delta in C^m(G, M), m >= 1, has d delta = 0 in M and vanishes on every
+tuple ending in S, then delta = 0.  At (g_1,...,g_m, s) every term of
+d delta ends in s except (-1)^m [delta(g_1,...,g_m s) - delta(g_1,...,g_m)],
+so delta(h, x s) = delta(h, x) for all x; then delta(h, e) = delta(h, s)
+= 0, and delta vanishes everywhere since S generates G as a monoid (the
+group checks this when it is built).  It applies to delta = d^i c read
+in M, since d o d = 0 modulo the relation rows.  For the total complex,
+the lemma kills the C^{m}(A) part first; then D delta = 0 gives
+d delta_B = f(delta_A) = 0, which kills the C^{m-1}(B) part when m >= 2.
+All of C^0(B) is kept.  The trivial group has no generators; its one
+tuple is kept.
 
 Both routes give the same lattice, and its canonical Hermite basis gives
 the representatives, so the route never shows in the results.
@@ -45,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
-from .errors import ResourceError, StructuralError
+from .errors import InternalError, ResourceError, StructuralError
 from .gmodules import GModule, GModuleHom, restrict
 from .groups import FiniteGroup, Subgroup, _prime_factors
 from .intlinalg import (
@@ -162,6 +178,24 @@ class _Cochains:
                 cols.append(col)
         return cols
 
+    def checked_coords(self, i: int) -> list[int]:
+        """The coordinates of C^i on which the kernel route checks that a
+        coboundary lies in the relation rows: all of C^0, and for i >= 1
+        the tuples whose last entry is a listed generator (the one tuple,
+        for the trivial group).  See the module docstring for why these
+        suffice."""
+        gm = self.gm
+        if i == 0:
+            return list(range(gm))
+        order = self.group.order
+        last = sorted(set(self.group.generators)) or [0]
+        return [
+            (head * order + s) * gm + j
+            for head in range(order ** (i - 1))
+            for s in last
+            for j in range(gm)
+        ]
+
     def relation_cols(self, i: int) -> list[dict[int, int]]:
         """The module's relators embedded in every tuple block of C^i."""
         gm = self.gm
@@ -172,19 +206,6 @@ class _Cochains:
                 out.append({base + k: v for k, v in enumerate(rel) if v})
         return out
 
-    def relation_rows_dense(self, i: int) -> list[tuple[int, ...]]:
-        n = self.dim(i)
-        rows = []
-        for col in self.relation_cols(i):
-            row = [0] * n
-            for k, v in col.items():
-                row[k] = v
-            rows.append(tuple(row))
-        return rows
-
-    def space(self, i: int) -> PresentedAbelianGroup:
-        return PresentedAbelianGroup(self.dim(i), self.relation_rows_dense(i))
-
     def block_contains(self, i: int, vec: Sequence[int]) -> bool:
         """Whether a C^i vector lies in the embedded relation lattice."""
         und = self.module.underlying
@@ -193,66 +214,6 @@ class _Cochains:
             if not und.contains_relation(vec[block * gm : (block + 1) * gm]):
                 return False
         return True
-
-
-class CochainComplexSegment:
-    """Degrees 0..3 of the cochain complex with explicit differentials.
-
-    Constructing one verifies d(i+1) o d(i) = 0 as maps of presented
-    groups (an exact integer check; for Z-free modules the composite is
-    the zero matrix on the nose) and that C^0 is the module itself."""
-
-    def __init__(self, group: FiniteGroup, module: GModule):
-        self.group = group
-        self.module = module
-        self._c = _Cochains(group, module)
-        self.spaces = [self._c.space(i) for i in range(4)]
-        self._diff_cols = [self._c.diff_cols(i) for i in range(3)]
-        for i in (0, 1):
-            composite = _compose_cols(self._diff_cols[i + 1], self._diff_cols[i])
-            for col in composite:
-                vec = [0] * self._c.dim(i + 2)
-                for k, v in col.items():
-                    vec[k] = v
-                if not self._c.block_contains(i + 2, vec):
-                    raise StructuralError("differentials do not compose to zero")
-        if self.spaces[0] != module.underlying:
-            raise StructuralError("degree-zero cochains do not match the module")
-
-    def cochain_space(self, i: int) -> PresentedAbelianGroup:
-        return self.spaces[i]
-
-    def differential(self, i: int) -> AbHom:
-        cols = self._diff_cols[i]
-        n_rows = self._c.dim(i + 1)
-        dense = []
-        for col in cols:
-            v = [0] * n_rows
-            for k, val in col.items():
-                v[k] = val
-            dense.append(v)
-        return AbHom(
-            self.spaces[i],
-            self.spaces[i + 1],
-            IntMatrix.from_cols(dense, rows=n_rows),
-        )
-
-
-def _compose_cols(
-    outer: list[dict[int, int]], inner: list[dict[int, int]]
-) -> list[dict[int, int]]:
-    out = []
-    for col in inner:
-        acc: dict[int, int] = {}
-        for j, x in col.items():
-            for i, v in outer[j].items():
-                w = acc.get(i, 0) + x * v
-                if w:
-                    acc[i] = w
-                else:
-                    del acc[i]
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +237,9 @@ class CohomologyGroup:
     _cocycle_cols: list[dict[int, int]] | None = field(repr=False, default=None)
 
     def is_cocycle(self, vec: Sequence[int]) -> bool:
-        # the kernel route keeps the d^i it built; the saturation route
-        # never builds it, so it is built here on the first call
+        # the full d^i, built on the first call: the saturation route never
+        # builds d^i and the kernel route keeps only some of its rows, so
+        # this check is independent of either
         if self._cocycle_cols is None:
             self._cocycle_cols = self._cochains.diff_cols(self.degree)
         img = sparse_apply(self._cocycle_cols, vec)
@@ -315,6 +277,8 @@ def _homology_from_cols(
 ) -> tuple[PresentedAbelianGroup, tuple[tuple[int, ...], ...]]:
     """The kernel route: Z^i is the preimage under d^i of the relation
     rows of C^{i+1}, read off the sparse kernel of [d^i | relations].
+    ``kernel_cols`` and ``target_rel_cols`` may be cut down to the checked
+    rows of C^{i+1}, ``target_dim`` of them, or give every row.
 
     Returns the presented value group and the Hermite basis of the kernel
     lattice (whose rows are the representative cocycles)."""
@@ -353,9 +317,14 @@ def _value_on_basis(
             dense[k] = v
         coeffs = lattice_solve(basis, dense)
         if coeffs is None:
-            raise StructuralError("image vector escapes the kernel lattice")
+            raise InternalError("image vector escapes the kernel lattice")
         relators.append(coeffs)
     return PresentedAbelianGroup(len(basis), relators)
+
+
+def _on_rows(cols: list[dict[int, int]], rows: dict[int, int]) -> list[dict[int, int]]:
+    """The columns cut down to the rows in ``rows``, renumbered by it."""
+    return [{rows[k]: v for k, v in col.items() if k in rows} for col in cols]
 
 
 def _computed(
@@ -369,16 +338,16 @@ def _computed(
     ``torsion_bound`` is known, else by the kernel route."""
     image = cochains.diff_cols(degree - 1) if degree >= 1 else []
     ambient_rels = cochains.relation_cols(degree)
-    d_i = None
     if torsion_bound is not None:
         value, basis = _homology_by_saturation(
             cochains.dim(degree), image, ambient_rels, torsion_bound
         )
     else:
-        d_i = cochains.diff_cols(degree)
+        rows = {k: r for r, k in enumerate(cochains.checked_coords(degree + 1))}
+        d_i = _on_rows(cochains.diff_cols(degree), rows)
+        rels = [col for col in _on_rows(cochains.relation_cols(degree + 1), rows) if col]
         value, basis = _homology_from_cols(
-            cochains.dim(degree), d_i, cochains.dim(degree + 1),
-            cochains.relation_cols(degree + 1), image, ambient_rels,
+            cochains.dim(degree), d_i, len(rows), rels, image, ambient_rels
         )
     return CohomologyGroup(
         degree=degree,
@@ -388,7 +357,6 @@ def _computed(
         representatives=basis,
         _basis_rows=basis,
         _cochains=cochains,
-        _cocycle_cols=d_i,
     )
 
 
@@ -517,6 +485,15 @@ class _TotalComplex:
             for col in self.cb.relation_cols(n - 1):
                 out.append({a_tgt + k: v for k, v in col.items()})
         return out
+
+    def checked_coords(self, n: int) -> list[int]:
+        """The coordinates of T^n on which the kernel route checks the
+        cocycle condition: those of C^n(A), then those of C^{n-1}(B)."""
+        coords = self.ca.checked_coords(n)
+        if n >= 1:
+            a_dim = self.ca.dim(n)
+            coords += [a_dim + k for k in self.cb.checked_coords(n - 1)]
+        return coords
 
     def block_contains(self, n: int, vec: Sequence[int]) -> bool:
         a_dim = self.ca.dim(n)

@@ -20,6 +20,12 @@ class ResourceError(ShacalcError):
         self.dimension = dimension
 
 
+class InternalError(ShacalcError):
+    """An internal consistency check failed: the inputs were valid, but a
+    computed result contradicts a cross-check or a re-verification.  This
+    is a defect in the package, never a property of the input."""
+
+
 class InputError(ShacalcError):
     """Malformed problem file or CLI arguments.  Carries a JSON-path-like
     pointer to the offending location when one is known."""

@@ -52,7 +52,7 @@ from .cohomology import (
     hypercohomology,
     restriction,
 )
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_quotient
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
 from .intlinalg import IntMatrix
@@ -188,7 +188,7 @@ def _sha_core(
         for res in restrictions:
             picked = [rep[s] for s in res.cochain_selection]
             if any(res.target.class_coords(picked)):
-                raise StructuralError(
+                raise InternalError(
                     "internal check failed: a Sha representative survives a restriction"
                 )
     return group

@@ -20,7 +20,7 @@ from .arith import (
     quasi_trivial_cover,
 )
 from .cohomology import TwoTermComplex, hypercohomology
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .gmodules import (
     GModule,
     GModuleHom,
@@ -510,7 +510,7 @@ def cover_suite(
         try:
             cover = quasi_trivial_cover(datum)
             outcome = {"ok": True, "group": name, **cover.report}
-        except StructuralError as exc:
+        except (StructuralError, InternalError) as exc:
             outcome = {
                 "ok": False,
                 "group": name,

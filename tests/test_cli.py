@@ -3,6 +3,7 @@ and byte-exact agreement with the committed expected outputs."""
 
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -208,6 +209,20 @@ class TestVerifyCommand:
         assert code == 2
         payload = json.loads(out)
         assert payload["reports"][0]["failures"][0]["certificate"] == {"kind": "demo"}
+
+
+    def test_internal_error_exit_code(self, monkeypatch):
+        """A failed internal check exits 5 as an internal error, not 3 as
+        bad input: here every image vector escapes the cocycle lattice."""
+        monkeypatch.setattr(sys.modules["shacalc.cohomology"], "lattice_solve", lambda basis, vec: None)
+        code, out, err = run_cli(
+            ["cohomology", str(PROBLEMS / "biquadratic.json"), "--module", "I", "--degree", "1"]
+        )
+        assert code == 5
+        assert out == ""
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "internal"
+        assert "escapes the kernel lattice" in payload["message"]
 
 
 class TestTextFormat:

@@ -1,16 +1,19 @@
 """Cohomology and hypercohomology against independent oracles."""
 
+import sys
+
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shacalc.abelian import invariant_factors, subquotient
 from shacalc.arith import dual_complex
 from shacalc.cohomology import (
-    CochainComplexSegment,
     TwoTermComplex,
+    _Cochains,
     _homology_from_cols,
+    _TotalComplex,
     cohomology,
     hyper_restriction,
     hypercohomology,
@@ -31,10 +34,10 @@ from shacalc.gmodules import (
     trivial_module,
 )
 from shacalc.groups import from_permutations
-from shacalc.intlinalg import IntMatrix, preimage_kernel, sparse_from_matrix
+from shacalc.intlinalg import IntMatrix, preimage_kernel, sparse_compose, sparse_from_matrix
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
-from shacalc.suites import random_module
+from shacalc.suites import random_equivariant_map, random_module, random_subgroup
 
 from helpers import all_subgroups, catalog
 from oracles import abelianization_invariants, cyclic_cohomology_invariants
@@ -145,14 +148,17 @@ class TestLowDegrees:
 
     def test_representatives_are_cocycles_with_correct_classes(self):
         s3, v4 = GROUPS["S3"], GROUPS["V4"]
-        cases = [
+        jd, torsion = j_dual(v4), torsion_module(s3, 4)
+        cases, routes = computed_by(lambda: [
             cohomology(s3, augmentation_ideal(s3), 1),
             # Z-free coefficients in degree 2, and J^D in degree 1, take the
-            # saturation route, which never builds d^i
+            # saturation route, which never builds d^i; torsion coefficients
+            # take the kernel route, which checks only some rows of d^i
             cohomology(v4, trivial_module(v4, 1), 2),
-            hypercohomology(v4, j_dual(v4), 1),
-        ]
-        assert all(h._cocycle_cols is None for h in cases)
+            hypercohomology(v4, jd, 1),
+            cohomology(s3, torsion, 2),
+        ])
+        assert routes == ["saturation"] * 3 + ["kernel"]
         for h in cases:
             assert h.representatives
             for j, rep in enumerate(h.representatives):
@@ -179,11 +185,47 @@ def kernel_route(h):
     )
 
 
-def assert_routes_agree(h):
-    assert h._cocycle_cols is None, "expected the saturation route"
+ROUTES = {"sparse_saturation": "saturation", "sparse_kernel": "kernel"}
+
+
+def computed_by(compute):
+    """``compute()`` and the routes, in call order, by which the cohomology
+    module computed the cocycle lattices on the way, read from spies on
+    its bindings of the two elimination functions."""
+    module = sys.modules["shacalc.cohomology"]
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, route in ROUTES.items():
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _route=route):
+                taken.append(_route)
+                return _real(*args)
+
+            mp.setattr(module, name, spy)
+        result = compute()
+    return result, taken
+
+
+def route_of(compute):
+    """The one route by which ``compute()`` computed its cocycle lattice."""
+    _, taken = computed_by(compute)
+    assert len(taken) == 1, taken
+    return taken[0]
+
+
+def assert_same_as_full_kernel(h):
+    """``h`` has the Hermite basis and the relators of the kernel route
+    run on every row of d^i."""
     value, basis = kernel_route(h)
     assert basis == h.representatives
     assert value.relation_rows == h.group_value.relation_rows
+
+
+def assert_routes_agree(compute):
+    h, taken = computed_by(compute)
+    assert taken == ["saturation"], "expected the saturation route"
+    assert_same_as_full_kernel(h)
 
 
 LADDER = {
@@ -215,11 +257,11 @@ class TestRouteEquivalence:
     def test_ladder(self, name, coef, degree):
         g = LADDER_GROUPS[name]
         if coef == "J^D":
-            h = hypercohomology(g, j_dual(g), degree)
+            c = j_dual(g)
+            assert_routes_agree(lambda: hypercohomology(g, c, degree))
         else:
             m = trivial_module(g, 1) if coef == "Z" else augmentation_ideal(g)
-            h = cohomology(g, m, degree)
-        assert_routes_agree(h)
+            assert_routes_agree(lambda: cohomology(g, m, degree))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -231,7 +273,7 @@ class TestRouteEquivalence:
         g = GROUPS[name]
         m = random_module(g, SplitMix64(seed), max_rank=4, max_torsion_relators=0)
         assert m.is_z_free()
-        assert_routes_agree(cohomology(g, m, degree))
+        assert_routes_agree(lambda: cohomology(g, m, degree))
 
     def test_complex_with_finite_cokernel(self):
         """HH^1(Z/2, Z --3--> Z) = coker(3 on H^0) = Z/3: the prime 3
@@ -242,18 +284,19 @@ class TestRouteEquivalence:
             c = TwoTermComplex(GModuleHom(triv, triv, IntMatrix([[3]])))
             h = hypercohomology(g, c, 1)
             assert invariant_factors(h.group_value) == (0, (3,))
-            assert_routes_agree(h)
+            assert_routes_agree(lambda: hypercohomology(g, c, 1))
 
     def test_torsion_and_degree_zero_keep_the_kernel_route(self):
         g = GROUPS["Z2"]
         torsion = GModule(g, PresentedAbelianGroup(1, [[4]]), [IntMatrix([[3]])])
-        assert cohomology(g, torsion, 1)._cocycle_cols is not None
-        assert cohomology(g, augmentation_ideal(g), 0)._cocycle_cols is not None
+        aug = augmentation_ideal(g)
+        assert route_of(lambda: cohomology(g, torsion, 1)) == "kernel"
+        assert route_of(lambda: cohomology(g, aug, 0)) == "kernel"
         # coker(Z[g] -> Z, x -> 0) = Z is infinite: HH^1 keeps the kernel route
         reg, triv = regular_module(g), trivial_module(g, 1)
         c = TwoTermComplex(GModuleHom(reg, triv, IntMatrix.zeros(1, 2)))
-        assert hypercohomology(g, c, 1)._cocycle_cols is not None
-        assert hypercohomology(g, c, 2)._cocycle_cols is None
+        assert route_of(lambda: hypercohomology(g, c, 1)) == "kernel"
+        assert route_of(lambda: hypercohomology(g, c, 2)) == "saturation"
 
 
 class TestClosedForms:
@@ -278,25 +321,134 @@ class TestClosedForms:
             assert invariant_factors(h.group_value) == (0, (g.order,)), name
 
 
+def dense(col, n):
+    vec = [0] * n
+    for k, v in col.items():
+        vec[k] = v
+    return vec
+
+
+def torsion_module(g, n):
+    """Z/n with the trivial action."""
+    return GModule(g, PresentedAbelianGroup(1, [[n]]), [IntMatrix([[1]]) for _ in g.generators])
+
+
+class TestCheckedRows:
+    """The kernel route checks the cocycle condition only on the tuples
+    that end in a listed generator.  It must give exactly what the kernel
+    route gives on every row of d^i: the same Hermite basis, so the same
+    representatives, and the same relators."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["Z2", "Z4", "V4", "S3", "D4"]),
+        seed=st.integers(0, 2**63 - 1),
+        degree=st.sampled_from([0, 1, 2]),
+    )
+    def test_random_torsion_modules(self, name, seed, degree):
+        g = GROUPS[name]
+        # the full d^2 of D4 has 512 rows per rank: rank 1 keeps it quick
+        max_rank = 1 if (name, degree) == ("D4", 2) else 3
+        m = random_module(g, SplitMix64(seed), max_rank=max_rank, max_torsion_relators=2)
+        assume(degree == 0 or not m.is_z_free())
+        h, routes = computed_by(lambda: cohomology(g, m, degree))
+        assert routes == ["kernel"]
+        assert_same_as_full_kernel(h)
+
+    def test_redundant_generators(self):
+        """Extra generators (a repeat, the identity, a product) only add
+        checked rows."""
+        s3 = from_permutations([[1, 0, 2], [1, 2, 0], [1, 0, 2], [0, 1, 2], [0, 2, 1]])
+        assert len(s3.generators) == 5 and s3.order == 6
+        m = torsion_module(s3, 4)
+        for degree in (0, 1, 2):
+            h, routes = computed_by(lambda: cohomology(s3, m, degree))
+            assert routes == ["kernel"]
+            assert_same_as_full_kernel(h)
+
+    def test_trivial_group(self):
+        """No generators: the single tuple of each degree is checked."""
+        g, _ = GROUPS["S3"].trivial_subgroup().as_group()
+        assert g.generators == () and g.order == 1
+        m = GModule(g, PresentedAbelianGroup(2, [[2, 0], [0, 6]]), [])
+        c = TwoTermComplex(GModuleHom(trivial_module(g, 1), m, IntMatrix([[1], [3]])))
+        for degree, want in ((0, (2, 6)), (1, ()), (2, ())):
+            h = cohomology(g, m, degree)
+            assert invariant_factors(h.group_value) == (0, want)
+            assert_same_as_full_kernel(h)
+            assert_same_as_full_kernel(hypercohomology(g, c, degree))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["Z2", "Z4", "V4", "S3", "D4"]),
+        seed=st.integers(0, 2**63 - 1),
+        degree=st.sampled_from([0, 1, 2]),
+    )
+    def test_random_torsion_complexes(self, name, seed, degree):
+        """A permutation module mapped to a module with torsion, the shape
+        of the complexes ``brauer`` builds."""
+        g = GROUPS[name]
+        rng = SplitMix64(seed)
+        a = permutation_module(g, random_subgroup(g, rng))
+        b = random_module(g, rng, max_rank=2 if name == "D4" else 3, max_torsion_relators=2)
+        assume(not b.is_z_free())
+        c = TwoTermComplex(random_equivariant_map(a, b, rng))
+        h, routes = computed_by(lambda: hypercohomology(g, c, degree))
+        assert routes == ["kernel"]
+        assert_same_as_full_kernel(h)
+
+    def test_a4_brauer_shape(self):
+        """Z[A4/V4] (Z-free, rank 3) -> Z/6 (rank 1, one relator)."""
+        a4 = LADDER_GROUPS["A4"]
+        v4 = next(sub for sub in all_subgroups(a4) if len(sub.members) == 4)
+        a = permutation_module(a4, v4)
+        assert a.rank == 3
+        c = TwoTermComplex(GModuleHom(a, torsion_module(a4, 6), IntMatrix([[2, 2, 2]])))
+        for degree in (0, 1, 2):
+            h, routes = computed_by(lambda: hypercohomology(a4, c, degree))
+            assert routes == ["kernel"]
+            assert_same_as_full_kernel(h)
+
+
 class TestComplexSegment:
+    """Degrees 0..3 of the cochain and total complexes: d o d lands in the
+    relation rows, and vanishes exactly on Z-free coefficients.  The
+    kernel route's checked rows rest on this."""
+
+    def assert_square_zero(self, cochains, exact):
+        for i in (0, 1):
+            composite = sparse_compose(cochains.diff_cols(i + 1), cochains.diff_cols(i))
+            assert len(composite) == cochains.dim(i)
+            for col in composite:
+                assert not col if exact else cochains.block_contains(i + 2, dense(col, cochains.dim(i + 2)))
+
     def test_d_squared_zero_exactly_free(self):
-        g = GROUPS["V4"]
-        seg = CochainComplexSegment(g, augmentation_ideal(g))
-        d0 = seg.differential(0)
-        d1 = seg.differential(1)
-        assert d1.matrix.mul(d0.matrix).is_zero()
+        rng = SplitMix64(5)
+        for name in ("V4", "S3"):
+            g = GROUPS[name]
+            self.assert_square_zero(_Cochains(g, augmentation_ideal(g)), exact=True)
+            f = random_equivariant_map(regular_module(g), augmentation_ideal(g), rng)
+            self.assert_square_zero(_TotalComplex(g, TwoTermComplex(f)), exact=True)
 
     def test_torsion_module_segment(self):
         g = GROUPS["Z2"]
         m = GModule(g, PresentedAbelianGroup(1, [[4]]), [IntMatrix([[3]])])
-        seg = CochainComplexSegment(g, m)  # d o d lands in relations
-        assert seg.cochain_space(0) == m.underlying
+        c = _Cochains(g, m)
+        self.assert_square_zero(c, exact=False)
+        # d o d lands in the relations, but is not zero on the nose
+        assert any(sparse_compose(c.diff_cols(1), c.diff_cols(0)))
+        rng = SplitMix64(7)
+        for name in ("V4", "S3"):
+            g = GROUPS[name]
+            f = random_equivariant_map(regular_module(g), torsion_module(g, 4), rng)
+            self.assert_square_zero(_TotalComplex(g, TwoTermComplex(f)), exact=False)
 
     def test_degree_zero_is_module(self):
-        g = GROUPS["Z2"]
-        m = augmentation_ideal(g)
-        seg = CochainComplexSegment(g, m)
-        assert seg.cochain_space(0) == m.underlying
+        for m in (augmentation_ideal(GROUPS["Z2"]), torsion_module(GROUPS["Z2"], 4)):
+            c = _Cochains(m.group, m)
+            assert c.dim(0) == m.rank
+            rows = [tuple(dense(col, c.dim(0))) for col in c.relation_cols(0)]
+            assert rows == list(m.underlying.relation_rows)
 
 
 class TestBudget:
