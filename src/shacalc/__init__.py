@@ -4,8 +4,8 @@ The package computes, with arbitrary-precision integer arithmetic:
 
 * Smith/Hermite normal forms and presented finitely generated abelian
   groups (the universal value type),
-* finite groups from permutation generators, their cyclic and Sylow
-  subgroups, exponents and the metacyclic test,
+* finite groups from permutation generators, their cyclic subgroups,
+  exponents and the metacyclic test,
 * integral G-modules, permutation modules, duals, restriction, and the
   permutation-cover resolution 0 -> L -> P -> M -> 0,
 * group cohomology H^0..H^2 by inhomogeneous cochains and
@@ -74,7 +74,6 @@ from .groups import (
     exponent,
     from_permutations,
     is_metacyclic,
-    sylow_subgroups,
 )
 from .intlinalg import IntMatrix, SmithDecomposition, hermite_normal_form, smith_normal_form
 from .sha import (

@@ -75,10 +75,12 @@ class PresentedAbelianGroup:
                 else:
                     rest.append(row)
             keep = [k for k in range(self.generator_count) if k not in units]
-            snf = smith_normal_form(
-                IntMatrix([[r[k] for k in keep] for r in rest], cols=len(keep))
-            )
-            diag = snf.diagonal
+            diag = ()
+            if rest:
+                snf = smith_normal_form(
+                    IntMatrix([[r[k] for k in keep] for r in rest], cols=len(keep))
+                )
+                diag = snf.diagonal
             rank = sum(1 for d in diag if d)
             torsion = tuple(d for d in diag if d > 1)
             self._inv = (len(keep) - rank, torsion)

@@ -53,6 +53,9 @@ complex is T^n = C^n(A) + C^{n-1}(B) with the fixed sign convention
 
 any consistent convention yields isomorphic groups, but this one is pinned
 so that representative-level tests are stable.
+
+A module M is computed as the complex M -> 0: then T^n = C^n(M) and D = d,
+so H^i(G, M) = HH^i(G, M -> 0) with the same coordinates.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from typing import Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
 from .errors import InternalError, ResourceError, StructuralError
-from .gmodules import GModule, GModuleHom, restrict
+from .gmodules import GModule, GModuleHom, restrict, zero_module
 from .groups import FiniteGroup, Subgroup, _prime_factors
 from .intlinalg import (
     IntMatrix,
@@ -97,23 +100,30 @@ class TwoTermComplex:
         return self.f.source.group
 
 
+def _module_complex(module: GModule) -> TwoTermComplex:
+    """The module as the complex M -> 0."""
+    zero = zero_module(module.group)
+    return TwoTermComplex(GModuleHom(module, zero, IntMatrix.zeros(0, module.rank)))
+
+
 # ---------------------------------------------------------------------------
 # Cochain machinery
 # ---------------------------------------------------------------------------
 
 
 class _Cochains:
-    """Index bookkeeping and sparse differentials for one module."""
+    """Index bookkeeping and sparse differentials for one term of a
+    :class:`_TotalComplex`."""
 
     def __init__(self, group: FiniteGroup, module: GModule):
         self.group = group
         self.module = module
         self.gm = module.rank
-        order = group.order
-        # sparse columns of each element's action matrix
+        # sparse columns of each element's action matrix; none for the zero
+        # module, whose differentials have no columns to fill
         self.elt_cols: list[list[dict[int, int]]] = [
-            sparse_from_matrix(module.element_matrix(e)) for e in range(order)
-        ]
+            sparse_from_matrix(module.element_matrix(e)) for e in range(group.order)
+        ] if self.gm else []
 
     def dim(self, i: int) -> int:
         return self.group.order**i * self.gm
@@ -216,6 +226,67 @@ class _Cochains:
         return True
 
 
+class _TotalComplex:
+    """T^n = C^n(A) + C^{n-1}(B), D(a,b) = (dA a, f(a) - dB b)."""
+
+    def __init__(self, group: FiniteGroup, complex_: TwoTermComplex):
+        self.ca = _Cochains(group, complex_.degree0)
+        self.cb = _Cochains(group, complex_.degree1)
+        self.f_cols = sparse_from_matrix(complex_.f.matrix)
+
+    def dim(self, n: int) -> int:
+        if n < 0:
+            return 0
+        b_part = self.cb.dim(n - 1) if n >= 1 else 0
+        return self.ca.dim(n) + b_part
+
+    def diff_cols(self, n: int) -> list[dict[int, int]]:
+        """Columns of D^n : T^n -> T^{n+1}."""
+        a_tgt = self.ca.dim(n + 1)
+        cols = self.ca.diff_cols(n)  # built afresh, so f is added in place
+        gm_a, gm_b = self.ca.gm, self.cb.gm
+        for src, col in enumerate(cols):
+            # f applied pointwise: block structure is shared
+            block, j = divmod(src, gm_a)
+            for r, v in self.f_cols[j].items():
+                key = a_tgt + block * gm_b + r
+                w = col.get(key, 0) + v
+                if w:
+                    col[key] = w
+                else:
+                    col.pop(key, None)
+        if n >= 1:
+            db = self.cb.diff_cols(n - 1)
+            for src in range(self.cb.dim(n - 1)):
+                cols.append({a_tgt + k: -v for k, v in db[src].items()})
+        return cols
+
+    def relation_cols(self, n: int) -> list[dict[int, int]]:
+        a_tgt = self.ca.dim(n)
+        out = list(self.ca.relation_cols(n))
+        if n >= 1:
+            for col in self.cb.relation_cols(n - 1):
+                out.append({a_tgt + k: v for k, v in col.items()})
+        return out
+
+    def checked_coords(self, n: int) -> list[int]:
+        """The coordinates of T^n on which the kernel route checks the
+        cocycle condition: those of C^n(A), then those of C^{n-1}(B)."""
+        coords = self.ca.checked_coords(n)
+        if n >= 1:
+            a_dim = self.ca.dim(n)
+            coords += [a_dim + k for k in self.cb.checked_coords(n - 1)]
+        return coords
+
+    def block_contains(self, n: int, vec: Sequence[int]) -> bool:
+        a_dim = self.ca.dim(n)
+        if not self.ca.block_contains(n, vec[:a_dim]):
+            return False
+        if n >= 1 and not self.cb.block_contains(n - 1, vec[a_dim:]):
+            return False
+        return True
+
+
 # ---------------------------------------------------------------------------
 # Cohomology groups
 # ---------------------------------------------------------------------------
@@ -229,11 +300,11 @@ class CohomologyGroup:
 
     degree: int
     group: FiniteGroup
-    coefficients: object  # GModule | TwoTermComplex
+    coefficients: TwoTermComplex  # a module M as M -> 0
     group_value: PresentedAbelianGroup
     representatives: tuple[tuple[int, ...], ...]
     _basis_rows: tuple[tuple[int, ...], ...]
-    _cochains: _Cochains | _TotalComplex = field(repr=False)
+    _cochains: _TotalComplex = field(repr=False)
     _cocycle_cols: list[dict[int, int]] | None = field(repr=False, default=None)
 
     def is_cocycle(self, vec: Sequence[int]) -> bool:
@@ -242,11 +313,8 @@ class CohomologyGroup:
         # this check is independent of either
         if self._cocycle_cols is None:
             self._cocycle_cols = self._cochains.diff_cols(self.degree)
-        img = sparse_apply(self._cocycle_cols, vec)
-        dense = [0] * self._cochains.dim(self.degree + 1)
-        for k, v in img.items():
-            dense[k] = v
-        return self._cochains.block_contains(self.degree + 1, dense)
+        img = _dense(sparse_apply(self._cocycle_cols, vec), self._cochains.dim(self.degree + 1))
+        return self._cochains.block_contains(self.degree + 1, img)
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cocycle's class on the computed generators."""
@@ -259,12 +327,17 @@ class CohomologyGroup:
         return str(self.group_value)
 
 
-def _budget_check(c2_dim: int, cap: int) -> None:
-    if c2_dim > cap:
-        raise ResourceError(
-            f"degree-2 cochain space has rank {c2_dim}, over the cap {cap}",
-            dimension=c2_dim,
-        )
+def _class_map(
+    src: CohomologyGroup, tgt: CohomologyGroup, cocycles: list[Sequence[int]]
+) -> AbHom:
+    """The map of values sending generator j of ``src`` to the class of
+    ``cocycles[j]``, a cocycle of ``tgt``."""
+    cols = [list(tgt.class_coords(c)) for c in cocycles]
+    return AbHom(
+        src.group_value,
+        tgt.group_value,
+        IntMatrix.from_cols(cols, rows=tgt.group_value.generator_count),
+    )
 
 
 def _homology_from_cols(
@@ -312,14 +385,19 @@ def _value_on_basis(
     """Z^i / B^i presented on the Hermite basis of Z^i."""
     relators = []
     for col in list(image_cols) + list(ambient_rel_cols):
-        dense = [0] * dim_i
-        for k, v in col.items():
-            dense[k] = v
-        coeffs = lattice_solve(basis, dense)
+        coeffs = lattice_solve(basis, _dense(col, dim_i))
         if coeffs is None:
             raise InternalError("image vector escapes the kernel lattice")
         relators.append(coeffs)
     return PresentedAbelianGroup(len(basis), relators)
+
+
+def _dense(col: dict[int, int], dim: int) -> list[int]:
+    """A sparse vector written out with ``dim`` coordinates."""
+    vec = [0] * dim
+    for k, v in col.items():
+        vec[k] = v
+    return vec
 
 
 def _on_rows(cols: list[dict[int, int]], rows: dict[int, int]) -> list[dict[int, int]]:
@@ -327,37 +405,65 @@ def _on_rows(cols: list[dict[int, int]], rows: dict[int, int]) -> list[dict[int,
     return [{rows[k]: v for k, v in col.items() if k in rows} for col in cols]
 
 
-def _computed(
-    group: FiniteGroup,
-    coefficients: object,
-    cochains: _Cochains | _TotalComplex,
-    degree: int,
-    torsion_bound: int | None,
+def _hypercohomology(
+    group: FiniteGroup, complex_: TwoTermComplex, degree: int, cochain_cap: int
 ) -> CohomologyGroup:
-    """HH^degree of a cochain complex, by the saturation route when a
-    ``torsion_bound`` is known, else by the kernel route."""
-    image = cochains.diff_cols(degree - 1) if degree >= 1 else []
-    ambient_rels = cochains.relation_cols(degree)
+    """HH^degree(group, A -> B) on the total complex, by the saturation
+    route when a torsion bound is known, else by the kernel route."""
+    if degree not in (0, 1, 2):
+        raise StructuralError("only degrees 0..2 are supported")
+    t = _TotalComplex(group, complex_)
+    c2_dim = t.dim(2)
+    if c2_dim > cochain_cap:
+        raise ResourceError(
+            f"degree-2 cochain space has rank {c2_dim}, over the cap {cochain_cap}",
+            dimension=c2_dim,
+        )
+    torsion_bound = _hyper_torsion_bound(complex_, degree)
+    image = t.diff_cols(degree - 1) if degree >= 1 else []
+    ambient_rels = t.relation_cols(degree)
     if torsion_bound is not None:
         value, basis = _homology_by_saturation(
-            cochains.dim(degree), image, ambient_rels, torsion_bound
+            t.dim(degree), image, ambient_rels, torsion_bound
         )
     else:
-        rows = {k: r for r, k in enumerate(cochains.checked_coords(degree + 1))}
-        d_i = _on_rows(cochains.diff_cols(degree), rows)
-        rels = [col for col in _on_rows(cochains.relation_cols(degree + 1), rows) if col]
+        rows = {k: r for r, k in enumerate(t.checked_coords(degree + 1))}
+        d_i = _on_rows(t.diff_cols(degree), rows)
+        rels = [col for col in _on_rows(t.relation_cols(degree + 1), rows) if col]
         value, basis = _homology_from_cols(
-            cochains.dim(degree), d_i, len(rows), rels, image, ambient_rels
+            t.dim(degree), d_i, len(rows), rels, image, ambient_rels
         )
     return CohomologyGroup(
         degree=degree,
         group=group,
-        coefficients=coefficients,
+        coefficients=complex_,
         group_value=value,
         representatives=basis,
         _basis_rows=basis,
-        _cochains=cochains,
+        _cochains=t,
     )
+
+
+def _hyper_torsion_bound(complex_: TwoTermComplex, degree: int) -> int | None:
+    """A multiple of the exponent of HH^degree(G, A -> B), or None when
+    the saturation route does not apply.
+
+    For the trivial group HH^0 = ker f, HH^1 = coker f and HH^i = 0 for
+    i >= 2, and |G| * exp HH^i(1, K) kills HH^i(G, K).  For M -> 0 that
+    is |G| in degree >= 1, since coker f = 0."""
+    a, b = complex_.degree0, complex_.degree1
+    if degree == 0 or not (a.is_z_free() and b.is_z_free()):
+        return None
+    order = complex_.group.order
+    if degree >= 2:
+        return order
+    coker = PresentedAbelianGroup(
+        b.rank, list(b.underlying.relation_rows) + list(complex_.f.matrix.transpose().rows)
+    )
+    free, torsion = coker.invariant_factors()
+    if free:
+        return None
+    return order * (torsion[-1] if torsion else 1)
 
 
 def cohomology(
@@ -367,16 +473,24 @@ def cohomology(
     *,
     cochain_cap: int = DEFAULT_COCHAIN_CAP,
 ) -> CohomologyGroup:
-    """H^degree(group, module) for degree 0, 1 or 2."""
-    if degree not in (0, 1, 2):
-        raise StructuralError("only degrees 0..2 are supported")
+    """H^degree(group, module) for degree 0, 1 or 2, computed as
+    HH^degree(group, module -> 0)."""
     if module.group is not group:
         raise StructuralError("module is not a module over the given group")
-    c = _Cochains(group, module)
-    _budget_check(group.order**2 * c.gm, cochain_cap)
-    # H^i(1, M) = 0 for i >= 1, so |G| kills H^i(G, M)
-    bound = group.order if degree >= 1 and module.is_z_free() else None
-    return _computed(group, module, c, degree, bound)
+    return _hypercohomology(group, _module_complex(module), degree, cochain_cap)
+
+
+def hypercohomology(
+    group: FiniteGroup,
+    complex_: TwoTermComplex,
+    degree: int,
+    *,
+    cochain_cap: int = DEFAULT_COCHAIN_CAP,
+) -> CohomologyGroup:
+    """HH^degree(group, A -> B) via the total complex."""
+    if complex_.group is not group:
+        raise StructuralError("complex is not over the given group")
+    return _hypercohomology(group, complex_, degree, cochain_cap)
 
 
 @dataclass(frozen=True)
@@ -408,148 +522,11 @@ def _tuple_selection(
 def restriction(
     cg: CohomologyGroup, h: Subgroup, *, cochain_cap: int = DEFAULT_COCHAIN_CAP
 ) -> Restriction:
-    """Restriction H^i(g, M) -> H^i(h, M|_h) along the inclusion of a
-    subgroup: cochains are restricted to tuples from the subgroup."""
-    module = cg.coefficients
-    if not isinstance(module, GModule):
-        raise StructuralError("use hyper_restriction for two-term coefficients")
-    if h.parent is not cg.group:
-        raise StructuralError("subgroup does not belong to the acting group")
-    h_group, embed = h.as_group()
-    sub_module = restrict(module, h, _as_group=(h_group, embed))
-    target = cohomology(h_group, sub_module, cg.degree, cochain_cap=cochain_cap)
-    sel = _tuple_selection(cg.group.order, embed, h_group.order, cg.degree, module.rank)
-    cols = []
-    for rep in cg.representatives:
-        picked = [rep[s] for s in sel]
-        cols.append(list(target.class_coords(picked)))
-    hom = AbHom(
-        cg.group_value,
-        target.group_value,
-        IntMatrix.from_cols(cols, rows=target.group_value.generator_count),
-    )
-    return Restriction(map=hom, target=target, cochain_selection=sel)
-
-
-# ---------------------------------------------------------------------------
-# Hypercohomology of a two-term complex
-# ---------------------------------------------------------------------------
-
-
-class _TotalComplex:
-    """T^n = C^n(A) + C^{n-1}(B), D(a,b) = (dA a, f(a) - dB b)."""
-
-    def __init__(self, group: FiniteGroup, complex_: TwoTermComplex):
-        self.group = group
-        self.complex = complex_
-        self.ca = _Cochains(group, complex_.degree0)
-        self.cb = _Cochains(group, complex_.degree1)
-        self.f_cols = sparse_from_matrix(complex_.f.matrix)
-
-    def dim(self, n: int) -> int:
-        if n < 0:
-            return 0
-        b_part = self.cb.dim(n - 1) if n >= 1 else 0
-        return self.ca.dim(n) + b_part
-
-    def diff_cols(self, n: int) -> list[dict[int, int]]:
-        """Columns of D^n : T^n -> T^{n+1}."""
-        order = self.group.order
-        a_src = self.ca.dim(n)
-        a_tgt = self.ca.dim(n + 1)
-        cols: list[dict[int, int]] = []
-        da = self.ca.diff_cols(n)
-        gm_a, gm_b = self.ca.gm, self.cb.gm
-        for src in range(a_src):
-            col = dict(da[src])
-            # f applied pointwise: block structure is shared
-            block, j = divmod(src, gm_a)
-            for r, v in self.f_cols[j].items():
-                key = a_tgt + block * gm_b + r
-                w = col.get(key, 0) + v
-                if w:
-                    col[key] = w
-                else:
-                    col.pop(key, None)
-            cols.append(col)
-        if n >= 1:
-            db = self.cb.diff_cols(n - 1)
-            for src in range(self.cb.dim(n - 1)):
-                cols.append({a_tgt + k: -v for k, v in db[src].items()})
-        return cols
-
-    def relation_cols(self, n: int) -> list[dict[int, int]]:
-        a_tgt = self.ca.dim(n)
-        out = list(self.ca.relation_cols(n))
-        if n >= 1:
-            for col in self.cb.relation_cols(n - 1):
-                out.append({a_tgt + k: v for k, v in col.items()})
-        return out
-
-    def checked_coords(self, n: int) -> list[int]:
-        """The coordinates of T^n on which the kernel route checks the
-        cocycle condition: those of C^n(A), then those of C^{n-1}(B)."""
-        coords = self.ca.checked_coords(n)
-        if n >= 1:
-            a_dim = self.ca.dim(n)
-            coords += [a_dim + k for k in self.cb.checked_coords(n - 1)]
-        return coords
-
-    def block_contains(self, n: int, vec: Sequence[int]) -> bool:
-        a_dim = self.ca.dim(n)
-        if not self.ca.block_contains(n, vec[:a_dim]):
-            return False
-        if n >= 1 and not self.cb.block_contains(n - 1, vec[a_dim:]):
-            return False
-        return True
-
-
-def hypercohomology(
-    group: FiniteGroup,
-    complex_: TwoTermComplex,
-    degree: int,
-    *,
-    cochain_cap: int = DEFAULT_COCHAIN_CAP,
-) -> CohomologyGroup:
-    """HH^degree(group, A -> B) via the total complex."""
-    if degree not in (0, 1, 2):
-        raise StructuralError("only degrees 0..2 are supported")
-    if complex_.group is not group:
-        raise StructuralError("complex is not over the given group")
-    t = _TotalComplex(group, complex_)
-    _budget_check(t.dim(2), cochain_cap)
-    return _computed(group, complex_, t, degree, _hyper_torsion_bound(complex_, degree))
-
-
-def _hyper_torsion_bound(complex_: TwoTermComplex, degree: int) -> int | None:
-    """A multiple of the exponent of HH^degree(G, A -> B), or None when
-    the saturation route does not apply.
-
-    For the trivial group HH^0 = ker f, HH^1 = coker f and HH^i = 0 for
-    i >= 2, and |G| * exp HH^i(1, K) kills HH^i(G, K)."""
-    a, b = complex_.degree0, complex_.degree1
-    if degree == 0 or not (a.is_z_free() and b.is_z_free()):
-        return None
-    order = complex_.group.order
-    if degree >= 2:
-        return order
-    coker = PresentedAbelianGroup(
-        b.rank, list(b.underlying.relation_rows) + list(complex_.f.matrix.transpose().rows)
-    )
-    free, torsion = coker.invariant_factors()
-    if free:
-        return None
-    return order * (torsion[-1] if torsion else 1)
-
-
-def hyper_restriction(
-    cg: CohomologyGroup, h: Subgroup, *, cochain_cap: int = DEFAULT_COCHAIN_CAP
-) -> Restriction:
-    """Restriction of hypercohomology along a subgroup: both components of
-    the total complex are restricted."""
+    """Restriction HH^i(g, A -> B) -> HH^i(h, A|_h -> B|_h) along the
+    inclusion of a subgroup: the cochains of both terms of the total
+    complex are restricted to tuples from the subgroup.  For a module M,
+    the complex M -> 0, this is H^i(g, M) -> H^i(h, M|_h)."""
     complex_ = cg.coefficients
-    if not isinstance(complex_, TwoTermComplex):
-        raise StructuralError("hyper_restriction needs two-term coefficients")
     if h.parent is not cg.group:
         raise StructuralError("subgroup does not belong to the acting group")
     h_group, embed = h.as_group()
@@ -559,20 +536,16 @@ def hyper_restriction(
     target = hypercohomology(h_group, sub_complex, cg.degree, cochain_cap=cochain_cap)
     i = cg.degree
     order, sub_order = cg.group.order, h_group.order
-    a_dim = order**i * complex_.degree0.rank
-    sel_a = _tuple_selection(order, embed, sub_order, i, complex_.degree0.rank)
-    sel_b = _tuple_selection(order, embed, sub_order, i - 1, complex_.degree1.rank)
-    sel = tuple(list(sel_a) + [a_dim + s for s in sel_b])
-    cols = []
-    for rep in cg.representatives:
-        picked = [rep[s] for s in sel]
-        cols.append(list(target.class_coords(picked)))
-    hom = AbHom(
-        cg.group_value,
-        target.group_value,
-        IntMatrix.from_cols(cols, rows=target.group_value.generator_count),
-    )
+    sel = _tuple_selection(order, embed, sub_order, i, complex_.degree0.rank)
+    if i >= 1:  # T^0 = C^0(A) has no B part
+        a_dim = order**i * complex_.degree0.rank
+        sel_b = _tuple_selection(order, embed, sub_order, i - 1, complex_.degree1.rank)
+        sel += tuple(a_dim + s for s in sel_b)
+    hom = _class_map(cg, target, [[rep[s] for s in sel] for rep in cg.representatives])
     return Restriction(map=hom, target=target, cochain_selection=sel)
+
+
+hyper_restriction = restriction
 
 
 # ---------------------------------------------------------------------------
@@ -628,34 +601,13 @@ def les_segment(
     order = group.order
 
     def induced_f(src: CohomologyGroup, tgt: CohomologyGroup, deg: int) -> AbHom:
-        cols = [
-            list(tgt.class_coords(f_pointwise(rep, order**deg)))
-            for rep in src.representatives
-        ]
-        return AbHom(
-            src.group_value,
-            tgt.group_value,
-            IntMatrix.from_cols(cols, rows=tgt.group_value.generator_count),
-        )
+        return _class_map(src, tgt, [f_pointwise(rep, order**deg) for rep in src.representatives])
 
     a_dim_hyper = order**i * gm_a
-    cols_in = []
-    for rep in hb_prev.representatives:
-        total = [0] * a_dim_hyper + list(rep)
-        cols_in.append(list(hyper.class_coords(total)))
-    from_b_prev = AbHom(
-        hb_prev.group_value,
-        hyper.group_value,
-        IntMatrix.from_cols(cols_in, rows=hyper.group_value.generator_count),
+    from_b_prev = _class_map(
+        hb_prev, hyper, [[0] * a_dim_hyper + list(rep) for rep in hb_prev.representatives]
     )
-    cols_out = [
-        list(ha.class_coords(rep[:a_dim_hyper])) for rep in hyper.representatives
-    ]
-    to_a = AbHom(
-        hyper.group_value,
-        ha.group_value,
-        IntMatrix.from_cols(cols_out, rows=ha.group_value.generator_count),
-    )
+    to_a = _class_map(hyper, ha, [rep[:a_dim_hyper] for rep in hyper.representatives])
     return LesSegment(
         ha_prev=ha_prev,
         hb_prev=hb_prev,

@@ -191,6 +191,8 @@ class GModuleHom:
         for a_src, a_tgt in zip(source.action, target.action):
             left = a_tgt.mul(matrix)
             right = matrix.mul(a_src)
+            if left.rows == right.rows:
+                continue  # equivariant on the nose, as the map M -> 0 always is
             for j in range(matrix.ncols):
                 diff = [x - y for x, y in zip(left.col(j), right.col(j))]
                 if not und.contains_relation(diff):

@@ -319,50 +319,12 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def sylow_subgroups(g: FiniteGroup) -> dict[int, Subgroup]:
-    """One Sylow p-subgroup for each prime p dividing the order.
-
-    A p-subgroup that is not yet Sylow has index divisible by p in its
-    normalizer, so some element of p-power order outside it normalizes it;
-    adjoining that element grows the subgroup and the loop terminates."""
-    out: dict[int, Subgroup] = {}
-    for p, a in sorted(_prime_factors(g.order).items()):
-        target = p**a
-        current = g.trivial_subgroup()
-        while current.order < target:
-            mem = set(current.members)
-            normalizer = [
-                x
-                for x in range(g.order)
-                if all(g.conjugate(x, m) in mem for m in current.members)
-            ]
-            grown = False
-            for y in normalizer:
-                if y in mem:
-                    continue
-                q = g.element_order(y)
-                m = q
-                while m % p == 0:
-                    m //= p
-                z = y
-                for _ in range(m - 1):  # z = y^m has p-power order
-                    z = g.table[z][y]
-                if z not in mem and g.element_order(z) > 1:
-                    current = g.generated_subgroup(list(current.members) + [z])
-                    grown = True
-                    break
-            if not grown:  # cannot happen for a correct table
-                raise StructuralError("Sylow growth failed: table is inconsistent")
-        out[p] = current
-    return out
-
-
 def exponent(g: FiniteGroup) -> int:
     """Least common multiple of the element orders."""
     return g.exponent()
 
 
 def is_metacyclic(g: FiniteGroup) -> bool:
-    """Whether every Sylow subgroup is cyclic (equivalently, the exponent
-    equals the order)."""
-    return all(s.is_cyclic() for s in sylow_subgroups(g).values())
+    """Whether every Sylow subgroup is cyclic, equivalently whether the
+    exponent equals the order."""
+    return exponent(g) == g.order

@@ -32,7 +32,7 @@ this tool; every statement verified here is a statement about the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .abelian import (
     AbHom,
@@ -45,10 +45,8 @@ from .abelian import (
 from .cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
-    Restriction,
     TwoTermComplex,
-    cohomology,
-    hyper_restriction,
+    _module_complex,
     hypercohomology,
     restriction,
 )
@@ -145,20 +143,21 @@ def _imposed_subgroups(
     return out
 
 
-def _sha_core(
-    ambient: CohomologyGroup,
-    imposed: list[tuple[str, Subgroup]],
-    restrict_fn: Callable[[CohomologyGroup, Subgroup], Restriction],
+def _sha(
+    datum: LocalDatum,
+    complex_: TwoTermComplex,
+    degree: int,
+    selection: PlaceSelection,
+    cochain_cap: int,
 ) -> ShaGroup:
+    """The kernel of the imposed restrictions inside HH^degree of the
+    complex; a module M is the complex M -> 0."""
+    ambient = hypercohomology(datum.group, complex_, degree, cochain_cap=cochain_cap)
+    imposed = _imposed_subgroups(datum, selection)
+    restrictions = [restriction(ambient, sub, cochain_cap=cochain_cap) for _, sub in imposed]
     value_group = ambient.group_value
-    homs: list[AbHom] = []
-    restrictions: list[Restriction] = []
-    for _, sub in imposed:
-        res = restrict_fn(ambient, sub)
-        restrictions.append(res)
-        homs.append(res.map)
-    if homs:
-        constraint = stack_homs(homs)
+    if restrictions:
+        constraint = stack_homs([res.map for res in restrictions])
     else:
         constraint = AbHom.zero(value_group, trivial_group())
     sq = subquotient(constraint, AbHom.zero(trivial_group(), value_group))
@@ -184,7 +183,7 @@ def _sha_core(
     )
     # every representative must restrict to zero on every imposed subgroup,
     # re-checked at the cochain level
-    for rep, _ in zip(group.representatives, range(len(reps))):
+    for rep in group.representatives:
         for res in restrictions:
             picked = [rep[s] for s in res.cochain_selection]
             if any(res.target.class_coords(picked)):
@@ -209,11 +208,7 @@ def sha(
         raise StructuralError("Sha is computed in degrees 1 and 2 only")
     if module.group is not datum.group:
         raise StructuralError("module is not over the datum's group")
-    ambient = cohomology(datum.group, module, degree, cochain_cap=cochain_cap)
-    imposed = _imposed_subgroups(datum, selection)
-    return _sha_core(
-        ambient, imposed, lambda cg, sub: restriction(cg, sub, cochain_cap=cochain_cap)
-    )
+    return _sha(datum, _module_complex(module), degree, selection, cochain_cap)
 
 
 def sha_omega(
@@ -263,13 +258,7 @@ def sha_two_term(
         raise StructuralError("two-term Sha is exposed in degree 2")
     if complex_.group is not datum.group:
         raise StructuralError("complex is not over the datum's group")
-    ambient = hypercohomology(datum.group, complex_, degree, cochain_cap=cochain_cap)
-    imposed = _imposed_subgroups(datum, selection)
-    return _sha_core(
-        ambient,
-        imposed,
-        lambda cg, sub: hyper_restriction(cg, sub, cochain_cap=cochain_cap),
-    )
+    return _sha(datum, complex_, degree, selection, cochain_cap)
 
 
 def sha_two_term_omega(

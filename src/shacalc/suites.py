@@ -32,7 +32,7 @@ from .gmodules import (
     sign_module,
     trivial_module,
 )
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, is_metacyclic
 from .intlinalg import (
     IntMatrix,
     preimage_kernel,
@@ -302,15 +302,13 @@ def annihilation_suite(
 ) -> SuiteReport:
     """Random modules: (order/exponent of the faithful image) kills
     Sha^1_omega, and metacyclic images force outright vanishing."""
-    from .groups import is_metacyclic as _is_meta
-
     if groups is None:
         groups = builtin_groups()
         names = [n for n in ANNIHILATION_GROUP_NAMES if n in groups]
     else:
         names = sorted(groups)
     if metacyclic_only:
-        names = [n for n in names if _is_meta(groups[n])]
+        names = [n for n in names if is_metacyclic(groups[n])]
         if not names:
             raise StructuralError(
                 "the metacyclic suite needs at least one metacyclic group"
@@ -589,10 +587,8 @@ def run_suite(
     groups: dict[str, FiniteGroup] | None = None,
 ) -> list[SuiteReport]:
     if name == "all":
-        from .groups import is_metacyclic as _is_meta
-
         names = sorted(SUITES)
-        if groups is not None and not any(_is_meta(g) for g in groups.values()):
+        if groups is not None and not any(is_metacyclic(g) for g in groups.values()):
             names.remove("metacyclic")  # inapplicable to the supplied group
         return [SUITES[key](seed, instances, groups) for key in names]
     if name not in SUITES:

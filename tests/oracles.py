@@ -216,6 +216,66 @@ def abelianization_invariants(table: list[list[int]]) -> tuple[int, ...]:
     return _classify_by_orders(classes, lambda a, b: coset_of[table[a][b]], 0, coset_of)
 
 
+# -- Sylow subgroups from the multiplication table -------------------------
+
+
+def element_order(table: list[list[int]], x: int) -> int:
+    """Order of ``x`` in the group with multiplication table ``table``
+    (element 0 the identity)."""
+    k, y = 1, x
+    while y != 0:
+        y = table[y][x]
+        k += 1
+    return k
+
+
+def sylow_subgroups(table: list[list[int]]) -> dict[int, frozenset[int]]:
+    """One Sylow p-subgroup, as a set of elements, for each prime p dividing
+    the order of the group with multiplication table ``table``.
+
+    A depth-first search over p-subgroups, each the closure of a smaller
+    one and one element of p-power order, stops at the first of order the
+    full p-part.  Every p-subgroup H lies in a Sylow subgroup P, and
+    adjoining an element of P outside H stays inside P, so the search
+    reaches one."""
+    n = len(table)
+
+    def closure(seeds: set[int]) -> frozenset[int]:
+        members = {0}
+        frontier = [0]
+        while frontier:
+            frontier = [table[x][s] for x in frontier for s in seeds if table[x][s] not in members]
+            members.update(frontier)
+        return frozenset(members)
+
+    def p_power(m: int, p: int) -> bool:
+        while m % p == 0:
+            m //= p
+        return m == 1
+
+    out: dict[int, frozenset[int]] = {}
+    rest = n
+    for p in range(2, n + 1):
+        full = 1
+        while rest % p == 0:
+            rest //= p
+            full *= p
+        if full == 1:
+            continue
+        p_elements = [x for x in range(n) if p_power(element_order(table, x), p)]
+        seen: set[frozenset[int]] = set()
+        stack = [frozenset({0})]
+        while len(stack[-1]) < full:
+            sub = stack.pop()
+            for x in p_elements:
+                grown = closure(sub | {x})
+                if grown != sub and grown not in seen and p_power(len(grown), p):
+                    seen.add(grown)
+                    stack.append(grown)
+        out[p] = stack[-1]
+    return out
+
+
 # -- naive subquotient inside a box group -----------------------------------
 
 

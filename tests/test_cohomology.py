@@ -32,11 +32,13 @@ from shacalc.gmodules import (
     restrict,
     sign_module,
     trivial_module,
+    zero_module,
 )
 from shacalc.groups import from_permutations
 from shacalc.intlinalg import IntMatrix, preimage_kernel, sparse_compose, sparse_from_matrix
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
+from shacalc.sha import LocalDatum, sha, sha_omega, sha_two_term
 from shacalc.suites import random_equivariant_map, random_module, random_subgroup
 
 from helpers import all_subgroups, catalog
@@ -205,6 +207,28 @@ def computed_by(compute):
             mp.setattr(module, name, spy)
         result = compute()
     return result, taken
+
+
+def public_computations(compute):
+    """``compute()`` and the names of the public computations,
+    ``cohomology`` and ``hypercohomology``, that it called, through any
+    binding of them in the package.  A tracer that wraps each public
+    function counts one computation per such call."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for real in (cohomology, hypercohomology):
+
+            def spy(*args, _real=real, **kwargs):
+                calls.append(_real.__name__)
+                return _real(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name == "shacalc" or name.startswith("shacalc."):
+                    for attr, value in list(vars(module).items()):
+                        if value is real:
+                            mp.setattr(module, attr, spy)
+        result = compute()
+    return result, calls
 
 
 def route_of(compute):
@@ -524,6 +548,86 @@ class TestRestriction:
             sub = g.generated_subgroup([e])
             res = restriction(h, sub)
             assert invariant_factors(res.target.group_value) == (0, (2,))
+
+    def test_degree_zero(self):
+        """In degree 0 restriction is the inclusion of fixed points M^G in
+        M^H, for a module and for a complex A -> B, whose T^0 = C^0(A) has
+        no B part.  With Z-free A and no image in degree 0, each class is
+        its one cocycle, so every representative must come back unchanged."""
+        g = GROUPS["V4"]
+        sub = g.generated_subgroup([1])
+        reg, z = regular_module(g), trivial_module(g, 1)
+        to_zero = TwoTermComplex(GModuleHom(z, zero_module(g), IntMatrix.zeros(0, 1)))
+        zero_map = TwoTermComplex(GModuleHom(reg, z, IntMatrix.zeros(1, g.order)))
+        cases = [
+            (cohomology(g, reg, 0), (2, ())),
+            (hypercohomology(g, to_zero, 0), (1, ())),
+            (hypercohomology(g, zero_map, 0), (2, ())),
+        ]
+        for h, target_value in cases:
+            res = hyper_restriction(h, sub)
+            assert invariant_factors(res.target.group_value) == target_value
+            assert res.cochain_selection == tuple(range(len(h.representatives[0])))
+            for j, rep in enumerate(h.representatives):
+                coords = res.map.matrix.col(j)
+                back = [
+                    sum(c * r[k] for c, r in zip(coords, res.target.representatives))
+                    for k in range(len(rep))
+                ]
+                assert back == list(rep)
+
+
+class TestModuleAsComplex:
+    def test_same_as_the_module_cochains(self):
+        """H^i(G, M), computed as HH^i(G, M -> 0), has the representatives
+        and relators of the kernel route run on the cochains C^i(M) of the
+        module alone, with every row of d^i."""
+        for name, degrees in (("Z2", (0, 1, 2)), ("V4", (0, 1, 2)), ("S3", (0, 1, 2)),
+                              ("D4", (0, 1)), ("Q8", (0, 1))):
+            g = GROUPS[name]
+            for m in (trivial_module(g, 1), augmentation_ideal(g), torsion_module(g, 4)):
+                c = _Cochains(g, m)
+                for d in degrees:
+                    h = cohomology(g, m, d)
+                    value, basis = _homology_from_cols(
+                        c.dim(d), c.diff_cols(d), c.dim(d + 1), c.relation_cols(d + 1),
+                        c.diff_cols(d - 1) if d else [], c.relation_cols(d),
+                    )
+                    assert basis == h.representatives, (name, m, d)
+                    assert value.relation_rows == h.group_value.relation_rows
+
+
+class TestPublicComputations:
+    """Each public entry point enters exactly one public computation per
+    group it computes, so counting calls by public name counts each
+    computation once, wherever the call came from."""
+
+    def test_cohomology(self):
+        g = GROUPS["S3"]
+        for m, degree in ((augmentation_ideal(g), 1), (torsion_module(g, 4), 0)):
+            # called through the package's binding, which the spies replace
+            package = sys.modules["shacalc.cohomology"]
+            _, calls = public_computations(lambda: package.cohomology(g, m, degree))
+            assert calls == ["cohomology"]
+
+    def test_restriction(self):
+        g = GROUPS["V4"]
+        sub = g.generated_subgroup([1])
+        for h in (cohomology(g, augmentation_ideal(g), 1), hypercohomology(g, j_dual(g), 2)):
+            _, calls = public_computations(lambda: restriction(h, sub))
+            assert len(calls) == 1
+
+    def test_sha(self):
+        g = GROUPS["S3"]
+        datum = LocalDatum(g, (("v", g.full_subgroup()),))
+        for compute in (
+            lambda: sha(datum, augmentation_ideal(g), 1),
+            lambda: sha_omega(datum, augmentation_ideal(g), 1),
+            lambda: sha_two_term(datum, j_dual(g), 2),
+        ):
+            result, calls = public_computations(compute)
+            assert result.imposed
+            assert len(calls) == 1 + len(result.imposed)
 
 
 class TestHyper:

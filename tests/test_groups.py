@@ -9,10 +9,10 @@ from shacalc.groups import (
     exponent,
     from_permutations,
     is_metacyclic,
-    sylow_subgroups,
 )
 
 from helpers import all_subgroups, catalog
+from oracles import element_order, sylow_subgroups
 
 GROUPS = catalog()
 
@@ -100,25 +100,28 @@ class TestCyclicSubgroups:
 
 
 class TestSylow:
+    """The Sylow oracle that the metacyclic test is checked against."""
+
+    def orders(self, g):
+        return {p: len(s) for p, s in sylow_subgroups(g.table).items()}
+
     def test_s3(self):
-        syl = sylow_subgroups(GROUPS["S3"])
-        assert {p: s.order for p, s in syl.items()} == {2: 2, 3: 3}
+        assert self.orders(GROUPS["S3"]) == {2: 2, 3: 3}
 
     def test_z12(self):
-        syl = sylow_subgroups(GROUPS["Z12"])
-        assert {p: s.order for p, s in syl.items()} == {2: 4, 3: 3}
+        assert self.orders(GROUPS["Z12"]) == {2: 4, 3: 3}
 
     def test_trivial(self):
-        assert sylow_subgroups(from_permutations([])) == {}
+        assert sylow_subgroups(from_permutations([]).table) == {}
 
     def test_a4(self):
-        syl = sylow_subgroups(GROUPS["A4"])
-        assert {p: s.order for p, s in syl.items()} == {2: 4, 3: 3}
+        assert self.orders(GROUPS["A4"]) == {2: 4, 3: 3}
 
     def test_sylow_really_subgroups(self):
         for g in GROUPS.values():
-            for p, s in sylow_subgroups(g).items():
-                assert s.order > 0  # construction validates closure
+            for p, s in sylow_subgroups(g.table).items():
+                assert g.subgroup(s).order == len(s)  # construction validates closure
+                assert g.order % len(s) == 0 and (g.order // len(s)) % p != 0
 
 
 class TestMetacyclicExponent:
@@ -135,10 +138,19 @@ class TestMetacyclicExponent:
         assert exponent(GROUPS["Z8"]) == 8
 
     def test_exponent_equals_order_iff_metacyclic(self):
+        """is_metacyclic against its definition: every Sylow subgroup of
+        the oracle is cyclic, that is, holds an element of its own order."""
+        outcomes = set()
         for name, g in GROUPS.items():
             assert exponent(g) % 1 == 0
             assert g.order % exponent(g) == 0
-            assert is_metacyclic(g) == (exponent(g) == g.order), name
+            cyclic_sylows = all(
+                any(element_order(g.table, x) == len(s) for x in s)
+                for s in sylow_subgroups(g.table).values()
+            )
+            assert is_metacyclic(g) == cyclic_sylows, name
+            outcomes.add(cyclic_sylows)
+        assert outcomes == {True, False}
 
 
 class TestSubgroupType:
