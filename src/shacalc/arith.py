@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import PresentedAbelianGroup
-from .cohomology import DEFAULT_COCHAIN_CAP, TwoTermComplex
+from .cohomology import DEFAULT_COCHAIN_CAP, TwoTermComplex, _module_complex
 from .errors import InternalError, StructuralError
 from .gmodules import (
     GModule,
@@ -42,20 +42,11 @@ from .intlinalg import (
     IntMatrix,
     lattice_solve,
     preimage_kernel,
+    smith_normal_form,
     sparse_from_matrix,
     unimodular_inverse,
 )
-from .sha import (
-    EMPTY_SELECTION,
-    LocalDatum,
-    PlaceSelection,
-    sha,
-    sha_omega,
-    sha_quotient,
-    sha_two_term,
-    sha_two_term_omega,
-    sha_two_term_quotient,
-)
+from .sha import EMPTY_SELECTION, LocalDatum, PlaceSelection, _sha_groups
 
 VERDICT_VANISHES = "VANISHES (theorem applies)"
 VERDICT_NONZERO = "NONZERO (obstruction group nontrivial; theorem silent)"
@@ -97,8 +88,6 @@ class CocharacterDatum:
             raise StructuralError("cocharacter data must be Z-free")
         m = self.coroot_inclusion.matrix
         if m.ncols:
-            from .intlinalg import smith_normal_form
-
             diag = smith_normal_form(m).diagonal
             if sum(1 for d in diag if d) != m.ncols:
                 raise StructuralError("coroot inclusion is not injective")
@@ -175,37 +164,41 @@ def brauer_obstruction_groups(
     permutation module); a mismatch is reported as an implementation-bug
     certificate.  The degree-1 route's groups are returned."""
     datum = h.datum
-    complex_ = TwoTermComplex(h.res)
-    route2_S = sha_two_term(datum, complex_, 2, selection, cochain_cap=cochain_cap)
-    route1_S = sha(datum, h.H_hat, 1, selection, cochain_cap=cochain_cap)
-    route2_omega = sha_two_term_omega(datum, complex_, cochain_cap=cochain_cap)
-    route1_omega = sha_omega(datum, h.H_hat, 1, cochain_cap=cochain_cap)
+    S_omega = [selection, PlaceSelection.of(*datum.place_names)]
+    route2_S, route2_omega = _sha_groups(datum, TwoTermComplex(h.res), 2, S_omega, cochain_cap)
+    route1_S, route1_omega, route1_empty = _sha_groups(
+        datum, _module_complex(h.H_hat), 1, S_omega + [EMPTY_SELECTION], cochain_cap
+    )
     checks = {
-        "S": (
-            route1_S.value.invariant_factors(),
-            route2_S.value.invariant_factors(),
-        ),
-        "omega": (
-            route1_omega.value.invariant_factors(),
-            route2_omega.value.invariant_factors(),
-        ),
+        label: (one.value.invariant_factors(), two.value.invariant_factors())
+        for label, one, two in (("S", route1_S, route2_S), ("omega", route1_omega, route2_omega))
     }
     for label, (one, two) in checks.items():
         if one != two:
             raise InternalError(
                 f"route cross-check failed at {label}: degree-1 gives {one}, "
-                f"degree-2 gives {two} (implementation bug)"
+                f"degree-2 gives {two} (implementation bug)",
+                certificate={
+                    "kind": "route-mismatch",
+                    "label": label,
+                    "degree1": _factors_json(one),
+                    "degree2": _factors_json(two),
+                },
             )
-    quotient = sha_quotient(datum, h.H_hat, 1, selection, cochain_cap=cochain_cap)
     return BrauerGroups(
         B_S=route1_S.value,
-        B_S_quotient=quotient,
+        B_S_quotient=route1_S.quotient_by(route1_empty),
         B_omega=route1_omega.value,
         cross_check={
-            k: {"free_rank": one[0], "torsion": list(one[1]), "routes_agree": True}
+            k: {**_factors_json(one), "routes_agree": True}
             for k, (one, _) in checks.items()
         },
     )
+
+
+def _factors_json(factors: tuple[int, tuple[int, ...]]) -> dict:
+    free_rank, torsion = factors
+    return {"free_rank": free_rank, "torsion": list(torsion)}
 
 
 @dataclass(frozen=True)
@@ -230,9 +223,9 @@ def pi1_obstruction_groups(
     retained condition is cyclic the S-quotient must vanish."""
     if m.group is not datum.group:
         raise StructuralError("module is not over the datum's group")
-    md = dual_complex(m)
-    quotient = sha_two_term_quotient(datum, md, 2, selection, cochain_cap=cochain_cap)
-    omega = sha_two_term_omega(datum, md, cochain_cap=cochain_cap)
+    selections = [selection, EMPTY_SELECTION, PlaceSelection.of(*datum.place_names)]
+    S_group, empty, omega = _sha_groups(datum, dual_complex(m), 2, selections, cochain_cap)
+    quotient = S_group.quotient_by(empty)
     q_group, _ = faithful_quotient(m)
     metacyclic = is_metacyclic(q_group)
     if metacyclic and not omega.value.is_trivial():

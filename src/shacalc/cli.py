@@ -5,7 +5,8 @@
 Commands: cohomology, sha, brauer, pi1, cover, ext0, verify.  Output is a
 JSON report on stdout (``--format text`` for a human summary); errors are
 machine-readable JSON on stderr.  Exit codes: 0 success, 2 a verification
-suite found a counterexample, 3 input error, 4 resource budget exceeded.
+suite found a counterexample, 3 input error, 4 resource budget exceeded,
+5 internal error (a failed cross-check or re-verification).
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error("input", str(exc), "$")
         return EXIT_INPUT
     except InternalError as exc:
-        _emit_error("internal", str(exc), "$")
+        _emit_error("internal", str(exc), "$", certificate=exc.certificate)
         return EXIT_INTERNAL
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.monotonic() - started, 3)}

@@ -23,7 +23,12 @@ class ResourceError(ShacalcError):
 class InternalError(ShacalcError):
     """An internal consistency check failed: the inputs were valid, but a
     computed result contradicts a cross-check or a re-verification.  This
-    is a defect in the package, never a property of the input."""
+    is a defect in the package, never a property of the input.  The
+    optional ``certificate`` names the failed check and what it saw."""
+
+    def __init__(self, message: str, *, certificate: dict | None = None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 class InputError(ShacalcError):

@@ -45,6 +45,7 @@ from .abelian import (
 from .cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
+    Restriction,
     TwoTermComplex,
     _module_complex,
     hypercohomology,
@@ -53,7 +54,7 @@ from .cohomology import (
 from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_quotient
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, lattice_solve
 
 
 @dataclass(frozen=True)
@@ -109,12 +110,14 @@ class ShaGroup:
     def class_of(self, ambient_coords: Sequence[int]) -> tuple[int, ...]:
         """Coordinates in this subgroup of an ambient class known to lie in
         it (raises otherwise)."""
-        from .intlinalg import lattice_solve
-
         coeffs = lattice_solve(self._basis_rows, ambient_coords)
         if coeffs is None:
             raise StructuralError("class does not lie in the Sha subgroup")
         return self.value.reduce_element(coeffs)
+
+    def quotient_by(self, smaller: "ShaGroup") -> PresentedAbelianGroup:
+        """This group modulo a smaller one over the same ambient (Sha_S / Sha_empty)."""
+        return subquotient(self._constraint, smaller.inclusion).group
 
     def __str__(self) -> str:
         return str(self.value)
@@ -143,18 +146,33 @@ def _imposed_subgroups(
     return out
 
 
-def _sha(
+def _sha_groups(
     datum: LocalDatum,
     complex_: TwoTermComplex,
     degree: int,
-    selection: PlaceSelection,
+    selections: Sequence[PlaceSelection],
     cochain_cap: int,
-) -> ShaGroup:
-    """The kernel of the imposed restrictions inside HH^degree of the
-    complex; a module M is the complex M -> 0."""
+) -> list[ShaGroup]:
+    """One Sha group per selection inside HH^degree of the complex (a module M
+    is M -> 0): the ambient group is computed once, and restricted once to
+    each distinct subgroup that some selection imposes."""
     ambient = hypercohomology(datum.group, complex_, degree, cochain_cap=cochain_cap)
-    imposed = _imposed_subgroups(datum, selection)
-    restrictions = [restriction(ambient, sub, cochain_cap=cochain_cap) for _, sub in imposed]
+    imposed_lists = [_imposed_subgroups(datum, selection) for selection in selections]
+    # a subgroup is its members: equal keys give equal restrictions
+    subs = {sub.members: sub for imposed in imposed_lists for _, sub in imposed}
+    restrictions = {m: restriction(ambient, h, cochain_cap=cochain_cap) for m, h in subs.items()}
+    return [
+        _kernel(ambient, imposed, [restrictions[sub.members] for _, sub in imposed])
+        for imposed in imposed_lists
+    ]
+
+
+def _kernel(
+    ambient: CohomologyGroup,
+    imposed: list[tuple[str, Subgroup]],
+    restrictions: list[Restriction],
+) -> ShaGroup:
+    """The kernel of ``restrictions``, one per imposed place, on ``ambient``."""
     value_group = ambient.group_value
     if restrictions:
         constraint = stack_homs([res.map for res in restrictions])
@@ -183,14 +201,31 @@ def _sha(
     )
     # every representative must restrict to zero on every imposed subgroup,
     # re-checked at the cochain level
-    for rep in group.representatives:
-        for res in restrictions:
+    for index, rep in enumerate(group.representatives):
+        for (name, _), res in zip(imposed, restrictions):
             picked = [rep[s] for s in res.cochain_selection]
             if any(res.target.class_coords(picked)):
                 raise InternalError(
-                    "internal check failed: a Sha representative survives a restriction"
+                    "internal check failed: a Sha representative survives a restriction",
+                    certificate={"kind": "sha-recheck", "imposed": name, "representative": index},
                 )
     return group
+
+
+def _checked_module(datum: LocalDatum, module: GModule, degree: int) -> TwoTermComplex:
+    if degree not in (1, 2):
+        raise StructuralError("Sha is computed in degrees 1 and 2 only")
+    if module.group is not datum.group:
+        raise StructuralError("module is not over the datum's group")
+    return _module_complex(module)
+
+
+def _checked_complex(datum: LocalDatum, complex_: TwoTermComplex, degree: int) -> TwoTermComplex:
+    if degree != 2:
+        raise StructuralError("two-term Sha is exposed in degree 2")
+    if complex_.group is not datum.group:
+        raise StructuralError("complex is not over the datum's group")
+    return complex_
 
 
 def sha(
@@ -204,11 +239,8 @@ def sha(
     """Sha^degree_S: classes of H^degree killed by restriction to every
     cyclic subgroup (the Chebotarev backdrop) and to the decomposition
     group of every retained special place."""
-    if degree not in (1, 2):
-        raise StructuralError("Sha is computed in degrees 1 and 2 only")
-    if module.group is not datum.group:
-        raise StructuralError("module is not over the datum's group")
-    return _sha(datum, _module_complex(module), degree, selection, cochain_cap)
+    complex_ = _checked_module(datum, module, degree)
+    return _sha_groups(datum, complex_, degree, [selection], cochain_cap)[0]
 
 
 def sha_omega(
@@ -220,13 +252,8 @@ def sha_omega(
 ) -> ShaGroup:
     """Sha^degree_omega = union over finite S; in the model, the kernel of
     the cyclic restrictions alone."""
-    return sha(
-        datum,
-        module,
-        degree,
-        PlaceSelection(frozenset(datum.place_names)),
-        cochain_cap=cochain_cap,
-    )
+    omega = PlaceSelection.of(*datum.place_names)
+    return sha(datum, module, degree, omega, cochain_cap=cochain_cap)
 
 
 def sha_quotient(
@@ -239,9 +266,9 @@ def sha_quotient(
 ) -> PresentedAbelianGroup:
     """Sha^degree_S / Sha^degree_(empty set), through their inclusions
     into H^degree."""
-    big = sha(datum, module, degree, selection, cochain_cap=cochain_cap)
-    small = sha(datum, module, degree, EMPTY_SELECTION, cochain_cap=cochain_cap)
-    return subquotient(big._constraint, small.inclusion).group
+    complex_ = _checked_module(datum, module, degree)
+    big, small = _sha_groups(datum, complex_, degree, [selection, EMPTY_SELECTION], cochain_cap)
+    return big.quotient_by(small)
 
 
 def sha_two_term(
@@ -254,11 +281,8 @@ def sha_two_term(
 ) -> ShaGroup:
     """Sha^degree_S of a two-term complex: the same kernel, inside
     hypercohomology, with restrictions on the total complex."""
-    if degree != 2:
-        raise StructuralError("two-term Sha is exposed in degree 2")
-    if complex_.group is not datum.group:
-        raise StructuralError("complex is not over the datum's group")
-    return _sha(datum, complex_, degree, selection, cochain_cap)
+    complex_ = _checked_complex(datum, complex_, degree)
+    return _sha_groups(datum, complex_, degree, [selection], cochain_cap)[0]
 
 
 def sha_two_term_omega(
@@ -268,13 +292,8 @@ def sha_two_term_omega(
     *,
     cochain_cap: int = DEFAULT_COCHAIN_CAP,
 ) -> ShaGroup:
-    return sha_two_term(
-        datum,
-        complex_,
-        degree,
-        PlaceSelection(frozenset(datum.place_names)),
-        cochain_cap=cochain_cap,
-    )
+    omega = PlaceSelection.of(*datum.place_names)
+    return sha_two_term(datum, complex_, degree, omega, cochain_cap=cochain_cap)
 
 
 def sha_two_term_quotient(
@@ -285,9 +304,9 @@ def sha_two_term_quotient(
     *,
     cochain_cap: int = DEFAULT_COCHAIN_CAP,
 ) -> PresentedAbelianGroup:
-    big = sha_two_term(datum, complex_, degree, selection, cochain_cap=cochain_cap)
-    small = sha_two_term(datum, complex_, degree, EMPTY_SELECTION, cochain_cap=cochain_cap)
-    return subquotient(big._constraint, small.inclusion).group
+    complex_ = _checked_complex(datum, complex_, degree)
+    big, small = _sha_groups(datum, complex_, degree, [selection, EMPTY_SELECTION], cochain_cap)
+    return big.quotient_by(small)
 
 
 # ---------------------------------------------------------------------------

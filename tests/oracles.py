@@ -9,6 +9,7 @@ agreeing answer here and in the package is evidence, not circularity.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -227,6 +228,12 @@ def element_order(table: list[list[int]], x: int) -> int:
         y = table[y][x]
         k += 1
     return k
+
+
+def exponent(table: list[list[int]]) -> int:
+    """Least common multiple of the element orders of the group with
+    multiplication table ``table``."""
+    return math.lcm(*(element_order(table, x) for x in range(len(table))))
 
 
 def sylow_subgroups(table: list[list[int]]) -> dict[int, frozenset[int]]:

@@ -1,6 +1,7 @@
 """Command-line interface: schema validation, exit codes, determinism,
 and byte-exact agreement with the committed expected outputs."""
 
+import dataclasses
 import io
 import json
 import sys
@@ -8,6 +9,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from shacalc.abelian import AbHom, cyclic_group
 from shacalc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,16 +215,60 @@ class TestVerifyCommand:
 
     def test_internal_error_exit_code(self, monkeypatch):
         """A failed internal check exits 5 as an internal error, not 3 as
-        bad input: here every image vector escapes the cocycle lattice."""
-        monkeypatch.setattr(sys.modules["shacalc.cohomology"], "lattice_solve", lambda basis, vec: None)
-        code, out, err = run_cli(
-            ["cohomology", str(PROBLEMS / "biquadratic.json"), "--module", "I", "--degree", "1"]
-        )
-        assert code == 5
-        assert out == ""
-        payload = json.loads(err)["error"]
-        assert payload["type"] == "internal"
-        assert "escapes the kernel lattice" in payload["message"]
+        bad input, with a certificate where the check names one."""
+
+        def internal_error(argv):
+            code, out, err = run_cli(argv)
+            assert code == 5
+            assert out == ""
+            payload = json.loads(err)["error"]
+            assert payload["type"] == "internal"
+            return payload
+
+        biquadratic = str(PROBLEMS / "biquadratic.json")
+        with monkeypatch.context() as mp:
+            # every image vector escapes the cocycle lattice
+            mp.setattr(sys.modules["shacalc.cohomology"], "lattice_solve", lambda basis, vec: None)
+            payload = internal_error(["cohomology", biquadratic, "--module", "I", "--degree", "1"])
+            assert "escapes the kernel lattice" in payload["message"]
+            assert payload["certificate"] is None
+
+        sha_module = sys.modules["shacalc.sha"]
+        real_restriction = sha_module.restriction
+
+        def forgetful_restriction(ambient, sub, **kwargs):
+            """The true restriction, but with a zero map on classes."""
+            res = real_restriction(ambient, sub, **kwargs)
+            return dataclasses.replace(res, map=AbHom.zero(res.map.source, res.map.target))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sha_module, "restriction", forgetful_restriction)
+            payload = internal_error(["sha", biquadratic, "--module", "I", "--degree", "1", "--omega"])
+            assert "survives a restriction" in payload["message"]
+            cert = payload["certificate"]
+            assert cert["kind"] == "sha-recheck"
+            assert cert["imposed"].startswith("cyclic")
+            assert cert["representative"] == 0
+
+        arith = sys.modules["shacalc.arith"]
+        real_groups = arith._sha_groups
+
+        def skewed_groups(datum, complex_, degree, selections, cochain_cap):
+            """Degree-2 groups replaced by Z/7."""
+            groups = real_groups(datum, complex_, degree, selections, cochain_cap)
+            if degree == 2:
+                groups = [dataclasses.replace(g, value=cyclic_group(7)) for g in groups]
+            return groups
+
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_sha_groups", skewed_groups)
+            payload = internal_error(["brauer", str(PROBLEMS / "biquadratic_homspace.json")])
+            assert "route cross-check failed at S" in payload["message"]
+            cert = payload["certificate"]
+            assert cert["kind"] == "route-mismatch"
+            assert cert["label"] == "S"
+            assert cert["degree2"] == {"free_rank": 0, "torsion": [7]}
+            assert cert["degree1"] != cert["degree2"]
 
 
 class TestTextFormat:

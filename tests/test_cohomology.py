@@ -8,7 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shacalc.abelian import invariant_factors, subquotient
-from shacalc.arith import dual_complex
+from shacalc.arith import (
+    HomSpaceDatum,
+    brauer_obstruction_groups,
+    dual_complex,
+    pi1_obstruction_groups,
+)
 from shacalc.cohomology import (
     TwoTermComplex,
     _Cochains,
@@ -38,11 +43,21 @@ from shacalc.groups import from_permutations
 from shacalc.intlinalg import IntMatrix, preimage_kernel, sparse_compose, sparse_from_matrix
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
-from shacalc.sha import LocalDatum, sha, sha_omega, sha_two_term
+from shacalc.sha import (
+    EMPTY_SELECTION,
+    LocalDatum,
+    PlaceSelection,
+    _imposed_subgroups,
+    sha,
+    sha_omega,
+    sha_quotient,
+    sha_two_term,
+    sha_two_term_quotient,
+)
 from shacalc.suites import random_equivariant_map, random_module, random_subgroup
 
 from helpers import all_subgroups, catalog
-from oracles import abelianization_invariants, cyclic_cohomology_invariants
+from oracles import abelianization_invariants, cyclic_cohomology_invariants, exponent
 
 GROUPS = catalog()
 
@@ -344,6 +359,23 @@ class TestClosedForms:
             h = cohomology(g, augmentation_ideal(g), 1)
             assert invariant_factors(h.group_value) == (0, (g.order,)), name
 
+    def test_sha_omega_augmentation_ideal(self):
+        """Sha^1_omega(G, I_G) = Z/(|G|/exp G), the sharp case of the
+        annihilation statement."""
+        for name in ("V4", "D4", "Q8", "A4", "D6", "S4"):
+            g = LADDER_GROUPS[name]
+            quotient = g.order // exponent([list(r) for r in g.table])
+            sh = sha_omega(LocalDatum(g), augmentation_ideal(g), 1)
+            assert invariant_factors(sh.value) == (0, (quotient,) if quotient > 1 else ()), name
+
+    def test_regular_module_is_acyclic(self):
+        """H^i(G, Z[G]) = 0 for i >= 1 (Shapiro's lemma for the trivial
+        subgroup)."""
+        for name in ("D4", "Q8", "A4", "D6"):
+            g = LADDER_GROUPS[name]
+            for i in (1, 2):
+                assert cohomology(g, regular_module(g), i).group_value.is_trivial(), (name, i)
+
 
 def dense(col, n):
     vec = [0] * n
@@ -628,6 +660,54 @@ class TestPublicComputations:
             result, calls = public_computations(compute)
             assert result.imposed
             assert len(calls) == 1 + len(result.imposed)
+
+    @staticmethod
+    def shared_datum():
+        """S3 with a non-cyclic place v, excluded by S, and a cyclic place w
+        whose subgroup is not the cyclic representative of its class, so
+        that S, omega and the empty set impose different lists."""
+        g = GROUPS["S3"]
+        cyclic = [sub for sub in all_subgroups(g) if sub.order == 2]
+        datum = LocalDatum(g, (("v", g.full_subgroup()), ("w", cyclic[-1])))
+        return datum, PlaceSelection.of("v"), PlaceSelection.of("v", "w")
+
+    @staticmethod
+    def distinct_subgroups(datum, *selections):
+        return len({
+            sub.members for s in selections for _, sub in _imposed_subgroups(datum, s)
+        })
+
+    def test_sha_quotients_share_the_ambient(self):
+        """One ambient computation, and one restriction target per distinct
+        subgroup imposed by S or the empty set."""
+        datum, S, _ = self.shared_datum()
+        g = datum.group
+        want = 1 + self.distinct_subgroups(datum, S, EMPTY_SELECTION)
+        assert want == 5  # the classes of order 2 and 3, w, and v
+        for compute in (
+            lambda: sha_quotient(datum, augmentation_ideal(g), 1, S),
+            lambda: sha_two_term_quotient(datum, j_dual(g), 2, S),
+        ):
+            _, calls = public_computations(compute)
+            assert len(calls) == want
+
+    def test_brauer_and_pi1_share_the_ambient(self):
+        datum, S, omega = self.shared_datum()
+        g = datum.group
+        reg, ig = regular_module(g), augmentation_ideal(g)
+        cols = [list(ig.element_matrix(e).matvec([1, 0, 0, 0, 0])) for e in range(g.order)]
+        res = GModuleHom(reg, ig, IntMatrix.from_cols(cols, rows=ig.rank))
+        h = HomSpaceDatum(datum=datum, G_hat=reg, H_hat=ig, res=res)
+        _, calls = public_computations(lambda: brauer_obstruction_groups(h, S))
+        # the complex over S and omega, and H_hat over S, omega and the empty set
+        assert len(calls) == (
+            2
+            + self.distinct_subgroups(datum, S, omega)
+            + self.distinct_subgroups(datum, S, omega, EMPTY_SELECTION)
+        )
+        sign = sign_module(g, [0])
+        _, calls = public_computations(lambda: pi1_obstruction_groups(sign, datum, S))
+        assert len(calls) == 1 + self.distinct_subgroups(datum, S, EMPTY_SELECTION, omega)
 
 
 class TestHyper:

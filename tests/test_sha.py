@@ -2,8 +2,11 @@
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from shacalc.abelian import invariant_factors
-from shacalc.cohomology import TwoTermComplex, cohomology
+from shacalc.cohomology import DEFAULT_COCHAIN_CAP, TwoTermComplex, _module_complex, cohomology
 from shacalc.errors import StructuralError
 from shacalc.gmodules import (
     GModule,
@@ -19,14 +22,24 @@ from shacalc.intlinalg import IntMatrix
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
 from shacalc.sha import (
+    EMPTY_SELECTION,
     LocalDatum,
     PlaceSelection,
+    _sha_groups,
     sha,
     sha_omega,
     sha_quotient,
     sha_two_term,
     verify_annihilation,
     verify_shift_isomorphism,
+)
+
+from shacalc.suites import (
+    random_datum,
+    random_equivariant_map,
+    random_module,
+    random_permutation_module,
+    random_selection,
 )
 
 from helpers import catalog
@@ -291,3 +304,42 @@ class TestTwoTermSha:
         c = TwoTermComplex(GModuleHom(s, s, IntMatrix.identity(1)))
         with pytest.raises(StructuralError):
             verify_shift_isomorphism(plain_datum("Z2"), c)
+
+
+class TestSharedAmbient:
+    """Groups that share one ambient group and its restrictions are the
+    groups that separate ``sha``/``sha_two_term`` calls compute, down to
+    the order of the stacked restrictions."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["V4", "S3", "D4", "A4"]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_random_homspace_data(self, name, seed):
+        g = GROUPS[name]
+        rng = SplitMix64(seed)
+        # kept small: the degree-2 Sha of each datum is computed four times
+        g_hat = random_permutation_module(g, rng, max_rank=3 if g.order > 6 else 4)
+        h_hat = random_module(g, rng, max_rank=2)
+        complex_ = TwoTermComplex(random_equivariant_map(g_hat, h_hat, rng))
+        datum = random_datum(g, rng)
+        selections = [
+            random_selection(datum, rng),
+            PlaceSelection.of(*datum.place_names),
+            EMPTY_SELECTION,
+        ]
+        for coefficients, degree, alone in (
+            (complex_, 2, lambda sel: sha_two_term(datum, complex_, 2, sel)),
+            (_module_complex(h_hat), 1, lambda sel: sha(datum, h_hat, 1, sel)),
+        ):
+            shared = _sha_groups(datum, coefficients, degree, selections, DEFAULT_COCHAIN_CAP)
+            assert len(shared) == len(selections)
+            for group, selection in zip(shared, selections):
+                want = alone(selection)
+                assert group.value.generator_count == want.value.generator_count
+                assert group.value.relation_rows == want.value.relation_rows
+                assert group.representatives == want.representatives
+                assert group.imposed == want.imposed
+                assert group.inclusion.matrix == want.inclusion.matrix
+                assert group._constraint.matrix == want._constraint.matrix
