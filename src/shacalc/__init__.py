@@ -9,9 +9,11 @@ The package computes, with arbitrary-precision integer arithmetic:
 * integral G-modules, permutation modules, duals, restriction, and the
   permutation-cover resolution 0 -> L -> P -> M -> 0,
 * group cohomology H^0..H^2 by inhomogeneous cochains and
-  hypercohomology of two-term complexes by the total complex,
+  hypercohomology of two-term complexes by the total complex (a module M
+  is the complex M -> 0), with restriction to subgroups,
 * Sha groups Sha^i_S / Sha^i_omega over an abstract local datum, with
-  machine verification of the vanishing and annihilation statements,
+  machine verification of the vanishing and annihilation statements
+  (the seeded suites behind ``shacalc verify`` live in ``suites``),
 * the homogeneous-space layer: algebraic Brauer obstruction groups,
   dual complexes, fundamental groups from lattice data, quasi-trivial
   covers, and Ext^0 of isogeny complexes.
@@ -21,7 +23,6 @@ from .abelian import (
     AbHom,
     PresentedAbelianGroup,
     Subquotient,
-    ext1_and_hom_Z,
     invariant_factors,
     is_isomorphism,
     subquotient,
@@ -44,9 +45,7 @@ from .cohomology import (
     CohomologyGroup,
     TwoTermComplex,
     cohomology,
-    hyper_restriction,
     hypercohomology,
-    les_segment,
     restriction,
 )
 from .errors import InputError, InternalError, ResourceError, ShacalcError, StructuralError
@@ -75,7 +74,7 @@ from .groups import (
     from_permutations,
     is_metacyclic,
 )
-from .intlinalg import IntMatrix, SmithDecomposition, hermite_normal_form, smith_normal_form
+from .intlinalg import IntMatrix, SmithDecomposition, smith_normal_form
 from .sha import (
     LocalDatum,
     PlaceSelection,
@@ -84,7 +83,6 @@ from .sha import (
     sha_omega,
     sha_quotient,
     sha_two_term,
-    sha_two_term_omega,
     sha_two_term_quotient,
     verify_annihilation,
     verify_shift_isomorphism,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 from .intlinalg import (
     IntMatrix,
     hermite_rows,
@@ -169,14 +169,6 @@ def trivial_group() -> PresentedAbelianGroup:
     return PresentedAbelianGroup(0)
 
 
-def free_group(rank: int) -> PresentedAbelianGroup:
-    return PresentedAbelianGroup(rank)
-
-
-def cyclic_group(n: int) -> PresentedAbelianGroup:
-    return PresentedAbelianGroup(1, [[n]])
-
-
 def invariant_factors(g: PresentedAbelianGroup) -> tuple[int, tuple[int, ...]]:
     """Isomorphism invariants of a presented group: (free rank, torsion)."""
     return g.invariant_factors()
@@ -228,16 +220,6 @@ class AbHom:
             for j in range(self.matrix.ncols)
         )
 
-    def congruent(self, other: "AbHom") -> bool:
-        """Equality as maps of presented groups."""
-        if self.source != other.source or self.target != other.target:
-            return False
-        for j in range(self.matrix.ncols):
-            diff = [a - b for a, b in zip(self.matrix.col(j), other.matrix.col(j))]
-            if not self.target.contains_relation(diff):
-                return False
-        return True
-
     def __repr__(self) -> str:
         return f"AbHom({self.source} -> {self.target})"
 
@@ -269,17 +251,11 @@ class Subquotient:
     lift: IntMatrix  # ambient_gens x result_gens
     basis_rows: tuple[tuple[int, ...], ...]  # Hermite basis of the kernel lattice
 
-    def lift_of(self, coords: Sequence[int]) -> tuple[int, ...]:
-        return self.lift.matvec(coords)
-
     def class_of(self, ambient_vec: Sequence[int]) -> tuple[int, ...]:
         coeffs = lattice_solve(self.basis_rows, ambient_vec)
         if coeffs is None:
             raise StructuralError("vector does not lie in the kernel lattice")
         return self.group.reduce_element(coeffs)
-
-    def contains_ambient(self, ambient_vec: Sequence[int]) -> bool:
-        return lattice_solve(self.basis_rows, ambient_vec) is not None
 
     def inclusion(self) -> AbHom:
         return AbHom(self.group, self.ambient, self.lift)
@@ -306,8 +282,8 @@ def subquotient(kernel_of: AbHom, image_of: AbHom) -> Subquotient:
     ):
         for v in vecs:
             coeffs = lattice_solve(basis, v)
-            if coeffs is None:  # impossible for well-formed inputs
-                raise StructuralError("image vector escapes the kernel lattice")
+            if coeffs is None:  # the composite is zero, so this is a defect
+                raise InternalError("image vector escapes the kernel lattice")
             relators.append(coeffs)
     group = PresentedAbelianGroup(len(basis), relators)
     lift = IntMatrix.from_cols([list(b) for b in basis], rows=ambient.generator_count)
@@ -327,17 +303,3 @@ def is_isomorphism(h: AbHom) -> bool:
         return False
     kernel = subquotient(h, AbHom.zero(trivial_group(), h.source)).group
     return kernel.is_trivial()
-
-
-def ext1_and_hom_Z(g: PresentedAbelianGroup) -> tuple[PresentedAbelianGroup, PresentedAbelianGroup]:
-    """(Hom(g, Z), Ext^1(g, Z)) as presented groups.
-
-    Hom is free of rank the free rank of g; Ext^1 is the torsion subgroup.
-    Both follow from the invariant-factor decomposition, which already
-    resolves any redundancy in the presentation."""
-    free, tors = g.invariant_factors()
-    hom = PresentedAbelianGroup(free)
-    ext1 = PresentedAbelianGroup(
-        len(tors), [[tors[i] if j == i else 0 for j in range(len(tors))] for i in range(len(tors))]
-    )
-    return hom, ext1

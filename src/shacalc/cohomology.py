@@ -543,79 +543,3 @@ def restriction(
         sel += tuple(a_dim + s for s in sel_b)
     hom = _class_map(cg, target, [[rep[s] for s in sel] for rep in cg.representatives])
     return Restriction(map=hom, target=target, cochain_selection=sel)
-
-
-hyper_restriction = restriction
-
-
-# ---------------------------------------------------------------------------
-# Long exact sequence of a two-term complex
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LesSegment:
-    """H^{i-1}(A) -> H^{i-1}(B) -> HH^i(A->B) -> H^i(A) -> H^i(B) with the
-    connecting maps realized on representatives."""
-
-    ha_prev: CohomologyGroup
-    hb_prev: CohomologyGroup
-    hyper: CohomologyGroup
-    ha: CohomologyGroup
-    hb: CohomologyGroup
-    from_a_prev: AbHom
-    from_b_prev: AbHom
-    to_a: AbHom
-    to_b: AbHom
-
-
-def les_segment(
-    group: FiniteGroup,
-    complex_: TwoTermComplex,
-    degree: int,
-    *,
-    cochain_cap: int = DEFAULT_COCHAIN_CAP,
-) -> LesSegment:
-    if degree not in (1, 2):
-        raise StructuralError("the exposed segment needs degree 1 or 2")
-    a, b = complex_.degree0, complex_.degree1
-    i = degree
-    ha_prev = cohomology(group, a, i - 1, cochain_cap=cochain_cap)
-    hb_prev = cohomology(group, b, i - 1, cochain_cap=cochain_cap)
-    hyper = hypercohomology(group, complex_, i, cochain_cap=cochain_cap)
-    ha = cohomology(group, a, i, cochain_cap=cochain_cap)
-    hb = cohomology(group, b, i, cochain_cap=cochain_cap)
-    f_cols = sparse_from_matrix(complex_.f.matrix)
-    gm_a = a.rank
-
-    def f_pointwise(vec: Sequence[int], blocks: int) -> list[int]:
-        out = [0] * (blocks * b.rank)
-        for block in range(blocks):
-            for j in range(gm_a):
-                v = vec[block * gm_a + j]
-                if v:
-                    for r, w in f_cols[j].items():
-                        out[block * b.rank + r] += v * w
-        return out
-
-    order = group.order
-
-    def induced_f(src: CohomologyGroup, tgt: CohomologyGroup, deg: int) -> AbHom:
-        return _class_map(src, tgt, [f_pointwise(rep, order**deg) for rep in src.representatives])
-
-    a_dim_hyper = order**i * gm_a
-    from_b_prev = _class_map(
-        hb_prev, hyper, [[0] * a_dim_hyper + list(rep) for rep in hb_prev.representatives]
-    )
-    to_a = _class_map(hyper, ha, [rep[:a_dim_hyper] for rep in hyper.representatives])
-    return LesSegment(
-        ha_prev=ha_prev,
-        hb_prev=hb_prev,
-        hyper=hyper,
-        ha=ha,
-        hb=hb,
-        from_a_prev=induced_f(ha_prev, hb_prev, i - 1),
-        from_b_prev=from_b_prev,
-        to_a=to_a,
-        to_b=induced_f(ha, hb, i),
-    )

@@ -20,9 +20,10 @@ from typing import Iterable, Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
 from .errors import StructuralError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _group_from_tokens
 from .intlinalg import (
     IntMatrix,
+    block_diag,
     lattice_solve,
     preimage_kernel,
     smith_normal_form,
@@ -319,12 +320,7 @@ def direct_sum(mods: Sequence[GModule]) -> GModule:
         if m.group is not g:
             raise StructuralError("summands live over different groups")
     und, _ = PresentedAbelianGroup.direct_sum([m.underlying for m in mods])
-    action = []
-    for k in range(len(g.generators)):
-        blocks = [m.action[k] for m in mods]
-        from .intlinalg import block_diag
-
-        action.append(block_diag(blocks))
+    action = [block_diag([m.action[k] for m in mods]) for k in range(len(g.generators))]
     return GModule(g, und, action, _trusted=True)
 
 
@@ -433,8 +429,6 @@ def faithful_quotient(m: GModule) -> tuple[FiniteGroup, GModule]:
         r = coset_rep(s)
         if r != 0 and r not in gen_tokens:
             gen_tokens.append(r)
-
-    from .groups import _group_from_tokens
 
     def mul(a: int, b: int) -> int:
         return coset_rep(g.mul(a, b))

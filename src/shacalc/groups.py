@@ -13,7 +13,6 @@ and ``table[i][j]`` is the index of ``element_i * element_j``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Hashable, Iterable, Sequence
 

@@ -309,12 +309,6 @@ def lattice_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[
     return tuple(work)
 
 
-def hermite_normal_form(m: IntMatrix) -> IntMatrix:
-    """Row-style canonical Hermite normal form, zero rows dropped."""
-    rows = hermite_rows(m.rows, m.ncols)
-    return IntMatrix(rows, cols=m.ncols)
-
-
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular matrix (error if not unimodular)."""
     if m.nrows != m.ncols:
@@ -557,24 +551,6 @@ def sparse_apply(columns: Sequence[dict[int, int]], vec: Sequence[int]) -> dict[
                 else:
                     del acc[i]
     return acc
-
-
-def sparse_compose(
-    outer: Sequence[dict[int, int]], inner: Sequence[dict[int, int]]
-) -> list[dict[int, int]]:
-    """Columns of A @ B where outer gives A's columns and inner gives B's."""
-    out = []
-    for col in inner:
-        acc: dict[int, int] = {}
-        for j, x in col.items():
-            for i, v in outer[j].items():
-                w = acc.get(i, 0) + x * v
-                if w:
-                    acc[i] = w
-                else:
-                    del acc[i]
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+from .abelian import PresentedAbelianGroup
 from .arith import CocharacterDatum, HomSpaceDatum, IsogenyDatum
 from .cohomology import TwoTermComplex
 from .errors import InputError, StructuralError
@@ -26,7 +27,8 @@ from .gmodules import (
     trivial_module,
 )
 from .groups import FiniteGroup, Subgroup, from_permutations
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, hermite_rows, lattice_solve
+from .sha import LocalDatum
 
 SCHEMA_VERSION = 1
 
@@ -173,8 +175,6 @@ def parse_module(spec: Any, group: FiniteGroup, path: str) -> GModule:
         if key not in action_spec:
             raise InputError(f"missing action for generator {key}", path=f"{path}.action")
         matrices.append(parse_matrix(action_spec[key], f"{path}.action.{key}", cols=rank))
-    from .abelian import PresentedAbelianGroup
-
     try:
         return GModule(group, PresentedAbelianGroup(rank, relations.rows), matrices)
     except StructuralError as exc:
@@ -207,8 +207,6 @@ class ProblemFile:
         self._raw = raw
 
     def _parse_datum(self, spec: Any):
-        from .sha import LocalDatum
-
         if spec is None:
             return LocalDatum(self.group), frozenset()
         if not isinstance(spec, dict):
@@ -275,8 +273,6 @@ class ProblemFile:
         mat = parse_matrix(spec.get("coroot_inclusion", []), "$.cochar.coroot_inclusion", cols=0)
         if mat.ncols == 0:
             mat = IntMatrix.zeros(x_star.rank, 0)
-        from .abelian import PresentedAbelianGroup
-
         try:
             src = GModule(
                 self.group,
@@ -305,8 +301,6 @@ class ProblemFile:
 def _coroot_actions(x_star: GModule, incl: IntMatrix) -> list[IntMatrix]:
     """Action matrices of the coroot lattice inside X_star: the sublattice
     must be stable under each generator, with unique integer coordinates."""
-    from .intlinalg import hermite_rows, lattice_solve
-
     cols = [incl.col(j) for j in range(incl.ncols)]
     if not cols:
         return [IntMatrix([], cols=0) for _ in x_star.group.generators]
@@ -331,8 +325,6 @@ def _coroot_actions(x_star: GModule, incl: IntMatrix) -> list[IntMatrix]:
 
 def _solve_columns(m: IntMatrix, target) -> list[int] | None:
     """Integer solution of m c = target for injective m (or None)."""
-    from .intlinalg import hermite_rows, lattice_solve
-
     n = m.ncols
     aug = hermite_rows(
         [list(m.col(j)) + [1 if k == j else 0 for k in range(n)] for j in range(n)],

@@ -285,17 +285,6 @@ def sha_two_term(
     return _sha_groups(datum, complex_, degree, [selection], cochain_cap)[0]
 
 
-def sha_two_term_omega(
-    datum: LocalDatum,
-    complex_: TwoTermComplex,
-    degree: int = 2,
-    *,
-    cochain_cap: int = DEFAULT_COCHAIN_CAP,
-) -> ShaGroup:
-    omega = PlaceSelection.of(*datum.place_names)
-    return sha_two_term(datum, complex_, degree, omega, cochain_cap=cochain_cap)
-
-
 def sha_two_term_quotient(
     datum: LocalDatum,
     complex_: TwoTermComplex,

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import PresentedAbelianGroup, invariant_factors
-from .abelian import is_isomorphism
+from .abelian import PresentedAbelianGroup, invariant_factors, is_isomorphism
 from .arith import (
     CocharacterDatum,
     IsogenyDatum,
@@ -28,13 +27,15 @@ from .gmodules import (
     direct_sum,
     dual_module,
     perm_direct_sum,
+    permutation_cover,
     permutation_module,
     sign_module,
     trivial_module,
 )
-from .groups import FiniteGroup, Subgroup, is_metacyclic
+from .groups import FiniteGroup, Subgroup, from_permutations, is_metacyclic
 from .intlinalg import (
     IntMatrix,
+    hermite_rows,
     preimage_kernel,
     sparse_from_matrix,
     unimodular_inverse,
@@ -164,8 +165,6 @@ def fixed_vectors_under(m: GModule, h: Subgroup) -> tuple[tuple[int, ...], ...]:
         for i in range(n):
             stacked.append([a.at(i, j) - (1 if i == j else 0) for j in range(n)])
     if not stacked:
-        from .intlinalg import hermite_rows
-
         return hermite_rows(
             [[1 if j == i else 0 for j in range(n)] for i in range(n)], n
         )
@@ -267,12 +266,12 @@ def random_free_module(
 # Suites
 # ---------------------------------------------------------------------------
 
+Groups = dict[str, FiniteGroup]
+
 ANNIHILATION_GROUP_NAMES = ("V4", "Z2xZ4", "D4", "Q8", "A4", "S3", "Z6")
 
 
-def builtin_groups() -> dict[str, FiniteGroup]:
-    from .groups import from_permutations
-
+def builtin_groups() -> Groups:
     def cyc(n):
         return from_permutations([[(i + 1) % n for i in range(n)]])
 
@@ -292,286 +291,232 @@ def builtin_groups() -> dict[str, FiniteGroup]:
     }
 
 
-def annihilation_suite(
-    seed: int,
-    instances: int,
-    groups: dict[str, FiniteGroup] | None = None,
-    *,
-    metacyclic_only: bool = False,
-    max_rank: int = 4,
+def _run(
+    lemma: str, instance, seed: int, instances: int, groups: Groups | None, names=None
 ) -> SuiteReport:
-    """Random modules: (order/exponent of the faithful image) kills
-    Sha^1_omega, and metacyclic images force outright vanishing."""
+    """Run ``instance(g, rng) -> outcome`` for indices 0..instances-1,
+    cycling through ``names`` (default: every group, sorted) of ``groups``
+    (default: the builtin groups).  Each index spawns its own rng from the
+    seed, and its outcome is recorded under the group's name."""
     if groups is None:
         groups = builtin_groups()
-        names = [n for n in ANNIHILATION_GROUP_NAMES if n in groups]
-    else:
+    if names is None:
         names = sorted(groups)
-    if metacyclic_only:
-        names = [n for n in names if is_metacyclic(groups[n])]
-        if not names:
-            raise StructuralError(
-                "the metacyclic suite needs at least one metacyclic group"
-            )
-    report = SuiteReport(
-        lemma="metacyclic-vanishing" if metacyclic_only else "order-over-exponent-annihilation"
-    )
+    report = SuiteReport(lemma=lemma)
     rng = SplitMix64(seed)
     for idx in range(instances):
         name = names[idx % len(names)]
-        g = groups[name]
-        inst_rng = rng.spawn()
-        m = random_module(g, inst_rng, max_rank=max_rank)
-        datum = random_datum(g, inst_rng)
-        outcome = verify_annihilation(datum, m)
+        outcome = instance(groups[name], rng.spawn())
         outcome["group"] = name
-        outcome["module_rank"] = m.rank
         report.record(idx, outcome)
     return report
 
 
-def shift_isomorphism_suite(
-    seed: int,
-    instances: int,
-    groups: dict[str, FiniteGroup] | None = None,
-    *,
-    max_p_rank: int = 8,
-    max_l_rank: int = 3,
-) -> SuiteReport:
+def _annihilation_groups(groups: Groups | None) -> tuple[Groups, list[str]]:
+    """The builtin groups cycled in ANNIHILATION_GROUP_NAMES order, or the
+    supplied groups sorted by name."""
+    if groups is None:
+        return builtin_groups(), list(ANNIHILATION_GROUP_NAMES)
+    return groups, sorted(groups)
+
+
+def _annihilation_instance(g: FiniteGroup, rng: SplitMix64) -> dict:
+    m = random_module(g, rng)
+    outcome = verify_annihilation(random_datum(g, rng), m)
+    outcome["module_rank"] = m.rank
+    return outcome
+
+
+def annihilation_suite(seed: int, instances: int, groups: Groups | None = None) -> SuiteReport:
+    """Random modules: (order/exponent of the faithful image) kills
+    Sha^1_omega, and metacyclic images force outright vanishing."""
+    groups, names = _annihilation_groups(groups)
+    lemma = "order-over-exponent-annihilation"
+    return _run(lemma, _annihilation_instance, seed, instances, groups, names)
+
+
+def metacyclic_suite(seed: int, instances: int, groups: Groups | None = None) -> SuiteReport:
+    """The annihilation instances on the metacyclic groups only, where
+    Sha^1_omega must vanish outright."""
+    groups, names = _annihilation_groups(groups)
+    names = [n for n in names if is_metacyclic(groups[n])]
+    if not names:
+        raise StructuralError("the metacyclic suite needs at least one metacyclic group")
+    return _run("metacyclic-vanishing", _annihilation_instance, seed, instances, groups, names)
+
+
+def _shift_isomorphism_instance(g: FiniteGroup, rng: SplitMix64) -> dict:
+    p = random_permutation_module(g, rng)
+    l = random_free_module(g, rng)
+    f = random_equivariant_map(p, l, rng)
+    datum = random_datum(g, rng)
+    selection = random_selection(datum, rng)
+    outcome = verify_shift_isomorphism(datum, TwoTermComplex(f), selection)
+    outcome["P_rank"] = p.rank
+    outcome["L_rank"] = l.rank
+    outcome["places"] = list(datum.place_names)
+    outcome["noncyclic_places"] = [
+        n for n, sub in datum.special_places if not sub.is_cyclic()
+    ]
+    outcome["excluded"] = sorted(selection.excluded)
+    return outcome
+
+
+def shift_isomorphism_suite(seed: int, instances: int, groups: Groups | None = None) -> SuiteReport:
     """Random permutation-to-free complexes: the degree shift
     Sha^1(L) -> Sha^2(P -> L) is a bijection, including data with
     non-cyclic special places and varying excluded sets."""
-    if groups is None:
-        groups = builtin_groups()
-    names = sorted(groups)
-    report = SuiteReport(lemma="permutation-shift-isomorphism")
-    rng = SplitMix64(seed)
-    for idx in range(instances):
-        name = names[idx % len(names)]
-        g = groups[name]
-        inst_rng = rng.spawn()
-        p = random_permutation_module(g, inst_rng, max_rank=max_p_rank)
-        l = random_free_module(g, inst_rng, max_rank=max_l_rank)
-        f = random_equivariant_map(p, l, inst_rng)
-        datum = random_datum(g, inst_rng)
-        selection = random_selection(datum, inst_rng)
-        outcome = verify_shift_isomorphism(datum, TwoTermComplex(f), selection)
-        outcome["group"] = name
-        outcome["P_rank"] = p.rank
-        outcome["L_rank"] = l.rank
-        outcome["places"] = list(datum.place_names)
-        outcome["noncyclic_places"] = [
-            n for n, sub in datum.special_places if not sub.is_cyclic()
-        ]
-        outcome["excluded"] = sorted(selection.excluded)
-        report.record(idx, outcome)
-    return report
+    lemma = "permutation-shift-isomorphism"
+    return _run(lemma, _shift_isomorphism_instance, seed, instances, groups)
 
 
-def route_equivalence_suite(
-    seed: int,
-    instances: int,
-    groups: dict[str, FiniteGroup] | None = None,
-) -> SuiteReport:
+def _route_equivalence_instance(g: FiniteGroup, rng: SplitMix64) -> dict:
+    g_hat = random_permutation_module(g, rng, max_rank=6)
+    h_hat = random_module(g, rng, max_rank=3)
+    res = random_equivariant_map(g_hat, h_hat, rng)
+    datum = random_datum(g, rng)
+    selection = random_selection(datum, rng)
+    two = sha_two_term(datum, TwoTermComplex(res), 2, selection)
+    one = sha(datum, h_hat, 1, selection)
+    ok = invariant_factors(two.value) == invariant_factors(one.value)
+    outcome = {
+        "ok": ok,
+        "degree1": str(one.value),
+        "degree2": str(two.value),
+        "excluded": sorted(selection.excluded),
+    }
+    if not ok:
+        outcome["certificate"] = {
+            "kind": "route-mismatch",
+            "G_hat_rank": g_hat.rank,
+            "H_hat_rank": h_hat.rank,
+            "res": [[str(v) for v in r] for r in res.matrix.rows],
+        }
+    return outcome
+
+
+def route_equivalence_suite(seed: int, instances: int, groups: Groups | None = None) -> SuiteReport:
     """Random stabilizer data: the obstruction group computed as degree-2
     Sha of (G_hat -> H_hat) and as degree-1 Sha of H_hat have identical
     invariant factors."""
-    if groups is None:
-        groups = builtin_groups()
-    names = sorted(groups)
-    report = SuiteReport(lemma="two-route-equivalence")
-    rng = SplitMix64(seed)
-    for idx in range(instances):
-        name = names[idx % len(names)]
-        g = groups[name]
-        inst_rng = rng.spawn()
-        g_hat = random_permutation_module(g, inst_rng, max_rank=6)
-        h_hat = random_module(g, inst_rng, max_rank=3)
-        res = random_equivariant_map(g_hat, h_hat, inst_rng)
-        datum = random_datum(g, inst_rng)
-        selection = random_selection(datum, inst_rng)
-        complex_ = TwoTermComplex(res)
-        two = sha_two_term(datum, complex_, 2, selection)
-        one = sha(datum, h_hat, 1, selection)
-        ok = invariant_factors(two.value) == invariant_factors(one.value)
-        outcome = {
-            "ok": ok,
-            "group": name,
-            "degree1": str(one.value),
-            "degree2": str(two.value),
-            "excluded": sorted(selection.excluded),
-        }
-        if not ok:
-            outcome["certificate"] = {
-                "kind": "route-mismatch",
-                "G_hat_rank": g_hat.rank,
-                "H_hat_rank": h_hat.rank,
-                "res": [[str(v) for v in r] for r in res.matrix.rows],
-            }
-        report.record(idx, outcome)
-    return report
+    return _run("two-route-equivalence", _route_equivalence_instance, seed, instances, groups)
 
 
-def ext0_consistency_suite(
-    seed: int,
-    instances: int,
-    groups: dict[str, FiniteGroup] | None = None,
-) -> SuiteReport:
-    """Toral data: the natural comparison map from the directly dualized
-    lattice sequence to the Ext^0 of the cover complex is an equivariant
-    isomorphism."""
-    if groups is None:
-        groups = builtin_groups()
-    names = sorted(groups)
-    report = SuiteReport(lemma="ext0-direct-route-consistency")
-    rng = SplitMix64(seed)
-    for idx in range(instances):
-        name = names[idx % len(names)]
-        g = groups[name]
-        inst_rng = rng.spawn()
-        m = random_free_module(g, inst_rng, max_rank=3)
-        from .gmodules import permutation_cover
-
-        res = permutation_cover(m)
-        data = ext0_with_data(IsogenyDatum(TwoTermComplex(res.proj)))
-        # direct route: coker of the dual of the projection, i.e. the dual
-        # basis of P modulo the rows of the projection matrix
-        p_dual = dual_module(res.P)
-        direct = GModule(
-            g,
-            PresentedAbelianGroup(res.P.rank, res.proj.matrix.rows),
-            list(p_dual.action),
-            _trusted=True,
-        )
-        # natural comparison: the dual of the degree-0 projection of the
-        # free replacement descends to a map between the two cokernels;
-        # it must be an equivariant isomorphism
-        try:
-            nat = GModuleHom(direct, data.module, data.psi.transpose())
-            ok = is_isomorphism(nat.abhom)
-        except StructuralError:
-            ok = False
-        outcome = {
-            "ok": ok,
-            "group": name,
+def _ext0_instance(g: FiniteGroup, rng: SplitMix64) -> dict:
+    m = random_free_module(g, rng)
+    res = permutation_cover(m)
+    data = ext0_with_data(IsogenyDatum(TwoTermComplex(res.proj)))
+    # direct route: coker of the dual of the projection, i.e. the dual
+    # basis of P modulo the rows of the projection matrix
+    p_dual = dual_module(res.P)
+    direct = GModule(
+        g,
+        PresentedAbelianGroup(res.P.rank, res.proj.matrix.rows),
+        list(p_dual.action),
+        _trusted=True,
+    )
+    # natural comparison: the dual of the degree-0 projection of the
+    # free replacement descends to a map between the two cokernels;
+    # it must be an equivariant isomorphism
+    try:
+        nat = GModuleHom(direct, data.module, data.psi.transpose())
+        ok = is_isomorphism(nat.abhom)
+    except (StructuralError, InternalError):
+        ok = False
+    outcome = {
+        "ok": ok,
+        "ext0": str(data.module.underlying),
+        "direct": str(direct.underlying),
+    }
+    if not ok:
+        outcome["certificate"] = {
+            "kind": "ext0-mismatch",
             "ext0": str(data.module.underlying),
             "direct": str(direct.underlying),
         }
-        if not ok:
-            outcome["certificate"] = {
-                "kind": "ext0-mismatch",
-                "ext0": str(data.module.underlying),
-                "direct": str(direct.underlying),
-            }
-        report.record(idx, outcome)
-    return report
+    return outcome
 
 
-def cover_suite(
-    seed: int,
-    instances: int,
-    groups: dict[str, FiniteGroup] | None = None,
-) -> SuiteReport:
+def ext0_consistency_suite(seed: int, instances: int, groups: Groups | None = None) -> SuiteReport:
+    """Toral data: the natural comparison map from the directly dualized
+    lattice sequence to the Ext^0 of the cover complex is an equivariant
+    isomorphism."""
+    return _run("ext0-direct-route-consistency", _ext0_instance, seed, instances, groups)
+
+
+def _cover_instance(g: FiniteGroup, rng: SplitMix64) -> dict:
+    x_star = random_free_module(g, rng)
+    # User-supplied coroots must span a G-submodule.  A scaled copy of the
+    # whole lattice always does, so the coroots are either empty or
+    # scale * X_*.
+    n = x_star.rank
+    if rng.randint(0, 1):
+        scale = rng.choice([1, 2, 3])
+        coroot_mat = IntMatrix(
+            [[scale if i == j else 0 for j in range(n)] for i in range(n)]
+        )
+        src = GModule(g, PresentedAbelianGroup(n), x_star.action, _trusted=True)
+        incl = GModuleHom(src, x_star, coroot_mat)
+    else:
+        src = GModule(
+            g,
+            PresentedAbelianGroup(0),
+            [IntMatrix([], cols=0) for _ in g.generators],
+            _trusted=True,
+        )
+        incl = GModuleHom(src, x_star, IntMatrix.zeros(n, 0))
+    datum = CocharacterDatum(X_star=x_star, coroot_inclusion=incl)
+    try:
+        return {"ok": True, **quasi_trivial_cover(datum).report}
+    except (StructuralError, InternalError) as exc:
+        return {"ok": False, "certificate": {"kind": "cover-failure", "error": str(exc)}}
+
+
+def cover_suite(seed: int, instances: int, groups: Groups | None = None) -> SuiteReport:
     """Random cocharacter data: the quasi-trivial cover construction
     passes its splitting check."""
-    if groups is None:
-        groups = builtin_groups()
-    names = sorted(groups)
-    report = SuiteReport(lemma="cover-splitting-check")
-    rng = SplitMix64(seed)
-    for idx in range(instances):
-        name = names[idx % len(names)]
-        g = groups[name]
-        inst_rng = rng.spawn()
-        x_star = random_free_module(g, inst_rng, max_rank=3)
-        # random coroot sublattice: a few independent multiples of basis
-        # vectors, stabilized... user-supplied coroots must form a
-        # G-submodule; scaled copies of the whole lattice always work
-        n = x_star.rank
-        k = inst_rng.randint(0, 1) * n  # either empty or full-rank scaled
-        if k:
-            scale = inst_rng.choice([1, 2, 3])
-            coroot_mat = IntMatrix(
-                [[scale if i == j else 0 for j in range(n)] for i in range(n)]
-            )
-            src = GModule(g, PresentedAbelianGroup(n), x_star.action, _trusted=True)
-            incl = GModuleHom(src, x_star, coroot_mat)
-        else:
-            src = GModule(
-                g,
-                PresentedAbelianGroup(0),
-                [IntMatrix([], cols=0) for _ in g.generators],
-                _trusted=True,
-            )
-            incl = GModuleHom(src, x_star, IntMatrix.zeros(n, 0))
-        datum = CocharacterDatum(X_star=x_star, coroot_inclusion=incl)
-        try:
-            cover = quasi_trivial_cover(datum)
-            outcome = {"ok": True, "group": name, **cover.report}
-        except (StructuralError, InternalError) as exc:
-            outcome = {
-                "ok": False,
-                "group": name,
-                "certificate": {"kind": "cover-failure", "error": str(exc)},
-            }
-        report.record(idx, outcome)
-    return report
+    return _run("cover-splitting-check", _cover_instance, seed, instances, groups)
+
+
+def _resolution_instance(g: FiniteGroup, rng: SplitMix64) -> dict:
+    m = random_module(g, rng, max_rank=3, max_torsion_relators=1)
+    datum = random_datum(g, rng)
+    selection = random_selection(datum, rng)
+    md1 = dual_complex(m)
+    n = m.rank
+    extra = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    extra.append([rng.randint(0, 1) for _ in range(n)])
+    if not any(extra[-1]):
+        extra.pop()
+    md2 = dual_complex(m, extra)
+    one = sha_two_term(datum, md1, 2, selection)
+    two = sha_two_term(datum, md2, 2, selection)
+    h1 = hypercohomology(g, md1, 2)
+    h2 = hypercohomology(g, md2, 2)
+    ok = invariant_factors(one.value) == invariant_factors(two.value) and (
+        invariant_factors(h1.group_value) == invariant_factors(h2.group_value)
+    )
+    outcome = {"ok": ok, "sha2": str(one.value), "hyper2": str(h1.group_value)}
+    if not ok:
+        outcome["certificate"] = {
+            "kind": "resolution-dependence",
+            "first": str(one.value),
+            "second": str(two.value),
+        }
+    return outcome
 
 
 def resolution_independence_suite(
-    seed: int,
-    instances: int,
-    groups: dict[str, FiniteGroup] | None = None,
+    seed: int, instances: int, groups: Groups | None = None
 ) -> SuiteReport:
     """Two different permutation covers of the same module give identical
     Sha^2 invariant factors for the dual complex."""
-    if groups is None:
-        groups = builtin_groups()
-    names = sorted(groups)
-    report = SuiteReport(lemma="resolution-independence")
-    rng = SplitMix64(seed)
-    for idx in range(instances):
-        name = names[idx % len(names)]
-        g = groups[name]
-        inst_rng = rng.spawn()
-        m = random_module(g, inst_rng, max_rank=3, max_torsion_relators=1)
-        datum = random_datum(g, inst_rng)
-        selection = random_selection(datum, inst_rng)
-        md1 = dual_complex(m)
-        n = m.rank
-        extra = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        extra.append([inst_rng.randint(0, 1) for _ in range(n)])
-        if not any(extra[-1]):
-            extra.pop()
-        md2 = dual_complex(m, extra)
-        one = sha_two_term(datum, md1, 2, selection)
-        two = sha_two_term(datum, md2, 2, selection)
-        h1 = hypercohomology(g, md1, 2)
-        h2 = hypercohomology(g, md2, 2)
-        ok = invariant_factors(one.value) == invariant_factors(two.value) and (
-            invariant_factors(h1.group_value) == invariant_factors(h2.group_value)
-        )
-        outcome = {
-            "ok": ok,
-            "group": name,
-            "sha2": str(one.value),
-            "hyper2": str(h1.group_value),
-        }
-        if not ok:
-            outcome["certificate"] = {
-                "kind": "resolution-dependence",
-                "first": str(one.value),
-                "second": str(two.value),
-            }
-        report.record(idx, outcome)
-    return report
+    return _run("resolution-independence", _resolution_instance, seed, instances, groups)
 
 
 SUITES = {
     "s13": annihilation_suite,
-    "metacyclic": lambda seed, instances, groups=None: annihilation_suite(
-        seed, instances, groups, metacyclic_only=True
-    ),
+    "metacyclic": metacyclic_suite,
     "sha-iso": shift_isomorphism_suite,
     "prop-sh1": route_equivalence_suite,
     "ext0": ext0_consistency_suite,
@@ -584,8 +529,10 @@ def run_suite(
     name: str,
     seed: int,
     instances: int,
-    groups: dict[str, FiniteGroup] | None = None,
+    groups: Groups | None = None,
 ) -> list[SuiteReport]:
+    if instances < 1:
+        raise StructuralError(f"instance count must be at least 1, got {instances}")
     if name == "all":
         names = sorted(SUITES)
         if groups is not None and not any(is_metacyclic(g) for g in groups.values()):

@@ -9,8 +9,10 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from shacalc.abelian import AbHom, cyclic_group
+from shacalc.abelian import AbHom
 from shacalc.cli import main
+
+from helpers import cyclic_group
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -192,6 +194,22 @@ class TestVerifyCommand:
             ["verify", str(PROBLEMS / "biquadratic.json"), "--suite", "bogus"]
         )
         assert code == 3
+
+    def test_zero_instances_rejected(self):
+        code, out, err = run_cli(
+            ["verify", str(PROBLEMS / "biquadratic.json"), "--suite", "s13", "--instances", "0"]
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "input"
+
+    def test_negative_instances_rejected(self):
+        code, out, err = run_cli(
+            ["verify", str(PROBLEMS / "biquadratic.json"), "--suite", "s13", "--instances", "-3"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "at least 1" in json.loads(err)["error"]["message"]
 
     def test_counterexample_exit_code(self, monkeypatch):
         """A suite failure must surface as exit code 2 with the

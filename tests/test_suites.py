@@ -1,5 +1,8 @@
 """Random-instance generators and suite plumbing."""
 
+import hashlib
+import json
+
 from shacalc.gmodules import GModule, PermutationModule
 from shacalc.prng import SplitMix64
 from shacalc.suites import (
@@ -13,6 +16,11 @@ from shacalc.suites import (
 )
 
 GROUPS = builtin_groups()
+
+
+def digest(reports) -> str:
+    data = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    return hashlib.sha256(data.encode()).hexdigest()
 
 
 class TestGenerators:
@@ -66,6 +74,11 @@ class TestSuiteRunner:
             assert isinstance(r, SuiteReport)
             assert r.ok, (r.lemma, r.failures)
             assert len(r.instances) == 3
+        # every suite's report bytes are pinned, on the builtin groups and
+        # on one supplied group
+        assert digest(reports) == "ad30604400f9df160dc9b819d1761701b1413020e9c99514285314c9a03d4bc7"
+        reports = run_suite("all", seed=5, instances=2, groups={"input": GROUPS["S3"]})
+        assert digest(reports) == "f547933949442d3db55c05d21dde0d631b717c7b8d6fc90f2f9216e2d38a908d"
 
     def test_reports_ordered_by_index(self):
         (report,) = run_suite("s13", seed=5, instances=6)
