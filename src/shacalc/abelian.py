@@ -6,6 +6,21 @@ combination of the relator rows.  This is the universal value type for
 every cohomology group computed by the package; the canonical answer
 format everywhere is the invariant-factor decomposition
 Z^r + Z/d_1 + ... + Z/d_k with d_1 | d_2 | ... .
+
+Reduced view.  Relations are kept in canonical Hermite form, where every
+entry above a pivot lies in [0, pivot).  So a column c that is the pivot
+of a row r_c with pivot 1 is zero in every other row: the rows above are
+reduced into [0, 1), the rows below are zero left of their pivot.  Hence a
+unit row is zero on every other unit-pivot column, and a non-unit row is
+zero on all of them.  Let K be the other columns, the kept generators.
+Then G is isomorphic to Z^K / (the non-unit rows read on K), by
+
+    pi(x) = x|K - sum over unit rows r_c of x_c * r_c|K,   section e_k -> e_k:
+
+pi sends r_c to 0 and a non-unit row to its restriction, the section
+sends the reduced relators to relators, pi o section is the identity, and
+x - section(pi(x)) = sum x_c * r_c is a relation.  No Smith transform is
+needed; the reduced generators are a subset of the original ones.
 """
 
 from __future__ import annotations
@@ -26,6 +41,37 @@ from .intlinalg import (
 )
 
 
+@dataclass(frozen=True)
+class ReducedView:
+    """A group on its kept generators (see the module docstring): ``group``
+    is Z^K / (the non-unit relation rows read on K), ``kept`` lists K in
+    increasing order, and ``unit_rows`` are the relation rows with pivot 1,
+    whose pivots ``unit_pivots`` are the generators left out."""
+
+    group: "PresentedAbelianGroup"
+    kept: tuple[int, ...]
+    unit_pivots: tuple[int, ...]
+    unit_rows: tuple[tuple[int, ...], ...]
+
+    def project(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """pi: coordinates on every generator to coordinates on K."""
+        out = [vec[k] for k in self.kept]
+        for c, row in zip(self.unit_pivots, self.unit_rows):
+            x = vec[c]
+            if x:
+                for t, k in enumerate(self.kept):
+                    if row[k]:
+                        out[t] -= x * row[k]
+        return tuple(out)
+
+    def section(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """e_k -> e_k: coordinates on K to coordinates on every generator."""
+        out = [0] * (len(self.kept) + len(self.unit_pivots))
+        for k, v in zip(self.kept, vec):
+            out[k] = v
+        return tuple(out)
+
+
 class PresentedAbelianGroup:
     """Z^n modulo the row lattice of a relation matrix.
 
@@ -34,7 +80,7 @@ class PresentedAbelianGroup:
     zero group prints as "0".
     """
 
-    __slots__ = ("generator_count", "relation_rows", "_inv")
+    __slots__ = ("generator_count", "relation_rows", "_inv", "_reduced")
 
     def __init__(self, generator_count: int, relations: Iterable[Sequence[int]] = ()):
         if generator_count < 0:
@@ -53,6 +99,7 @@ class PresentedAbelianGroup:
                     raise StructuralError("relator length does not match generator count")
         self.relation_rows = hermite_rows(rows, generator_count)
         self._inv: tuple[int, tuple[int, ...]] | None = None
+        self._reduced: ReducedView | None = None
 
     # -- structure ------------------------------------------------------
 
@@ -60,30 +107,34 @@ class PresentedAbelianGroup:
     def relations(self) -> IntMatrix:
         return IntMatrix(self.relation_rows, cols=self.generator_count)
 
-    def invariant_factors(self) -> tuple[int, tuple[int, ...]]:
-        """(free_rank, torsion) with each torsion entry > 1 dividing the next."""
-        if self._inv is None:
-            # In the Hermite form a row with pivot 1 is the only relation
-            # on its pivot's generator, so the row and the generator drop
-            # out together; the Smith form runs on what is left.
-            units = set()
-            rest = []
+    def reduced(self) -> ReducedView:
+        """The same group on its kept generators, computed once."""
+        if self._reduced is None:
+            pivots, units, rest = [], [], []
             for row in self.relation_rows:
                 lead = next(k for k, v in enumerate(row) if v)
                 if row[lead] == 1:
-                    units.add(lead)
+                    pivots.append(lead)
+                    units.append(row)
                 else:
                     rest.append(row)
-            keep = [k for k in range(self.generator_count) if k not in units]
-            diag = ()
-            if rest:
-                snf = smith_normal_form(
-                    IntMatrix([[r[k] for k in keep] for r in rest], cols=len(keep))
-                )
-                diag = snf.diagonal
+            left_out = set(pivots)
+            kept = tuple(k for k in range(self.generator_count) if k not in left_out)
+            group = self
+            if pivots:
+                group = PresentedAbelianGroup(len(kept), [[r[k] for k in kept] for r in rest])
+            self._reduced = ReducedView(group, kept, tuple(pivots), tuple(units))
+        return self._reduced
+
+    def invariant_factors(self) -> tuple[int, tuple[int, ...]]:
+        """(free_rank, torsion) with each torsion entry > 1 dividing the next."""
+        if self._inv is None:
+            # the Smith form runs on the reduced view
+            red = self.reduced().group
+            diag = smith_normal_form(red.relations).diagonal if red.relation_rows else ()
             rank = sum(1 for d in diag if d)
             torsion = tuple(d for d in diag if d > 1)
-            self._inv = (len(keep) - rank, torsion)
+            self._inv = (red.generator_count - rank, torsion)
         return self._inv
 
     @property

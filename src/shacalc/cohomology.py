@@ -56,11 +56,20 @@ so that representative-level tests are stable.
 
 A module M is computed as the complex M -> 0: then T^n = C^n(M) and D = d,
 so H^i(G, M) = HH^i(G, M -> 0) with the same coordinates.
+
+The value Z^i / B^i is presented on the Hermite basis of Z^i, about
+rank B^i generators, most of them left out by its reduced view (see
+:mod:`shacalc.abelian`).  A restriction works in reduced coordinates: it
+restricts only the cocycles of the kept generators, one class solve each,
+and projects their classes onto the kept generators of the target.
+``Restriction.map``, the same map on every generator, is composed from
+that on first access, with no further solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
@@ -327,19 +336,6 @@ class CohomologyGroup:
         return str(self.group_value)
 
 
-def _class_map(
-    src: CohomologyGroup, tgt: CohomologyGroup, cocycles: list[Sequence[int]]
-) -> AbHom:
-    """The map of values sending generator j of ``src`` to the class of
-    ``cocycles[j]``, a cocycle of ``tgt``."""
-    cols = [list(tgt.class_coords(c)) for c in cocycles]
-    return AbHom(
-        src.group_value,
-        tgt.group_value,
-        IntMatrix.from_cols(cols, rows=tgt.group_value.generator_count),
-    )
-
-
 def _homology_from_cols(
     dim_i: int,
     kernel_cols: list[dict[int, int]],
@@ -495,11 +491,28 @@ def hypercohomology(
 
 @dataclass(frozen=True)
 class Restriction:
-    """The induced map on cohomology together with the restricted group."""
+    """The induced map on cohomology together with the restricted group.
 
-    map: AbHom
+    ``reduced_map`` is the class map on the reduced views of the two
+    values; ``map``, the same map on every generator, is composed from it
+    on first access."""
+
+    source: CohomologyGroup
+    reduced_map: AbHom
     target: CohomologyGroup
     cochain_selection: tuple[int, ...]  # target coord -> source coord
+
+    @cached_property
+    def map(self) -> AbHom:
+        """pi of the source, the reduced map, then the section of the target,
+        each image reduced to its canonical coset representative."""
+        src, tgt = self.source.group_value, self.target.group_value
+        red_src, red_tgt = src.reduced(), tgt.reduced()
+        cols = [
+            tgt.reduce_element(red_tgt.section(self.reduced_map.apply(red_src.project(unit))))
+            for unit in IntMatrix.identity(src.generator_count).rows
+        ]
+        return AbHom(src, tgt, IntMatrix.from_cols(cols, rows=tgt.generator_count))
 
 
 def _tuple_selection(
@@ -541,5 +554,15 @@ def restriction(
         a_dim = order**i * complex_.degree0.rank
         sel_b = _tuple_selection(order, embed, sub_order, i - 1, complex_.degree1.rank)
         sel += tuple(a_dim + s for s in sel_b)
-    hom = _class_map(cg, target, [[rep[s] for s in sel] for rep in cg.representatives])
-    return Restriction(map=hom, target=target, cochain_selection=sel)
+    # only the kept generators' cocycles are restricted, one solve each
+    red_src, red_tgt = cg.group_value.reduced(), target.group_value.reduced()
+    cols = [
+        red_tgt.project(target.class_coords([cg.representatives[k][s] for s in sel]))
+        for k in red_src.kept
+    ]
+    hom = AbHom(
+        red_src.group,
+        red_tgt.group,
+        IntMatrix.from_cols(cols, rows=red_tgt.group.generator_count),
+    )
+    return Restriction(source=cg, reduced_map=hom, target=target, cochain_selection=sel)

@@ -27,11 +27,25 @@ Consequences built into the computation:
 Whether a given abstract datum is realizable by an actual extension of
 number fields is a number-theoretic question deliberately left outside
 this tool; every statement verified here is a statement about the model.
+
+Reduced coordinates
+-------------------
+
+A Sha group is the kernel of the stacked reduced restriction maps on the
+reduced view of the ambient value (see :mod:`shacalc.abelian`), so its
+value, inclusion and quotients live on the kept generators only.  Each
+value generator gets one cochain, and the cochain-level recheck (every
+cochain restricts to zero on every imposed subgroup) runs on those
+cochains whenever a group is built.  The printed representatives, the
+Hermite basis of the Sha lattice on every ambient generator, are built
+on first access only, which only the ``sha`` command makes; the recheck
+runs again on them then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .abelian import (
@@ -54,7 +68,7 @@ from .cohomology import (
 from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_quotient
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
-from .intlinalg import IntMatrix, lattice_solve
+from .intlinalg import IntMatrix, hermite_rows, lattice_solve
 
 
 @dataclass(frozen=True)
@@ -97,19 +111,31 @@ EMPTY_SELECTION = PlaceSelection()
 
 @dataclass
 class ShaGroup:
-    """Kernel of the imposed restrictions inside a cohomology group."""
+    """Kernel of the imposed restrictions inside a cohomology group.
+
+    ``inclusion`` maps ``value`` into the reduced ambient value
+    ``ambient.group_value.reduced().group``, and ``class_of`` takes
+    coordinates on that same reduced ambient.  ``cochains[j]`` is a
+    cocycle for generator j of ``value``.
+
+    ``representatives`` are the canonical Hermite basis of the Sha lattice
+    on every generator of the ambient value V, times the ambient
+    representatives.  That lattice is spanned by the unit relation rows of
+    V and the section of the reduced kernel basis, so the basis is the one
+    a kernel taken on every generator of V gives."""
 
     ambient: CohomologyGroup
     value: PresentedAbelianGroup
     inclusion: AbHom
-    representatives: tuple[tuple[int, ...], ...]
+    cochains: tuple[tuple[int, ...], ...]
     imposed: tuple[str, ...]
     _basis_rows: tuple[tuple[int, ...], ...]
-    _constraint: AbHom  # stacked class-level restrictions on the ambient value
+    _constraint: AbHom  # stacked reduced restrictions on the reduced ambient value
+    _restrictions: tuple[Restriction, ...]  # one per imposed place
 
     def class_of(self, ambient_coords: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates in this subgroup of an ambient class known to lie in
-        it (raises otherwise)."""
+        """Coordinates in this subgroup of an ambient class, given on the
+        reduced ambient, known to lie in it (raises otherwise)."""
         coeffs = lattice_solve(self._basis_rows, ambient_coords)
         if coeffs is None:
             raise StructuralError("class does not lie in the Sha subgroup")
@@ -118,6 +144,15 @@ class ShaGroup:
     def quotient_by(self, smaller: "ShaGroup") -> PresentedAbelianGroup:
         """This group modulo a smaller one over the same ambient (Sha_S / Sha_empty)."""
         return subquotient(self._constraint, smaller.inclusion).group
+
+    @cached_property
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        red = self.ambient.group_value.reduced()
+        lattice = list(red.unit_rows) + [red.section(b) for b in self._basis_rows]
+        basis = hermite_rows(lattice, self.ambient.group_value.generator_count)
+        reps = tuple(_combine(self.ambient, b) for b in basis)
+        _recheck(reps, self.imposed, self._restrictions)
+        return reps
 
     def __str__(self) -> str:
         return str(self.value)
@@ -172,44 +207,54 @@ def _kernel(
     imposed: list[tuple[str, Subgroup]],
     restrictions: list[Restriction],
 ) -> ShaGroup:
-    """The kernel of ``restrictions``, one per imposed place, on ``ambient``."""
-    value_group = ambient.group_value
+    """The kernel of ``restrictions``, one per imposed place, on the
+    reduced view of ``ambient``."""
+    red = ambient.group_value.reduced()
     if restrictions:
-        constraint = stack_homs([res.map for res in restrictions])
+        constraint = stack_homs([res.reduced_map for res in restrictions])
     else:
-        constraint = AbHom.zero(value_group, trivial_group())
-    sq = subquotient(constraint, AbHom.zero(trivial_group(), value_group))
-    reps = []
-    cochain_len = len(ambient.representatives[0]) if ambient.representatives else 0
-    for j in range(sq.group.generator_count):
-        coords = sq.lift.col(j)
-        acc = [0] * cochain_len
-        for t, c in enumerate(coords):
-            if c:
-                rep = ambient.representatives[t]
-                for k, v in enumerate(rep):
-                    acc[k] += c * v
-        reps.append(tuple(acc))
-    group = ShaGroup(
+        constraint = AbHom.zero(red.group, trivial_group())
+    sq = subquotient(constraint, AbHom.zero(trivial_group(), red.group))
+    cochains = tuple(
+        _combine(ambient, red.section(sq.lift.col(j))) for j in range(sq.group.generator_count)
+    )
+    names = tuple(name for name, _ in imposed)
+    _recheck(cochains, names, restrictions)
+    return ShaGroup(
         ambient=ambient,
         value=sq.group,
         inclusion=sq.inclusion(),
-        representatives=tuple(reps),
-        imposed=tuple(name for name, _ in imposed),
+        cochains=cochains,
+        imposed=names,
         _basis_rows=sq.basis_rows,
         _constraint=constraint,
+        _restrictions=tuple(restrictions),
     )
-    # every representative must restrict to zero on every imposed subgroup,
-    # re-checked at the cochain level
-    for index, rep in enumerate(group.representatives):
-        for (name, _), res in zip(imposed, restrictions):
+
+
+def _combine(ambient: CohomologyGroup, coords: Sequence[int]) -> tuple[int, ...]:
+    """The cochain sum of coords[t] * ambient.representatives[t]."""
+    acc = [0] * (len(ambient.representatives[0]) if ambient.representatives else 0)
+    for c, rep in zip(coords, ambient.representatives):
+        if c:
+            for k, v in enumerate(rep):
+                acc[k] += c * v
+    return tuple(acc)
+
+
+def _recheck(
+    cochains: Sequence[Sequence[int]], imposed: Sequence[str], restrictions: Sequence[Restriction]
+) -> None:
+    """Every cochain must restrict to zero on every imposed subgroup,
+    re-checked at the cochain level."""
+    for index, rep in enumerate(cochains):
+        for name, res in zip(imposed, restrictions):
             picked = [rep[s] for s in res.cochain_selection]
             if any(res.target.class_coords(picked)):
                 raise InternalError(
                     "internal check failed: a Sha representative survives a restriction",
                     certificate={"kind": "sha-recheck", "imposed": name, "representative": index},
                 )
-    return group
 
 
 def _checked_module(datum: LocalDatum, module: GModule, degree: int) -> TwoTermComplex:
@@ -336,7 +381,7 @@ def verify_annihilation(
                 "kind": "annihilation",
                 "generator": j,
                 "multiplier": multiplier,
-                "cocycle": [str(v) for v in sh.representatives[j]],
+                "cocycle": [str(v) for v in sh.cochains[j]],
             }
             return report
     if metacyclic and not sh.value.is_trivial():
@@ -344,7 +389,7 @@ def verify_annihilation(
         report["certificate"] = {
             "kind": "metacyclic-vanishing",
             "sha_omega": str(sh.value),
-            "cocycles": [[str(v) for v in r] for r in sh.representatives],
+            "cocycles": [[str(v) for v in r] for r in sh.cochains],
         }
     return report
 
@@ -372,11 +417,12 @@ def verify_shift_isomorphism(
         "ok": True,
     }
     a_dim = datum.group.order**2 * P.rank
+    red2 = sh2.ambient.group_value.reduced()
     cols = []
-    for j, rep in enumerate(sh1.representatives):
+    for j, rep in enumerate(sh1.cochains):
         total = [0] * a_dim + list(rep)
         try:
-            ambient_coords = sh2.ambient.class_coords(total)
+            ambient_coords = red2.project(sh2.ambient.class_coords(total))
             cols.append(list(sh2.class_of(ambient_coords)))
         except StructuralError:
             report["ok"] = False

@@ -533,6 +533,8 @@ def run_suite(
 ) -> list[SuiteReport]:
     if instances < 1:
         raise StructuralError(f"instance count must be at least 1, got {instances}")
+    if groups is not None and not groups:
+        raise StructuralError("no groups to run the suite on")
     if name == "all":
         names = sorted(SUITES)
         if groups is not None and not any(is_metacyclic(g) for g in groups.values()):

@@ -1,24 +1,25 @@
 """Shared fixtures-in-spirit: a catalog of small groups, a full subgroup
 enumeration (the library itself deliberately ships no subgroup lattice;
 tests build it by closure), and constructions that only tests use: small
-abelian groups, sparse composition, map congruence and the long exact
-sequence of a two-term complex."""
+abelian groups, sparse composition, map congruence, the long exact
+sequence of a two-term complex, and the eager restriction and Sha kernel
+that work on every generator of the ambient value."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from shacalc.abelian import AbHom, PresentedAbelianGroup
+from shacalc.abelian import AbHom, PresentedAbelianGroup, stack_homs, subquotient, trivial_group
 from shacalc.cohomology import (
     CohomologyGroup,
+    Restriction,
     TwoTermComplex,
-    _class_map,
     cohomology,
     hypercohomology,
 )
 from shacalc.groups import FiniteGroup, Subgroup, from_permutations
-from shacalc.intlinalg import sparse_from_matrix
+from shacalc.intlinalg import IntMatrix, sparse_from_matrix
 
 
 def catalog() -> dict[str, FiniteGroup]:
@@ -99,6 +100,19 @@ def sparse_compose(
     return out
 
 
+def _class_map(
+    src: CohomologyGroup, tgt: CohomologyGroup, cocycles: list[Sequence[int]]
+) -> AbHom:
+    """The map of values sending generator j of ``src`` to the class of
+    ``cocycles[j]``, a cocycle of ``tgt``."""
+    cols = [list(tgt.class_coords(c)) for c in cocycles]
+    return AbHom(
+        src.group_value,
+        tgt.group_value,
+        IntMatrix.from_cols(cols, rows=tgt.group_value.generator_count),
+    )
+
+
 @dataclass(frozen=True)
 class LesSegment:
     """H^{i-1}(A) -> H^{i-1}(B) -> HH^i(A->B) -> H^i(A) -> H^i(B) with the
@@ -157,4 +171,52 @@ def les_segment(group: FiniteGroup, complex_: TwoTermComplex, degree: int) -> Le
         from_b_prev=from_b_prev,
         to_a=to_a,
         to_b=induced_f(ha, hb, i),
+    )
+
+
+def eager_restriction_map(res: Restriction) -> AbHom:
+    """The class map of ``res`` on every generator of the source value:
+    each representative is restricted and solved for."""
+    sel = res.cochain_selection
+    return _class_map(res.source, res.target, [[rep[s] for s in sel] for rep in res.source.representatives])
+
+
+@dataclass(frozen=True)
+class EagerSha:
+    """A Sha group taken on every generator of the ambient value."""
+
+    value: PresentedAbelianGroup
+    representatives: tuple[tuple[int, ...], ...]
+    inclusion: AbHom
+    constraint: AbHom
+
+    def quotient_by(self, smaller: "EagerSha") -> PresentedAbelianGroup:
+        return subquotient(self.constraint, smaller.inclusion).group
+
+
+def eager_kernel(ambient: CohomologyGroup, restrictions: Sequence[Restriction]) -> EagerSha:
+    """The kernel of the eager class maps of ``restrictions`` on the
+    ambient value, with one representative per kernel basis vector."""
+    value_group = ambient.group_value
+    if restrictions:
+        constraint = stack_homs([eager_restriction_map(res) for res in restrictions])
+    else:
+        constraint = AbHom.zero(value_group, trivial_group())
+    sq = subquotient(constraint, AbHom.zero(trivial_group(), value_group))
+    reps = []
+    cochain_len = len(ambient.representatives[0]) if ambient.representatives else 0
+    for j in range(sq.group.generator_count):
+        coords = sq.lift.col(j)
+        acc = [0] * cochain_len
+        for t, c in enumerate(coords):
+            if c:
+                rep = ambient.representatives[t]
+                for k, v in enumerate(rep):
+                    acc[k] += c * v
+        reps.append(tuple(acc))
+    return EagerSha(
+        value=sq.group,
+        representatives=tuple(reps),
+        inclusion=sq.inclusion(),
+        constraint=constraint,
     )

@@ -255,9 +255,11 @@ class TestVerifyCommand:
         real_restriction = sha_module.restriction
 
         def forgetful_restriction(ambient, sub, **kwargs):
-            """The true restriction, but with a zero map on classes."""
+            """The true restriction, but with a zero map on classes: the
+            reduced map, which the Sha kernel reads."""
             res = real_restriction(ambient, sub, **kwargs)
-            return dataclasses.replace(res, map=AbHom.zero(res.map.source, res.map.target))
+            zero = AbHom.zero(res.reduced_map.source, res.reduced_map.target)
+            return dataclasses.replace(res, reduced_map=zero)
 
         with monkeypatch.context() as mp:
             mp.setattr(sha_module, "restriction", forgetful_restriction)

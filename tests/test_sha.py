@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shacalc.abelian import invariant_factors
-from shacalc.cohomology import DEFAULT_COCHAIN_CAP, TwoTermComplex, _module_complex, cohomology
+from shacalc.cohomology import (
+    DEFAULT_COCHAIN_CAP,
+    CohomologyGroup,
+    TwoTermComplex,
+    _module_complex,
+    cohomology,
+    restriction,
+)
 from shacalc.errors import StructuralError
 from shacalc.gmodules import (
     GModule,
@@ -18,6 +25,7 @@ from shacalc.gmodules import (
     sign_module,
     trivial_module,
 )
+from shacalc.groups import from_permutations
 from shacalc.intlinalg import IntMatrix
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
@@ -42,7 +50,7 @@ from shacalc.suites import (
     random_selection,
 )
 
-from helpers import catalog
+from helpers import catalog, eager_kernel, eager_restriction_map
 from oracles import h1_and_sha_by_enumeration, rational_fixed_space_is_zero
 
 GROUPS = catalog()
@@ -343,3 +351,139 @@ class TestSharedAmbient:
                 assert group.imposed == want.imposed
                 assert group.inclusion.matrix == want.inclusion.matrix
                 assert group._constraint.matrix == want._constraint.matrix
+
+
+def torsion_module(g, n):
+    """Z/n with the trivial action."""
+    return GModule(g, PresentedAbelianGroup(1, [[n]]), [IntMatrix([[1]]) for _ in g.generators])
+
+
+class TestReducedCoordinates:
+    """Restrictions and Sha kernels on the reduced view of the ambient
+    value against the eager oracle in ``helpers``, which works on every
+    generator: the same full class maps, printed representatives, values
+    and quotients."""
+
+    @staticmethod
+    def assert_matches_eager(shared):
+        """``shared`` are groups over one ambient, the last one over the
+        empty set."""
+        eager = [eager_kernel(group.ambient, group._restrictions) for group in shared]
+        for group, want in zip(shared, eager):
+            for res in group._restrictions:
+                assert res.map.matrix == eager_restriction_map(res).matrix
+            assert group.representatives == want.representatives
+            assert invariant_factors(group.value) == invariant_factors(want.value)
+        assert invariant_factors(shared[0].quotient_by(shared[-1])) == invariant_factors(
+            eager[0].quotient_by(eager[-1])
+        )
+
+    def test_ladder_groups(self):
+        """Z and I_G take the saturation route, Z/4 the kernel route.  On
+        A4 and D6 the degree-2 eager kernels of I_G and Z/4 (121 and 144
+        generators) take 2-4 s each, so there only Z is taken in degree 2."""
+        groups = {name: GROUPS[name] for name in ("V4", "D4", "Q8", "A4")}
+        groups["D6"] = from_permutations([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])
+        for name, g in groups.items():
+            datum = LocalDatum(g, (("v", g.full_subgroup()),))
+            selections = [PlaceSelection.of("v"), EMPTY_SELECTION]
+            degrees = (1,) if name in ("A4", "D6") else (1, 2)
+            for m, ds in (
+                (trivial_module(g, 1), (1, 2)),
+                (augmentation_ideal(g), degrees),
+                (torsion_module(g, 4), degrees),
+            ):
+                for degree in ds:
+                    shared = _sha_groups(
+                        datum, _module_complex(m), degree, selections, DEFAULT_COCHAIN_CAP
+                    )
+                    self.assert_matches_eager(shared)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["V4", "S3", "D4", "A4"]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_shared_ambient_data(self, name, seed):
+        """The data of ``TestSharedAmbient``."""
+        g = GROUPS[name]
+        rng = SplitMix64(seed)
+        g_hat = random_permutation_module(g, rng, max_rank=3 if g.order > 6 else 4)
+        h_hat = random_module(g, rng, max_rank=2)
+        complex_ = TwoTermComplex(random_equivariant_map(g_hat, h_hat, rng))
+        datum = random_datum(g, rng)
+        selections = [
+            random_selection(datum, rng),
+            PlaceSelection.of(*datum.place_names),
+            EMPTY_SELECTION,
+        ]
+        for coefficients, degree in ((complex_, 2), (_module_complex(h_hat), 1)):
+            shared = _sha_groups(datum, coefficients, degree, selections, DEFAULT_COCHAIN_CAP)
+            self.assert_matches_eager(shared)
+
+
+class TestSolveCounts:
+    """Class-coordinate solves, counted by a spy on
+    ``CohomologyGroup.class_coords``."""
+
+    @staticmethod
+    def solves(compute):
+        """``compute()`` and the (group, cocycle) of each solve it made."""
+        calls = []
+        real = CohomologyGroup.class_coords
+
+        def spy(self, vec):
+            calls.append((self, tuple(vec)))
+            return real(self, vec)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CohomologyGroup, "class_coords", spy)
+            result = compute()
+        return result, calls
+
+    @staticmethod
+    def restricted(cochains, restrictions):
+        """The (target, restricted cochain) pairs the recheck must solve."""
+        return [
+            (res.target, tuple(c[s] for s in res.cochain_selection))
+            for c in cochains
+            for res in restrictions
+        ]
+
+    @staticmethod
+    def biquadratic_omega():
+        g = GROUPS["V4"]
+        return sha_omega(plain_datum("V4"), augmentation_ideal(g), 1)
+
+    def test_restriction_solves_once_per_kept_generator(self):
+        g = GROUPS["V4"]
+        sub = g.generated_subgroup([1])
+        for m, degree in ((augmentation_ideal(g), 1), (torsion_module(g, 4), 2)):
+            h = cohomology(g, m, degree)
+            kept = h.group_value.reduced().kept
+            assert len(kept) < h.group_value.generator_count
+            res, calls = self.solves(lambda: restriction(h, sub))
+            assert len(calls) == len(kept)
+            assert all(group is res.target for group, _ in calls)
+            _, calls = self.solves(lambda: res.map)
+            assert calls == []
+
+    def test_recheck_covers_every_generator_cochain(self):
+        group, calls = self.solves(self.biquadratic_omega)
+        assert group.cochains and len(group.cochains) == group.value.generator_count
+        kept = group.ambient.group_value.reduced().kept
+        restrictions = group._restrictions
+        assert len(calls) == len(restrictions) * (len(kept) + len(group.cochains))
+        rechecked = self.restricted(group.cochains, restrictions)
+        assert [(id(t), v) for t, v in calls[-len(rechecked):]] == [
+            (id(t), v) for t, v in rechecked
+        ]
+
+    def test_printed_representatives_rechecked_once(self):
+        group = self.biquadratic_omega()
+        reps, calls = self.solves(lambda: group.representatives)
+        assert len(reps) > len(group.cochains)
+        rechecked = self.restricted(reps, group._restrictions)
+        assert [(id(t), v) for t, v in calls] == [(id(t), v) for t, v in rechecked]
+        _, calls = self.solves(lambda: group.representatives)
+        assert calls == []

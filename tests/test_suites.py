@@ -3,6 +3,9 @@
 import hashlib
 import json
 
+import pytest
+
+from shacalc.errors import StructuralError
 from shacalc.gmodules import GModule, PermutationModule
 from shacalc.prng import SplitMix64
 from shacalc.suites import (
@@ -88,3 +91,11 @@ class TestSuiteRunner:
         (report,) = run_suite("cover", seed=5, instances=2)
         data = report.to_json()
         assert set(data) == {"lemma", "instances", "failures"}
+
+    def test_empty_group_mapping_rejected(self):
+        with pytest.raises(StructuralError, match="no groups"):
+            run_suite("s13", 1, 1, {})
+
+    def test_empty_group_mapping_rejected_for_all(self):
+        with pytest.raises(StructuralError, match="no groups"):
+            run_suite("all", 1, 1, {})
