@@ -54,7 +54,9 @@ class ReducedView:
     unit_rows: tuple[tuple[int, ...], ...]
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """pi: coordinates on every generator to coordinates on K."""
+        """pi: coordinates on every generator to coordinates on K.  On a
+        canonical coset representative, which is zero on every unit pivot,
+        this is the restriction to K."""
         out = [vec[k] for k in self.kept]
         for c, row in zip(self.unit_pivots, self.unit_rows):
             x = vec[c]

@@ -62,14 +62,13 @@ rank B^i generators, most of them left out by its reduced view (see
 :mod:`shacalc.abelian`).  A restriction works in reduced coordinates: it
 restricts only the cocycles of the kept generators, one class solve each,
 and projects their classes onto the kept generators of the target.
-``Restriction.map``, the same map on every generator, is composed from
-that on first access, with no further solves.
+``Restriction.reduced_map`` is that class map between the reduced views;
+no map on every generator of the value is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
@@ -493,26 +492,12 @@ def hypercohomology(
 class Restriction:
     """The induced map on cohomology together with the restricted group.
 
-    ``reduced_map`` is the class map on the reduced views of the two
-    values; ``map``, the same map on every generator, is composed from it
-    on first access."""
+    ``reduced_map`` is the class map on the reduced views of the source
+    and target values."""
 
-    source: CohomologyGroup
     reduced_map: AbHom
     target: CohomologyGroup
     cochain_selection: tuple[int, ...]  # target coord -> source coord
-
-    @cached_property
-    def map(self) -> AbHom:
-        """pi of the source, the reduced map, then the section of the target,
-        each image reduced to its canonical coset representative."""
-        src, tgt = self.source.group_value, self.target.group_value
-        red_src, red_tgt = src.reduced(), tgt.reduced()
-        cols = [
-            tgt.reduce_element(red_tgt.section(self.reduced_map.apply(red_src.project(unit))))
-            for unit in IntMatrix.identity(src.generator_count).rows
-        ]
-        return AbHom(src, tgt, IntMatrix.from_cols(cols, rows=tgt.generator_count))
 
 
 def _tuple_selection(
@@ -565,4 +550,4 @@ def restriction(
         red_tgt.group,
         IntMatrix.from_cols(cols, rows=red_tgt.group.generator_count),
     )
-    return Restriction(source=cg, reduced_map=hom, target=target, cochain_selection=sel)
+    return Restriction(reduced_map=hom, target=target, cochain_selection=sel)

@@ -253,7 +253,12 @@ def _recheck(
             if any(res.target.class_coords(picked)):
                 raise InternalError(
                     "internal check failed: a Sha representative survives a restriction",
-                    certificate={"kind": "sha-recheck", "imposed": name, "representative": index},
+                    certificate={
+                        "kind": "sha-recheck",
+                        "imposed": name,
+                        "representative": index,
+                        "cocycle": [str(v) for v in rep],
+                    },
                 )
 
 

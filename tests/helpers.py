@@ -2,8 +2,10 @@
 enumeration (the library itself deliberately ships no subgroup lattice;
 tests build it by closure), and constructions that only tests use: small
 abelian groups, sparse composition, map congruence, the long exact
-sequence of a two-term complex, and the eager restriction and Sha kernel
-that work on every generator of the ambient value."""
+sequence of a two-term complex, a restriction's class map on every
+generator of its source value (composed from the reduced map, or eager),
+and the eager Sha kernel that works on every generator of the ambient
+value."""
 
 from __future__ import annotations
 
@@ -174,11 +176,25 @@ def les_segment(group: FiniteGroup, complex_: TwoTermComplex, degree: int) -> Le
     )
 
 
-def eager_restriction_map(res: Restriction) -> AbHom:
-    """The class map of ``res`` on every generator of the source value:
-    each representative is restricted and solved for."""
+def eager_restriction_map(source: CohomologyGroup, res: Restriction) -> AbHom:
+    """The class map of ``res``, a restriction of ``source``, on every
+    generator of the source value: each representative is restricted and
+    solved for."""
     sel = res.cochain_selection
-    return _class_map(res.source, res.target, [[rep[s] for s in sel] for rep in res.source.representatives])
+    return _class_map(source, res.target, [[rep[s] for s in sel] for rep in source.representatives])
+
+
+def full_restriction_map(source: CohomologyGroup, res: Restriction) -> AbHom:
+    """``res.reduced_map`` on every generator of the source value: pi of
+    the source, the reduced map, then the section of the target, each image
+    reduced to its canonical coset representative.  No class is solved."""
+    src, tgt = source.group_value, res.target.group_value
+    red_src, red_tgt = src.reduced(), tgt.reduced()
+    cols = [
+        tgt.reduce_element(red_tgt.section(res.reduced_map.apply(red_src.project(unit))))
+        for unit in IntMatrix.identity(src.generator_count).rows
+    ]
+    return AbHom(src, tgt, IntMatrix.from_cols(cols, rows=tgt.generator_count))
 
 
 @dataclass(frozen=True)
@@ -199,7 +215,7 @@ def eager_kernel(ambient: CohomologyGroup, restrictions: Sequence[Restriction]) 
     ambient value, with one representative per kernel basis vector."""
     value_group = ambient.group_value
     if restrictions:
-        constraint = stack_homs([eager_restriction_map(res) for res in restrictions])
+        constraint = stack_homs([eager_restriction_map(ambient, res) for res in restrictions])
     else:
         constraint = AbHom.zero(value_group, trivial_group())
     sq = subquotient(constraint, AbHom.zero(trivial_group(), value_group))

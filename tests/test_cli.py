@@ -269,6 +269,9 @@ class TestVerifyCommand:
             assert cert["kind"] == "sha-recheck"
             assert cert["imposed"].startswith("cyclic")
             assert cert["representative"] == 0
+            # the failing cochain itself, which the index alone does not name
+            assert all(isinstance(v, str) for v in cert["cocycle"])
+            assert any(int(v) for v in cert["cocycle"])
 
         arith = sys.modules["shacalc.arith"]
         real_groups = arith._sha_groups
