@@ -17,10 +17,21 @@ Conventions:
   silently wrap,
 * every routine is deterministic: fixed pivot rules, no randomness, no
   dependence on hash iteration order.
+
+Kernels of sparse maps (:func:`sparse_kernel`) run in two phases.  The
+first eliminates unknowns through equations in which they have
+coefficient +-1, picked by a fixed fill-reducing rule: the shortest
+equation first, then the unknown in the fewest equations, ties broken by
+index.  The second gives the equations left, none with a unit coefficient,
+to the gcd echelon.  Substituting x_j = -u * (the rest of its equation),
+with u = +-1, is a unimodular change of variables, so back-substitution
+maps the kernel of the residual system isomorphically onto the full
+kernel lattice; the canonical Hermite basis depends only on that lattice.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -328,10 +339,31 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 # Sparse kernels
 # ---------------------------------------------------------------------------
 #
-# Cochain differentials are huge but very sparse, so kernels are computed on
-# columns stored as {row: value} dicts.  The kernel of A is read off a
-# gcd-echelon of the rows of A^T augmented with an identity block: rows whose
-# A^T-part vanishes have kernel vectors in the identity part.
+# Cochain differentials are huge but very sparse, and almost all of their
+# entries are +-1, so kernels are computed on columns stored as
+# {row: value} dicts, in two phases (structured Gaussian elimination, as in
+# LaMacchia and Odlyzko, "Solving large sparse linear systems over finite
+# fields", CRYPTO '90).
+#
+# 1. Unit elimination.  Read A x = 0 as equations, one per row.  While some
+#    equation has a coefficient u = +-1, take the shortest such equation
+#    (ties: lowest row), and in it the unit unknown x_j that occurs in the
+#    fewest equations (ties: lowest j).  Then x_j = -u * sum_{k != j} a_k x_k;
+#    substitute that into every other equation and drop x_j and its
+#    equation.  This never divides, so it is exact over Z.
+# 2. Gcd echelon.  Each remaining unknown x_k gives the row [A'_k | phi(e_k)]:
+#    its column of the residual equations A', then the vector of Z^n that
+#    has x_k = 1, every other remaining unknown 0, and the eliminated ones
+#    by back-substitution.  The rows go, shortest first (ties: lowest k),
+#    into a gcd echelon keyed by leading column, residual equations before
+#    the tags nrows + j.  Rows whose A'-part vanishes span phi(ker A').
+#
+# Why that is ker A: phi is Z-linear and injective, and x in Z^n lies in
+# ker A iff its eliminated coordinates are the back-substituted ones and
+# its remaining ones solve A'; each substitution through a +-1 pivot is a
+# unimodular change of variables.  So phi(ker A') = ker A as lattices, and
+# the canonical Hermite basis, which depends only on the lattice, is the
+# same whatever the pivots or the order of the rows.
 
 
 def _sparse_sub(row: dict[int, int], other: dict[int, int], q: int) -> dict[int, int]:
@@ -410,19 +442,108 @@ def _sparse_insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> No
             row = newr
 
 
+def _eliminate_units(
+    eqs: dict[int, dict[int, int]], cols: list[dict[int, int] | None]
+) -> list[tuple[int, dict[int, int]]]:
+    """The first phase of :func:`sparse_kernel`, in place.
+
+    ``eqs`` maps each row to its equation {unknown: coefficient} and
+    ``cols`` each unknown to {row: coefficient}; both views are kept in
+    step.  Returns the substitutions (j, sub), meaning
+    x_j = sum_k sub[k] * x_k, in the order made; an eliminated unknown's
+    column becomes None and its equation leaves ``eqs``."""
+    # (length, row) of every equation with a unit coefficient; an entry
+    # whose length is out of date is skipped, a fresh one is pushed on
+    # every change, so the smallest valid entry is the rule's pick
+    heap = [(len(eq), i) for i, eq in eqs.items() if 1 in eq.values() or -1 in eq.values()]
+    heapq.heapify(heap)
+    subs = []
+    while heap:
+        length, i = heapq.heappop(heap)
+        eq = eqs.get(i)
+        if eq is None or len(eq) != length:
+            continue
+        j = -1
+        for k, v in eq.items():
+            if v == 1 or v == -1:
+                count = len(cols[k])
+                if j < 0 or count < fewest or (count == fewest and k < j):
+                    fewest, j = count, k
+        if j < 0:
+            continue  # the equation lost its units and kept its length
+        del eqs[i]
+        u = eq.pop(j)
+        for k in eq:
+            del cols[k][i]
+        col = cols[j]
+        cols[j] = None
+        del col[i]
+        sub = {k: -u * v for k, v in eq.items()}
+        subs.append((j, sub))
+        for q, b in col.items():
+            other = eqs[q]
+            del other[j]
+            for k, v in sub.items():
+                w = other.get(k, 0) + b * v
+                if w:
+                    other[k] = w
+                    cols[k][q] = w
+                else:
+                    del other[k]
+                    del cols[k][q]
+            if not other:
+                del eqs[q]
+            elif 1 in other.values() or -1 in other.values():
+                heapq.heappush(heap, (len(other), q))
+    return subs
+
+
 def sparse_kernel(
     columns: Sequence[dict[int, int]], nrows: int
 ) -> tuple[tuple[int, ...], ...]:
     """Basis, as canonical Hermite rows, of {x : sum x_j * col_j = 0}.
 
-    ``columns[j]`` is the j-th column of the matrix as a {row: value} dict;
-    ``nrows`` bounds the row indices."""
+    ``columns[j]`` is the j-th column of the matrix as a {row: value} dict
+    whose rows lie in [0, ``nrows``).  See "Sparse kernels" above for the
+    two phases."""
     n = len(columns)
-    pivots: dict[int, dict[int, int]] = {}
+    cols: list[dict[int, int] | None] = []
+    eqs: dict[int, dict[int, int]] = {}
     for j, col in enumerate(columns):
-        row = dict(col)
-        row[nrows + j] = 1
-        _sparse_insert(pivots, row)
+        c = {}
+        for i, v in col.items():
+            if v:
+                if not 0 <= i < nrows:
+                    raise StructuralError(f"column {j} has row {i}, outside [0, {nrows})")
+                c[i] = v
+                eq = eqs.get(i)
+                if eq is None:
+                    eqs[i] = {j: v}
+                else:
+                    eq[j] = v
+        cols.append(c)
+    subs = _eliminate_units(eqs, cols)
+    # the tags phi(e_k): each eliminated x_j as a combination of the
+    # remaining unknowns, built from the last substitution back
+    for k, c in enumerate(cols):
+        if c is not None:
+            c[nrows + k] = 1
+    on_remaining: dict[int, dict[int, int]] = {}
+    for j, sub in reversed(subs):
+        acc: dict[int, int] = {}
+        for m, v in sub.items():
+            if cols[m] is not None:
+                acc[m] = acc.get(m, 0) + v
+            else:
+                for k, w in on_remaining[m].items():
+                    acc[k] = acc.get(k, 0) + v * w
+        on_remaining[j] = acc
+        for k, w in acc.items():
+            if w:
+                cols[k][nrows + j] = w
+    pivots: dict[int, dict[int, int]] = {}
+    for _, k in sorted((len(c), k) for k, c in enumerate(cols) if c is not None):
+        _sparse_insert(pivots, cols[k])
     kernel = {
         key - nrows: {k - nrows: v for k, v in row.items()}
         for key, row in pivots.items()

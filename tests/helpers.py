@@ -4,8 +4,9 @@ tests build it by closure), and constructions that only tests use: small
 abelian groups, sparse composition, map congruence, the long exact
 sequence of a two-term complex, a restriction's class map on every
 generator of its source value (composed from the reduced map, or eager),
-and the eager Sha kernel that works on every generator of the ambient
-value."""
+the eager Sha kernel that works on every generator of the ambient
+value, and the column-order echelon kernel that ``sparse_kernel`` must
+reproduce."""
 
 from __future__ import annotations
 
@@ -21,7 +22,12 @@ from shacalc.cohomology import (
     hypercohomology,
 )
 from shacalc.groups import FiniteGroup, Subgroup, from_permutations
-from shacalc.intlinalg import IntMatrix, sparse_from_matrix
+from shacalc.intlinalg import (
+    IntMatrix,
+    _hermite_from_echelon,
+    _sparse_insert,
+    sparse_from_matrix,
+)
 
 
 def catalog() -> dict[str, FiniteGroup]:
@@ -82,6 +88,28 @@ def congruent(a: AbHom, b: AbHom) -> bool:
         if not a.target.contains_relation(diff):
             return False
     return True
+
+
+def echelon_kernel(
+    columns: Sequence[dict[int, int]], nrows: int
+) -> tuple[tuple[int, ...], ...]:
+    """Canonical Hermite basis of {x : sum x_j * col_j = 0}, by one gcd
+    echelon of [A^T | I]: the row [col_j | e_j] of each column goes in, in
+    the order given, and the rows whose A^T-part vanishes carry the kernel
+    in their identity part.  No unit elimination, no reordering: the
+    reference for ``sparse_kernel``."""
+    n = len(columns)
+    pivots: dict[int, dict[int, int]] = {}
+    for j, col in enumerate(columns):
+        row = dict(col)
+        row[nrows + j] = 1
+        _sparse_insert(pivots, row)
+    kernel = {
+        key - nrows: {k - nrows: v for k, v in row.items()}
+        for key, row in pivots.items()
+        if key >= nrows
+    }
+    return _hermite_from_echelon(kernel, n)
 
 
 def sparse_compose(

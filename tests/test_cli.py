@@ -4,10 +4,14 @@ and byte-exact agreement with the committed expected outputs."""
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from shacalc.abelian import AbHom
 from shacalc.cli import main
@@ -55,6 +59,32 @@ class TestBundledProblems:
         _, first, _ = run_cli(argv)
         _, second, _ = run_cli(argv)
         assert first == second
+
+    @pytest.mark.parametrize("name", ["biquadratic-brauer", "biquadratic-verify-s13"])
+    def test_output_independent_of_hash_seed(self, name, monkeypatch):
+        """Commands that call ``sparse_kernel`` print the committed bytes
+        under two hash seeds, so no pivot choice follows set or dict
+        iteration order.  ``brauer`` reaches it through ``subquotient``,
+        ``verify`` also through the kernel route of the cohomology.  Each
+        seed needs its own interpreter."""
+        entry = next(e for e in json.loads((PROBLEMS / "manifest.json").read_text())
+                     if e["name"] == name)
+        argv = [entry["args"][0], str(PROBLEMS / entry["problem"])] + entry["args"][1:]
+        kernels = []
+        for module in (sys.modules["shacalc.intlinalg"], sys.modules["shacalc.cohomology"]):
+            real = module.sparse_kernel
+            monkeypatch.setattr(module, "sparse_kernel",
+                                lambda *a, _real=real: kernels.append(a) or _real(*a))
+        assert run_cli(argv)[0] == 0
+        assert kernels, "the command should call sparse_kernel"
+        expected = (PROBLEMS / entry["expected"]).read_text()
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-m", "shacalc.cli"] + argv, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == expected, seed
 
     def test_timing_field_toggle(self):
         argv = [

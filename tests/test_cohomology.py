@@ -1,5 +1,6 @@
 """Cohomology and hypercohomology against independent oracles."""
 
+import math
 import sys
 
 import pytest
@@ -38,7 +39,7 @@ from shacalc.gmodules import (
     zero_module,
 )
 from shacalc.groups import from_permutations
-from shacalc.intlinalg import IntMatrix, preimage_kernel, sparse_from_matrix
+from shacalc.intlinalg import IntMatrix, hermite_rows, preimage_kernel, sparse_from_matrix
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
 from shacalc.sha import (
@@ -58,6 +59,7 @@ from helpers import (
     all_subgroups,
     catalog,
     congruent,
+    echelon_kernel,
     full_restriction_map,
     les_segment,
     sparse_compose,
@@ -357,6 +359,23 @@ class TestClosedForms:
             want = abelianization_invariants([list(r) for r in g.table])
             assert invariant_factors(cohomology(g, trivial_module(g, 1), 2).group_value) == (0, want), name
 
+    # the Schur multipliers M(G) = H_2(G, Z), as invariant factors
+    SCHUR = {"V4": (2,), "D4": (2,), "Q8": (), "A4": (2,), "D6": (2,), "S3": ()}
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("name", list(SCHUR))
+    def test_h2_cyclic_coefficients(self, name, n):
+        """H^2(G, Z/n) = Hom(M(G), Z/n) + Ext(G^ab, Z/n) by the universal
+        coefficient theorem; each cyclic factor Z/m of either gives
+        Z/gcd(m, n).  Z/n has torsion, so this is the kernel route."""
+        g = LADDER_GROUPS.get(name) or GROUPS[name]
+        ab = abelianization_invariants([list(r) for r in g.table])
+        orders = [math.gcd(m, n) for m in self.SCHUR[name] + ab]
+        want = tuple(sorted(d for d in orders if d > 1))
+        h, routes = computed_by(lambda: cohomology(g, torsion_module(g, n), 2))
+        assert routes == ["kernel"]
+        assert invariant_factors(h.group_value) == (0, want), name
+
     def test_h1_augmentation_ideal_is_cyclic_of_order(self):
         """H^1(G, I_G) = H^0(G, Z)/N = Z/|G|."""
         for name in ("A4", "D6", "S4"):
@@ -392,6 +411,34 @@ def dense(col, n):
 def torsion_module(g, n):
     """Z/n with the trivial action."""
     return GModule(g, PresentedAbelianGroup(1, [[n]]), [IntMatrix([[1]]) for _ in g.generators])
+
+
+class TestKernelInputs:
+    """The unit-eliminating ``sparse_kernel`` against the column-order
+    echelon on the real [d^i | relations] inputs that the kernel route
+    builds from the total complex."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("name", ["V4", "D4", "Q8", "A4"])
+    def test_matches_column_order_echelon(self, name, n):
+        g = GROUPS[name]
+        module = sys.modules["shacalc.cohomology"]
+        real = module.sparse_kernel
+        seen = []
+
+        def spy(columns, nrows):
+            seen.append((columns, nrows))
+            return real(columns, nrows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "sparse_kernel", spy)
+            for degree in (0, 1, 2):
+                cohomology(g, torsion_module(g, n), degree)
+        assert len(seen) == 3
+        for columns, nrows in seen:
+            out = real(columns, nrows)
+            assert out == echelon_kernel(columns, nrows)
+            assert hermite_rows(out, len(columns)) == out
 
 
 class TestCheckedRows:

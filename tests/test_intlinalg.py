@@ -1,6 +1,8 @@
 """Exact linear algebra: Smith and Hermite forms, kernels, solving."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shacalc.errors import StructuralError
 from shacalc.intlinalg import (
@@ -18,6 +20,7 @@ from shacalc.intlinalg import (
 )
 from shacalc.prng import SplitMix64
 
+from helpers import echelon_kernel
 from oracles import snf_invariants
 
 
@@ -239,6 +242,60 @@ class TestKernels:
         assert lattice_contains(basis, (1, 2))
         assert lattice_contains(basis, (1, -1))
         assert not lattice_contains(basis, (1, 0))
+
+
+@st.composite
+def unit_heavy_systems(draw):
+    """Sparse columns, mostly +-1 with some 2, -3 and 4 entries, over up
+    to 12 rows and 60 columns; some columns are zero, some repeat an
+    earlier column, and some rows repeat an earlier row, so that
+    eliminating through one leaves the other as an empty equation."""
+    nrows = draw(st.integers(0, 12))
+    entry = st.sampled_from([1, -1, 1, -1, 1, -1, 1, -1, 2, -3, 4])
+    columns: list[dict[int, int]] = []
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(["sparse"] * 6 + ["zero", "repeat"]))
+        if kind == "zero" or nrows == 0:
+            columns.append({})
+        elif kind == "repeat" and columns:
+            columns.append(dict(columns[draw(st.integers(0, len(columns) - 1))]))
+        else:
+            rows = draw(st.lists(st.integers(0, nrows - 1), max_size=4, unique=True))
+            columns.append({i: draw(entry) for i in sorted(rows)})
+    for _ in range(draw(st.integers(0, 2)) if nrows >= 2 else 0):
+        src, dst = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2, unique=True))
+        for col in columns:
+            col.pop(dst, None)
+            if src in col:
+                col[dst] = col[src]
+    return columns, nrows
+
+
+class TestUnitElimination:
+    """``sparse_kernel`` eliminates through unit coefficients before the
+    gcd echelon; the column-order echelon of [A^T | I] is its reference."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(system=unit_heavy_systems())
+    def test_matches_column_order_echelon(self, system):
+        columns, nrows = system
+        out = sparse_kernel(columns, nrows)
+        assert out == echelon_kernel(columns, nrows)
+        assert hermite_rows(out, len(columns)) == out
+
+    def test_columns_are_not_modified(self):
+        columns = [{0: 1, 1: 2}, {0: -1}, {1: 1}]
+        copies = [dict(c) for c in columns]
+        sparse_kernel(columns, 2)
+        assert columns == copies
+
+    @pytest.mark.parametrize("columns", [[{1: 1}], [{0: 1}, {1: 1}], [{-1: 1}]])
+    def test_row_outside_range_rejected(self, columns):
+        """A row index at or past ``nrows`` would collide with the tag
+        nrows + j that the echelon gives unknown j, and so give a wrong
+        kernel: here ((1,),) and ((1, 1),)."""
+        with pytest.raises(StructuralError):
+            sparse_kernel(columns, 1)
 
 
 class TestUnimodularInverse:
