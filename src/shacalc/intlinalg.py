@@ -352,11 +352,12 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 #    substitute that into every other equation and drop x_j and its
 #    equation.  This never divides, so it is exact over Z.
 # 2. Gcd echelon.  Each remaining unknown x_k gives the row [A'_k | phi(e_k)]:
-#    its column of the residual equations A', then the vector of Z^n that
-#    has x_k = 1, every other remaining unknown 0, and the eliminated ones
-#    by back-substitution.  The rows go, shortest first (ties: lowest k),
-#    into a gcd echelon keyed by leading column, residual equations before
-#    the tags nrows + j.  Rows whose A'-part vanishes span phi(ker A').
+#    its column of the residual equations A' (keys below nrows), then, at
+#    the tags nrows + j, the vector of Z^n that has x_k = 1, every other
+#    remaining unknown 0, and the eliminated ones by back-substitution.
+#    The rows go, shortest first (ties: lowest k), into a gcd echelon
+#    keyed by leading column.  Its rows whose A'-part vanishes lead with
+#    a tag, and they span phi(ker A').
 #
 # Why that is ker A: phi is Z-linear and injective, and x in Z^n lies in
 # ker A iff its eliminated coordinates are the back-substituted ones and
@@ -504,8 +505,9 @@ def sparse_kernel(
     """Basis, as canonical Hermite rows, of {x : sum x_j * col_j = 0}.
 
     ``columns[j]`` is the j-th column of the matrix as a {row: value} dict
-    whose rows lie in [0, ``nrows``).  See "Sparse kernels" above for the
-    two phases."""
+    whose rows lie in [0, ``nrows``); a row outside raises
+    :class:`StructuralError`.  See "Sparse kernels" above for the two
+    phases."""
     n = len(columns)
     cols: list[dict[int, int] | None] = []
     eqs: dict[int, dict[int, int]] = {}

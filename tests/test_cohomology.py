@@ -420,20 +420,14 @@ class TestKernelInputs:
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("name", ["V4", "D4", "Q8", "A4"])
-    def test_matches_column_order_echelon(self, name, n):
+    def test_matches_column_order_echelon(self, name, n, monkeypatch):
         g = GROUPS[name]
         module = sys.modules["shacalc.cohomology"]
         real = module.sparse_kernel
         seen = []
-
-        def spy(columns, nrows):
-            seen.append((columns, nrows))
-            return real(columns, nrows)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, "sparse_kernel", spy)
-            for degree in (0, 1, 2):
-                cohomology(g, torsion_module(g, n), degree)
+        monkeypatch.setattr(module, "sparse_kernel", lambda *args: seen.append(args) or real(*args))
+        for degree in (0, 1, 2):
+            cohomology(g, torsion_module(g, n), degree)
         assert len(seen) == 3
         for columns, nrows in seen:
             out = real(columns, nrows)

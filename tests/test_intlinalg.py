@@ -248,8 +248,8 @@ class TestKernels:
 def unit_heavy_systems(draw):
     """Sparse columns, mostly +-1 with some 2, -3 and 4 entries, over up
     to 12 rows and 60 columns; some columns are zero, some repeat an
-    earlier column, and some rows repeat an earlier row, so that
-    eliminating through one leaves the other as an empty equation."""
+    earlier column, and up to two rows are copied onto others, so that
+    eliminating through one copy leaves the other as an empty equation."""
     nrows = draw(st.integers(0, 12))
     entry = st.sampled_from([1, -1, 1, -1, 1, -1, 1, -1, 2, -3, 4])
     columns: list[dict[int, int]] = []
