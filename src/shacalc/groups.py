@@ -29,6 +29,7 @@ class FiniteGroup:
         "element_words",
         "inverse",
         "_elt_order",
+        "_cyclic_classes",
     )
 
     def __init__(
@@ -53,6 +54,7 @@ class FiniteGroup:
             raise StructuralError("multiplication table has an element without inverse")
         self.inverse = tuple(inv)  # type: ignore[arg-type]
         self._elt_order: tuple[int, ...] | None = None
+        self._cyclic_classes: tuple[Subgroup, ...] | None = None
 
     def _check_table(self) -> None:
         n = self.order
@@ -218,7 +220,7 @@ def from_permutations(
 class Subgroup:
     """Subset of a parent group, closed under product and inverse."""
 
-    __slots__ = ("parent", "members")
+    __slots__ = ("parent", "members", "_conjugates", "_group")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         mem = tuple(sorted(set(members)))
@@ -233,6 +235,8 @@ class Subgroup:
                     raise StructuralError("subgroup is not closed under the product")
         self.parent = parent
         self.members = mem
+        self._conjugates: frozenset[tuple[int, ...]] | None = None
+        self._group: tuple[FiniteGroup, tuple[int, ...]] | None = None
 
     @property
     def order(self) -> int:
@@ -245,6 +249,20 @@ class Subgroup:
 
     def conjugated_by(self, g: int) -> "Subgroup":
         return Subgroup(self.parent, (self.parent.conjugate(g, x) for x in self.members))
+
+    def conjugates(self) -> frozenset[tuple[int, ...]]:
+        """The members of every conjugate, this subgroup included; computed once."""
+        if self._conjugates is None:
+            g = self.parent
+            self._conjugates = frozenset(
+                tuple(sorted(g.conjugate(x, m) for m in self.members)) for x in range(g.order)
+            )
+        return self._conjugates
+
+    def conjugate_lies_in(self, other: "Subgroup") -> bool:
+        """Whether some conjugate of this subgroup is contained in ``other``."""
+        big = set(other.members)
+        return any(big.issuperset(c) for c in self.conjugates())
 
     def minimal_generators(self) -> tuple[int, ...]:
         """Greedy deterministic generating set (sorted element order)."""
@@ -259,15 +277,18 @@ class Subgroup:
         return tuple(gens)
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
-        """Standalone group plus the embedding (subgroup index -> parent index)."""
-        gens = self.minimal_generators()
-        t = self.parent.table
+        """Standalone group plus the embedding (subgroup index -> parent
+        index); built once per subgroup object."""
+        if self._group is None:
+            gens = self.minimal_generators()
+            t = self.parent.table
 
-        def mul(a, b):
-            return t[a][b]
+            def mul(a, b):
+                return t[a][b]
 
-        group, elements = _group_from_tokens(0, gens, mul, len(self.members) + 1)
-        return group, tuple(elements)  # type: ignore[arg-type]
+            group, elements = _group_from_tokens(0, gens, mul, len(self.members) + 1)
+            self._group = (group, tuple(elements))  # type: ignore[arg-type]
+        return self._group
 
     def __eq__(self, other) -> bool:
         return (
@@ -286,7 +307,10 @@ class Subgroup:
 def cyclic_subgroups(g: FiniteGroup, up_to_conjugacy: bool = False) -> list[Subgroup]:
     """Every subgroup generated by a single element, the trivial one
     included, sorted by (order, members).  With ``up_to_conjugacy`` one
-    representative per conjugacy class is kept: the least in that order."""
+    representative per conjugacy class is kept: the least in that order.
+    The group holds those representatives once they are computed."""
+    if up_to_conjugacy and g._cyclic_classes is not None:
+        return list(g._cyclic_classes)
     seen: dict[tuple[int, ...], Subgroup] = {}
     for e in range(g.order):
         s = g.generated_subgroup([e] if e else [])
@@ -299,9 +323,9 @@ def cyclic_subgroups(g: FiniteGroup, up_to_conjugacy: bool = False) -> list[Subg
     for s in subs:
         if s.members in taken:
             continue
-        orbit = {s.conjugated_by(x).members for x in range(g.order)}
-        taken |= orbit
+        taken |= s.conjugates()
         reps.append(s)
+    g._cyclic_classes = tuple(reps)
     return reps
 
 

@@ -35,11 +35,29 @@ A Sha group is the kernel of the stacked reduced restriction maps on the
 reduced view of the ambient value (see :mod:`shacalc.abelian`), so its
 value, inclusion and quotients live on the kept generators only.  Each
 value generator gets one cochain, and the cochain-level recheck (every
-cochain restricts to zero on every imposed subgroup) runs on those
-cochains whenever a group is built.  The printed representatives, the
-Hermite basis of the Sha lattice on every ambient generator, are built
-on first access only, which only the ``sha`` command makes; the recheck
-runs again on them then.
+cochain restricts to zero on every restricted subgroup, below) runs on
+those cochains whenever a group is built.  The printed representatives,
+the Hermite basis of the Sha lattice on every ambient generator, are
+built on first access only, which only the ``sha`` command makes; the
+recheck runs again on them then.
+
+Which restrictions are computed
+-------------------------------
+
+Conjugation by h in G acts trivially on HH^*(G, K) (Brown, Cohomology of
+Groups, III.8), so the restrictions to hHh^-1 and to H have the same
+kernel; and for K <= H the restriction to K factors through the one to
+H, so ker res_H lies in ker res_K.  A Sha group is therefore the
+intersection of the kernels over the imposed subgroups that are maximal
+up to conjugacy.  An imposed subgroup with a conjugate inside another
+imposed subgroup is not restricted to; of two conjugate ones, the first
+in imposed order is.  ``imposed`` still names every imposed place.
+
+An ambient whose reduced view has no generators is the zero group, and
+so is every Sha group inside it: computing one restricts nothing.  Its
+printed representatives (coboundaries) are still rechecked, against
+restrictions computed when they are built.  The restrictions of one
+ambient are computed on first use and shared by the groups over it.
 """
 
 from __future__ import annotations
@@ -131,7 +149,14 @@ class ShaGroup:
     imposed: tuple[str, ...]
     _basis_rows: tuple[tuple[int, ...], ...]
     _constraint: AbHom  # stacked reduced restrictions on the reduced ambient value
-    _restrictions: tuple[Restriction, ...]  # one per imposed place
+    _restricted: tuple[tuple[str, Subgroup], ...]  # the imposed places maximal up to conjugacy
+    _restrict: _Restrictions  # shared by the groups over this ambient
+
+    @property
+    def _restrictions(self) -> tuple[Restriction, ...]:
+        """One per restricted class (``_restricted``), not one per imposed
+        place; on a zero ambient they are computed only when asked for."""
+        return tuple(self._restrict[sub] for _, sub in self._restricted)
 
     def class_of(self, ambient_coords: Sequence[int]) -> tuple[int, ...]:
         """Coordinates in this subgroup of an ambient class, given on the
@@ -151,16 +176,34 @@ class ShaGroup:
         lattice = list(red.unit_rows) + [red.section(b) for b in self._basis_rows]
         basis = hermite_rows(lattice, self.ambient.group_value.generator_count)
         reps = tuple(_combine(self.ambient, b) for b in basis)
-        _recheck(reps, self.imposed, self._restrictions)
+        _recheck(reps, [name for name, _ in self._restricted], self._restrictions)
         return reps
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-def _imposed_subgroups(
-    datum: LocalDatum, selection: PlaceSelection
-) -> list[tuple[str, Subgroup]]:
+class _Restrictions(dict):
+    """Restrictions of one ambient group, keyed by subgroup, each computed
+    on first lookup."""
+
+    def __init__(self, ambient: CohomologyGroup, cochain_cap: int):
+        super().__init__()
+        self.ambient = ambient
+        self.cochain_cap = cochain_cap
+
+    def __missing__(self, sub: Subgroup) -> Restriction:
+        res = self[sub] = restriction(self.ambient, sub, cochain_cap=self.cochain_cap)
+        return res
+
+
+_Places = list[tuple[str, Subgroup]]
+
+
+def _imposed_subgroups(datum: LocalDatum, selection: PlaceSelection) -> tuple[_Places, _Places]:
+    """The imposed places, named as printed, and those of them restricted
+    to: the ones with no conjugate inside another imposed subgroup, and of
+    conjugate ones the first."""
     unknown = selection.excluded - set(datum.place_names)
     if unknown:
         raise StructuralError(f"excluded places {sorted(unknown)} are not declared")
@@ -178,7 +221,16 @@ def _imposed_subgroups(
             continue  # identical condition already imposed
         out.append((name, sub))
         seen.add(sub.members)
-    return out
+    restricted = [
+        (name, sub)
+        for i, (name, sub) in enumerate(out)
+        if not any(
+            (j < i or sub.order < other.order) and sub.conjugate_lies_in(other)
+            for j, (_, other) in enumerate(out)
+            if j != i
+        )
+    ]
+    return out, restricted
 
 
 def _sha_groups(
@@ -190,45 +242,43 @@ def _sha_groups(
 ) -> list[ShaGroup]:
     """One Sha group per selection inside HH^degree of the complex (a module M
     is M -> 0): the ambient group is computed once, and restricted once to
-    each distinct subgroup that some selection imposes."""
+    each distinct subgroup that some selection restricts to."""
     ambient = hypercohomology(datum.group, complex_, degree, cochain_cap=cochain_cap)
-    imposed_lists = [_imposed_subgroups(datum, selection) for selection in selections]
-    # a subgroup is its members: equal keys give equal restrictions
-    subs = {sub.members: sub for imposed in imposed_lists for _, sub in imposed}
-    restrictions = {m: restriction(ambient, h, cochain_cap=cochain_cap) for m, h in subs.items()}
-    return [
-        _kernel(ambient, imposed, [restrictions[sub.members] for _, sub in imposed])
-        for imposed in imposed_lists
-    ]
+    plans = [_imposed_subgroups(datum, selection) for selection in selections]
+    restrictions = _Restrictions(ambient, cochain_cap)
+    return [_kernel(ambient, imposed, restricted, restrictions) for imposed, restricted in plans]
 
 
 def _kernel(
     ambient: CohomologyGroup,
-    imposed: list[tuple[str, Subgroup]],
-    restrictions: list[Restriction],
+    imposed: _Places,
+    restricted: _Places,
+    restrictions: _Restrictions,
 ) -> ShaGroup:
-    """The kernel of ``restrictions``, one per imposed place, on the
-    reduced view of ``ambient``."""
+    """The kernel of the restrictions to the ``restricted`` places on the
+    reduced view of ``ambient``; ``imposed`` names every imposed place.  On
+    a zero reduced ambient nothing is restricted."""
     red = ambient.group_value.reduced()
-    if restrictions:
-        constraint = stack_homs([res.reduced_map for res in restrictions])
+    computed = [restrictions[sub] for _, sub in restricted] if red.kept else []
+    if computed:
+        constraint = stack_homs([res.reduced_map for res in computed])
     else:
         constraint = AbHom.zero(red.group, trivial_group())
     sq = subquotient(constraint, AbHom.zero(trivial_group(), red.group))
     cochains = tuple(
         _combine(ambient, red.section(sq.lift.col(j))) for j in range(sq.group.generator_count)
     )
-    names = tuple(name for name, _ in imposed)
-    _recheck(cochains, names, restrictions)
+    _recheck(cochains, [name for name, _ in restricted], computed)
     return ShaGroup(
         ambient=ambient,
         value=sq.group,
         inclusion=sq.inclusion(),
         cochains=cochains,
-        imposed=names,
+        imposed=tuple(name for name, _ in imposed),
         _basis_rows=sq.basis_rows,
         _constraint=constraint,
-        _restrictions=tuple(restrictions),
+        _restricted=tuple(restricted),
+        _restrict=restrictions,
     )
 
 
@@ -245,7 +295,7 @@ def _combine(ambient: CohomologyGroup, coords: Sequence[int]) -> tuple[int, ...]
 def _recheck(
     cochains: Sequence[Sequence[int]], imposed: Sequence[str], restrictions: Sequence[Restriction]
 ) -> None:
-    """Every cochain must restrict to zero on every imposed subgroup,
+    """Every cochain must restrict to zero on every restricted subgroup,
     re-checked at the cochain level."""
     for index, rep in enumerate(cochains):
         for name, res in zip(imposed, restrictions):

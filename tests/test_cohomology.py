@@ -392,6 +392,25 @@ class TestClosedForms:
             sh = sha_omega(LocalDatum(g), augmentation_ideal(g), 1)
             assert invariant_factors(sh.value) == (0, (quotient,) if quotient > 1 else ()), name
 
+    # groups whose |G|/exp G is not 2, and what Sha^1_omega(G, I_G) is there
+    BEYOND_Z2 = {
+        "Z2^3": ([[1, 0, 2, 3, 4, 5], [0, 1, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4]], 4),
+        "Z3xZ3": ([[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]], 3),
+        "Z2xZ2xZ4": ([[1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7],
+                      [0, 1, 2, 3, 5, 6, 7, 4]], 4),
+        "Q8xZ2": ([[1, 2, 3, 0, 5, 6, 7, 4, 8, 9], [4, 7, 6, 5, 2, 1, 0, 3, 8, 9],
+                   [0, 1, 2, 3, 4, 5, 6, 7, 9, 8]], 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BEYOND_Z2))
+    def test_sha_omega_augmentation_ideal_beyond_z2(self, name):
+        """The same closed form where it is not Z/2."""
+        perms, want = self.BEYOND_Z2[name]
+        g = from_permutations(perms)
+        assert g.order // exponent([list(r) for r in g.table]) == want
+        sh = sha_omega(LocalDatum(g), augmentation_ideal(g), 1)
+        assert invariant_factors(sh.value) == (0, (want,))
+
     def test_regular_module_is_acyclic(self):
         """H^i(G, Z[G]) = 0 for i >= 1 (Shapiro's lemma for the trivial
         subgroup)."""
@@ -695,17 +714,52 @@ class TestPublicComputations:
             _, calls = public_computations(lambda: restriction(h, sub))
             assert len(calls) == 1
 
+    @staticmethod
+    def maximal_classes(datum, selection):
+        """Members of the imposed subgroups that a Sha group restricts to,
+        by brute force over conjugate member sets: those with no conjugate
+        inside another imposed subgroup, except inside a conjugate of
+        themselves imposed later."""
+        g = datum.group
+        imposed = [sub for _, sub in _imposed_subgroups(datum, selection)[0]]
+
+        def inside(a, b):
+            return any(
+                {g.conjugate(x, m) for m in a.members} <= set(b.members) for x in range(g.order)
+            )
+
+        return {
+            a.members
+            for i, a in enumerate(imposed)
+            if all(
+                not inside(a, b) or (inside(b, a) and i < j)
+                for j, b in enumerate(imposed)
+                if j != i
+            )
+        }
+
+    def restricted(self, ambient, datum, *selections):
+        """How many restrictions Sha groups over ``ambient`` compute: one per
+        distinct maximal class, none on a zero reduced ambient."""
+        if not ambient.group_value.reduced().kept:
+            return 0
+        return len(set().union(*(self.maximal_classes(datum, s) for s in selections)))
+
     def test_sha(self):
         g = GROUPS["S3"]
         datum = LocalDatum(g, (("v", g.full_subgroup()),))
-        for compute in (
-            lambda: sha(datum, augmentation_ideal(g), 1),
-            lambda: sha_omega(datum, augmentation_ideal(g), 1),
-            lambda: sha_two_term(datum, j_dual(g), 2),
+        omega = PlaceSelection.of("v")
+        for compute, selection in (
+            (lambda: sha(datum, augmentation_ideal(g), 1), EMPTY_SELECTION),
+            (lambda: sha_omega(datum, augmentation_ideal(g), 1), omega),
+            (lambda: sha_two_term(datum, j_dual(g), 2), EMPTY_SELECTION),
         ):
             result, calls = public_computations(compute)
             assert result.imposed
-            assert len(calls) == 1 + len(result.imposed)
+            assert len(calls) == 1 + self.restricted(result.ambient, datum, selection)
+        # v contains every cyclic subgroup, so it alone is restricted to
+        assert self.maximal_classes(datum, EMPTY_SELECTION) == {g.full_subgroup().members}
+        assert len(self.maximal_classes(datum, omega)) == 2
 
     @staticmethod
     def shared_datum():
@@ -717,25 +771,19 @@ class TestPublicComputations:
         datum = LocalDatum(g, (("v", g.full_subgroup()), ("w", cyclic[-1])))
         return datum, PlaceSelection.of("v"), PlaceSelection.of("v", "w")
 
-    @staticmethod
-    def distinct_subgroups(datum, *selections):
-        return len({
-            sub.members for s in selections for _, sub in _imposed_subgroups(datum, s)
-        })
-
     def test_sha_quotients_share_the_ambient(self):
         """One ambient computation, and one restriction target per distinct
-        subgroup imposed by S or the empty set."""
+        maximal class that S or the empty set restricts to."""
         datum, S, _ = self.shared_datum()
         g = datum.group
-        want = 1 + self.distinct_subgroups(datum, S, EMPTY_SELECTION)
-        assert want == 5  # the classes of order 2 and 3, w, and v
-        for compute in (
-            lambda: sha_quotient(datum, augmentation_ideal(g), 1, S),
-            lambda: sha_two_term_quotient(datum, j_dual(g), 2, S),
+        # the classes of order 2 and 3, and v; w is conjugate to the first
+        assert len(self.maximal_classes(datum, S) | self.maximal_classes(datum, EMPTY_SELECTION)) == 3
+        for compute, ambient in (
+            (lambda: sha_quotient(datum, augmentation_ideal(g), 1, S), cohomology(g, augmentation_ideal(g), 1)),
+            (lambda: sha_two_term_quotient(datum, j_dual(g), 2, S), hypercohomology(g, j_dual(g), 2)),
         ):
             _, calls = public_computations(compute)
-            assert len(calls) == want
+            assert len(calls) == 1 + self.restricted(ambient, datum, S, EMPTY_SELECTION)
 
     def test_brauer_and_pi1_share_the_ambient(self):
         datum, S, omega = self.shared_datum()
@@ -748,12 +796,13 @@ class TestPublicComputations:
         # the complex over S and omega, and H_hat over S, omega and the empty set
         assert len(calls) == (
             2
-            + self.distinct_subgroups(datum, S, omega)
-            + self.distinct_subgroups(datum, S, omega, EMPTY_SELECTION)
+            + self.restricted(hypercohomology(g, TwoTermComplex(res), 2), datum, S, omega)
+            + self.restricted(cohomology(g, ig, 1), datum, S, omega, EMPTY_SELECTION)
         )
         sign = sign_module(g, [0])
         _, calls = public_computations(lambda: pi1_obstruction_groups(sign, datum, S))
-        assert len(calls) == 1 + self.distinct_subgroups(datum, S, EMPTY_SELECTION, omega)
+        ambient = hypercohomology(g, dual_complex(sign), 2)
+        assert len(calls) == 1 + self.restricted(ambient, datum, S, EMPTY_SELECTION, omega)
 
 
 class TestHyper:

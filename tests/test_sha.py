@@ -1,5 +1,11 @@
 """Sha functors over local data, checked against brute-force enumeration."""
 
+import gc
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
 import pytest
 
 from hypothesis import given, settings
@@ -12,6 +18,7 @@ from shacalc.cohomology import (
     TwoTermComplex,
     _module_complex,
     cohomology,
+    hypercohomology,
     restriction,
 )
 from shacalc.errors import StructuralError
@@ -21,11 +28,12 @@ from shacalc.gmodules import (
     augmentation_ideal,
     permutation_cover,
     permutation_module,
+    direct_sum,
     regular_module,
     sign_module,
     trivial_module,
 )
-from shacalc.groups import from_permutations
+from shacalc.groups import FiniteGroup, cyclic_subgroups, from_permutations
 from shacalc.intlinalg import IntMatrix
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
@@ -33,6 +41,10 @@ from shacalc.sha import (
     EMPTY_SELECTION,
     LocalDatum,
     PlaceSelection,
+    _imposed_subgroups,
+    _kernel,
+    _recheck,
+    _Restrictions,
     _sha_groups,
     sha,
     sha_omega,
@@ -43,17 +55,27 @@ from shacalc.sha import (
 )
 
 from shacalc.suites import (
+    ANNIHILATION_GROUP_NAMES,
+    builtin_groups,
     random_datum,
     random_equivariant_map,
     random_module,
     random_permutation_module,
     random_selection,
+    run_suite,
 )
 
-from helpers import catalog, eager_kernel, eager_restriction_map, full_restriction_map
+from helpers import (
+    all_subgroups,
+    catalog,
+    eager_kernel,
+    eager_restriction_map,
+    full_restriction_map,
+)
 from oracles import h1_and_sha_by_enumeration, rational_fixed_space_is_zero
 
 GROUPS = catalog()
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def plain_datum(name):
@@ -147,6 +169,54 @@ class TestBruteForceOracle:
         datum = plain_datum("V4")
         assert invariant_factors(cohomology(g, m, 1).group_value) == (0, h1)
         assert invariant_factors(sha_omega(datum, m, 1).value) == (0, sh)
+
+    @pytest.mark.parametrize("name", ["Z2xZ4", "D4", "Q8", "Z6"])
+    def test_every_cyclic_subgroup_imposed(self, name):
+        """The oracle is given every element as a cyclic generator, so it
+        imposes every cyclic subgroup; Sha^1_omega restricts only to the
+        maximal classes up to conjugacy, and these groups have classes that
+        are not maximal.  The modules are I_{G/H} for every H of index 2, 3
+        or 4 and the sums of two index-2 ones: Z-free, rank <= 3, with zero
+        rational fixed space."""
+        g = GROUPS[name]
+        datum = plain_datum(name)
+        ideals = [
+            coset_augmentation_ideal(g, h)
+            for h in all_subgroups(g)
+            if g.order // h.order in (2, 3, 4)
+        ]
+        signs = [m for m in ideals if m.rank == 1]
+        modules = ideals + [direct_sum([a, b]) for i, a in enumerate(signs) for b in signs[i + 1:]]
+        assert any(m.rank == 3 for m in modules) or name == "Z6"
+        nonzero = 0
+        for m in modules:
+            gen_actions = [[list(r) for r in a.rows] for a in m.action]
+            all_actions = [[list(r) for r in m.element_matrix(e).rows] for e in range(g.order)]
+            assert rational_fixed_space_is_zero(gen_actions, m.rank)
+            h1, sh = h1_and_sha_by_enumeration(g.order, gen_actions, all_actions, list(range(g.order)))
+            assert invariant_factors(cohomology(g, m, 1).group_value) == (0, h1)
+            assert invariant_factors(sha_omega(datum, m, 1).value) == (0, sh)
+            nonzero += bool(sh)
+        if name != "Z6":  # a cyclic group has Sha^1_omega = 0
+            assert nonzero
+
+
+def coset_augmentation_ideal(g, h):
+    """I_{G/H}, the kernel of the coefficient sum on Z[G/H], on the basis
+    e_i - e_0 of the cosets i >= 1."""
+    pm = permutation_module(g, h)
+    n = pm.rank - 1
+
+    def image(p, i):
+        out = [0] * n
+        for coset, sign in ((p[i], 1), (p[0], -1)):
+            if coset:
+                out[coset - 1] += sign
+        return out
+
+    perms = [pm.basis_action[s] for s in g.generators]
+    action = [IntMatrix.from_cols([image(p, i) for i in range(1, n + 1)], rows=n) for p in perms]
+    return GModule(g, PresentedAbelianGroup(n), action)
 
 
 class TestSpecialPlaces:
@@ -351,6 +421,79 @@ class TestSharedAmbient:
                 assert group.imposed == want.imposed
                 assert group.inclusion.matrix == want.inclusion.matrix
                 assert group._constraint.matrix == want._constraint.matrix
+            assert_same_as_every_imposed(datum, selections, shared)
+
+    @staticmethod
+    def places(g):
+        """The whole group; a cyclic subgroup that is not the representative
+        of its conjugacy class, else one inside a larger cyclic subgroup,
+        else any; and a non-cyclic proper subgroup where there is one."""
+        reps = {sub.members for sub in cyclic_subgroups(g, up_to_conjugacy=True)}
+        cyclic = [sub for sub in cyclic_subgroups(g) if sub.order > 1]
+        conjugate = [sub for sub in cyclic if sub.members not in reps]
+        smaller = [sub for sub in cyclic if any(sub.order < big.order and sub.conjugate_lies_in(big)
+                                               for big in cyclic)]
+        places = [("v", g.full_subgroup()), ("w", (conjugate or smaller or cyclic)[0])]
+        others = [sub for sub in all_subgroups(g) if sub.order < g.order and not sub.is_cyclic()]
+        if others:
+            places.append(("u", others[0]))
+        return tuple(places)
+
+    @pytest.mark.parametrize("name", ANNIHILATION_GROUP_NAMES)
+    def test_annihilation_groups(self, name):
+        """Z has H^1 = 0, a zero ambient; I_G takes the saturation route,
+        Z/4 the kernel route, and Z in degree 2 is Hom(G, Q/Z)."""
+        g = GROUPS[name]
+        datum = LocalDatum(g, self.places(g))
+        selections = [PlaceSelection.of("v"), PlaceSelection.of("w"),
+                      PlaceSelection.of(*datum.place_names), EMPTY_SELECTION]
+        for m, degree in ((trivial_module(g, 1), 1), (augmentation_ideal(g), 1),
+                          (torsion_module(g, 4), 1), (trivial_module(g, 1), 2)):
+            shared = _sha_groups(datum, _module_complex(m), degree, selections, DEFAULT_COCHAIN_CAP)
+            # the whole group alone (named after its cyclic class in Z6)
+            assert [sub for _, sub in shared[-1]._restricted] == [g.full_subgroup()]
+            assert_same_as_every_imposed(datum, selections, shared)
+
+
+def class_or_none(group, ambient_coords):
+    try:
+        return group.class_of(ambient_coords)
+    except StructuralError:
+        return None
+
+
+def assert_same_as_every_imposed(datum, selections, shared):
+    """``shared`` are the groups of ``_sha_groups`` over ``selections``, the
+    last one the empty set.  Each equals the kernel of one restriction per
+    imposed subgroup, as built before only the maximal classes were
+    restricted to.  Reading that kernel's representatives rechecks them
+    against every imposed subgroup, the ones left out included; the
+    cochains of ``shared`` are rechecked against them here too."""
+    ambient = shared[0].ambient
+    restrictions = _Restrictions(ambient, DEFAULT_COCHAIN_CAP)
+    red = ambient.group_value.reduced()
+    every = []
+    for selection, group in zip(selections, shared):
+        imposed, restricted = _imposed_subgroups(datum, selection)
+        want = _kernel(ambient, imposed, imposed, restrictions)
+        every.append(want)
+        assert group.imposed == want.imposed
+        assert group._restricted == tuple(restricted)
+        assert invariant_factors(group.value) == invariant_factors(want.value)
+        assert group.representatives == want.representatives
+        for k in range(red.group.generator_count):
+            coords = [0] * red.group.generator_count
+            coords[k] = 1
+            assert class_or_none(group, coords) == class_or_none(want, coords)
+        for j in range(group.value.generator_count):
+            coords = group.inclusion.matrix.col(j)
+            assert group.class_of(coords) == want.class_of(coords)
+        names = [name for name, _ in imposed]
+        _recheck(group.cochains, names, [restrictions[sub] for _, sub in imposed])
+    for group, want in zip(shared, every):
+        assert invariant_factors(group.quotient_by(shared[-1])) == invariant_factors(
+            want.quotient_by(every[-1])
+        )
 
 
 def torsion_module(g, n):
@@ -488,3 +631,43 @@ class TestSolveCounts:
         assert [(id(t), v) for t, v in calls] == [(id(t), v) for t, v in rechecked]
         _, calls = self.solves(lambda: group.representatives)
         assert calls == []
+
+
+class TestGroupPlans:
+    """The cyclic classes a group holds, and the standalone group a
+    subgroup holds, live and die with those objects."""
+
+    def test_no_group_outlives_its_request(self):
+        """Twenty ``sha`` requests, each parsing its problem afresh, leave
+        no more groups alive than one does, and print the same bytes."""
+        from shacalc.cli import main
+
+        argv = ["sha", str(PROBLEMS / "biquadratic_ramified.json"), "--module", "I",
+                "--degree", "1", "--S", "", "--no-timing"]
+        expected = (PROBLEMS / "expected" / "biquadratic-ramified-sha-empty.json").read_text()
+
+        def live_groups():
+            gc.collect()
+            return sum(isinstance(obj, FiniteGroup) for obj in gc.get_objects())
+
+        def request():
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(argv) == 0
+            assert out.getvalue() == expected
+
+        request()
+        before = live_groups()
+        for _ in range(20):
+            request()
+        assert live_groups() <= before
+
+    def test_suite_on_reused_groups(self):
+        """A suite run on groups that already hold their cyclic classes and
+        standalone subgroups reports what it reports on fresh ones."""
+        reused = builtin_groups()
+        first = [r.to_json() for r in run_suite("s13", 5, 14, reused)]
+        assert all(g._cyclic_classes is not None for g in reused.values())
+        again = [r.to_json() for r in run_suite("s13", 5, 14, reused)]
+        fresh = [r.to_json() for r in run_suite("s13", 5, 14, builtin_groups())]
+        assert json.dumps(again) == json.dumps(first) == json.dumps(fresh)
