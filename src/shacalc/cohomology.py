@@ -26,11 +26,12 @@ the relation rows of C^{i+1}.  Z^i is computed along one of two routes:
 * the kernel route, everywhere else (degree 0, coefficients with
   torsion, an infinite coker f): Z^i is read off the sparse kernel of
   d^i augmented by the relation rows of C^{i+1}.  Only the rows of
-  C^{i+1} whose tuple ends in a listed generator s in S are kept, with
-  the relation rows of those tuples, so |G|^i * |S| rows per rank
-  instead of |G|^{i+1}.
+  C^{i+1} whose tuple ends in a listed generator s in S are built, with
+  the relation rows of those tuples: |G|^i * |S| rows per rank instead
+  of |G|^{i+1}, and 2|S| entries in a column whose tuple does not end
+  in S.
 
-The kernel route may drop the other rows by this lemma: if
+The kernel route may leave out the other rows by this lemma: if
 delta in C^m(G, M), m >= 1, has d delta = 0 in M and vanishes on every
 tuple ending in S, then delta = 0.  At (g_1,...,g_m, s) every term of
 d delta ends in s except (-1)^m [delta(g_1,...,g_m s) - delta(g_1,...,g_m)],
@@ -57,8 +58,9 @@ so that representative-level tests are stable.
 A module M is computed as the complex M -> 0: then T^n = C^n(M) and D = d,
 so H^i(G, M) = HH^i(G, M -> 0) with the same coordinates.
 
-The value Z^i / B^i is presented on the Hermite basis of Z^i, about
-rank B^i generators, most of them left out by its reduced view (see
+The value Z^i / B^i is presented on the Hermite basis of Z^i, with one
+relator per generator of B^i, each solved sparsely on that basis.  It has
+about rank B^i generators, most of them left out by its reduced view (see
 :mod:`shacalc.abelian`).  A restriction works in reduced coordinates: it
 restricts only the cocycles of the kept generators, one class solve each,
 and projects their classes onto the kept generators of the target.
@@ -77,8 +79,9 @@ from .gmodules import GModule, GModuleHom, restrict, zero_module
 from .groups import FiniteGroup, Subgroup, _prime_factors
 from .intlinalg import (
     IntMatrix,
+    _echelon_index,
+    _echelon_solve,
     hermite_rows,
-    lattice_solve,
     sparse_apply,
     sparse_from_matrix,
     sparse_kernel,
@@ -121,7 +124,13 @@ def _module_complex(module: GModule) -> TwoTermComplex:
 
 class _Cochains:
     """Index bookkeeping and sparse differentials for one term of a
-    :class:`_TotalComplex`."""
+    :class:`_TotalComplex`.
+
+    The builders take ``last``, sorted distinct elements, and keep the empty
+    tuple and the tuples (u, s) with s in ``last``, numbered
+    idx(u) * len(last) + pos(s): idx is the lexicographic index, pos the
+    position in ``last``.  ``last=None``, every element, gives the
+    lexicographic numbering of all tuples."""
 
     def __init__(self, group: FiniteGroup, module: GModule):
         self.group = group
@@ -133,92 +142,90 @@ class _Cochains:
             sparse_from_matrix(module.element_matrix(e)) for e in range(group.order)
         ] if self.gm else []
 
-    def dim(self, i: int) -> int:
-        return self.group.order**i * self.gm
+    def dim(self, i: int, last: Sequence[int] | None = None) -> int:
+        return self.tuple_count(i, last) * self.gm
 
-    def tuple_count(self, i: int) -> int:
-        return self.group.order**i
+    def tuple_count(self, i: int, last: Sequence[int] | None = None) -> int:
+        if last is None or i == 0:
+            return self.group.order**i
+        return self.group.order ** (i - 1) * len(last)
 
-    def diff_cols(self, i: int) -> list[dict[int, int]]:
-        """Columns of d^i : C^i -> C^{i+1}."""
-        order = self.group.order
-        gm = self.gm
-        table = self.group.table
-        inverse = self.group.inverse
-        n_src_tuples = order**i
+    def diff_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
+        """Columns of d^i : C^i -> C^{i+1}, on the rows of the target
+        tuples that ``last`` keeps."""
+        order, gm = self.group.order, self.gm
+        table, inverse = self.group.table, self.group.inverse
+        if last is None:
+            last = range(order)
+        n_last = len(last)
+        pos = {s: p for p, s in enumerate(last)}
+        # strides of the slots of a target (i+1)-tuple
+        stride = [order ** (i - k) for k in range(i + 1)]
+        final_sign = -1 if (i + 1) % 2 else 1
         cols: list[dict[int, int]] = []
-        # strides for target tuples of length i+1
-        stride = [order ** (i - k) for k in range(i + 1)]  # stride[k] for slot k
 
-        for ti in range(n_src_tuples):
-            # decode source tuple
-            t = []
-            rem = ti
-            for k in range(i):
-                p = order ** (i - 1 - k)
-                t.append(rem // p)
-                rem %= p
-            for j in range(gm):
-                col: dict[int, int] = {}
-
-                def add(coord: int, val: int) -> None:
-                    w = col.get(coord, 0) + val
-                    if w:
-                        col[coord] = w
-                    else:
-                        col.pop(coord, None)
-
-                # leading term: target (x, t_1..t_i), value A(x) e_j
-                for x in range(order):
-                    base = (x * stride[0] + ti) * gm
-                    for r, v in self.elt_cols[x][j].items():
-                        add(base + r, v)
-                # middle contractions
-                for k in range(1, i + 1):
-                    sign = -1 if k % 2 else 1
-                    # target tuples s with s_k s_{k+1} = t_k and the rest of t kept
-                    head = 0
-                    for idx in range(k - 1):
-                        head += t[idx] * stride[idx]
-                    tail = 0
-                    for idx in range(k, i):
-                        tail += t[idx] * stride[idx + 1]
+        for ti in range(order**i):
+            t = [ti // stride[k + 1] % order for k in range(i)]
+            # The kept target rows of each term, a target (u, s) on row
+            # idx(u) * n_last + pos(s): (row, x) for the leading term, value
+            # A(x) e_j, and (sign, rows) for the contractions, value sign * e_j.
+            contractions = []
+            if i == 0:
+                lead = list(enumerate(last))  # target (x)
+            elif t[-1] in pos:
+                # every term but the last contraction and the final one ends
+                # in t_i, so it is kept only when t_i is
+                p_last = pos[t[-1]]
+                # target (x, t_1..t_i)
+                step = stride[0] // order * n_last
+                lead = [(ti // order * n_last + p_last + x * step, x) for x in range(order)]
+                # contractions k < i: targets s with s_k s_{k+1} = t_k (so
+                # s_{k+1} = a^-1 t_k) and the rest of t kept
+                for k in range(1, i):
+                    head = sum(t[idx] * stride[idx] for idx in range(k - 1))
+                    tail = sum(t[idx] * stride[idx + 1] for idx in range(k, i))
                     tk = t[k - 1]
-                    for a in range(order):
-                        b = table[inverse[a]][tk]  # a*b = t_k
-                        s_idx = head + a * stride[k - 1] + b * stride[k] + tail
-                        add(s_idx * gm + j, sign)
-                # final term: target (t_1..t_i, x)
-                sign = -1 if (i + 1) % 2 else 1
-                for x in range(order):
-                    s_idx = ti * order + x
-                    add(s_idx * gm + j, sign)
+                    contractions.append((-1 if k % 2 else 1, [
+                        (head + a * stride[k - 1] + table[inverse[a]][tk] * stride[k] + tail)
+                        // order * n_last + p_last
+                        for a in range(order)
+                    ]))
+            else:
+                lead = []
+            if i >= 1:
+                # the last contraction: target (t_1..t_{i-1}, t_i b^-1, b)
+                prefix = ti - t[-1]
+                contractions.append((-1 if i % 2 else 1, [
+                    (prefix + table[t[-1]][inverse[b]]) * n_last + p for p, b in enumerate(last)
+                ]))
+            # the final term, target (t_1..t_i, x), and the contractions sit
+            # on the same rows for every j: sum them once
+            unit_sum = dict.fromkeys(range(ti * n_last, (ti + 1) * n_last), final_sign)
+            for sign, rows in contractions:
+                for row in rows:
+                    w = unit_sum.get(row, 0) + sign
+                    if w:
+                        unit_sum[row] = w
+                    else:
+                        del unit_sum[row]
+            for j in range(gm):
+                col = {row * gm + j: v for row, v in unit_sum.items()}
+                for row, x in lead:
+                    base = row * gm
+                    for r, v in self.elt_cols[x][j].items():
+                        w = col.get(base + r, 0) + v
+                        if w:
+                            col[base + r] = w
+                        else:
+                            del col[base + r]
                 cols.append(col)
         return cols
 
-    def checked_coords(self, i: int) -> list[int]:
-        """The coordinates of C^i on which the kernel route checks that a
-        coboundary lies in the relation rows: all of C^0, and for i >= 1
-        the tuples whose last entry is a listed generator (the one tuple,
-        for the trivial group).  See the module docstring for why these
-        suffice."""
-        gm = self.gm
-        if i == 0:
-            return list(range(gm))
-        order = self.group.order
-        last = sorted(set(self.group.generators)) or [0]
-        return [
-            (head * order + s) * gm + j
-            for head in range(order ** (i - 1))
-            for s in last
-            for j in range(gm)
-        ]
-
-    def relation_cols(self, i: int) -> list[dict[int, int]]:
-        """The module's relators embedded in every tuple block of C^i."""
+    def relation_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
+        """The module's relators embedded in every kept tuple block of C^i."""
         gm = self.gm
         out = []
-        for block in range(self.tuple_count(i)):
+        for block in range(self.tuple_count(i, last)):
             base = block * gm
             for rel in self.module.underlying.relation_rows:
                 out.append({base + k: v for k, v in enumerate(rel) if v})
@@ -235,27 +242,38 @@ class _Cochains:
 
 
 class _TotalComplex:
-    """T^n = C^n(A) + C^{n-1}(B), D(a,b) = (dA a, f(a) - dB b)."""
+    """T^n = C^n(A) + C^{n-1}(B), D(a,b) = (dA a, f(a) - dB b).  ``last``
+    keeps tuples in both parts as in :class:`_Cochains`."""
 
     def __init__(self, group: FiniteGroup, complex_: TwoTermComplex):
         self.ca = _Cochains(group, complex_.degree0)
         self.cb = _Cochains(group, complex_.degree1)
         self.f_cols = sparse_from_matrix(complex_.f.matrix)
 
-    def dim(self, n: int) -> int:
+    def dim(self, n: int, last: Sequence[int] | None = None) -> int:
         if n < 0:
             return 0
-        b_part = self.cb.dim(n - 1) if n >= 1 else 0
-        return self.ca.dim(n) + b_part
+        b_part = self.cb.dim(n - 1, last) if n >= 1 else 0
+        return self.ca.dim(n, last) + b_part
 
-    def diff_cols(self, n: int) -> list[dict[int, int]]:
-        """Columns of D^n : T^n -> T^{n+1}."""
-        a_tgt = self.ca.dim(n + 1)
-        cols = self.ca.diff_cols(n)  # built afresh, so f is added in place
+    def diff_cols(self, n: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
+        """Columns of D^n : T^n -> T^{n+1}, on the rows that ``last`` keeps."""
+        order = self.ca.group.order
+        if last is None:
+            last = range(order)
+        pos = {s: p for p, s in enumerate(last)}
+        a_tgt = self.ca.dim(n + 1, last)
+        cols = self.ca.diff_cols(n, last)  # built afresh, so f is added in place
         gm_a, gm_b = self.ca.gm, self.cb.gm
         for src, col in enumerate(cols):
-            # f applied pointwise: block structure is shared
+            # f applied pointwise: block structure is shared, and C^0(B) is
+            # kept whole
             block, j = divmod(src, gm_a)
+            if n:
+                head, s = divmod(block, order)
+                if s not in pos:
+                    continue
+                block = head * len(last) + pos[s]
             for r, v in self.f_cols[j].items():
                 key = a_tgt + block * gm_b + r
                 w = col.get(key, 0) + v
@@ -264,27 +282,17 @@ class _TotalComplex:
                 else:
                     col.pop(key, None)
         if n >= 1:
-            db = self.cb.diff_cols(n - 1)
-            for src in range(self.cb.dim(n - 1)):
-                cols.append({a_tgt + k: -v for k, v in db[src].items()})
+            for col in self.cb.diff_cols(n - 1, last):
+                cols.append({a_tgt + k: -v for k, v in col.items()})
         return cols
 
-    def relation_cols(self, n: int) -> list[dict[int, int]]:
-        a_tgt = self.ca.dim(n)
-        out = list(self.ca.relation_cols(n))
+    def relation_cols(self, n: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
+        a_tgt = self.ca.dim(n, last)
+        out = list(self.ca.relation_cols(n, last))
         if n >= 1:
-            for col in self.cb.relation_cols(n - 1):
+            for col in self.cb.relation_cols(n - 1, last):
                 out.append({a_tgt + k: v for k, v in col.items()})
         return out
-
-    def checked_coords(self, n: int) -> list[int]:
-        """The coordinates of T^n on which the kernel route checks the
-        cocycle condition: those of C^n(A), then those of C^{n-1}(B)."""
-        coords = self.ca.checked_coords(n)
-        if n >= 1:
-            a_dim = self.ca.dim(n)
-            coords += [a_dim + k for k in self.cb.checked_coords(n - 1)]
-        return coords
 
     def block_contains(self, n: int, vec: Sequence[int]) -> bool:
         a_dim = self.ca.dim(n)
@@ -311,14 +319,21 @@ class CohomologyGroup:
     coefficients: TwoTermComplex  # a module M as M -> 0
     group_value: PresentedAbelianGroup
     representatives: tuple[tuple[int, ...], ...]
-    _basis_rows: tuple[tuple[int, ...], ...]
     _cochains: _TotalComplex = field(repr=False)
     _cocycle_cols: list[dict[int, int]] | None = field(repr=False, default=None)
+    _index: list[tuple[int, dict[int, int]]] | None = field(repr=False, default=None)
+
+    def _check_length(self, vec: Sequence[int]) -> None:
+        if len(vec) != self._cochains.dim(self.degree):
+            raise StructuralError(
+                f"cochain of length {len(vec)}, expected {self._cochains.dim(self.degree)}"
+            )
 
     def is_cocycle(self, vec: Sequence[int]) -> bool:
         # the full d^i, built on the first call: the saturation route never
-        # builds d^i and the kernel route keeps only some of its rows, so
+        # builds d^i and the kernel route builds only some of its rows, so
         # this check is independent of either
+        self._check_length(vec)
         if self._cocycle_cols is None:
             self._cocycle_cols = self._cochains.diff_cols(self.degree)
         img = _dense(sparse_apply(self._cocycle_cols, vec), self._cochains.dim(self.degree + 1))
@@ -326,7 +341,10 @@ class CohomologyGroup:
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cocycle's class on the computed generators."""
-        coeffs = lattice_solve(self._basis_rows, vec)
+        self._check_length(vec)
+        if self._index is None:
+            self._index = _echelon_index(self.representatives)
+        coeffs = _echelon_solve(self._index, {k: v for k, v in enumerate(vec) if v})
         if coeffs is None:
             raise StructuralError("vector is not a cocycle of this group")
         return self.group_value.reduce_element(coeffs)
@@ -345,42 +363,28 @@ def _homology_from_cols(
 ) -> tuple[PresentedAbelianGroup, tuple[tuple[int, ...], ...]]:
     """The kernel route: Z^i is the preimage under d^i of the relation
     rows of C^{i+1}, read off the sparse kernel of [d^i | relations].
-    ``kernel_cols`` and ``target_rel_cols`` may be cut down to the checked
-    rows of C^{i+1}, ``target_dim`` of them, or give every row.
+    ``kernel_cols`` and ``target_rel_cols`` may give only the checked rows
+    of C^{i+1}, ``target_dim`` of them, or every row.
 
     Returns the presented value group and the Hermite basis of the kernel
     lattice (whose rows are the representative cocycles)."""
     aug = list(kernel_cols) + list(target_rel_cols)
     ker = sparse_kernel(aug, target_dim)
     basis = hermite_rows([row[:dim_i] for row in ker], dim_i)
-    return _value_on_basis(dim_i, basis, image_cols, ambient_rel_cols), basis
-
-
-def _homology_by_saturation(
-    dim_i: int,
-    image_cols: list[dict[int, int]],
-    ambient_rel_cols: list[dict[int, int]],
-    torsion_bound: int,
-) -> tuple[PresentedAbelianGroup, tuple[tuple[int, ...], ...]]:
-    """The saturation route: Z^i is the saturation of B^i, valid when
-    ``torsion_bound`` kills Z^i / B^i and C^{i+1} is torsion-free.
-
-    Returns what :func:`_homology_from_cols` returns for the same data."""
-    primes = sorted(_prime_factors(torsion_bound))
-    basis = sparse_saturation(list(image_cols) + list(ambient_rel_cols), dim_i, primes)
-    return _value_on_basis(dim_i, basis, image_cols, ambient_rel_cols), basis
+    return _value_on_basis(basis, image_cols, ambient_rel_cols), basis
 
 
 def _value_on_basis(
-    dim_i: int,
     basis: tuple[tuple[int, ...], ...],
     image_cols: list[dict[int, int]],
     ambient_rel_cols: list[dict[int, int]],
 ) -> PresentedAbelianGroup:
-    """Z^i / B^i presented on the Hermite basis of Z^i."""
+    """Z^i / B^i presented on the Hermite basis of Z^i: each sparse
+    generator of B^i is solved on the basis, one relator each."""
+    index = _echelon_index(basis)
     relators = []
     for col in list(image_cols) + list(ambient_rel_cols):
-        coeffs = lattice_solve(basis, _dense(col, dim_i))
+        coeffs = _echelon_solve(index, col)
         if coeffs is None:
             raise InternalError("image vector escapes the kernel lattice")
         relators.append(coeffs)
@@ -393,11 +397,6 @@ def _dense(col: dict[int, int], dim: int) -> list[int]:
     for k, v in col.items():
         vec[k] = v
     return vec
-
-
-def _on_rows(cols: list[dict[int, int]], rows: dict[int, int]) -> list[dict[int, int]]:
-    """The columns cut down to the rows in ``rows``, renumbered by it."""
-    return [{rows[k]: v for k, v in col.items() if k in rows} for col in cols]
 
 
 def _hypercohomology(
@@ -418,15 +417,18 @@ def _hypercohomology(
     image = t.diff_cols(degree - 1) if degree >= 1 else []
     ambient_rels = t.relation_cols(degree)
     if torsion_bound is not None:
-        value, basis = _homology_by_saturation(
-            t.dim(degree), image, ambient_rels, torsion_bound
-        )
+        # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1} is
+        # torsion-free, so Z^i is the saturation of B^i at its primes
+        primes = sorted(_prime_factors(torsion_bound))
+        basis = sparse_saturation(image + ambient_rels, t.dim(degree), primes)
+        value = _value_on_basis(basis, image, ambient_rels)
     else:
-        rows = {k: r for r, k in enumerate(t.checked_coords(degree + 1))}
-        d_i = _on_rows(t.diff_cols(degree), rows)
-        rels = [col for col in _on_rows(t.relation_cols(degree + 1), rows) if col]
+        # the rows of C^{i+1} on tuples ending in a generator (see the
+        # module docstring); the trivial group keeps its one tuple
+        last = sorted(set(group.generators)) or [0]
         value, basis = _homology_from_cols(
-            t.dim(degree), d_i, len(rows), rels, image, ambient_rels
+            t.dim(degree), t.diff_cols(degree, last), t.dim(degree + 1, last),
+            t.relation_cols(degree + 1, last), image, ambient_rels,
         )
     return CohomologyGroup(
         degree=degree,
@@ -434,7 +436,6 @@ def _hypercohomology(
         coefficients=complex_,
         group_value=value,
         representatives=basis,
-        _basis_rows=basis,
         _cochains=t,
     )
 

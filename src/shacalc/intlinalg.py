@@ -172,19 +172,6 @@ class IntMatrix:
     def neg(self) -> "IntMatrix":
         return IntMatrix([[-v for v in r] for r in self._rows], cols=self.ncols)
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.nrows != other.nrows:
-            raise StructuralError("hstack needs equal row counts")
-        return IntMatrix(
-            [a + b for a, b in zip(self._rows, other._rows)],
-            cols=self.ncols + other.ncols,
-        )
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.ncols:
-            raise StructuralError("vstack needs equal column counts")
-        return IntMatrix(self._rows + other._rows, cols=self.ncols)
-
     def is_zero(self) -> bool:
         return all(v == 0 for r in self._rows for v in r)
 
@@ -270,33 +257,46 @@ def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, 
     return tuple(tuple(r) for r in ech)
 
 
+def _echelon_index(basis: Sequence[Sequence[int]]) -> list[tuple[int, dict[int, int]]]:
+    """(pivot column, sparse row) for each row of an echelon basis, for
+    :func:`_echelon_solve`; a zero row has pivot -1."""
+    rows = [{k: v for k, v in enumerate(row) if v} for row in basis]
+    return [(next(iter(row), -1), row) for row in rows]
+
+
+def _echelon_solve(
+    index: Sequence[tuple[int, dict[int, int]]], vec: dict[int, int]
+) -> tuple[int, ...] | None:
+    """:func:`lattice_solve` for a sparse ``vec``, given the
+    :func:`_echelon_index` of the basis.  Pivots strictly increase, so each
+    row clears its pivot column for good."""
+    work = dict(vec)
+    coeffs = []
+    for lead, row in index:
+        x = work.get(lead)
+        if not x:
+            coeffs.append(0)
+            continue
+        q, r = divmod(x, row[lead])
+        if r:
+            return None
+        _sparse_sub_inplace(work, row, q)
+        coeffs.append(q)
+    if work:
+        return None
+    return tuple(coeffs)
+
+
 def lattice_solve(
     basis: Sequence[Sequence[int]], vec: Sequence[int]
 ) -> tuple[int, ...] | None:
     """Coefficients c with vec = sum c_i * basis_i, or None.
 
     ``basis`` must be in echelon form with strictly increasing pivots
-    (as produced by :func:`hermite_rows`)."""
-    work = list(vec)
-    coeffs = []
-    prev = -1
-    for row in basis:
-        # pivots strictly increase, so each search starts past the last one
-        lead = next((k for k in range(prev + 1, len(row)) if row[k]), None)
-        if lead is None:
-            coeffs.append(0)
-            continue
-        prev = lead
-        q, r = divmod(work[lead], row[lead])
-        if r:
-            return None
-        if q:
-            for k in range(lead, len(work)):
-                work[k] -= q * row[k]
-        coeffs.append(q)
-    if any(work):
-        return None
-    return tuple(coeffs)
+    (as produced by :func:`hermite_rows`), and ``vec`` as long as its rows."""
+    if basis and len(vec) != len(basis[0]):
+        raise StructuralError("vector length does not match lattice width")
+    return _echelon_solve(_echelon_index(basis), {k: v for k, v in enumerate(vec) if v})
 
 
 def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
@@ -306,18 +306,14 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
 def lattice_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of ``vec`` modulo the row lattice: at each
     pivot column the result lies in [0, pivot)."""
-    work = list(vec)
-    prev = -1
-    for row in basis:
-        lead = next((k for k in range(prev + 1, len(row)) if row[k]), None)
-        if lead is None:
-            continue
-        prev = lead
-        q = work[lead] // row[lead]
+    if basis and len(vec) != len(basis[0]):
+        raise StructuralError("vector length does not match lattice width")
+    work = {k: v for k, v in enumerate(vec) if v}
+    for lead, row in _echelon_index(basis):
+        q = work.get(lead, 0) // row[lead] if row else 0
         if q:
-            for k in range(lead, len(work)):
-                work[k] -= q * row[k]
-    return tuple(work)
+            _sparse_sub_inplace(work, row, q)
+    return tuple(work.get(k, 0) for k in range(len(vec)))
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

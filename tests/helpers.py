@@ -5,8 +5,10 @@ abelian groups, sparse composition, map congruence, the long exact
 sequence of a two-term complex, a restriction's class map on every
 generator of its source value (composed from the reduced map, or eager),
 the eager Sha kernel that works on every generator of the ambient
-value, and the column-order echelon kernel that ``sparse_kernel`` must
-reproduce."""
+value, the column-order echelon kernel that ``sparse_kernel`` must
+reproduce, the checked rows of the kernel route cut out of the full
+differential, and the dense lattice solve and reduction.  The last three
+are the references for what the package now builds or solves directly."""
 
 from __future__ import annotations
 
@@ -264,3 +266,77 @@ def eager_kernel(ambient: CohomologyGroup, restrictions: Sequence[Restriction]) 
         inclusion=sq.inclusion(),
         constraint=constraint,
     )
+
+
+def checked_coords(cochains, i: int) -> list[int]:
+    """The coordinates of C^i (a ``_Cochains``) or T^i (a ``_TotalComplex``)
+    on which the kernel route checks that a coboundary lies in the relation
+    rows: all of C^0, and for i >= 1 the tuples whose last entry is a
+    listed generator (the one tuple, for the trivial group); for the total
+    complex those of C^i(A), then those of C^{i-1}(B)."""
+    if hasattr(cochains, "ca"):
+        coords = checked_coords(cochains.ca, i)
+        if i >= 1:
+            a_dim = cochains.ca.dim(i)
+            coords += [a_dim + k for k in checked_coords(cochains.cb, i - 1)]
+        return coords
+    gm = cochains.gm
+    if i == 0:
+        return list(range(gm))
+    order = cochains.group.order
+    last = sorted(set(cochains.group.generators)) or [0]
+    return [
+        (head * order + s) * gm + j
+        for head in range(order ** (i - 1))
+        for s in last
+        for j in range(gm)
+    ]
+
+
+def on_rows(cols: list[dict[int, int]], rows: dict[int, int]) -> list[dict[int, int]]:
+    """The columns cut down to the rows in ``rows``, renumbered by it."""
+    return [{rows[k]: v for k, v in col.items() if k in rows} for col in cols]
+
+
+def dense_lattice_solve(
+    basis: Sequence[Sequence[int]], vec: Sequence[int]
+) -> tuple[int, ...] | None:
+    """Coefficients c with vec = sum c_i * basis_i, or None, on dense rows
+    of an echelon basis with strictly increasing pivots."""
+    work = list(vec)
+    coeffs = []
+    prev = -1
+    for row in basis:
+        # pivots strictly increase, so each search starts past the last one
+        lead = next((k for k in range(prev + 1, len(row)) if row[k]), None)
+        if lead is None:
+            coeffs.append(0)
+            continue
+        prev = lead
+        q, r = divmod(work[lead], row[lead])
+        if r:
+            return None
+        if q:
+            for k in range(lead, len(work)):
+                work[k] -= q * row[k]
+        coeffs.append(q)
+    if any(work):
+        return None
+    return tuple(coeffs)
+
+
+def dense_lattice_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
+    """Canonical representative of ``vec`` modulo the row lattice, on dense
+    rows: at each pivot column the result lies in [0, pivot)."""
+    work = list(vec)
+    prev = -1
+    for row in basis:
+        lead = next((k for k in range(prev + 1, len(row)) if row[k]), None)
+        if lead is None:
+            continue
+        prev = lead
+        q = work[lead] // row[lead]
+        if q:
+            for k in range(lead, len(work)):
+                work[k] -= q * row[k]
+    return tuple(work)

@@ -276,7 +276,7 @@ class TestVerifyCommand:
         biquadratic = str(PROBLEMS / "biquadratic.json")
         with monkeypatch.context() as mp:
             # every image vector escapes the cocycle lattice
-            mp.setattr(sys.modules["shacalc.cohomology"], "lattice_solve", lambda basis, vec: None)
+            mp.setattr(sys.modules["shacalc.cohomology"], "_echelon_solve", lambda index, vec: None)
             payload = internal_error(["cohomology", biquadratic, "--module", "I", "--degree", "1"])
             assert "escapes the kernel lattice" in payload["message"]
             assert payload["certificate"] is None

@@ -24,7 +24,7 @@ from shacalc.cohomology import (
     hypercohomology,
     restriction,
 )
-from shacalc.errors import ResourceError
+from shacalc.errors import ResourceError, StructuralError
 from shacalc.gmodules import (
     GModule,
     GModuleHom,
@@ -58,10 +58,12 @@ from shacalc.suites import random_equivariant_map, random_module, random_subgrou
 from helpers import (
     all_subgroups,
     catalog,
+    checked_coords,
     congruent,
     echelon_kernel,
     full_restriction_map,
     les_segment,
+    on_rows,
     sparse_compose,
 )
 from oracles import abelianization_invariants, cyclic_cohomology_invariants, exponent
@@ -192,6 +194,19 @@ class TestLowDegrees:
                 expected[j] = 1
                 assert list(coords) == list(h.group_value.reduce_element(expected))
             assert not h.is_cocycle([1] + [0] * (len(h.representatives[0]) - 1))
+
+
+    def test_wrong_length_rejected(self):
+        """S3 H^1(I_G) has cochains of length 30.  A short one used to make
+        ``class_coords`` raise IndexError and ``is_cocycle`` return False."""
+        g = GROUPS["S3"]
+        h = cohomology(g, augmentation_ideal(g), 1)
+        assert len(h.representatives[0]) == 30
+        for vec in ([1, 2], [0] * 31):
+            with pytest.raises(StructuralError):
+                h.class_coords(vec)
+            with pytest.raises(StructuralError):
+                h.is_cocycle(vec)
 
 
 def j_dual(g):
@@ -529,6 +544,109 @@ class TestCheckedRows:
             h, routes = computed_by(lambda: hypercohomology(a4, c, degree))
             assert routes == ["kernel"]
             assert_same_as_full_kernel(h)
+
+
+def assert_builds_the_checked_rows(t, degree):
+    """The kernel-route system of the total complex ``t`` in ``degree``,
+    built on the checked rows only, is the full d^degree and the full
+    relation columns of T^{degree+1} cut down to those rows, entry for
+    entry; so is each of its two cochain terms.  With every element as
+    ``last`` the builders give the full system."""
+    g = t.ca.group
+    last = sorted(set(g.generators)) or [0]
+    everything = list(range(g.order))
+    for c, d in ((t, degree), (t.ca, degree), (t.cb, degree - 1)):
+        if d < 0:
+            continue
+        rows = {k: r for r, k in enumerate(checked_coords(c, d + 1))}
+        assert c.dim(d + 1, last) == len(rows)
+        assert c.diff_cols(d, last) == on_rows(c.diff_cols(d), rows)
+        assert c.relation_cols(d + 1, last) == [
+            col for col in on_rows(c.relation_cols(d + 1), rows) if col
+        ]
+        assert c.dim(d + 1, everything) == c.dim(d + 1)
+        assert c.diff_cols(d, everything) == c.diff_cols(d)
+        assert c.relation_cols(d + 1, everything) == c.relation_cols(d + 1)
+
+
+class TestBuiltRows:
+    """One builder gives both the full d^i and the checked rows that the
+    kernel route uses, and the rows it builds are the rows that cutting the
+    full d^i down keeps (``helpers.checked_coords`` and ``on_rows``, the
+    reference)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["Z2", "Z4", "V4", "S3", "D4"]),
+        seed=st.integers(0, 2**63 - 1),
+        degree=st.sampled_from([0, 1, 2]),
+    )
+    def test_random_torsion_modules(self, name, seed, degree):
+        g = GROUPS[name]
+        max_rank = 1 if (name, degree) == ("D4", 2) else 3
+        m = random_module(g, SplitMix64(seed), max_rank=max_rank, max_torsion_relators=2)
+        assume(not m.is_z_free())
+        assert_builds_the_checked_rows(_TotalComplex(g, TwoTermComplex(
+            GModuleHom(m, zero_module(g), IntMatrix.zeros(0, m.rank)))), degree)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["Z2", "Z4", "V4", "S3", "D4"]),
+        seed=st.integers(0, 2**63 - 1),
+        degree=st.sampled_from([0, 1, 2]),
+    )
+    def test_random_torsion_complexes(self, name, seed, degree):
+        g = GROUPS[name]
+        rng = SplitMix64(seed)
+        a = permutation_module(g, random_subgroup(g, rng))
+        b = random_module(g, rng, max_rank=2 if name == "D4" else 3, max_torsion_relators=2)
+        assume(not b.is_z_free())
+        c = TwoTermComplex(random_equivariant_map(a, b, rng))
+        assert_builds_the_checked_rows(_TotalComplex(g, c), degree)
+
+    def test_trivial_group_and_redundant_generators(self):
+        trivial, _ = GROUPS["S3"].trivial_subgroup().as_group()
+        s3 = from_permutations([[1, 0, 2], [1, 2, 0], [1, 0, 2], [0, 1, 2], [0, 2, 1]])
+        for g in (trivial, s3):
+            m = torsion_module(g, 4)
+            c = TwoTermComplex(GModuleHom(trivial_module(g, 1), m, IntMatrix([[2]])))
+            for degree in (0, 1, 2):
+                assert_builds_the_checked_rows(_TotalComplex(g, c), degree)
+
+    def test_columns_off_the_generators_are_short(self):
+        """A column of d^1 whose tuple does not end in S has 2|S| entries:
+        the last contraction and the final term, one per generator."""
+        g = GROUPS["S3"]
+        last = sorted(set(g.generators))
+        assert 0 not in last
+        c = _Cochains(g, torsion_module(g, 4))
+        cols = c.diff_cols(1, last)
+        for t in range(g.order):
+            if t not in last:
+                assert len(cols[t]) == 2 * len(last)
+
+    @pytest.mark.parametrize("name", ["V4", "S3", "D4"])
+    def test_kernel_route_builds_no_full_differential(self, name, monkeypatch):
+        """The kernel route asks for d^i on the checked rows only; the
+        full d^{i-1} that spans B^i is still built."""
+        g = GROUPS[name]
+        last = sorted(set(g.generators))
+        everything = list(range(g.order))
+        real = _Cochains.diff_cols
+        built = []
+
+        def spy(self, i, last=None):
+            if self.gm:  # the B term of M -> 0 has no columns
+                built.append((i, everything if last is None else list(last)))
+            return real(self, i, last)
+
+        monkeypatch.setattr(_Cochains, "diff_cols", spy)
+        for degree in (0, 1, 2):
+            built.clear()
+            _, routes = computed_by(lambda: cohomology(g, torsion_module(g, 4), degree))
+            assert routes == ["kernel"]
+            assert (degree, everything) not in built
+            assert built == [(degree - 1, everything)] * (degree > 0) + [(degree, last)]
 
 
 class TestComplexSegment:

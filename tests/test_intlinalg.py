@@ -1,12 +1,14 @@
 """Exact linear algebra: Smith and Hermite forms, kernels, solving."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shacalc.errors import StructuralError
 from shacalc.intlinalg import (
     IntMatrix,
+    _echelon_index,
+    _echelon_solve,
     hermite_rows,
     lattice_contains,
     lattice_reduce,
@@ -20,7 +22,7 @@ from shacalc.intlinalg import (
 )
 from shacalc.prng import SplitMix64
 
-from helpers import echelon_kernel
+from helpers import dense_lattice_reduce, dense_lattice_solve, echelon_kernel
 from oracles import snf_invariants
 
 
@@ -296,6 +298,94 @@ class TestUnitElimination:
         kernel: here ((1,),) and ((1, 1),)."""
         with pytest.raises(StructuralError):
             sparse_kernel(columns, 1)
+
+
+@st.composite
+def hermite_bases(draw):
+    """A canonical Hermite basis of up to 6 random rows of width 1-8 with
+    entries in [-6, 6], and integer coefficients, one per basis row."""
+    width = draw(st.integers(1, 8))
+    entry = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6))
+    basis = hermite_rows(rows, width)
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(basis), max_size=len(basis)))
+    return basis, width, coeffs
+
+
+def combination(basis, coeffs, width):
+    return [sum(c * row[k] for c, row in zip(coeffs, basis)) for k in range(width)]
+
+
+def pivots(basis):
+    return [next(k for k, v in enumerate(row) if v) for row in basis]
+
+
+class TestEchelonSolve:
+    """The sparse solve on an indexed basis, and ``lattice_solve`` over it,
+    against the dense solve they replaced."""
+
+    @staticmethod
+    def solve_both_ways(basis, vec):
+        sparse = {k: v for k, v in enumerate(vec) if v}
+        got = _echelon_solve(_echelon_index(basis), sparse)
+        assert lattice_solve(basis, vec) == got
+        assert got == dense_lattice_solve(basis, vec)
+        return got
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=hermite_bases())
+    def test_members(self, data):
+        basis, width, coeffs = data
+        assert self.solve_both_ways(basis, combination(basis, coeffs, width)) == tuple(coeffs)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=hermite_bases(), pick=st.integers(0, 7))
+    def test_pivot_remainder(self, data, pick):
+        """One more at a pivot column whose pivot is not 1."""
+        basis, width, coeffs = data
+        big = [c for c, row in zip(pivots(basis), basis) if row[c] > 1]
+        assume(big)
+        vec = combination(basis, coeffs, width)
+        vec[big[pick % len(big)]] += 1
+        assert self.solve_both_ways(basis, vec) is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=hermite_bases(), pick=st.integers(0, 7))
+    def test_residual_off_the_pivots(self, data, pick):
+        """One more at a column that is no row's pivot."""
+        basis, width, coeffs = data
+        free = [k for k in range(width) if k not in pivots(basis)]
+        assume(free)
+        vec = combination(basis, coeffs, width)
+        vec[free[pick % len(free)]] += 1
+        assert self.solve_both_ways(basis, vec) is None
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=hermite_bases(), vec=st.lists(st.integers(-20, 20), min_size=8, max_size=8))
+    def test_reduce(self, data, vec):
+        basis, width, _ = data
+        assert lattice_reduce(basis, vec[:width]) == dense_lattice_reduce(basis, vec[:width])
+
+    def test_zero_vector(self):
+        basis = hermite_rows([[2, 1, 0], [0, 3, 1]], 3)
+        assert self.solve_both_ways(basis, [0, 0, 0]) == (0, 0)
+
+    def test_empty_basis(self):
+        assert self.solve_both_ways((), [0, 0]) == ()
+        assert self.solve_both_ways((), [0, 1]) is None
+        assert lattice_reduce((), [3, 4]) == (3, 4)
+
+    @pytest.mark.parametrize("vec", [[2, 4], [2, 4, 1, 0]])
+    def test_wrong_length_rejected(self, vec):
+        """A short vector used to be solved on a prefix of the rows: (2, 4)
+        gave (1, 1), which spans (2, 4, 1).  A long one raised IndexError."""
+        basis = ((2, 1, 0), (0, 3, 1))
+        with pytest.raises(StructuralError):
+            lattice_solve(basis, vec)
+        with pytest.raises(StructuralError):
+            lattice_contains(basis, vec)
+        with pytest.raises(StructuralError):
+            lattice_reduce(basis, vec)
 
 
 class TestUnimodularInverse:
