@@ -31,10 +31,8 @@ from typing import Iterable, Sequence
 from .errors import InternalError, StructuralError
 from .intlinalg import (
     IntMatrix,
+    Lattice,
     hermite_rows,
-    lattice_contains,
-    lattice_reduce,
-    lattice_solve,
     preimage_kernel,
     smith_normal_form,
     sparse_from_matrix,
@@ -78,11 +76,12 @@ class PresentedAbelianGroup:
     """Z^n modulo the row lattice of a relation matrix.
 
     Relations are normalized to canonical Hermite form at construction,
-    which keeps presentations small and makes equality structural.  The
+    which keeps presentations small and makes equality structural; the
+    group holds them as the :class:`Lattice` ``relation_lattice``.  The
     zero group prints as "0".
     """
 
-    __slots__ = ("generator_count", "relation_rows", "_inv", "_reduced")
+    __slots__ = ("generator_count", "relation_lattice", "_inv", "_reduced")
 
     def __init__(self, generator_count: int, relations: Iterable[Sequence[int]] = ()):
         if generator_count < 0:
@@ -93,17 +92,16 @@ class PresentedAbelianGroup:
                 raise StructuralError(
                     f"relation matrix has {relations.ncols} columns, expected {generator_count}"
                 )
-            rows = relations.rows
-        else:
-            rows = tuple(tuple(r) for r in relations)
-            for r in rows:
-                if len(r) != generator_count:
-                    raise StructuralError("relator length does not match generator count")
-        self.relation_rows = hermite_rows(rows, generator_count)
+            relations = relations.rows
+        self.relation_lattice = hermite_rows(relations, generator_count)
         self._inv: tuple[int, tuple[int, ...]] | None = None
         self._reduced: ReducedView | None = None
 
     # -- structure ------------------------------------------------------
+
+    @property
+    def relation_rows(self) -> tuple[tuple[int, ...], ...]:
+        return self.relation_lattice.rows
 
     @property
     def relations(self) -> IntMatrix:
@@ -165,11 +163,11 @@ class PresentedAbelianGroup:
 
     def contains_relation(self, vec: Sequence[int]) -> bool:
         """Whether a coordinate vector is zero in the group."""
-        return lattice_contains(self.relation_rows, vec)
+        return self.relation_lattice.contains(vec)
 
     def reduce_element(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical coset representative of an element."""
-        return lattice_reduce(self.relation_rows, vec)
+        return self.relation_lattice.reduce(vec)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.generator_count
@@ -292,26 +290,49 @@ def stack_homs(homs: Sequence[AbHom]) -> AbHom:
     return AbHom(source, target, IntMatrix(rows, cols=source.generator_count))
 
 
+def present_quotient(basis: Lattice, vectors: Iterable[dict[int, int]]) -> PresentedAbelianGroup:
+    """The lattice of ``basis`` modulo the lattice spanned by the sparse
+    ``vectors``, presented on the basis rows: each vector, solved on the
+    basis, is one relator.  The caller has made sure that every vector lies
+    in the lattice, so one that escapes it is an internal error."""
+    relators = []
+    for vec in vectors:
+        coeffs = basis.solve(vec)
+        if coeffs is None:
+            raise InternalError("image vector escapes the kernel lattice")
+        relators.append(coeffs)
+    return PresentedAbelianGroup(len(basis), relators)
+
+
+def class_on_basis(
+    value: PresentedAbelianGroup, basis: Lattice, vec: Sequence[int]
+) -> tuple[int, ...]:
+    """The canonical coordinates in ``value``, a quotient presented on
+    ``basis`` by :func:`present_quotient`, of a vector of the lattice; a
+    vector outside it raises :class:`StructuralError`."""
+    coeffs = basis.solve(vec)
+    if coeffs is None:
+        raise StructuralError("vector does not lie in the lattice of the presentation")
+    return value.reduce_element(coeffs)
+
+
 @dataclass(frozen=True)
 class Subquotient:
-    """ker/im together with its section: ``lift`` carries each generator of
-    ``group`` to an explicit coordinate vector in the ambient group, and
+    """ker/im presented on the Hermite ``basis`` of the kernel lattice:
+    generator j of ``group`` is the ambient vector ``basis.rows[j]``, and
     ``class_of`` sends an ambient vector lying in the kernel back to its
     class coordinates."""
 
     group: PresentedAbelianGroup
     ambient: PresentedAbelianGroup
-    lift: IntMatrix  # ambient_gens x result_gens
-    basis_rows: tuple[tuple[int, ...], ...]  # Hermite basis of the kernel lattice
+    basis: Lattice
 
     def class_of(self, ambient_vec: Sequence[int]) -> tuple[int, ...]:
-        coeffs = lattice_solve(self.basis_rows, ambient_vec)
-        if coeffs is None:
-            raise StructuralError("vector does not lie in the kernel lattice")
-        return self.group.reduce_element(coeffs)
+        return class_on_basis(self.group, self.basis, ambient_vec)
 
     def inclusion(self) -> AbHom:
-        return AbHom(self.group, self.ambient, self.lift)
+        lift = IntMatrix.from_cols(self.basis.rows, rows=self.ambient.generator_count)
+        return AbHom(self.group, self.ambient, lift)
 
 
 def subquotient(kernel_of: AbHom, image_of: AbHom) -> Subquotient:
@@ -326,21 +347,17 @@ def subquotient(kernel_of: AbHom, image_of: AbHom) -> Subquotient:
     if not kernel_of.compose(image_of).is_zero():
         raise StructuralError("maps do not form a complex: composite is nonzero")
     ambient = kernel_of.source
-    cols = sparse_from_matrix(kernel_of.matrix)
-    basis = preimage_kernel(cols, kernel_of.target.generator_count, kernel_of.target.relation_rows)
-    relators: list[tuple[int, ...]] = []
-    for vecs in (
-        [image_of.matrix.col(j) for j in range(image_of.matrix.ncols)],
-        list(ambient.relation_rows),
-    ):
-        for v in vecs:
-            coeffs = lattice_solve(basis, v)
-            if coeffs is None:  # the composite is zero, so this is a defect
-                raise InternalError("image vector escapes the kernel lattice")
-            relators.append(coeffs)
-    group = PresentedAbelianGroup(len(basis), relators)
-    lift = IntMatrix.from_cols([list(b) for b in basis], rows=ambient.generator_count)
-    return Subquotient(group=group, ambient=ambient, lift=lift, basis_rows=basis)
+    target = kernel_of.target
+    basis = preimage_kernel(
+        sparse_from_matrix(kernel_of.matrix),
+        target.generator_count,
+        target.relation_lattice.sparse_rows(),
+    )
+    # the composite is zero, so every image vector lies in the kernel
+    group = present_quotient(
+        basis, sparse_from_matrix(image_of.matrix) + ambient.relation_lattice.sparse_rows()
+    )
+    return Subquotient(group=group, ambient=ambient, basis=basis)
 
 
 def is_isomorphism(h: AbHom) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import PresentedAbelianGroup
+from .abelian import PresentedAbelianGroup, present_quotient
 from .cohomology import DEFAULT_COCHAIN_CAP, TwoTermComplex, _module_complex
 from .errors import InternalError, StructuralError
 from .gmodules import (
@@ -40,7 +40,6 @@ from .gmodules import (
 from .groups import is_metacyclic
 from .intlinalg import (
     IntMatrix,
-    lattice_solve,
     preimage_kernel,
     smith_normal_form,
     sparse_from_matrix,
@@ -281,17 +280,14 @@ def ext0_with_data(d: IsogenyDatum) -> Ext0Data:
     proj = res.proj.matrix
     # pullback lattice {(x, y) : proj x - f y lies in the relation lattice}
     cols = sparse_from_matrix(proj) + sparse_from_matrix(f.f.matrix.neg())
-    basis = preimage_kernel(cols, m.rank, m.underlying.relation_rows)
+    basis = preimage_kernel(cols, m.rank, m.underlying.relation_lattice.sparse_rows())
     amb = p.rank + m_prime.rank
-    # X' = pullback lattice modulo the relations of M' embedded in the y-part
-    relators = []
-    for rel in m_prime.underlying.relation_rows:
-        vec = [0] * p.rank + list(rel)
-        coeffs = lattice_solve(basis, vec)
-        if coeffs is None:
-            raise StructuralError("pullback lattice is inconsistent")
-        relators.append(coeffs)
-    x_prime_presented = PresentedAbelianGroup(len(basis), relators)
+    # X' = pullback lattice modulo the relations of M' embedded in the
+    # y-part, which lie in it since f preserves relations
+    x_prime_presented = present_quotient(basis, [
+        {p.rank + k: v for k, v in rel.items()}
+        for rel in m_prime.underlying.relation_lattice.sparse_rows()
+    ])
     free, tors = x_prime_presented.invariant_factors()
     if tors:
         raise StructuralError(
@@ -306,7 +302,7 @@ def ext0_with_data(d: IsogenyDatum) -> Ext0Data:
         cols_k = []
         for b in basis:
             img = list(ap.matvec(b[: p.rank])) + list(am.matvec(b[p.rank :]))
-            coeffs = lattice_solve(basis, img)
+            coeffs = basis.solve(img)
             if coeffs is None:
                 raise StructuralError("pullback lattice is not action-stable")
             cols_k.append(list(coeffs))
@@ -322,7 +318,7 @@ def ext0_with_data(d: IsogenyDatum) -> Ext0Data:
         lift = from_free.col(j)
         for t, c in enumerate(lift):
             if c:
-                for k, v in enumerate(basis[t]):
+                for k, v in enumerate(basis.rows[t]):
                     amb_vec[k] += c * v
         phi_cols.append(amb_vec[: p.rank])
         psi_cols.append(amb_vec[p.rank :])

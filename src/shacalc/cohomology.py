@@ -59,13 +59,17 @@ A module M is computed as the complex M -> 0: then T^n = C^n(M) and D = d,
 so H^i(G, M) = HH^i(G, M -> 0) with the same coordinates.
 
 The value Z^i / B^i is presented on the Hermite basis of Z^i, with one
-relator per generator of B^i, each solved sparsely on that basis.  It has
-about rank B^i generators, most of them left out by its reduced view (see
-:mod:`shacalc.abelian`).  A restriction works in reduced coordinates: it
-restricts only the cocycles of the kept generators, one class solve each,
-and projects their classes onto the kept generators of the target.
-``Restriction.reduced_map`` is that class map between the reduced views;
-no map on every generator of the value is built.
+relator per generator of B^i, each solved sparsely on that basis.  Z^i
+is a :class:`~shacalc.intlinalg.Lattice`: the basis comes out of the gcd
+echelon together with its index, and the group holds both, so the class
+solves of ``class_coords`` run on the index that presented the value.
+The value has about rank B^i generators, most of them left out by its
+reduced view (see :mod:`shacalc.abelian`).  A restriction works in
+reduced coordinates: it restricts only the cocycles of the kept
+generators, one class solve each, and projects their classes onto the
+kept generators of the target.  ``Restriction.reduced_map`` is that class
+map between the reduced views; no map on every generator of the value is
+built.
 """
 
 from __future__ import annotations
@@ -73,18 +77,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .abelian import AbHom, PresentedAbelianGroup
-from .errors import InternalError, ResourceError, StructuralError
+from .abelian import AbHom, PresentedAbelianGroup, class_on_basis, present_quotient
+from .errors import ResourceError, StructuralError
 from .gmodules import GModule, GModuleHom, restrict, zero_module
 from .groups import FiniteGroup, Subgroup, _prime_factors
 from .intlinalg import (
     IntMatrix,
-    _echelon_index,
-    _echelon_solve,
-    hermite_rows,
+    Lattice,
+    preimage_kernel,
     sparse_apply,
     sparse_from_matrix,
-    sparse_kernel,
     sparse_saturation,
 )
 
@@ -312,28 +314,30 @@ class _TotalComplex:
 class CohomologyGroup:
     """A computed H^i or HH^i: its value as a presented abelian group, one
     explicit cocycle per generator, and a membership procedure taking a
-    cocycle to its class coordinates."""
+    cocycle to its class coordinates.  The value is presented on the
+    Hermite basis of the cocycle lattice ``cocycles``, whose rows are the
+    representatives."""
 
     degree: int
     group: FiniteGroup
     coefficients: TwoTermComplex  # a module M as M -> 0
     group_value: PresentedAbelianGroup
-    representatives: tuple[tuple[int, ...], ...]
+    cocycles: Lattice
     _cochains: _TotalComplex = field(repr=False)
     _cocycle_cols: list[dict[int, int]] | None = field(repr=False, default=None)
-    _index: list[tuple[int, dict[int, int]]] | None = field(repr=False, default=None)
 
-    def _check_length(self, vec: Sequence[int]) -> None:
-        if len(vec) != self._cochains.dim(self.degree):
-            raise StructuralError(
-                f"cochain of length {len(vec)}, expected {self._cochains.dim(self.degree)}"
-            )
+    @property
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        return self.cocycles.rows
 
     def is_cocycle(self, vec: Sequence[int]) -> bool:
         # the full d^i, built on the first call: the saturation route never
         # builds d^i and the kernel route builds only some of its rows, so
         # this check is independent of either
-        self._check_length(vec)
+        if len(vec) != self._cochains.dim(self.degree):
+            raise StructuralError(
+                f"cochain of length {len(vec)}, expected {self._cochains.dim(self.degree)}"
+            )
         if self._cocycle_cols is None:
             self._cocycle_cols = self._cochains.diff_cols(self.degree)
         img = _dense(sparse_apply(self._cocycle_cols, vec), self._cochains.dim(self.degree + 1))
@@ -341,54 +345,10 @@ class CohomologyGroup:
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cocycle's class on the computed generators."""
-        self._check_length(vec)
-        if self._index is None:
-            self._index = _echelon_index(self.representatives)
-        coeffs = _echelon_solve(self._index, {k: v for k, v in enumerate(vec) if v})
-        if coeffs is None:
-            raise StructuralError("vector is not a cocycle of this group")
-        return self.group_value.reduce_element(coeffs)
+        return class_on_basis(self.group_value, self.cocycles, vec)
 
     def __str__(self) -> str:
         return str(self.group_value)
-
-
-def _homology_from_cols(
-    dim_i: int,
-    kernel_cols: list[dict[int, int]],
-    target_dim: int,
-    target_rel_cols: list[dict[int, int]],
-    image_cols: list[dict[int, int]],
-    ambient_rel_cols: list[dict[int, int]],
-) -> tuple[PresentedAbelianGroup, tuple[tuple[int, ...], ...]]:
-    """The kernel route: Z^i is the preimage under d^i of the relation
-    rows of C^{i+1}, read off the sparse kernel of [d^i | relations].
-    ``kernel_cols`` and ``target_rel_cols`` may give only the checked rows
-    of C^{i+1}, ``target_dim`` of them, or every row.
-
-    Returns the presented value group and the Hermite basis of the kernel
-    lattice (whose rows are the representative cocycles)."""
-    aug = list(kernel_cols) + list(target_rel_cols)
-    ker = sparse_kernel(aug, target_dim)
-    basis = hermite_rows([row[:dim_i] for row in ker], dim_i)
-    return _value_on_basis(basis, image_cols, ambient_rel_cols), basis
-
-
-def _value_on_basis(
-    basis: tuple[tuple[int, ...], ...],
-    image_cols: list[dict[int, int]],
-    ambient_rel_cols: list[dict[int, int]],
-) -> PresentedAbelianGroup:
-    """Z^i / B^i presented on the Hermite basis of Z^i: each sparse
-    generator of B^i is solved on the basis, one relator each."""
-    index = _echelon_index(basis)
-    relators = []
-    for col in list(image_cols) + list(ambient_rel_cols):
-        coeffs = _echelon_solve(index, col)
-        if coeffs is None:
-            raise InternalError("image vector escapes the kernel lattice")
-        relators.append(coeffs)
-    return PresentedAbelianGroup(len(basis), relators)
 
 
 def _dense(col: dict[int, int], dim: int) -> list[int]:
@@ -414,28 +374,28 @@ def _hypercohomology(
             dimension=c2_dim,
         )
     torsion_bound = _hyper_torsion_bound(complex_, degree)
-    image = t.diff_cols(degree - 1) if degree >= 1 else []
-    ambient_rels = t.relation_cols(degree)
+    # the generators of B^i: the image of d^{i-1} and the relation rows
+    boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + t.relation_cols(degree)
     if torsion_bound is not None:
         # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1} is
         # torsion-free, so Z^i is the saturation of B^i at its primes
         primes = sorted(_prime_factors(torsion_bound))
-        basis = sparse_saturation(image + ambient_rels, t.dim(degree), primes)
-        value = _value_on_basis(basis, image, ambient_rels)
+        cocycles = sparse_saturation(boundaries, t.dim(degree), primes)
     else:
-        # the rows of C^{i+1} on tuples ending in a generator (see the
-        # module docstring); the trivial group keeps its one tuple
+        # the kernel route: Z^i is the preimage under d^i of the relation
+        # rows of C^{i+1}, on the rows of C^{i+1} whose tuple ends in a
+        # generator (see the module docstring); the trivial group keeps its
+        # one tuple
         last = sorted(set(group.generators)) or [0]
-        value, basis = _homology_from_cols(
-            t.dim(degree), t.diff_cols(degree, last), t.dim(degree + 1, last),
-            t.relation_cols(degree + 1, last), image, ambient_rels,
+        cocycles = preimage_kernel(
+            t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
         )
     return CohomologyGroup(
         degree=degree,
         group=group,
         coefficients=complex_,
-        group_value=value,
-        representatives=basis,
+        group_value=present_quotient(cocycles, boundaries),
+        cocycles=cocycles,
         _cochains=t,
     )
 

@@ -24,7 +24,6 @@ from .groups import FiniteGroup, Subgroup, _group_from_tokens
 from .intlinalg import (
     IntMatrix,
     block_diag,
-    lattice_solve,
     preimage_kernel,
     smith_normal_form,
     sparse_from_matrix,
@@ -496,18 +495,15 @@ def permutation_cover(
         raise StructuralError("chosen vectors do not generate the module")
     proj = GModuleHom(P, m, proj_matrix)
 
-    basis = preimage_kernel(
-        sparse_from_matrix(proj_matrix), n, und.relation_rows
-    )
+    basis = preimage_kernel(sparse_from_matrix(proj_matrix), n, und.relation_lattice.sparse_rows())
     L_rank = len(basis)
-    incl_matrix = IntMatrix.from_cols([list(b) for b in basis], rows=P.rank)
+    incl_matrix = IntMatrix.from_cols(basis.rows, rows=P.rank)
     L_action = []
     for k in range(len(g.generators)):
         ap = P.action[k]
         cols = []
         for b in basis:
-            img = ap.matvec(b)
-            coeffs = lattice_solve(basis, img)
+            coeffs = basis.solve(ap.matvec(b))
             if coeffs is None:
                 raise StructuralError("kernel lattice is not action-stable")
             cols.append(list(coeffs))

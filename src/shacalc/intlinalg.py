@@ -2,21 +2,32 @@
 
 Everything downstream (presented abelian groups, cochain complexes, Sha
 kernels) reduces to the routines in this module: Smith normal form with
-unimodular transforms, canonical Hermite-form row bases of lattices,
-kernels of lattice maps, and exact triangular solving.
+unimodular transforms, canonical Hermite-form bases of lattices, kernels
+of lattice maps, and exact solving on a Hermite basis.
 
 Conventions:
 
 * matrices act on column vectors; ``m.col(j)`` is the image of the j-th
   standard basis vector,
-* a *lattice* is passed around as a tuple of row vectors, normally in
-  canonical Hermite normal form: pivots positive, strictly increasing
-  pivot columns, entries above a pivot reduced into ``[0, pivot)``, no
-  zero rows,
+* a *lattice* is a :class:`Lattice`: its width and its canonical Hermite
+  basis (pivots positive, strictly increasing pivot columns, entries
+  above a pivot reduced into ``[0, pivot)``, no zero rows), held together
+  with its echelon index, one (pivot column, sparse row) pair per row.
+  The index is the echelon's own sparse rows, so it is built once, with
+  the basis; no other module knows its format,
 * all arithmetic is on Python's arbitrary-precision integers; nothing can
   silently wrap,
 * every routine is deterministic: fixed pivot rules, no randomness, no
   dependence on hash iteration order.
+
+There is one gcd echelon, :func:`_sparse_insert`, on sparse rows.  Every
+lattice comes out of it: :func:`hermite_rows` inserts the nonzero rows it
+is given, :func:`sparse_kernel`, :func:`sparse_saturation` and
+:func:`preimage_kernel` the rows their methods produce, and
+:func:`_hermite_from_echelon` reduces the entries above the pivots.  The
+Hermite form is unique (Cohen, A Course in Computational Algebraic Number
+Theory, section 2.4), so the basis depends only on the lattice, whatever the
+order of the rows or the pivot steps.
 
 Kernels of sparse maps (:func:`sparse_kernel`) run in two phases.  The
 first eliminates unknowns through equations in which they have
@@ -194,126 +205,107 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _echelon_insert(pivots: dict[int, list[int]], row: list[int]) -> None:
-    """Insert ``row`` into an echelon keyed by leading column, combining
-    with existing rows by gcd steps.  Mutates ``pivots`` and ``row``."""
-    width = len(row)
-    lead = 0
-    while True:
-        while lead < width and row[lead] == 0:
-            lead += 1
-        if lead == width:
-            return  # dependent row, reduced away
-        if lead not in pivots:
-            if row[lead] < 0:
-                for k in range(lead, width):
-                    row[k] = -row[k]
-            pivots[lead] = row
-            return
-        p = pivots[lead]
-        a, b = p[lead], row[lead]
-        if b % a == 0:
-            q = b // a
-            for k in range(lead, width):
-                row[k] -= q * p[k]
-        else:
-            g, x, y = xgcd(a, b)
-            ag, bg = a // g, b // g
-            for k in range(lead, width):
-                pk, rk = p[k], row[k]
-                p[k] = x * pk + y * rk
-                row[k] = -bg * pk + ag * rk
-        # after either step row[lead] == 0; continue scanning right
+class Lattice:
+    """A sublattice of Z^width: its canonical Hermite basis ``rows``,
+    written out densely on first use, and the echelon index of the same
+    basis (see the module docstring).  :meth:`solve`, :meth:`contains` and
+    :meth:`reduce` run on the index; a vector whose length is not
+    ``width`` raises :class:`StructuralError`, with or without rows.
+    Iterating a lattice gives its rows."""
 
+    __slots__ = ("width", "_index", "_rows")
 
-def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical Hermite normal form of the lattice spanned by ``rows``.
+    def __init__(self, width: int, index: list[tuple[int, dict[int, int]]]):
+        self.width = width
+        self._index = index
+        self._rows: tuple[tuple[int, ...], ...] | None = None
 
-    Pivots are positive, pivot columns strictly increase, entries above a
-    pivot are reduced into [0, pivot), zero rows are dropped.  The result
-    depends only on the spanned lattice.
-    """
-    pivots: dict[int, list[int]] = {}
-    for r in rows:
-        rr = list(r)
-        if len(rr) != width:
-            raise StructuralError("row length does not match lattice width")
-        _echelon_insert(pivots, rr)
-    order = sorted(pivots)
-    ech = [pivots[c] for c in order]
-    # reduce entries above each pivot into [0, pivot), left to right: the
-    # rows subtracted at column c are zero left of c, so the columns
-    # already reduced stay reduced
-    for idx in range(len(order)):
-        c = order[idx]
-        prow = ech[idx]
-        pv = prow[c]
-        for above in range(idx):
-            q = ech[above][c] // pv
-            if q:
-                arow = ech[above]
-                for k in range(c, width):
-                    arow[k] -= q * prow[k]
-    return tuple(tuple(r) for r in ech)
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows is None:
+            out = []
+            for _, row in self._index:
+                vec = [0] * self.width
+                for k, v in row.items():
+                    vec[k] = v
+                out.append(tuple(vec))
+            self._rows = tuple(out)
+        return self._rows
 
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """The basis rows as {column: value} dicts, shared with the index,
+        so not to be modified."""
+        return [row for _, row in self._index]
 
-def _echelon_index(basis: Sequence[Sequence[int]]) -> list[tuple[int, dict[int, int]]]:
-    """(pivot column, sparse row) for each row of an echelon basis, for
-    :func:`_echelon_solve`; a zero row has pivot -1."""
-    rows = [{k: v for k, v in enumerate(row) if v} for row in basis]
-    return [(next(iter(row), -1), row) for row in rows]
+    def __len__(self) -> int:
+        return len(self._index)
 
+    def __iter__(self):
+        return iter(self.rows)
 
-def _echelon_solve(
-    index: Sequence[tuple[int, dict[int, int]]], vec: dict[int, int]
-) -> tuple[int, ...] | None:
-    """:func:`lattice_solve` for a sparse ``vec``, given the
-    :func:`_echelon_index` of the basis.  Pivots strictly increase, so each
-    row clears its pivot column for good."""
-    work = dict(vec)
-    coeffs = []
-    for lead, row in index:
-        x = work.get(lead)
-        if not x:
-            coeffs.append(0)
-            continue
-        q, r = divmod(x, row[lead])
-        if r:
-            return None
-        _sparse_sub_inplace(work, row, q)
-        coeffs.append(q)
-    if work:
-        return None
-    return tuple(coeffs)
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Lattice)
+            and self.width == other.width
+            and self._index == other._index
+        )
 
+    def __repr__(self) -> str:
+        return f"Lattice(width={self.width}, rows={self.rows})"
 
-def lattice_solve(
-    basis: Sequence[Sequence[int]], vec: Sequence[int]
-) -> tuple[int, ...] | None:
-    """Coefficients c with vec = sum c_i * basis_i, or None.
+    def _sparse(self, vec: Sequence[int] | dict[int, int]) -> dict[int, int]:
+        """A fresh sparse copy of ``vec``, checked against the width."""
+        if isinstance(vec, dict):
+            if vec and not (min(vec) >= 0 and max(vec) < self.width):
+                raise StructuralError("vector coordinate outside the lattice width")
+            return dict(vec)
+        if len(vec) != self.width:
+            raise StructuralError("vector length does not match lattice width")
+        return {k: v for k, v in enumerate(vec) if v}
 
-    ``basis`` must be in echelon form with strictly increasing pivots
-    (as produced by :func:`hermite_rows`), and ``vec`` as long as its rows."""
-    if basis and len(vec) != len(basis[0]):
-        raise StructuralError("vector length does not match lattice width")
-    return _echelon_solve(_echelon_index(basis), {k: v for k, v in enumerate(vec) if v})
-
-
-def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    return lattice_solve(basis, vec) is not None
-
-
-def lattice_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
-    """Canonical representative of ``vec`` modulo the row lattice: at each
-    pivot column the result lies in [0, pivot)."""
-    if basis and len(vec) != len(basis[0]):
-        raise StructuralError("vector length does not match lattice width")
-    work = {k: v for k, v in enumerate(vec) if v}
-    for lead, row in _echelon_index(basis):
-        q = work.get(lead, 0) // row[lead] if row else 0
-        if q:
+    def solve(self, vec: Sequence[int] | dict[int, int]) -> tuple[int, ...] | None:
+        """Coefficients c with vec = sum c_i * rows_i, or None; ``vec`` is
+        dense or sparse.  Pivots strictly increase, so each row clears its
+        pivot column for good."""
+        work = self._sparse(vec)
+        coeffs = []
+        for lead, row in self._index:
+            x = work.get(lead)
+            if not x:
+                coeffs.append(0)
+                continue
+            q, r = divmod(x, row[lead])
+            if r:
+                return None
             _sparse_sub_inplace(work, row, q)
-    return tuple(work.get(k, 0) for k in range(len(vec)))
+            coeffs.append(q)
+        if work:
+            return None
+        return tuple(coeffs)
+
+    def contains(self, vec: Sequence[int] | dict[int, int]) -> bool:
+        return self.solve(vec) is not None
+
+    def reduce(self, vec: Sequence[int] | dict[int, int]) -> tuple[int, ...]:
+        """Canonical representative of ``vec`` modulo the lattice: at each
+        pivot column the result lies in [0, pivot)."""
+        work = self._sparse(vec)
+        for lead, row in self._index:
+            q = work.get(lead, 0) // row[lead]
+            if q:
+                _sparse_sub_inplace(work, row, q)
+        return tuple(work.get(k, 0) for k in range(self.width))
+
+
+def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> Lattice:
+    """The lattice spanned by ``rows``, each of length ``width``, in
+    canonical Hermite form.  The result depends only on the lattice."""
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        if len(r) != width:
+            raise StructuralError("row length does not match lattice width")
+        _sparse_insert(pivots, {k: v for k, v in enumerate(r) if v})
+    return _hermite_from_echelon(pivots, width)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -322,7 +314,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
         raise StructuralError("only square matrices can be unimodular")
     n = m.nrows
     aug = hermite_rows([list(m.row(i)) + [1 if j == i else 0 for j in range(n)]
-                        for i in range(n)], 2 * n)
+                        for i in range(n)], 2 * n).rows
     if len(aug) != n or any(aug[i][i] != 1 for i in range(n)):
         raise StructuralError("matrix is not unimodular")
     # aug rows are [I | M^-1] up to the canonical reduction, which is exact
@@ -387,9 +379,11 @@ def _sparse_sub_inplace(row: dict[int, int], other: dict[int, int], q: int) -> N
 
 
 def _back_reduce(
-    pivots: dict[int, dict[int, int]], row: dict[int, int], done: set[int]
+    pivots: dict[int, dict[int, int]], row: dict[int, int], lead: int
 ) -> dict[int, int]:
-    """Floor-reduce the row at every pivot column not in ``done``.
+    """Floor-reduce ``row``, in place, at every pivot column right of
+    ``lead``, left to right; a pivot row is zero left of its pivot, so the
+    columns done stay done.
 
     Keeps stored rows small: with unit pivots (the common case for cochain
     differentials) the reduced entries vanish outright, which is what
@@ -397,30 +391,32 @@ def _back_reduce(
     while True:
         hit = None
         for k in row:
-            if k not in done and k in pivots:
-                if hit is None or k < hit:
-                    hit = k
+            if k > lead and k in pivots and (hit is None or k < hit):
+                hit = k
         if hit is None:
             return row
         p = pivots[hit]
         q = row[hit] // p[hit]
         if q:
-            row = _sparse_sub(row, p, q)
-        done.add(hit)
+            _sparse_sub_inplace(row, p, q)
+        lead = hit
 
 
 def _sparse_insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """The gcd echelon: insert ``row``, which the echelon takes over, into
+    ``pivots``, keyed by leading column, combining it with the row of its
+    leading column by gcd steps until it vanishes or leads a new column."""
     while row:
         c = min(row)
-        if c not in pivots:
+        p = pivots.get(c)
+        if p is None:
             if row[c] < 0:
                 row = {k: -v for k, v in row.items()}
-            pivots[c] = _back_reduce(pivots, row, {c})
+            pivots[c] = _back_reduce(pivots, row, c)
             return
-        p = pivots[c]
         a, b = p[c], row[c]
         if b % a == 0:
-            row = _sparse_sub(row, p, b // a)
+            _sparse_sub_inplace(row, p, b // a)
         else:
             g, x, y = xgcd(a, b)
             ag, bg = a // g, b // g
@@ -435,7 +431,7 @@ def _sparse_insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> No
                     newp[k] = vp
                 if vr:
                     newr[k] = vr
-            pivots[c] = _back_reduce(pivots, newp, {c})
+            pivots[c] = _back_reduce(pivots, newp, c)
             row = newr
 
 
@@ -495,10 +491,8 @@ def _eliminate_units(
     return subs
 
 
-def sparse_kernel(
-    columns: Sequence[dict[int, int]], nrows: int
-) -> tuple[tuple[int, ...], ...]:
-    """Basis, as canonical Hermite rows, of {x : sum x_j * col_j = 0}.
+def sparse_kernel(columns: Sequence[dict[int, int]], nrows: int) -> Lattice:
+    """The lattice {x : sum x_j * col_j = 0}.
 
     ``columns[j]`` is the j-th column of the matrix as a {row: value} dict
     whose rows lie in [0, ``nrows``); a row outside raises
@@ -550,31 +544,26 @@ def sparse_kernel(
     return _hermite_from_echelon(kernel, n)
 
 
-def _hermite_from_echelon(
-    pivots: dict[int, dict[int, int]], width: int
-) -> tuple[tuple[int, ...], ...]:
-    """:func:`hermite_rows` of a sparse echelon basis, given as leading
-    column -> row with a positive leading entry.
+def _hermite_from_echelon(pivots: dict[int, dict[int, int]], width: int) -> Lattice:
+    """The canonical Hermite basis of a sparse echelon basis, given as
+    leading column -> row with a positive leading entry; the rows are
+    reduced in place and become the index of the result.
 
     Only the reduction above the pivots is left to do.  It runs on the
     sparse rows from the bottom up, each row reduced left to right by the
     finished rows below it, which are sparser than half-reduced ones."""
     order = sorted(pivots)
-    ech = [dict(pivots[c]) for c in order]
+    ech = [pivots[c] for c in order]
     for idx in range(len(order) - 2, -1, -1):
         row = ech[idx]
         for below in range(idx + 1, len(order)):
             c = order[below]
-            q = row.get(c, 0) // ech[below][c]
-            if q:
-                _sparse_sub_inplace(row, ech[below], q)
-    out = []
-    for row in ech:
-        vec = [0] * width
-        for k, v in row.items():
-            vec[k] = v
-        out.append(tuple(vec))
-    return tuple(out)
+            x = row.get(c)
+            if x:
+                q = x // ech[below][c]
+                if q:
+                    _sparse_sub_inplace(row, ech[below], q)
+    return Lattice(width, list(zip(order, ech)))
 
 
 def _left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:
@@ -605,10 +594,10 @@ def _left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, i
 
 def sparse_saturation(
     rows: Iterable[dict[int, int]], width: int, primes: Iterable[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Canonical Hermite basis of {x : n * x in L for some n whose prime
-    factors are in ``primes``}, where L is the lattice spanned by the
-    sparse ``rows`` of the given width.
+) -> Lattice:
+    """The lattice {x : n * x in L for some n whose prime factors are in
+    ``primes``}, where L is the lattice spanned by the sparse ``rows`` of
+    the given width.
 
     At each prime p the gcd-echelon basis E of the current lattice is
     independent mod p exactly when the lattice is p-saturated; otherwise
@@ -635,17 +624,18 @@ def sparse_saturation(
 def preimage_kernel(
     columns: Sequence[dict[int, int]],
     nrows: int,
-    lattice_rows: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], ...]:
-    """Basis of {x : A x lies in the lattice spanned by ``lattice_rows``}.
+    lattice_rows: Iterable[dict[int, int]],
+) -> Lattice:
+    """The lattice {x : A x lies in the lattice spanned by the sparse
+    ``lattice_rows``}, for A given by sparse columns on ``nrows`` rows.
 
-    Computed as the x-part of ker [A | L] re-normalized to Hermite form."""
-    aug: list[dict[int, int]] = list(columns)
-    for r in lattice_rows:
-        aug.append({i: v for i, v in enumerate(r) if v})
-    ker = sparse_kernel(aug, nrows)
+    Computed as the x-part of ker [A | L], brought to Hermite form."""
     n = len(columns)
-    return hermite_rows([row[:n] for row in ker], n)
+    ker = sparse_kernel(list(columns) + list(lattice_rows), nrows)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in ker.sparse_rows():
+        _sparse_insert(pivots, {k: v for k, v in row.items() if k < n})
+    return _hermite_from_echelon(pivots, n)
 
 
 def sparse_from_matrix(m: IntMatrix) -> list[dict[int, int]]:

@@ -27,7 +27,7 @@ from .gmodules import (
     trivial_module,
 )
 from .groups import FiniteGroup, Subgroup, from_permutations
-from .intlinalg import IntMatrix, hermite_rows, lattice_solve
+from .intlinalg import IntMatrix, hermite_rows
 from .sha import LocalDatum
 
 SCHEMA_VERSION = 1
@@ -300,46 +300,32 @@ class ProblemFile:
 
 def _coroot_actions(x_star: GModule, incl: IntMatrix) -> list[IntMatrix]:
     """Action matrices of the coroot lattice inside X_star: the sublattice
-    must be stable under each generator, with unique integer coordinates."""
-    cols = [incl.col(j) for j in range(incl.ncols)]
-    if not cols:
+    must be stable under each generator, with unique integer coordinates.
+
+    Both come from one Hermite form of [incl^T | I], whose rows are
+    (incl c, c) for c running over Z^n.  The columns are independent when
+    no row vanishes on its first part.  Then a vector (v, 0) reduces to
+    (0, -c) exactly when v = incl c, and otherwise keeps a nonzero first
+    part."""
+    rows, n = incl.nrows, incl.ncols
+    if not n:
         return [IntMatrix([], cols=0) for _ in x_star.group.generators]
-    basis = hermite_rows(cols, incl.nrows)
-    if len(basis) != len(cols):
+    aug = hermite_rows(
+        [list(incl.col(j)) + [1 if k == j else 0 for k in range(n)] for j in range(n)],
+        rows + n,
+    )
+    if not all(any(row[:rows]) for row in aug):
         raise StructuralError("coroot inclusion columns are dependent")
     actions = []
     for a in x_star.action:
         mat_cols = []
-        for j in range(incl.ncols):
-            img = a.matvec(incl.col(j))
-            # represent in the original columns: solve incl * c = img
-            coeffs = _solve_columns(incl, img)
-            if coeffs is None:
-                raise StructuralError(
-                    "coroot lattice is not stable under the action"
-                )
-            mat_cols.append(coeffs)
-        actions.append(IntMatrix.from_cols(mat_cols, rows=incl.ncols))
+        for j in range(n):
+            rest = aug.reduce(list(a.matvec(incl.col(j))) + [0] * n)
+            if any(rest[:rows]):
+                raise StructuralError("coroot lattice is not stable under the action")
+            mat_cols.append([-c for c in rest[rows:]])
+        actions.append(IntMatrix.from_cols(mat_cols, rows=n))
     return actions
-
-
-def _solve_columns(m: IntMatrix, target) -> list[int] | None:
-    """Integer solution of m c = target for injective m (or None)."""
-    n = m.ncols
-    aug = hermite_rows(
-        [list(m.col(j)) + [1 if k == j else 0 for k in range(n)] for j in range(n)],
-        m.nrows + n,
-    )
-    sol = lattice_solve([row[: m.nrows] for row in aug], list(target))
-    if sol is None:
-        return None
-    coeffs = [0] * n
-    for s, row in zip(sol, aug):
-        for k in range(n):
-            coeffs[k] += s * row[m.nrows + k]
-    if list(m.matvec(coeffs)) != list(target):
-        return None
-    return coeffs
 
 
 def invariant_factors_json(group) -> dict:

@@ -69,6 +69,7 @@ from typing import Sequence
 from .abelian import (
     AbHom,
     PresentedAbelianGroup,
+    Subquotient,
     is_isomorphism,
     stack_homs,
     subquotient,
@@ -86,7 +87,7 @@ from .cohomology import (
 from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_quotient
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
-from .intlinalg import IntMatrix, hermite_rows, lattice_solve
+from .intlinalg import IntMatrix, hermite_rows
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,9 @@ class ShaGroup:
 
     ``inclusion`` maps ``value`` into the reduced ambient value
     ``ambient.group_value.reduced().group``, and ``class_of`` takes
-    coordinates on that same reduced ambient.  ``cochains[j]`` is a
-    cocycle for generator j of ``value``.
+    coordinates on that same reduced ambient; both come from the kernel
+    :class:`~shacalc.abelian.Subquotient` the group is built from.
+    ``cochains[j]`` is a cocycle for generator j of ``value``.
 
     ``representatives`` are the canonical Hermite basis of the Sha lattice
     on every generator of the ambient value V, times the ambient
@@ -147,7 +149,7 @@ class ShaGroup:
     inclusion: AbHom
     cochains: tuple[tuple[int, ...], ...]
     imposed: tuple[str, ...]
-    _basis_rows: tuple[tuple[int, ...], ...]
+    _subquotient: Subquotient  # the kernel on the reduced ambient value
     _constraint: AbHom  # stacked reduced restrictions on the reduced ambient value
     _restricted: tuple[tuple[str, Subgroup], ...]  # the imposed places maximal up to conjugacy
     _restrict: _Restrictions  # shared by the groups over this ambient
@@ -161,10 +163,7 @@ class ShaGroup:
     def class_of(self, ambient_coords: Sequence[int]) -> tuple[int, ...]:
         """Coordinates in this subgroup of an ambient class, given on the
         reduced ambient, known to lie in it (raises otherwise)."""
-        coeffs = lattice_solve(self._basis_rows, ambient_coords)
-        if coeffs is None:
-            raise StructuralError("class does not lie in the Sha subgroup")
-        return self.value.reduce_element(coeffs)
+        return self._subquotient.class_of(ambient_coords)
 
     def quotient_by(self, smaller: "ShaGroup") -> PresentedAbelianGroup:
         """This group modulo a smaller one over the same ambient (Sha_S / Sha_empty)."""
@@ -173,7 +172,7 @@ class ShaGroup:
     @cached_property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
         red = self.ambient.group_value.reduced()
-        lattice = list(red.unit_rows) + [red.section(b) for b in self._basis_rows]
+        lattice = list(red.unit_rows) + [red.section(b) for b in self._subquotient.basis]
         basis = hermite_rows(lattice, self.ambient.group_value.generator_count)
         reps = tuple(_combine(self.ambient, b) for b in basis)
         _recheck(reps, [name for name, _ in self._restricted], self._restrictions)
@@ -265,9 +264,7 @@ def _kernel(
     else:
         constraint = AbHom.zero(red.group, trivial_group())
     sq = subquotient(constraint, AbHom.zero(trivial_group(), red.group))
-    cochains = tuple(
-        _combine(ambient, red.section(sq.lift.col(j))) for j in range(sq.group.generator_count)
-    )
+    cochains = tuple(_combine(ambient, red.section(b)) for b in sq.basis)
     _recheck(cochains, [name for name, _ in restricted], computed)
     return ShaGroup(
         ambient=ambient,
@@ -275,7 +272,7 @@ def _kernel(
         inclusion=sq.inclusion(),
         cochains=cochains,
         imposed=tuple(name for name, _ in imposed),
-        _basis_rows=sq.basis_rows,
+        _subquotient=sq,
         _constraint=constraint,
         _restricted=tuple(restricted),
         _restrict=restrictions,

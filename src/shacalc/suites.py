@@ -35,6 +35,7 @@ from .gmodules import (
 from .groups import FiniteGroup, Subgroup, from_permutations, is_metacyclic
 from .intlinalg import (
     IntMatrix,
+    Lattice,
     hermite_rows,
     preimage_kernel,
     sparse_from_matrix,
@@ -155,8 +156,8 @@ def random_module(
     return GModule(g, PresentedAbelianGroup(n, relators), action)
 
 
-def fixed_vectors_under(m: GModule, h: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """Hermite basis of {x : (a - 1)x = 0 in m for the subgroup action}."""
+def fixed_vectors_under(m: GModule, h: Subgroup) -> Lattice:
+    """The lattice {x : (a - 1)x = 0 in m for the subgroup action}."""
     n = m.rank
     sub_gens = h.minimal_generators()
     stacked: list[list[int]] = []
@@ -170,13 +171,12 @@ def fixed_vectors_under(m: GModule, h: Subgroup) -> tuple[tuple[int, ...], ...]:
         )
     mat = IntMatrix(stacked, cols=n)
     # relations of the target: one copy of the module relations per block
-    lat_rows = []
     blocks = len(sub_gens)
-    for b in range(blocks):
-        for rel in m.underlying.relation_rows:
-            row = [0] * (blocks * n)
-            row[b * n : (b + 1) * n] = list(rel)
-            lat_rows.append(row)
+    lat_rows = [
+        {b * n + k: v for k, v in rel.items()}
+        for b in range(blocks)
+        for rel in m.underlying.relation_lattice.sparse_rows()
+    ]
     return preimage_kernel(sparse_from_matrix(mat), blocks * n, lat_rows)
 
 

@@ -7,8 +7,9 @@ generator of its source value (composed from the reduced map, or eager),
 the eager Sha kernel that works on every generator of the ambient
 value, the column-order echelon kernel that ``sparse_kernel`` must
 reproduce, the checked rows of the kernel route cut out of the full
-differential, and the dense lattice solve and reduction.  The last three
-are the references for what the package now builds or solves directly."""
+differential, the dense Hermite form, and the dense lattice solve and
+reduction.  The last four are the references for what the package now
+builds or solves directly."""
 
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from shacalc.intlinalg import (
     _hermite_from_echelon,
     _sparse_insert,
     sparse_from_matrix,
+    xgcd,
 )
 
 
@@ -251,8 +253,7 @@ def eager_kernel(ambient: CohomologyGroup, restrictions: Sequence[Restriction]) 
     sq = subquotient(constraint, AbHom.zero(trivial_group(), value_group))
     reps = []
     cochain_len = len(ambient.representatives[0]) if ambient.representatives else 0
-    for j in range(sq.group.generator_count):
-        coords = sq.lift.col(j)
+    for coords in sq.basis:
         acc = [0] * cochain_len
         for t, c in enumerate(coords):
             if c:
@@ -340,3 +341,61 @@ def dense_lattice_reduce(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> 
             for k in range(lead, len(work)):
                 work[k] -= q * row[k]
     return tuple(work)
+
+
+def _dense_echelon_insert(pivots: dict[int, list[int]], row: list[int]) -> None:
+    """Insert ``row`` into a dense echelon keyed by leading column,
+    combining with existing rows by gcd steps.  Mutates ``pivots`` and
+    ``row``."""
+    width = len(row)
+    lead = 0
+    while True:
+        while lead < width and row[lead] == 0:
+            lead += 1
+        if lead == width:
+            return  # dependent row, reduced away
+        if lead not in pivots:
+            if row[lead] < 0:
+                for k in range(lead, width):
+                    row[k] = -row[k]
+            pivots[lead] = row
+            return
+        p = pivots[lead]
+        a, b = p[lead], row[lead]
+        if b % a == 0:
+            q = b // a
+            for k in range(lead, width):
+                row[k] -= q * p[k]
+        else:
+            g, x, y = xgcd(a, b)
+            ag, bg = a // g, b // g
+            for k in range(lead, width):
+                pk, rk = p[k], row[k]
+                p[k] = x * pk + y * rk
+                row[k] = -bg * pk + ag * rk
+        # after either step row[lead] == 0; continue scanning right
+
+
+def dense_hermite_rows(rows: Sequence[Sequence[int]], width: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical Hermite rows of the lattice spanned by ``rows``, by a gcd
+    echelon on dense rows and a dense reduction above the pivots: the
+    reference for ``hermite_rows``."""
+    pivots: dict[int, list[int]] = {}
+    for r in rows:
+        assert len(r) == width
+        _dense_echelon_insert(pivots, list(r))
+    order = sorted(pivots)
+    ech = [pivots[c] for c in order]
+    # reduce entries above each pivot into [0, pivot), left to right: the
+    # rows subtracted at column c are zero left of c, so the columns
+    # already reduced stay reduced
+    for idx, c in enumerate(order):
+        prow = ech[idx]
+        pv = prow[c]
+        for above in range(idx):
+            q = ech[above][c] // pv
+            if q:
+                arow = ech[above]
+                for k in range(c, width):
+                    arow[k] -= q * prow[k]
+    return tuple(tuple(r) for r in ech)

@@ -13,7 +13,7 @@ from shacalc.abelian import (
     trivial_group,
 )
 from shacalc.errors import InternalError, StructuralError
-from shacalc.intlinalg import IntMatrix
+from shacalc.intlinalg import IntMatrix, hermite_rows
 from shacalc.prng import SplitMix64
 
 from helpers import cyclic_group, free_group
@@ -32,6 +32,24 @@ class TestPresentedGroup:
         assert str(z) == "0" and z.is_trivial()
         killed = PresentedAbelianGroup(2, [[1, 0], [0, 1]])
         assert str(killed) == "0" and killed.is_trivial()
+
+    @pytest.mark.parametrize("group", [
+        PresentedAbelianGroup(0),  # the zero group
+        PresentedAbelianGroup(2),  # a free group
+        PresentedAbelianGroup(2, [[2, 1]]),
+    ])
+    def test_element_of_wrong_length_rejected(self, group):
+        """The relation lattice carries its width, so a vector of another
+        length is rejected even when there are no relations; without
+        relations, (0, 0, 0) used to count as a relation of Z^2 and (5,)
+        reduced to (5,) in the zero group."""
+        for vec in ([5], [0, 0, 0]):
+            if len(vec) == group.generator_count:
+                continue
+            with pytest.raises(StructuralError):
+                group.contains_relation(vec)
+            with pytest.raises(StructuralError):
+                group.reduce_element(vec)
 
     def test_str_formats(self):
         assert str(PresentedAbelianGroup(3, [[2, 0, 0]])) == "Z^2 x Z/2"
@@ -129,7 +147,11 @@ class TestSubquotient:
     def test_escaping_image_is_an_internal_error(self, monkeypatch):
         """An image vector outside the kernel lattice contradicts the
         composite-is-zero check, so it is a defect, not bad input."""
-        monkeypatch.setattr(sys.modules["shacalc.abelian"], "lattice_solve", lambda basis, vec: None)
+        module = sys.modules["shacalc.abelian"]
+        real = module.present_quotient
+        # the image vectors are presented on a kernel lattice that is too small
+        monkeypatch.setattr(module, "present_quotient",
+                            lambda basis, vectors: real(hermite_rows([], basis.width), vectors))
         z2 = free_group(2)
         z = free_group(1)
         ker = AbHom(z2, z, IntMatrix([[1, 1]]))
@@ -143,10 +165,21 @@ class TestSubquotient:
         ker = AbHom(z2, z, IntMatrix([[1, 1]]))
         img = AbHom(z, z2, IntMatrix([[2], [-2]]))
         sq = subquotient(ker, img)
-        lift = sq.lift.matvec([1])
+        lift = sq.basis.rows[0]
         # the lift is an explicit ambient element of the kernel
         assert sum(lift) == 0
         assert sq.class_of(lift) == (1,)
+
+    def test_zero_kernel_rejects_wrong_length(self):
+        """ker(id) on Z^2 is zero, yet its basis keeps width 2: (0, 0, 0)
+        used to get the class ()."""
+        z2 = free_group(2)
+        sq = subquotient(AbHom.identity(z2), AbHom.zero(trivial_group(), z2))
+        assert sq.class_of([0, 0]) == ()
+        with pytest.raises(StructuralError):
+            sq.class_of([0, 0, 0])
+        with pytest.raises(StructuralError):
+            sq.class_of([1, 0])
 
     def test_agrees_with_box_enumeration_oracle(self):
         """Naive oracle on finite boxes of order <= 64: enumerate the

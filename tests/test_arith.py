@@ -29,6 +29,7 @@ from shacalc.gmodules import (
     zero_module,
 )
 from shacalc.intlinalg import IntMatrix
+from shacalc.jsonio import _coroot_actions
 from shacalc.sha import LocalDatum, PlaceSelection, sha_omega, sha_two_term
 
 from helpers import catalog
@@ -87,6 +88,35 @@ class TestFundamentalGroup:
             CocharacterDatum(
                 X_star=x, coroot_inclusion=GModuleHom(src, x, IntMatrix([[0]]))
             )
+
+
+class TestCorootActions:
+    """The action on a coroot lattice given by the columns of an inclusion
+    into X_star = Z^2 with the swap action of Z/2."""
+
+    @staticmethod
+    def actions(cols):
+        g = GROUPS["Z2"]
+        x = GModule(g, PresentedAbelianGroup(2), [IntMatrix([[0, 1], [1, 0]])])
+        incl = IntMatrix.from_cols(cols, rows=2)
+        acts = _coroot_actions(x, incl)
+        for a, act in zip(x.action, acts):
+            assert incl.mul(act) == a.mul(incl)
+        return acts
+
+    def test_coordinates_on_the_columns(self):
+        assert self.actions([[1, 1], [1, -1]])[0].rows == ((1, 0), (0, -1))
+        assert self.actions([[3, 1], [1, 3]])[0].rows == ((0, 1), (1, 0))
+        assert self.actions([[0, 1], [1, 0]])[0].rows == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("cols", [
+        [[1, 0]],  # swapped to (0, 1), off the sublattice
+        [[2, 0], [0, 1]],  # (1, 0) is half of a column
+        [[1, 1], [2, 2]],  # dependent columns
+    ])
+    def test_rejected(self, cols):
+        with pytest.raises(StructuralError):
+            self.actions(cols)
 
 
 class TestDualComplex:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shacalc.abelian import invariant_factors, subquotient
+from shacalc.abelian import invariant_factors, present_quotient, subquotient
 from shacalc.arith import (
     HomSpaceDatum,
     brauer_obstruction_groups,
@@ -18,7 +18,6 @@ from shacalc.arith import (
 from shacalc.cohomology import (
     TwoTermComplex,
     _Cochains,
-    _homology_from_cols,
     _TotalComplex,
     cohomology,
     hypercohomology,
@@ -39,7 +38,13 @@ from shacalc.gmodules import (
     zero_module,
 )
 from shacalc.groups import from_permutations
-from shacalc.intlinalg import IntMatrix, hermite_rows, preimage_kernel, sparse_from_matrix
+from shacalc.intlinalg import (
+    IntMatrix,
+    hermite_rows,
+    preimage_kernel,
+    sparse_from_matrix,
+    sparse_kernel,
+)
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
 from shacalc.sha import (
@@ -127,11 +132,9 @@ class TestLowDegrees:
                     len(basis), []
                 )
                 # quotient by module relations expressed in the fixed basis
-                from shacalc.intlinalg import lattice_solve
-
                 relators = []
                 for rel in m.underlying.relation_rows:
-                    coeffs = lattice_solve(basis, rel)
+                    coeffs = basis.solve(rel)
                     if coeffs is not None:
                         relators.append(coeffs)
                 fixed = PresentedAbelianGroup(len(basis), relators)
@@ -214,17 +217,17 @@ def j_dual(g):
     return dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)])
 
 
-def kernel_route(h):
-    """The value and Hermite basis of the kernel route on the cochains of
-    ``h``, whatever route computed ``h``."""
-    c, d = h._cochains, h.degree
-    return _homology_from_cols(
-        c.dim(d), c.diff_cols(d), c.dim(d + 1), c.relation_cols(d + 1),
-        c.diff_cols(d - 1) if d else [], c.relation_cols(d),
-    )
+def kernel_route(h, cochains=None):
+    """The value and Hermite basis of the kernel route, on every row of
+    d^i, on the cochains of ``h`` (or on ``cochains``), whatever route
+    computed ``h``."""
+    c, d = cochains or h._cochains, h.degree
+    basis = preimage_kernel(c.diff_cols(d), c.dim(d + 1), c.relation_cols(d + 1))
+    boundaries = (c.diff_cols(d - 1) if d else []) + c.relation_cols(d)
+    return present_quotient(basis, boundaries), basis
 
 
-ROUTES = {"sparse_saturation": "saturation", "sparse_kernel": "kernel"}
+ROUTES = {"sparse_saturation": "saturation", "preimage_kernel": "kernel"}
 
 
 def computed_by(compute):
@@ -279,7 +282,7 @@ def assert_same_as_full_kernel(h):
     """``h`` has the Hermite basis and the relators of the kernel route
     run on every row of d^i."""
     value, basis = kernel_route(h)
-    assert basis == h.representatives
+    assert basis.rows == h.representatives
     assert value.relation_rows == h.group_value.relation_rows
 
 
@@ -457,14 +460,15 @@ class TestKernelInputs:
     def test_matches_column_order_echelon(self, name, n, monkeypatch):
         g = GROUPS[name]
         module = sys.modules["shacalc.cohomology"]
-        real = module.sparse_kernel
+        real = module.preimage_kernel
         seen = []
-        monkeypatch.setattr(module, "sparse_kernel", lambda *args: seen.append(args) or real(*args))
+        monkeypatch.setattr(module, "preimage_kernel", lambda *args: seen.append(args) or real(*args))
         for degree in (0, 1, 2):
             cohomology(g, torsion_module(g, n), degree)
         assert len(seen) == 3
-        for columns, nrows in seen:
-            out = real(columns, nrows)
+        for kernel_cols, nrows, lattice_rows in seen:
+            columns = list(kernel_cols) + list(lattice_rows)
+            out = sparse_kernel(columns, nrows)
             assert out == echelon_kernel(columns, nrows)
             assert hermite_rows(out, len(columns)) == out
 
@@ -804,11 +808,8 @@ class TestModuleAsComplex:
                 c = _Cochains(g, m)
                 for d in degrees:
                     h = cohomology(g, m, d)
-                    value, basis = _homology_from_cols(
-                        c.dim(d), c.diff_cols(d), c.dim(d + 1), c.relation_cols(d + 1),
-                        c.diff_cols(d - 1) if d else [], c.relation_cols(d),
-                    )
-                    assert basis == h.representatives, (name, m, d)
+                    value, basis = kernel_route(h, c)
+                    assert basis.rows == h.representatives, (name, m, d)
                     assert value.relation_rows == h.group_value.relation_rows
 
 

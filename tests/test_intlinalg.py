@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from shacalc.errors import StructuralError
 from shacalc.intlinalg import (
     IntMatrix,
-    _echelon_index,
-    _echelon_solve,
     hermite_rows,
-    lattice_contains,
-    lattice_reduce,
-    lattice_solve,
     preimage_kernel,
     smith_normal_form,
     sparse_from_matrix,
@@ -22,7 +17,7 @@ from shacalc.intlinalg import (
 )
 from shacalc.prng import SplitMix64
 
-from helpers import dense_lattice_reduce, dense_lattice_solve, echelon_kernel
+from helpers import dense_hermite_rows, dense_lattice_reduce, dense_lattice_solve, echelon_kernel
 from oracles import snf_invariants
 
 
@@ -137,19 +132,19 @@ class TestSmithNormalForm:
 
 class TestHermite:
     def test_canonical_form(self):
-        rows = hermite_rows([[2, 4], [6, 8]], 2)
+        rows = hermite_rows([[2, 4], [6, 8]], 2).rows
         assert rows == ((2, 0), (0, 4))
 
     def test_lattice_membership(self):
         basis = hermite_rows([[2, 0], [0, 3]], 2)
-        assert lattice_contains(basis, (4, 3))
-        assert not lattice_contains(basis, (1, 0))
-        assert lattice_reduce(basis, (5, 7)) == (1, 1)
+        assert basis.contains((4, 3))
+        assert not basis.contains((1, 0))
+        assert basis.reduce((5, 7)) == (1, 1)
 
     def test_solve_coefficients(self):
         basis = hermite_rows([[1, 2, 0], [0, 4, 1]], 3)
         vec = [3, 2, -1]  # 3*(1,2,0) - 1*(0,4,1)
-        coeffs = lattice_solve(basis, vec)
+        coeffs = basis.solve(vec)
         assert coeffs is not None
         recon = [0, 0, 0]
         for c, row in zip(coeffs, basis):
@@ -170,7 +165,7 @@ class TestHermite:
     def test_reduced_at_every_pivot(self):
         # reducing at column 1 moves row 0's entry at the later pivot
         # column 2 out of [0, 3): that column must be reduced afterwards
-        rows = hermite_rows([[1, 3, 0], [0, 2, 1], [0, 0, 3]], 3)
+        rows = hermite_rows([[1, 3, 0], [0, 2, 1], [0, 0, 3]], 3).rows
         assert rows == ((1, 1, 2), (0, 2, 1), (0, 0, 3))
 
     def test_idempotent_randomized(self):
@@ -179,6 +174,7 @@ class TestHermite:
             m = random_matrix(rng, rng.randint(1, 5), 5, bound=9)
             rows = hermite_rows(m.rows, 5)
             assert hermite_rows(rows, 5) == rows
+            rows = rows.rows
             for idx, row in enumerate(rows):
                 lead = next(k for k, v in enumerate(row) if v)
                 assert row[lead] > 0
@@ -188,9 +184,9 @@ class TestHermite:
 class TestSaturation:
     def test_primes_select_what_is_saturated(self):
         rows = [{0: 2}, {1: 3}]
-        assert sparse_saturation(rows, 2, []) == ((2, 0), (0, 3))
-        assert sparse_saturation(rows, 2, [2]) == ((1, 0), (0, 3))
-        assert sparse_saturation(rows, 2, [2, 3]) == ((1, 0), (0, 1))
+        assert sparse_saturation(rows, 2, []).rows == ((2, 0), (0, 3))
+        assert sparse_saturation(rows, 2, [2]).rows == ((1, 0), (0, 3))
+        assert sparse_saturation(rows, 2, [2, 3]).rows == ((1, 0), (0, 1))
 
     def test_without_primes_is_the_hermite_form_randomized(self):
         """The sparse echelon and its reduction agree with hermite_rows."""
@@ -222,7 +218,7 @@ class TestKernels:
     def test_sparse_kernel_simple(self):
         # kernel of [1 1 -1]
         k = sparse_kernel([{0: 1}, {0: 1}, {0: -1}], 1)
-        assert k == ((1, 0, 1), (0, 1, 1))
+        assert k.rows == ((1, 0, 1), (0, 1, 1))
 
     def test_kernel_is_saturated_and_complete(self):
         rng = SplitMix64(3)
@@ -240,10 +236,10 @@ class TestKernels:
     def test_preimage_kernel(self):
         # {x in Z^2 : x1 + x2 in 3Z}
         m = IntMatrix([[1, 1]])
-        basis = preimage_kernel(sparse_from_matrix(m), 1, [(3,)])
-        assert lattice_contains(basis, (1, 2))
-        assert lattice_contains(basis, (1, -1))
-        assert not lattice_contains(basis, (1, 0))
+        basis = preimage_kernel(sparse_from_matrix(m), 1, [{0: 3}])
+        assert basis.contains((1, 2))
+        assert basis.contains((1, -1))
+        assert not basis.contains((1, 0))
 
 
 @st.composite
@@ -321,15 +317,15 @@ def pivots(basis):
 
 
 class TestEchelonSolve:
-    """The sparse solve on an indexed basis, and ``lattice_solve`` over it,
-    against the dense solve they replaced."""
+    """``Lattice.solve``, ``contains`` and ``reduce`` on the echelon index
+    the lattice holds, against the dense solve and reduction."""
 
     @staticmethod
     def solve_both_ways(basis, vec):
-        sparse = {k: v for k, v in enumerate(vec) if v}
-        got = _echelon_solve(_echelon_index(basis), sparse)
-        assert lattice_solve(basis, vec) == got
-        assert got == dense_lattice_solve(basis, vec)
+        got = basis.solve({k: v for k, v in enumerate(vec) if v})
+        assert basis.solve(vec) == got
+        assert basis.contains(vec) == (got is not None)
+        assert got == dense_lattice_solve(basis.rows, vec)
         return got
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -364,28 +360,89 @@ class TestEchelonSolve:
     @given(data=hermite_bases(), vec=st.lists(st.integers(-20, 20), min_size=8, max_size=8))
     def test_reduce(self, data, vec):
         basis, width, _ = data
-        assert lattice_reduce(basis, vec[:width]) == dense_lattice_reduce(basis, vec[:width])
+        assert basis.reduce(vec[:width]) == dense_lattice_reduce(basis.rows, vec[:width])
+
+    def test_held_index_serves_many_solves(self):
+        """One lattice answers many solves and reductions, each on the
+        index it holds, with the dense results; solving leaves it as it
+        was."""
+        rng = SplitMix64(31)
+        basis = hermite_rows([[rng.randint(-9, 9) for _ in range(7)] for _ in range(5)], 7)
+        rows, sparse = basis.rows, basis.sparse_rows()
+        copies = [dict(r) for r in sparse]
+        for _ in range(300):
+            coeffs = [rng.randint(-4, 4) for _ in rows]
+            vec = combination(rows, coeffs, 7)
+            if rng.randint(0, 1):
+                vec[rng.randint(0, 6)] += rng.randint(-2, 2)
+            assert self.solve_both_ways(basis, vec) == dense_lattice_solve(rows, vec)
+            assert basis.reduce(vec) == dense_lattice_reduce(rows, vec)
+        assert basis.rows is rows and basis.sparse_rows() == copies
 
     def test_zero_vector(self):
         basis = hermite_rows([[2, 1, 0], [0, 3, 1]], 3)
         assert self.solve_both_ways(basis, [0, 0, 0]) == (0, 0)
 
     def test_empty_basis(self):
-        assert self.solve_both_ways((), [0, 0]) == ()
-        assert self.solve_both_ways((), [0, 1]) is None
-        assert lattice_reduce((), [3, 4]) == (3, 4)
+        basis = hermite_rows([], 2)
+        assert self.solve_both_ways(basis, [0, 0]) == ()
+        assert self.solve_both_ways(basis, [0, 1]) is None
+        assert basis.reduce([3, 4]) == (3, 4)
 
-    @pytest.mark.parametrize("vec", [[2, 4], [2, 4, 1, 0]])
+    @pytest.mark.parametrize("vec", [[2, 4], [2, 4, 1, 0], {3: 1}, {-1: 1}])
     def test_wrong_length_rejected(self, vec):
-        """A short vector used to be solved on a prefix of the rows: (2, 4)
-        gave (1, 1), which spans (2, 4, 1).  A long one raised IndexError."""
-        basis = ((2, 1, 0), (0, 3, 1))
+        """The width is the lattice's own, so a vector of another length,
+        or a sparse one with a coordinate outside it, is rejected with rows
+        or without.  A short vector used to be solved on a prefix of the
+        rows: (2, 4) gave (1, 1), which spans (2, 4, 1); with no rows any
+        length passed."""
+        for rows in ([[2, 1, 0], [0, 3, 1]], []):
+            basis = hermite_rows(rows, 3)
+            with pytest.raises(StructuralError):
+                basis.solve(vec)
+            with pytest.raises(StructuralError):
+                basis.contains(vec)
+            with pytest.raises(StructuralError):
+                basis.reduce(vec)
+
+
+@st.composite
+def row_lists(draw):
+    """Rows for ``hermite_rows``: widths 0-7, no rows or up to 8, entries
+    small or within a few units of +-2^64, with zero rows, repeated rows
+    and negated rows (negative leading entries) mixed in."""
+    width = draw(st.integers(0, 7))
+    near = st.integers(-3, 3).flatmap(lambda d: st.sampled_from([2**64 + d, -(2**64) + d]))
+    entry = st.one_of(st.integers(-6, 6), st.integers(-6, 6), near)
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random"] * 4 + ["zero", "repeat", "negate"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind in ("repeat", "negate") and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(list(row) if kind == "repeat" else [-v for v in row])
+        else:
+            rows.append(draw(st.lists(entry, min_size=width, max_size=width)))
+    return rows, width
+
+
+class TestOneEchelon:
+    """``hermite_rows`` runs the sparse gcd echelon of ``sparse_kernel``;
+    the dense echelon it replaced is the reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=row_lists())
+    def test_matches_dense_hermite_rows(self, data):
+        rows, width = data
+        out = hermite_rows(rows, width)
+        assert out.width == width
+        assert out.rows == dense_hermite_rows(rows, width)
+        assert hermite_rows(out, width) == out
+
+    def test_row_of_wrong_length_rejected(self):
         with pytest.raises(StructuralError):
-            lattice_solve(basis, vec)
-        with pytest.raises(StructuralError):
-            lattice_contains(basis, vec)
-        with pytest.raises(StructuralError):
-            lattice_reduce(basis, vec)
+            hermite_rows([[1, 2], [3]], 2)
 
 
 class TestUnimodularInverse:
@@ -395,5 +452,11 @@ class TestUnimodularInverse:
         assert m.mul(inv) == IntMatrix.identity(2)
 
     def test_rejects_non_unimodular(self):
-        with pytest.raises(StructuralError):
-            unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
+        for rows in (
+            [[2, 0], [0, 1]],
+            [[1, 2], [2, 4]],  # singular
+            [[2, 1, 0], [1, 2, 0], [0, 0, -1]],  # determinant -3
+            [[0, 0], [0, 0]],
+        ):
+            with pytest.raises(StructuralError):
+                unimodular_inverse(IntMatrix(rows))

@@ -1,9 +1,13 @@
-"""Package hygiene: every public top-level function or class is reached.
+"""Package hygiene.
 
-A public name defined at the top level of a ``shacalc`` module must be
-referenced somewhere in the package (outside its own definition), be
-exported by ``shacalc/__init__.py``, or be the console script.  Code that
-only tests use belongs in ``tests/``.
+Every public top-level function or class is reached: a public name
+defined at the top level of a ``shacalc`` module must be referenced
+somewhere in the package (outside its own definition), be exported by
+``shacalc/__init__.py``, or be the console script.  Code that only tests
+use belongs in ``tests/``.
+
+The lattice format stays inside ``intlinalg``: no other module of the
+package imports one of its underscore names.
 """
 
 import ast
@@ -55,3 +59,20 @@ def unreached_definitions() -> list[str]:
 
 def test_every_public_definition_is_reached():
     assert unreached_definitions() == []
+
+
+def intlinalg_private_imports() -> list[str]:
+    """``module: name`` for each underscore name that a package module
+    other than ``intlinalg`` imports from ``intlinalg``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "intlinalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("intlinalg", "shacalc.intlinalg"):
+                found.extend(f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_"))
+    return found
+
+
+def test_lattice_format_stays_in_intlinalg():
+    assert intlinalg_private_imports() == []
