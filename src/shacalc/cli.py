@@ -65,6 +65,10 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: parsing reads the parser and leaves it as it was
+_PARSER = _parser()
+
+
 def _selection(args, problem) -> PlaceSelection:
     """Excluded set S: --omega excludes every special place, --S lists
     names explicitly, otherwise the problem file's local_datum.S (empty
@@ -214,7 +218,7 @@ def _render_text(report: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
         report, code = run(args)

@@ -411,7 +411,7 @@ def _hyper_torsion_bound(complex_: TwoTermComplex, degree: int) -> int | None:
     if degree == 0 or not (a.is_z_free() and b.is_z_free()):
         return None
     order = complex_.group.order
-    if degree >= 2:
+    if degree >= 2 or not b.rank:
         return order
     coker = PresentedAbelianGroup(
         b.rank, list(b.underlying.relation_rows) + list(complex_.f.matrix.transpose().rows)

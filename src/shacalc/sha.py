@@ -31,7 +31,7 @@ this tool; every statement verified here is a statement about the model.
 Reduced coordinates
 -------------------
 
-A Sha group is the kernel of the stacked reduced restriction maps on the
+A Sha group is the kernel of the stacked conditions (below), maps on the
 reduced view of the ambient value (see :mod:`shacalc.abelian`), so its
 value, inclusion and quotients live on the kept generators only.  Each
 value generator gets one cochain, and the cochain-level recheck (every
@@ -56,8 +56,44 @@ in imposed order is.  ``imposed`` still names every imposed place.
 An ambient whose reduced view has no generators is the zero group, and
 so is every Sha group inside it: computing one restricts nothing.  Its
 printed representatives (coboundaries) are still rechecked, against
-restrictions computed when they are built.  The restrictions of one
-ambient are computed on first use and shared by the groups over it.
+conditions built when they are.  The condition of each subgroup on one
+ambient is built on first use and shared by the groups over it.
+
+How a condition is imposed
+--------------------------
+
+Each restricted subgroup H gives a map on the reduced ambient value whose
+kernel is ker res_H; the Sha group is the kernel of these maps stacked.
+Which map is picked by the degree, and by whether H is all of G:
+
+* H = G: restriction to G is an isomorphism, so the map is the identity
+  and the condition kills everything, in every degree.  The recheck asks
+  that the class of the cochain be 0.
+* degree 1: evaluation at the generators t_1..t_k of H
+  (``Subgroup.minimal_generators``).  No cohomology of H is computed.
+  Write T^1 = C^1(A) + C^0(B) with D^0 m = (dm, f(m)) (a module M is
+  M -> 0), ev_H(a, b) = (a(t_1), ..., a(t_k), b) in Z^(k rkA + rkB), and
+  let Lambda_H be spanned by ((t_1 - 1) m_j, ..., (t_k - 1) m_j, f(m_j))
+  for each basis vector m_j of A, the relation rows of A in each of the k
+  blocks, and the relation rows of B in the B block.  Then [(a, b)] lies
+  in ker res_H iff ev_H(a, b) lies in Lambda_H.  Given m with
+  ev_H((a, b) - D^0 m) in the relation rows, a|_H - dm is a 1-cocycle on
+  H that vanishes mod R_A on the generators; since c(xt) = c(x) + x c(t)
+  and the generators of a finite H generate it as a monoid, it vanishes
+  on all of H (the degree-1 case of the kernel-route lemma in
+  :mod:`shacalc.cohomology`; Holt, J. Symbolic Comput. 1, 1985).  So the
+  map sends the reduced ambient to P_H = Z^(k rkA + rkB) / Lambda_H,
+  which contains HH^1(H, K|_H) through ev_H, and has the same kernel.
+  The recheck finds m from the Hermite form of [Lambda_H rows | tags],
+  the row of m_j tagged e_j, and checks a(h) - (h m - m) in R_A for
+  every h in H and b - f(m) in R_B: the definition of a coboundary on
+  all of H, so it does not rely on the lemma.
+* degree 2: :func:`shacalc.cohomology.restriction`, whose target
+  HH^2(H, K|_H) is computed on a standalone copy of H; the recheck solves
+  the restricted cochain's class there.
+
+Whichever map is used, the Sha lattice is the same set, so its Hermite
+basis, its value, its cochains and ``quotient_by`` are too.
 """
 
 from __future__ import annotations
@@ -78,7 +114,6 @@ from .abelian import (
 from .cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
-    Restriction,
     TwoTermComplex,
     _module_complex,
     hypercohomology,
@@ -87,7 +122,7 @@ from .cohomology import (
 from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_quotient
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
-from .intlinalg import IntMatrix, hermite_rows
+from .intlinalg import IntMatrix, Lattice, hermite_rows
 
 
 @dataclass(frozen=True)
@@ -150,15 +185,15 @@ class ShaGroup:
     cochains: tuple[tuple[int, ...], ...]
     imposed: tuple[str, ...]
     _subquotient: Subquotient  # the kernel on the reduced ambient value
-    _constraint: AbHom  # stacked reduced restrictions on the reduced ambient value
+    _constraint: AbHom  # the stacked conditions on the reduced ambient value
     _restricted: tuple[tuple[str, Subgroup], ...]  # the imposed places maximal up to conjugacy
-    _restrict: _Restrictions  # shared by the groups over this ambient
+    _condition_of: _Conditions  # shared by the groups over this ambient
 
     @property
-    def _restrictions(self) -> tuple[Restriction, ...]:
+    def _conditions(self) -> tuple[_Condition, ...]:
         """One per restricted class (``_restricted``), not one per imposed
-        place; on a zero ambient they are computed only when asked for."""
-        return tuple(self._restrict[sub] for _, sub in self._restricted)
+        place; on a zero ambient they are built only when asked for."""
+        return tuple(self._condition_of[sub] for _, sub in self._restricted)
 
     def class_of(self, ambient_coords: Sequence[int]) -> tuple[int, ...]:
         """Coordinates in this subgroup of an ambient class, given on the
@@ -175,25 +210,133 @@ class ShaGroup:
         lattice = list(red.unit_rows) + [red.section(b) for b in self._subquotient.basis]
         basis = hermite_rows(lattice, self.ambient.group_value.generator_count)
         reps = tuple(_combine(self.ambient, b) for b in basis)
-        _recheck(reps, [name for name, _ in self._restricted], self._restrictions)
+        _recheck(reps, [name for name, _ in self._restricted], self._conditions)
         return reps
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-class _Restrictions(dict):
-    """Restrictions of one ambient group, keyed by subgroup, each computed
-    on first lookup."""
+class _WholeGroup:
+    """The condition at H = G: restriction to G is an isomorphism."""
+
+    def __init__(self, ambient: CohomologyGroup):
+        self.ambient = ambient
+        self.reduced_map = AbHom.identity(ambient.group_value.reduced().group)
+
+    def kills(self, cochain: Sequence[int]) -> bool:
+        return not any(self.ambient.class_coords(cochain))
+
+
+class _Evaluation:
+    """The degree-1 condition at a proper subgroup H, by evaluation at its
+    generators (see the module docstring): ``reduced_map`` sends the
+    reduced ambient value to the reduced view of P_H."""
+
+    def __init__(self, ambient: CohomologyGroup, sub: Subgroup):
+        complex_ = ambient.coefficients
+        self.a, self.b, self.f = complex_.degree0, complex_.degree1, complex_.f.matrix
+        self.members = sub.members
+        self.gens = sub.minimal_generators()
+        ra, rb = self.a.rank, self.b.rank
+        self.a_dim = ambient.group.order * ra
+        self.width = len(self.gens) * ra + rb
+        # Lambda_H: D^0 m_j read at the generators, for each basis vector
+        # m_j of A, then the relation rows of A in each generator block and
+        # those of B in the B block
+        rows = []
+        for j in range(ra):
+            row: list[int] = []
+            for t in self.gens:
+                row.extend(v - (r == j) for r, v in enumerate(self.a.element_matrix(t).col(j)))
+            rows.append(row + list(self.f.col(j)))
+        blocks = [(i * ra, rel) for i in range(len(self.gens)) for rel in self.a.underlying.relation_rows]
+        blocks += [(len(self.gens) * ra, rel) for rel in self.b.underlying.relation_rows]
+        for offset, rel in blocks:
+            row = [0] * self.width
+            row[offset : offset + len(rel)] = rel
+            rows.append(row)
+        self.rows = rows
+        red_src = ambient.group_value.reduced()
+        red_tgt = PresentedAbelianGroup(self.width, rows).reduced()
+        cols = [red_tgt.project(self.evaluate(ambient.representatives[k])) for k in red_src.kept]
+        self.reduced_map = AbHom(
+            red_src.group, red_tgt.group, IntMatrix.from_cols(cols, rows=red_tgt.group.generator_count)
+        )
+
+    def evaluate(self, cochain: Sequence[int]) -> list[int]:
+        """ev_H: the values at the generators, then the C^0(B) part."""
+        ra = self.a.rank
+        out: list[int] = []
+        for t in self.gens:
+            out.extend(cochain[t * ra : (t + 1) * ra])
+        return out + list(cochain[self.a_dim :])
+
+    @cached_property
+    def _tagged(self) -> Lattice:
+        """The Hermite form of [Lambda_H rows | tags]: the row of m_j tagged
+        e_j, the relation rows tagged 0."""
+        ra = self.a.rank
+        tags = [[int(k == j) for k in range(ra)] for j in range(ra)]
+        tags += [[0] * ra] * (len(self.rows) - ra)
+        return hermite_rows([row + tag for row, tag in zip(self.rows, tags)], self.width + ra)
+
+    def kills(self, cochain: Sequence[int]) -> bool:
+        """Whether a cocycle (a, b) restricts to a coboundary on H, by the
+        definition: some m has a(h) - (h m - m) in R_A for every h in H
+        and b - f(m) in R_B.  The m is read off the tagged form: reducing
+        (ev_H(a, b) | 0) leaves (0 | -m) when ev_H(a, b) = ev_H(D^0 m) mod
+        the relation rows."""
+        ra = self.a.rank
+        left = self._tagged.reduce(self.evaluate(cochain) + [0] * ra)
+        if any(left[: self.width]):
+            return False
+        m = [-v for v in left[self.width :]]
+        for h in self.members:
+            hm = self.a.element_matrix(h).matvec(m)
+            value = cochain[h * ra : (h + 1) * ra]
+            if not self.a.underlying.contains_relation([v - x + y for v, x, y in zip(value, hm, m)]):
+                return False
+        fm = self.f.matvec(m)
+        b = cochain[self.a_dim :]
+        return self.b.underlying.contains_relation([v - x for v, x in zip(b, fm)])
+
+
+class _Restricted:
+    """The condition at H by :func:`shacalc.cohomology.restriction`."""
+
+    def __init__(self, ambient: CohomologyGroup, sub: Subgroup, cochain_cap: int):
+        self.restriction = restriction(ambient, sub, cochain_cap=cochain_cap)
+        self.reduced_map = self.restriction.reduced_map
+
+    def kills(self, cochain: Sequence[int]) -> bool:
+        res = self.restriction
+        return not any(res.target.class_coords([cochain[s] for s in res.cochain_selection]))
+
+
+_Condition = _WholeGroup | _Evaluation | _Restricted
+
+
+class _Conditions(dict):
+    """The conditions on one ambient group, keyed by subgroup, each built
+    on first lookup: the identity for the whole group, else evaluation at
+    generators in degree 1 and restriction in degree 2."""
 
     def __init__(self, ambient: CohomologyGroup, cochain_cap: int):
         super().__init__()
         self.ambient = ambient
         self.cochain_cap = cochain_cap
 
-    def __missing__(self, sub: Subgroup) -> Restriction:
-        res = self[sub] = restriction(self.ambient, sub, cochain_cap=self.cochain_cap)
-        return res
+    def __missing__(self, sub: Subgroup) -> _Condition:
+        ambient = self.ambient
+        if sub.order == ambient.group.order:
+            cond: _Condition = _WholeGroup(ambient)
+        elif ambient.degree == 1:
+            cond = _Evaluation(ambient, sub)
+        else:
+            cond = _Restricted(ambient, sub, self.cochain_cap)
+        self[sub] = cond
+        return cond
 
 
 _Places = list[tuple[str, Subgroup]]
@@ -240,30 +383,31 @@ def _sha_groups(
     cochain_cap: int,
 ) -> list[ShaGroup]:
     """One Sha group per selection inside HH^degree of the complex (a module M
-    is M -> 0): the ambient group is computed once, and restricted once to
-    each distinct subgroup that some selection restricts to."""
+    is M -> 0): the ambient group is computed once, and the condition of
+    each distinct subgroup that some selection restricts to is built once."""
     ambient = hypercohomology(datum.group, complex_, degree, cochain_cap=cochain_cap)
     plans = [_imposed_subgroups(datum, selection) for selection in selections]
-    restrictions = _Restrictions(ambient, cochain_cap)
-    return [_kernel(ambient, imposed, restricted, restrictions) for imposed, restricted in plans]
+    conditions = _Conditions(ambient, cochain_cap)
+    return [_kernel(ambient, imposed, restricted, conditions) for imposed, restricted in plans]
 
 
 def _kernel(
     ambient: CohomologyGroup,
     imposed: _Places,
     restricted: _Places,
-    restrictions: _Restrictions,
+    conditions: _Conditions,
 ) -> ShaGroup:
-    """The kernel of the restrictions to the ``restricted`` places on the
+    """The kernel of the conditions at the ``restricted`` places on the
     reduced view of ``ambient``; ``imposed`` names every imposed place.  On
     a zero reduced ambient nothing is restricted."""
     red = ambient.group_value.reduced()
-    computed = [restrictions[sub] for _, sub in restricted] if red.kept else []
+    computed = [conditions[sub] for _, sub in restricted] if red.kept else []
+    zero = trivial_group()
     if computed:
-        constraint = stack_homs([res.reduced_map for res in computed])
+        constraint = stack_homs([cond.reduced_map for cond in computed])
     else:
-        constraint = AbHom.zero(red.group, trivial_group())
-    sq = subquotient(constraint, AbHom.zero(trivial_group(), red.group))
+        constraint = AbHom.zero(red.group, zero)
+    sq = subquotient(constraint, AbHom.zero(zero, red.group))
     cochains = tuple(_combine(ambient, red.section(b)) for b in sq.basis)
     _recheck(cochains, [name for name, _ in restricted], computed)
     return ShaGroup(
@@ -275,7 +419,7 @@ def _kernel(
         _subquotient=sq,
         _constraint=constraint,
         _restricted=tuple(restricted),
-        _restrict=restrictions,
+        _condition_of=conditions,
     )
 
 
@@ -290,14 +434,13 @@ def _combine(ambient: CohomologyGroup, coords: Sequence[int]) -> tuple[int, ...]
 
 
 def _recheck(
-    cochains: Sequence[Sequence[int]], imposed: Sequence[str], restrictions: Sequence[Restriction]
+    cochains: Sequence[Sequence[int]], imposed: Sequence[str], conditions: Sequence[_Condition]
 ) -> None:
     """Every cochain must restrict to zero on every restricted subgroup,
     re-checked at the cochain level."""
     for index, rep in enumerate(cochains):
-        for name, res in zip(imposed, restrictions):
-            picked = [rep[s] for s in res.cochain_selection]
-            if any(res.target.class_coords(picked)):
+        for name, cond in zip(imposed, conditions):
+            if not cond.kills(rep):
                 raise InternalError(
                     "internal check failed: a Sha representative survives a restriction",
                     certificate={

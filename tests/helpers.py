@@ -4,8 +4,9 @@ tests build it by closure), and constructions that only tests use: small
 abelian groups, sparse composition, map congruence, the long exact
 sequence of a two-term complex, a restriction's class map on every
 generator of its source value (composed from the reduced map, or eager),
-the eager Sha kernel that works on every generator of the ambient
-value, the column-order echelon kernel that ``sparse_kernel`` must
+the Sha kernels built from public restrictions (eager, on every
+generator of the ambient value, and on its reduced view), the
+column-order echelon kernel that ``sparse_kernel`` must
 reproduce, the checked rows of the kernel route cut out of the full
 differential, the dense Hermite form, and the dense lattice solve and
 reduction.  The last four are the references for what the package now
@@ -16,13 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from shacalc.abelian import AbHom, PresentedAbelianGroup, stack_homs, subquotient, trivial_group
+from shacalc.abelian import (
+    AbHom,
+    PresentedAbelianGroup,
+    Subquotient,
+    stack_homs,
+    subquotient,
+    trivial_group,
+)
 from shacalc.cohomology import (
     CohomologyGroup,
     Restriction,
     TwoTermComplex,
     cohomology,
     hypercohomology,
+    restriction,
 )
 from shacalc.groups import FiniteGroup, Subgroup, from_permutations
 from shacalc.intlinalg import (
@@ -242,31 +251,59 @@ class EagerSha:
         return subquotient(self.constraint, smaller.inclusion).group
 
 
-def eager_kernel(ambient: CohomologyGroup, restrictions: Sequence[Restriction]) -> EagerSha:
-    """The kernel of the eager class maps of ``restrictions`` on the
-    ambient value, with one representative per kernel basis vector."""
+def _combine(ambient: CohomologyGroup, coords: Sequence[int]) -> tuple[int, ...]:
+    acc = [0] * (len(ambient.representatives[0]) if ambient.representatives else 0)
+    for t, c in enumerate(coords):
+        if c:
+            for k, v in enumerate(ambient.representatives[t]):
+                acc[k] += c * v
+    return tuple(acc)
+
+
+def eager_kernel(ambient: CohomologyGroup, subgroups: Sequence[Subgroup]) -> EagerSha:
+    """The kernel of the eager class maps of the public restrictions to
+    ``subgroups`` on the ambient value, with one representative per kernel
+    basis vector."""
     value_group = ambient.group_value
-    if restrictions:
-        constraint = stack_homs([eager_restriction_map(ambient, res) for res in restrictions])
+    if subgroups:
+        constraint = stack_homs(
+            [eager_restriction_map(ambient, restriction(ambient, sub)) for sub in subgroups]
+        )
     else:
         constraint = AbHom.zero(value_group, trivial_group())
     sq = subquotient(constraint, AbHom.zero(trivial_group(), value_group))
-    reps = []
-    cochain_len = len(ambient.representatives[0]) if ambient.representatives else 0
-    for coords in sq.basis:
-        acc = [0] * cochain_len
-        for t, c in enumerate(coords):
-            if c:
-                rep = ambient.representatives[t]
-                for k, v in enumerate(rep):
-                    acc[k] += c * v
-        reps.append(tuple(acc))
     return EagerSha(
         value=sq.group,
-        representatives=tuple(reps),
+        representatives=tuple(_combine(ambient, coords) for coords in sq.basis),
         inclusion=sq.inclusion(),
         constraint=constraint,
     )
+
+
+@dataclass(frozen=True)
+class RestrictedSha:
+    """A Sha group taken on the reduced view of the ambient value, as the
+    kernel of the stacked reduced maps of public restrictions: ``kernel``
+    is its subquotient and ``cochains[j]`` the cocycle of its generator j."""
+
+    kernel: Subquotient
+    cochains: tuple[tuple[int, ...], ...]
+    constraint: AbHom
+
+    def quotient_by(self, smaller: "RestrictedSha") -> PresentedAbelianGroup:
+        return subquotient(self.constraint, smaller.kernel.inclusion()).group
+
+
+def restriction_kernel(ambient: CohomologyGroup, subgroups: Sequence[Subgroup]) -> RestrictedSha:
+    """The kernel of ``restriction(ambient, sub).reduced_map`` over
+    ``subgroups`` on the reduced ambient value; nothing is restricted on a
+    zero reduced ambient."""
+    red = ambient.group_value.reduced()
+    maps = [restriction(ambient, sub).reduced_map for sub in subgroups] if red.kept else []
+    constraint = stack_homs(maps) if maps else AbHom.zero(red.group, trivial_group())
+    sq = subquotient(constraint, AbHom.zero(trivial_group(), red.group))
+    cochains = tuple(_combine(ambient, red.section(b)) for b in sq.basis)
+    return RestrictedSha(kernel=sq, cochains=cochains, constraint=constraint)
 
 
 def checked_coords(cochains, i: int) -> list[int]:

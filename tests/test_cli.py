@@ -86,6 +86,29 @@ class TestBundledProblems:
             assert done.returncode == 0, done.stderr
             assert done.stdout == expected, seed
 
+    def test_consecutive_calls_print_what_separate_calls_print(self):
+        """``main`` called again and again in one process, with --omega then
+        without, --format text then json, and a failing request, gives the
+        exit codes, stdout and stderr of one interpreter per call."""
+        problem = str(PROBLEMS / "biquadratic_ramified.json")
+        sha_argv = ["sha", problem, "--module", "I", "--degree", "1", "--no-timing"]
+        calls = [
+            sha_argv + ["--omega", "--format", "text"],
+            sha_argv,
+            sha_argv + ["--omega"],
+            ["sha", problem, "--module", "nope", "--degree", "1", "--format", "text"],
+            sha_argv + ["--format", "json"],
+        ]
+        in_process = [run_cli(argv) for argv in calls]
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 3, 0]
+        assert in_process[1][1] == (PROBLEMS / "expected" / "biquadratic-ramified-sha.json").read_text()
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        for argv, (code, out, err) in zip(calls, in_process):
+            done = subprocess.run([sys.executable, "-m", "shacalc.cli"] + argv, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stdout, done.stderr) == (code, out, err), argv
+
     def test_timing_field_toggle(self):
         argv = [
             "cohomology",
@@ -286,18 +309,8 @@ class TestVerifyCommand:
             assert payload["certificate"] is None
 
         sha_module = sys.modules["shacalc.sha"]
-        real_restriction = sha_module.restriction
 
-        def forgetful_restriction(ambient, sub, **kwargs):
-            """The true restriction, but with a zero map on classes: the
-            reduced map, which the Sha kernel reads."""
-            res = real_restriction(ambient, sub, **kwargs)
-            zero = AbHom.zero(res.reduced_map.source, res.reduced_map.target)
-            return dataclasses.replace(res, reduced_map=zero)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(sha_module, "restriction", forgetful_restriction)
-            payload = internal_error(["sha", biquadratic, "--module", "I", "--degree", "1", "--omega"])
+        def assert_recheck_failed(payload):
             assert "survives a restriction" in payload["message"]
             cert = payload["certificate"]
             assert cert["kind"] == "sha-recheck"
@@ -306,6 +319,34 @@ class TestVerifyCommand:
             # the failing cochain itself, which the index alone does not name
             assert all(isinstance(v, str) for v in cert["cocycle"])
             assert any(int(v) for v in cert["cocycle"])
+
+        class ForgetfulEvaluation(sha_module._Evaluation):
+            """The true degree-1 condition, but with a zero map on classes:
+            the reduced map, which the Sha kernel reads."""
+
+            def __init__(self, ambient, sub):
+                super().__init__(ambient, sub)
+                self.reduced_map = AbHom.zero(self.reduced_map.source, self.reduced_map.target)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sha_module, "_Evaluation", ForgetfulEvaluation)
+            payload = internal_error(["sha", biquadratic, "--module", "I", "--degree", "1", "--omega"])
+            assert_recheck_failed(payload)
+
+        real_restriction = sha_module.restriction
+
+        def forgetful_restriction(ambient, sub, **kwargs):
+            """The true restriction, but with a zero map on classes: the
+            reduced map, which the degree-2 Sha kernel reads."""
+            res = real_restriction(ambient, sub, **kwargs)
+            zero = AbHom.zero(res.reduced_map.source, res.reduced_map.target)
+            return dataclasses.replace(res, reduced_map=zero)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sha_module, "restriction", forgetful_restriction)
+            # the degree-2 groups of brauer restrict the complex G_hat -> H_hat
+            payload = internal_error(["brauer", str(PROBLEMS / "biquadratic_homspace.json")])
+            assert_recheck_failed(payload)
 
         arith = sys.modules["shacalc.arith"]
         real_groups = arith._sha_groups

@@ -21,11 +21,13 @@ from shacalc.cohomology import (
     hypercohomology,
     restriction,
 )
-from shacalc.errors import StructuralError
+from shacalc.arith import dual_complex
+from shacalc.errors import InternalError, StructuralError
 from shacalc.gmodules import (
     GModule,
     GModuleHom,
     augmentation_ideal,
+    augmentation_quotient,
     permutation_cover,
     permutation_module,
     direct_sum,
@@ -43,8 +45,10 @@ from shacalc.sha import (
     PlaceSelection,
     _imposed_subgroups,
     _kernel,
+    _Conditions,
+    _Evaluation,
+    _WholeGroup,
     _recheck,
-    _Restrictions,
     _sha_groups,
     sha,
     sha_omega,
@@ -59,6 +63,7 @@ from shacalc.suites import (
     builtin_groups,
     random_datum,
     random_equivariant_map,
+    random_free_module,
     random_module,
     random_permutation_module,
     random_selection,
@@ -71,6 +76,7 @@ from helpers import (
     eager_kernel,
     eager_restriction_map,
     full_restriction_map,
+    restriction_kernel,
 )
 from oracles import h1_and_sha_by_enumeration, rational_fixed_space_is_zero
 
@@ -455,6 +461,11 @@ class TestSharedAmbient:
             assert_same_as_every_imposed(datum, selections, shared)
 
 
+def restricted_subgroups(group):
+    """The subgroups a Sha group restricts to."""
+    return [sub for _, sub in group._restricted]
+
+
 def class_or_none(group, ambient_coords):
     try:
         return group.class_of(ambient_coords)
@@ -470,12 +481,12 @@ def assert_same_as_every_imposed(datum, selections, shared):
     against every imposed subgroup, the ones left out included; the
     cochains of ``shared`` are rechecked against them here too."""
     ambient = shared[0].ambient
-    restrictions = _Restrictions(ambient, DEFAULT_COCHAIN_CAP)
+    conditions = _Conditions(ambient, DEFAULT_COCHAIN_CAP)
     red = ambient.group_value.reduced()
     every = []
     for selection, group in zip(selections, shared):
         imposed, restricted = _imposed_subgroups(datum, selection)
-        want = _kernel(ambient, imposed, imposed, restrictions)
+        want = _kernel(ambient, imposed, imposed, conditions)
         every.append(want)
         assert group.imposed == want.imposed
         assert group._restricted == tuple(restricted)
@@ -489,7 +500,7 @@ def assert_same_as_every_imposed(datum, selections, shared):
             coords = group.inclusion.matrix.col(j)
             assert group.class_of(coords) == want.class_of(coords)
         names = [name for name, _ in imposed]
-        _recheck(group.cochains, names, [restrictions[sub] for _, sub in imposed])
+        _recheck(group.cochains, names, [conditions[sub] for _, sub in imposed])
     for group, want in zip(shared, every):
         assert invariant_factors(group.quotient_by(shared[-1])) == invariant_factors(
             want.quotient_by(every[-1])
@@ -511,9 +522,10 @@ class TestReducedCoordinates:
     def assert_matches_eager(shared):
         """``shared`` are groups over one ambient, the last one over the
         empty set."""
-        eager = [eager_kernel(group.ambient, group._restrictions) for group in shared]
+        eager = [eager_kernel(group.ambient, restricted_subgroups(group)) for group in shared]
         for group, want in zip(shared, eager):
-            for res in group._restrictions:
+            for sub in restricted_subgroups(group):
+                res = restriction(group.ambient, sub)
                 full = full_restriction_map(group.ambient, res)
                 assert full.matrix == eager_restriction_map(group.ambient, res).matrix
             assert group.representatives == want.representatives
@@ -566,6 +578,126 @@ class TestReducedCoordinates:
             self.assert_matches_eager(shared)
 
 
+class TestGeneratorEvaluation:
+    """Degree-1 Sha groups, whose conditions evaluate cocycles at the
+    generators of each restricted subgroup, against the kernels built from
+    public restrictions in ``helpers``: the same value, Sha lattice,
+    cochains, inclusion, printed representatives and quotients."""
+
+    @staticmethod
+    def assert_same_as_restrictions(shared):
+        """``shared`` are degree-1 groups over one ambient, the last one
+        over the empty set."""
+        ambient = shared[0].ambient
+        assert ambient.degree == 1
+        want = [restriction_kernel(ambient, restricted_subgroups(group)) for group in shared]
+        for group, kernel in zip(shared, want):
+            if ambient.group_value.reduced().kept:
+                for (_, sub), cond in zip(group._restricted, group._conditions):
+                    whole = sub.order == ambient.group.order
+                    assert isinstance(cond, _WholeGroup if whole else _Evaluation)
+            assert group.value == kernel.kernel.group
+            assert group._subquotient.basis == kernel.kernel.basis
+            assert group.cochains == kernel.cochains
+            assert group.inclusion.matrix == kernel.kernel.inclusion().matrix
+            eager = eager_kernel(ambient, restricted_subgroups(group))
+            assert group.representatives == eager.representatives
+        for group, kernel in zip(shared, want):
+            assert group.quotient_by(shared[-1]) == kernel.quotient_by(want[-1])
+
+    @staticmethod
+    def selections(datum):
+        """Each special place excluded alone, every one, and none."""
+        return ([PlaceSelection.of(name) for name in datum.place_names]
+                + [PlaceSelection.of(*datum.place_names), EMPTY_SELECTION])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["V4", "S3", "D4", "Q8", "A4", "Z2xZ4", "Z6"]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_random_modules(self, name, seed):
+        """Modules with up to two torsion relators, and Z-free ones, over
+        the whole group, a cyclic place and a non-cyclic one."""
+        g = GROUPS[name]
+        rng = SplitMix64(seed)
+        datum = LocalDatum(g, TestSharedAmbient.places(g))
+        for m in (random_module(g, rng, max_rank=3), random_free_module(g, rng, max_rank=3)):
+            shared = _sha_groups(datum, _module_complex(m), 1, self.selections(datum), DEFAULT_COCHAIN_CAP)
+            self.assert_same_as_restrictions(shared)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(["V4", "S3", "D4", "Q8"]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_two_term_complexes(self, name, seed):
+        """HH^1 of P -> H with P a permutation module, where T^1 has a
+        C^0(B) part, over a random datum and the places above."""
+        g = GROUPS[name]
+        rng = SplitMix64(seed)
+        g_hat = random_permutation_module(g, rng, max_rank=4)
+        h_hat = random_module(g, rng, max_rank=2)
+        complex_ = TwoTermComplex(random_equivariant_map(g_hat, h_hat, rng))
+        for datum in (random_datum(g, rng), LocalDatum(g, TestSharedAmbient.places(g))):
+            shared = _sha_groups(datum, complex_, 1, self.selections(datum), DEFAULT_COCHAIN_CAP)
+            self.assert_same_as_restrictions(shared)
+
+    def test_ladder_groups(self):
+        """Z, I_G, Z/4 and J^D over the ladder groups."""
+        groups = {name: GROUPS[name] for name in ("V4", "D4", "Q8", "A4")}
+        groups["D6"] = from_permutations([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])
+        for g in groups.values():
+            datum = LocalDatum(g, TestSharedAmbient.places(g))
+            j_dual = dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)])
+            for complex_ in (
+                _module_complex(trivial_module(g, 1)),
+                _module_complex(augmentation_ideal(g)),
+                _module_complex(torsion_module(g, 4)),
+                j_dual,
+            ):
+                shared = _sha_groups(datum, complex_, 1, self.selections(datum), DEFAULT_COCHAIN_CAP)
+                self.assert_same_as_restrictions(shared)
+
+    def test_recheck_checks_every_element(self):
+        """A cochain that is a coboundary at the generator of H = <r> in D4
+        but not at r^2 is no coboundary on H: the recheck evaluates it on
+        all of H, not only where the condition does."""
+        g = GROUPS["D4"]
+        m = torsion_module(g, 4)
+        ambient = cohomology(g, m, 1)
+        r = next(e for e in range(g.order) if g.element_order(e) == 4)
+        sub = g.generated_subgroup([r])
+        cond = _Conditions(ambient, DEFAULT_COCHAIN_CAP)[sub]
+        assert isinstance(cond, _Evaluation) and cond.gens == (r,)
+        cochain = [0] * g.order
+        cochain[g.mul(r, r)] = 1
+        assert not cond.kills(cochain)
+        with pytest.raises(InternalError) as err:
+            _recheck([cochain], ["w"], [cond])
+        assert err.value.certificate["kind"] == "sha-recheck"
+        assert err.value.certificate["imposed"] == "w"
+        # a coboundary and the zero cochain pass
+        assert cond.kills([0] * g.order)
+        for rep in ambient.representatives:
+            restricted_class = restriction(ambient, sub).target.class_coords(
+                [rep[e] for e in sub.as_group()[1]]
+            )
+            assert cond.kills(rep) == (not any(restricted_class))
+
+    def test_whole_group_recheck(self):
+        """At H = G the condition is the identity, and the recheck asks for
+        the zero class."""
+        g = GROUPS["V4"]
+        ambient = cohomology(g, augmentation_ideal(g), 1)
+        cond = _Conditions(ambient, DEFAULT_COCHAIN_CAP)[g.full_subgroup()]
+        assert isinstance(cond, _WholeGroup)
+        assert [cond.kills(rep) for rep in ambient.representatives] == [
+            not any(ambient.class_coords(rep)) for rep in ambient.representatives
+        ]
+        assert not all(cond.kills(rep) for rep in ambient.representatives)
+
+
 class TestSolveCounts:
     """Class-coordinate solves, counted by a spy on
     ``CohomologyGroup.class_coords``."""
@@ -599,6 +731,15 @@ class TestSolveCounts:
         g = GROUPS["V4"]
         return sha_omega(plain_datum("V4"), augmentation_ideal(g), 1)
 
+    @staticmethod
+    def biquadratic_two_term():
+        """Sha^2 of P -> I_G over V4, which is Z/2: degree 2 restricts."""
+        g = GROUPS["V4"]
+        ig = augmentation_ideal(g)
+        cover = permutation_cover(ig)
+        complex_ = TwoTermComplex(GModuleHom(cover.P, ig, cover.proj.matrix))
+        return sha_two_term(plain_datum("V4"), complex_, 2)
+
     def test_restriction_solves_once_per_kept_generator(self):
         g = GROUPS["V4"]
         sub = g.generated_subgroup([1])
@@ -613,10 +754,10 @@ class TestSolveCounts:
             assert calls == []
 
     def test_recheck_covers_every_generator_cochain(self):
-        group, calls = self.solves(self.biquadratic_omega)
+        group, calls = self.solves(self.biquadratic_two_term)
         assert group.cochains and len(group.cochains) == group.value.generator_count
         kept = group.ambient.group_value.reduced().kept
-        restrictions = group._restrictions
+        restrictions = [cond.restriction for cond in group._conditions]
         assert len(calls) == len(restrictions) * (len(kept) + len(group.cochains))
         rechecked = self.restricted(group.cochains, restrictions)
         assert [(id(t), v) for t, v in calls[-len(rechecked):]] == [
@@ -624,13 +765,38 @@ class TestSolveCounts:
         ]
 
     def test_printed_representatives_rechecked_once(self):
-        group = self.biquadratic_omega()
+        group = self.biquadratic_two_term()
         reps, calls = self.solves(lambda: group.representatives)
         assert len(reps) > len(group.cochains)
-        rechecked = self.restricted(reps, group._restrictions)
+        restrictions = [cond.restriction for cond in group._conditions]
+        rechecked = self.restricted(reps, restrictions)
         assert [(id(t), v) for t, v in calls] == [(id(t), v) for t, v in rechecked]
         _, calls = self.solves(lambda: group.representatives)
         assert calls == []
+
+    def test_degree_one_solves_no_class(self):
+        """Degree 1 evaluates at generators: no class is solved, neither to
+        build the group nor to recheck it, and the recheck runs once per
+        cochain and condition, then once per printed representative."""
+        kills = []
+        real = _Evaluation.kills
+
+        def spy(self, cochain):
+            kills.append((id(self), tuple(cochain)))
+            return real(self, cochain)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Evaluation, "kills", spy)
+            group, calls = self.solves(self.biquadratic_omega)
+            assert calls == []
+            conditions = group._conditions
+            assert conditions and all(isinstance(c, _Evaluation) for c in conditions)
+            assert group.cochains
+            assert kills == [(id(c), v) for v in group.cochains for c in conditions]
+            kills.clear()
+            reps, calls = self.solves(lambda: group.representatives)
+            assert calls == []
+            assert kills == [(id(c), v) for v in reps for c in conditions]
 
 
 class TestGroupPlans:
