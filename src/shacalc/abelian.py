@@ -83,7 +83,7 @@ class PresentedAbelianGroup:
 
     __slots__ = ("generator_count", "relation_lattice", "_inv", "_reduced")
 
-    def __init__(self, generator_count: int, relations: Iterable[Sequence[int]] = ()):
+    def __init__(self, generator_count: int, relations: Iterable[Sequence[int] | dict[int, int]] = ()):
         if generator_count < 0:
             raise StructuralError("generator count must be nonnegative")
         self.generator_count = generator_count

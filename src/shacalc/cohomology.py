@@ -144,6 +144,28 @@ class _Cochains:
             sparse_from_matrix(module.element_matrix(e)) for e in range(group.order)
         ] if self.gm else []
 
+    def on(self, group: FiniteGroup, embed: Sequence[int]) -> "_Cochains":
+        """The same coefficients over a subgroup, given as a standalone
+        ``group`` and its embedding: each element acts by the parent's
+        columns, which are shared, not rebuilt."""
+        sub = _Cochains.__new__(_Cochains)
+        sub.group, sub.module, sub.gm = group, self.module, self.gm
+        sub.elt_cols = [self.elt_cols[e] for e in embed] if self.gm else []
+        return sub
+
+    def selection(self, i: int, embed: Sequence[int], last: Sequence[int] | None = None) -> list[int]:
+        """For each C^i coordinate of the subgroup with embedding ``embed``
+        that ``last`` keeps, numbered as the builders number it, the
+        coordinate of this (parent) term."""
+        if i == 0:
+            return list(range(self.gm))
+        order = self.group.order
+        heads = [0]
+        for _ in range(i - 1):
+            heads = [p * order + e for p in heads for e in embed]
+        ends = [embed[s] for s in last] if last is not None else embed
+        return [(p * order + e) * self.gm + j for p in heads for e in ends for j in range(self.gm)]
+
     def dim(self, i: int, last: Sequence[int] | None = None) -> int:
         return self.tuple_count(i, last) * self.gm
 
@@ -251,6 +273,23 @@ class _TotalComplex:
         self.ca = _Cochains(group, complex_.degree0)
         self.cb = _Cochains(group, complex_.degree1)
         self.f_cols = sparse_from_matrix(complex_.f.matrix)
+
+    def on(self, group: FiniteGroup, embed: Sequence[int]) -> "_TotalComplex":
+        """The total complex of the restricted coefficients over a subgroup
+        (see :meth:`_Cochains.on`); ``f`` is the same map."""
+        sub = _TotalComplex.__new__(_TotalComplex)
+        sub.ca, sub.cb, sub.f_cols = self.ca.on(group, embed), self.cb.on(group, embed), self.f_cols
+        return sub
+
+    def selection(self, n: int, embed: Sequence[int], last: Sequence[int] | None = None) -> tuple[int, ...]:
+        """For each T^n coordinate of the subgroup that ``last`` keeps, the
+        coordinate of this complex: the C^n(A) part, then the C^{n-1}(B)
+        part."""
+        sel = self.ca.selection(n, embed, last)
+        if n >= 1:
+            a_dim = self.ca.dim(n)
+            sel += [a_dim + s for s in self.cb.selection(n - 1, embed, last)]
+        return tuple(sel)
 
     def dim(self, n: int, last: Sequence[int] | None = None) -> int:
         if n < 0:
@@ -461,23 +500,6 @@ class Restriction:
     cochain_selection: tuple[int, ...]  # target coord -> source coord
 
 
-def _tuple_selection(
-    order: int, embed: Sequence[int], sub_order: int, i: int, gm: int
-) -> tuple[int, ...]:
-    """For each C^i coordinate of the subgroup, the parent coordinate."""
-    sel = []
-    for ti in range(sub_order**i):
-        rem = ti
-        parent_idx = 0
-        for k in range(i):
-            p = sub_order ** (i - 1 - k)
-            parent_idx = parent_idx * order + embed[rem // p]
-            rem %= p
-        for j in range(gm):
-            sel.append(parent_idx * gm + j)
-    return tuple(sel)
-
-
 def restriction(
     cg: CohomologyGroup, h: Subgroup, *, cochain_cap: int = DEFAULT_COCHAIN_CAP
 ) -> Restriction:
@@ -493,13 +515,7 @@ def restriction(
     b_sub = restrict(complex_.degree1, h, _as_group=(h_group, embed))
     sub_complex = TwoTermComplex(GModuleHom(a_sub, b_sub, complex_.f.matrix))
     target = hypercohomology(h_group, sub_complex, cg.degree, cochain_cap=cochain_cap)
-    i = cg.degree
-    order, sub_order = cg.group.order, h_group.order
-    sel = _tuple_selection(order, embed, sub_order, i, complex_.degree0.rank)
-    if i >= 1:  # T^0 = C^0(A) has no B part
-        a_dim = order**i * complex_.degree0.rank
-        sel_b = _tuple_selection(order, embed, sub_order, i - 1, complex_.degree1.rank)
-        sel += tuple(a_dim + s for s in sel_b)
+    sel = cg._cochains.selection(cg.degree, embed)
     # only the kept generators' cocycles are restricted, one solve each
     red_src, red_tgt = cg.group_value.reduced(), target.group_value.reduced()
     cols = [

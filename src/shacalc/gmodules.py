@@ -126,20 +126,16 @@ class PermutationModule(GModule):
     """Free module with a basis permuted by the group.
 
     ``basis_action[e]`` is the permutation of basis indices induced by the
-    element ``e``."""
+    element ``e``; the rank is explicit, so a group without generators has
+    permutation modules of every rank."""
 
     __slots__ = ("basis_action",)
 
-    def __init__(self, group: FiniteGroup, generator_perms: Sequence[Sequence[int]]):
+    def __init__(self, group: FiniteGroup, rank: int, generator_perms: Sequence[Sequence[int]]):
         if len(generator_perms) != len(group.generators):
             raise StructuralError("need one basis permutation per group generator")
         perms = [tuple(p) for p in generator_perms]
-        n = len(perms[0]) if perms else None
-        if n is None:
-            raise StructuralError(
-                "a permutation module over the trivial group needs an explicit "
-                "basis; use trivial_module instead"
-            )
+        n = rank
         for p in perms:
             if sorted(p) != list(range(n)):
                 raise StructuralError("basis action is not a permutation")
@@ -168,14 +164,6 @@ class PermutationModule(GModule):
             group, PresentedAbelianGroup(n), matrices, _trusted=True
         )
         self.basis_action = tuple(per_elt)
-
-
-def permutation_module_on_trivial_group(group: FiniteGroup, rank: int) -> PermutationModule:
-    """Rank-``rank`` permutation module over the trivial group."""
-    pm = PermutationModule.__new__(PermutationModule)
-    GModule.__init__(pm, group, PresentedAbelianGroup(rank), [], _trusted=True)
-    pm.basis_action = (tuple(range(rank)),)
-    return pm
 
 
 class GModuleHom:
@@ -263,12 +251,8 @@ def permutation_module(g: FiniteGroup, h: Subgroup) -> PermutationModule:
         reps.append(coset[0])
     reps.sort()
     index = {r: i for i, r in enumerate(reps)}
-    if not g.generators:
-        return permutation_module_on_trivial_group(g, len(reps))
-    perms = []
-    for s in g.generators:
-        perms.append(tuple(index[rep_of[g.mul(s, r)]] for r in reps))
-    return PermutationModule(g, perms)
+    perms = [tuple(index[rep_of[g.mul(s, r)]] for r in reps) for s in g.generators]
+    return PermutationModule(g, len(reps), perms)
 
 
 def regular_module(g: FiniteGroup) -> PermutationModule:
@@ -328,8 +312,6 @@ def perm_direct_sum(mods: Sequence[PermutationModule]) -> PermutationModule:
     for m in mods:
         if m.group is not g:
             raise StructuralError("summands live over different groups")
-    if not g.generators:
-        return permutation_module_on_trivial_group(g, sum(m.rank for m in mods))
     perms = []
     for k in range(len(g.generators)):
         combined: list[int] = []
@@ -339,7 +321,7 @@ def perm_direct_sum(mods: Sequence[PermutationModule]) -> PermutationModule:
             combined.extend(p)
             off += m.rank
         perms.append(tuple(combined))
-    return PermutationModule(g, perms)
+    return PermutationModule(g, sum(m.rank for m in mods), perms)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +365,7 @@ def dual_module(m: GModule) -> GModule:
         )
     if isinstance(m, PermutationModule):
         # permutation matrices are orthogonal: inverse transpose is itself
-        if not m.group.generators:
-            return permutation_module_on_trivial_group(m.group, m.rank)
-        return PermutationModule(m.group, [m.basis_action[s] for s in m.group.generators])
+        return PermutationModule(m.group, m.rank, [m.basis_action[s] for s in m.group.generators])
     base, _, _ = free_basis_presentation(m)
     dual_action = [unimodular_inverse(a).transpose() for a in base.action]
     return GModule(
@@ -406,10 +386,8 @@ def restrict(
     h_group, embed = _as_group if _as_group is not None else h.as_group()
     action = [m.element_matrix(embed[s]) for s in h_group.generators]
     if isinstance(m, PermutationModule):
-        if not h_group.generators:
-            return permutation_module_on_trivial_group(h_group, m.rank)
         perms = [m.basis_action[embed[s]] for s in h_group.generators]
-        return PermutationModule(h_group, perms)
+        return PermutationModule(h_group, m.rank, perms)
     return GModule(h_group, m.underlying, action, _trusted=True)
 
 
@@ -482,12 +460,7 @@ def permutation_cover(
         reps = _coset_reps(g, h)
         for r in reps:
             proj_cols.append(list(m.element_matrix(r).matvec(v)))
-    if summands:
-        P = perm_direct_sum(summands)
-    else:
-        P = permutation_module_on_trivial_group(g, 0) if not g.generators else PermutationModule(
-            g, [() for _ in g.generators]
-        )
+    P = perm_direct_sum(summands) if summands else PermutationModule(g, 0, [()] * len(g.generators))
     proj_matrix = IntMatrix.from_cols(proj_cols, rows=n)
     # surjectivity: the columns together with the relators must span Z^n
     cok = PresentedAbelianGroup(n, list(und.relation_rows) + [tuple(c) for c in proj_cols])

@@ -253,21 +253,11 @@ class Lattice:
     def __repr__(self) -> str:
         return f"Lattice(width={self.width}, rows={self.rows})"
 
-    def _sparse(self, vec: Sequence[int] | dict[int, int]) -> dict[int, int]:
-        """A fresh sparse copy of ``vec``, checked against the width."""
-        if isinstance(vec, dict):
-            if vec and not (min(vec) >= 0 and max(vec) < self.width):
-                raise StructuralError("vector coordinate outside the lattice width")
-            return dict(vec)
-        if len(vec) != self.width:
-            raise StructuralError("vector length does not match lattice width")
-        return {k: v for k, v in enumerate(vec) if v}
-
     def solve(self, vec: Sequence[int] | dict[int, int]) -> tuple[int, ...] | None:
         """Coefficients c with vec = sum c_i * rows_i, or None; ``vec`` is
         dense or sparse.  Pivots strictly increase, so each row clears its
         pivot column for good."""
-        work = self._sparse(vec)
+        work = _sparse_vec(vec, self.width)
         coeffs = []
         for lead, row in self._index:
             x = work.get(lead)
@@ -289,7 +279,7 @@ class Lattice:
     def reduce(self, vec: Sequence[int] | dict[int, int]) -> tuple[int, ...]:
         """Canonical representative of ``vec`` modulo the lattice: at each
         pivot column the result lies in [0, pivot)."""
-        work = self._sparse(vec)
+        work = _sparse_vec(vec, self.width)
         for lead, row in self._index:
             q = work.get(lead, 0) // row[lead]
             if q:
@@ -297,14 +287,24 @@ class Lattice:
         return tuple(work.get(k, 0) for k in range(self.width))
 
 
-def hermite_rows(rows: Iterable[Sequence[int]], width: int) -> Lattice:
-    """The lattice spanned by ``rows``, each of length ``width``, in
-    canonical Hermite form.  The result depends only on the lattice."""
+def _sparse_vec(vec: Sequence[int] | dict[int, int], width: int) -> dict[int, int]:
+    """A fresh sparse copy of ``vec``, dense or sparse, checked against
+    ``width``."""
+    if isinstance(vec, dict):
+        if vec and not (min(vec) >= 0 and max(vec) < width):
+            raise StructuralError("vector coordinate outside the lattice width")
+        return dict(vec)
+    if len(vec) != width:
+        raise StructuralError("vector length does not match lattice width")
+    return {k: v for k, v in enumerate(vec) if v}
+
+
+def hermite_rows(rows: Iterable[Sequence[int] | dict[int, int]], width: int) -> Lattice:
+    """The lattice spanned by ``rows``, dense of length ``width`` or sparse,
+    in canonical Hermite form.  The result depends only on the lattice."""
     pivots: dict[int, dict[int, int]] = {}
     for r in rows:
-        if len(r) != width:
-            raise StructuralError("row length does not match lattice width")
-        _sparse_insert(pivots, {k: v for k, v in enumerate(r) if v})
+        _sparse_insert(pivots, _sparse_vec(r, width))
     return _hermite_from_echelon(pivots, width)
 
 

@@ -33,6 +33,12 @@ from .sha import LocalDatum
 SCHEMA_VERSION = 1
 
 
+def _is_decimal(s: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts "²", which ``int``
+    rejects."""
+    return s.isascii() and s.isdigit()
+
+
 def _parse_int(value: Any, path: str) -> int:
     if isinstance(value, bool):
         raise InputError(f"expected an integer, got {value!r}", path=path)
@@ -40,9 +46,22 @@ def _parse_int(value: Any, path: str) -> int:
         return value
     if isinstance(value, str):
         s = value.strip()
-        if s and (s.lstrip("+-").isdigit()):
+        if _is_decimal(s[1:] if s[:1] in ("+", "-") else s):
             return int(s)
     raise InputError(f"expected a decimal integer, got {value!r}", path=path)
+
+
+def _generator_index(name: Any, group: FiniteGroup, path: str) -> int:
+    """k for a generator name "sk" of the group."""
+    if not (isinstance(name, str) and name.startswith("s") and _is_decimal(name[1:])):
+        raise InputError(f"unknown generator {name!r}", path=path)
+    k = int(name[1:])
+    if k >= len(group.generators):
+        raise InputError(
+            f"generator s{k} does not exist (group has {len(group.generators)})",
+            path=path,
+        )
+    return k
 
 
 def parse_matrix(value: Any, path: str, *, cols: int | None = None) -> IntMatrix:
@@ -105,15 +124,7 @@ def parse_word(word: Any, group: FiniteGroup, path: str) -> int:
         return 0
     elt = 0
     for letter in w.split("*"):
-        letter = letter.strip()
-        if not letter.startswith("s") or not letter[1:].isdigit():
-            raise InputError(f"unknown generator {letter!r}", path=path)
-        k = int(letter[1:])
-        if k >= len(group.generators):
-            raise InputError(
-                f"generator s{k} does not exist (group has {len(group.generators)})",
-                path=path,
-            )
+        k = _generator_index(letter.strip(), group, path)
         elt = group.mul(elt, group.generators[k])
     return elt
 
@@ -142,11 +153,7 @@ def parse_module(spec: Any, group: FiniteGroup, path: str) -> GModule:
             negating = spec.get("negating", [])
             if not isinstance(negating, list):
                 raise InputError("sign module: negating is an array of generator names", path=f"{path}.negating")
-            idx = []
-            for i, name in enumerate(negating):
-                if not (isinstance(name, str) and name.startswith("s") and name[1:].isdigit()):
-                    raise InputError(f"unknown generator {name!r}", path=f"{path}.negating[{i}]")
-                idx.append(int(name[1:]))
+            idx = [_generator_index(name, group, f"{path}.negating[{i}]") for i, name in enumerate(negating)]
             try:
                 return sign_module(group, idx)
             except StructuralError as exc:

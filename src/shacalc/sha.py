@@ -64,36 +64,26 @@ How a condition is imposed
 
 Each restricted subgroup H gives a map on the reduced ambient value whose
 kernel is ker res_H; the Sha group is the kernel of these maps stacked.
-Which map is picked by the degree, and by whether H is all of G:
+At H = G restriction is an isomorphism, so the map is the identity and
+the recheck asks that the class of the cochain be 0.  At a proper H no
+cohomology of H is computed, in any degree i.  Let S_H be the generators
+of H as a standalone group (the identity for the trivial group), T^i(H)
+its total complex, read off the ambient's through the embedding, and the
+checked rows the tuples of T^i(H) that end in S_H, with all of C^0(B).
+Let ev_H read a cochain of G on the checked rows, and Lambda_H be spanned
+there by the columns of D^{i-1} of H and the relation rows.  Then c lies
+in ker res_H iff ev_H(c) lies in Lambda_H: given m with c|_H - D m zero
+mod the relation rows on the checked rows, the cocycle c|_H - D m is zero
+everywhere by the kernel-route lemma of :mod:`shacalc.cohomology`.  So
+the map sends the reduced ambient to P_H = Z^(checked rows) / Lambda_H,
+which contains HH^i(H, K|_H) through ev_H.  The recheck does not rely on
+the lemma: it finds m from the Hermite form of [Lambda_H rows | tags],
+the column of D at coordinate k of T^{i-1}(H) tagged e_k, and checks that
+c|_H - D m lies in the relation rows on every tuple of T^i(H).
 
-* H = G: restriction to G is an isomorphism, so the map is the identity
-  and the condition kills everything, in every degree.  The recheck asks
-  that the class of the cochain be 0.
-* degree 1: evaluation at the generators t_1..t_k of H
-  (``Subgroup.minimal_generators``).  No cohomology of H is computed.
-  Write T^1 = C^1(A) + C^0(B) with D^0 m = (dm, f(m)) (a module M is
-  M -> 0), ev_H(a, b) = (a(t_1), ..., a(t_k), b) in Z^(k rkA + rkB), and
-  let Lambda_H be spanned by ((t_1 - 1) m_j, ..., (t_k - 1) m_j, f(m_j))
-  for each basis vector m_j of A, the relation rows of A in each of the k
-  blocks, and the relation rows of B in the B block.  Then [(a, b)] lies
-  in ker res_H iff ev_H(a, b) lies in Lambda_H.  Given m with
-  ev_H((a, b) - D^0 m) in the relation rows, a|_H - dm is a 1-cocycle on
-  H that vanishes mod R_A on the generators; since c(xt) = c(x) + x c(t)
-  and the generators of a finite H generate it as a monoid, it vanishes
-  on all of H (the degree-1 case of the kernel-route lemma in
-  :mod:`shacalc.cohomology`; Holt, J. Symbolic Comput. 1, 1985).  So the
-  map sends the reduced ambient to P_H = Z^(k rkA + rkB) / Lambda_H,
-  which contains HH^1(H, K|_H) through ev_H, and has the same kernel.
-  The recheck finds m from the Hermite form of [Lambda_H rows | tags],
-  the row of m_j tagged e_j, and checks a(h) - (h m - m) in R_A for
-  every h in H and b - f(m) in R_B: the definition of a coboundary on
-  all of H, so it does not rely on the lemma.
-* degree 2: :func:`shacalc.cohomology.restriction`, whose target
-  HH^2(H, K|_H) is computed on a standalone copy of H; the recheck solves
-  the restricted cochain's class there.
-
-Whichever map is used, the Sha lattice is the same set, so its Hermite
-basis, its value, its cochains and ``quotient_by`` are too.
+The Sha lattice is the same set as with :func:`shacalc.cohomology.restriction`
+to each H, so its Hermite basis, its value, its cochains and
+``quotient_by`` are too.
 """
 
 from __future__ import annotations
@@ -117,12 +107,11 @@ from .cohomology import (
     TwoTermComplex,
     _module_complex,
     hypercohomology,
-    restriction,
 )
 from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_quotient
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
-from .intlinalg import IntMatrix, Lattice, hermite_rows
+from .intlinalg import IntMatrix, hermite_rows, sparse_apply
 
 
 @dataclass(frozen=True)
@@ -229,112 +218,75 @@ class _WholeGroup:
 
 
 class _Evaluation:
-    """The degree-1 condition at a proper subgroup H, by evaluation at its
-    generators (see the module docstring): ``reduced_map`` sends the
+    """The condition at a proper subgroup H, on the checked rows of its
+    total complex (see the module docstring): ``reduced_map`` sends the
     reduced ambient value to the reduced view of P_H."""
 
     def __init__(self, ambient: CohomologyGroup, sub: Subgroup):
-        complex_ = ambient.coefficients
-        self.a, self.b, self.f = complex_.degree0, complex_.degree1, complex_.f.matrix
-        self.members = sub.members
-        self.gens = sub.minimal_generators()
-        ra, rb = self.a.rank, self.b.rank
-        self.a_dim = ambient.group.order * ra
-        self.width = len(self.gens) * ra + rb
-        # Lambda_H: D^0 m_j read at the generators, for each basis vector
-        # m_j of A, then the relation rows of A in each generator block and
-        # those of B in the B block
-        rows = []
-        for j in range(ra):
-            row: list[int] = []
-            for t in self.gens:
-                row.extend(v - (r == j) for r, v in enumerate(self.a.element_matrix(t).col(j)))
-            rows.append(row + list(self.f.col(j)))
-        blocks = [(i * ra, rel) for i in range(len(self.gens)) for rel in self.a.underlying.relation_rows]
-        blocks += [(len(self.gens) * ra, rel) for rel in self.b.underlying.relation_rows]
-        for offset, rel in blocks:
-            row = [0] * self.width
-            row[offset : offset + len(rel)] = rel
-            rows.append(row)
-        self.rows = rows
-        red_src = ambient.group_value.reduced()
-        red_tgt = PresentedAbelianGroup(self.width, rows).reduced()
-        cols = [red_tgt.project(self.evaluate(ambient.representatives[k])) for k in red_src.kept]
+        h_group, self.embed = sub.as_group()
+        self.degree = i = ambient.degree
+        self.parent = ambient._cochains
+        self.complex = t = self.parent.on(h_group, self.embed)
+        last = sorted(set(h_group.generators)) or [0]
+        self.checked = self.parent.selection(i, self.embed, last)
+        width = len(self.checked)
+        # [Lambda_H rows | tags]: the column of D^{i-1} at coordinate k of
+        # T^{i-1}(H) tagged e_k, the relation rows tagged 0.  Its Hermite rows
+        # with pivot in the first part, cut there, are the Hermite basis of
+        # Lambda_H; the rest are zero there.
+        tagged = [{**col, width + k: 1} for k, col in enumerate(t.diff_cols(i - 1, last))]
+        self.tagged = hermite_rows(tagged + t.relation_cols(i, last), width + len(tagged))
+        lam = PresentedAbelianGroup(
+            width, [{k: v for k, v in row.items() if k < width} for row in self.tagged.sparse_rows()]
+        )
+        red_src, red_tgt = ambient.group_value.reduced(), lam.reduced()
+        cols = [
+            red_tgt.project([ambient.representatives[k][s] for s in self.checked])
+            for k in red_src.kept
+        ]
         self.reduced_map = AbHom(
             red_src.group, red_tgt.group, IntMatrix.from_cols(cols, rows=red_tgt.group.generator_count)
         )
 
-    def evaluate(self, cochain: Sequence[int]) -> list[int]:
-        """ev_H: the values at the generators, then the C^0(B) part."""
-        ra = self.a.rank
-        out: list[int] = []
-        for t in self.gens:
-            out.extend(cochain[t * ra : (t + 1) * ra])
-        return out + list(cochain[self.a_dim :])
-
     @cached_property
-    def _tagged(self) -> Lattice:
-        """The Hermite form of [Lambda_H rows | tags]: the row of m_j tagged
-        e_j, the relation rows tagged 0."""
-        ra = self.a.rank
-        tags = [[int(k == j) for k in range(ra)] for j in range(ra)]
-        tags += [[0] * ra] * (len(self.rows) - ra)
-        return hermite_rows([row + tag for row, tag in zip(self.rows, tags)], self.width + ra)
+    def _whole(self) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+        """The selection of every T^i(H) coordinate, and the full D^{i-1} of H."""
+        return self.parent.selection(self.degree, self.embed), self.complex.diff_cols(self.degree - 1)
 
     def kills(self, cochain: Sequence[int]) -> bool:
-        """Whether a cocycle (a, b) restricts to a coboundary on H, by the
-        definition: some m has a(h) - (h m - m) in R_A for every h in H
-        and b - f(m) in R_B.  The m is read off the tagged form: reducing
-        (ev_H(a, b) | 0) leaves (0 | -m) when ev_H(a, b) = ev_H(D^0 m) mod
-        the relation rows."""
-        ra = self.a.rank
-        left = self._tagged.reduce(self.evaluate(cochain) + [0] * ra)
-        if any(left[: self.width]):
+        """Whether a cocycle c restricts to a coboundary on H, by the
+        definition: some m has c|_H - D^{i-1} m in the relation blocks on
+        every tuple of T^i(H).  The m is read off the tagged form: reducing
+        (c at the checked rows | 0) leaves (0 | -m) when c - D^{i-1} m lies
+        in the relation rows there."""
+        width = len(self.checked)
+        left = self.tagged.reduce({k: cochain[s] for k, s in enumerate(self.checked) if cochain[s]})
+        if any(left[:width]):
             return False
-        m = [-v for v in left[self.width :]]
-        for h in self.members:
-            hm = self.a.element_matrix(h).matvec(m)
-            value = cochain[h * ra : (h + 1) * ra]
-            if not self.a.underlying.contains_relation([v - x + y for v, x, y in zip(value, hm, m)]):
-                return False
-        fm = self.f.matvec(m)
-        b = cochain[self.a_dim :]
-        return self.b.underlying.contains_relation([v - x for v, x in zip(b, fm)])
+        selection, diff = self._whole
+        rest = [cochain[s] for s in selection]
+        for k, v in sparse_apply(diff, [-v for v in left[width:]]).items():
+            rest[k] -= v
+        return self.complex.block_contains(self.degree, rest)
 
 
-class _Restricted:
-    """The condition at H by :func:`shacalc.cohomology.restriction`."""
-
-    def __init__(self, ambient: CohomologyGroup, sub: Subgroup, cochain_cap: int):
-        self.restriction = restriction(ambient, sub, cochain_cap=cochain_cap)
-        self.reduced_map = self.restriction.reduced_map
-
-    def kills(self, cochain: Sequence[int]) -> bool:
-        res = self.restriction
-        return not any(res.target.class_coords([cochain[s] for s in res.cochain_selection]))
-
-
-_Condition = _WholeGroup | _Evaluation | _Restricted
+_Condition = _WholeGroup | _Evaluation
 
 
 class _Conditions(dict):
     """The conditions on one ambient group, keyed by subgroup, each built
-    on first lookup: the identity for the whole group, else evaluation at
-    generators in degree 1 and restriction in degree 2."""
+    on first lookup: the identity for the whole group, else evaluation on
+    the checked rows of the subgroup."""
 
-    def __init__(self, ambient: CohomologyGroup, cochain_cap: int):
+    def __init__(self, ambient: CohomologyGroup):
         super().__init__()
         self.ambient = ambient
-        self.cochain_cap = cochain_cap
 
     def __missing__(self, sub: Subgroup) -> _Condition:
-        ambient = self.ambient
-        if sub.order == ambient.group.order:
-            cond: _Condition = _WholeGroup(ambient)
-        elif ambient.degree == 1:
-            cond = _Evaluation(ambient, sub)
+        if sub.order == self.ambient.group.order:
+            cond: _Condition = _WholeGroup(self.ambient)
         else:
-            cond = _Restricted(ambient, sub, self.cochain_cap)
+            cond = _Evaluation(self.ambient, sub)
         self[sub] = cond
         return cond
 
@@ -387,7 +339,7 @@ def _sha_groups(
     each distinct subgroup that some selection restricts to is built once."""
     ambient = hypercohomology(datum.group, complex_, degree, cochain_cap=cochain_cap)
     plans = [_imposed_subgroups(datum, selection) for selection in selections]
-    conditions = _Conditions(ambient, cochain_cap)
+    conditions = _Conditions(ambient)
     return [_kernel(ambient, imposed, restricted, conditions) for imposed, restricted in plans]
 
 

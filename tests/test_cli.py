@@ -159,6 +159,30 @@ class TestErrors:
         payload = json.loads(err)["error"]
         assert "relations" in payload["path"]
 
+    @pytest.mark.parametrize(
+        "spec, path",
+        [
+            ({"rank": "+-1"}, "$.modules.M.rank"),
+            ({"rank": "\u00b2"}, "$.modules.M.rank"),
+            ({"builtin": "trivial", "rank": "+-1"}, "$.modules.M.rank"),
+            ({"builtin": "sign", "negating": ["s\u00b2"]}, "$.modules.M.negating[0]"),
+            ({"builtin": "sign", "negating": ["s5"]}, "$.modules.M.negating[0]"),
+            ({"builtin": "coset", "subgroup": ["s\u00b2"]}, "$.modules.M.subgroup[0]"),
+        ],
+    )
+    def test_malformed_module_rejected_with_path(self, tmp_path, spec, path):
+        """Signs and digits that ``int`` rejects, and a generator the
+        one-generator group lacks, are bad input at their JSON path."""
+        p = tmp_path / "malformed.json"
+        p.write_text(
+            json.dumps({"schema": 1, "group": {"permutation_generators": [[1, 0]]}, "modules": {"M": spec}})
+        )
+        code, out, err = run_cli(["cohomology", str(p), "--module", "M", "--degree", "0"])
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "input"
+        assert payload["path"] == path
+
     def test_unknown_module(self):
         code, _, err = run_cli(
             ["cohomology", str(PROBLEMS / "biquadratic.json"), "--module", "X", "--degree", "1"]
@@ -321,8 +345,8 @@ class TestVerifyCommand:
             assert any(int(v) for v in cert["cocycle"])
 
         class ForgetfulEvaluation(sha_module._Evaluation):
-            """The true degree-1 condition, but with a zero map on classes:
-            the reduced map, which the Sha kernel reads."""
+            """The true condition, but with a zero map on classes: the
+            reduced map, which the Sha kernel reads."""
 
             def __init__(self, ambient, sub):
                 super().__init__(ambient, sub)
@@ -332,19 +356,8 @@ class TestVerifyCommand:
             mp.setattr(sha_module, "_Evaluation", ForgetfulEvaluation)
             payload = internal_error(["sha", biquadratic, "--module", "I", "--degree", "1", "--omega"])
             assert_recheck_failed(payload)
-
-        real_restriction = sha_module.restriction
-
-        def forgetful_restriction(ambient, sub, **kwargs):
-            """The true restriction, but with a zero map on classes: the
-            reduced map, which the degree-2 Sha kernel reads."""
-            res = real_restriction(ambient, sub, **kwargs)
-            zero = AbHom.zero(res.reduced_map.source, res.reduced_map.target)
-            return dataclasses.replace(res, reduced_map=zero)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(sha_module, "restriction", forgetful_restriction)
-            # the degree-2 groups of brauer restrict the complex G_hat -> H_hat
+            # the degree-2 groups of brauer impose conditions on the complex
+            # G_hat -> H_hat
             payload = internal_error(["brauer", str(PROBLEMS / "biquadratic_homspace.json")])
             assert_recheck_failed(payload)
 

@@ -481,7 +481,7 @@ def assert_same_as_every_imposed(datum, selections, shared):
     against every imposed subgroup, the ones left out included; the
     cochains of ``shared`` are rechecked against them here too."""
     ambient = shared[0].ambient
-    conditions = _Conditions(ambient, DEFAULT_COCHAIN_CAP)
+    conditions = _Conditions(ambient)
     red = ambient.group_value.reduced()
     every = []
     for selection, group in zip(selections, shared):
@@ -579,17 +579,17 @@ class TestReducedCoordinates:
 
 
 class TestGeneratorEvaluation:
-    """Degree-1 Sha groups, whose conditions evaluate cocycles at the
-    generators of each restricted subgroup, against the kernels built from
-    public restrictions in ``helpers``: the same value, Sha lattice,
-    cochains, inclusion, printed representatives and quotients."""
+    """Sha groups, whose conditions read cocycles on the checked rows of
+    each restricted subgroup, against the kernels built from public
+    restrictions in ``helpers``: the same value, Sha lattice, cochains,
+    inclusion, printed representatives and quotients, in degrees 1 and 2."""
 
     @staticmethod
     def assert_same_as_restrictions(shared):
-        """``shared`` are degree-1 groups over one ambient, the last one
-        over the empty set."""
+        """``shared`` are groups over one ambient, the last one over the
+        empty set.  The condition at the trivial subgroup, which no datum
+        restricts to, is compared too."""
         ambient = shared[0].ambient
-        assert ambient.degree == 1
         want = [restriction_kernel(ambient, restricted_subgroups(group)) for group in shared]
         for group, kernel in zip(shared, want):
             if ambient.group_value.reduced().kept:
@@ -600,10 +600,21 @@ class TestGeneratorEvaluation:
             assert group._subquotient.basis == kernel.kernel.basis
             assert group.cochains == kernel.cochains
             assert group.inclusion.matrix == kernel.kernel.inclusion().matrix
-            eager = eager_kernel(ambient, restricted_subgroups(group))
-            assert group.representatives == eager.representatives
+            if ambient.degree == 1:
+                eager = eager_kernel(ambient, restricted_subgroups(group))
+                assert group.representatives == eager.representatives
+            else:
+                # reading them rechecks them; the eager kernels of degree-2
+                # ambients with hundreds of generators take seconds each
+                assert len(group.representatives) == ambient.group_value.generator_count
         for group, kernel in zip(shared, want):
             assert group.quotient_by(shared[-1]) == kernel.quotient_by(want[-1])
+        trivial = [("t", ambient.group.trivial_subgroup())]
+        group = _kernel(ambient, trivial, trivial, shared[0]._condition_of)
+        kernel = restriction_kernel(ambient, [sub for _, sub in trivial])
+        assert group.value == kernel.kernel.group
+        assert group._subquotient.basis == kernel.kernel.basis
+        assert group.cochains == kernel.cochains
 
     @staticmethod
     def selections(datum):
@@ -618,12 +629,15 @@ class TestGeneratorEvaluation:
     )
     def test_random_modules(self, name, seed):
         """Modules with up to two torsion relators, and Z-free ones, over
-        the whole group, a cyclic place and a non-cyclic one."""
+        the whole group, a cyclic place and a non-cyclic one, in degrees 1
+        and 2."""
         g = GROUPS[name]
         rng = SplitMix64(seed)
         datum = LocalDatum(g, TestSharedAmbient.places(g))
-        for m in (random_module(g, rng, max_rank=3), random_free_module(g, rng, max_rank=3)):
-            shared = _sha_groups(datum, _module_complex(m), 1, self.selections(datum), DEFAULT_COCHAIN_CAP)
+        cases = [(random_module(g, rng, max_rank=3), 1), (random_free_module(g, rng, max_rank=3), 1)]
+        cases += [(random_module(g, rng, max_rank=2), 2), (random_free_module(g, rng, max_rank=2), 2)]
+        for m, degree in cases:
+            shared = _sha_groups(datum, _module_complex(m), degree, self.selections(datum), DEFAULT_COCHAIN_CAP)
             self.assert_same_as_restrictions(shared)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -632,31 +646,40 @@ class TestGeneratorEvaluation:
         seed=st.integers(0, 2**63 - 1),
     )
     def test_two_term_complexes(self, name, seed):
-        """HH^1 of P -> H with P a permutation module, where T^1 has a
-        C^0(B) part, over a random datum and the places above."""
+        """HH^1 and HH^2 of P -> H with P a permutation module, where T^i
+        has a C^{i-1}(B) part, over a random datum and the places above."""
         g = GROUPS[name]
         rng = SplitMix64(seed)
         g_hat = random_permutation_module(g, rng, max_rank=4)
         h_hat = random_module(g, rng, max_rank=2)
         complex_ = TwoTermComplex(random_equivariant_map(g_hat, h_hat, rng))
         for datum in (random_datum(g, rng), LocalDatum(g, TestSharedAmbient.places(g))):
-            shared = _sha_groups(datum, complex_, 1, self.selections(datum), DEFAULT_COCHAIN_CAP)
-            self.assert_same_as_restrictions(shared)
+            for degree in (1, 2):
+                shared = _sha_groups(datum, complex_, degree, self.selections(datum), DEFAULT_COCHAIN_CAP)
+                self.assert_same_as_restrictions(shared)
 
     def test_ladder_groups(self):
-        """Z, I_G, Z/4 and J^D over the ladder groups."""
+        """Z, I_G, Z/4 and J^D over the ladder groups in degrees 1 and 2,
+        and P -> I_G, whose HH^2 over D4 has 406 generators, in degree 2 on
+        V4 only and in degree 1 on the groups of order 4 and 8."""
         groups = {name: GROUPS[name] for name in ("V4", "D4", "Q8", "A4")}
         groups["D6"] = from_permutations([[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])
         for g in groups.values():
             datum = LocalDatum(g, TestSharedAmbient.places(g))
-            j_dual = dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)])
-            for complex_ in (
-                _module_complex(trivial_module(g, 1)),
-                _module_complex(augmentation_ideal(g)),
+            ig = augmentation_ideal(g)
+            cover = permutation_cover(ig)
+            z = _module_complex(trivial_module(g, 1))
+            others = (
+                _module_complex(ig),
                 _module_complex(torsion_module(g, 4)),
-                j_dual,
-            ):
-                shared = _sha_groups(datum, complex_, 1, self.selections(datum), DEFAULT_COCHAIN_CAP)
+                dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)]),
+            )
+            cases = [(c, d) for c in (z,) + others for d in (1, 2)]
+            if g.order <= 8:
+                cover_degrees = (1, 2) if g.order == 4 else (1,)
+                cases += [(TwoTermComplex(GModuleHom(cover.P, ig, cover.proj.matrix)), d) for d in cover_degrees]
+            for complex_, degree in cases:
+                shared = _sha_groups(datum, complex_, degree, self.selections(datum), DEFAULT_COCHAIN_CAP)
                 self.assert_same_as_restrictions(shared)
 
     def test_recheck_checks_every_element(self):
@@ -668,8 +691,9 @@ class TestGeneratorEvaluation:
         ambient = cohomology(g, m, 1)
         r = next(e for e in range(g.order) if g.element_order(e) == 4)
         sub = g.generated_subgroup([r])
-        cond = _Conditions(ambient, DEFAULT_COCHAIN_CAP)[sub]
-        assert isinstance(cond, _Evaluation) and cond.gens == (r,)
+        cond = _Conditions(ambient)[sub]
+        # the one checked row is the value at r
+        assert isinstance(cond, _Evaluation) and cond.checked == (r,)
         cochain = [0] * g.order
         cochain[g.mul(r, r)] = 1
         assert not cond.kills(cochain)
@@ -685,12 +709,33 @@ class TestGeneratorEvaluation:
             )
             assert cond.kills(rep) == (not any(restricted_class))
 
+    def test_degree_two_recheck_checks_every_tuple(self):
+        """A 2-cochain supported on (r, r^2) in H = <r> in D4 is zero on the
+        checked rows of H, whose tuples end in r, but it is no cocycle, so
+        the recheck, which reads every tuple of H, rejects it."""
+        g = GROUPS["D4"]
+        ambient = cohomology(g, torsion_module(g, 4), 2)
+        r = next(e for e in range(g.order) if g.element_order(e) == 4)
+        sub = g.generated_subgroup([r])
+        cond = _Conditions(ambient)[sub]
+        # the checked rows are the tuples (h, r) for h in H
+        assert isinstance(cond, _Evaluation)
+        assert cond.checked == tuple(h * g.order + r for h in cond.embed)
+        cochain = [0] * g.order**2
+        cochain[r * g.order + g.mul(r, r)] = 1
+        assert not cond.kills(cochain)
+        assert cond.kills([0] * g.order**2)
+        res = restriction(ambient, sub)
+        for rep in ambient.representatives:
+            restricted_class = res.target.class_coords([rep[s] for s in res.cochain_selection])
+            assert cond.kills(rep) == (not any(restricted_class))
+
     def test_whole_group_recheck(self):
         """At H = G the condition is the identity, and the recheck asks for
         the zero class."""
         g = GROUPS["V4"]
         ambient = cohomology(g, augmentation_ideal(g), 1)
-        cond = _Conditions(ambient, DEFAULT_COCHAIN_CAP)[g.full_subgroup()]
+        cond = _Conditions(ambient)[g.full_subgroup()]
         assert isinstance(cond, _WholeGroup)
         assert [cond.kills(rep) for rep in ambient.representatives] == [
             not any(ambient.class_coords(rep)) for rep in ambient.representatives
@@ -700,7 +745,8 @@ class TestGeneratorEvaluation:
 
 class TestSolveCounts:
     """Class-coordinate solves, counted by a spy on
-    ``CohomologyGroup.class_coords``."""
+    ``CohomologyGroup.class_coords``, and condition rechecks, counted by a
+    spy on ``_Evaluation.kills``."""
 
     @staticmethod
     def solves(compute):
@@ -717,14 +763,21 @@ class TestSolveCounts:
             result = compute()
         return result, calls
 
-    @staticmethod
-    def restricted(cochains, restrictions):
-        """The (target, restricted cochain) pairs the recheck must solve."""
-        return [
-            (res.target, tuple(c[s] for s in res.cochain_selection))
-            for c in cochains
-            for res in restrictions
-        ]
+    @classmethod
+    def rechecks(cls, compute):
+        """``compute()``, the (condition id, cochain) of each recheck it made,
+        and the solves it made."""
+        kills = []
+        real = _Evaluation.kills
+
+        def spy(self, cochain):
+            kills.append((id(self), tuple(cochain)))
+            return real(self, cochain)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Evaluation, "kills", spy)
+            result, calls = cls.solves(compute)
+        return result, kills, calls
 
     @staticmethod
     def biquadratic_omega():
@@ -733,7 +786,7 @@ class TestSolveCounts:
 
     @staticmethod
     def biquadratic_two_term():
-        """Sha^2 of P -> I_G over V4, which is Z/2: degree 2 restricts."""
+        """Sha^2 of P -> I_G over V4, which is Z/2."""
         g = GROUPS["V4"]
         ig = augmentation_ideal(g)
         cover = permutation_cover(ig)
@@ -754,49 +807,36 @@ class TestSolveCounts:
             assert calls == []
 
     def test_recheck_covers_every_generator_cochain(self):
-        group, calls = self.solves(self.biquadratic_two_term)
+        """Degree 2 solves no class, neither to build the group nor to
+        recheck it, and rechecks each cochain once per condition."""
+        group, kills, calls = self.rechecks(self.biquadratic_two_term)
         assert group.cochains and len(group.cochains) == group.value.generator_count
-        kept = group.ambient.group_value.reduced().kept
-        restrictions = [cond.restriction for cond in group._conditions]
-        assert len(calls) == len(restrictions) * (len(kept) + len(group.cochains))
-        rechecked = self.restricted(group.cochains, restrictions)
-        assert [(id(t), v) for t, v in calls[-len(rechecked):]] == [
-            (id(t), v) for t, v in rechecked
-        ]
+        conditions = group._conditions
+        assert conditions and all(isinstance(c, _Evaluation) for c in conditions)
+        assert calls == []
+        assert kills == [(id(c), v) for v in group.cochains for c in conditions]
 
     def test_printed_representatives_rechecked_once(self):
         group = self.biquadratic_two_term()
-        reps, calls = self.solves(lambda: group.representatives)
+        reps, kills, calls = self.rechecks(lambda: group.representatives)
         assert len(reps) > len(group.cochains)
-        restrictions = [cond.restriction for cond in group._conditions]
-        rechecked = self.restricted(reps, restrictions)
-        assert [(id(t), v) for t, v in calls] == [(id(t), v) for t, v in rechecked]
-        _, calls = self.solves(lambda: group.representatives)
         assert calls == []
+        assert kills == [(id(c), v) for v in reps for c in group._conditions]
+        _, kills, calls = self.rechecks(lambda: group.representatives)
+        assert kills == [] and calls == []
 
     def test_degree_one_solves_no_class(self):
-        """Degree 1 evaluates at generators: no class is solved, neither to
-        build the group nor to recheck it, and the recheck runs once per
+        """Degree 1 solves no class either: the recheck runs once per
         cochain and condition, then once per printed representative."""
-        kills = []
-        real = _Evaluation.kills
-
-        def spy(self, cochain):
-            kills.append((id(self), tuple(cochain)))
-            return real(self, cochain)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Evaluation, "kills", spy)
-            group, calls = self.solves(self.biquadratic_omega)
-            assert calls == []
-            conditions = group._conditions
-            assert conditions and all(isinstance(c, _Evaluation) for c in conditions)
-            assert group.cochains
-            assert kills == [(id(c), v) for v in group.cochains for c in conditions]
-            kills.clear()
-            reps, calls = self.solves(lambda: group.representatives)
-            assert calls == []
-            assert kills == [(id(c), v) for v in reps for c in conditions]
+        group, kills, calls = self.rechecks(self.biquadratic_omega)
+        assert calls == []
+        conditions = group._conditions
+        assert conditions and all(isinstance(c, _Evaluation) for c in conditions)
+        assert group.cochains
+        assert kills == [(id(c), v) for v in group.cochains for c in conditions]
+        reps, kills, calls = self.rechecks(lambda: group.representatives)
+        assert calls == []
+        assert kills == [(id(c), v) for v in reps for c in conditions]
 
 
 class TestGroupPlans:
