@@ -275,21 +275,6 @@ class AbHom:
         return f"AbHom({self.source} -> {self.target})"
 
 
-def stack_homs(homs: Sequence[AbHom]) -> AbHom:
-    """Combine homs with a common source into one hom to the direct sum."""
-    if not homs:
-        raise StructuralError("cannot stack zero homomorphisms")
-    source = homs[0].source
-    for h in homs:
-        if h.source != source:
-            raise StructuralError("stacked homs must share their source")
-    target, _ = PresentedAbelianGroup.direct_sum([h.target for h in homs])
-    rows: list[tuple[int, ...]] = []
-    for h in homs:
-        rows.extend(h.matrix.rows)
-    return AbHom(source, target, IntMatrix(rows, cols=source.generator_count))
-
-
 def present_quotient(basis: Lattice, vectors: Iterable[dict[int, int]]) -> PresentedAbelianGroup:
     """The lattice of ``basis`` modulo the lattice spanned by the sparse
     ``vectors``, presented on the basis rows: each vector, solved on the

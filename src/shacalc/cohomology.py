@@ -511,8 +511,8 @@ def restriction(
     if h.parent is not cg.group:
         raise StructuralError("subgroup does not belong to the acting group")
     h_group, embed = h.as_group()
-    a_sub = restrict(complex_.degree0, h, _as_group=(h_group, embed))
-    b_sub = restrict(complex_.degree1, h, _as_group=(h_group, embed))
+    a_sub = restrict(complex_.degree0, h)
+    b_sub = restrict(complex_.degree1, h)
     sub_complex = TwoTermComplex(GModuleHom(a_sub, b_sub, complex_.f.matrix))
     target = hypercohomology(h_group, sub_complex, cg.degree, cochain_cap=cochain_cap)
     sel = cg._cochains.selection(cg.degree, embed)

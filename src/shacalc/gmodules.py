@@ -373,17 +373,12 @@ def dual_module(m: GModule) -> GModule:
     )
 
 
-def restrict(
-    m: GModule,
-    h: Subgroup,
-    *,
-    _as_group: tuple[FiniteGroup, tuple[int, ...]] | None = None,
-) -> GModule:
+def restrict(m: GModule, h: Subgroup) -> GModule:
     """Same underlying group, action restricted to a subgroup (which
     becomes the acting group, via its own canonical enumeration)."""
     if h.parent is not m.group:
         raise StructuralError("subgroup does not belong to the module's group")
-    h_group, embed = _as_group if _as_group is not None else h.as_group()
+    h_group, embed = h.as_group()
     action = [m.element_matrix(embed[s]) for s in h_group.generators]
     if isinstance(m, PermutationModule):
         perms = [m.basis_action[embed[s]] for s in h_group.generators]

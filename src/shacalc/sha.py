@@ -31,15 +31,17 @@ this tool; every statement verified here is a statement about the model.
 Reduced coordinates
 -------------------
 
-A Sha group is the kernel of the stacked conditions (below), maps on the
+A Sha group is the kernel of the stacked conditions (below) on the
 reduced view of the ambient value (see :mod:`shacalc.abelian`), so its
 value, inclusion and quotients live on the kept generators only.  Each
 value generator gets one cochain, and the cochain-level recheck (every
 cochain restricts to zero on every restricted subgroup, below) runs on
-those cochains whenever a group is built.  The printed representatives,
-the Hermite basis of the Sha lattice on every ambient generator, are
-built on first access only, which only the ``sha`` command makes; the
-recheck runs again on them then.
+those cochains whenever a group is built.  The inclusion and the printed
+representatives, the Hermite basis of the Sha lattice on every ambient
+generator, are built on first access only; the recheck runs again on the
+representatives then.  A quotient takes no second kernel: the smaller
+Sha lattice holds the ambient relations, so it alone is solved on the
+bigger one's basis.
 
 Which restrictions are computed
 -------------------------------
@@ -62,24 +64,30 @@ ambient is built on first use and shared by the groups over it.
 How a condition is imposed
 --------------------------
 
-Each restricted subgroup H gives a map on the reduced ambient value whose
-kernel is ker res_H; the Sha group is the kernel of these maps stacked.
-At H = G restriction is an isomorphism, so the map is the identity and
-the recheck asks that the class of the cochain be 0.  At a proper H no
-cohomology of H is computed, in any degree i.  Let S_H be the generators
-of H as a standalone group (the identity for the trivial group), T^i(H)
-its total complex, read off the ambient's through the embedding, and the
-checked rows the tuples of T^i(H) that end in S_H, with all of C^0(B).
-Let ev_H read a cochain of G on the checked rows, and Lambda_H be spanned
-there by the columns of D^{i-1} of H and the relation rows.  Then c lies
-in ker res_H iff ev_H(c) lies in Lambda_H: given m with c|_H - D m zero
-mod the relation rows on the checked rows, the cocycle c|_H - D m is zero
-everywhere by the kernel-route lemma of :mod:`shacalc.cohomology`.  So
-the map sends the reduced ambient to P_H = Z^(checked rows) / Lambda_H,
-which contains HH^i(H, K|_H) through ev_H.  The recheck does not rely on
-the lemma: it finds m from the Hermite form of [Lambda_H rows | tags],
-the column of D at coordinate k of T^{i-1}(H) tagged e_k, and checks that
-c|_H - D m lies in the relation rows on every tuple of T^i(H).
+Each restricted subgroup H gives ``columns`` (one sparse column per kept
+ambient generator, on ``width`` rows) and ``lattice_rows`` on the same
+rows, such that a reduced class lies in ker res_H iff its image under
+the columns lies in the lattice.  The Sha lattice is one preimage of all
+conditions stacked at offsets.  Its value is presented modulo the
+relations of the reduced ambient; one that escapes the Sha lattice would
+make a condition ill-defined on classes, an internal error.
+
+At H = G restriction is an isomorphism: unit columns, the lattice of the
+reduced ambient's relations, and a recheck that asks for the zero class.
+At a proper H no cohomology of H is computed, in any degree i.  Let S_H
+be the generators of H as a standalone group (the identity for the
+trivial group), T^i(H) its total complex, read off the ambient's through
+the embedding, and the checked rows the tuples of T^i(H) that end in
+S_H, with all of C^0(B).  The columns are ev_H, which reads a cochain of
+G on the checked rows, and Lambda_H is spanned there by the columns of
+D^{i-1} of H and the relation rows.  Then c lies in ker res_H iff ev_H(c)
+lies in Lambda_H: given m with c|_H - D m zero mod the relation rows on
+the checked rows, the cocycle c|_H - D m is zero everywhere by the
+kernel-route lemma of :mod:`shacalc.cohomology`.  The recheck does not
+rely on the lemma: it finds m from the Hermite form of
+[Lambda_H rows | tags], the column of D at coordinate k of T^{i-1}(H)
+tagged e_k, and checks that c|_H - D m lies in the relation rows on
+every tuple of T^i(H).
 
 The Sha lattice is the same set as with :func:`shacalc.cohomology.restriction`
 to each H, so its Hermite basis, its value, its cochains and
@@ -92,15 +100,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .abelian import (
-    AbHom,
-    PresentedAbelianGroup,
-    Subquotient,
-    is_isomorphism,
-    stack_homs,
-    subquotient,
-    trivial_group,
-)
+from .abelian import AbHom, PresentedAbelianGroup, Subquotient, is_isomorphism, present_quotient
 from .cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
@@ -111,7 +111,7 @@ from .cohomology import (
 from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_quotient
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
-from .intlinalg import IntMatrix, hermite_rows, sparse_apply
+from .intlinalg import IntMatrix, hermite_rows, preimage_kernel, sparse_apply
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,10 @@ EMPTY_SELECTION = PlaceSelection()
 class ShaGroup:
     """Kernel of the imposed restrictions inside a cohomology group.
 
-    ``inclusion`` maps ``value`` into the reduced ambient value
-    ``ambient.group_value.reduced().group``, and ``class_of`` takes
-    coordinates on that same reduced ambient; both come from the kernel
-    :class:`~shacalc.abelian.Subquotient` the group is built from.
+    ``inclusion`` (built on first read) maps ``value`` into the reduced
+    ambient value ``ambient.group_value.reduced().group``, and
+    ``class_of`` takes coordinates on that same reduced ambient; both come
+    from the kernel :class:`~shacalc.abelian.Subquotient` it holds.
     ``cochains[j]`` is a cocycle for generator j of ``value``.
 
     ``representatives`` are the canonical Hermite basis of the Sha lattice
@@ -170,11 +170,9 @@ class ShaGroup:
 
     ambient: CohomologyGroup
     value: PresentedAbelianGroup
-    inclusion: AbHom
     cochains: tuple[tuple[int, ...], ...]
     imposed: tuple[str, ...]
     _subquotient: Subquotient  # the kernel on the reduced ambient value
-    _constraint: AbHom  # the stacked conditions on the reduced ambient value
     _restricted: tuple[tuple[str, Subgroup], ...]  # the imposed places maximal up to conjugacy
     _condition_of: _Conditions  # shared by the groups over this ambient
 
@@ -190,8 +188,18 @@ class ShaGroup:
         return self._subquotient.class_of(ambient_coords)
 
     def quotient_by(self, smaller: "ShaGroup") -> PresentedAbelianGroup:
-        """This group modulo a smaller one over the same ambient (Sha_S / Sha_empty)."""
-        return subquotient(self._constraint, smaller.inclusion).group
+        """This group modulo a smaller one over an equal ambient (Sha_S / Sha_empty)."""
+        mine, theirs = self.ambient, smaller.ambient
+        if mine.group_value != theirs.group_value or mine.cocycles != theirs.cocycles:
+            raise StructuralError("the two Sha groups lie in different ambient groups")
+        basis, rows = self._subquotient.basis, smaller._subquotient.basis.sparse_rows()
+        if not all(basis.contains(row) for row in rows):
+            raise StructuralError("the smaller Sha group does not lie in this one")
+        return present_quotient(basis, rows)
+
+    @cached_property
+    def inclusion(self) -> AbHom:
+        return self._subquotient.inclusion()
 
     @cached_property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
@@ -207,11 +215,15 @@ class ShaGroup:
 
 
 class _WholeGroup:
-    """The condition at H = G: restriction to G is an isomorphism."""
+    """The condition at H = G: restriction to G is an isomorphism, so the
+    class itself is 0 in the reduced ambient."""
 
     def __init__(self, ambient: CohomologyGroup):
         self.ambient = ambient
-        self.reduced_map = AbHom.identity(ambient.group_value.reduced().group)
+        red = ambient.group_value.reduced().group
+        self.width = red.generator_count
+        self.columns = [{t: 1} for t in range(self.width)]
+        self.lattice_rows = red.relation_lattice.sparse_rows()
 
     def kills(self, cochain: Sequence[int]) -> bool:
         return not any(self.ambient.class_coords(cochain))
@@ -219,8 +231,9 @@ class _WholeGroup:
 
 class _Evaluation:
     """The condition at a proper subgroup H, on the checked rows of its
-    total complex (see the module docstring): ``reduced_map`` sends the
-    reduced ambient value to the reduced view of P_H."""
+    total complex (see the module docstring): ``columns`` are ev_H of the
+    kept ambient cocycles and ``lattice_rows`` the Hermite basis of
+    Lambda_H."""
 
     def __init__(self, ambient: CohomologyGroup, sub: Subgroup):
         h_group, self.embed = sub.as_group()
@@ -229,24 +242,21 @@ class _Evaluation:
         self.complex = t = self.parent.on(h_group, self.embed)
         last = sorted(set(h_group.generators)) or [0]
         self.checked = self.parent.selection(i, self.embed, last)
-        width = len(self.checked)
+        self.width = width = len(self.checked)
         # [Lambda_H rows | tags]: the column of D^{i-1} at coordinate k of
         # T^{i-1}(H) tagged e_k, the relation rows tagged 0.  Its Hermite rows
         # with pivot in the first part, cut there, are the Hermite basis of
         # Lambda_H; the rest are zero there.
         tagged = [{**col, width + k: 1} for k, col in enumerate(t.diff_cols(i - 1, last))]
         self.tagged = hermite_rows(tagged + t.relation_cols(i, last), width + len(tagged))
-        lam = PresentedAbelianGroup(
-            width, [{k: v for k, v in row.items() if k < width} for row in self.tagged.sparse_rows()]
-        )
-        red_src, red_tgt = ambient.group_value.reduced(), lam.reduced()
-        cols = [
-            red_tgt.project([ambient.representatives[k][s] for s in self.checked])
-            for k in red_src.kept
+        self.lattice_rows = [
+            {k: v for k, v in row.items() if k < width}
+            for row in self.tagged.sparse_rows()
+            if min(row) < width
         ]
-        self.reduced_map = AbHom(
-            red_src.group, red_tgt.group, IntMatrix.from_cols(cols, rows=red_tgt.group.generator_count)
-        )
+        cocycles = ambient.cocycles.sparse_rows()
+        kept = [cocycles[k] for k in ambient.group_value.reduced().kept]
+        self.columns = [{r: c[s] for r, s in enumerate(self.checked) if s in c} for c in kept]
 
     @cached_property
     def _whole(self) -> tuple[tuple[int, ...], list[dict[int, int]]]:
@@ -259,7 +269,7 @@ class _Evaluation:
         every tuple of T^i(H).  The m is read off the tagged form: reducing
         (c at the checked rows | 0) leaves (0 | -m) when c - D^{i-1} m lies
         in the relation rows there."""
-        width = len(self.checked)
+        width = self.width
         left = self.tagged.reduce({k: cochain[s] for k, s in enumerate(self.checked) if cochain[s]})
         if any(left[:width]):
             return False
@@ -275,8 +285,8 @@ _Condition = _WholeGroup | _Evaluation
 
 class _Conditions(dict):
     """The conditions on one ambient group, keyed by subgroup, each built
-    on first lookup: the identity for the whole group, else evaluation on
-    the checked rows of the subgroup."""
+    on first lookup: the zero class for the whole group, else evaluation
+    on the checked rows of the subgroup."""
 
     def __init__(self, ambient: CohomologyGroup):
         super().__init__()
@@ -350,26 +360,29 @@ def _kernel(
     conditions: _Conditions,
 ) -> ShaGroup:
     """The kernel of the conditions at the ``restricted`` places on the
-    reduced view of ``ambient``; ``imposed`` names every imposed place.  On
-    a zero reduced ambient nothing is restricted."""
+    reduced view of ``ambient``, one preimage of their stacked columns and
+    lattices; ``imposed`` names every imposed place.  On a zero reduced
+    ambient nothing is restricted."""
     red = ambient.group_value.reduced()
     computed = [conditions[sub] for _, sub in restricted] if red.kept else []
-    zero = trivial_group()
-    if computed:
-        constraint = stack_homs([cond.reduced_map for cond in computed])
-    else:
-        constraint = AbHom.zero(red.group, zero)
-    sq = subquotient(constraint, AbHom.zero(zero, red.group))
-    cochains = tuple(_combine(ambient, red.section(b)) for b in sq.basis)
+    columns: list[dict[int, int]] = [{} for _ in red.kept]
+    lattice_rows: list[dict[int, int]] = []
+    offset = 0
+    for cond in computed:
+        for col, own in zip(columns, cond.columns):
+            col.update((offset + r, v) for r, v in own.items())
+        lattice_rows += ({offset + r: v for r, v in row.items()} for row in cond.lattice_rows)
+        offset += cond.width
+    basis = preimage_kernel(columns, offset, lattice_rows)
+    value = present_quotient(basis, red.group.relation_lattice.sparse_rows())
+    cochains = tuple(_combine(ambient, red.section(b)) for b in basis)
     _recheck(cochains, [name for name, _ in restricted], computed)
     return ShaGroup(
         ambient=ambient,
-        value=sq.group,
-        inclusion=sq.inclusion(),
+        value=value,
         cochains=cochains,
         imposed=tuple(name for name, _ in imposed),
-        _subquotient=sq,
-        _constraint=constraint,
+        _subquotient=Subquotient(group=value, ambient=red.group, basis=basis),
         _restricted=tuple(restricted),
         _condition_of=conditions,
     )

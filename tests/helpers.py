@@ -4,9 +4,9 @@ tests build it by closure), and constructions that only tests use: small
 abelian groups, sparse composition, map congruence, the long exact
 sequence of a two-term complex, a restriction's class map on every
 generator of its source value (composed from the reduced map, or eager),
-the Sha kernels built from public restrictions (eager, on every
-generator of the ambient value, and on its reduced view), the
-column-order echelon kernel that ``sparse_kernel`` must
+the Sha kernels built from public restrictions and stacked class maps
+(eager, on every generator of the ambient value, and on its reduced
+view), the column-order echelon kernel that ``sparse_kernel`` must
 reproduce, the checked rows of the kernel route cut out of the full
 differential, the dense Hermite form, and the dense lattice solve and
 reduction.  The last four are the references for what the package now
@@ -21,7 +21,6 @@ from shacalc.abelian import (
     AbHom,
     PresentedAbelianGroup,
     Subquotient,
-    stack_homs,
     subquotient,
     trivial_group,
 )
@@ -33,6 +32,7 @@ from shacalc.cohomology import (
     hypercohomology,
     restriction,
 )
+from shacalc.errors import StructuralError
 from shacalc.groups import FiniteGroup, Subgroup, from_permutations
 from shacalc.intlinalg import (
     IntMatrix,
@@ -236,6 +236,21 @@ def full_restriction_map(source: CohomologyGroup, res: Restriction) -> AbHom:
         for unit in IntMatrix.identity(src.generator_count).rows
     ]
     return AbHom(src, tgt, IntMatrix.from_cols(cols, rows=tgt.generator_count))
+
+
+def stack_homs(homs: Sequence[AbHom]) -> AbHom:
+    """Combine homs with a common source into one hom to the direct sum."""
+    if not homs:
+        raise StructuralError("cannot stack zero homomorphisms")
+    source = homs[0].source
+    for h in homs:
+        if h.source != source:
+            raise StructuralError("stacked homs must share their source")
+    target, _ = PresentedAbelianGroup.direct_sum([h.target for h in homs])
+    rows: list[tuple[int, ...]] = []
+    for h in homs:
+        rows.extend(h.matrix.rows)
+    return AbHom(source, target, IntMatrix(rows, cols=source.generator_count))
 
 
 @dataclass(frozen=True)

@@ -988,9 +988,9 @@ class TestHyper:
         res_hyper = restriction(les.hyper, sub)
         res_b = restriction(les.hb_prev, sub)
         # build the subgroup-side LES to compare the two composite paths
-        h_group, embed = sub.as_group()
-        a_sub = restrict(a, sub, _as_group=(h_group, embed))
-        b_sub = restrict(b, sub, _as_group=(h_group, embed))
+        h_group, _ = sub.as_group()
+        a_sub = restrict(a, sub)
+        b_sub = restrict(b, sub)
         c_sub = TwoTermComplex(GModuleHom(a_sub, b_sub, f.matrix))
         les_sub = les_segment(h_group, c_sub, 2)
         # H^1(B) -> HH^2 -> restrict == H^1(B) -> restrict -> HH^2

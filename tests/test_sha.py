@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shacalc.abelian import invariant_factors
+from shacalc.abelian import AbHom, invariant_factors
 from shacalc.cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
@@ -36,7 +37,7 @@ from shacalc.gmodules import (
     trivial_module,
 )
 from shacalc.groups import FiniteGroup, cyclic_subgroups, from_permutations
-from shacalc.intlinalg import IntMatrix
+from shacalc.intlinalg import IntMatrix, unimodular_inverse
 from shacalc.abelian import PresentedAbelianGroup
 from shacalc.prng import SplitMix64
 from shacalc.sha import (
@@ -80,6 +81,8 @@ from helpers import (
 )
 from oracles import h1_and_sha_by_enumeration, rational_fixed_space_is_zero
 
+# the module, which the package's ``sha`` function shadows as an attribute
+sha_module = sys.modules["shacalc.sha"]
 GROUPS = catalog()
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -426,7 +429,7 @@ class TestSharedAmbient:
                 assert group.representatives == want.representatives
                 assert group.imposed == want.imposed
                 assert group.inclusion.matrix == want.inclusion.matrix
-                assert group._constraint.matrix == want._constraint.matrix
+                assert group._subquotient.basis == want._subquotient.basis
             assert_same_as_every_imposed(datum, selections, shared)
 
     @staticmethod
@@ -743,10 +746,64 @@ class TestGeneratorEvaluation:
         assert not all(cond.kills(rep) for rep in ambient.representatives)
 
 
+class TestQuotientBy:
+    """``quotient_by`` takes a smaller group over an equal ambient, and
+    rejects any other as bad input."""
+
+    @staticmethod
+    def datum():
+        g = GROUPS["V4"]
+        return LocalDatum(g, (("v_full", g.full_subgroup()), ("v_c", g.generated_subgroup([1]))))
+
+    @staticmethod
+    def conjugated(m, u):
+        """The module m on the basis given by the columns of u^-1."""
+        inverse = unimodular_inverse(u)
+        return GModule(m.group, m.underlying, [u.mul(a).mul(inverse) for a in m.action])
+
+    def test_other_ambient_rejected(self):
+        """An ambient with another value, or with the same value on another
+        cocycle lattice, is rejected."""
+        datum = self.datum()
+        ig = augmentation_ideal(datum.group)
+        big = sha(datum, ig, 1, PlaceSelection.of("v_c", "v_full"))
+        permuted = self.conjugated(ig, IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+        sheared = self.conjugated(ig, IntMatrix([[1, 0, 0], [0, 1, -1], [0, 1, 0]]))
+        for m, same_value in ((permuted, False), (sheared, True)):
+            other = sha(datum, m, 1)
+            assert (other.ambient.group_value == big.ambient.group_value) == same_value
+            assert other.ambient.cocycles != big.ambient.cocycles
+            with pytest.raises(StructuralError, match="different ambient"):
+                big.quotient_by(other)
+
+    def test_group_not_contained_rejected(self):
+        """Sha_empty = 0 lies in Sha_S = Z/2, not the other way round."""
+        datum = self.datum()
+        ig = augmentation_ideal(datum.group)
+        small = sha(datum, ig, 1)
+        big = sha(datum, ig, 1, PlaceSelection.of("v_c", "v_full"))
+        assert small.value.is_trivial() and big.value.order() == 2
+        with pytest.raises(StructuralError, match="does not lie in this one"):
+            small.quotient_by(big)
+
+    def test_separate_calls_on_equal_data(self):
+        """Groups from two ``sha`` calls, each computing its own ambient,
+        give the quotient that ``sha_quotient`` gives."""
+        datum = self.datum()
+        ig = augmentation_ideal(datum.group)
+        selection = PlaceSelection.of("v_c", "v_full")
+        big, small = sha(datum, ig, 1, selection), sha(datum, ig, 1)
+        assert big.ambient is not small.ambient
+        quotient = big.quotient_by(small)
+        assert quotient == sha_quotient(datum, ig, 1, selection)
+        assert quotient.order() == 2
+
+
 class TestSolveCounts:
     """Class-coordinate solves, counted by a spy on
-    ``CohomologyGroup.class_coords``, and condition rechecks, counted by a
-    spy on ``_Evaluation.kills``."""
+    ``CohomologyGroup.class_coords``, condition rechecks, counted by a spy
+    on ``_Evaluation.kills``, and Sha preimages and homs, counted by spies
+    on ``sha.preimage_kernel`` and ``AbHom.__init__``."""
 
     @staticmethod
     def solves(compute):
@@ -824,6 +881,54 @@ class TestSolveCounts:
         assert kills == [(id(c), v) for v in reps for c in group._conditions]
         _, kills, calls = self.rechecks(lambda: group.representatives)
         assert kills == [] and calls == []
+
+    @staticmethod
+    def counted(compute):
+        """``compute()`` and its count of ``sha.preimage_kernel`` calls and
+        of ``AbHom`` constructions."""
+        counts = {"preimage": 0, "hom": 0}
+        real_preimage, real_init = sha_module.preimage_kernel, AbHom.__init__
+
+        def preimage(*args):
+            counts["preimage"] += 1
+            return real_preimage(*args)
+
+        def init(self, *args):
+            counts["hom"] += 1
+            real_init(self, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sha_module, "preimage_kernel", preimage)
+            mp.setattr(AbHom, "__init__", init)
+            result = compute()
+        return result, counts
+
+    def test_one_preimage_per_group_and_no_hom(self):
+        """Sha^1_omega(V4, I_G) and the degree-2 group of P -> I_G, each
+        with the group over the empty set (restricted to V4 itself) beside
+        it: one preimage per group, no hom until ``inclusion`` is read, and
+        no preimage for ``quotient_by``.  The coefficient complexes are
+        built first, since an equivariant map holds a checked hom."""
+        g = GROUPS["V4"]
+        ig = augmentation_ideal(g)
+        cover = permutation_cover(ig)
+        datum = LocalDatum(g, (("v", g.full_subgroup()),))
+        selections = [PlaceSelection.of("v"), EMPTY_SELECTION]
+        for complex_, degree in (
+            (_module_complex(ig), 1),
+            (TwoTermComplex(GModuleHom(cover.P, ig, cover.proj.matrix)), 2),
+        ):
+            groups, counts = self.counted(
+                lambda: _sha_groups(datum, complex_, degree, selections, DEFAULT_COCHAIN_CAP)
+            )
+            assert counts == {"preimage": len(selections), "hom": 0}
+            assert [type(c) for c in groups[1]._conditions] == [_WholeGroup]
+            quotient, counts = self.counted(lambda: groups[0].quotient_by(groups[1]))
+            assert counts == {"preimage": 0, "hom": 0}
+            assert quotient.order() == 2
+            inclusion, counts = self.counted(lambda: groups[0].inclusion)
+            assert counts == {"preimage": 0, "hom": 1}
+            assert groups[0].inclusion is inclusion
 
     def test_degree_one_solves_no_class(self):
         """Degree 1 solves no class either: the recheck runs once per
