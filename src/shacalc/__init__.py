@@ -6,14 +6,15 @@ The package computes, with arbitrary-precision integer arithmetic:
   groups (the universal value type),
 * finite groups from permutation generators, their cyclic subgroups,
   exponents and the metacyclic test,
-* integral G-modules, permutation modules, duals, restriction, and the
+* integral G-modules, permutation modules, duals, and the
   permutation-cover resolution 0 -> L -> P -> M -> 0,
 * group cohomology H^0..H^2 by inhomogeneous cochains and
   hypercohomology of two-term complexes by the total complex (a module M
-  is the complex M -> 0), with restriction to subgroups,
-* Sha groups Sha^i_S / Sha^i_omega over an abstract local datum, with
-  machine verification of the vanishing and annihilation statements
-  (the seeded suites behind ``shacalc verify`` live in ``suites``),
+  is the complex M -> 0),
+* Sha groups Sha^i_S / Sha^i_omega over an abstract local datum, their
+  quotients Sha_S / Sha_empty (``ShaGroup.quotient_by``), and machine
+  verification of the vanishing and annihilation statements (the seeded
+  suites behind ``shacalc verify`` live in ``suites``),
 * the homogeneous-space layer: algebraic Brauer obstruction groups,
   dual complexes, fundamental groups from lattice data, quasi-trivial
   covers, and Ext^0 of isogeny complexes.
@@ -22,10 +23,8 @@ The package computes, with arbitrary-precision integer arithmetic:
 from .abelian import (
     AbHom,
     PresentedAbelianGroup,
-    Subquotient,
     invariant_factors,
     is_isomorphism,
-    subquotient,
 )
 from .arith import (
     BrauerGroups,
@@ -46,7 +45,6 @@ from .cohomology import (
     TwoTermComplex,
     cohomology,
     hypercohomology,
-    restriction,
 )
 from .errors import InputError, InternalError, ResourceError, ShacalcError, StructuralError
 from .gmodules import (
@@ -61,7 +59,6 @@ from .gmodules import (
     permutation_cover,
     permutation_module,
     regular_module,
-    restrict,
     sign_module,
     trivial_module,
     zero_module,
@@ -81,9 +78,7 @@ from .sha import (
     ShaGroup,
     sha,
     sha_omega,
-    sha_quotient,
     sha_two_term,
-    sha_two_term_quotient,
     verify_annihilation,
     verify_shift_isomorphism,
 )

@@ -137,14 +137,6 @@ class PresentedAbelianGroup:
             self._inv = (red.generator_count - rank, torsion)
         return self._inv
 
-    @property
-    def free_rank(self) -> int:
-        return self.invariant_factors()[0]
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return self.invariant_factors()[1]
-
     def is_trivial(self) -> bool:
         free, tors = self.invariant_factors()
         return free == 0 and not tors
@@ -168,9 +160,6 @@ class PresentedAbelianGroup:
     def reduce_element(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical coset representative of an element."""
         return self.relation_lattice.reduce(vec)
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.generator_count
 
     # -- combinators -------------------------------------------------------
 
@@ -216,10 +205,6 @@ class PresentedAbelianGroup:
         return f"PresentedAbelianGroup({self})"
 
 
-def trivial_group() -> PresentedAbelianGroup:
-    return PresentedAbelianGroup(0)
-
-
 def invariant_factors(g: PresentedAbelianGroup) -> tuple[int, tuple[int, ...]]:
     """Isomorphism invariants of a presented group: (free rank, torsion)."""
     return g.invariant_factors()
@@ -247,29 +232,6 @@ class AbHom:
         self.source = source
         self.target = target
         self.matrix = matrix
-
-    @classmethod
-    def zero(cls, source: PresentedAbelianGroup, target: PresentedAbelianGroup) -> "AbHom":
-        return cls(source, target, IntMatrix.zeros(target.generator_count, source.generator_count))
-
-    @classmethod
-    def identity(cls, group: PresentedAbelianGroup) -> "AbHom":
-        return cls(group, group, IntMatrix.identity(group.generator_count))
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return self.matrix.matvec(vec)
-
-    def compose(self, inner: "AbHom") -> "AbHom":
-        """self after inner."""
-        if inner.target != self.source:
-            raise StructuralError("homs are not composable")
-        return AbHom(inner.source, self.target, self.matrix.mul(inner.matrix))
-
-    def is_zero(self) -> bool:
-        return all(
-            self.target.contains_relation(self.matrix.col(j))
-            for j in range(self.matrix.ncols)
-        )
 
     def __repr__(self) -> str:
         return f"AbHom({self.source} -> {self.target})"
@@ -301,50 +263,6 @@ def class_on_basis(
     return value.reduce_element(coeffs)
 
 
-@dataclass(frozen=True)
-class Subquotient:
-    """ker/im presented on the Hermite ``basis`` of the kernel lattice:
-    generator j of ``group`` is the ambient vector ``basis.rows[j]``, and
-    ``class_of`` sends an ambient vector lying in the kernel back to its
-    class coordinates."""
-
-    group: PresentedAbelianGroup
-    ambient: PresentedAbelianGroup
-    basis: Lattice
-
-    def class_of(self, ambient_vec: Sequence[int]) -> tuple[int, ...]:
-        return class_on_basis(self.group, self.basis, ambient_vec)
-
-    def inclusion(self) -> AbHom:
-        lift = IntMatrix.from_cols(self.basis.rows, rows=self.ambient.generator_count)
-        return AbHom(self.group, self.ambient, lift)
-
-
-def subquotient(kernel_of: AbHom, image_of: AbHom) -> Subquotient:
-    """ker(kernel_of) / im(image_of) inside the presented source group.
-
-    Requires image_of.target == kernel_of.source and kernel_of o image_of
-    to be the zero map of presented groups; rejects anything else."""
-    if image_of.target != kernel_of.source:
-        raise StructuralError(
-            "subquotient needs image_of.target equal to kernel_of.source"
-        )
-    if not kernel_of.compose(image_of).is_zero():
-        raise StructuralError("maps do not form a complex: composite is nonzero")
-    ambient = kernel_of.source
-    target = kernel_of.target
-    basis = preimage_kernel(
-        sparse_from_matrix(kernel_of.matrix),
-        target.generator_count,
-        target.relation_lattice.sparse_rows(),
-    )
-    # the composite is zero, so every image vector lies in the kernel
-    group = present_quotient(
-        basis, sparse_from_matrix(image_of.matrix) + ambient.relation_lattice.sparse_rows()
-    )
-    return Subquotient(group=group, ambient=ambient, basis=basis)
-
-
 def is_isomorphism(h: AbHom) -> bool:
     """Whether a homomorphism of presented groups is bijective: trivial
     cokernel and trivial kernel (for finitely generated abelian groups the
@@ -356,5 +274,10 @@ def is_isomorphism(h: AbHom) -> bool:
     )
     if not cokernel.is_trivial():
         return False
-    kernel = subquotient(h, AbHom.zero(trivial_group(), h.source)).group
-    return kernel.is_trivial()
+    # ker h: the preimage of the target's relations, modulo the source's
+    kernel = preimage_kernel(
+        sparse_from_matrix(h.matrix),
+        h.target.generator_count,
+        h.target.relation_lattice.sparse_rows(),
+    )
+    return present_quotient(kernel, h.source.relation_lattice.sparse_rows()).is_trivial()

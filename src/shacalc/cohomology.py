@@ -64,12 +64,11 @@ is a :class:`~shacalc.intlinalg.Lattice`: the basis comes out of the gcd
 echelon together with its index, and the group holds both, so the class
 solves of ``class_coords`` run on the index that presented the value.
 The value has about rank B^i generators, most of them left out by its
-reduced view (see :mod:`shacalc.abelian`).  A restriction works in
-reduced coordinates: it restricts only the cocycles of the kept
-generators, one class solve each, and projects their classes onto the
-kept generators of the target.  ``Restriction.reduced_map`` is that class
-map between the reduced views; no map on every generator of the value is
-built.
+reduced view (see :mod:`shacalc.abelian`).  No command restricts a
+computed group to a subgroup: a Sha condition reads the ambient's
+cocycles on rows of the subgroup's total complex (see :mod:`shacalc.sha`).
+The restriction map on cohomology is kept only as the reference the
+tests compare against, ``tests/helpers.restriction``.
 """
 
 from __future__ import annotations
@@ -77,15 +76,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .abelian import AbHom, PresentedAbelianGroup, class_on_basis, present_quotient
+from .abelian import PresentedAbelianGroup, class_on_basis, present_quotient
 from .errors import ResourceError, StructuralError
-from .gmodules import GModule, GModuleHom, restrict, zero_module
-from .groups import FiniteGroup, Subgroup, _prime_factors
+from .gmodules import GModule, GModuleHom, zero_module
+from .groups import FiniteGroup, _prime_factors
 from .intlinalg import (
     IntMatrix,
     Lattice,
     preimage_kernel,
-    sparse_apply,
     sparse_from_matrix,
     sparse_saturation,
 )
@@ -363,24 +361,10 @@ class CohomologyGroup:
     group_value: PresentedAbelianGroup
     cocycles: Lattice
     _cochains: _TotalComplex = field(repr=False)
-    _cocycle_cols: list[dict[int, int]] | None = field(repr=False, default=None)
 
     @property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
         return self.cocycles.rows
-
-    def is_cocycle(self, vec: Sequence[int]) -> bool:
-        # the full d^i, built on the first call: the saturation route never
-        # builds d^i and the kernel route builds only some of its rows, so
-        # this check is independent of either
-        if len(vec) != self._cochains.dim(self.degree):
-            raise StructuralError(
-                f"cochain of length {len(vec)}, expected {self._cochains.dim(self.degree)}"
-            )
-        if self._cocycle_cols is None:
-            self._cocycle_cols = self._cochains.diff_cols(self.degree)
-        img = _dense(sparse_apply(self._cocycle_cols, vec), self._cochains.dim(self.degree + 1))
-        return self._cochains.block_contains(self.degree + 1, img)
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cocycle's class on the computed generators."""
@@ -388,14 +372,6 @@ class CohomologyGroup:
 
     def __str__(self) -> str:
         return str(self.group_value)
-
-
-def _dense(col: dict[int, int], dim: int) -> list[int]:
-    """A sparse vector written out with ``dim`` coordinates."""
-    vec = [0] * dim
-    for k, v in col.items():
-        vec[k] = v
-    return vec
 
 
 def _hypercohomology(
@@ -486,45 +462,3 @@ def hypercohomology(
     if complex_.group is not group:
         raise StructuralError("complex is not over the given group")
     return _hypercohomology(group, complex_, degree, cochain_cap)
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """The induced map on cohomology together with the restricted group.
-
-    ``reduced_map`` is the class map on the reduced views of the source
-    and target values."""
-
-    reduced_map: AbHom
-    target: CohomologyGroup
-    cochain_selection: tuple[int, ...]  # target coord -> source coord
-
-
-def restriction(
-    cg: CohomologyGroup, h: Subgroup, *, cochain_cap: int = DEFAULT_COCHAIN_CAP
-) -> Restriction:
-    """Restriction HH^i(g, A -> B) -> HH^i(h, A|_h -> B|_h) along the
-    inclusion of a subgroup: the cochains of both terms of the total
-    complex are restricted to tuples from the subgroup.  For a module M,
-    the complex M -> 0, this is H^i(g, M) -> H^i(h, M|_h)."""
-    complex_ = cg.coefficients
-    if h.parent is not cg.group:
-        raise StructuralError("subgroup does not belong to the acting group")
-    h_group, embed = h.as_group()
-    a_sub = restrict(complex_.degree0, h)
-    b_sub = restrict(complex_.degree1, h)
-    sub_complex = TwoTermComplex(GModuleHom(a_sub, b_sub, complex_.f.matrix))
-    target = hypercohomology(h_group, sub_complex, cg.degree, cochain_cap=cochain_cap)
-    sel = cg._cochains.selection(cg.degree, embed)
-    # only the kept generators' cocycles are restricted, one solve each
-    red_src, red_tgt = cg.group_value.reduced(), target.group_value.reduced()
-    cols = [
-        red_tgt.project(target.class_coords([cg.representatives[k][s] for s in sel]))
-        for k in red_src.kept
-    ]
-    hom = AbHom(
-        red_src.group,
-        red_tgt.group,
-        IntMatrix.from_cols(cols, rows=red_tgt.group.generator_count),
-    )
-    return Restriction(reduced_map=hom, target=target, cochain_selection=sel)

@@ -189,9 +189,6 @@ class GModuleHom:
         self.target = target
         self.matrix = matrix
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        return self.matrix.matvec(vec)
-
     def __repr__(self) -> str:
         return f"GModuleHom({self.source.underlying} -> {self.target.underlying})"
 
@@ -371,19 +368,6 @@ def dual_module(m: GModule) -> GModule:
     return GModule(
         base.group, PresentedAbelianGroup(base.rank), dual_action, _trusted=True
     )
-
-
-def restrict(m: GModule, h: Subgroup) -> GModule:
-    """Same underlying group, action restricted to a subgroup (which
-    becomes the acting group, via its own canonical enumeration)."""
-    if h.parent is not m.group:
-        raise StructuralError("subgroup does not belong to the module's group")
-    h_group, embed = h.as_group()
-    action = [m.element_matrix(embed[s]) for s in h_group.generators]
-    if isinstance(m, PermutationModule):
-        perms = [m.basis_action[embed[s]] for s in h_group.generators]
-        return PermutationModule(h_group, m.rank, perms)
-    return GModule(h_group, m.underlying, action, _trusted=True)
 
 
 def faithful_quotient(m: GModule) -> tuple[FiniteGroup, GModule]:

@@ -94,9 +94,6 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
-
     def element_order(self, i: int) -> int:
         if self._elt_order is None:
             orders = []
@@ -118,13 +115,14 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------
 
-    def subgroup(self, members: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, members)
-
     def generated_subgroup(self, seeds: Iterable[int]) -> "Subgroup":
+        return Subgroup(self, self._closure(tuple(seeds)))
+
+    def _closure(self, seeds: Sequence[int]) -> set[int]:
+        """The members of the subgroup the seeds generate: seeds need not
+        contain inverses, but in a finite group powers do."""
         members = {0}
         frontier = [0]
-        seeds = tuple(seeds)
         while frontier:
             nxt = []
             for e in frontier:
@@ -134,8 +132,7 @@ class FiniteGroup:
                         members.add(c)
                         nxt.append(c)
             frontier = nxt
-        # seeds need not contain inverses, but in a finite group powers do
-        return Subgroup(self, members)
+        return members
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,))
@@ -271,9 +268,7 @@ class Subgroup:
         for m in self.members:
             if m not in closure:
                 gens.append(m)
-                closure = set(
-                    self.parent.generated_subgroup(gens).members
-                )
+                closure = self.parent._closure(gens)
         return tuple(gens)
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:

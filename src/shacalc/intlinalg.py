@@ -121,11 +121,6 @@ class IntMatrix:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        """Row-major flat view."""
-        return tuple(v for r in self._rows for v in r)
-
     def row(self, i: int) -> tuple[int, ...]:
         return self._rows[i]
 
@@ -182,9 +177,6 @@ class IntMatrix:
 
     def neg(self) -> "IntMatrix":
         return IntMatrix([[-v for v in r] for r in self._rows], cols=self.ncols)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for r in self._rows for v in r)
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:

@@ -33,10 +33,10 @@ Reduced coordinates
 
 A Sha group is the kernel of the stacked conditions (below) on the
 reduced view of the ambient value (see :mod:`shacalc.abelian`), so its
-value, inclusion and quotients live on the kept generators only.  Each
-value generator gets one cochain, and the cochain-level recheck (every
-cochain restricts to zero on every restricted subgroup, below) runs on
-those cochains whenever a group is built.  The inclusion and the printed
+value, its lattice and its quotients live on the kept generators only.
+Each value generator gets one cochain, and the cochain-level recheck
+(every cochain restricts to zero on every restricted subgroup, below)
+runs on those cochains whenever a group is built.  The printed
 representatives, the Hermite basis of the Sha lattice on every ambient
 generator, are built on first access only; the recheck runs again on the
 representatives then.  A quotient takes no second kernel: the smaller
@@ -89,9 +89,11 @@ rely on the lemma: it finds m from the Hermite form of
 tagged e_k, and checks that c|_H - D m lies in the relation rows on
 every tuple of T^i(H).
 
-The Sha lattice is the same set as with :func:`shacalc.cohomology.restriction`
-to each H, so its Hermite basis, its value, its cochains and
-``quotient_by`` are too.
+So the Sha lattice is the kernel of the restriction maps to the H on
+the reduced ambient value, and its Hermite basis, its value, its
+cochains and ``quotient_by`` are those of that kernel.  No command builds
+a restriction map; ``tests/helpers.restriction_kernel`` takes the kernel
+that way, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .abelian import AbHom, PresentedAbelianGroup, Subquotient, is_isomorphism, present_quotient
+from .abelian import AbHom, PresentedAbelianGroup, class_on_basis, is_isomorphism, present_quotient
 from .cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
@@ -111,7 +113,7 @@ from .cohomology import (
 from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_quotient
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
-from .intlinalg import IntMatrix, hermite_rows, preimage_kernel, sparse_apply
+from .intlinalg import IntMatrix, Lattice, hermite_rows, preimage_kernel, sparse_apply
 
 
 @dataclass(frozen=True)
@@ -156,10 +158,10 @@ EMPTY_SELECTION = PlaceSelection()
 class ShaGroup:
     """Kernel of the imposed restrictions inside a cohomology group.
 
-    ``inclusion`` (built on first read) maps ``value`` into the reduced
-    ambient value ``ambient.group_value.reduced().group``, and
-    ``class_of`` takes coordinates on that same reduced ambient; both come
-    from the kernel :class:`~shacalc.abelian.Subquotient` it holds.
+    ``value`` is presented on the Hermite basis ``_basis`` of the kernel
+    lattice in the reduced ambient value ``ambient.group_value.reduced().group``:
+    generator j is the reduced ambient class ``_basis.rows[j]``, and
+    ``class_of`` takes coordinates on that same reduced ambient.
     ``cochains[j]`` is a cocycle for generator j of ``value``.
 
     ``representatives`` are the canonical Hermite basis of the Sha lattice
@@ -172,7 +174,7 @@ class ShaGroup:
     value: PresentedAbelianGroup
     cochains: tuple[tuple[int, ...], ...]
     imposed: tuple[str, ...]
-    _subquotient: Subquotient  # the kernel on the reduced ambient value
+    _basis: Lattice  # the kernel on the reduced ambient value
     _restricted: tuple[tuple[str, Subgroup], ...]  # the imposed places maximal up to conjugacy
     _condition_of: _Conditions  # shared by the groups over this ambient
 
@@ -185,26 +187,22 @@ class ShaGroup:
     def class_of(self, ambient_coords: Sequence[int]) -> tuple[int, ...]:
         """Coordinates in this subgroup of an ambient class, given on the
         reduced ambient, known to lie in it (raises otherwise)."""
-        return self._subquotient.class_of(ambient_coords)
+        return class_on_basis(self.value, self._basis, ambient_coords)
 
     def quotient_by(self, smaller: "ShaGroup") -> PresentedAbelianGroup:
         """This group modulo a smaller one over an equal ambient (Sha_S / Sha_empty)."""
         mine, theirs = self.ambient, smaller.ambient
         if mine.group_value != theirs.group_value or mine.cocycles != theirs.cocycles:
             raise StructuralError("the two Sha groups lie in different ambient groups")
-        basis, rows = self._subquotient.basis, smaller._subquotient.basis.sparse_rows()
+        basis, rows = self._basis, smaller._basis.sparse_rows()
         if not all(basis.contains(row) for row in rows):
             raise StructuralError("the smaller Sha group does not lie in this one")
         return present_quotient(basis, rows)
 
     @cached_property
-    def inclusion(self) -> AbHom:
-        return self._subquotient.inclusion()
-
-    @cached_property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
         red = self.ambient.group_value.reduced()
-        lattice = list(red.unit_rows) + [red.section(b) for b in self._subquotient.basis]
+        lattice = list(red.unit_rows) + [red.section(b) for b in self._basis]
         basis = hermite_rows(lattice, self.ambient.group_value.generator_count)
         reps = tuple(_combine(self.ambient, b) for b in basis)
         _recheck(reps, [name for name, _ in self._restricted], self._conditions)
@@ -382,7 +380,7 @@ def _kernel(
         value=value,
         cochains=cochains,
         imposed=tuple(name for name, _ in imposed),
-        _subquotient=Subquotient(group=value, ambient=red.group, basis=basis),
+        _basis=basis,
         _restricted=tuple(restricted),
         _condition_of=conditions,
     )
@@ -461,21 +459,6 @@ def sha_omega(
     return sha(datum, module, degree, omega, cochain_cap=cochain_cap)
 
 
-def sha_quotient(
-    datum: LocalDatum,
-    module: GModule,
-    degree: int,
-    selection: PlaceSelection = EMPTY_SELECTION,
-    *,
-    cochain_cap: int = DEFAULT_COCHAIN_CAP,
-) -> PresentedAbelianGroup:
-    """Sha^degree_S / Sha^degree_(empty set), through their inclusions
-    into H^degree."""
-    complex_ = _checked_module(datum, module, degree)
-    big, small = _sha_groups(datum, complex_, degree, [selection, EMPTY_SELECTION], cochain_cap)
-    return big.quotient_by(small)
-
-
 def sha_two_term(
     datum: LocalDatum,
     complex_: TwoTermComplex,
@@ -488,19 +471,6 @@ def sha_two_term(
     hypercohomology, with restrictions on the total complex."""
     complex_ = _checked_complex(datum, complex_, degree)
     return _sha_groups(datum, complex_, degree, [selection], cochain_cap)[0]
-
-
-def sha_two_term_quotient(
-    datum: LocalDatum,
-    complex_: TwoTermComplex,
-    degree: int = 2,
-    selection: PlaceSelection = EMPTY_SELECTION,
-    *,
-    cochain_cap: int = DEFAULT_COCHAIN_CAP,
-) -> PresentedAbelianGroup:
-    complex_ = _checked_complex(datum, complex_, degree)
-    big, small = _sha_groups(datum, complex_, degree, [selection, EMPTY_SELECTION], cochain_cap)
-    return big.quotient_by(small)
 
 
 # ---------------------------------------------------------------------------

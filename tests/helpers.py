@@ -2,58 +2,61 @@
 enumeration (the library itself deliberately ships no subgroup lattice;
 tests build it by closure), and constructions that only tests use: small
 abelian groups, sparse composition, map congruence, the long exact
-sequence of a two-term complex, a restriction's class map on every
-generator of its source value (composed from the reduced map, or eager),
-the Sha kernels built from public restrictions and stacked class maps
-(eager, on every generator of the ambient value, and on its reduced
-view), the column-order echelon kernel that ``sparse_kernel`` must
-reproduce, the checked rows of the kernel route cut out of the full
-differential, the dense Hermite form, and the dense lattice solve and
-reduction.  The last four are the references for what the package now
-builds or solves directly."""
+sequence of a two-term complex, the zero, identity and composite
+homomorphisms, the general subquotient ker/im, the restriction of a
+module and of a computed group to a subgroup (the reference for the Sha
+conditions), the full cocycle test of a cochain, the inclusion and the
+quotient of Sha groups, a restriction's class map on every generator
+of its source value (composed from the reduced map, or eager), the Sha
+kernels built from those restrictions and stacked class maps (eager, on
+every generator of the ambient value, and on its reduced view), the
+column-order echelon kernel that ``sparse_kernel`` must reproduce, the
+checked rows of the kernel route cut out of the full differential, the
+dense Hermite form, and the dense lattice solve and reduction.  The
+subquotient, the restrictions, the cocycle test and the last four are
+the references for what the package now builds or solves directly."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from shacalc.abelian import (
-    AbHom,
-    PresentedAbelianGroup,
-    Subquotient,
-    subquotient,
-    trivial_group,
-)
+from shacalc.abelian import AbHom, PresentedAbelianGroup, class_on_basis, present_quotient
 from shacalc.cohomology import (
+    DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
-    Restriction,
     TwoTermComplex,
     cohomology,
     hypercohomology,
-    restriction,
 )
 from shacalc.errors import StructuralError
+from shacalc.gmodules import GModule, GModuleHom, PermutationModule
 from shacalc.groups import FiniteGroup, Subgroup, from_permutations
 from shacalc.intlinalg import (
     IntMatrix,
+    Lattice,
     _hermite_from_echelon,
     _sparse_insert,
+    preimage_kernel,
+    sparse_apply,
     sparse_from_matrix,
     xgcd,
 )
+from shacalc.sha import EMPTY_SELECTION, LocalDatum, PlaceSelection, ShaGroup, _sha_groups
+
+
+def cyclic(n: int) -> FiniteGroup:
+    return from_permutations([[(i + 1) % n for i in range(n)]])
 
 
 def catalog() -> dict[str, FiniteGroup]:
-    def cyc(n):
-        return from_permutations([[(i + 1) % n for i in range(n)]])
-
     return {
-        "Z2": cyc(2),
-        "Z3": cyc(3),
-        "Z4": cyc(4),
-        "Z6": cyc(6),
-        "Z8": cyc(8),
-        "Z12": cyc(12),
+        "Z2": cyclic(2),
+        "Z3": cyclic(3),
+        "Z4": cyclic(4),
+        "Z6": cyclic(6),
+        "Z8": cyclic(8),
+        "Z12": cyclic(12),
         "V4": from_permutations([[1, 0, 2, 3], [0, 1, 3, 2]]),
         "S3": from_permutations([[1, 0, 2], [1, 2, 0]]),
         "D4": from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]]),
@@ -90,6 +93,157 @@ def free_group(rank: int) -> PresentedAbelianGroup:
 
 def cyclic_group(n: int) -> PresentedAbelianGroup:
     return PresentedAbelianGroup(1, [[n]])
+
+
+def torsion_module(g: FiniteGroup, n: int) -> GModule:
+    """Z/n with the trivial action."""
+    return GModule(g, cyclic_group(n), [IntMatrix([[1]]) for _ in g.generators])
+
+
+def trivial_group() -> PresentedAbelianGroup:
+    return PresentedAbelianGroup(0)
+
+
+def zero_hom(source: PresentedAbelianGroup, target: PresentedAbelianGroup) -> AbHom:
+    return AbHom(source, target, IntMatrix.zeros(target.generator_count, source.generator_count))
+
+
+def identity_hom(group: PresentedAbelianGroup) -> AbHom:
+    return AbHom(group, group, IntMatrix.identity(group.generator_count))
+
+
+def compose(outer: AbHom, inner: AbHom) -> AbHom:
+    """outer after inner."""
+    if inner.target != outer.source:
+        raise StructuralError("homs are not composable")
+    return AbHom(inner.source, outer.target, outer.matrix.mul(inner.matrix))
+
+
+def is_zero_hom(h: AbHom) -> bool:
+    return all(h.target.contains_relation(h.matrix.col(j)) for j in range(h.matrix.ncols))
+
+
+@dataclass(frozen=True)
+class Subquotient:
+    """ker/im presented on the Hermite ``basis`` of the kernel lattice:
+    generator j of ``group`` is the ambient vector ``basis.rows[j]``, and
+    ``class_of`` sends an ambient vector lying in the kernel back to its
+    class coordinates."""
+
+    group: PresentedAbelianGroup
+    ambient: PresentedAbelianGroup
+    basis: Lattice
+
+    def class_of(self, ambient_vec: Sequence[int]) -> tuple[int, ...]:
+        return class_on_basis(self.group, self.basis, ambient_vec)
+
+    def inclusion(self) -> AbHom:
+        lift = IntMatrix.from_cols(self.basis.rows, rows=self.ambient.generator_count)
+        return AbHom(self.group, self.ambient, lift)
+
+
+def subquotient(kernel_of: AbHom, image_of: AbHom) -> Subquotient:
+    """ker(kernel_of) / im(image_of) inside the presented source group.
+
+    Requires image_of.target == kernel_of.source and kernel_of o image_of
+    to be the zero map of presented groups; rejects anything else."""
+    if image_of.target != kernel_of.source:
+        raise StructuralError(
+            "subquotient needs image_of.target equal to kernel_of.source"
+        )
+    if not is_zero_hom(compose(kernel_of, image_of)):
+        raise StructuralError("maps do not form a complex: composite is nonzero")
+    ambient = kernel_of.source
+    target = kernel_of.target
+    basis = preimage_kernel(
+        sparse_from_matrix(kernel_of.matrix),
+        target.generator_count,
+        target.relation_lattice.sparse_rows(),
+    )
+    # the composite is zero, so every image vector lies in the kernel
+    group = present_quotient(
+        basis, sparse_from_matrix(image_of.matrix) + ambient.relation_lattice.sparse_rows()
+    )
+    return Subquotient(group=group, ambient=ambient, basis=basis)
+
+
+def restrict(m: GModule, h: Subgroup) -> GModule:
+    """Same underlying group, action restricted to a subgroup (which
+    becomes the acting group, via its own canonical enumeration)."""
+    if h.parent is not m.group:
+        raise StructuralError("subgroup does not belong to the module's group")
+    h_group, embed = h.as_group()
+    action = [m.element_matrix(embed[s]) for s in h_group.generators]
+    if isinstance(m, PermutationModule):
+        perms = [m.basis_action[embed[s]] for s in h_group.generators]
+        return PermutationModule(h_group, m.rank, perms)
+    return GModule(h_group, m.underlying, action, _trusted=True)
+
+
+@dataclass(frozen=True)
+class Restriction:
+    """The induced map on cohomology together with the restricted group.
+
+    ``reduced_map`` is the class map on the reduced views of the source
+    and target values."""
+
+    reduced_map: AbHom
+    target: CohomologyGroup
+    cochain_selection: tuple[int, ...]  # target coord -> source coord
+
+
+def restriction(
+    cg: CohomologyGroup, h: Subgroup, *, cochain_cap: int = DEFAULT_COCHAIN_CAP
+) -> Restriction:
+    """Restriction HH^i(g, A -> B) -> HH^i(h, A|_h -> B|_h) along the
+    inclusion of a subgroup: the cochains of both terms of the total
+    complex are restricted to tuples from the subgroup.  For a module M,
+    the complex M -> 0, this is H^i(g, M) -> H^i(h, M|_h).  It works in
+    reduced coordinates: it restricts only the cocycles of the kept
+    generators, one class solve each, and projects their classes onto the
+    kept generators of the target."""
+    complex_ = cg.coefficients
+    if h.parent is not cg.group:
+        raise StructuralError("subgroup does not belong to the acting group")
+    h_group, embed = h.as_group()
+    a_sub = restrict(complex_.degree0, h)
+    b_sub = restrict(complex_.degree1, h)
+    sub_complex = TwoTermComplex(GModuleHom(a_sub, b_sub, complex_.f.matrix))
+    target = hypercohomology(h_group, sub_complex, cg.degree, cochain_cap=cochain_cap)
+    sel = cg._cochains.selection(cg.degree, embed)
+    # only the kept generators' cocycles are restricted, one solve each
+    red_src, red_tgt = cg.group_value.reduced(), target.group_value.reduced()
+    cols = [
+        red_tgt.project(target.class_coords([cg.representatives[k][s] for s in sel]))
+        for k in red_src.kept
+    ]
+    hom = AbHom(
+        red_src.group,
+        red_tgt.group,
+        IntMatrix.from_cols(cols, rows=red_tgt.group.generator_count),
+    )
+    return Restriction(reduced_map=hom, target=target, cochain_selection=sel)
+
+
+def dense(col: dict[int, int], dim: int) -> list[int]:
+    """A sparse vector written out with ``dim`` coordinates."""
+    vec = [0] * dim
+    for k, v in col.items():
+        vec[k] = v
+    return vec
+
+
+def is_cocycle(cg: CohomologyGroup, vec: Sequence[int]) -> bool:
+    """Whether a cochain is a cocycle of ``cg``, on the full d^i: the
+    saturation route never builds d^i and the kernel route builds only some
+    of its rows, so this check is independent of either."""
+    cochains = cg._cochains
+    if len(vec) != cochains.dim(cg.degree):
+        raise StructuralError(
+            f"cochain of length {len(vec)}, expected {cochains.dim(cg.degree)}"
+        )
+    img = dense(sparse_apply(cochains.diff_cols(cg.degree), vec), cochains.dim(cg.degree + 1))
+    return cochains.block_contains(cg.degree + 1, img)
 
 
 def congruent(a: AbHom, b: AbHom) -> bool:
@@ -232,7 +386,7 @@ def full_restriction_map(source: CohomologyGroup, res: Restriction) -> AbHom:
     src, tgt = source.group_value, res.target.group_value
     red_src, red_tgt = src.reduced(), tgt.reduced()
     cols = [
-        tgt.reduce_element(red_tgt.section(res.reduced_map.apply(red_src.project(unit))))
+        tgt.reduce_element(red_tgt.section(res.reduced_map.matrix.matvec(red_src.project(unit))))
         for unit in IntMatrix.identity(src.generator_count).rows
     ]
     return AbHom(src, tgt, IntMatrix.from_cols(cols, rows=tgt.generator_count))
@@ -285,8 +439,8 @@ def eager_kernel(ambient: CohomologyGroup, subgroups: Sequence[Subgroup]) -> Eag
             [eager_restriction_map(ambient, restriction(ambient, sub)) for sub in subgroups]
         )
     else:
-        constraint = AbHom.zero(value_group, trivial_group())
-    sq = subquotient(constraint, AbHom.zero(trivial_group(), value_group))
+        constraint = zero_hom(value_group, trivial_group())
+    sq = subquotient(constraint, zero_hom(trivial_group(), value_group))
     return EagerSha(
         value=sq.group,
         representatives=tuple(_combine(ambient, coords) for coords in sq.basis),
@@ -315,10 +469,29 @@ def restriction_kernel(ambient: CohomologyGroup, subgroups: Sequence[Subgroup]) 
     zero reduced ambient."""
     red = ambient.group_value.reduced()
     maps = [restriction(ambient, sub).reduced_map for sub in subgroups] if red.kept else []
-    constraint = stack_homs(maps) if maps else AbHom.zero(red.group, trivial_group())
-    sq = subquotient(constraint, AbHom.zero(trivial_group(), red.group))
+    constraint = stack_homs(maps) if maps else zero_hom(red.group, trivial_group())
+    sq = subquotient(constraint, zero_hom(trivial_group(), red.group))
     cochains = tuple(_combine(ambient, red.section(b)) for b in sq.basis)
     return RestrictedSha(kernel=sq, cochains=cochains, constraint=constraint)
+
+
+def sha_inclusion(group: ShaGroup) -> AbHom:
+    """The inclusion of a Sha group's value into the reduced ambient value,
+    on the kernel basis the group holds."""
+    red = group.ambient.group_value.reduced().group
+    return Subquotient(group=group.value, ambient=red, basis=group._basis).inclusion()
+
+
+def quotient_by_empty(
+    datum: LocalDatum, complex_: TwoTermComplex, degree: int, selection: PlaceSelection
+) -> PresentedAbelianGroup:
+    """Sha_S / Sha_empty inside HH^degree of the complex (a module M is
+    M -> 0), as ``brauer`` and ``pi1`` take it: both groups over one
+    ambient, then ``quotient_by``."""
+    big, small = _sha_groups(
+        datum, complex_, degree, [selection, EMPTY_SELECTION], DEFAULT_COCHAIN_CAP
+    )
+    return big.quotient_by(small)
 
 
 def checked_coords(cochains, i: int) -> list[int]:

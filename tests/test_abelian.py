@@ -4,19 +4,21 @@ import sys
 
 import pytest
 
-from shacalc.abelian import (
-    AbHom,
-    PresentedAbelianGroup,
-    invariant_factors,
-    is_isomorphism,
-    subquotient,
-    trivial_group,
-)
+from shacalc.abelian import AbHom, PresentedAbelianGroup, invariant_factors, is_isomorphism
 from shacalc.errors import InternalError, StructuralError
 from shacalc.intlinalg import IntMatrix, hermite_rows
 from shacalc.prng import SplitMix64
 
-from helpers import cyclic_group, free_group
+from helpers import (
+    compose,
+    cyclic_group,
+    free_group,
+    identity_hom,
+    is_zero_hom,
+    subquotient,
+    trivial_group,
+    zero_hom,
+)
 from oracles import box_subquotient_invariants
 
 
@@ -105,24 +107,24 @@ class TestAbHom:
     def test_compose_and_zero(self):
         z = free_group(1)
         dbl = AbHom(z, z, IntMatrix([[2]]))
-        four = dbl.compose(dbl)
+        four = compose(dbl, dbl)
         assert four.matrix.at(0, 0) == 4
         z2 = cyclic_group(2)
         to_z2 = AbHom(z, z2, IntMatrix([[1]]))
-        assert to_z2.compose(dbl).is_zero()
+        assert is_zero_hom(compose(to_z2, dbl))
 
 
 class TestSubquotient:
     def test_z_mod_3(self):
         z = free_group(1)
-        ker_all = AbHom.zero(z, trivial_group())
+        ker_all = zero_hom(z, trivial_group())
         times3 = AbHom(z, z, IntMatrix([[3]]))
         sq = subquotient(ker_all, times3)
         assert invariant_factors(sq.group) == (0, (3,))
 
     def test_identity_kills_everything(self):
         z = free_group(1)
-        sq = subquotient(AbHom.identity(z), AbHom.zero(trivial_group(), z))
+        sq = subquotient(identity_hom(z), zero_hom(trivial_group(), z))
         assert sq.group.is_trivial()
 
     def test_sum_kernel_mod_antidiagonal(self):
@@ -137,17 +139,17 @@ class TestSubquotient:
         z = free_group(1)
         z2 = free_group(2)
         with pytest.raises(StructuralError):
-            subquotient(AbHom.identity(z), AbHom.zero(trivial_group(), z2))
+            subquotient(identity_hom(z), zero_hom(trivial_group(), z2))
 
     def test_rejects_non_complex(self):
         z = free_group(1)
         with pytest.raises(StructuralError):
-            subquotient(AbHom.identity(z), AbHom.identity(z))
+            subquotient(identity_hom(z), identity_hom(z))
 
     def test_escaping_image_is_an_internal_error(self, monkeypatch):
         """An image vector outside the kernel lattice contradicts the
         composite-is-zero check, so it is a defect, not bad input."""
-        module = sys.modules["shacalc.abelian"]
+        module = sys.modules["helpers"]
         real = module.present_quotient
         # the image vectors are presented on a kernel lattice that is too small
         monkeypatch.setattr(module, "present_quotient",
@@ -174,7 +176,7 @@ class TestSubquotient:
         """ker(id) on Z^2 is zero, yet its basis keeps width 2: (0, 0, 0)
         used to get the class ()."""
         z2 = free_group(2)
-        sq = subquotient(AbHom.identity(z2), AbHom.zero(trivial_group(), z2))
+        sq = subquotient(identity_hom(z2), zero_hom(trivial_group(), z2))
         assert sq.class_of([0, 0]) == ()
         with pytest.raises(StructuralError):
             sq.class_of([0, 0, 0])
@@ -241,3 +243,26 @@ class TestIsIsomorphism:
         z6 = cyclic_group(6)
         assert not is_isomorphism(AbHom(z6, z6, IntMatrix([[2]])))
         assert not is_isomorphism(AbHom(z6, z6, IntMatrix([[0]])))
+
+    @pytest.mark.parametrize("source, target, rows, bijective", [
+        # a swap of Z + Z/2 onto Z/2 + Z
+        (PresentedAbelianGroup(2, [[0, 2]]), PresentedAbelianGroup(2, [[2, 0]]), [[0, 1], [1, 0]], True),
+        # Z --2--> Z: injective, not onto
+        (free_group(1), free_group(1), [[2]], False),
+        # Z -> Z/2: onto, not injective
+        (free_group(1), cyclic_group(2), [[1]], False),
+        # a non-diagonal unimodular map of Z/2 + Z/4: a -> a + 2b, b -> a + b
+        (PresentedAbelianGroup(2, [[2, 0], [0, 4]]), PresentedAbelianGroup(2, [[2, 0], [0, 4]]),
+         [[1, 1], [2, 1]], True),
+        # the zero group
+        (PresentedAbelianGroup(0), PresentedAbelianGroup(0), [], True),
+    ], ids=["swap", "doubling", "onto-z2", "unimodular", "zero-group"])
+    def test_agrees_with_subquotient(self, source, target, rows, bijective):
+        """The kernel and cokernel taken as subquotients, ker h / 0 and
+        target / im h, are both trivial exactly when ``is_isomorphism``
+        says so."""
+        h = AbHom(source, target, IntMatrix(rows, cols=source.generator_count))
+        kernel = subquotient(h, zero_hom(trivial_group(), source)).group
+        cokernel = subquotient(zero_hom(target, trivial_group()), h).group
+        assert (kernel.is_trivial() and cokernel.is_trivial()) == bijective
+        assert is_isomorphism(h) == bijective

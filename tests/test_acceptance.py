@@ -40,7 +40,7 @@ from shacalc.suites import (
     shift_isomorphism_suite,
 )
 
-from helpers import all_subgroups, catalog
+from helpers import all_subgroups, catalog, cyclic
 from oracles import (
     cyclic_cohomology_invariants,
     h1_and_sha_by_enumeration,
@@ -67,10 +67,6 @@ def report(number: int, label: str):
         return wrapped
 
     return decorator
-
-
-def cyclic(n):
-    return from_permutations([[(i + 1) % n for i in range(n)]])
 
 
 @report(1, "cyclic-group oracle, n <= 12, under 10 s")

@@ -273,7 +273,8 @@ class TestExt0:
         cols = [list(ig.element_matrix(s).matvec(v)) for s in range(g.order)]
         f = GModuleHom(reg, ig, IntMatrix.from_cols(cols, rows=3))
         data = ext0_with_data(IsogenyDatum(TwoTermComplex(f)))
-        from shacalc.abelian import AbHom, subquotient, trivial_group
+        from shacalc.abelian import AbHom
+        from helpers import subquotient, trivial_group, zero_hom
 
         phi_hom = AbHom(
             data.x_prime.underlying,
@@ -281,8 +282,8 @@ class TestExt0:
             data.phi,
         )
         f_hom = f.abhom
-        ker_phi = subquotient(phi_hom, AbHom.zero(trivial_group(), phi_hom.source))
-        ker_f = subquotient(f_hom, AbHom.zero(trivial_group(), f_hom.source))
+        ker_phi = subquotient(phi_hom, zero_hom(trivial_group(), phi_hom.source))
+        ker_f = subquotient(f_hom, zero_hom(trivial_group(), f_hom.source))
         assert invariant_factors(ker_phi.group) == invariant_factors(ker_f.group)
         cok_phi = PresentedAbelianGroup(
             data.cover_rank, [data.phi.col(j) for j in range(data.phi.ncols)]

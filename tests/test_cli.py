@@ -64,7 +64,7 @@ class TestBundledProblems:
     def test_output_independent_of_hash_seed(self, name, monkeypatch):
         """Commands that call ``sparse_kernel`` print the committed bytes
         under two hash seeds, so no pivot choice follows set or dict
-        iteration order.  ``brauer`` reaches it through ``subquotient``,
+        iteration order.  ``brauer`` reaches it through the Sha preimages,
         ``verify`` also through the kernel route of the cohomology, both by
         way of ``preimage_kernel``.  Each seed needs its own interpreter."""
         entry = next(e for e in json.loads((PROBLEMS / "manifest.json").read_text())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shacalc.abelian import invariant_factors, present_quotient, subquotient
+from shacalc.abelian import invariant_factors, present_quotient
 from shacalc.arith import (
     HomSpaceDatum,
     brauer_obstruction_groups,
@@ -19,9 +19,9 @@ from shacalc.cohomology import (
     TwoTermComplex,
     _Cochains,
     _TotalComplex,
+    _module_complex,
     cohomology,
     hypercohomology,
-    restriction,
 )
 from shacalc.errors import ResourceError, StructuralError
 from shacalc.gmodules import (
@@ -32,7 +32,6 @@ from shacalc.gmodules import (
     permutation_cover,
     permutation_module,
     regular_module,
-    restrict,
     sign_module,
     trivial_module,
     zero_module,
@@ -54,9 +53,7 @@ from shacalc.sha import (
     _imposed_subgroups,
     sha,
     sha_omega,
-    sha_quotient,
     sha_two_term,
-    sha_two_term_quotient,
 )
 from shacalc.suites import random_equivariant_map, random_module, random_subgroup
 
@@ -64,20 +61,26 @@ from helpers import (
     all_subgroups,
     catalog,
     checked_coords,
+    compose,
     congruent,
+    cyclic,
+    dense,
     echelon_kernel,
     full_restriction_map,
+    is_cocycle,
+    is_zero_hom,
     les_segment,
     on_rows,
+    quotient_by_empty,
+    restrict,
+    restriction,
     sparse_compose,
+    subquotient,
+    torsion_module,
 )
 from oracles import abelianization_invariants, cyclic_cohomology_invariants, exponent
 
 GROUPS = catalog()
-
-
-def cyclic(n):
-    return from_permutations([[(i + 1) % n for i in range(n)]])
 
 
 class TestLowDegrees:
@@ -191,17 +194,18 @@ class TestLowDegrees:
         for h in cases:
             assert h.representatives
             for j, rep in enumerate(h.representatives):
-                assert h.is_cocycle(rep)
+                assert is_cocycle(h, rep)
                 coords = h.class_coords(rep)
                 expected = [0] * h.group_value.generator_count
                 expected[j] = 1
                 assert list(coords) == list(h.group_value.reduce_element(expected))
-            assert not h.is_cocycle([1] + [0] * (len(h.representatives[0]) - 1))
+            assert not is_cocycle(h, [1] + [0] * (len(h.representatives[0]) - 1))
 
 
     def test_wrong_length_rejected(self):
         """S3 H^1(I_G) has cochains of length 30.  A short one used to make
-        ``class_coords`` raise IndexError and ``is_cocycle`` return False."""
+        ``class_coords`` raise IndexError and ``helpers.is_cocycle`` return
+        False."""
         g = GROUPS["S3"]
         h = cohomology(g, augmentation_ideal(g), 1)
         assert len(h.representatives[0]) == 30
@@ -209,7 +213,7 @@ class TestLowDegrees:
             with pytest.raises(StructuralError):
                 h.class_coords(vec)
             with pytest.raises(StructuralError):
-                h.is_cocycle(vec)
+                is_cocycle(h, vec)
 
 
 def j_dual(g):
@@ -252,7 +256,8 @@ def computed_by(compute):
 def public_computations(compute):
     """``compute()`` and the names of the public computations,
     ``cohomology`` and ``hypercohomology``, that it called, through any
-    binding of them in the package.  A tracer that wraps each public
+    binding of them in the package or in ``helpers``, whose reference
+    restriction computes its target.  A tracer that wraps each public
     function counts one computation per such call."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
@@ -263,7 +268,7 @@ def public_computations(compute):
                 return _real(*args, **kwargs)
 
             for name, module in list(sys.modules.items()):
-                if name == "shacalc" or name.startswith("shacalc."):
+                if name in ("shacalc", "helpers") or name.startswith("shacalc."):
                     for attr, value in list(vars(module).items()):
                         if value is real:
                             mp.setattr(module, attr, spy)
@@ -436,18 +441,6 @@ class TestClosedForms:
             g = LADDER_GROUPS[name]
             for i in (1, 2):
                 assert cohomology(g, regular_module(g), i).group_value.is_trivial(), (name, i)
-
-
-def dense(col, n):
-    vec = [0] * n
-    for k, v in col.items():
-        vec[k] = v
-    return vec
-
-
-def torsion_module(g, n):
-    """Z/n with the trivial action."""
-    return GModule(g, PresentedAbelianGroup(1, [[n]]), [IntMatrix([[1]]) for _ in g.generators])
 
 
 class TestKernelInputs:
@@ -758,7 +751,7 @@ class TestRestriction:
         g = GROUPS["V4"]
         h = cohomology(g, augmentation_ideal(g), 1)
         res = restriction(h, g.trivial_subgroup())
-        assert res.reduced_map.is_zero()
+        assert is_zero_hom(res.reduced_map)
 
     def test_biquadratic_restrictions_land_in_z2(self):
         g = GROUPS["V4"]
@@ -895,9 +888,9 @@ class TestPublicComputations:
         # the classes of order 2 and 3, and v; w is conjugate to the first
         assert len(self.maximal_classes(datum, S) | self.maximal_classes(datum, EMPTY_SELECTION)) == 3
         for compute in (
-            lambda: sha_quotient(datum, augmentation_ideal(g), 1, S),
-            lambda: sha_two_term_quotient(datum, j_dual(g), 2, S),
-            lambda: sha_quotient(datum, torsion_module(g, 4), 2, S),
+            lambda: quotient_by_empty(datum, _module_complex(augmentation_ideal(g)), 1, S),
+            lambda: quotient_by_empty(datum, j_dual(g), 2, S),
+            lambda: quotient_by_empty(datum, _module_complex(torsion_module(g, 4)), 2, S),
         ):
             _, calls = public_computations(compute)
             assert len(calls) == 1
@@ -994,8 +987,8 @@ class TestHyper:
         c_sub = TwoTermComplex(GModuleHom(a_sub, b_sub, f.matrix))
         les_sub = les_segment(h_group, c_sub, 2)
         # H^1(B) -> HH^2 -> restrict == H^1(B) -> restrict -> HH^2
-        left = full_restriction_map(les.hyper, res_hyper).compose(les.from_b_prev)
+        left = compose(full_restriction_map(les.hyper, res_hyper), les.from_b_prev)
         # identify the two constructions of the subgroup-side groups: they
         # are built by the same deterministic pipeline, so coordinates match
-        right = les_sub.from_b_prev.compose(full_restriction_map(les.hb_prev, res_b))
+        right = compose(les_sub.from_b_prev, full_restriction_map(les.hb_prev, res_b))
         assert congruent(left, right)

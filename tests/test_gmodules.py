@@ -17,7 +17,6 @@ from shacalc.gmodules import (
     permutation_cover,
     permutation_module,
     regular_module,
-    restrict,
     sign_module,
     trivial_module,
     zero_module,
@@ -25,7 +24,7 @@ from shacalc.gmodules import (
 from shacalc.intlinalg import IntMatrix
 from shacalc.prng import SplitMix64
 
-from helpers import catalog
+from helpers import catalog, restrict, subquotient
 
 GROUPS = catalog()
 
@@ -242,8 +241,6 @@ class TestPermutationCover:
                 # L is Z-free by construction
                 assert invariant_factors(res.L.underlying)[1] == ()
                 # exactness at P: ker(proj)/im(incl) is trivial
-                from shacalc.abelian import subquotient
-
                 sq = subquotient(res.proj.abhom, res.incl.abhom)
                 assert sq.group.is_trivial()
 

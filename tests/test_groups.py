@@ -120,7 +120,7 @@ class TestSylow:
     def test_sylow_really_subgroups(self):
         for g in GROUPS.values():
             for p, s in sylow_subgroups(g.table).items():
-                assert g.subgroup(s).order == len(s)  # construction validates closure
+                assert Subgroup(g, s).order == len(s)  # construction validates closure
                 assert g.order % len(s) == 0 and (g.order // len(s)) % p != 0
 
 

@@ -64,10 +64,6 @@ class TestIntMatrix:
             IntMatrix([])
         assert IntMatrix([], cols=3).ncols == 3
 
-    def test_entries_row_major(self):
-        m = IntMatrix([[1, 2], [3, 4]])
-        assert m.entries == (1, 2, 3, 4)
-
     def test_big_integers_survive(self):
         big = 10**40
         m = IntMatrix([[big]])

@@ -20,7 +20,6 @@ from shacalc.cohomology import (
     _module_complex,
     cohomology,
     hypercohomology,
-    restriction,
 )
 from shacalc.arith import dual_complex
 from shacalc.errors import InternalError, StructuralError
@@ -53,7 +52,6 @@ from shacalc.sha import (
     _sha_groups,
     sha,
     sha_omega,
-    sha_quotient,
     sha_two_term,
     verify_annihilation,
     verify_shift_isomorphism,
@@ -77,7 +75,11 @@ from helpers import (
     eager_kernel,
     eager_restriction_map,
     full_restriction_map,
+    quotient_by_empty,
+    restriction,
     restriction_kernel,
+    sha_inclusion,
+    torsion_module,
 )
 from oracles import h1_and_sha_by_enumeration, rational_fixed_space_is_zero
 
@@ -236,7 +238,7 @@ class TestSpecialPlaces:
         assert sha(datum, ig, 1).value.is_trivial()
         sh_s = sha(datum, ig, 1, PlaceSelection.of("v_ram"))
         assert invariant_factors(sh_s.value) == (0, (2,))
-        q = sha_quotient(datum, ig, 1, PlaceSelection.of("v_ram"))
+        q = quotient_by_empty(datum, _module_complex(ig), 1, PlaceSelection.of("v_ram"))
         assert invariant_factors(q) == (0, (2,))
 
     def test_cyclic_places_never_matter(self):
@@ -255,7 +257,7 @@ class TestSpecialPlaces:
             PlaceSelection.of("v1", "v2", "v3"),
         ):
             assert invariant_factors(sha(datum, ig, 1, excl).value) == base
-            assert sha_quotient(datum, ig, 1, excl).is_trivial()
+            assert quotient_by_empty(datum, _module_complex(ig), 1, excl).is_trivial()
 
     def test_monotonicity(self):
         """Sha_S grows with S: the kernel lattice for a larger excluded
@@ -281,15 +283,15 @@ class TestSpecialPlaces:
         assert order(big) == order(omega)
         # inclusion as subgroups: every representative of the smaller group
         # is a member of the bigger kernel lattice
+        inclusion = sha_inclusion(small).matrix
         for rep_coords in range(small.value.generator_count):
-            amb = small.inclusion.matrix.col(rep_coords)
+            amb = inclusion.col(rep_coords)
             big.class_of(amb)  # raises if not contained
 
     def test_conjugacy_reduction_is_sound(self):
         """Imposing all cyclic subgroups gives the same Sha as one
         representative per conjugacy class."""
         from shacalc.groups import cyclic_subgroups
-        from shacalc.cohomology import restriction
 
         for name in ("S3", "D4"):
             g = GROUPS[name]
@@ -428,8 +430,8 @@ class TestSharedAmbient:
                 assert group.value.relation_rows == want.value.relation_rows
                 assert group.representatives == want.representatives
                 assert group.imposed == want.imposed
-                assert group.inclusion.matrix == want.inclusion.matrix
-                assert group._subquotient.basis == want._subquotient.basis
+                assert sha_inclusion(group).matrix == sha_inclusion(want).matrix
+                assert group._basis == want._basis
             assert_same_as_every_imposed(datum, selections, shared)
 
     @staticmethod
@@ -499,8 +501,9 @@ def assert_same_as_every_imposed(datum, selections, shared):
             coords = [0] * red.group.generator_count
             coords[k] = 1
             assert class_or_none(group, coords) == class_or_none(want, coords)
+        inclusion = sha_inclusion(group).matrix
         for j in range(group.value.generator_count):
-            coords = group.inclusion.matrix.col(j)
+            coords = inclusion.col(j)
             assert group.class_of(coords) == want.class_of(coords)
         names = [name for name, _ in imposed]
         _recheck(group.cochains, names, [conditions[sub] for _, sub in imposed])
@@ -508,11 +511,6 @@ def assert_same_as_every_imposed(datum, selections, shared):
         assert invariant_factors(group.quotient_by(shared[-1])) == invariant_factors(
             want.quotient_by(every[-1])
         )
-
-
-def torsion_module(g, n):
-    """Z/n with the trivial action."""
-    return GModule(g, PresentedAbelianGroup(1, [[n]]), [IntMatrix([[1]]) for _ in g.generators])
 
 
 class TestReducedCoordinates:
@@ -600,9 +598,9 @@ class TestGeneratorEvaluation:
                     whole = sub.order == ambient.group.order
                     assert isinstance(cond, _WholeGroup if whole else _Evaluation)
             assert group.value == kernel.kernel.group
-            assert group._subquotient.basis == kernel.kernel.basis
+            assert group._basis == kernel.kernel.basis
             assert group.cochains == kernel.cochains
-            assert group.inclusion.matrix == kernel.kernel.inclusion().matrix
+            assert sha_inclusion(group).matrix == kernel.kernel.inclusion().matrix
             if ambient.degree == 1:
                 eager = eager_kernel(ambient, restricted_subgroups(group))
                 assert group.representatives == eager.representatives
@@ -616,7 +614,7 @@ class TestGeneratorEvaluation:
         group = _kernel(ambient, trivial, trivial, shared[0]._condition_of)
         kernel = restriction_kernel(ambient, [sub for _, sub in trivial])
         assert group.value == kernel.kernel.group
-        assert group._subquotient.basis == kernel.kernel.basis
+        assert group._basis == kernel.kernel.basis
         assert group.cochains == kernel.cochains
 
     @staticmethod
@@ -788,14 +786,14 @@ class TestQuotientBy:
 
     def test_separate_calls_on_equal_data(self):
         """Groups from two ``sha`` calls, each computing its own ambient,
-        give the quotient that ``sha_quotient`` gives."""
+        give the quotient that one ``_sha_groups`` call gives."""
         datum = self.datum()
         ig = augmentation_ideal(datum.group)
         selection = PlaceSelection.of("v_c", "v_full")
         big, small = sha(datum, ig, 1, selection), sha(datum, ig, 1)
         assert big.ambient is not small.ambient
         quotient = big.quotient_by(small)
-        assert quotient == sha_quotient(datum, ig, 1, selection)
+        assert quotient == quotient_by_empty(datum, _module_complex(ig), 1, selection)
         assert quotient.order() == 2
 
 
@@ -906,9 +904,10 @@ class TestSolveCounts:
     def test_one_preimage_per_group_and_no_hom(self):
         """Sha^1_omega(V4, I_G) and the degree-2 group of P -> I_G, each
         with the group over the empty set (restricted to V4 itself) beside
-        it: one preimage per group, no hom until ``inclusion`` is read, and
-        no preimage for ``quotient_by``.  The coefficient complexes are
-        built first, since an equivariant map holds a checked hom."""
+        it: one preimage per group, no hom, and no preimage for
+        ``quotient_by``; the inclusion, built from the basis the group
+        holds, takes one hom and no preimage.  The coefficient complexes
+        are built first, since an equivariant map holds a checked hom."""
         g = GROUPS["V4"]
         ig = augmentation_ideal(g)
         cover = permutation_cover(ig)
@@ -926,9 +925,8 @@ class TestSolveCounts:
             quotient, counts = self.counted(lambda: groups[0].quotient_by(groups[1]))
             assert counts == {"preimage": 0, "hom": 0}
             assert quotient.order() == 2
-            inclusion, counts = self.counted(lambda: groups[0].inclusion)
+            _, counts = self.counted(lambda: sha_inclusion(groups[0]))
             assert counts == {"preimage": 0, "hom": 1}
-            assert groups[0].inclusion is inclusion
 
     def test_degree_one_solves_no_class(self):
         """Degree 1 solves no class either: the recheck runs once per
