@@ -21,13 +21,13 @@ Conventions:
   dependence on hash iteration order.
 
 There is one gcd echelon, :func:`_sparse_insert`, on sparse rows.  Every
-lattice comes out of it: :func:`hermite_rows` inserts the nonzero rows it
-is given, :func:`sparse_kernel`, :func:`sparse_saturation` and
-:func:`preimage_kernel` the rows their methods produce, and
-:func:`_hermite_from_echelon` reduces the entries above the pivots.  The
-Hermite form is unique (Cohen, A Course in Computational Algebraic Number
-Theory, section 2.4), so the basis depends only on the lattice, whatever the
-order of the rows or the pivot steps.
+lattice comes out of it once: :func:`hermite_rows` inserts the nonzero rows
+it is given, :func:`sparse_kernel` (and so :func:`preimage_kernel`, which
+tags the kept unknowns alone) and :func:`sparse_saturation` the rows their
+methods produce, and :func:`_hermite_from_echelon` reduces the entries
+above the pivots.  The Hermite form is unique (Cohen, A Course in
+Computational Algebraic Number Theory, section 2.4), so the basis depends
+only on the lattice, whatever the order of the rows or the pivot steps.
 
 Kernels of sparse maps (:func:`sparse_kernel`) run in two phases.  The
 first eliminates unknowns through equations in which they have
@@ -331,20 +331,20 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 #    fewest equations (ties: lowest j).  Then x_j = -u * sum_{k != j} a_k x_k;
 #    substitute that into every other equation and drop x_j and its
 #    equation.  This never divides, so it is exact over Z.
-# 2. Gcd echelon.  Each remaining unknown x_k gives the row [A'_k | phi(e_k)]:
-#    its column of the residual equations A' (keys below nrows), then, at
-#    the tags nrows + j, the vector of Z^n that has x_k = 1, every other
+# 2. Gcd echelon.  Each remaining unknown x_k gives the row
+#    [A'_k | phi_K(e_k)]: its column of the residual equations A' (keys
+#    below nrows), then, at the tags nrows + j for the first K = ``kept``
+#    unknowns only, the part in Z^K of the vector with x_k = 1, every other
 #    remaining unknown 0, and the eliminated ones by back-substitution.
 #    The rows go, shortest first (ties: lowest k), into a gcd echelon
-#    keyed by leading column.  Its rows whose A'-part vanishes lead with
-#    a tag, and they span phi(ker A').
+#    keyed by leading column; those leading with a tag span proj_K(ker A).
 #
-# Why that is ker A: phi is Z-linear and injective, and x in Z^n lies in
-# ker A iff its eliminated coordinates are the back-substituted ones and
-# its remaining ones solve A'; each substitution through a +-1 pivot is a
-# unimodular change of variables.  So phi(ker A') = ker A as lattices, and
-# the canonical Hermite basis, which depends only on the lattice, is the
-# same whatever the pivots or the order of the rows.
+# Why: phi is Z-linear and injective, and x in Z^n lies in ker A iff its
+# eliminated coordinates are the back-substituted ones and its remaining
+# ones solve A'; +-1 substitutions are unimodular, so phi(ker A') = ker A.
+# A combination sum c_k [A'_k | phi_K(e_k)] has A'-part zero iff c is in
+# ker A', whatever tags are left out, and then its tags are proj_K(phi(c)).
+# The canonical Hermite basis depends only on that lattice, proj_K(ker A).
 
 
 def _sparse_sub(row: dict[int, int], other: dict[int, int], q: int) -> dict[int, int]:
@@ -483,14 +483,20 @@ def _eliminate_units(
     return subs
 
 
-def sparse_kernel(columns: Sequence[dict[int, int]], nrows: int) -> Lattice:
-    """The lattice {x : sum x_j * col_j = 0}.
+def sparse_kernel(
+    columns: Sequence[dict[int, int]], nrows: int, kept: int | None = None
+) -> Lattice:
+    """The lattice {x : sum x_j * col_j = 0}, projected onto its first
+    ``kept`` coordinates (all of them by default).
 
     ``columns[j]`` is the j-th column of the matrix as a {row: value} dict
-    whose rows lie in [0, ``nrows``); a row outside raises
-    :class:`StructuralError`.  See "Sparse kernels" above for the two
-    phases."""
+    whose rows lie in [0, ``nrows``); a row outside, or ``kept`` outside
+    [0, len(columns)], raises :class:`StructuralError`.  See "Sparse
+    kernels" above for the two phases and the projection."""
     n = len(columns)
+    kept = n if kept is None else kept
+    if not 0 <= kept <= n:
+        raise StructuralError(f"kept = {kept} outside [0, {n}]")
     cols: list[dict[int, int] | None] = []
     eqs: dict[int, dict[int, int]] = {}
     for j, col in enumerate(columns):
@@ -507,11 +513,11 @@ def sparse_kernel(columns: Sequence[dict[int, int]], nrows: int) -> Lattice:
                     eq[j] = v
         cols.append(c)
     subs = _eliminate_units(eqs, cols)
-    # the tags phi(e_k): each eliminated x_j as a combination of the
-    # remaining unknowns, built from the last substitution back
-    for k, c in enumerate(cols):
-        if c is not None:
-            c[nrows + k] = 1
+    # the kept tags phi_K(e_k): each eliminated x_j as a combination of
+    # the remaining unknowns, built from the last substitution back
+    for k in range(kept):
+        if cols[k] is not None:
+            cols[k][nrows + k] = 1
     on_remaining: dict[int, dict[int, int]] = {}
     for j, sub in reversed(subs):
         acc: dict[int, int] = {}
@@ -522,9 +528,10 @@ def sparse_kernel(columns: Sequence[dict[int, int]], nrows: int) -> Lattice:
                 for k, w in on_remaining[m].items():
                     acc[k] = acc.get(k, 0) + v * w
         on_remaining[j] = acc
-        for k, w in acc.items():
-            if w:
-                cols[k][nrows + j] = w
+        if j < kept:
+            for k, w in acc.items():
+                if w:
+                    cols[k][nrows + j] = w
     pivots: dict[int, dict[int, int]] = {}
     for _, k in sorted((len(c), k) for k, c in enumerate(cols) if c is not None):
         _sparse_insert(pivots, cols[k])
@@ -533,7 +540,7 @@ def sparse_kernel(columns: Sequence[dict[int, int]], nrows: int) -> Lattice:
         for key, row in pivots.items()
         if key >= nrows
     }
-    return _hermite_from_echelon(kernel, n)
+    return _hermite_from_echelon(kernel, kept)
 
 
 def _hermite_from_echelon(pivots: dict[int, dict[int, int]], width: int) -> Lattice:
@@ -618,16 +625,9 @@ def preimage_kernel(
     nrows: int,
     lattice_rows: Iterable[dict[int, int]],
 ) -> Lattice:
-    """The lattice {x : A x lies in the lattice spanned by the sparse
-    ``lattice_rows``}, for A given by sparse columns on ``nrows`` rows.
-
-    Computed as the x-part of ker [A | L], brought to Hermite form."""
-    n = len(columns)
-    ker = sparse_kernel(list(columns) + list(lattice_rows), nrows)
-    pivots: dict[int, dict[int, int]] = {}
-    for row in ker.sparse_rows():
-        _sparse_insert(pivots, {k: v for k, v in row.items() if k < n})
-    return _hermite_from_echelon(pivots, n)
+    """{x : A x lies in the lattice spanned by the sparse ``lattice_rows``}, for A
+    given by sparse columns on ``nrows`` rows: ker [A | L] projected onto x."""
+    return sparse_kernel(list(columns) + list(lattice_rows), nrows, len(columns))
 
 
 def sparse_from_matrix(m: IntMatrix) -> list[dict[int, int]]:

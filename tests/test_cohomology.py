@@ -383,7 +383,7 @@ class TestClosedForms:
             assert invariant_factors(cohomology(g, trivial_module(g, 1), 2).group_value) == (0, want), name
 
     # the Schur multipliers M(G) = H_2(G, Z), as invariant factors
-    SCHUR = {"V4": (2,), "D4": (2,), "Q8": (), "A4": (2,), "D6": (2,), "S3": ()}
+    SCHUR = {"V4": (2,), "D4": (2,), "Q8": (), "A4": (2,), "D6": (2,), "S3": (), "S4": (2,)}
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("name", list(SCHUR))
@@ -446,7 +446,8 @@ class TestClosedForms:
 class TestKernelInputs:
     """The unit-eliminating ``sparse_kernel`` against the column-order
     echelon on the real [d^i | relations] inputs that the kernel route
-    builds from the total complex."""
+    builds from the total complex, and ``preimage_kernel``, which tags
+    the d^i unknowns alone, against the d^i part of that echelon."""
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("name", ["V4", "D4", "Q8", "A4"])
@@ -462,8 +463,12 @@ class TestKernelInputs:
         for kernel_cols, nrows, lattice_rows in seen:
             columns = list(kernel_cols) + list(lattice_rows)
             out = sparse_kernel(columns, nrows)
-            assert out == echelon_kernel(columns, nrows)
+            full = echelon_kernel(columns, nrows)
+            assert out == full
             assert hermite_rows(out, len(columns)) == out
+            w = len(kernel_cols)
+            want = hermite_rows([r[:w] for r in full.rows], w)
+            assert preimage_kernel(kernel_cols, nrows, lattice_rows) == want
 
 
 class TestCheckedRows:

@@ -1,5 +1,7 @@
 """Exact linear algebra: Smith and Hermite forms, kernels, solving."""
 
+import sys
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -237,6 +239,25 @@ class TestKernels:
         assert basis.contains((1, -1))
         assert not basis.contains((1, 0))
 
+    def test_preimage_kernel_is_one_echelon_on_the_kept_tags(self, monkeypatch):
+        """One Hermite reduction, of width len(columns), and no tag for a
+        lattice unknown: the x-part comes out of the echelon of [A | L]
+        itself, not from a second echelon of the full kernel.  Nothing
+        here is a unit, so every unknown reaches the echelon."""
+        module = sys.modules["shacalc.intlinalg"]
+        hermite, insert = module._hermite_from_echelon, module._sparse_insert
+        widths, keys = [], []
+        monkeypatch.setattr(module, "_hermite_from_echelon",
+                            lambda *a: widths.append(a[1]) or hermite(*a))
+        monkeypatch.setattr(module, "_sparse_insert",
+                            lambda *a: keys.extend(a[1]) or insert(*a))
+        columns = [{0: 2, 1: 3}, {0: 4, 1: 6}, {0: 3}]
+        lattice = [{0: 5}, {1: 7}, {0: 2, 1: 2}]
+        basis = preimage_kernel(columns, 2, lattice)
+        assert widths == [3]
+        assert keys and max(keys) < 2 + len(columns)
+        assert basis == hermite_rows([r[:3] for r in echelon_kernel(columns + lattice, 2)], 3)
+
 
 @st.composite
 def unit_heavy_systems(draw):
@@ -276,6 +297,23 @@ class TestUnitElimination:
         out = sparse_kernel(columns, nrows)
         assert out == echelon_kernel(columns, nrows)
         assert hermite_rows(out, len(columns)) == out
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(system=unit_heavy_systems())
+    def test_preimage_kernel_is_the_projected_kernel(self, system):
+        """Tagging only the first w unknowns gives the x-part of the full
+        kernel, even where an eliminated x refers to an untagged unknown."""
+        columns, nrows = system
+        full = echelon_kernel(columns, nrows)
+        for w in sorted({0, 1, len(columns) // 2, len(columns)}):
+            if w <= len(columns):
+                want = hermite_rows([r[:w] for r in full.rows], w)
+                assert preimage_kernel(columns[:w], nrows, columns[w:]) == want
+
+    @pytest.mark.parametrize("kept", [-1, 3])
+    def test_kept_outside_range_rejected(self, kept):
+        with pytest.raises(StructuralError):
+            sparse_kernel([{0: 1}, {0: -1}], 1, kept)
 
     def test_columns_are_not_modified(self):
         columns = [{0: 1, 1: 2}, {0: -1}, {1: 1}]
