@@ -1,11 +1,28 @@
 """Integral representations of a finite group.
 
-A G-module is a presented abelian group together with one action matrix
-per group generator.  Construction verifies that the matrices preserve the
-relation lattice, that the induced per-element matrices (built along each
-element's word) depend only on the element, and hence that every element
-acts invertibly on the quotient.  Modules with torsion are first-class
-everywhere except dualization.
+A G-module is a presented abelian group Z^n/R together with one action
+matrix A_k per group generator s_k.  The matrix M(e) of an element is the
+product of the A_k along e's stored word; it is built from the matrix of
+the longest stored prefix of that word, so breadth-first words cost one
+product per element.  Modules with torsion are first-class everywhere
+except dualization.
+
+Construction checks, in this order:
+
+1. each A_k preserves R;
+2. M(e) A_k = M(e s_k) modulo R (column by column) for every element e
+   and every k.  Where the stored word of e s_k is that of e followed by
+   k (an edge of the breadth-first tree) this holds by construction and
+   is skipped; the other edges are compared, first on the nose.
+
+That is complete.  The identity's word is empty, so M(1) = I.  Right
+multiplication by an integer matrix keeps congruence modulo R, so by
+induction on the length of any word w of y, (2) gives
+M(x) A(w) = M(x y) modulo R for every x; with x = 1 the product along any
+word of y is M(y), and with w the stored word of y, M(x) M(y) = M(x y).
+By (1) every M(x) induces an endomorphism of Z^n/R, so these congruences
+say that e -> M(e) is a homomorphism into it, and y = x^-1 gives
+M(x) M(x^-1) = I: every element acts invertibly on the quotient.
 
 The permutation-cover resolution 0 -> L -> P -> M -> 0, with P free on a
 permuted basis of subgroup cosets and L its Z-free kernel, is the bridge
@@ -59,6 +76,7 @@ class GModule:
             self._validate()
 
     def _validate(self) -> None:
+        """Checks (1) and (2) of the module docstring."""
         und = self.underlying
         for a in self.action:
             for rel in und.relation_rows:
@@ -66,16 +84,18 @@ class GModule:
                     raise StructuralError(
                         "action matrix does not preserve the relation lattice"
                     )
-        # The matrix product along a word must depend only on the element:
-        # checking M(s)M(e) = M(s*e) for all generators s and elements e
-        # extends to arbitrary products, and with e = s^-1 it gives
-        # invertibility on the quotient.
         g = self.group
+        words = g.element_words
         for e in range(g.order):
             me = self.element_matrix(e)
             for k, s in enumerate(g.generators):
-                left = self.action[k].mul(me)
-                right = self.element_matrix(g.mul(s, e))
+                es = g.table[e][s]
+                if words[es] == words[e] + (k,):
+                    continue  # a tree edge: M(e s_k) is M(e) A_k
+                left = me.mul(self.action[k])
+                right = self.element_matrix(es)
+                if left.rows == right.rows:
+                    continue
                 for j in range(und.generator_count):
                     diff = [x - y for x, y in zip(left.col(j), right.col(j))]
                     if not und.contains_relation(diff):
@@ -90,14 +110,22 @@ class GModule:
 
     def element_matrix(self, e: int) -> IntMatrix:
         """Action of an element, the product of generator matrices along
-        its stored word."""
-        cached = self._element_matrices[e]
-        if cached is not None:
-            return cached
-        m = IntMatrix.identity(self.underlying.generator_count)
-        for k in self.group.element_words[e]:
-            m = m.mul(self.action[k])
-        self._element_matrices[e] = m
+        its stored word.  The product starts from the cached matrix of the
+        longest proper prefix of that word that is an element's stored
+        word (``FiniteGroup.word_prefixes``), computed first if need be, and
+        multiplies only the letters after it."""
+        cache = self._element_matrices
+        steps = self.group.word_prefixes()
+        chain = []
+        p: int | None = e
+        while p is not None and cache[p] is None:
+            chain.append(p)
+            p = steps[p][0]
+        m = IntMatrix.identity(self.rank) if p is None else cache[p]
+        for x in reversed(chain):
+            for k in steps[x][1]:
+                m = m.mul(self.action[k])
+            cache[x] = m
         return m
 
     def acts_trivially(self, e: int) -> bool:
@@ -139,20 +167,25 @@ class PermutationModule(GModule):
         for p in perms:
             if sorted(p) != list(range(n)):
                 raise StructuralError("basis action is not a permutation")
-        # per-element permutations along words (the word (k1,..,kt) is the
-        # product s_k1 ... s_kt, whose translation applies later letters
-        # first), then table consistency
-        per_elt: list[tuple[int, ...]] = []
-        for e in range(group.order):
-            q = tuple(range(n))
-            for k in group.element_words[e]:
-                p = perms[k]
-                q = tuple(q[p[b]] for b in range(n))
-            per_elt.append(q)
+        # per-element permutations along words, each from its stored prefix
+        # (the word (k1,..,kt) is the product s_k1 ... s_kt, whose
+        # translation applies later letters first), then the group law off
+        # the tree edges, as for any module (see the module docstring)
+        words = group.element_words
+        steps = group.word_prefixes()
+        per_elt: list[tuple[int, ...]] = [()] * group.order
+        for e in sorted(range(group.order), key=lambda e: len(words[e])):
+            prefix, tail = steps[e]
+            q = tuple(range(n)) if prefix is None else per_elt[prefix]
+            for k in tail:
+                q = tuple(q[b] for b in perms[k])
+            per_elt[e] = q
         for e in range(group.order):
             for k, s in enumerate(group.generators):
-                p, q = perms[k], per_elt[e]
-                if tuple(p[q[b]] for b in range(n)) != per_elt[group.mul(s, e)]:
+                es = group.table[e][s]
+                if words[es] == words[e] + (k,):
+                    continue
+                if tuple(per_elt[e][b] for b in perms[k]) != per_elt[es]:
                     raise StructuralError(
                         "basis permutations are inconsistent with the group law"
                     )

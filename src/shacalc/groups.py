@@ -30,6 +30,7 @@ class FiniteGroup:
         "inverse",
         "_elt_order",
         "_cyclic_classes",
+        "_word_prefixes",
     )
 
     def __init__(
@@ -55,6 +56,17 @@ class FiniteGroup:
         self.inverse = tuple(inv)  # type: ignore[arg-type]
         self._elt_order: tuple[int, ...] | None = None
         self._cyclic_classes: tuple[Subgroup, ...] | None = None
+        self._word_prefixes: tuple[tuple[int | None, tuple[int, ...]], ...] | None = None
+
+    @classmethod
+    def _from_checked(cls, table, generators, element_words, inverse) -> "FiniteGroup":
+        """A group from tuples read off a group that is already checked
+        (:meth:`Subgroup.as_group`), so nothing is checked again."""
+        g = cls.__new__(cls)
+        g.order = len(table)
+        g.table, g.generators, g.element_words, g.inverse = table, generators, element_words, inverse
+        g._elt_order = g._cyclic_classes = g._word_prefixes = None
+        return g
 
     def _check_table(self) -> None:
         n = self.order
@@ -88,11 +100,35 @@ class FiniteGroup:
             frontier = nxt
         if len(seen) != n:
             raise StructuralError("listed generators do not generate the group")
+        # module actions are transported along the words (gmodules)
+        if self.element_words[0]:
+            raise StructuralError("the identity's stored word is not empty")
+        for e, w in enumerate(self.element_words):
+            x = 0
+            for k in w:
+                x = t[x][self.generators[k]]
+            if x != e:
+                raise StructuralError(f"the stored word of element {e} evaluates to {x}")
 
     # -- basic queries ---------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
+
+    def word_prefixes(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
+        """Per element, (p, tail): p is the element whose stored word is
+        the longest proper prefix of this element's word that is stored,
+        and tail the letters after it; p is None for the identity, whose
+        word is empty.  Along breadth-first words p is the parent in the
+        search tree and tail one letter."""
+        if self._word_prefixes is None:
+            index = {w: e for e, w in enumerate(self.element_words)}
+            out: list[tuple[int | None, tuple[int, ...]]] = []
+            for w in self.element_words:
+                cut = next((i for i in range(len(w) - 1, -1, -1) if w[:i] in index), None)
+                out.append((None, w) if cut is None else (index[w[:cut]], w[cut:]))
+            self._word_prefixes = tuple(out)
+        return self._word_prefixes
 
     def element_order(self, i: int) -> int:
         if self._elt_order is None:
@@ -277,11 +313,14 @@ class Subgroup:
         if self._group is None:
             gens = self.minimal_generators()
             t = self.parent.table
-
-            def mul(a, b):
-                return t[a][b]
-
-            group, elements = _group_from_tokens(0, gens, mul, len(self.members) + 1)
+            elements, words = _bfs_closure(0, gens, lambda a, b: t[a][b], len(self.members) + 1)
+            index = {e: i for i, e in enumerate(elements)}
+            group = FiniteGroup._from_checked(
+                tuple(tuple(index[t[a][b]] for b in elements) for a in elements),
+                tuple(index[s] for s in gens),
+                tuple(words),
+                tuple(index[self.parent.inverse[a]] for a in elements),
+            )
             self._group = (group, tuple(elements))  # type: ignore[arg-type]
         return self._group
 

@@ -99,12 +99,23 @@ class IntMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...], ncols: int) -> "IntMatrix":
+        """A matrix from rows that are int tuples of length ``ncols`` by
+        construction, as the results of this class's own arithmetic are;
+        nothing is checked.  Matrices from outside go through ``__init__``."""
+        m = cls.__new__(cls)
+        m._rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], cols=ncols)
+        return cls._of(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], *, rows: int | None = None) -> "IntMatrix":
@@ -146,10 +157,9 @@ class IntMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self._rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            cols=self.nrows,
-        )
+        # zip of no rows gives no columns: a 0 x n matrix has n empty ones
+        cols = tuple(zip(*self._rows)) if self._rows else ((),) * self.ncols
+        return IntMatrix._of(cols, self.nrows)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -167,8 +177,8 @@ class IntMatrix:
                         w = orow[j]
                         if w:
                             acc[j] += v * w
-            out.append(acc)
-        return IntMatrix(out, cols=ocols)
+            out.append(tuple(acc))
+        return IntMatrix._of(tuple(out), ocols)
 
     def matvec(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.ncols:
@@ -176,7 +186,7 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(r, vec)) for r in self._rows)
 
     def neg(self) -> "IntMatrix":
-        return IntMatrix([[-v for v in r] for r in self._rows], cols=self.ncols)
+        return IntMatrix._of(tuple(tuple(-v for v in r) for r in self._rows), self.ncols)
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -189,7 +199,7 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
             out[roff + i][coff : coff + b.ncols] = list(r)
         roff += b.nrows
         coff += b.ncols
-    return IntMatrix(out, cols=ncols)
+    return IntMatrix._of(tuple(map(tuple, out)), ncols)
 
 
 # ---------------------------------------------------------------------------

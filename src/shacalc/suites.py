@@ -145,12 +145,12 @@ def random_module(
     u_inv = unimodular_inverse(u)
     action = [u_inv.mul(a).mul(u) for a in m.action]
     relators: list[list[int]] = []
+    base = GModule(g, PresentedAbelianGroup(n), action, _trusted=True)
     for _ in range(rng.randint(0, max_torsion_relators)):
         v = [rng.randint(-1, 1) for _ in range(n)]
         if not any(v):
             continue
         scale = rng.choice([2, 2, 3, 4])
-        base = GModule(g, PresentedAbelianGroup(n), action, _trusted=True)
         for e in range(g.order):
             relators.append([scale * x for x in base.element_matrix(e).matvec(v)])
     return GModule(g, PresentedAbelianGroup(n, relators), action)

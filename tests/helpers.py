@@ -100,6 +100,18 @@ def torsion_module(g: FiniteGroup, n: int) -> GModule:
     return GModule(g, cyclic_group(n), [IntMatrix([[1]]) for _ in g.generators])
 
 
+def word_product(m: GModule, e: int) -> IntMatrix:
+    """The product of the generator matrices along the stored word of e,
+    one letter at a time from the identity, with dense row arithmetic and
+    the validating constructor: the reference for ``element_matrix``."""
+    n = m.rank
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in m.group.element_words[e]:
+        a = m.action[k].rows
+        rows = [[sum(r[t] * a[t][j] for t in range(n)) for j in range(n)] for r in rows]
+    return IntMatrix(rows, cols=n)
+
+
 def trivial_group() -> PresentedAbelianGroup:
     return PresentedAbelianGroup(0)
 

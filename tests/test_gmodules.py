@@ -3,6 +3,7 @@
 import pytest
 
 from shacalc.abelian import PresentedAbelianGroup, invariant_factors
+from shacalc.arith import dual_complex
 from shacalc.errors import StructuralError
 from shacalc.gmodules import (
     GModule,
@@ -21,10 +22,11 @@ from shacalc.gmodules import (
     trivial_module,
     zero_module,
 )
+from shacalc.groups import FiniteGroup
 from shacalc.intlinalg import IntMatrix
 from shacalc.prng import SplitMix64
 
-from helpers import catalog, restrict, subquotient
+from helpers import catalog, restrict, subquotient, word_product
 
 GROUPS = catalog()
 
@@ -75,6 +77,97 @@ class TestConstructorsAndValidation:
     def test_zero_module(self):
         m = zero_module(GROUPS["S3"])
         assert m.rank == 0
+
+
+def accepts(g, und, action) -> bool:
+    try:
+        GModule(g, und, action)
+    except StructuralError:
+        return False
+    return True
+
+
+# (group name, words that are not prefix-closed, candidate actions with
+# whether they define a module)
+NOT_PREFIX_CLOSED = [
+    ("V4", [(), (0,), (0, 1, 0), (1, 0)], [
+        (PresentedAbelianGroup(1), [[[-1]], [[1]]], True),
+        (PresentedAbelianGroup(2), [[[0, 1], [1, 0]], [[-1, 0], [0, 1]]], False),
+        (PresentedAbelianGroup(2), [[[0, 1], [1, 0]], [[-1, 0], [0, -1]]], True),
+        (PresentedAbelianGroup(2), [[[1, 1], [0, 1]], [[1, 0], [0, 1]]], False),
+        (PresentedAbelianGroup(1, [[4]]), [[[3]], [[3]]], True),
+        (PresentedAbelianGroup(1, [[4]]), [[[2]], [[1]]], False),
+    ]),
+    ("Z4", [(), (0,) * 5, (0, 0), (0, 0, 0)], [
+        (PresentedAbelianGroup(2), [[[0, -1], [1, 0]]], True),
+        (PresentedAbelianGroup(2), [[[0, 1], [1, 0]]], True),
+        (PresentedAbelianGroup(2), [[[1, 1], [0, 1]]], False),
+        (PresentedAbelianGroup(1, [[5]]), [[[2]]], True),
+        (PresentedAbelianGroup(1, [[7]]), [[[2]]], False),
+    ]),
+]
+
+
+class TestGroupLawCheck:
+    def test_noncommuting_involutions_rejected(self):
+        """Each matrix is an involution, so every edge of the search tree
+        agrees; only the edge b*a = ab off the tree sees that they do not
+        commute."""
+        v4 = GROUPS["V4"]
+        swap, flip = IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, 1]])
+        assert swap.mul(swap) == flip.mul(flip) == IntMatrix.identity(2)
+        assert swap.mul(flip) != flip.mul(swap)
+        with pytest.raises(StructuralError, match="group law"):
+            GModule(v4, PresentedAbelianGroup(2), [swap, flip])
+
+    def test_noncommuting_basis_involutions_rejected(self):
+        with pytest.raises(StructuralError, match="group law"):
+            PermutationModule(GROUPS["V4"], 3, [(1, 0, 2), (0, 2, 1)])
+        PermutationModule(GROUPS["V4"], 4, [(1, 0, 2, 3), (0, 1, 3, 2)])
+
+    @pytest.mark.parametrize("name,words,cases", NOT_PREFIX_CLOSED, ids=["V4", "Z4"])
+    def test_words_not_prefix_closed(self, name, words, cases):
+        g = GROUPS[name]
+        other = FiniteGroup(g.table, g.generators, words)  # the words are checked
+        assert any(w[:-1] not in words for w in words if w)
+        for und, action, valid in cases:
+            action = [IntMatrix(a) for a in action]
+            assert accepts(g, und, action) is valid
+            assert accepts(other, und, action) is valid
+            m = GModule(other, und, action, _trusted=True)
+            for e in range(other.order):
+                assert m.element_matrix(e) == word_product(m, e)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_element_matrix_is_the_word_product(self, name):
+        g = GROUPS[name]
+        jd = dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)])
+        n = g.order
+        threes = [[3 if i == j else 0 for j in range(n)] for i in range(n)]
+        mod3 = GModule(g, PresentedAbelianGroup(n, threes), regular_module(g).action)
+        for m in (trivial_module(g, 1), augmentation_ideal(g), jd.degree0, jd.degree1, mod3):
+            # last element first, so that one call computes its prefixes
+            for e in reversed(range(n)):
+                assert m.element_matrix(e) == word_product(m, e)
+
+    def test_validation_costs_one_product_per_edge(self, monkeypatch):
+        """At most |G| k products: one per element off the identity, one per
+        edge off the tree."""
+        calls = []
+        mul = IntMatrix.mul
+
+        def spy(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        for name in ("Z6", "V4", "S3", "D4", "Q8", "Z2^3", "A4"):
+            g = GROUPS[name]
+            for m in (regular_module(g), augmentation_ideal(g), dual_module(augmentation_ideal(g))):
+                monkeypatch.setattr(IntMatrix, "mul", spy)
+                calls.clear()
+                GModule(g, m.underlying, m.action)
+                monkeypatch.setattr(IntMatrix, "mul", mul)
+                assert 0 < len(calls) <= g.order * len(g.generators)
 
 
 class TestPermutationModules:

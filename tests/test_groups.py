@@ -4,7 +4,9 @@ import pytest
 
 from shacalc.errors import ResourceError, StructuralError
 from shacalc.groups import (
+    FiniteGroup,
     Subgroup,
+    _group_from_tokens,
     cyclic_subgroups,
     exponent,
     from_permutations,
@@ -63,6 +65,15 @@ class TestConstruction:
             for k in g.element_words[e]:
                 acc = g.mul(acc, g.generators[k])
             assert acc == e
+
+    def test_rejects_words_off_their_elements(self):
+        g = GROUPS["V4"]
+        words = list(g.element_words)
+        with pytest.raises(StructuralError, match="identity's stored word"):
+            FiniteGroup(g.table, g.generators, [(0, 0)] + words[1:])
+        with pytest.raises(StructuralError, match="evaluates"):
+            FiniteGroup(g.table, g.generators, words[:3] + [(1, 1)])
+        FiniteGroup(g.table, g.generators, words[:3] + [(1, 0)])
 
     def test_determinism(self):
         g1 = from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]])
@@ -168,6 +179,19 @@ class TestSubgroupType:
             for a in range(sg.order):
                 for b in range(sg.order):
                     assert embed[sg.mul(a, b)] == g.mul(embed[a], embed[b])
+
+    def test_as_group_matches_the_checked_constructor(self):
+        """The standalone group is read off the parent unchecked; the
+        checked closure of the same generators gives the same group."""
+        for g in GROUPS.values():
+            for sub in all_subgroups(g):
+                sg, embed = sub.as_group()
+                ref, elements = _group_from_tokens(
+                    0, sub.minimal_generators(), g.mul, sub.order + 1
+                )
+                assert tuple(elements) == embed
+                fields = ("order", "table", "generators", "element_words", "inverse")
+                assert all(getattr(sg, f) == getattr(ref, f) for f in fields)
 
     def test_all_subgroups_counts(self):
         # classical counts: D4 has 10 subgroups, Q8 has 6, V4 has 5

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shacalc.errors import StructuralError
 from shacalc.intlinalg import (
     IntMatrix,
+    block_diag,
     hermite_rows,
     preimage_kernel,
     smith_normal_form,
@@ -70,6 +71,46 @@ class TestIntMatrix:
         big = 10**40
         m = IntMatrix([[big]])
         assert m.mul(IntMatrix([[big]])).at(0, 0) == big * big
+
+
+class TestTrustedResults:
+    """The arithmetic builds its results without re-checking the entries;
+    they must equal what the validating constructor makes of the same
+    rows."""
+
+    SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 3), (2, 5), (5, 2)]
+
+    @staticmethod
+    def checked(rows, ncols: int) -> IntMatrix:
+        return IntMatrix([list(r) for r in rows], cols=ncols)
+
+    def same(self, m: IntMatrix, ref: IntMatrix) -> None:
+        assert (m.nrows, m.ncols, m.rows) == (ref.nrows, ref.ncols, ref.rows)
+        assert all(type(v) is int for r in m.rows for v in r)
+        assert all(type(r) is tuple for r in m.rows) and type(m.rows) is tuple
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_match_the_validating_constructor(self, shape):
+        rng = SplitMix64(sum(shape) * 31 + shape[0])
+        r, c = shape
+        for _ in range(5):
+            a = random_matrix(rng, r, c)
+            b = random_matrix(rng, c, rng.randint(0, 4))
+            n = b.ncols
+            self.same(a.transpose(), self.checked([[a.at(i, j) for i in range(r)] for j in range(c)], r))
+            self.same(a.neg(), self.checked([[-v for v in row] for row in a.rows], c))
+            prod = [[sum(a.at(i, t) * b.at(t, j) for t in range(c)) for j in range(n)] for i in range(r)]
+            self.same(a.mul(b), self.checked(prod, n))
+            self.same(IntMatrix.zeros(r, c), self.checked([[0] * c for _ in range(r)], c))
+            ident = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+            self.same(IntMatrix.identity(c), self.checked(ident, c))
+            diag = [list(row) + [0] * n for row in a.rows] + [[0] * c + list(row) for row in b.rows]
+            self.same(block_diag([a, b]), self.checked(diag, c + n))
+
+    def test_transpose_of_no_rows_keeps_the_columns(self):
+        t = IntMatrix([], cols=4).transpose()
+        assert (t.nrows, t.ncols) == (4, 0)
+        assert t.transpose() == IntMatrix([], cols=4)
 
 
 class TestSmithNormalForm:
