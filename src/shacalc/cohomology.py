@@ -64,11 +64,20 @@ is a :class:`~shacalc.intlinalg.Lattice`: the basis comes out of the gcd
 echelon together with its index, and the group holds both, so the class
 solves of ``class_coords`` run on the index that presented the value.
 The value has about rank B^i generators, most of them left out by its
-reduced view (see :mod:`shacalc.abelian`).  No command restricts a
-computed group to a subgroup: a Sha condition reads the ambient's
-cocycles on rows of the subgroup's total complex (see :mod:`shacalc.sha`).
-The restriction map on cohomology is kept only as the reference the
-tests compare against, ``tests/helpers.restriction``.
+reduced view (see :mod:`shacalc.abelian`).
+
+The main values of the paper are zeros, and they cost no solve.  On the
+saturation route the saturation also gives the index [Z^i : B^i], and an
+index of 1 means Z^i = B^i: the relators would span all of Z^n on the n
+rows of the basis, so the value is presented by the n unit rows, as
+solving would present it.  Only the index is read, so the basis of Z^i
+stays an unreduced echelon until the representatives or a class solve
+ask for it (see :class:`~shacalc.intlinalg.Lattice`).
+
+No command restricts a computed group to a subgroup: a Sha condition
+reads the ambient's cocycles on rows of the subgroup's total complex (see
+:mod:`shacalc.sha`).  The restriction map on cohomology is kept only as
+the reference the tests compare against, ``tests/helpers.restriction``.
 """
 
 from __future__ import annotations
@@ -395,7 +404,7 @@ def _hypercohomology(
         # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1} is
         # torsion-free, so Z^i is the saturation of B^i at its primes
         primes = sorted(_prime_factors(torsion_bound))
-        cocycles = sparse_saturation(boundaries, t.dim(degree), primes)
+        cocycles, index = sparse_saturation(boundaries, t.dim(degree), primes)
     else:
         # the kernel route: Z^i is the preimage under d^i of the relation
         # rows of C^{i+1}, on the rows of C^{i+1} whose tuple ends in a
@@ -405,11 +414,21 @@ def _hypercohomology(
         cocycles = preimage_kernel(
             t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
         )
+        index = None
+    if index == 1:
+        # B^i was saturated, so Z^i = B^i and the value is 0: the
+        # boundaries, solved on the basis of Z^i, would span all of Z^n,
+        # whose Hermite rows are the unit rows.  Nothing is solved.  The
+        # check that no boundary escapes Z^i is skipped with nothing lost,
+        # since the echelon of Z^i was built from these very boundaries.
+        value = PresentedAbelianGroup(len(cocycles), [{k: 1} for k in range(len(cocycles))])
+    else:
+        value = present_quotient(cocycles, boundaries)
     return CohomologyGroup(
         degree=degree,
         group=group,
         coefficients=complex_,
-        group_value=present_quotient(cocycles, boundaries),
+        group_value=value,
         cocycles=cocycles,
         _cochains=t,
     )

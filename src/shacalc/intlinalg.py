@@ -9,12 +9,13 @@ Conventions:
 
 * matrices act on column vectors; ``m.col(j)`` is the image of the j-th
   standard basis vector,
-* a *lattice* is a :class:`Lattice`: its width and its canonical Hermite
-  basis (pivots positive, strictly increasing pivot columns, entries
-  above a pivot reduced into ``[0, pivot)``, no zero rows), held together
-  with its echelon index, one (pivot column, sparse row) pair per row.
-  The index is the echelon's own sparse rows, so it is built once, with
-  the basis; no other module knows its format,
+* a *lattice* is a :class:`Lattice`: its width and its echelon index,
+  one (pivot column, sparse row) pair per row, pivots positive and
+  strictly increasing, no zero rows.  The index is the gcd echelon's own
+  sparse rows.  The first read of the canonical Hermite basis reduces
+  them in place, entries above a pivot into ``[0, pivot)``; the rank,
+  membership and canonical coset representatives need no reduction.  No
+  other module knows the index format,
 * all arithmetic is on Python's arbitrary-precision integers; nothing can
   silently wrap,
 * every routine is deterministic: fixed pivot rules, no randomness, no
@@ -24,10 +25,12 @@ There is one gcd echelon, :func:`_sparse_insert`, on sparse rows.  Every
 lattice comes out of it once: :func:`hermite_rows` inserts the nonzero rows
 it is given, :func:`sparse_kernel` (and so :func:`preimage_kernel`, which
 tags the kept unknowns alone) and :func:`sparse_saturation` the rows their
-methods produce, and :func:`_hermite_from_echelon` reduces the entries
-above the pivots.  The Hermite form is unique (Cohen, A Course in
-Computational Algebraic Number Theory, section 2.4), so the basis depends
-only on the lattice, whatever the order of the rows or the pivot steps.
+methods produce, and :func:`_hermite_from_echelon` makes the lattice,
+which reduces the entries above the pivots when its basis is first read.
+The Hermite form is unique (Cohen, A Course in Computational Algebraic
+Number Theory, section 2.4), so the basis depends only on the lattice,
+whatever the order of the rows or the pivot steps, and deferring the
+reduction changes nothing that can be read.
 
 Kernels of sparse maps (:func:`sparse_kernel`) run in two phases.  The
 first eliminates unknowns through equations in which they have
@@ -208,23 +211,46 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 
 class Lattice:
-    """A sublattice of Z^width: its canonical Hermite basis ``rows``,
-    written out densely on first use, and the echelon index of the same
-    basis (see the module docstring).  :meth:`solve`, :meth:`contains` and
-    :meth:`reduce` run on the index; a vector whose length is not
-    ``width`` raises :class:`StructuralError`, with or without rows.
-    Iterating a lattice gives its rows."""
+    """A sublattice of Z^width, held as the gcd echelon it came out of,
+    sorted by pivot (see the module docstring).  The first read of the
+    canonical Hermite basis, by ``rows``, iteration, :meth:`sparse_rows`,
+    :meth:`solve` or ``==``, reduces the echelon above its pivots, in place
+    and once.  ``len``, :meth:`contains` and :meth:`reduce` do not reduce:
+    the rank, membership and canonical representatives are the same on any
+    echelon basis.  :meth:`solve`, :meth:`contains` and :meth:`reduce` run
+    on the index; a vector whose length is not ``width`` raises
+    :class:`StructuralError`, with or without rows."""
 
-    __slots__ = ("width", "_index", "_rows")
+    __slots__ = ("width", "_index", "_pending", "_rows")
 
     def __init__(self, width: int, index: list[tuple[int, dict[int, int]]]):
         self.width = width
         self._index = index
+        self._pending = True
         self._rows: tuple[tuple[int, ...], ...] | None = None
+
+    def _reduce_above_pivots(self) -> None:
+        """Reduce the echelon to the canonical Hermite basis, in place.
+        It runs on the sparse rows from the bottom up, each row reduced
+        left to right by the finished rows below it, which are sparser
+        than half-reduced ones."""
+        index = self._index
+        for idx in range(len(index) - 2, -1, -1):
+            row = index[idx][1]
+            for below in range(idx + 1, len(index)):
+                c, brow = index[below]
+                x = row.get(c)
+                if x:
+                    q = x // brow[c]
+                    if q:
+                        _sparse_sub_inplace(row, brow, q)
+        self._pending = False
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         if self._rows is None:
+            if self._pending:
+                self._reduce_above_pivots()
             out = []
             for _, row in self._index:
                 vec = [0] * self.width
@@ -237,6 +263,8 @@ class Lattice:
     def sparse_rows(self) -> list[dict[int, int]]:
         """The basis rows as {column: value} dicts, shared with the index,
         so not to be modified."""
+        if self._pending:
+            self._reduce_above_pivots()
         return [row for _, row in self._index]
 
     def __len__(self) -> int:
@@ -249,7 +277,7 @@ class Lattice:
         return (
             isinstance(other, Lattice)
             and self.width == other.width
-            and self._index == other._index
+            and self.sparse_rows() == other.sparse_rows()
         )
 
     def __repr__(self) -> str:
@@ -257,8 +285,20 @@ class Lattice:
 
     def solve(self, vec: Sequence[int] | dict[int, int]) -> tuple[int, ...] | None:
         """Coefficients c with vec = sum c_i * rows_i, or None; ``vec`` is
-        dense or sparse.  Pivots strictly increase, so each row clears its
-        pivot column for good."""
+        dense or sparse."""
+        if self._pending:
+            self._reduce_above_pivots()
+        return self._coefficients(vec)
+
+    def contains(self, vec: Sequence[int] | dict[int, int]) -> bool:
+        """Membership, on the echelon as it stands: reduced or not, it is
+        a basis of the same lattice."""
+        return self._coefficients(vec) is not None
+
+    def _coefficients(self, vec: Sequence[int] | dict[int, int]) -> tuple[int, ...] | None:
+        """Coefficients of ``vec`` on the rows of the index as they stand.
+        Pivots strictly increase, so each row clears its pivot column for
+        good."""
         work = _sparse_vec(vec, self.width)
         coeffs = []
         for lead, row in self._index:
@@ -275,12 +315,12 @@ class Lattice:
             return None
         return tuple(coeffs)
 
-    def contains(self, vec: Sequence[int] | dict[int, int]) -> bool:
-        return self.solve(vec) is not None
-
     def reduce(self, vec: Sequence[int] | dict[int, int]) -> tuple[int, ...]:
         """Canonical representative of ``vec`` modulo the lattice: at each
-        pivot column the result lies in [0, pivot)."""
+        pivot column the result lies in [0, pivot).  Only one vector of
+        the coset does, since a nonzero lattice vector is a nonzero
+        multiple of the pivot at its first pivot column with a nonzero
+        coefficient, so this needs no reduced basis."""
         work = _sparse_vec(vec, self.width)
         for lead, row in self._index:
             q = work.get(lead, 0) // row[lead]
@@ -554,25 +594,11 @@ def sparse_kernel(
 
 
 def _hermite_from_echelon(pivots: dict[int, dict[int, int]], width: int) -> Lattice:
-    """The canonical Hermite basis of a sparse echelon basis, given as
-    leading column -> row with a positive leading entry; the rows are
-    reduced in place and become the index of the result.
-
-    Only the reduction above the pivots is left to do.  It runs on the
-    sparse rows from the bottom up, each row reduced left to right by the
-    finished rows below it, which are sparser than half-reduced ones."""
-    order = sorted(pivots)
-    ech = [pivots[c] for c in order]
-    for idx in range(len(order) - 2, -1, -1):
-        row = ech[idx]
-        for below in range(idx + 1, len(order)):
-            c = order[below]
-            x = row.get(c)
-            if x:
-                q = x // ech[below][c]
-                if q:
-                    _sparse_sub_inplace(row, ech[below], q)
-    return Lattice(width, list(zip(order, ech)))
+    """The lattice of a sparse echelon basis, given as leading column ->
+    row with a positive leading entry.  The rows become the index of the
+    result, sorted by pivot; the lattice reduces them above the pivots, in
+    place, when its canonical basis is first read."""
+    return Lattice(width, sorted(pivots.items()))
 
 
 def _left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:
@@ -603,31 +629,36 @@ def _left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, i
 
 def sparse_saturation(
     rows: Iterable[dict[int, int]], width: int, primes: Iterable[int]
-) -> Lattice:
-    """The lattice {x : n * x in L for some n whose prime factors are in
-    ``primes``}, where L is the lattice spanned by the sparse ``rows`` of
-    the given width.
+) -> tuple[Lattice, int]:
+    """The lattice S = {x : n * x in L for some n whose prime factors are
+    in ``primes``}, where L is the lattice spanned by the sparse ``rows``
+    of the given width, and the index [S : L].
 
     At each prime p the gcd-echelon basis E of the current lattice is
     independent mod p exactly when the lattice is p-saturated; otherwise
     every left kernel vector x mod p gives a new vector (sum x_k E_k) / p.
     Adding those and repeating terminates, because each step grows the
-    lattice inside its saturation, where its index is finite."""
+    lattice inside its saturation, where its index is finite.  A round
+    that adds k vectors at p grows the lattice by index p^k: they are
+    independent modulo it, since their x are independent mod p.  So an
+    index of 1 means that L was saturated already, S = L."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         _sparse_insert(pivots, dict(row))
+    index = 1
     for p in primes:
         while True:
             ech = [pivots[c] for c in sorted(pivots)]
             kernel = _left_kernel_mod(ech, p)
             if not kernel:
                 break
+            index *= p ** len(kernel)
             for combo in kernel:
                 acc: dict[int, int] = {}
                 for k, x in combo.items():
                     _sparse_sub_inplace(acc, ech[k], -x)
                 _sparse_insert(pivots, {c: v // p for c, v in acc.items()})
-    return _hermite_from_echelon(pivots, width)
+    return _hermite_from_echelon(pivots, width), index
 
 
 def preimage_kernel(

@@ -9,6 +9,7 @@ be replayed anywhere.  Reports are ordered by instance index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .abelian import PresentedAbelianGroup, invariant_factors, is_isomorphism
 from .arith import (
@@ -145,15 +146,27 @@ def random_module(
     u_inv = unimodular_inverse(u)
     action = [u_inv.mul(a).mul(u) for a in m.action]
     relators: list[list[int]] = []
-    base = GModule(g, PresentedAbelianGroup(n), action, _trusted=True)
     for _ in range(rng.randint(0, max_torsion_relators)):
         v = [rng.randint(-1, 1) for _ in range(n)]
         if not any(v):
             continue
         scale = rng.choice([2, 2, 3, 4])
-        for e in range(g.order):
-            relators.append([scale * x for x in base.element_matrix(e).matvec(v)])
+        relators.extend([scale * x for x in w] for w in _orbit(action, tuple(v)))
     return GModule(g, PresentedAbelianGroup(n, relators), action)
+
+
+def _orbit(action: Sequence[IntMatrix], v: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orbit {M(e) v : e in G} of a vector under the action with
+    generator matrices ``action``: its closure under each generator, since
+    the generators span G as a monoid.  No element matrix is formed."""
+    orbit, seen = [v], {v}
+    for w in orbit:
+        for a in action:
+            x = a.matvec(w)
+            if x not in seen:
+                seen.add(x)
+                orbit.append(x)
+    return orbit
 
 
 def fixed_vectors_under(m: GModule, h: Subgroup) -> Lattice:

@@ -14,12 +14,16 @@ column-order echelon kernel that ``sparse_kernel`` must reproduce, the
 checked rows of the kernel route cut out of the full differential, the
 dense Hermite form, and the dense lattice solve and reduction.  The
 subquotient, the restrictions, the cocycle test and the last four are
-the references for what the package now builds or solves directly."""
+the references for what the package now builds or solves directly.
+Spies on ``Lattice`` show when a lattice is reduced or solved on."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Sequence
+
+import pytest
 
 from shacalc.abelian import AbHom, PresentedAbelianGroup, class_on_basis, present_quotient
 from shacalc.cohomology import (
@@ -636,3 +640,32 @@ def dense_hermite_rows(rows: Sequence[Sequence[int]], width: int) -> tuple[tuple
                 for k in range(c, width):
                     arow[k] -= q * prow[k]
     return tuple(tuple(r) for r in ech)
+
+
+@contextlib.contextmanager
+def lattice_reads():
+    """Spies on ``Lattice``: yields two lists, the lattices whose echelon
+    was reduced above its pivots and the lattices solved on, inside the
+    block and in call order."""
+    reduced: list[Lattice] = []
+    solved: list[Lattice] = []
+    reduce_real, solve_real = Lattice._reduce_above_pivots, Lattice.solve
+
+    def reduce_spy(self):
+        reduced.append(self)
+        return reduce_real(self)
+
+    def solve_spy(self, vec):
+        solved.append(self)
+        return solve_real(self, vec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Lattice, "_reduce_above_pivots", reduce_spy)
+        mp.setattr(Lattice, "solve", solve_spy)
+        yield reduced, solved
+
+
+def held_rows(lattice: Lattice) -> tuple[tuple[int, ...], ...]:
+    """The rows a lattice holds, densely, as they stand: before its
+    canonical basis is first read, the echelon it came out of."""
+    return tuple(tuple(row.get(k, 0) for k in range(lattice.width)) for _, row in lattice._index)

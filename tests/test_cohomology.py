@@ -1,5 +1,6 @@
 """Cohomology and hypercohomology against independent oracles."""
 
+import hashlib
 import math
 import sys
 
@@ -69,6 +70,7 @@ from helpers import (
     full_restriction_map,
     is_cocycle,
     is_zero_hom,
+    lattice_reads,
     les_segment,
     on_rows,
     quotient_by_empty,
@@ -234,10 +236,11 @@ def kernel_route(h, cochains=None):
 ROUTES = {"sparse_saturation": "saturation", "preimage_kernel": "kernel"}
 
 
-def computed_by(compute):
+def computed_by(compute, outputs=None):
     """``compute()`` and the routes, in call order, by which the cohomology
     module computed the cocycle lattices on the way, read from spies on
-    its bindings of the two elimination functions."""
+    its bindings of the two elimination functions; their results go to
+    ``outputs`` when a list is given."""
     module = sys.modules["shacalc.cohomology"]
     taken = []
     with pytest.MonkeyPatch.context() as mp:
@@ -246,7 +249,10 @@ def computed_by(compute):
 
             def spy(*args, _real=real, _route=route):
                 taken.append(_route)
-                return _real(*args)
+                out = _real(*args)
+                if outputs is not None:
+                    outputs.append(out)
+                return out
 
             mp.setattr(module, name, spy)
         result = compute()
@@ -292,8 +298,13 @@ def assert_same_as_full_kernel(h):
 
 
 def assert_routes_agree(compute):
-    h, taken = computed_by(compute)
+    """The saturation route, with the kernel route's basis and relators,
+    and a value whose order is the index [Z^i : B^i] of the saturation."""
+    outputs = []
+    h, taken = computed_by(compute, outputs)
     assert taken == ["saturation"], "expected the saturation route"
+    ((_, index),) = outputs
+    assert h.group_value.order() == index
     assert_same_as_full_kernel(h)
 
 
@@ -368,13 +379,42 @@ class TestRouteEquivalence:
         assert route_of(lambda: hypercohomology(g, c, 2)) == "saturation"
 
 
+class TestZeroValue:
+    def test_zero_value_solves_nothing_and_reduces_on_read(self):
+        """H^2(D4, I_G) = 0 comes from the saturation index alone: no
+        boundary is solved, and Z^2 is not reduced above its pivots until
+        its rows are read, which reduces it once, to the same rows as
+        before.  The value's own relation rows are unit rows, with nothing
+        above a pivot to reduce."""
+        g = LADDER_GROUPS["D4"]
+        m = augmentation_ideal(g)
+        with lattice_reads() as (reduced, solved):
+            h = cohomology(g, m, 2)
+            assert h.group_value.invariant_factors() == (0, ())
+            assert solved == []
+            assert all(len(row) == 1 for lat in reduced for row in lat.sparse_rows())
+            assert not any(lat is h.cocycles for lat in reduced)
+            before = len(reduced)
+            reps = h.representatives
+            assert len(reduced) == before + 1 and reduced[-1] is h.cocycles
+            h.representatives
+            assert len(reduced) == before + 1 and solved == []
+        assert len(reps) == h.group_value.generator_count == 49
+        assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
+            "0fd6ace5d18b13a6c4ab8b617010439311c188d8c3224befb16526845aa69c6a"
+        )
+
+
 class TestClosedForms:
     """Values read off the multiplication table alone."""
 
     def test_h2_augmentation_ideal_vanishes(self):
-        for name in ("A4", "D6"):
+        """H^2(G, I_G) = H^1(G, Z) = 0, on the saturation route."""
+        for name in ("A4", "D6", "S4"):
             g = LADDER_GROUPS[name]
-            assert cohomology(g, augmentation_ideal(g), 2).group_value.is_trivial(), name
+            h, routes = computed_by(lambda: cohomology(g, augmentation_ideal(g), 2))
+            assert routes == ["saturation"], name
+            assert h.group_value.is_trivial(), name
 
     def test_h2_trivial_is_abelianization(self):
         """H^2(G, Z) = Hom(G^ab, Q/Z), which is isomorphic to G^ab."""

@@ -20,7 +20,14 @@ from shacalc.intlinalg import (
 )
 from shacalc.prng import SplitMix64
 
-from helpers import dense_hermite_rows, dense_lattice_reduce, dense_lattice_solve, echelon_kernel
+from helpers import (
+    dense_hermite_rows,
+    dense_lattice_reduce,
+    dense_lattice_solve,
+    echelon_kernel,
+    held_rows,
+    lattice_reads,
+)
 from oracles import snf_invariants
 
 
@@ -223,9 +230,12 @@ class TestHermite:
 class TestSaturation:
     def test_primes_select_what_is_saturated(self):
         rows = [{0: 2}, {1: 3}]
-        assert sparse_saturation(rows, 2, []).rows == ((2, 0), (0, 3))
-        assert sparse_saturation(rows, 2, [2]).rows == ((1, 0), (0, 3))
-        assert sparse_saturation(rows, 2, [2, 3]).rows == ((1, 0), (0, 1))
+        lattice, index = sparse_saturation(rows, 2, [])
+        assert lattice.rows == ((2, 0), (0, 3)) and index == 1
+        lattice, index = sparse_saturation(rows, 2, [2])
+        assert lattice.rows == ((1, 0), (0, 3)) and index == 2
+        lattice, index = sparse_saturation(rows, 2, [2, 3])
+        assert lattice.rows == ((1, 0), (0, 1)) and index == 6
 
     def test_without_primes_is_the_hermite_form_randomized(self):
         """The sparse echelon and its reduction agree with hermite_rows."""
@@ -233,11 +243,12 @@ class TestSaturation:
         for _ in range(40):
             m = random_matrix(rng, rng.randint(1, 6), 6, bound=9)
             rows = [{k: v for k, v in enumerate(r) if v} for r in m.rows]
-            assert sparse_saturation(rows, 6, []) == hermite_rows(m.rows, 6)
+            assert sparse_saturation(rows, 6, []) == (hermite_rows(m.rows, 6), 1)
 
     def test_matches_kernel_of_the_kernel_randomized(self):
         """With every prime of the index, the saturation is the lattice
-        orthogonal to the rational kernel of the rows."""
+        orthogonal to the rational kernel of the rows, and the index it
+        reports is the product of the nonzero Smith diagonal entries."""
         rng = SplitMix64(23)
         for _ in range(40):
             n = rng.randint(1, 5)
@@ -250,7 +261,7 @@ class TestSaturation:
             rows = [{k: v for k, v in enumerate(r) if v} for r in m.rows]
             ker = sparse_kernel(sparse_from_matrix(m), m.nrows)  # {y : m y = 0}
             want = sparse_kernel(sparse_from_matrix(IntMatrix(ker, cols=n)), len(ker))
-            assert sparse_saturation(rows, n, primes) == want
+            assert sparse_saturation(rows, n, primes) == (want, index)
 
 
 class TestKernels:
@@ -518,6 +529,88 @@ class TestOneEchelon:
     def test_row_of_wrong_length_rejected(self):
         with pytest.raises(StructuralError):
             hermite_rows([[1, 2], [3]], 2)
+
+
+# every way to read a lattice's canonical basis
+READERS = {
+    "rows": lambda lat: lat.rows,
+    "iter": list,
+    "repr": repr,
+    "sparse_rows": lambda lat: lat.sparse_rows(),
+    "solve": lambda lat: lat.solve([0] * lat.width),
+    "eq": lambda lat: lat == lat,
+}
+
+
+class TestDeferredReduction:
+    """A lattice holds the gcd echelon it came out of and reduces it above
+    the pivots, once, when its canonical basis is first read.  The dense
+    reduction of the same echelon is the reference."""
+
+    def test_held_echelon_until_read(self):
+        """[1 5] leads column 0 before [0 2] leads column 1, so the echelon
+        holds the 5 until the rows are read."""
+        lat = hermite_rows([[1, 5], [0, 2]], 2)
+        with lattice_reads() as (reduced, _):
+            assert len(lat) == 2 and lat.contains([1, 5]) and not lat.contains([0, 1])
+            assert lat.reduce([3, 3]) == (0, 0)
+            assert reduced == [] and held_rows(lat) == ((1, 5), (0, 2))
+            assert lat.rows == ((1, 1), (0, 2))
+            assert len(reduced) == 1 and reduced[0] is lat
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=row_lists())
+    def test_first_read_reduces_once_to_the_eager_rows(self, data):
+        rows, width = data
+        want = dense_hermite_rows(rows, width)
+        for name, read in READERS.items():
+            with lattice_reads() as (reduced, _):
+                lat = hermite_rows(rows, width)
+                echelon = held_rows(lat)
+                assert len(lat) == len(want)
+                lat.contains([0] * width)
+                lat.reduce([0] * width)
+                assert reduced == [], name
+                read(lat)
+                assert len(reduced) == 1 and reduced[0] is lat, name
+                for again in READERS.values():
+                    again(lat)
+                assert len(reduced) == 1 and reduced[0] is lat, name
+            assert lat.rows == dense_hermite_rows(echelon, width) == want, name
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(system=unit_heavy_systems())
+    def test_kernels_and_saturations_reduce_to_the_eager_rows(self, system):
+        columns, nrows = system
+        lattices = [preimage_kernel(columns[:w], nrows, columns[w:])
+                    for w in sorted({0, len(columns) // 2, len(columns)})]
+        lattices.append(sparse_saturation(columns, nrows, [2, 3])[0])
+        for lat in lattices:
+            echelon = held_rows(lat)
+            assert lat.rows == dense_hermite_rows(echelon, lat.width)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        data=row_lists(),
+        coeffs=st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+        pick=st.integers(0, 6),
+    )
+    def test_contains_and_reduce_on_the_echelon(self, data, coeffs, pick):
+        """Membership and the canonical representative on the unreduced
+        echelon are those on the canonical basis, for vectors in the
+        lattice and vectors one off it."""
+        rows, width = data
+        assume(width)
+        held, canonical = hermite_rows(rows, width), hermite_rows(rows, width)
+        member = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(width)]
+        off = list(member)
+        off[pick % width] += 1
+        with lattice_reads() as (reduced, _):
+            assert held.contains(member)
+            for vec in (member, off, {k: v for k, v in enumerate(off) if v}):
+                assert held.contains(vec) == (canonical.solve(vec) is not None)
+                assert held.reduce(vec) == canonical.reduce(vec)
+            assert not any(lat is held for lat in reduced)
 
 
 class TestUnimodularInverse:
