@@ -13,7 +13,7 @@ order.  The differential is the standard one,
 with no normalization assumed.  H^i is Z^i / B^i computed on presented
 groups, where B^i = im d^{i-1} plus the module's relation rows in every
 tuple block, and Z^i is the lattice of cochains whose coboundary lies in
-the relation rows of C^{i+1}.  Z^i is computed along one of two routes:
+the relation rows of C^{i+1}.  Z^i is computed along one of three routes:
 
 * the saturation route, for Z-free coefficients K whenever HH^i of the
   trivial group is finite: a module in degree >= 1, a complex in degree
@@ -23,13 +23,18 @@ the relation rows of C^{i+1}.  Z^i is computed along one of two routes:
   the saturation of B^i: the vectors with a multiple in B^i.  It is
   found by saturating B^i at the primes of e.  Only d^{i-1} is built;
   d^i and C^{i+1} never are;
-* the kernel route, everywhere else (degree 0, coefficients with
-  torsion, an infinite coker f): Z^i is read off the sparse kernel of
-  d^i augmented by the relation rows of C^{i+1}.  Only the rows of
-  C^{i+1} whose tuple ends in a listed generator s in S are built, with
-  the relation rows of those tuples: |G|^i * |S| rows per rank instead
-  of |G|^{i+1}, and 2|S| entries in a column whose tuple does not end
-  in S.
+* the generator route, for a module with torsion in degree 1: Z^1 comes
+  from the values of a crossed homomorphism at the k generators (Holt,
+  The mechanical computation of first and second cohomology groups,
+  J. Symbolic Comput. 1, 1985), one kernel over k * rk unknowns.  Only
+  d^0 is built; d^1 and C^2 never are;
+* the kernel route, everywhere else (degree 0, degree 2 with torsion,
+  complexes with torsion, an infinite coker f): Z^i is read off the
+  sparse kernel of d^i augmented by the relation rows of C^{i+1}.  Only
+  the rows of C^{i+1} whose tuple ends in a listed generator s in S are
+  built, with the relation rows of those tuples: |G|^i * |S| rows per
+  rank instead of |G|^{i+1}, and 2|S| entries in a column whose tuple
+  does not end in S.
 
 The kernel route may leave out the other rows by this lemma: if
 delta in C^m(G, M), m >= 1, has d delta = 0 in M and vanishes on every
@@ -44,7 +49,28 @@ d delta_B = f(delta_A) = 0, which kills the C^{m-1}(B) part when m >= 2.
 All of C^0(B) is kept.  The trivial group has no generators; its one
 tuple is kept.
 
-Both routes give the same lattice, and its canonical Hermite basis gives
+The generator route walks the stored words from the identity's empty
+word.  c(1) = 0 and c(p s_l) = c(p) + M(p) v_l, with p the stored prefix
+(see ``FiniteGroup.word_prefixes``), define a linear map L from the
+values v = (v_1..v_k) in M^k to C^1.  An edge (e, l) of the breadth-first
+tree, where the stored word of e s_l is that of e followed by l, has
+L(v)(e s_l) = L(v)(e) + M(e) v_l by construction; each other edge gives
+one relator block L(v)(e s_l) - L(v)(e) - M(e) v_l in R, the module's
+relations.  With K the kernel of those relators, Z^1 = L(K) + R in every
+block.  Both ways:
+
+* for v in K every edge holds modulo R, so by induction on the length of
+  a word w of y, c = L(v) has c(x y) = c(x) + M(x) F_w(v) modulo R for
+  every x, where F_w(v) is the sum along w that the walk forms: the step
+  from w to w s_l uses the edge (x y, l), M(x y) = M(x) M(y) modulo R and
+  M(x) R in R (see :mod:`shacalc.gmodules`).  With x = 1, c(y) = F_w(v);
+  so c(x y) = c(x) + M(x) c(y) modulo R, and c is a cocycle;
+* a cocycle c has c(1) in R and c(x s_l) = c(x) + M(x) c(s_l) modulo R,
+  so along the walk L(v) = c modulo R for v_l = c(s_l), and the relators
+  of L(v) are those of c, which lie in R: v is in K.
+
+The relation rows of every block are cocycles, so they lie in Z^1 too.
+All routes give the same lattice, and its canonical Hermite basis gives
 the representatives, so the route never shows in the results.
 
 For a two-term complex f : A -> B (A in degree 0, B in degree 1) the total
@@ -92,6 +118,7 @@ from .groups import FiniteGroup, _prime_factors
 from .intlinalg import (
     IntMatrix,
     Lattice,
+    hermite_rows,
     preimage_kernel,
     sparse_from_matrix,
     sparse_saturation,
@@ -387,7 +414,8 @@ def _hypercohomology(
     group: FiniteGroup, complex_: TwoTermComplex, degree: int, cochain_cap: int
 ) -> CohomologyGroup:
     """HH^degree(group, A -> B) on the total complex, by the saturation
-    route when a torsion bound is known, else by the kernel route."""
+    route when a torsion bound is known, else by the generator route for a
+    module in degree 1, else by the kernel route."""
     if degree not in (0, 1, 2):
         raise StructuralError("only degrees 0..2 are supported")
     t = _TotalComplex(group, complex_)
@@ -399,12 +427,17 @@ def _hypercohomology(
         )
     torsion_bound = _hyper_torsion_bound(complex_, degree)
     # the generators of B^i: the image of d^{i-1} and the relation rows
-    boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + t.relation_cols(degree)
+    relations = t.relation_cols(degree)
+    boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + relations
+    index = None
     if torsion_bound is not None:
         # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1} is
         # torsion-free, so Z^i is the saturation of B^i at its primes
         primes = sorted(_prime_factors(torsion_bound))
         cocycles, index = sparse_saturation(boundaries, t.dim(degree), primes)
+    elif degree == 1 and not complex_.degree1.rank:
+        # the generator route: a module M -> 0, whose T^1 is C^1(M)
+        cocycles = hermite_rows(relations + _generator_cocycles(t.ca), t.dim(1))
     else:
         # the kernel route: Z^i is the preimage under d^i of the relation
         # rows of C^{i+1}, on the rows of C^{i+1} whose tuple ends in a
@@ -414,7 +447,6 @@ def _hypercohomology(
         cocycles = preimage_kernel(
             t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
         )
-        index = None
     if index == 1:
         # B^i was saturated, so Z^i = B^i and the value is 0: the
         # boundaries, solved on the basis of Z^i, would span all of Z^n,
@@ -432,6 +464,65 @@ def _hypercohomology(
         cocycles=cocycles,
         _cochains=t,
     )
+
+
+def _generator_cocycles(c: _Cochains) -> list[dict[int, int]]:
+    """Cocycles of C^1(M) that span Z^1 with the relation rows of every
+    block: L(v) for v in a basis of K, the values at the generators that
+    satisfy the relators of the edges off the breadth-first tree (see the
+    module docstring)."""
+    group, rk = c.group, c.gm
+    gens, words, table = group.generators, group.element_words, group.table
+
+    # a linear map from the unknowns (v_l is l*rk .. l*rk + rk-1) to M, as
+    # {(coordinate, unknown): coefficient}
+    def step(x: int, l: int) -> dict[tuple[int, int], int]:
+        """M(x) v_l."""
+        return {(r, l * rk + j): a for j, col in enumerate(c.elt_cols[x]) for r, a in col.items()}
+
+    def combine(*terms: tuple[int, dict[tuple[int, int], int]]) -> dict[tuple[int, int], int]:
+        acc: dict[tuple[int, int], int] = {}
+        for sign, form in terms:
+            for key, a in form.items():
+                acc[key] = acc.get(key, 0) + sign * a
+        return acc
+
+    # values[e] = L(v)(e), walked along the stored words from the identity's
+    # empty one: c(p s_l) = c(p) + M(p) v_l
+    values: list[dict[tuple[int, int], int]] = [{} for _ in range(group.order)]
+    steps = group.word_prefixes()
+    for e in sorted(range(1, group.order), key=lambda e: len(words[e])):
+        p, tail = steps[e]
+        value = values[p]
+        for l in tail:
+            value = combine((1, value), (1, step(p, l)))
+            p = table[p][gens[l]]
+        values[e] = value
+    # one relator block c(e s_l) - c(e) - M(e) v_l in R per edge off the tree
+    cols: list[dict[int, int]] = [{} for _ in range(len(gens) * rk)]
+    nrows = 0
+    for e in range(group.order):
+        for l, s in enumerate(gens):
+            es = table[e][s]
+            if words[es] == words[e] + (l,):
+                continue  # a tree edge: the walk made it hold exactly
+            for (r, u), a in combine((1, values[es]), (-1, values[e]), (-1, step(e, l))).items():
+                if a:
+                    cols[u][nrows + r] = a
+            nrows += rk
+    relators = [
+        {base + k: a for k, a in enumerate(rel) if a}
+        for base in range(0, nrows, rk)
+        for rel in c.module.underlying.relation_rows
+    ]
+    out = []
+    for v in preimage_kernel(cols, nrows, relators):
+        row: dict[int, int] = {}
+        for e, value in enumerate(values):
+            for (r, u), a in value.items():
+                row[e * rk + r] = row.get(e * rk + r, 0) + a * v[u]
+        out.append({k: x for k, x in row.items() if x})
+    return out
 
 
 def _hyper_torsion_bound(complex_: TwoTermComplex, degree: int) -> int | None:

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
 from .errors import StructuralError
-from .groups import FiniteGroup, Subgroup, _group_from_tokens
+from .groups import FiniteGroup, Subgroup, _bfs_closure
 from .intlinalg import (
     IntMatrix,
     block_diag,
@@ -129,12 +129,16 @@ class GModule:
         return m
 
     def acts_trivially(self, e: int) -> bool:
+        """Whether e acts as the identity on the quotient: on the nose, or
+        else column by column modulo the relations."""
         und = self.underlying
         m = self.element_matrix(e)
+        if m.rows == IntMatrix.identity(self.rank).rows:
+            return True
         for j in range(und.generator_count):
             col = list(m.col(j))
             col[j] -= 1
-            if not und.contains_relation(col):
+            if any(col) and not und.contains_relation(col):
                 return False
         return True
 
@@ -406,24 +410,31 @@ def dual_module(m: GModule) -> GModule:
 def faithful_quotient(m: GModule) -> tuple[FiniteGroup, GModule]:
     """Quotient of the acting group by the kernel of the action, together
     with the module as a faithful module over it.  Models passing to the
-    smallest splitting extension."""
+    smallest splitting extension.
+
+    Each coset is named by its least element, and the quotient is the
+    breadth-first closure of the generators' cosets.  It is built from the
+    checked group without checking it again: the kernel N of the action is
+    normal, so the coset product (aN)(bN) = abN is well defined and is a
+    group law, with N as identity and the coset of the parent's inverse as
+    inverse; the closure's words evaluate to their cosets and reach every
+    coset, since the parent's generators generate."""
     g = m.group
-    kernel = set(m.action_kernel())
-
-    def coset_rep(e: int) -> int:
-        return min(g.mul(e, k) for k in kernel)
-
-    gen_tokens: list[int] = []
+    kernel = m.action_kernel()
+    rep = [min(g.table[e][k] for k in kernel) for e in range(g.order)]
+    gens: list[int] = []
     for s in g.generators:
-        r = coset_rep(s)
-        if r != 0 and r not in gen_tokens:
-            gen_tokens.append(r)
-
-    def mul(a: int, b: int) -> int:
-        return coset_rep(g.mul(a, b))
-
-    q_group, elements = _group_from_tokens(0, gen_tokens, mul, g.order + 1)
-    action = [m.element_matrix(elements[s]) for s in q_group.generators]
+        if rep[s] and rep[s] not in gens:
+            gens.append(rep[s])
+    elements, words = _bfs_closure(0, gens, lambda a, b: rep[g.table[a][b]], g.order + 1)
+    index = {e: i for i, e in enumerate(elements)}
+    q_group = FiniteGroup._from_checked(
+        tuple(tuple(index[rep[g.table[a][b]]] for b in elements) for a in elements),
+        tuple(index[s] for s in gens),
+        tuple(words),
+        tuple(index[rep[g.inverse[a]]] for a in elements),
+    )
+    action = [m.element_matrix(s) for s in gens]
     return q_group, GModule(q_group, m.underlying, action, _trusted=True)
 
 

@@ -12,9 +12,10 @@ kernels built from those restrictions and stacked class maps (eager, on
 every generator of the ambient value, and on its reduced view), the
 column-order echelon kernel that ``sparse_kernel`` must reproduce, the
 checked rows of the kernel route cut out of the full differential, the
-dense Hermite form, and the dense lattice solve and reduction.  The
-subquotient, the restrictions, the cocycle test and the last four are
-the references for what the package now builds or solves directly.
+kernel route's Z^1, the checked faithful quotient, the dense Hermite
+form, and the dense lattice solve and reduction.  The subquotient, the
+restrictions, the cocycle test and the last six are the references for
+what the package now builds or solves directly.
 Spies on ``Lattice`` show when a lattice is reduced or solved on."""
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from shacalc.cohomology import (
 )
 from shacalc.errors import StructuralError
 from shacalc.gmodules import GModule, GModuleHom, PermutationModule
-from shacalc.groups import FiniteGroup, Subgroup, from_permutations
+from shacalc.groups import FiniteGroup, Subgroup, _group_from_tokens, from_permutations
 from shacalc.intlinalg import (
     IntMatrix,
     Lattice,
@@ -533,6 +534,41 @@ def checked_coords(cochains, i: int) -> list[int]:
         for s in last
         for j in range(gm)
     ]
+
+
+def kernel_route_cocycles(t) -> Lattice:
+    """Z^1 of the total complex ``t`` by the kernel route, the one that
+    degree 1 of a module took before the generator route: the preimage
+    under d^1, built on the checked rows of C^2 only (see
+    ``checked_coords``), of their relation rows.  The reference for the
+    generator route."""
+    last = sorted(set(t.ca.group.generators)) or [0]
+    return preimage_kernel(t.diff_cols(1, last), t.dim(2, last), t.relation_cols(2, last))
+
+
+def checked_faithful_quotient(m: GModule) -> FiniteGroup:
+    """The faithful image of the acting group as ``faithful_quotient``
+    built it before it was built unchecked: the action kernel found column
+    by column, cosets named by their least element, and the breadth-first
+    closure of the generators' cosets passed to the checking constructor."""
+    g, und = m.group, m.underlying
+    kernel = []
+    for e in range(g.order):
+        cols = [list(c) for c in m.element_matrix(e).transpose().rows]
+        for j, col in enumerate(cols):
+            col[j] -= 1
+        if all(und.contains_relation(col) for col in cols):
+            kernel.append(e)
+
+    def coset_rep(e: int) -> int:
+        return min(g.mul(e, k) for k in kernel)
+
+    tokens: list[int] = []
+    for s in g.generators:
+        if coset_rep(s) and coset_rep(s) not in tokens:
+            tokens.append(coset_rep(s))
+    q, _ = _group_from_tokens(0, tokens, lambda a, b: coset_rep(g.mul(a, b)), g.order + 1)
+    return q
 
 
 def on_rows(cols: list[dict[int, int]], rows: dict[int, int]) -> list[dict[int, int]]:

@@ -37,7 +37,7 @@ from shacalc.gmodules import (
     trivial_module,
     zero_module,
 )
-from shacalc.groups import from_permutations
+from shacalc.groups import FiniteGroup, from_permutations
 from shacalc.intlinalg import (
     IntMatrix,
     hermite_rows,
@@ -68,6 +68,7 @@ from helpers import (
     dense,
     echelon_kernel,
     full_restriction_map,
+    kernel_route_cocycles,
     is_cocycle,
     is_zero_hom,
     lattice_reads,
@@ -187,12 +188,14 @@ class TestLowDegrees:
             cohomology(s3, augmentation_ideal(s3), 1),
             # Z-free coefficients in degree 2, and J^D in degree 1, take the
             # saturation route, which never builds d^i; torsion coefficients
-            # take the kernel route, which checks only some rows of d^i
+            # take the generator route in degree 1, which builds no d^1, and
+            # the kernel route in degree 2, which checks only some rows of d^2
             cohomology(v4, trivial_module(v4, 1), 2),
             hypercohomology(v4, jd, 1),
+            cohomology(s3, torsion, 1),
             cohomology(s3, torsion, 2),
         ])
-        assert routes == ["saturation"] * 3 + ["kernel"]
+        assert routes == ["saturation"] * 3 + ["generators", "kernel"]
         for h in cases:
             assert h.representatives
             for j, rep in enumerate(h.representatives):
@@ -233,23 +236,35 @@ def kernel_route(h, cochains=None):
     return present_quotient(basis, boundaries), basis
 
 
-ROUTES = {"sparse_saturation": "saturation", "preimage_kernel": "kernel"}
+ROUTES = {
+    "sparse_saturation": "saturation",
+    "_generator_cocycles": "generators",
+    "preimage_kernel": "kernel",
+}
 
 
 def computed_by(compute, outputs=None):
     """``compute()`` and the routes, in call order, by which the cohomology
     module computed the cocycle lattices on the way, read from spies on
-    its bindings of the two elimination functions; their results go to
-    ``outputs`` when a list is given."""
+    its bindings of the route functions; their results go to ``outputs``
+    when a list is given.  A call made inside a route, as the generator
+    route's ``preimage_kernel``, is part of that route and not counted."""
     module = sys.modules["shacalc.cohomology"]
     taken = []
+    inside = []
     with pytest.MonkeyPatch.context() as mp:
         for name, route in ROUTES.items():
             real = getattr(module, name)
 
             def spy(*args, _real=real, _route=route):
+                if inside:
+                    return _real(*args)
                 taken.append(_route)
-                out = _real(*args)
+                inside.append(_route)
+                try:
+                    out = _real(*args)
+                finally:
+                    inside.pop()
                 if outputs is not None:
                     outputs.append(out)
                 return out
@@ -367,10 +382,13 @@ class TestRouteEquivalence:
             assert_routes_agree(lambda: hypercohomology(g, c, 1))
 
     def test_torsion_and_degree_zero_keep_the_kernel_route(self):
+        """Degree 0 and torsion in degree 2 keep the kernel route; a module
+        with torsion takes the generator route in degree 1."""
         g = GROUPS["Z2"]
         torsion = GModule(g, PresentedAbelianGroup(1, [[4]]), [IntMatrix([[3]])])
         aug = augmentation_ideal(g)
-        assert route_of(lambda: cohomology(g, torsion, 1)) == "kernel"
+        assert route_of(lambda: cohomology(g, torsion, 1)) == "generators"
+        assert route_of(lambda: cohomology(g, torsion, 2)) == "kernel"
         assert route_of(lambda: cohomology(g, aug, 0)) == "kernel"
         # coker(Z[g] -> Z, x -> 0) = Z is infinite: HH^1 keeps the kernel route
         reg, triv = regular_module(g), trivial_module(g, 1)
@@ -513,7 +531,8 @@ class TestKernelInputs:
 
 class TestCheckedRows:
     """The kernel route checks the cocycle condition only on the tuples
-    that end in a listed generator.  It must give exactly what the kernel
+    that end in a listed generator, and the generator route of a module in
+    degree 1 builds no row of d^1.  Each must give exactly what the kernel
     route gives on every row of d^i: the same Hermite basis, so the same
     representatives, and the same relators."""
 
@@ -530,7 +549,7 @@ class TestCheckedRows:
         m = random_module(g, SplitMix64(seed), max_rank=max_rank, max_torsion_relators=2)
         assume(degree == 0 or not m.is_z_free())
         h, routes = computed_by(lambda: cohomology(g, m, degree))
-        assert routes == ["kernel"]
+        assert routes == ["generators" if degree == 1 else "kernel"]
         assert_same_as_full_kernel(h)
 
     def test_redundant_generators(self):
@@ -541,7 +560,7 @@ class TestCheckedRows:
         m = torsion_module(s3, 4)
         for degree in (0, 1, 2):
             h, routes = computed_by(lambda: cohomology(s3, m, degree))
-            assert routes == ["kernel"]
+            assert routes == ["generators" if degree == 1 else "kernel"]
             assert_same_as_full_kernel(h)
 
     def test_trivial_group(self):
@@ -586,6 +605,127 @@ class TestCheckedRows:
             h, routes = computed_by(lambda: hypercohomology(a4, c, degree))
             assert routes == ["kernel"]
             assert_same_as_full_kernel(h)
+
+
+def assert_generator_route(g, m):
+    """H^1(g, m), for m with torsion, by the generator route alone, with
+    the Hermite basis of the kernel route and the value it presents."""
+    h, routes = computed_by(lambda: cohomology(g, m, 1))
+    assert routes == ["generators"]
+    t = h._cochains
+    want = kernel_route_cocycles(t)
+    assert h.cocycles.rows == want.rows
+    assert h.group_value == present_quotient(want, t.diff_cols(0) + t.relation_cols(1))
+    return h
+
+
+class TestGeneratorRoute:
+    """Z^1 of a module with torsion from the values at the generators,
+    against the kernel route of ``helpers.kernel_route_cocycles``."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(GROUPS)), seed=st.integers(0, 2**63 - 1))
+    def test_random_torsion_modules(self, name, seed):
+        g = GROUPS[name]
+        m = random_module(g, SplitMix64(seed), max_rank=3, max_torsion_relators=2)
+        assume(not m.is_z_free())
+        assert_generator_route(g, m)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_trivial_torsion(self, name):
+        g = GROUPS[name]
+        h = assert_generator_route(g, torsion_module(g, 4))
+        # H^1(G, Z/4) = Hom(G, Z/4)
+        assert h.group_value.order() == math.prod(
+            math.gcd(n, 4) for n in abelianization_invariants(g.table)
+        )
+
+    def test_trivial_group(self):
+        """No generators, no unknowns: Z^1 is the relation rows R."""
+        g, _ = GROUPS["S3"].trivial_subgroup().as_group()
+        m = GModule(g, PresentedAbelianGroup(2, [[2, 4], [0, 6]]), [])
+        h = assert_generator_route(g, m)
+        assert h.cocycles.rows == hermite_rows([[2, 4], [0, 6]], 2).rows
+        assert h.group_value.is_trivial()
+
+    def test_redundant_generators(self):
+        """A repeated generator and the identity as a generator: the edges
+        they label are all off the tree, and force v_l = v_k and v_l in R."""
+        s3 = from_permutations([[1, 0, 2], [1, 2, 0], [1, 0, 2], [0, 1, 2], [0, 2, 1]])
+        rng = SplitMix64(11)
+        for m in [torsion_module(s3, 4)] + [
+            random_module(s3, rng, max_rank=3, max_torsion_relators=2) for _ in range(12)
+        ]:
+            if not m.is_z_free():
+                assert_generator_route(s3, m)
+
+    @pytest.mark.parametrize("name,words,n,a", [
+        ("V4", [(), (0,), (0, 1, 0), (1, 0)], 4, 3),
+        ("Z4", [(), (0,) * 5, (0, 0), (0, 0, 0)], 5, 2),
+    ], ids=["V4", "Z4"])
+    def test_words_not_prefix_closed(self, name, words, n, a):
+        """Stored words whose prefixes are not all stored: the walk takes
+        several letters from a stored prefix, through elements whose own
+        words differ, and the edges it crosses are off the tree.  Each
+        generator acts on Z/n by a."""
+        g = GROUPS[name]
+        other = FiniteGroup(g.table, g.generators, words)
+        rng = SplitMix64(5)
+        scalar = GModule(other, PresentedAbelianGroup(1, [[n]]), [IntMatrix([[a]])] * len(g.generators))
+        mods = [torsion_module(other, 4), scalar]
+        mods += [random_module(other, rng, max_rank=3, max_torsion_relators=2) for _ in range(12)]
+        for m in mods:
+            if not m.is_z_free():
+                assert_generator_route(other, m)
+
+    def test_group_law_modulo_relations(self):
+        """Actions that satisfy the group law only modulo the relations:
+        3^2 = 9, 5^2 = 25 and 7^2 = 49 act as 1 on Z/8, and 2^4 = 16 acts
+        as 1 on Z/5."""
+        cases = [
+            (GROUPS["V4"], 8, [3, 5]),
+            (GROUPS["D4"], 8, [3, 5]),
+            (GROUPS["Z4"], 5, [2]),
+            (GROUPS["S3"], 8, [7, 1]),
+        ]
+        mods = [
+            GModule(g, PresentedAbelianGroup(1, [[n]]), [IntMatrix([[a]]) for a in scalars])
+            for g, n, scalars in cases
+        ]
+        # the same on Z/4 + Z/8, with a generator mixing the summands
+        mods.append(GModule(GROUPS["V4"], PresentedAbelianGroup(2, [[4, 0], [0, 8]]),
+                            [IntMatrix([[1, 0], [4, 3]]), IntMatrix([[3, 0], [0, 5]])]))
+        for m in mods:
+            g = m.group
+            assert any(
+                m.element_matrix(e).mul(m.action[l]) != m.element_matrix(g.table[e][s])
+                for e in range(g.order) for l, s in enumerate(g.generators)
+            )
+            assert_generator_route(g, m)
+
+    def test_one_kernel_over_the_generator_values(self, monkeypatch):
+        """One ``preimage_kernel`` call, on k * rk unknowns and one block of
+        rk rows per edge off the breadth-first tree."""
+        module = sys.modules["shacalc.cohomology"]
+        real = module.preimage_kernel
+        seen = []
+        monkeypatch.setattr(module, "preimage_kernel", lambda *args: seen.append(args) or real(*args))
+        for name in ("Z2", "V4", "S3", "D4", "Q8", "A4"):
+            g = GROUPS[name]
+            words = g.element_words
+            off_tree = sum(
+                words[g.table[e][s]] != words[e] + (l,)
+                for e in range(g.order) for l, s in enumerate(g.generators)
+            )
+            z4_plus_z = GModule(g, PresentedAbelianGroup(2, [[4, 0]]),
+                                [IntMatrix.identity(2)] * len(g.generators))
+            for mod in (torsion_module(g, 6), z4_plus_z):
+                seen.clear()
+                cohomology(g, mod, 1)
+                assert len(seen) == 1
+                columns, nrows, _ = seen[0]
+                assert len(columns) == len(g.generators) * mod.rank
+                assert nrows == off_tree * mod.rank
 
 
 def assert_builds_the_checked_rows(t, degree):
@@ -670,25 +810,33 @@ class TestBuiltRows:
     @pytest.mark.parametrize("name", ["V4", "S3", "D4"])
     def test_kernel_route_builds_no_full_differential(self, name, monkeypatch):
         """The kernel route asks for d^i on the checked rows only; the
-        full d^{i-1} that spans B^i is still built."""
+        full d^{i-1} that spans B^i is still built.  The generator route,
+        in degree 1, builds d^0 and the relation rows of C^1 alone."""
         g = GROUPS[name]
         last = sorted(set(g.generators))
         everything = list(range(g.order))
-        real = _Cochains.diff_cols
-        built = []
+        built = {"diff_cols": [], "relation_cols": []}
+        for method, calls in built.items():
 
-        def spy(self, i, last=None):
-            if self.gm:  # the B term of M -> 0 has no columns
-                built.append((i, everything if last is None else list(last)))
-            return real(self, i, last)
+            def spy(self, i, last=None, _real=getattr(_Cochains, method), _calls=calls):
+                if self.gm:  # the B term of M -> 0 has no rows
+                    _calls.append((i, everything if last is None else list(last)))
+                return _real(self, i, last)
 
-        monkeypatch.setattr(_Cochains, "diff_cols", spy)
+            monkeypatch.setattr(_Cochains, method, spy)
         for degree in (0, 1, 2):
-            built.clear()
+            for calls in built.values():
+                calls.clear()
             _, routes = computed_by(lambda: cohomology(g, torsion_module(g, 4), degree))
+            if degree == 1:
+                # the generator route: d^0 alone, and no row of C^2
+                assert routes == ["generators"]
+                assert built["diff_cols"] == [(0, everything)]
+                assert built["relation_cols"] == [(1, everything)]
+                continue
             assert routes == ["kernel"]
-            assert (degree, everything) not in built
-            assert built == [(degree - 1, everything)] * (degree > 0) + [(degree, last)]
+            assert (degree, everything) not in built["diff_cols"]
+            assert built["diff_cols"] == [(degree - 1, everything)] * (degree > 0) + [(degree, last)]
 
 
 class TestComplexSegment:

@@ -22,11 +22,12 @@ from shacalc.gmodules import (
     trivial_module,
     zero_module,
 )
-from shacalc.groups import FiniteGroup
+from shacalc.groups import FiniteGroup, exponent, is_metacyclic
 from shacalc.intlinalg import IntMatrix
 from shacalc.prng import SplitMix64
+from shacalc.suites import builtin_groups, random_module
 
-from helpers import catalog, restrict, subquotient, word_product
+from helpers import catalog, checked_faithful_quotient, restrict, subquotient, word_product
 
 GROUPS = catalog()
 
@@ -292,6 +293,35 @@ class TestFaithfulQuotient:
         q, qm = faithful_quotient(m)
         assert q.order == 2
         assert qm.element_matrix(1).rows == ((-1,),)
+
+    def test_built_as_the_checked_construction(self):
+        """The unchecked quotient has the table, words, inverses, order,
+        exponent and metacyclicity of the one built through the checking
+        constructor, on modules over every catalog group and on the draws
+        of ``test_module_stream_is_pinned``."""
+        mods = []
+        for g in GROUPS.values():
+            n = g.order
+            threes = [[3 if i == j else 0 for j in range(n)] for i in range(n)]
+            # 5 acts as 1 on Z/4 only modulo the relation
+            fives = GModule(g, PresentedAbelianGroup(1, [[4]]), [IntMatrix([[5]])] * len(g.generators))
+            assert faithful_quotient(fives)[0].order == 1
+            mods += [trivial_module(g, 1), regular_module(g), augmentation_ideal(g), fives,
+                     GModule(g, PresentedAbelianGroup(n, threes), regular_module(g).action)]
+            mods += [sign_module(g, [k]) for k in range(len(g.generators))
+                     if accepts(g, PresentedAbelianGroup(1), [IntMatrix([[-1 if j == k else 1]])
+                                                          for j in range(len(g.generators))])]
+        builtin = builtin_groups()
+        for name in sorted(builtin):
+            rng = SplitMix64(2010)
+            mods += [random_module(builtin[name], rng) for _ in range(40)]
+        for m in mods:
+            q, qm = faithful_quotient(m)
+            want = checked_faithful_quotient(m)
+            assert (q.order, q.table, q.generators, q.element_words, q.inverse) == (
+                want.order, want.table, want.generators, want.element_words, want.inverse)
+            assert (exponent(q), is_metacyclic(q)) == (exponent(want), is_metacyclic(want))
+            assert qm.group is q and qm.underlying is m.underlying
 
 
 class TestPermutationCover:
