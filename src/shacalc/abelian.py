@@ -44,24 +44,27 @@ class ReducedView:
     """A group on its kept generators (see the module docstring): ``group``
     is Z^K / (the non-unit relation rows read on K), ``kept`` lists K in
     increasing order, and ``unit_rows`` are the relation rows with pivot 1,
-    whose pivots ``unit_pivots`` are the generators left out."""
+    as sparse rows not to be modified, whose pivots ``unit_pivots`` are the
+    generators left out."""
 
     group: "PresentedAbelianGroup"
     kept: tuple[int, ...]
     unit_pivots: tuple[int, ...]
-    unit_rows: tuple[tuple[int, ...], ...]
+    unit_rows: tuple[dict[int, int], ...]
 
     def project(self, vec: Sequence[int]) -> tuple[int, ...]:
         """pi: coordinates on every generator to coordinates on K.  On a
         canonical coset representative, which is zero on every unit pivot,
         this is the restriction to K."""
+        position = {k: t for t, k in enumerate(self.kept)}
         out = [vec[k] for k in self.kept]
         for c, row in zip(self.unit_pivots, self.unit_rows):
             x = vec[c]
             if x:
-                for t, k in enumerate(self.kept):
-                    if row[k]:
-                        out[t] -= x * row[k]
+                # a unit row is zero on every other unit pivot
+                for k, v in row.items():
+                    if k != c:
+                        out[position[k]] -= x * v
         return tuple(out)
 
     def section(self, vec: Sequence[int]) -> tuple[int, ...]:
@@ -111,8 +114,8 @@ class PresentedAbelianGroup:
         """The same group on its kept generators, computed once."""
         if self._reduced is None:
             pivots, units, rest = [], [], []
-            for row in self.relation_rows:
-                lead = next(k for k, v in enumerate(row) if v)
+            for row in self.relation_lattice.sparse_rows():
+                lead = min(row)
                 if row[lead] == 1:
                     pivots.append(lead)
                     units.append(row)
@@ -122,7 +125,11 @@ class PresentedAbelianGroup:
             kept = tuple(k for k in range(self.generator_count) if k not in left_out)
             group = self
             if pivots:
-                group = PresentedAbelianGroup(len(kept), [[r[k] for k in kept] for r in rest])
+                # a non-unit row is zero on every unit pivot
+                position = {k: t for t, k in enumerate(kept)}
+                group = PresentedAbelianGroup(
+                    len(kept), [{position[k]: v for k, v in r.items()} for r in rest]
+                )
             self._reduced = ReducedView(group, kept, tuple(pivots), tuple(units))
         return self._reduced
 
@@ -131,7 +138,7 @@ class PresentedAbelianGroup:
         if self._inv is None:
             # the Smith form runs on the reduced view
             red = self.reduced().group
-            diag = smith_normal_form(red.relations).diagonal if red.relation_rows else ()
+            diag = smith_normal_form(red.relations).diagonal if len(red.relation_lattice) else ()
             rank = sum(1 for d in diag if d)
             torsion = tuple(d for d in diag if d > 1)
             self._inv = (red.generator_count - rank, torsion)

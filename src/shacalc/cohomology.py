@@ -13,7 +13,8 @@ order.  The differential is the standard one,
 with no normalization assumed.  H^i is Z^i / B^i computed on presented
 groups, where B^i = im d^{i-1} plus the module's relation rows in every
 tuple block, and Z^i is the lattice of cochains whose coboundary lies in
-the relation rows of C^{i+1}.  Z^i is computed along one of three routes:
+the relation rows of C^{i+1}.  Z^i, or on the generator route the values
+of its cocycles at the generators, is computed along one of three routes:
 
 * the saturation route, for Z-free coefficients K whenever HH^i of the
   trivial group is finite: a module in degree >= 1, a complex in degree
@@ -23,11 +24,13 @@ the relation rows of C^{i+1}.  Z^i is computed along one of three routes:
   the saturation of B^i: the vectors with a multiple in B^i.  It is
   found by saturating B^i at the primes of e.  Only d^{i-1} is built;
   d^i and C^{i+1} never are;
-* the generator route, for a module with torsion in degree 1: Z^1 comes
-  from the values of a crossed homomorphism at the k generators (Holt,
-  The mechanical computation of first and second cohomology groups,
-  J. Symbolic Comput. 1, 1985), one kernel over k * rk unknowns.  Only
-  d^0 is built; d^1 and C^2 never are;
+* the generator route, for a module with torsion in degree 1: a crossed
+  homomorphism is known by its values at the k generators (Holt, The
+  mechanical computation of first and second cohomology groups,
+  J. Symbolic Comput. 1, 1985).  One kernel over k * rk unknowns gives
+  the values K of the cocycles, and the value is K / (D0 + R^k), at width
+  k * rk.  No differential is built, and no lattice in C^1 until the
+  representatives are read;
 * the kernel route, everywhere else (degree 0, degree 2 with torsion,
   complexes with torsion, an infinite coker f): Z^i is read off the
   sparse kernel of d^i augmented by the relation rows of C^{i+1}.  Only
@@ -70,8 +73,41 @@ block.  Both ways:
   of L(v) are those of c, which lie in R: v is in K.
 
 The relation rows of every block are cocycles, so they lie in Z^1 too.
-All routes give the same lattice, and its canonical Hermite basis gives
-the representatives, so the route never shows in the results.
+
+The value in the coordinates of the values.  Let V read a cochain at
+the generators, V(c) = (c(s_1)..c(s_k)) in M^k, let R^k be the relation
+rows of M in each of the k blocks of M^k, and let
+D0 = {((s_l - 1) m)_l : m in M}, spanned by the values of the
+coboundaries of the basis vectors of M.  K holds R^k: the relators are
+linear in v, and M(e) R lies in R.  Then V induces
+H^1(G, M) = Z^1 / (B^1 + R) = K / (D0 + R^k), where R is the relation
+rows in every block of C^1:
+
+* V(Z^1) lies in K, by the second point above;
+* V(Z^1) + R^k = K: for v in K, L(v) is a cocycle by the first point, and
+  L(v)(s_l) = L(v)(1) + M(1) v_l = v_l exactly on a tree edge (1, l), and
+  modulo R on an edge off the tree, by its relator; so V(L(v)) = v
+  modulo R^k;
+* V(B^1 + R) lies in D0 + R^k, since V(dm) = ((s_l - 1) m)_l and V(R)
+  lies in R^k;
+* nothing else goes there: if c is a cocycle and V(c) = V(dm) + r with r
+  in R^k, then c - dm is a cocycle whose values at the generators lie in
+  R, and such a cocycle lies in R everywhere: c(1) is in R, and
+  c(x s_l) = c(x) + M(x) c(s_l) modulo R with M(x) R in R.  So c lies in
+  B^1 + R.
+
+The generator route presents the value there, on the Hermite basis of K,
+with D0 + R^k solved on it: one relator per basis vector of M and per
+relation row in each block.  A value class v is the class of the cocycle
+L(v), and a cocycle c has the class of V(c).  A cochain c is a cocycle
+iff V(c) lies in K and c = L(V(c)) modulo R, which ``class_coords``
+checks: if so, c is a cocycle plus relation rows; if c is a cocycle, the
+induction of the second point gives c = L(V(c)) modulo R.
+
+All routes give the same lattice Z^i in C^i, and its canonical Hermite
+basis gives the printed representatives, so the route never shows in
+the results.  The generator route builds that basis, from L(K) and R,
+only when the representatives are read.
 
 For a two-term complex f : A -> B (A in degree 0, B in degree 1) the total
 complex is T^n = C^n(A) + C^{n-1}(B) with the fixed sign convention
@@ -84,13 +120,18 @@ so that representative-level tests are stable.
 A module M is computed as the complex M -> 0: then T^n = C^n(M) and D = d,
 so H^i(G, M) = HH^i(G, M -> 0) with the same coordinates.
 
-The value Z^i / B^i is presented on the Hermite basis of Z^i, with one
-relator per generator of B^i, each solved sparsely on that basis.  Z^i
-is a :class:`~shacalc.intlinalg.Lattice`: the basis comes out of the gcd
-echelon together with its index, and the group holds both, so the class
-solves of ``class_coords`` run on the index that presented the value.
-The value has about rank B^i generators, most of them left out by its
-reduced view (see :mod:`shacalc.abelian`).
+The value's coordinates depend on the route.  On the saturation and
+kernel routes Z^i / B^i is presented on the Hermite basis of Z^i, with
+one relator per generator of B^i, each solved sparsely on that basis; it
+has about rank B^i generators, most of them left out by its reduced view
+(see :mod:`shacalc.abelian`).  On the generator route K / (D0 + R^k) is
+presented on the Hermite basis of K, with at most k * rk generators.
+Either lattice is a :class:`~shacalc.intlinalg.Lattice`: the basis comes
+out of the gcd echelon together with its index, and the group holds
+both, so the class solves of ``class_coords`` run on the index that
+presented the value.  The group also holds the map from the lattice's
+coordinates to cochains, L on the generator route and the identity on
+the others, so a class given on the value's generators has a cocycle.
 
 The main values of the paper are zeros, and they cost no solve.  On the
 saturation route the saturation also gives the index [Z^i : B^i], and an
@@ -109,10 +150,11 @@ the reference the tests compare against, ``tests/helpers.restriction``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .abelian import PresentedAbelianGroup, class_on_basis, present_quotient
-from .errors import ResourceError, StructuralError
+from .errors import InternalError, ResourceError, StructuralError
 from .gmodules import GModule, GModuleHom, zero_module
 from .groups import FiniteGroup, _prime_factors
 from .intlinalg import (
@@ -385,29 +427,128 @@ class _TotalComplex:
 
 @dataclass
 class CohomologyGroup:
-    """A computed H^i or HH^i: its value as a presented abelian group, one
-    explicit cocycle per generator, and a membership procedure taking a
-    cocycle to its class coordinates.  The value is presented on the
-    Hermite basis of the cocycle lattice ``cocycles``, whose rows are the
-    representatives."""
+    """A computed H^i or HH^i: its value as a presented abelian group, the
+    cocycle of each class, and a membership procedure taking a cocycle to
+    its class coordinates.
+
+    The value is presented on the rows of ``lattice``, the value lattice
+    in its own coordinates: Z^i in C^i on the saturation and kernel routes,
+    K in M^k on the generator route (see the module docstring).  ``_walk``
+    maps those coordinates to cochains: the walk's linear map L, as one
+    linear form {unknown: coefficient} per coordinate of C^1, or None for
+    the identity.  :meth:`cochain` gives the cocycle of a class given on
+    the value's generators, :meth:`class_coords` the class of a cocycle.
+    The printed ``representatives`` are the canonical Hermite basis of Z^i
+    in C^i, whatever the route; on the generator route it is built on
+    first read, from L(K) and the relation rows of every block."""
 
     degree: int
     group: FiniteGroup
     coefficients: TwoTermComplex  # a module M as M -> 0
     group_value: PresentedAbelianGroup
-    cocycles: Lattice
+    lattice: Lattice
     _cochains: _TotalComplex = field(repr=False)
+    _walk: list[dict[int, int]] | None = field(default=None, repr=False)
+
+    def _read(self, vec: dict[int, int], coords: Sequence[int]) -> dict[int, int]:
+        """The entries at ``coords``, numbered by position, of the cochain
+        of a sparse vector in the lattice's coordinates."""
+        if self._walk is None:
+            return {r: vec[s] for r, s in enumerate(coords) if s in vec}
+        out = {}
+        for r, s in enumerate(coords):
+            x = sum(a * vec[u] for u, a in self._walk[s].items() if u in vec)
+            if x:
+                out[r] = x
+        return out
+
+    def _cochain_of(self, vec: dict[int, int]) -> dict[int, int]:
+        """The cochain, sparse, of a sparse vector in the lattice's
+        coordinates."""
+        return vec if self._walk is None else self._read(vec, range(len(self._walk)))
+
+    def _dense(self, vec: dict[int, int]) -> tuple[int, ...]:
+        return tuple(vec.get(k, 0) for k in range(self._cochains.dim(self.degree)))
+
+    def cochain(self, coords: Sequence[int]) -> tuple[int, ...]:
+        """The cocycle sum of coords[t] times generator t of the value."""
+        vec = _combination(self.lattice.sparse_rows(), {t: c for t, c in enumerate(coords) if c})
+        return self._dense(self._cochain_of(vec))
+
+    def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """Coordinates of a cocycle's class on the computed generators; a
+        vector that is no cocycle raises :class:`StructuralError`.  On the
+        generator route the class is that of the values c(s_l), and c is a
+        cocycle iff they lie in K and c = L(c(s_l)) modulo the relation rows
+        (see the module docstring)."""
+        if self._walk is None:
+            return class_on_basis(self.group_value, self.lattice, vec)
+        if len(vec) != len(self._walk):
+            raise StructuralError("vector length does not match the cochain rank")
+        rk = self._cochains.ca.gm
+        values = {
+            l * rk + j: vec[s * rk + j]
+            for l, s in enumerate(self.group.generators)
+            for j in range(rk)
+            if vec[s * rk + j]
+        }
+        coords = class_on_basis(self.group_value, self.lattice, values)
+        walked = self._cochain_of(values)
+        if not self._cochains.block_contains(1, [v - walked.get(k, 0) for k, v in enumerate(vec)]):
+            raise StructuralError("vector is not a cocycle")
+        return coords
+
+    @cached_property
+    def _cocycles(self) -> Lattice:
+        """Z^i in C^i: the value lattice itself when it lies there, else
+        L(K) with the relation rows of every block, built on first read."""
+        if self._walk is None:
+            return self.lattice
+        t = self._cochains
+        walked = [self._cochain_of(row) for row in self.lattice.sparse_rows()]
+        return hermite_rows(t.relation_cols(1) + walked, t.dim(1))
 
     @property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
-        return self.cocycles.rows
+        return self._cocycles.rows
 
-    def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a cocycle's class on the computed generators."""
-        return class_on_basis(self.group_value, self.cocycles, vec)
+    def preimage_representatives(self, rows: Sequence[dict[int, int]]) -> tuple[tuple[int, ...], ...]:
+        """The cochains of the canonical Hermite basis, in the coordinates
+        of the representatives, of the cocycles whose classes lie in the
+        subgroup spanned by the sparse ``rows``, which are given on every
+        generator of the value and span its relations.
+
+        On the generator route those cocycles are L(v), for v in the span
+        of the rows read on K, plus R, the relation rows of every block:
+        a cocycle c has the class of its values V(c), and c = L(V(c))
+        modulo R (see the module docstring).  Each is solved on Z^1."""
+        cocycles = self._cocycles
+        if self._walk is None:
+            basis = hermite_rows(rows, self.group_value.generator_count)
+        else:
+            lattice = self.lattice.sparse_rows()
+            vectors = [self._cochain_of(_combination(lattice, row)) for row in rows]
+            coords = []
+            for vec in vectors + self._cochains.relation_cols(1):
+                c = cocycles.solve(vec)
+                if c is None:
+                    raise InternalError("a cocycle of the value escapes Z^1")
+                coords.append(c)
+            basis = hermite_rows(coords, len(cocycles))
+        reps = cocycles.sparse_rows()
+        return tuple(self._dense(_combination(reps, b)) for b in basis.sparse_rows())
 
     def __str__(self) -> str:
         return str(self.group_value)
+
+
+def _combination(rows: Sequence[dict[int, int]], coeffs: dict[int, int]) -> dict[int, int]:
+    """The sum of coeffs[t] * rows[t], sparse."""
+    acc: dict[int, int] = {}
+    for t, c in coeffs.items():
+        for k, v in rows[t].items():
+            acc[k] = acc.get(k, 0) + c * v
+    return {k: v for k, v in acc.items() if v}
 
 
 def _hypercohomology(
@@ -415,114 +556,155 @@ def _hypercohomology(
 ) -> CohomologyGroup:
     """HH^degree(group, A -> B) on the total complex, by the saturation
     route when a torsion bound is known, else by the generator route for a
-    module in degree 1, else by the kernel route."""
+    module in degree 1, else by the kernel route.  The cap bounds the rows
+    the generator route eliminates, and the rank of T^2 on the others."""
     if degree not in (0, 1, 2):
         raise StructuralError("only degrees 0..2 are supported")
     t = _TotalComplex(group, complex_)
-    c2_dim = t.dim(2)
-    if c2_dim > cochain_cap:
-        raise ResourceError(
-            f"degree-2 cochain space has rank {c2_dim}, over the cap {cochain_cap}",
-            dimension=c2_dim,
-        )
     torsion_bound = _hyper_torsion_bound(complex_, degree)
-    # the generators of B^i: the image of d^{i-1} and the relation rows
-    relations = t.relation_cols(degree)
-    boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + relations
-    index = None
-    if torsion_bound is not None:
-        # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1} is
-        # torsion-free, so Z^i is the saturation of B^i at its primes
-        primes = sorted(_prime_factors(torsion_bound))
-        cocycles, index = sparse_saturation(boundaries, t.dim(degree), primes)
-    elif degree == 1 and not complex_.degree1.rank:
-        # the generator route: a module M -> 0, whose T^1 is C^1(M)
-        cocycles = hermite_rows(relations + _generator_cocycles(t.ca), t.dim(1))
+    walk = None
+    if torsion_bound is None and degree == 1 and not complex_.degree1.rank:
+        # the generator route: a module M -> 0, whose T^1 is C^1(M), and the
+        # value K / (D0 + R^k) in the coordinates of K
+        edges = _off_tree_edges(group)
+        rows = len(edges) * t.ca.gm
+        if rows > cochain_cap:
+            raise ResourceError(
+                f"the generator route eliminates {rows} relator rows, over the cap {cochain_cap}",
+                dimension=rows,
+            )
+        lattice, walk = _generator_values(t.ca, edges)
+        value = present_quotient(lattice, _generator_boundaries(t.ca))
     else:
-        # the kernel route: Z^i is the preimage under d^i of the relation
-        # rows of C^{i+1}, on the rows of C^{i+1} whose tuple ends in a
-        # generator (see the module docstring); the trivial group keeps its
-        # one tuple
-        last = sorted(set(group.generators)) or [0]
-        cocycles = preimage_kernel(
-            t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
-        )
-    if index == 1:
-        # B^i was saturated, so Z^i = B^i and the value is 0: the
-        # boundaries, solved on the basis of Z^i, would span all of Z^n,
-        # whose Hermite rows are the unit rows.  Nothing is solved.  The
-        # check that no boundary escapes Z^i is skipped with nothing lost,
-        # since the echelon of Z^i was built from these very boundaries.
-        value = PresentedAbelianGroup(len(cocycles), [{k: 1} for k in range(len(cocycles))])
-    else:
-        value = present_quotient(cocycles, boundaries)
+        c2_dim = t.dim(2)
+        if c2_dim > cochain_cap:
+            raise ResourceError(
+                f"degree-2 cochain space has rank {c2_dim}, over the cap {cochain_cap}",
+                dimension=c2_dim,
+            )
+        # the generators of B^i: the image of d^{i-1} and the relation rows
+        boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + t.relation_cols(degree)
+        index = None
+        if torsion_bound is not None:
+            # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1}
+            # is torsion-free, so Z^i is the saturation of B^i at its primes
+            primes = sorted(_prime_factors(torsion_bound))
+            lattice, index = sparse_saturation(boundaries, t.dim(degree), primes)
+        else:
+            # the kernel route: Z^i is the preimage under d^i of the relation
+            # rows of C^{i+1}, on the rows of C^{i+1} whose tuple ends in a
+            # generator (see the module docstring); the trivial group keeps
+            # its one tuple
+            last = sorted(set(group.generators)) or [0]
+            lattice = preimage_kernel(
+                t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
+            )
+        if index == 1:
+            # B^i was saturated, so Z^i = B^i and the value is 0: the
+            # boundaries, solved on the basis of Z^i, would span all of Z^n,
+            # whose Hermite rows are the unit rows.  Nothing is solved.  The
+            # check that no boundary escapes Z^i is skipped with nothing
+            # lost, since the echelon of Z^i was built from these very
+            # boundaries.
+            value = PresentedAbelianGroup(len(lattice), [{k: 1} for k in range(len(lattice))])
+        else:
+            value = present_quotient(lattice, boundaries)
     return CohomologyGroup(
         degree=degree,
         group=group,
         coefficients=complex_,
         group_value=value,
-        cocycles=cocycles,
+        lattice=lattice,
         _cochains=t,
+        _walk=walk,
     )
 
 
-def _generator_cocycles(c: _Cochains) -> list[dict[int, int]]:
-    """Cocycles of C^1(M) that span Z^1 with the relation rows of every
-    block: L(v) for v in a basis of K, the values at the generators that
-    satisfy the relators of the edges off the breadth-first tree (see the
-    module docstring)."""
+def _off_tree_edges(group: FiniteGroup) -> list[tuple[int, int]]:
+    """The edges (e, l) off the breadth-first tree: those where the stored
+    word of e s_l is not the word of e followed by l."""
+    gens, words, table = group.generators, group.element_words, group.table
+    return [
+        (e, l)
+        for e in range(group.order)
+        for l, s in enumerate(gens)
+        if words[table[e][s]] != words[e] + (l,)
+    ]
+
+
+def _generator_values(
+    c: _Cochains, edges: Sequence[tuple[int, int]]
+) -> tuple[Lattice, list[dict[int, int]]]:
+    """K, the values v = (v_1..v_k) at the generators that satisfy the
+    relators of the ``edges`` off the breadth-first tree, and the walk's
+    linear map L from M^k to C^1, as one linear form per coordinate of C^1
+    (see the module docstring).  v_l is the unknowns l*rk .. l*rk + rk-1."""
     group, rk = c.group, c.gm
     gens, words, table = group.generators, group.element_words, group.table
 
-    # a linear map from the unknowns (v_l is l*rk .. l*rk + rk-1) to M, as
-    # {(coordinate, unknown): coefficient}
-    def step(x: int, l: int) -> dict[tuple[int, int], int]:
-        """M(x) v_l."""
-        return {(r, l * rk + j): a for j, col in enumerate(c.elt_cols[x]) for r, a in col.items()}
-
-    def combine(*terms: tuple[int, dict[tuple[int, int], int]]) -> dict[tuple[int, int], int]:
-        acc: dict[tuple[int, int], int] = {}
-        for sign, form in terms:
-            for key, a in form.items():
-                acc[key] = acc.get(key, 0) + sign * a
-        return acc
+    def add_step(value: list[dict[int, int]], x: int, l: int, sign: int) -> None:
+        """value += sign * M(x) v_l, in place, one form per coordinate of M."""
+        for j, col in enumerate(c.elt_cols[x]):
+            u = l * rk + j
+            for r, a in col.items():
+                form = value[r]
+                w = form.get(u, 0) + sign * a
+                if w:
+                    form[u] = w
+                else:
+                    del form[u]
 
     # values[e] = L(v)(e), walked along the stored words from the identity's
     # empty one: c(p s_l) = c(p) + M(p) v_l
-    values: list[dict[tuple[int, int], int]] = [{} for _ in range(group.order)]
+    values: list[list[dict[int, int]]] = [[{} for _ in range(rk)] for _ in range(group.order)]
     steps = group.word_prefixes()
     for e in sorted(range(1, group.order), key=lambda e: len(words[e])):
         p, tail = steps[e]
-        value = values[p]
+        value = [dict(form) for form in values[p]]
         for l in tail:
-            value = combine((1, value), (1, step(p, l)))
+            add_step(value, p, l, 1)
             p = table[p][gens[l]]
         values[e] = value
     # one relator block c(e s_l) - c(e) - M(e) v_l in R per edge off the tree
     cols: list[dict[int, int]] = [{} for _ in range(len(gens) * rk)]
-    nrows = 0
-    for e in range(group.order):
-        for l, s in enumerate(gens):
-            es = table[e][s]
-            if words[es] == words[e] + (l,):
-                continue  # a tree edge: the walk made it hold exactly
-            for (r, u), a in combine((1, values[es]), (-1, values[e]), (-1, step(e, l))).items():
+    for n, (e, l) in enumerate(edges):
+        relator = [dict(form) for form in values[table[e][gens[l]]]]
+        add_step(relator, e, l, -1)
+        for r, (form, other) in enumerate(zip(relator, values[e])):
+            for u, a in other.items():
+                form[u] = form.get(u, 0) - a
+            for u, a in form.items():
                 if a:
-                    cols[u][nrows + r] = a
-            nrows += rk
-    relators = [
-        {base + k: a for k, a in enumerate(rel) if a}
-        for base in range(0, nrows, rk)
+                    cols[u][n * rk + r] = a
+    walk = [form for value in values for form in value]
+    return preimage_kernel(cols, len(edges) * rk, _relation_blocks(c, len(edges))), walk
+
+
+def _generator_boundaries(c: _Cochains) -> list[dict[int, int]]:
+    """D0 + R^k in M^k: the values ((s_l - 1) e_j)_l of the coboundary of
+    each basis vector e_j of M, and the relation rows of M in each of the k
+    value blocks."""
+    rk, gens = c.gm, c.group.generators
+    out = []
+    for j in range(rk):
+        row = {}
+        for l, s in enumerate(gens):
+            col = dict(c.elt_cols[s][j])
+            col[j] = col.get(j, 0) - 1
+            row.update((l * rk + r, a) for r, a in col.items() if a)
+        out.append(row)
+    return out + _relation_blocks(c, len(gens))
+
+
+def _relation_blocks(c: _Cochains, blocks: int) -> list[dict[int, int]]:
+    """The module's relation rows in each of ``blocks`` blocks of rk
+    coordinates."""
+    rk = c.gm
+    return [
+        {b * rk + k: a for k, a in enumerate(rel) if a}
+        for b in range(blocks)
         for rel in c.module.underlying.relation_rows
     ]
-    out = []
-    for v in preimage_kernel(cols, nrows, relators):
-        row: dict[int, int] = {}
-        for e, value in enumerate(values):
-            for (r, u), a in value.items():
-                row[e * rk + r] = row.get(e * rk + r, 0) + a * v[u]
-        out.append({k: x for k, x in row.items() if x})
-    return out
 
 
 def _hyper_torsion_bound(complex_: TwoTermComplex, degree: int) -> int | None:

@@ -233,10 +233,13 @@ class Lattice:
         """Reduce the echelon to the canonical Hermite basis, in place.
         It runs on the sparse rows from the bottom up, each row reduced
         left to right by the finished rows below it, which are sparser
-        than half-reduced ones."""
+        than half-reduced ones.  A row with no entry right of its pivot
+        has nothing to reduce, and is passed over."""
         index = self._index
         for idx in range(len(index) - 2, -1, -1):
             row = index[idx][1]
+            if len(row) == 1:
+                continue
             for below in range(idx + 1, len(index)):
                 c, brow = index[below]
                 x = row.get(c)

@@ -34,14 +34,21 @@ Reduced coordinates
 A Sha group is the kernel of the stacked conditions (below) on the
 reduced view of the ambient value (see :mod:`shacalc.abelian`), so its
 value, its lattice and its quotients live on the kept generators only.
-Each value generator gets one cochain, and the cochain-level recheck
-(every cochain restricts to zero on every restricted subgroup, below)
-runs on those cochains whenever a group is built.  The printed
-representatives, the Hermite basis of the Sha lattice on every ambient
-generator, are built on first access only; the recheck runs again on the
-representatives then.  A quotient takes no second kernel: the smaller
-Sha lattice holds the ambient relations, so it alone is solved on the
-bigger one's basis.
+Those are generators in the ambient's own coordinates: of Z^i on the
+saturation and kernel routes, of K, the values at the generators, on
+the generator route (see :mod:`shacalc.cohomology`).  Each value
+generator gets one cochain, the ambient's cocycle of that class (L(v)
+on the generator route, at |G| * rk coordinates), and the cochain-level
+recheck (every cochain restricts to zero on every restricted subgroup,
+below) runs on those cochains whenever a group is built.  The printed
+representatives are built on first access only: the Hermite basis, in
+the coordinates of the Hermite basis of Z^i, of the cocycles whose
+classes lie in the Sha group, times that basis.  On the saturation and
+kernel routes those coordinates are the ambient generators; on the
+generator route the cocycles are solved on Z^i, which is built then.
+The recheck runs again on the representatives.  A quotient takes no
+second kernel: the smaller Sha lattice holds the ambient relations, so
+it alone is solved on the bigger one's basis.
 
 Which restrictions are computed
 -------------------------------
@@ -80,10 +87,12 @@ trivial group), T^i(H) its total complex, read off the ambient's through
 the embedding, and the checked rows the tuples of T^i(H) that end in
 S_H, with all of C^0(B).  The columns are ev_H, which reads a cochain of
 G on the checked rows, and Lambda_H is spanned there by the columns of
-D^{i-1} of H and the relation rows.  Then c lies in ker res_H iff ev_H(c)
-lies in Lambda_H: given m with c|_H - D m zero mod the relation rows on
-the checked rows, the cocycle c|_H - D m is zero everywhere by the
-kernel-route lemma of :mod:`shacalc.cohomology`.  The recheck does not
+D^{i-1} of H and the relation rows.  On the generator route ev_H of a
+class v is read off the walk's linear forms at the generators of H, the
+values L(v)(h) at the checked rows; no cochain of G is built.  Then c
+lies in ker res_H iff ev_H(c) lies in Lambda_H: given m with c|_H - D m
+zero mod the relation rows on the checked rows, the cocycle c|_H - D m
+is zero everywhere by the kernel-route lemma of :mod:`shacalc.cohomology`.  The recheck does not
 rely on the lemma: it finds m from the Hermite form of
 [Lambda_H rows | tags], the column of D at coordinate k of T^{i-1}(H)
 tagged e_k, and checks that c|_H - D m lies in the relation rows on
@@ -164,11 +173,12 @@ class ShaGroup:
     ``class_of`` takes coordinates on that same reduced ambient.
     ``cochains[j]`` is a cocycle for generator j of ``value``.
 
-    ``representatives`` are the canonical Hermite basis of the Sha lattice
-    on every generator of the ambient value V, times the ambient
-    representatives.  That lattice is spanned by the unit relation rows of
-    V and the section of the reduced kernel basis, so the basis is the one
-    a kernel taken on every generator of V gives."""
+    ``representatives`` are the canonical Hermite basis, in the
+    coordinates of the ambient representatives, of the cocycles whose
+    classes lie in this group, times the ambient representatives (see
+    ``CohomologyGroup.preimage_representatives``).  On every generator of
+    the ambient value V that lattice is spanned by the unit relation rows
+    of V and the section of the reduced kernel basis."""
 
     ambient: CohomologyGroup
     value: PresentedAbelianGroup
@@ -192,7 +202,11 @@ class ShaGroup:
     def quotient_by(self, smaller: "ShaGroup") -> PresentedAbelianGroup:
         """This group modulo a smaller one over an equal ambient (Sha_S / Sha_empty)."""
         mine, theirs = self.ambient, smaller.ambient
-        if mine.group_value != theirs.group_value or mine.cocycles != theirs.cocycles:
+        if (
+            mine.group_value != theirs.group_value
+            or mine.lattice != theirs.lattice
+            or mine._walk != theirs._walk
+        ):
             raise StructuralError("the two Sha groups lie in different ambient groups")
         basis, rows = self._basis, smaller._basis.sparse_rows()
         if not all(basis.contains(row) for row in rows):
@@ -202,9 +216,8 @@ class ShaGroup:
     @cached_property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
         red = self.ambient.group_value.reduced()
-        lattice = list(red.unit_rows) + [red.section(b) for b in self._basis]
-        basis = hermite_rows(lattice, self.ambient.group_value.generator_count)
-        reps = tuple(_combine(self.ambient, b) for b in basis)
+        sections = [{k: v for k, v in zip(red.kept, b) if v} for b in self._basis]
+        reps = self.ambient.preimage_representatives(list(red.unit_rows) + sections)
         _recheck(reps, [name for name, _ in self._restricted], self._conditions)
         return reps
 
@@ -252,9 +265,9 @@ class _Evaluation:
             for row in self.tagged.sparse_rows()
             if min(row) < width
         ]
-        cocycles = ambient.cocycles.sparse_rows()
-        kept = [cocycles[k] for k in ambient.group_value.reduced().kept]
-        self.columns = [{r: c[s] for r, s in enumerate(self.checked) if s in c} for c in kept]
+        rows = ambient.lattice.sparse_rows()
+        kept = ambient.group_value.reduced().kept
+        self.columns = [ambient._read(rows[k], self.checked) for k in kept]
 
     @cached_property
     def _whole(self) -> tuple[tuple[int, ...], list[dict[int, int]]]:
@@ -373,7 +386,7 @@ def _kernel(
         offset += cond.width
     basis = preimage_kernel(columns, offset, lattice_rows)
     value = present_quotient(basis, red.group.relation_lattice.sparse_rows())
-    cochains = tuple(_combine(ambient, red.section(b)) for b in basis)
+    cochains = tuple(ambient.cochain(red.section(b)) for b in basis)
     _recheck(cochains, [name for name, _ in restricted], computed)
     return ShaGroup(
         ambient=ambient,
@@ -384,16 +397,6 @@ def _kernel(
         _restricted=tuple(restricted),
         _condition_of=conditions,
     )
-
-
-def _combine(ambient: CohomologyGroup, coords: Sequence[int]) -> tuple[int, ...]:
-    """The cochain sum of coords[t] * ambient.representatives[t]."""
-    acc = [0] * (len(ambient.representatives[0]) if ambient.representatives else 0)
-    for c, rep in zip(coords, ambient.representatives):
-        if c:
-            for k, v in enumerate(rep):
-                acc[k] += c * v
-    return tuple(acc)
 
 
 def _recheck(

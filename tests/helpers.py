@@ -5,7 +5,10 @@ abelian groups, sparse composition, map congruence, the long exact
 sequence of a two-term complex, the zero, identity and composite
 homomorphisms, the general subquotient ker/im, the restriction of a
 module and of a computed group to a subgroup (the reference for the Sha
-conditions), the full cocycle test of a cochain, the inclusion and the
+conditions), the cocycle of each generator of a computed value, the
+degree-1 value on the bar route (the Hermite basis of Z^1 in C^1, the
+reference for the value in generator coordinates), the full cocycle
+test of a cochain, the inclusion and the
 quotient of Sha groups, a restriction's class map on every generator
 of its source value (composed from the reduced map, or eager), the Sha
 kernels built from those restrictions and stacked class maps (eager, on
@@ -231,7 +234,7 @@ def restriction(
     # only the kept generators' cocycles are restricted, one solve each
     red_src, red_tgt = cg.group_value.reduced(), target.group_value.reduced()
     cols = [
-        red_tgt.project(target.class_coords([cg.representatives[k][s] for s in sel]))
+        red_tgt.project(target.class_coords([generator_cochain(cg, k)[s] for s in sel]))
         for k in red_src.kept
     ]
     hom = AbHom(
@@ -240,6 +243,39 @@ def restriction(
         IntMatrix.from_cols(cols, rows=red_tgt.group.generator_count),
     )
     return Restriction(reduced_map=hom, target=target, cochain_selection=sel)
+
+
+def generator_cochain(cg: CohomologyGroup, j: int) -> tuple[int, ...]:
+    """The cocycle of generator j of the value of ``cg``."""
+    coords = [0] * cg.group_value.generator_count
+    coords[j] = 1
+    return cg.cochain(coords)
+
+
+def generator_cochains(cg: CohomologyGroup) -> list[tuple[int, ...]]:
+    """The cocycle of each generator of the value of ``cg``."""
+    return [generator_cochain(cg, j) for j in range(cg.group_value.generator_count)]
+
+
+def bar_route(cg: CohomologyGroup) -> CohomologyGroup:
+    """H^1 of a module with torsion on the bar route: presented on the
+    Hermite basis of Z^1 in C^1, here the kernel route's
+    (``kernel_route_cocycles``), with one relator per boundary of d^0 and
+    per relation row, each solved on that basis; the cochain map is the
+    identity.  The reference for the value in generator coordinates.  A
+    group whose value lattice lies in C^i already comes back as it is."""
+    if cg._walk is None:
+        return cg
+    t = cg._cochains
+    cocycles = kernel_route_cocycles(t)
+    return CohomologyGroup(
+        degree=cg.degree,
+        group=cg.group,
+        coefficients=cg.coefficients,
+        group_value=present_quotient(cocycles, t.diff_cols(0) + t.relation_cols(1)),
+        lattice=cocycles,
+        _cochains=t,
+    )
 
 
 def dense(col: dict[int, int], dim: int) -> list[int]:
@@ -368,13 +404,13 @@ def les_segment(group: FiniteGroup, complex_: TwoTermComplex, degree: int) -> Le
     order = group.order
 
     def induced_f(src: CohomologyGroup, tgt: CohomologyGroup, deg: int) -> AbHom:
-        return _class_map(src, tgt, [f_pointwise(rep, order**deg) for rep in src.representatives])
+        return _class_map(src, tgt, [f_pointwise(rep, order**deg) for rep in generator_cochains(src)])
 
     a_dim_hyper = order**i * gm_a
     from_b_prev = _class_map(
-        hb_prev, hyper, [[0] * a_dim_hyper + list(rep) for rep in hb_prev.representatives]
+        hb_prev, hyper, [[0] * a_dim_hyper + list(rep) for rep in generator_cochains(hb_prev)]
     )
-    to_a = _class_map(hyper, ha, [rep[:a_dim_hyper] for rep in hyper.representatives])
+    to_a = _class_map(hyper, ha, [rep[:a_dim_hyper] for rep in generator_cochains(hyper)])
     return LesSegment(
         ha_prev=ha_prev,
         hb_prev=hb_prev,
@@ -390,10 +426,10 @@ def les_segment(group: FiniteGroup, complex_: TwoTermComplex, degree: int) -> Le
 
 def eager_restriction_map(source: CohomologyGroup, res: Restriction) -> AbHom:
     """The class map of ``res``, a restriction of ``source``, on every
-    generator of the source value: each representative is restricted and
-    solved for."""
+    generator of the source value: the cocycle of each generator is
+    restricted and solved for."""
     sel = res.cochain_selection
-    return _class_map(source, res.target, [[rep[s] for s in sel] for rep in source.representatives])
+    return _class_map(source, res.target, [[rep[s] for s in sel] for rep in generator_cochains(source)])
 
 
 def full_restriction_map(source: CohomologyGroup, res: Restriction) -> AbHom:
@@ -437,19 +473,12 @@ class EagerSha:
         return subquotient(self.constraint, smaller.inclusion).group
 
 
-def _combine(ambient: CohomologyGroup, coords: Sequence[int]) -> tuple[int, ...]:
-    acc = [0] * (len(ambient.representatives[0]) if ambient.representatives else 0)
-    for t, c in enumerate(coords):
-        if c:
-            for k, v in enumerate(ambient.representatives[t]):
-                acc[k] += c * v
-    return tuple(acc)
-
-
 def eager_kernel(ambient: CohomologyGroup, subgroups: Sequence[Subgroup]) -> EagerSha:
     """The kernel of the eager class maps of the public restrictions to
     ``subgroups`` on the ambient value, with one representative per kernel
-    basis vector."""
+    basis vector.  It is taken on the bar-route value (``bar_route``), whose
+    generators are the ambient representatives."""
+    ambient = bar_route(ambient)
     value_group = ambient.group_value
     if subgroups:
         constraint = stack_homs(
@@ -460,7 +489,7 @@ def eager_kernel(ambient: CohomologyGroup, subgroups: Sequence[Subgroup]) -> Eag
     sq = subquotient(constraint, zero_hom(trivial_group(), value_group))
     return EagerSha(
         value=sq.group,
-        representatives=tuple(_combine(ambient, coords) for coords in sq.basis),
+        representatives=tuple(ambient.cochain(coords) for coords in sq.basis),
         inclusion=sq.inclusion(),
         constraint=constraint,
     )
@@ -488,7 +517,7 @@ def restriction_kernel(ambient: CohomologyGroup, subgroups: Sequence[Subgroup]) 
     maps = [restriction(ambient, sub).reduced_map for sub in subgroups] if red.kept else []
     constraint = stack_homs(maps) if maps else zero_hom(red.group, trivial_group())
     sq = subquotient(constraint, zero_hom(trivial_group(), red.group))
-    cochains = tuple(_combine(ambient, red.section(b)) for b in sq.basis)
+    cochains = tuple(ambient.cochain(red.section(b)) for b in sq.basis)
     return RestrictedSha(kernel=sq, cochains=cochains, constraint=constraint)
 
 

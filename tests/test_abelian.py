@@ -6,7 +6,7 @@ import pytest
 
 from shacalc.abelian import AbHom, PresentedAbelianGroup, invariant_factors, is_isomorphism
 from shacalc.errors import InternalError, StructuralError
-from shacalc.intlinalg import IntMatrix, hermite_rows
+from shacalc.intlinalg import IntMatrix, Lattice, hermite_rows
 from shacalc.prng import SplitMix64
 
 from helpers import (
@@ -92,6 +92,61 @@ class TestPresentedGroup:
         assert PresentedAbelianGroup(1, [[6]]).order() == 6
         assert free_group(1).order() is None
         assert trivial_group().order() == 1
+
+
+class TestReducedView:
+    def test_same_as_dense_scan(self):
+        """The reduced view, read off the sparse relation rows, against the
+        dense one it replaced: leads found by scanning the dense rows, the
+        rest read on the kept columns, and pi on every generator."""
+        rng = SplitMix64(7)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            rel = [[rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+            g = PresentedAbelianGroup(n, rel)
+            pivots, units, rest = [], [], []
+            for row in g.relation_rows:
+                lead = next(k for k, v in enumerate(row) if v)
+                (units if row[lead] == 1 else rest).append(row)
+                if row[lead] == 1:
+                    pivots.append(lead)
+            kept = tuple(k for k in range(n) if k not in pivots)
+            red = g.reduced()
+            assert red.kept == kept and red.unit_pivots == tuple(pivots)
+            assert [tuple(row.get(k, 0) for k in range(n)) for row in red.unit_rows] == units
+            if pivots:
+                want = PresentedAbelianGroup(len(kept), [[r[k] for k in kept] for r in rest])
+                assert red.group == want
+            else:
+                assert red.group is g
+            for vec in IntMatrix.identity(n).rows + ((3,) * n,):
+                out = [vec[k] for k in kept]
+                for c, row in zip(pivots, units):
+                    for t, k in enumerate(kept):
+                        out[t] -= vec[c] * row[k]
+                assert red.project(vec) == tuple(out)
+
+    @pytest.mark.parametrize("n", [1, 49, 529])
+    def test_unit_rows_cost_no_scan(self, n, monkeypatch):
+        """The zero value on n unit rows: neither the reduction above the
+        pivots nor the reduced view reads a dense row or looks up a pivot,
+        so the invariant factors cost O(n)."""
+        lookups = []
+
+        class Row(dict):
+            def get(self, *args):
+                lookups.append(args)
+                return super().get(*args)
+
+        dense_reads = []
+        rows = Lattice.rows
+        monkeypatch.setattr(Lattice, "rows", property(lambda lat: dense_reads.append(lat) or rows.fget(lat)))
+        g = PresentedAbelianGroup(n, [{k: 1} for k in range(n)])
+        lat = g.relation_lattice
+        lat._index = [(c, Row(row)) for c, row in lat._index]
+        assert g.invariant_factors() == (0, ())
+        assert lookups == [] and dense_reads == []
+        assert g.reduced().kept == () and g.reduced().unit_pivots == tuple(range(n))
 
 
 class TestAbHom:

@@ -205,6 +205,29 @@ class TestErrors:
         assert code == 4
         assert json.loads(err)["error"]["type"] == "resource"
 
+    def test_generator_route_budget_payload(self, tmp_path):
+        """H^1(Z4, Z/4) by the generator route eliminates one relator row,
+        for the one edge off the breadth-first tree: a cap of 0 exits 4 and
+        reports that row count as the dimension, a cap of 1 passes."""
+        p = tmp_path / "z4.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "group": {"permutation_generators": [[1, 2, 3, 0]]},
+                    "modules": {"M": {"rank": 1, "relations": [[4]], "action": {"s0": [[1]]}}},
+                }
+            )
+        )
+        argv = ["cohomology", str(p), "--module", "M", "--degree", "1", "--cap"]
+        code, _, err = run_cli(argv + ["0"])
+        assert code == 4
+        error = json.loads(err)["error"]
+        assert error["type"] == "resource" and error["dimension"] == 1
+        code, out, _ = run_cli(argv + ["1"])
+        assert code == 0
+        assert json.loads(out)["invariant_factors"]["torsion"] == [4]
+
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shacalc.abelian import invariant_factors, present_quotient
+from shacalc.abelian import AbHom, invariant_factors, is_isomorphism, present_quotient
 from shacalc.arith import (
     HomSpaceDatum,
     brauer_obstruction_groups,
@@ -40,6 +40,7 @@ from shacalc.gmodules import (
 from shacalc.groups import FiniteGroup, from_permutations
 from shacalc.intlinalg import (
     IntMatrix,
+    Lattice,
     hermite_rows,
     preimage_kernel,
     sparse_from_matrix,
@@ -60,6 +61,7 @@ from shacalc.suites import random_equivariant_map, random_module, random_subgrou
 
 from helpers import (
     all_subgroups,
+    bar_route,
     catalog,
     checked_coords,
     compose,
@@ -68,6 +70,8 @@ from helpers import (
     dense,
     echelon_kernel,
     full_restriction_map,
+    generator_cochain,
+    identity_hom,
     kernel_route_cocycles,
     is_cocycle,
     is_zero_hom,
@@ -198,13 +202,19 @@ class TestLowDegrees:
         assert routes == ["saturation"] * 3 + ["generators", "kernel"]
         for h in cases:
             assert h.representatives
-            for j, rep in enumerate(h.representatives):
+            for rep in h.representatives:
                 assert is_cocycle(h, rep)
-                coords = h.class_coords(rep)
+                h.class_coords(rep)
+            for j in range(h.group_value.generator_count):
+                cochain = generator_cochain(h, j)
+                assert is_cocycle(h, cochain)
                 expected = [0] * h.group_value.generator_count
                 expected[j] = 1
-                assert list(coords) == list(h.group_value.reduce_element(expected))
-            assert not is_cocycle(h, [1] + [0] * (len(h.representatives[0]) - 1))
+                assert list(h.class_coords(cochain)) == list(h.group_value.reduce_element(expected))
+            no_cocycle = [1] + [0] * (len(h.representatives[0]) - 1)
+            assert not is_cocycle(h, no_cocycle)
+            with pytest.raises(StructuralError):
+                h.class_coords(no_cocycle)
 
 
     def test_wrong_length_rejected(self):
@@ -238,7 +248,7 @@ def kernel_route(h, cochains=None):
 
 ROUTES = {
     "sparse_saturation": "saturation",
-    "_generator_cocycles": "generators",
+    "_generator_values": "generators",
     "preimage_kernel": "kernel",
 }
 
@@ -306,10 +316,34 @@ def route_of(compute):
 
 def assert_same_as_full_kernel(h):
     """``h`` has the Hermite basis and the relators of the kernel route
-    run on every row of d^i."""
+    run on every row of d^i: as its own value, or, for a value in generator
+    coordinates, as the value of the bar-route reference it matches."""
     value, basis = kernel_route(h)
     assert basis.rows == h.representatives
-    assert value.relation_rows == h.group_value.relation_rows
+    if h._walk is not None:
+        assert_matches_bar_route(h)
+    assert value.relation_rows == bar_route(h).group_value.relation_rows
+
+
+def assert_matches_bar_route(h):
+    """A value in generator coordinates against the bar-route reference
+    ``helpers.bar_route``: the same representatives and invariant factors,
+    and class coordinates that make the map from the reference value,
+    generator j to the class of representative j, an isomorphism, inverse
+    to the map that sends each generator to the reference class of its
+    cocycle."""
+    ref = bar_route(h)
+    assert ref.lattice.rows == kernel_route_cocycles(h._cochains).rows
+    assert h.representatives == ref.representatives
+    assert invariant_factors(h.group_value) == invariant_factors(ref.group_value)
+    value, bar = h.group_value, ref.group_value
+    forward = AbHom(bar, value, IntMatrix.from_cols(
+        [h.class_coords(rep) for rep in ref.representatives], rows=value.generator_count))
+    back = AbHom(value, bar, IntMatrix.from_cols(
+        [ref.class_coords(generator_cochain(h, j)) for j in range(value.generator_count)],
+        rows=bar.generator_count))
+    assert is_isomorphism(forward)
+    assert congruent(compose(back, forward), identity_hom(bar))
 
 
 def assert_routes_agree(compute):
@@ -411,10 +445,10 @@ class TestZeroValue:
             assert h.group_value.invariant_factors() == (0, ())
             assert solved == []
             assert all(len(row) == 1 for lat in reduced for row in lat.sparse_rows())
-            assert not any(lat is h.cocycles for lat in reduced)
+            assert not any(lat is h.lattice for lat in reduced)
             before = len(reduced)
             reps = h.representatives
-            assert len(reduced) == before + 1 and reduced[-1] is h.cocycles
+            assert len(reduced) == before + 1 and reduced[-1] is h.lattice
             h.representatives
             assert len(reduced) == before + 1 and solved == []
         assert len(reps) == h.group_value.generator_count == 49
@@ -608,14 +642,11 @@ class TestCheckedRows:
 
 
 def assert_generator_route(g, m):
-    """H^1(g, m), for m with torsion, by the generator route alone, with
-    the Hermite basis of the kernel route and the value it presents."""
+    """H^1(g, m), for m with torsion, by the generator route alone, against
+    the bar-route reference."""
     h, routes = computed_by(lambda: cohomology(g, m, 1))
     assert routes == ["generators"]
-    t = h._cochains
-    want = kernel_route_cocycles(t)
-    assert h.cocycles.rows == want.rows
-    assert h.group_value == present_quotient(want, t.diff_cols(0) + t.relation_cols(1))
+    assert_matches_bar_route(h)
     return h
 
 
@@ -645,7 +676,7 @@ class TestGeneratorRoute:
         g, _ = GROUPS["S3"].trivial_subgroup().as_group()
         m = GModule(g, PresentedAbelianGroup(2, [[2, 4], [0, 6]]), [])
         h = assert_generator_route(g, m)
-        assert h.cocycles.rows == hermite_rows([[2, 4], [0, 6]], 2).rows
+        assert h.representatives == hermite_rows([[2, 4], [0, 6]], 2).rows
         assert h.group_value.is_trivial()
 
     def test_redundant_generators(self):
@@ -702,6 +733,39 @@ class TestGeneratorRoute:
                 for e in range(g.order) for l, s in enumerate(g.generators)
             )
             assert_generator_route(g, m)
+
+    def test_value_builds_no_lattice_wider_than_the_values(self, monkeypatch):
+        """The value and its invariant factors build no lattice wider than
+        k * rk, the values at the generators; the first read of the
+        representatives builds Z^1 in C^1, one lattice of width |G| * rk,
+        and a second read builds nothing."""
+        widths = []
+        real = Lattice.__init__
+
+        def spy(self, width, index):
+            widths.append(width)
+            real(self, width, index)
+
+        rng = SplitMix64(3)
+        for name in ("Z2", "Z6", "V4", "S3", "D4", "Q8", "A4", "Z2^3"):
+            g = GROUPS[name]
+            mods = [torsion_module(g, 4)] + [
+                random_module(g, rng, max_rank=3, max_torsion_relators=2) for _ in range(4)
+            ]
+            for m in mods:
+                if m.is_z_free():
+                    continue
+                with monkeypatch.context() as mp:
+                    mp.setattr(Lattice, "__init__", spy)
+                    widths.clear()
+                    h = cohomology(g, m, 1)
+                    h.group_value.invariant_factors()
+                    assert widths and max(widths) <= len(g.generators) * m.rank
+                    assert h.lattice.width == len(g.generators) * m.rank
+                    widths.clear()
+                    reps = h.representatives
+                    assert widths == [g.order * m.rank]
+                    assert h.representatives is reps and widths == [g.order * m.rank]
 
     def test_one_kernel_over_the_generator_values(self, monkeypatch):
         """One ``preimage_kernel`` call, on k * rk unknowns and one block of
@@ -811,7 +875,8 @@ class TestBuiltRows:
     def test_kernel_route_builds_no_full_differential(self, name, monkeypatch):
         """The kernel route asks for d^i on the checked rows only; the
         full d^{i-1} that spans B^i is still built.  The generator route,
-        in degree 1, builds d^0 and the relation rows of C^1 alone."""
+        in degree 1, builds no differential and no relation rows of a
+        cochain space."""
         g = GROUPS[name]
         last = sorted(set(g.generators))
         everything = list(range(g.order))
@@ -829,10 +894,9 @@ class TestBuiltRows:
                 calls.clear()
             _, routes = computed_by(lambda: cohomology(g, torsion_module(g, 4), degree))
             if degree == 1:
-                # the generator route: d^0 alone, and no row of C^2
+                # the generator route: its value lives in M^k
                 assert routes == ["generators"]
-                assert built["diff_cols"] == [(0, everything)]
-                assert built["relation_cols"] == [(1, everything)]
+                assert built == {"diff_cols": [], "relation_cols": []}
                 continue
             assert routes == ["kernel"]
             assert (degree, everything) not in built["diff_cols"]
@@ -881,6 +945,32 @@ class TestComplexSegment:
 
 
 class TestBudget:
+    def test_generator_route_capped_by_its_relator_rows(self):
+        """The generator route is held to the cap by the rows it
+        eliminates, rk per edge off the breadth-first tree, not by the rank
+        of C^2; it reports that number."""
+        g = GROUPS["S3"]
+        m = torsion_module(g, 4)
+        words = g.element_words
+        rows = m.rank * sum(
+            words[g.table[e][s]] != words[e] + (l,)
+            for e in range(g.order) for l, s in enumerate(g.generators)
+        )
+        assert cohomology(g, m, 1, cochain_cap=rows).group_value.order() == 2
+        with pytest.raises(ResourceError) as exc:
+            cohomology(g, m, 1, cochain_cap=rows - 1)
+        assert exc.value.dimension == rows
+
+    def test_generator_route_under_default_cap(self):
+        """H^1(S4 x Z2, (Z/4)^9) = Hom((Z/2)^2, Z/4)^9, whose C^2 has rank
+        48^2 * 9 = 20736, over the default cap."""
+        g = from_permutations([[1, 2, 3, 0, 4, 5], [1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]])
+        assert g.order == 48
+        m = GModule(g, PresentedAbelianGroup(9, [[4 * (i == j) for j in range(9)] for i in range(9)]),
+                    [IntMatrix.identity(9)] * len(g.generators))
+        assert _TotalComplex(g, _module_complex(m)).dim(2) == 20736
+        assert invariant_factors(cohomology(g, m, 1).group_value) == (0, (2,) * 18)
+
     def test_cap_enforced(self):
         g = GROUPS["Q8"]
         with pytest.raises(ResourceError) as exc:
@@ -986,7 +1076,8 @@ class TestModuleAsComplex:
     def test_same_as_the_module_cochains(self):
         """H^i(G, M), computed as HH^i(G, M -> 0), has the representatives
         and relators of the kernel route run on the cochains C^i(M) of the
-        module alone, with every row of d^i."""
+        module alone, with every row of d^i; a value in generator
+        coordinates has them through the bar-route reference it matches."""
         for name, degrees in (("Z2", (0, 1, 2)), ("V4", (0, 1, 2)), ("S3", (0, 1, 2)),
                               ("D4", (0, 1)), ("Q8", (0, 1))):
             g = GROUPS[name]
@@ -996,7 +1087,9 @@ class TestModuleAsComplex:
                     h = cohomology(g, m, d)
                     value, basis = kernel_route(h, c)
                     assert basis.rows == h.representatives, (name, m, d)
-                    assert value.relation_rows == h.group_value.relation_rows
+                    if h._walk is not None:
+                        assert_matches_bar_route(h)
+                    assert value.relation_rows == bar_route(h).group_value.relation_rows
 
 
 class TestPublicComputations:
