@@ -557,7 +557,8 @@ def _hypercohomology(
     """HH^degree(group, A -> B) on the total complex, by the saturation
     route when a torsion bound is known, else by the generator route for a
     module in degree 1, else by the kernel route.  The cap bounds the rows
-    the generator route eliminates, and the rank of T^2 on the others."""
+    the generator route eliminates, the rank of T^i that the saturation
+    route saturates in, and the rank of T^2 on the kernel route."""
     if degree not in (0, 1, 2):
         raise StructuralError("only degrees 0..2 are supported")
     t = _TotalComplex(group, complex_)
@@ -576,11 +577,14 @@ def _hypercohomology(
         lattice, walk = _generator_values(t.ca, edges)
         value = present_quotient(lattice, _generator_boundaries(t.ca))
     else:
-        c2_dim = t.dim(2)
-        if c2_dim > cochain_cap:
+        # the saturation route saturates in T^i; the kernel route maps into
+        # T^{i+1}, bounded by T^2
+        budget_degree = degree if torsion_bound is not None else 2
+        rank = t.dim(budget_degree)
+        if rank > cochain_cap:
             raise ResourceError(
-                f"degree-2 cochain space has rank {c2_dim}, over the cap {cochain_cap}",
-                dimension=c2_dim,
+                f"degree-{budget_degree} cochain space has rank {rank}, over the cap {cochain_cap}",
+                dimension=rank,
             )
         # the generators of B^i: the image of d^{i-1} and the relation rows
         boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + t.relation_cols(degree)

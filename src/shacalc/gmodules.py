@@ -133,7 +133,7 @@ class GModule:
         else column by column modulo the relations."""
         und = self.underlying
         m = self.element_matrix(e)
-        if m.rows == IntMatrix.identity(self.rank).rows:
+        if all(row[i] == 1 and row.count(0) == len(row) - 1 for i, row in enumerate(m.rows)):
             return True
         for j in range(und.generator_count):
             col = list(m.col(j))

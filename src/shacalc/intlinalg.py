@@ -32,6 +32,17 @@ Number Theory, section 2.4), so the basis depends only on the lattice,
 whatever the order of the rows or the pivot steps, and deferring the
 reduction changes nothing that can be read.
 
+The saturation (:func:`sparse_saturation`) feeds its rows to the echelon
+last-first, which for the rows of a differential, whose later rows reach
+further right, cuts the gcd steps; the lattice does not depend on the
+order.  At each prime p it tests the pivots first: when p divides none,
+the echelon is independent mod p and nothing is eliminated.  Otherwise
+it reduces mod p only the rows whose pivot p divides, taking in a row
+with a pivot prime to p when a reduction first reaches its column; the
+vanished rows give a basis of the full left kernel mod p, so each round
+adds the lattice a full elimination would.  :func:`_deficient_kernel_mod`
+has the proof.
+
 Kernels of sparse maps (:func:`sparse_kernel`) run in two phases.  The
 first eliminates unknowns through equations in which they have
 coefficient +-1, picked by a fixed fill-reducing rule: the shortest
@@ -400,18 +411,6 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 # The canonical Hermite basis depends only on that lattice, proj_K(ker A).
 
 
-def _sparse_sub(row: dict[int, int], other: dict[int, int], q: int) -> dict[int, int]:
-    """row - q * other, dropping zeros."""
-    out = dict(row)
-    for k, v in other.items():
-        w = out.get(k, 0) - q * v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _sparse_sub_inplace(row: dict[int, int], other: dict[int, int], q: int) -> None:
     """row -= q * other in place, dropping zeros: the cost is that of
     ``other`` alone, which matters when ``row`` is the longer one."""
@@ -604,38 +603,83 @@ def _hermite_from_echelon(pivots: dict[int, dict[int, int]], width: int) -> Latt
     return Lattice(width, sorted(pivots.items()))
 
 
-def _left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:
-    """Basis of {x in F_p^m : sum x_k * rows[k] = 0 mod p}, each x as a
-    {k: x_k} dict with entries in [0, p)."""
-    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+def _sub_mod(row: dict[int, int], other: dict[int, int], q: int, p: int) -> None:
+    """row -= q * other mod p in place, entries in [0, p), dropping zeros."""
+    for k, v in other.items():
+        w = (row.get(k, 0) - q * v) % p
+        if w:
+            row[k] = w
+        else:
+            row.pop(k, None)
+
+
+def _deficient_kernel_mod(
+    pivots: dict[int, dict[int, int]], deficient: Sequence[int], p: int
+) -> list[dict[int, int]]:
+    """A basis of the left kernel mod p of the echelon ``pivots`` (leading
+    column -> row), each vector x as {leading column: x_c} with entries in
+    [0, p), given the ``deficient`` pivot columns, those whose pivot p
+    divides, in order.
+
+    Only the d deficient rows are reduced mod p, in turn.  When a
+    reduction first reaches the pivot column of a unit row (one whose
+    pivot p does not divide), that row, zero left of its pivot, enters the
+    mod-p echelon there, monic; a reduced row that leads a column with no
+    unit row and no mod-p pivot enters there itself.  So the mod-p pivot
+    at a unit column is always its unit row, and the mod-p echelon with
+    the unit rows not yet entered is an echelon basis of U + D', where U
+    is spanned by the unit rows and D' by the deficient rows done so far.
+    A deficient row therefore vanishes exactly when it lies in U + D', and
+    its combination is then a left-kernel vector.  The unit rows are
+    independent mod p (see :func:`sparse_saturation`), so the left kernel
+    of all the rows has dimension d - dim((U + D) / U), the number of rows
+    that vanish.  Their vectors are independent: each has 1 at its own
+    row and 0 at the other vanished rows, which never enter the echelon.
+    So they are a basis."""
+    echelon: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     kernel = []
-    for k, row in enumerate(rows):
-        r = {c: v % p for c, v in row.items() if v % p}
-        combo = {k: 1}
+    for c in deficient:
+        r = {k: v % p for k, v in pivots[c].items() if v % p}
+        combo = {c: 1}
         while r:
-            c = min(r)
-            if c not in pivots:
-                inv = pow(r[c], -1, p)
-                pivots[c] = (
-                    {i: v * inv % p for i, v in r.items()},
-                    {i: v * inv % p for i, v in combo.items()},
+            k = min(r)
+            entry = echelon.get(k)
+            if entry is None:
+                unit = pivots.get(k)
+                if unit is None or unit[k] % p == 0:
+                    inv = pow(r[k], -1, p)
+                    echelon[k] = (
+                        {i: v * inv % p for i, v in r.items()},
+                        {i: v * inv % p for i, v in combo.items()},
+                    )
+                    break
+                inv = pow(unit[k], -1, p)
+                entry = echelon[k] = (
+                    {i: v * inv % p for i, v in unit.items() if v * inv % p},
+                    {k: inv},
                 )
-                break
-            prow, pcombo = pivots[c]
-            q = r[c]
-            r = {i: v % p for i, v in _sparse_sub(r, prow, q).items() if v % p}
-            combo = {i: v % p for i, v in _sparse_sub(combo, pcombo, q).items() if v % p}
+            prow, pcombo = entry
+            q = r[k]
+            _sub_mod(r, prow, q, p)
+            _sub_mod(combo, pcombo, q, p)
         else:
             kernel.append(combo)
     return kernel
 
 
 def sparse_saturation(
-    rows: Iterable[dict[int, int]], width: int, primes: Iterable[int]
+    rows: Sequence[dict[int, int]], width: int, primes: Iterable[int]
 ) -> tuple[Lattice, int]:
     """The lattice S = {x : n * x in L for some n whose prime factors are
     in ``primes``}, where L is the lattice spanned by the sparse ``rows``
     of the given width, and the index [S : L].
+
+    The rows go into the gcd echelon last-first.  The lattice, and so the
+    result, does not depend on the order, but the work does: in the rows
+    of a differential d^{i-1}, later source tuples have their entries
+    further right, so inserted last-first the pivots right of a new lead
+    are mostly there before the rows that collide on it, and each
+    collision is reduced against them at once.
 
     At each prime p the gcd-echelon basis E of the current lattice is
     independent mod p exactly when the lattice is p-saturated; otherwise
@@ -644,23 +688,38 @@ def sparse_saturation(
     lattice inside its saturation, where its index is finite.  A round
     that adds k vectors at p grows the lattice by index p^k: they are
     independent modulo it, since their x are independent mod p.  So an
-    index of 1 means that L was saturated already, S = L."""
+    index of 1 means that L was saturated already, S = L.  The lattice a
+    round adds, L + {(sum x_k E_k) / p : x in the kernel mod p}, does not
+    depend on the basis of the kernel, since changing x by p * y changes
+    the vector by sum y_k E_k, in L.
+
+    A round eliminates only what it must.  When p divides no pivot, E is
+    independent mod p: in a dependency, the first row with a nonzero
+    coefficient is the only one nonzero at its pivot column, so p divides
+    the coefficient.  The round then ends with no elimination.  Otherwise
+    only the rows whose pivot p divides are reduced mod p, against the
+    unit rows as they are reached (see :func:`_deficient_kernel_mod`)."""
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in reversed(rows):
         _sparse_insert(pivots, dict(row))
     index = 1
     for p in primes:
         while True:
-            ech = [pivots[c] for c in sorted(pivots)]
-            kernel = _left_kernel_mod(ech, p)
+            deficient = [c for c in sorted(pivots) if pivots[c][c] % p == 0]
+            if not deficient:
+                break
+            kernel = _deficient_kernel_mod(pivots, deficient, p)
             if not kernel:
                 break
             index *= p ** len(kernel)
+            added = []
             for combo in kernel:
                 acc: dict[int, int] = {}
-                for k, x in combo.items():
-                    _sparse_sub_inplace(acc, ech[k], -x)
-                _sparse_insert(pivots, {c: v // p for c, v in acc.items()})
+                for c, x in combo.items():
+                    _sparse_sub_inplace(acc, pivots[c], -x)
+                added.append({c: v // p for c, v in acc.items()})
+            for row in added:
+                _sparse_insert(pivots, row)
     return _hermite_from_echelon(pivots, width), index
 
 

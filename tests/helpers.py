@@ -15,10 +15,11 @@ kernels built from those restrictions and stacked class maps (eager, on
 every generator of the ambient value, and on its reduced view), the
 column-order echelon kernel that ``sparse_kernel`` must reproduce, the
 checked rows of the kernel route cut out of the full differential, the
-kernel route's Z^1, the checked faithful quotient, the dense Hermite
-form, and the dense lattice solve and reduction.  The subquotient, the
-restrictions, the cocycle test and the last six are the references for
-what the package now builds or solves directly.
+kernel route's Z^1, the mod-p left kernel over every row and the
+saturation that eliminated with it, the checked faithful quotient, the
+dense Hermite form, and the dense lattice solve and reduction.  The
+subquotient, the restrictions, the cocycle test and the last eight are
+the references for what the package now builds or solves directly.
 Spies on ``Lattice`` show when a lattice is reduced or solved on."""
 
 from __future__ import annotations
@@ -573,6 +574,67 @@ def kernel_route_cocycles(t) -> Lattice:
     generator route."""
     last = sorted(set(t.ca.group.generators)) or [0]
     return preimage_kernel(t.diff_cols(1, last), t.dim(2, last), t.relation_cols(2, last))
+
+
+def left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:
+    """Basis of {x in F_p^m : sum x_k * rows[k] = 0 mod p}, each x as a
+    {k: x_k} dict with entries in [0, p), by a mod-p echelon over every
+    row: the elimination ``sparse_saturation`` ran before it reduced only
+    the rows whose pivot p divides."""
+
+    def sub(row: dict[int, int], other: dict[int, int], q: int) -> dict[int, int]:
+        out = dict(row)
+        for k, v in other.items():
+            out[k] = out.get(k, 0) - q * v
+        return {k: v % p for k, v in out.items() if v % p}
+
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    kernel = []
+    for k, row in enumerate(rows):
+        r = {c: v % p for c, v in row.items() if v % p}
+        combo = {k: 1}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                inv = pow(r[c], -1, p)
+                pivots[c] = (
+                    {i: v * inv % p for i, v in r.items()},
+                    {i: v * inv % p for i, v in combo.items()},
+                )
+                break
+            prow, pcombo = pivots[c]
+            q = r[c]
+            r, combo = sub(r, prow, q), sub(combo, pcombo, q)
+        else:
+            kernel.append(combo)
+    return kernel
+
+
+def full_elimination_saturation(
+    rows: Sequence[dict[int, int]], width: int, primes: Sequence[int]
+) -> tuple[Lattice, int]:
+    """``sparse_saturation`` as it was before it inserted last-first and
+    eliminated only deficient rows: the rows go into the gcd echelon in
+    the order given, and every round at p reduces every echelon row mod p
+    (``left_kernel_mod``).  The reference for the lattice and the index."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        _sparse_insert(pivots, dict(row))
+    index = 1
+    for p in primes:
+        while True:
+            ech = [pivots[c] for c in sorted(pivots)]
+            kernel = left_kernel_mod(ech, p)
+            if not kernel:
+                break
+            index *= p ** len(kernel)
+            for combo in kernel:
+                acc: dict[int, int] = {}
+                for k, x in combo.items():
+                    for c, v in ech[k].items():
+                        acc[c] = acc.get(c, 0) + x * v
+                _sparse_insert(pivots, {c: v // p for c, v in acc.items() if v})
+    return _hermite_from_echelon(pivots, width), index
 
 
 def checked_faithful_quotient(m: GModule) -> FiniteGroup:

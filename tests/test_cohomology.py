@@ -492,10 +492,16 @@ class TestClosedForms:
         assert invariant_factors(h.group_value) == (0, want), name
 
     def test_h1_augmentation_ideal_is_cyclic_of_order(self):
-        """H^1(G, I_G) = H^0(G, Z)/N = Z/|G|."""
-        for name in ("A4", "D6", "S4"):
-            g = LADDER_GROUPS[name]
-            h = cohomology(g, augmentation_ideal(g), 1)
+        """H^1(G, I_G) = H^0(G, Z)/N = Z/|G|, past order 24 too, at the
+        default cap: S4 x Z2 and A5, whose C^2 ranks 108 288 and 212 400
+        are over it, though the saturation route never builds C^2."""
+        groups = [(name, LADDER_GROUPS[name]) for name in ("A4", "D6", "S4")] + [
+            ("S4xZ2", from_permutations([[1, 2, 3, 0, 4, 5], [1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]])),
+            ("A5", from_permutations([[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]])),
+        ]
+        for name, g in groups:
+            h, routes = computed_by(lambda: cohomology(g, augmentation_ideal(g), 1))
+            assert routes == ["saturation"], name
             assert invariant_factors(h.group_value) == (0, (g.order,)), name
 
     def test_sha_omega_augmentation_ideal(self):
@@ -970,6 +976,18 @@ class TestBudget:
                     [IntMatrix.identity(9)] * len(g.generators))
         assert _TotalComplex(g, _module_complex(m)).dim(2) == 20736
         assert invariant_factors(cohomology(g, m, 1).group_value) == (0, (2,) * 18)
+
+    def test_saturation_route_capped_by_the_rank_it_saturates_in(self):
+        """The saturation route is held to the cap by the rank of T^i, in
+        which it saturates B^i, not by the rank of C^2: H^1(S3, I_G)
+        saturates in rank 6 * 5 = 30 and reports that number, though C^2
+        has rank 180."""
+        g = GROUPS["S3"]
+        m = augmentation_ideal(g)
+        assert cohomology(g, m, 1, cochain_cap=30).group_value.order() == 6
+        with pytest.raises(ResourceError) as exc:
+            cohomology(g, m, 1, cochain_cap=29)
+        assert exc.value.dimension == 30
 
     def test_cap_enforced(self):
         g = GROUPS["Q8"]

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shacalc.cohomology import _TotalComplex, _module_complex
 from shacalc.errors import StructuralError
+from shacalc.gmodules import augmentation_ideal, trivial_module
 from shacalc.intlinalg import (
     IntMatrix,
+    _deficient_kernel_mod,
     block_diag,
     hermite_rows,
     preimage_kernel,
@@ -21,12 +24,15 @@ from shacalc.intlinalg import (
 from shacalc.prng import SplitMix64
 
 from helpers import (
+    catalog,
     dense_hermite_rows,
     dense_lattice_reduce,
     dense_lattice_solve,
     echelon_kernel,
+    full_elimination_saturation,
     held_rows,
     lattice_reads,
+    left_kernel_mod,
 )
 from oracles import snf_invariants
 
@@ -529,6 +535,135 @@ class TestOneEchelon:
     def test_row_of_wrong_length_rejected(self):
         with pytest.raises(StructuralError):
             hermite_rows([[1, 2], [3]], 2)
+
+
+@st.composite
+def echelons(draw):
+    """A gcd echelon (pivot column -> row, zero left of its positive pivot)
+    and a prime p: widths 1-8, pivots often divisible by p, and entries
+    right of a pivot small or multiples of p, so that rows whose pivot p
+    divides often reduce onto the pivot of a unit row, or vanish."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    width = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-2, 2).map(lambda x: x * p))
+    pivots: dict[int, dict[int, int]] = {}
+    for c in range(width):
+        if draw(st.booleans()):
+            lead = draw(st.sampled_from([1, 1, 2, 3, p, p, 2 * p, p * p, p + 1]))
+            row = {c: lead}
+            for k in range(c + 1, width):
+                v = draw(entry)
+                if v:
+                    row[k] = v
+            pivots[c] = row
+    return pivots, width, p
+
+
+def shuffled(rows: list, rng: SplitMix64) -> list:
+    """A Fisher-Yates shuffle of ``rows`` drawn from ``rng``."""
+    out = list(rows)
+    for i in range(len(out) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+class TestDeficientElimination:
+    """``sparse_saturation`` inserts its rows last-first and, at each
+    prime p, reduces mod p only the echelon rows whose pivot p divides.
+    The mod-p elimination over every row and the saturation built on it,
+    in the given row order, are the reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=echelons())
+    def test_kernel_is_the_full_left_kernel(self, data):
+        """The kernel has the dimension of the full left kernel mod p, and
+        its vectors are independent left-kernel vectors, so it spans it."""
+        pivots, width, p = data
+        cols = sorted(pivots)
+        deficient = [c for c in cols if pivots[c][c] % p == 0]
+        kernel = _deficient_kernel_mod(pivots, deficient, p)
+        assert len(kernel) == len(left_kernel_mod([pivots[c] for c in cols], p))
+        for x in kernel:
+            assert x and all(c in pivots and 0 < v < p for c, v in x.items())
+            total = [sum(v * pivots[c].get(k, 0) for c, v in x.items()) for k in range(width)]
+            assert all(v % p == 0 for v in total)
+        assert left_kernel_mod(kernel, p) == []
+        rows = [pivots[c] for c in cols]
+        assert sparse_saturation(rows, width, [p]) == full_elimination_saturation(rows, width, [p])
+
+    def test_deficient_row_reduced_onto_a_unit_pivot(self):
+        """At p = 2 the row (2, 1, 0) reads (0, 1, 0), which the unit row
+        (0, 1, 1) reduces to (0, 0, 1), where the unit row (0, 0, 1) makes
+        it vanish.  The kernel vector is (1, 1, 1), and the round adds the
+        sum of the three rows halved, (1, 1, 1), at index 2."""
+        pivots = {0: {0: 2, 1: 1}, 1: {1: 1, 2: 1}, 2: {2: 1}}
+        kernel = _deficient_kernel_mod(pivots, [0], 2)
+        assert kernel == [{0: 1, 1: 1, 2: 1}]
+        rows = list(pivots.values())
+        assert sparse_saturation(rows, 3, [2]) == full_elimination_saturation(rows, 3, [2])
+        assert sparse_saturation(rows, 3, [2])[1] == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=row_lists())
+    def test_saturation_matches_full_elimination(self, data):
+        """On rows that are no echelon, with entries near +-2^64, the
+        (lattice, index) pair is the reference's, and does not depend on
+        the order of the rows."""
+        rows, width = data
+        sparse = [{k: v for k, v in enumerate(r) if v} for r in rows]
+        want = full_elimination_saturation(sparse, width, [2, 3])
+        assert sparse_saturation(sparse, width, [2, 3]) == want
+        rng = SplitMix64(len(rows) * 31 + width)
+        assert sparse_saturation(shuffled(sparse, rng), width, [2, 3]) == want
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(system=unit_heavy_systems())
+    def test_unit_heavy_rows_in_any_order(self, system):
+        """Rows like those of a differential, mostly +-1: the reference's
+        pair, in the given order, reversed, and shuffled."""
+        columns, nrows = system
+        want = full_elimination_saturation(columns, nrows, [2, 3])
+        rng = SplitMix64(len(columns) * 131 + nrows)
+        for rows in (columns, columns[::-1], shuffled(columns, rng)):
+            assert sparse_saturation(rows, nrows, [2, 3]) == want
+
+    def test_boundaries_of_the_ladder(self):
+        """B^i of G with coefficients Z and I_G in degrees 1 and 2, at the
+        primes of |G|: Z^i and the index [Z^i : B^i] are the reference's."""
+        for name in ("V4", "S3", "D4", "Q8"):
+            g = catalog()[name]
+            primes = [p for p in (2, 3) if g.order % p == 0]
+            for module in (trivial_module(g, 1), augmentation_ideal(g)):
+                t = _TotalComplex(g, _module_complex(module))
+                for degree in (1, 2):
+                    rows = t.diff_cols(degree - 1) + t.relation_cols(degree)
+                    got = sparse_saturation(rows, t.dim(degree), primes)
+                    assert got == full_elimination_saturation(rows, t.dim(degree), primes), name
+
+    def test_no_elimination_at_a_prime_dividing_no_pivot(self, monkeypatch):
+        """A round at a prime that divides no pivot ends on the pivot test
+        alone: nothing is reduced mod p.  Every elimination that does run
+        is given only rows whose pivot p divides."""
+        module = sys.modules["shacalc.intlinalg"]
+        real = module._deficient_kernel_mod
+        calls = []
+
+        def spy(pivots, deficient, p):
+            calls.append((p, [pivots[c][c] for c in deficient]))
+            return real(pivots, deficient, p)
+
+        monkeypatch.setattr(module, "_deficient_kernel_mod", spy)
+        assert sparse_saturation([{0: 2}, {1: 3}], 2, [2, 3, 5, 7])[1] == 6
+        assert calls == [(2, [2]), (3, [3])]
+        calls.clear()
+        assert sparse_saturation([{0: 1, 1: 4}, {1: 1}], 2, [2, 3]) == (hermite_rows([[1, 0], [0, 1]], 2), 1)
+        assert calls == []
+        calls.clear()
+        g = catalog()["D4"]
+        t = _TotalComplex(g, _module_complex(augmentation_ideal(g)))
+        sparse_saturation(t.diff_cols(1) + t.relation_cols(2), t.dim(2), [2, 3, 5])
+        assert calls and all(pivs and all(v % p == 0 for v in pivs) for p, pivs in calls)
 
 
 # every way to read a lattice's canonical basis
