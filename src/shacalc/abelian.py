@@ -148,16 +148,6 @@ class PresentedAbelianGroup:
         free, tors = self.invariant_factors()
         return free == 0 and not tors
 
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        free, tors = self.invariant_factors()
-        if free:
-            return None
-        n = 1
-        for d in tors:
-            n *= d
-        return n
-
     # -- element handling ------------------------------------------------
 
     def contains_relation(self, vec: Sequence[int]) -> bool:
@@ -199,14 +189,7 @@ class PresentedAbelianGroup:
         return hash((self.generator_count, self.relation_rows))
 
     def __str__(self) -> str:
-        free, tors = self.invariant_factors()
-        parts = []
-        if free == 1:
-            parts.append("Z")
-        elif free > 1:
-            parts.append(f"Z^{free}")
-        parts.extend(f"Z/{d}" for d in tors)
-        return " x ".join(parts) if parts else "0"
+        return factors_text(*self.invariant_factors())
 
     def __repr__(self) -> str:
         return f"PresentedAbelianGroup({self})"
@@ -215,6 +198,22 @@ class PresentedAbelianGroup:
 def invariant_factors(g: PresentedAbelianGroup) -> tuple[int, tuple[int, ...]]:
     """Isomorphism invariants of a presented group: (free rank, torsion)."""
     return g.invariant_factors()
+
+
+def factors_text(free_rank: int, torsion: Sequence[int]) -> str:
+    """Invariant factors as text, "Z^r x Z/d_1 x ...", or "0"."""
+    parts = []
+    if free_rank == 1:
+        parts.append("Z")
+    elif free_rank > 1:
+        parts.append(f"Z^{free_rank}")
+    parts.extend(f"Z/{d}" for d in torsion)
+    return " x ".join(parts) if parts else "0"
+
+
+def factors_json(free_rank: int, torsion: Sequence[int]) -> dict:
+    """Invariant factors as reported in JSON."""
+    return {"free_rank": free_rank, "torsion": list(torsion)}
 
 
 class AbHom:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import PresentedAbelianGroup, present_quotient
+from .abelian import PresentedAbelianGroup, factors_json, present_quotient
 from .cohomology import DEFAULT_COCHAIN_CAP, TwoTermComplex, _module_complex
 from .errors import InternalError, StructuralError
 from .gmodules import (
@@ -35,11 +35,13 @@ from .gmodules import (
     dual_module,
     faithful_quotient,
     free_basis_presentation,
+    induced_action,
     permutation_cover,
 )
 from .groups import is_metacyclic
 from .intlinalg import (
     IntMatrix,
+    block_diag,
     preimage_kernel,
     smith_normal_form,
     sparse_from_matrix,
@@ -180,8 +182,8 @@ def brauer_obstruction_groups(
                 certificate={
                     "kind": "route-mismatch",
                     "label": label,
-                    "degree1": _factors_json(one),
-                    "degree2": _factors_json(two),
+                    "degree1": factors_json(*one),
+                    "degree2": factors_json(*two),
                 },
             )
     return BrauerGroups(
@@ -189,15 +191,10 @@ def brauer_obstruction_groups(
         B_S_quotient=route1_S.quotient_by(route1_empty),
         B_omega=route1_omega.value,
         cross_check={
-            k: {**_factors_json(one), "routes_agree": True}
+            k: {**factors_json(*one), "routes_agree": True}
             for k, (one, _) in checks.items()
         },
     )
-
-
-def _factors_json(factors: tuple[int, tuple[int, ...]]) -> dict:
-    free_rank, torsion = factors
-    return {"free_rank": free_rank, "torsion": list(torsion)}
 
 
 @dataclass(frozen=True)
@@ -295,18 +292,8 @@ def ext0_with_data(d: IsogenyDatum) -> Ext0Data:
             f"{list(tors)}; no two-term Z-free replacement exists"
         )
     # action on the pullback: componentwise, expressed in the basis
-    action_on_basis = []
-    for k in range(len(group.generators)):
-        ap = p.action[k]
-        am = m_prime.action[k]
-        cols_k = []
-        for b in basis:
-            img = list(ap.matvec(b[: p.rank])) + list(am.matvec(b[p.rank :]))
-            coeffs = basis.solve(img)
-            if coeffs is None:
-                raise StructuralError("pullback lattice is not action-stable")
-            cols_k.append(list(coeffs))
-        action_on_basis.append(IntMatrix.from_cols(cols_k, rows=len(basis)))
+    componentwise = [block_diag([ap, am]) for ap, am in zip(p.action, m_prime.action)]
+    action_on_basis = induced_action(basis, componentwise, "pullback")
     x_prime = GModule(group, x_prime_presented, action_on_basis, _trusted=True)
     x_prime_free, _, from_free = free_basis_presentation(x_prime)
     # phi : X' -> X = P and psi : X' -> (degree-0 coordinates of the input),

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 
+from .abelian import factors_json, factors_text
 from .arith import (
     brauer_obstruction_groups,
     ext0_isogeny,
@@ -29,7 +30,6 @@ from .errors import InputError, InternalError, ResourceError, StructuralError
 from .jsonio import (
     SCHEMA_VERSION,
     ProblemFile,
-    invariant_factors_json,
     representatives_json,
     serialize_matrix,
 )
@@ -102,7 +102,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         module = problem.module(_need(args, "module"))
         degree = _need(args, "degree")
         cg = cohomology(problem.group, module, degree, cochain_cap=args.cap)
-        report["invariant_factors"] = invariant_factors_json(cg.group_value)
+        report["invariant_factors"] = factors_json(*cg.group_value.invariant_factors())
         report["representatives"] = representatives_json(
             cg.representatives, degree, problem.group.order, module.rank
         )
@@ -112,7 +112,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         degree = _need(args, "degree")
         selection = _selection(args, problem)
         sh = sha(problem.datum, module, degree, selection, cochain_cap=args.cap)
-        report["invariant_factors"] = invariant_factors_json(sh.value)
+        report["invariant_factors"] = factors_json(*sh.value.invariant_factors())
         report["representatives"] = representatives_json(
             sh.representatives, degree, problem.group.order, module.rank
         )
@@ -126,9 +126,9 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         selection = _selection(args, problem)
         groups = brauer_obstruction_groups(datum, selection, cochain_cap=args.cap)
         report["invariant_factors"] = {
-            "B_S": invariant_factors_json(groups.B_S),
-            "B_S_quotient": invariant_factors_json(groups.B_S_quotient),
-            "B_omega": invariant_factors_json(groups.B_omega),
+            "B_S": factors_json(*groups.B_S.invariant_factors()),
+            "B_S_quotient": factors_json(*groups.B_S_quotient.invariant_factors()),
+            "B_omega": factors_json(*groups.B_omega.invariant_factors()),
         }
         report["verdicts"] = {
             "B_omega": verdict_for(groups.B_omega),
@@ -146,16 +146,16 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
             module, problem.datum, selection, cochain_cap=args.cap
         )
         report["invariant_factors"] = {
-            "Sh2_S_quotient": invariant_factors_json(groups.Sh2_S_quotient),
-            "Sh2_omega": invariant_factors_json(groups.Sh2_omega),
+            "Sh2_S_quotient": factors_json(*groups.Sh2_S_quotient.invariant_factors()),
+            "Sh2_omega": factors_json(*groups.Sh2_omega.invariant_factors()),
         }
         report["verdicts"] = groups.verdicts
 
     elif args.command == "cover":
         result = quasi_trivial_cover(problem.cochar())
         report["invariant_factors"] = {
-            "H_char": invariant_factors_json(result.H_char.underlying),
-            "Q_cochar": invariant_factors_json(result.Q_cochar.underlying),
+            "H_char": factors_json(*result.H_char.underlying.invariant_factors()),
+            "Q_cochar": factors_json(*result.Q_cochar.underlying.invariant_factors()),
         }
         report["verdicts"] = dict(result.report)
         report["details"] = {
@@ -167,7 +167,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
 
     elif args.command == "ext0":
         module = ext0_isogeny(problem.isogeny())
-        report["invariant_factors"] = invariant_factors_json(module.underlying)
+        report["invariant_factors"] = factors_json(*module.underlying.invariant_factors())
         report["details"] = {
             "action": {
                 f"s{k}": serialize_matrix(a) for k, a in enumerate(module.action)
@@ -193,20 +193,11 @@ def _render_text(report: dict) -> str:
     lines = [f"command: {report['command']}"]
     inv = report.get("invariant_factors")
 
-    def fmt(d: dict) -> str:
-        parts = []
-        if d["free_rank"] == 1:
-            parts.append("Z")
-        elif d["free_rank"] > 1:
-            parts.append(f"Z^{d['free_rank']}")
-        parts.extend(f"Z/{t}" for t in d["torsion"])
-        return " x ".join(parts) if parts else "0"
-
     if isinstance(inv, dict) and "free_rank" in inv:
-        lines.append(f"group: {fmt(inv)}")
+        lines.append(f"group: {factors_text(**inv)}")
     elif isinstance(inv, dict):
         for name in sorted(inv):
-            lines.append(f"{name}: {fmt(inv[name])}")
+            lines.append(f"{name}: {factors_text(**inv[name])}")
     for key, value in sorted(report.get("verdicts", {}).items()):
         lines.append(f"{key}: {value}")
     for suite in report.get("reports", []):

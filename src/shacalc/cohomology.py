@@ -57,10 +57,11 @@ word.  c(1) = 0 and c(p s_l) = c(p) + M(p) v_l, with p the stored prefix
 (see ``FiniteGroup.word_prefixes``), define a linear map L from the
 values v = (v_1..v_k) in M^k to C^1.  An edge (e, l) of the breadth-first
 tree, where the stored word of e s_l is that of e followed by l, has
-L(v)(e s_l) = L(v)(e) + M(e) v_l by construction; each other edge gives
-one relator block L(v)(e s_l) - L(v)(e) - M(e) v_l in R, the module's
-relations.  With K the kernel of those relators, Z^1 = L(K) + R in every
-block.  Both ways:
+L(v)(e s_l) = L(v)(e) + M(e) v_l by construction; each other edge, as
+``FiniteGroup.off_tree_edges`` (the one definition of the tree) lists
+them, gives one relator block L(v)(e s_l) - L(v)(e) - M(e) v_l in R, the
+module's relations.  With K the kernel of those relators, Z^1 = L(K) + R
+in every block.  Both ways:
 
 * for v in K every edge holds modulo R, so by induction on the length of
   a word w of y, c = L(v) has c(x y) = c(x) + M(x) F_w(v) modulo R for
@@ -98,11 +99,13 @@ rows in every block of C^1:
 
 The generator route presents the value there, on the Hermite basis of K,
 with D0 + R^k solved on it: one relator per basis vector of M and per
-relation row in each block.  A value class v is the class of the cocycle
-L(v), and a cocycle c has the class of V(c).  A cochain c is a cocycle
-iff V(c) lies in K and c = L(V(c)) modulo R, which ``class_coords``
-checks: if so, c is a cocycle plus relation rows; if c is a cocycle, the
-induction of the second point gives c = L(V(c)) modulo R.
+relation row in each block.  Since (d m)(s_l) = (s_l - 1) m, D0 + R^k
+is d^0 and the relation rows of C^1 on the rows of the tuples (s_l)
+alone.  A value class v is the class of the cocycle L(v), and a cocycle
+c has the class of V(c).  A cochain c is a cocycle iff V(c) lies in K
+and c = L(V(c)) modulo R, which ``class_coords`` checks: if so, c is a
+cocycle plus relation rows; if c is a cocycle, the induction of the
+second point gives c = L(V(c)) modulo R.
 
 All routes give the same lattice Z^i in C^i, and its canonical Hermite
 basis gives the printed representatives, so the route never shows in
@@ -323,13 +326,17 @@ class _Cochains:
 
     def relation_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
         """The module's relators embedded in every kept tuple block of C^i."""
+        return self.relation_blocks(self.tuple_count(i, last))
+
+    def relation_blocks(self, blocks: int) -> list[dict[int, int]]:
+        """The module's relation rows in each of ``blocks`` blocks of module
+        coordinates."""
         gm = self.gm
-        out = []
-        for block in range(self.tuple_count(i, last)):
-            base = block * gm
-            for rel in self.module.underlying.relation_rows:
-                out.append({base + k: v for k, v in enumerate(rel) if v})
-        return out
+        return [
+            {b * gm + k: a for k, a in enumerate(rel) if a}
+            for b in range(blocks)
+            for rel in self.module.underlying.relation_rows
+        ]
 
     def block_contains(self, i: int, vec: Sequence[int]) -> bool:
         """Whether a C^i vector lies in the embedded relation lattice."""
@@ -567,15 +574,15 @@ def _hypercohomology(
     if torsion_bound is None and degree == 1 and not complex_.degree1.rank:
         # the generator route: a module M -> 0, whose T^1 is C^1(M), and the
         # value K / (D0 + R^k) in the coordinates of K
-        edges = _off_tree_edges(group)
-        rows = len(edges) * t.ca.gm
+        rows = len(group.off_tree_edges()) * t.ca.gm
         if rows > cochain_cap:
             raise ResourceError(
                 f"the generator route eliminates {rows} relator rows, over the cap {cochain_cap}",
                 dimension=rows,
             )
-        lattice, walk = _generator_values(t.ca, edges)
-        value = present_quotient(lattice, _generator_boundaries(t.ca))
+        lattice, walk = _generator_values(t.ca)
+        gens = list(group.generators)
+        value = present_quotient(lattice, t.ca.diff_cols(0, gens) + t.ca.relation_cols(1, gens))
     else:
         # the saturation route saturates in T^i; the kernel route maps into
         # T^{i+1}, bounded by T^2
@@ -624,27 +631,14 @@ def _hypercohomology(
     )
 
 
-def _off_tree_edges(group: FiniteGroup) -> list[tuple[int, int]]:
-    """The edges (e, l) off the breadth-first tree: those where the stored
-    word of e s_l is not the word of e followed by l."""
-    gens, words, table = group.generators, group.element_words, group.table
-    return [
-        (e, l)
-        for e in range(group.order)
-        for l, s in enumerate(gens)
-        if words[table[e][s]] != words[e] + (l,)
-    ]
-
-
-def _generator_values(
-    c: _Cochains, edges: Sequence[tuple[int, int]]
-) -> tuple[Lattice, list[dict[int, int]]]:
+def _generator_values(c: _Cochains) -> tuple[Lattice, list[dict[int, int]]]:
     """K, the values v = (v_1..v_k) at the generators that satisfy the
-    relators of the ``edges`` off the breadth-first tree, and the walk's
+    relators of the edges off the breadth-first tree, and the walk's
     linear map L from M^k to C^1, as one linear form per coordinate of C^1
     (see the module docstring).  v_l is the unknowns l*rk .. l*rk + rk-1."""
     group, rk = c.group, c.gm
     gens, words, table = group.generators, group.element_words, group.table
+    edges = group.off_tree_edges()
 
     def add_step(value: list[dict[int, int]], x: int, l: int, sign: int) -> None:
         """value += sign * M(x) v_l, in place, one form per coordinate of M."""
@@ -681,34 +675,7 @@ def _generator_values(
                 if a:
                     cols[u][n * rk + r] = a
     walk = [form for value in values for form in value]
-    return preimage_kernel(cols, len(edges) * rk, _relation_blocks(c, len(edges))), walk
-
-
-def _generator_boundaries(c: _Cochains) -> list[dict[int, int]]:
-    """D0 + R^k in M^k: the values ((s_l - 1) e_j)_l of the coboundary of
-    each basis vector e_j of M, and the relation rows of M in each of the k
-    value blocks."""
-    rk, gens = c.gm, c.group.generators
-    out = []
-    for j in range(rk):
-        row = {}
-        for l, s in enumerate(gens):
-            col = dict(c.elt_cols[s][j])
-            col[j] = col.get(j, 0) - 1
-            row.update((l * rk + r, a) for r, a in col.items() if a)
-        out.append(row)
-    return out + _relation_blocks(c, len(gens))
-
-
-def _relation_blocks(c: _Cochains, blocks: int) -> list[dict[int, int]]:
-    """The module's relation rows in each of ``blocks`` blocks of rk
-    coordinates."""
-    rk = c.gm
-    return [
-        {b * rk + k: a for k, a in enumerate(rel) if a}
-        for b in range(blocks)
-        for rel in c.module.underlying.relation_rows
-    ]
+    return preimage_kernel(cols, len(edges) * rk, c.relation_blocks(len(edges))), walk
 
 
 def _hyper_torsion_bound(complex_: TwoTermComplex, degree: int) -> int | None:

@@ -13,7 +13,8 @@ Construction checks, in this order:
 2. M(e) A_k = M(e s_k) modulo R (column by column) for every element e
    and every k.  Where the stored word of e s_k is that of e followed by
    k (an edge of the breadth-first tree) this holds by construction and
-   is skipped; the other edges are compared, first on the nose.
+   is skipped; the other edges, ``FiniteGroup.off_tree_edges`` (the one
+   definition of the tree), are compared, first on the nose.
 
 That is complete.  The identity's word is empty, so M(1) = I.  Right
 multiplication by an integer matrix keeps congruence modulo R, so by
@@ -37,9 +38,10 @@ from typing import Iterable, Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
 from .errors import StructuralError
-from .groups import FiniteGroup, Subgroup, _bfs_closure
+from .groups import FiniteGroup, Subgroup, _group_from_tokens
 from .intlinalg import (
     IntMatrix,
+    Lattice,
     block_diag,
     preimage_kernel,
     smith_normal_form,
@@ -85,23 +87,10 @@ class GModule:
                         "action matrix does not preserve the relation lattice"
                     )
         g = self.group
-        words = g.element_words
-        for e in range(g.order):
-            me = self.element_matrix(e)
-            for k, s in enumerate(g.generators):
-                es = g.table[e][s]
-                if words[es] == words[e] + (k,):
-                    continue  # a tree edge: M(e s_k) is M(e) A_k
-                left = me.mul(self.action[k])
-                right = self.element_matrix(es)
-                if left.rows == right.rows:
-                    continue
-                for j in range(und.generator_count):
-                    diff = [x - y for x, y in zip(left.col(j), right.col(j))]
-                    if not und.contains_relation(diff):
-                        raise StructuralError(
-                            "action matrices are inconsistent with the group law"
-                        )
+        for e, k in g.off_tree_edges():
+            left = self.element_matrix(e).mul(self.action[k])
+            if not _congruent(und, left, self.element_matrix(g.table[e][g.generators[k]])):
+                raise StructuralError("action matrices are inconsistent with the group law")
 
     @property
     def rank(self) -> int:
@@ -184,15 +173,10 @@ class PermutationModule(GModule):
             for k in tail:
                 q = tuple(q[b] for b in perms[k])
             per_elt[e] = q
-        for e in range(group.order):
-            for k, s in enumerate(group.generators):
-                es = group.table[e][s]
-                if words[es] == words[e] + (k,):
-                    continue
-                if tuple(per_elt[e][b] for b in perms[k]) != per_elt[es]:
-                    raise StructuralError(
-                        "basis permutations are inconsistent with the group law"
-                    )
+        for e, k in group.off_tree_edges():
+            es = group.table[e][group.generators[k]]
+            if tuple(per_elt[e][b] for b in perms[k]) != per_elt[es]:
+                raise StructuralError("basis permutations are inconsistent with the group law")
         matrices = [
             IntMatrix([[1 if p[j] == i else 0 for j in range(n)] for i in range(n)], cols=n)
             for p in perms
@@ -212,22 +196,28 @@ class GModuleHom:
         if source.group is not target.group:
             raise StructuralError("source and target live over different groups")
         self.abhom = AbHom(source.underlying, target.underlying, matrix)
-        und = target.underlying
         for a_src, a_tgt in zip(source.action, target.action):
-            left = a_tgt.mul(matrix)
-            right = matrix.mul(a_src)
-            if left.rows == right.rows:
-                continue  # equivariant on the nose, as the map M -> 0 always is
-            for j in range(matrix.ncols):
-                diff = [x - y for x, y in zip(left.col(j), right.col(j))]
-                if not und.contains_relation(diff):
-                    raise StructuralError("homomorphism is not equivariant")
+            # equivariant on the nose, as the map M -> 0 always is, or else
+            # modulo the target's relations
+            if not _congruent(target.underlying, a_tgt.mul(matrix), matrix.mul(a_src)):
+                raise StructuralError("homomorphism is not equivariant")
         self.source = source
         self.target = target
         self.matrix = matrix
 
     def __repr__(self) -> str:
         return f"GModuleHom({self.source.underlying} -> {self.target.underlying})"
+
+
+def _congruent(und: PresentedAbelianGroup, left: IntMatrix, right: IntMatrix) -> bool:
+    """Whether two matrices with values in ``und`` agree there: equal on
+    the nose, or else column by column modulo the relations."""
+    if left.rows == right.rows:
+        return True
+    return all(
+        und.contains_relation([x - y for x, y in zip(left.col(j), right.col(j))])
+        for j in range(left.ncols)
+    )
 
 
 @dataclass(frozen=True)
@@ -274,19 +264,24 @@ def permutation_module(g: FiniteGroup, h: Subgroup) -> PermutationModule:
     """Z[g/h]: basis the left cosets of h, action by left translation."""
     if h.parent is not g:
         raise StructuralError("subgroup does not belong to the given group")
-    reps: list[int] = []
-    rep_of = {}
+    names, name_of = _cosets(g, h)
+    index = {r: i for i, r in enumerate(names)}
+    perms = [tuple(index[name_of[g.mul(s, r)]] for r in names) for s in g.generators]
+    return PermutationModule(g, len(names), perms)
+
+
+def _cosets(g: FiniteGroup, h: Subgroup) -> tuple[list[int], list[int]]:
+    """The left cosets e h, each named by its least element: the names in
+    increasing order, and the name of each element.  Elements are scanned
+    in increasing order, so one not yet named is the least of its coset."""
+    names: list[int] = []
+    name_of: list[int] = [-1] * g.order
     for e in range(g.order):
-        if e in rep_of:
-            continue
-        coset = sorted(g.mul(e, s) for s in h.members)
-        for c in coset:
-            rep_of[c] = coset[0]
-        reps.append(coset[0])
-    reps.sort()
-    index = {r: i for i, r in enumerate(reps)}
-    perms = [tuple(index[rep_of[g.mul(s, r)]] for r in reps) for s in g.generators]
-    return PermutationModule(g, len(reps), perms)
+        if name_of[e] < 0:
+            names.append(e)
+            for s in h.members:
+                name_of[g.table[e][s]] = e
+    return names, name_of
 
 
 def regular_module(g: FiniteGroup) -> PermutationModule:
@@ -426,13 +421,8 @@ def faithful_quotient(m: GModule) -> tuple[FiniteGroup, GModule]:
     for s in g.generators:
         if rep[s] and rep[s] not in gens:
             gens.append(rep[s])
-    elements, words = _bfs_closure(0, gens, lambda a, b: rep[g.table[a][b]], g.order + 1)
-    index = {e: i for i, e in enumerate(elements)}
-    q_group = FiniteGroup._from_checked(
-        tuple(tuple(index[rep[g.table[a][b]]] for b in elements) for a in elements),
-        tuple(index[s] for s in gens),
-        tuple(words),
-        tuple(index[rep[g.inverse[a]]] for a in elements),
+    q_group, _ = _group_from_tokens(
+        0, gens, lambda a, b: rep[g.table[a][b]], g.order + 1, lambda a: rep[g.inverse[a]]
     )
     action = [m.element_matrix(s) for s in gens]
     return q_group, GModule(q_group, m.underlying, action, _trusted=True)
@@ -479,9 +469,8 @@ def permutation_cover(
         h = Subgroup(g, stab)
         pm = permutation_module(g, h)
         summands.append(pm)
-        # coset representatives, in the basis order used by permutation_module
-        reps = _coset_reps(g, h)
-        for r in reps:
+        # the coset names, in the basis order used by permutation_module
+        for r in _cosets(g, h)[0]:
             proj_cols.append(list(m.element_matrix(r).matvec(v)))
     P = perm_direct_sum(summands) if summands else PermutationModule(g, 0, [()] * len(g.generators))
     proj_matrix = IntMatrix.from_cols(proj_cols, rows=n)
@@ -492,31 +481,26 @@ def permutation_cover(
     proj = GModuleHom(P, m, proj_matrix)
 
     basis = preimage_kernel(sparse_from_matrix(proj_matrix), n, und.relation_lattice.sparse_rows())
-    L_rank = len(basis)
     incl_matrix = IntMatrix.from_cols(basis.rows, rows=P.rank)
-    L_action = []
-    for k in range(len(g.generators)):
-        ap = P.action[k]
-        cols = []
-        for b in basis:
-            coeffs = basis.solve(ap.matvec(b))
-            if coeffs is None:
-                raise StructuralError("kernel lattice is not action-stable")
-            cols.append(list(coeffs))
-        L_action.append(IntMatrix.from_cols(cols, rows=L_rank))
-    L = GModule(g, PresentedAbelianGroup(L_rank), L_action, _trusted=True)
+    L_action = induced_action(basis, P.action, "kernel")
+    L = GModule(g, PresentedAbelianGroup(len(basis)), L_action, _trusted=True)
     incl = GModuleHom(L, P, incl_matrix)
     return PermutationResolution(module=m, P=P, L=L, incl=incl, proj=proj)
 
 
-def _coset_reps(g: FiniteGroup, h: Subgroup) -> list[int]:
-    reps = []
-    seen = set()
-    for e in range(g.order):
-        if e in seen:
-            continue
-        coset = {g.mul(e, s) for s in h.members}
-        seen |= coset
-        reps.append(min(coset))
-    reps.sort()
-    return reps
+def induced_action(basis: Lattice, action: Sequence[IntMatrix], name: str) -> list[IntMatrix]:
+    """The action on the sublattice spanned by ``basis`` of the matrices
+    ``action``, one per generator on the ambient coordinates: the image of
+    each basis row, solved on the basis.  A sublattice that some generator
+    does not map into itself raises :class:`StructuralError`, naming it as
+    the ``name`` lattice."""
+    out = []
+    for a in action:
+        cols = []
+        for b in basis:
+            coeffs = basis.solve(a.matvec(b))
+            if coeffs is None:
+                raise StructuralError(f"{name} lattice is not action-stable")
+            cols.append(list(coeffs))
+        out.append(IntMatrix.from_cols(cols, rows=len(basis)))
+    return out

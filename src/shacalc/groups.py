@@ -31,6 +31,7 @@ class FiniteGroup:
         "_elt_order",
         "_cyclic_classes",
         "_word_prefixes",
+        "_off_tree",
     )
 
     def __init__(
@@ -57,15 +58,16 @@ class FiniteGroup:
         self._elt_order: tuple[int, ...] | None = None
         self._cyclic_classes: tuple[Subgroup, ...] | None = None
         self._word_prefixes: tuple[tuple[int | None, tuple[int, ...]], ...] | None = None
+        self._off_tree: tuple[tuple[int, int], ...] | None = None
 
     @classmethod
     def _from_checked(cls, table, generators, element_words, inverse) -> "FiniteGroup":
         """A group from tuples read off a group that is already checked
-        (:meth:`Subgroup.as_group`), so nothing is checked again."""
+        (see :func:`_group_from_tokens`), so nothing is checked again."""
         g = cls.__new__(cls)
         g.order = len(table)
         g.table, g.generators, g.element_words, g.inverse = table, generators, element_words, inverse
-        g._elt_order = g._cyclic_classes = g._word_prefixes = None
+        g._elt_order = g._cyclic_classes = g._word_prefixes = g._off_tree = None
         return g
 
     def _check_table(self) -> None:
@@ -86,19 +88,7 @@ class FiniteGroup:
                 for y in range(n):
                     if ta[tx[y]] != tax[y]:
                         raise StructuralError("multiplication table is not associative")
-        # generators generate: breadth-first closure must reach everything
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for s in self.generators:
-                    c = t[e][s]
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        if len(seen) != n:
+        if len(self._closure(self.generators)) != n:
             raise StructuralError("listed generators do not generate the group")
         # module actions are transported along the words (gmodules)
         if self.element_words[0]:
@@ -129,6 +119,23 @@ class FiniteGroup:
                 out.append((None, w) if cut is None else (index[w[:cut]], w[cut:]))
             self._word_prefixes = tuple(out)
         return self._word_prefixes
+
+    def off_tree_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (e, k) of the generator graph off the breadth-first
+        tree: those where the stored word of e s_k is not the word of e
+        followed by k; computed once.  This is the one definition of the
+        tree: module validation checks the group law on these edges only,
+        and the generator route of :mod:`shacalc.cohomology` puts one
+        relator block on each."""
+        if self._off_tree is None:
+            words, table = self.element_words, self.table
+            self._off_tree = tuple(
+                (e, k)
+                for e in range(self.order)
+                for k, s in enumerate(self.generators)
+                if words[table[e][s]] != words[e] + (k,)
+            )
+        return self._off_tree
 
     def element_order(self, i: int) -> int:
         if self._elt_order is None:
@@ -180,14 +187,21 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _bfs_closure(
+def _group_from_tokens(
     identity: Hashable,
     gen_tokens: Sequence[Hashable],
     mul: Callable[[Hashable, Hashable], Hashable],
     order_bound: int,
-) -> tuple[list[Hashable], list[tuple[int, ...]]]:
-    """Canonical breadth-first enumeration: from the identity, apply the
-    generators in listed order by right multiplication."""
+    inverse: Callable[[Hashable], Hashable] | None = None,
+) -> tuple[FiniteGroup, list[Hashable]]:
+    """The group the tokens generate, and its elements as tokens, by the
+    canonical breadth-first enumeration: from the identity, apply the
+    generators in listed order by right multiplication.
+
+    Without ``inverse`` the table is checked (:meth:`FiniteGroup._check_table`)
+    and the inverses are searched for.  A caller that reads the group off
+    a checked one passes the inverse of a token instead, and nothing is
+    checked (:meth:`FiniteGroup._from_checked`)."""
     index: dict[Hashable, int] = {identity: 0}
     elements: list[Hashable] = [identity]
     words: list[tuple[int, ...]] = [()]
@@ -207,21 +221,12 @@ def _bfs_closure(
                     words.append(words[index[e]] + (k,))
                     nxt.append(c)
         frontier = nxt
-    return elements, words
-
-
-def _group_from_tokens(
-    identity: Hashable,
-    gen_tokens: Sequence[Hashable],
-    mul: Callable[[Hashable, Hashable], Hashable],
-    order_bound: int,
-) -> tuple[FiniteGroup, list[Hashable]]:
-    elements, words = _bfs_closure(identity, gen_tokens, mul, order_bound)
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    table = [[index[mul(a, b)] for b in elements] for a in elements]
-    gen_indices = [index[s] for s in gen_tokens]
-    return FiniteGroup(table, gen_indices, words), elements
+    table = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
+    gens = tuple(index[s] for s in gen_tokens)
+    if inverse is None:
+        return FiniteGroup(table, gens, words), elements
+    inv = tuple(index[inverse(a)] for a in elements)
+    return FiniteGroup._from_checked(table, gens, tuple(words), inv), elements
 
 
 def from_permutations(
@@ -311,15 +316,9 @@ class Subgroup:
         """Standalone group plus the embedding (subgroup index -> parent
         index); built once per subgroup object."""
         if self._group is None:
-            gens = self.minimal_generators()
-            t = self.parent.table
-            elements, words = _bfs_closure(0, gens, lambda a, b: t[a][b], len(self.members) + 1)
-            index = {e: i for i, e in enumerate(elements)}
-            group = FiniteGroup._from_checked(
-                tuple(tuple(index[t[a][b]] for b in elements) for a in elements),
-                tuple(index[s] for s in gens),
-                tuple(words),
-                tuple(index[self.parent.inverse[a]] for a in elements),
+            parent = self.parent
+            group, elements = _group_from_tokens(
+                0, self.minimal_generators(), parent.mul, self.order + 1, parent.inverse.__getitem__
             )
             self._group = (group, tuple(elements))  # type: ignore[arg-type]
         return self._group

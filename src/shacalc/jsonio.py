@@ -335,11 +335,6 @@ def _coroot_actions(x_star: GModule, incl: IntMatrix) -> list[IntMatrix]:
     return actions
 
 
-def invariant_factors_json(group) -> dict:
-    free, torsion = group.invariant_factors()
-    return {"free_rank": free, "torsion": list(torsion)}
-
-
 def representatives_json(
     reps: Sequence[Sequence[int]], degree: int, order: int, module_rank: int
 ) -> list[dict[str, list[str]]]:

@@ -116,13 +116,6 @@ def random_module(
         kind = rng.randrange(4)
         if kind == 0:
             blocks.append(trivial_module(g, 1))
-        elif kind == 1:
-            h = random_subgroup(g, rng)
-            pm = permutation_module(g, h)
-            if rank + pm.rank > max_rank:
-                blocks.append(trivial_module(g, 1))
-            else:
-                blocks.append(pm)
         elif kind == 2:
             # a rank-one twist when the group admits one
             neg = [k for k in range(len(g.generators)) if rng.randrange(2)]
@@ -131,12 +124,12 @@ def random_module(
             except StructuralError:
                 blocks.append(trivial_module(g, 1))
         else:
-            h = random_subgroup(g, rng)
-            pm = permutation_module(g, h)
+            # a coset module (kind 1) or its dual (kind 3)
+            pm = permutation_module(g, random_subgroup(g, rng))
             if rank + pm.rank > max_rank:
                 blocks.append(trivial_module(g, 1))
             else:
-                blocks.append(dual_module(pm))
+                blocks.append(dual_module(pm) if kind == 3 else pm)
         rank = sum(b.rank for b in blocks)
         if rng.randrange(3) == 0 and rank >= 1:
             break

@@ -1,15 +1,16 @@
 """Shared fixtures-in-spirit: a catalog of small groups, a full subgroup
 enumeration (the library itself deliberately ships no subgroup lattice;
 tests build it by closure), and constructions that only tests use: small
-abelian groups, sparse composition, map congruence, the long exact
-sequence of a two-term complex, the zero, identity and composite
-homomorphisms, the general subquotient ker/im, the restriction of a
-module and of a computed group to a subgroup (the reference for the Sha
-conditions), the cocycle of each generator of a computed value, the
-degree-1 value on the bar route (the Hermite basis of Z^1 in C^1, the
-reference for the value in generator coordinates), the full cocycle
-test of a cochain, the inclusion and the
-quotient of Sha groups, a restriction's class map on every generator
+abelian groups and their order, the edges off the breadth-first tree
+(the reference for ``FiniteGroup.off_tree_edges``), sparse composition,
+map congruence, the long exact sequence of a two-term complex, the zero,
+identity and composite homomorphisms, the general subquotient ker/im,
+the restriction of a module and of a computed group to a subgroup (the
+reference for the Sha conditions), the cocycle of each generator of a
+computed value, the degree-1 value on the bar route (the Hermite basis
+of Z^1 in C^1, the reference for the value in generator coordinates),
+the full cocycle test of a cochain, the inclusion and the quotient of
+Sha groups, a restriction's class map on every generator
 of its source value (composed from the reduced map, or eager), the Sha
 kernels built from those restrictions and stacked class maps (eager, on
 every generator of the ambient value, and on its reduced view), the
@@ -25,6 +26,7 @@ Spies on ``Lattice`` show when a lattice is reduced or solved on."""
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,6 +109,26 @@ def cyclic_group(n: int) -> PresentedAbelianGroup:
 def torsion_module(g: FiniteGroup, n: int) -> GModule:
     """Z/n with the trivial action."""
     return GModule(g, cyclic_group(n), [IntMatrix([[1]]) for _ in g.generators])
+
+
+def group_order(group: PresentedAbelianGroup) -> int | None:
+    """The order of a presented group, read off its invariant factors;
+    None when it is infinite."""
+    free, torsion = group.invariant_factors()
+    return None if free else math.prod(torsion)
+
+
+def off_tree_edges(group: FiniteGroup) -> list[tuple[int, int]]:
+    """The edges (e, l) off the breadth-first tree: those where the stored
+    word of e s_l is not the word of e followed by l, recomputed on each
+    call."""
+    gens, words, table = group.generators, group.element_words, group.table
+    return [
+        (e, l)
+        for e in range(group.order)
+        for l, s in enumerate(gens)
+        if words[table[e][s]] != words[e] + (l,)
+    ]
 
 
 def word_product(m: GModule, e: int) -> IntMatrix:

@@ -13,6 +13,7 @@ from helpers import (
     compose,
     cyclic_group,
     free_group,
+    group_order,
     identity_hom,
     is_zero_hom,
     subquotient,
@@ -89,9 +90,9 @@ class TestPresentedGroup:
         assert not g.contains_relation((3,))
 
     def test_order(self):
-        assert PresentedAbelianGroup(1, [[6]]).order() == 6
-        assert free_group(1).order() is None
-        assert trivial_group().order() == 1
+        assert group_order(PresentedAbelianGroup(1, [[6]])) == 6
+        assert group_order(free_group(1)) is None
+        assert group_order(trivial_group()) == 1
 
 
 class TestReducedView:

@@ -71,6 +71,7 @@ from helpers import (
     echelon_kernel,
     full_restriction_map,
     generator_cochain,
+    group_order,
     identity_hom,
     kernel_route_cocycles,
     is_cocycle,
@@ -353,7 +354,7 @@ def assert_routes_agree(compute):
     h, taken = computed_by(compute, outputs)
     assert taken == ["saturation"], "expected the saturation route"
     ((_, index),) = outputs
-    assert h.group_value.order() == index
+    assert group_order(h.group_value) == index
     assert_same_as_full_kernel(h)
 
 
@@ -673,9 +674,36 @@ class TestGeneratorRoute:
         g = GROUPS[name]
         h = assert_generator_route(g, torsion_module(g, 4))
         # H^1(G, Z/4) = Hom(G, Z/4)
-        assert h.group_value.order() == math.prod(
+        assert group_order(h.group_value) == math.prod(
             math.gcd(n, 4) for n in abelianization_invariants(g.table)
         )
+
+    def test_edges_computed_once_per_group(self, monkeypatch):
+        """Module validation and every generator-route call read the one
+        tuple of edges off the tree that the group holds."""
+        read = []
+        real = FiniteGroup.off_tree_edges
+
+        def spy(self):
+            edges = real(self)
+            read.append((self, edges))
+            return edges
+
+        monkeypatch.setattr(FiniteGroup, "off_tree_edges", spy)
+        g = from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+        rng = SplitMix64(3)
+        mods = [torsion_module(g, 4)] + [
+            random_module(g, rng, max_rank=3, max_torsion_relators=2) for _ in range(6)
+        ]
+        validated = len(read)
+        assert validated >= len(mods)
+        torsion = [m for m in mods if not m.is_z_free()]
+        assert len(torsion) > 1
+        for m in torsion:
+            for _ in range(2):
+                assert computed_by(lambda: cohomology(g, m, 1))[1] == ["generators"]
+        assert len(read) - validated >= 2 * len(torsion)
+        assert all(group is g and edges is read[0][1] for group, edges in read)
 
     def test_trivial_group(self):
         """No generators, no unknowns: Z^1 is the relation rows R."""
@@ -881,8 +909,8 @@ class TestBuiltRows:
     def test_kernel_route_builds_no_full_differential(self, name, monkeypatch):
         """The kernel route asks for d^i on the checked rows only; the
         full d^{i-1} that spans B^i is still built.  The generator route,
-        in degree 1, builds no differential and no relation rows of a
-        cochain space."""
+        in degree 1, builds d^0 and the relation rows of C^1 on the k rows
+        of the generators alone, D0 + R^k, and nothing of size |G| rk."""
         g = GROUPS[name]
         last = sorted(set(g.generators))
         everything = list(range(g.order))
@@ -902,7 +930,8 @@ class TestBuiltRows:
             if degree == 1:
                 # the generator route: its value lives in M^k
                 assert routes == ["generators"]
-                assert built == {"diff_cols": [], "relation_cols": []}
+                gens = list(g.generators)
+                assert built == {"diff_cols": [(0, gens)], "relation_cols": [(1, gens)]}
                 continue
             assert routes == ["kernel"]
             assert (degree, everything) not in built["diff_cols"]
@@ -962,7 +991,7 @@ class TestBudget:
             words[g.table[e][s]] != words[e] + (l,)
             for e in range(g.order) for l, s in enumerate(g.generators)
         )
-        assert cohomology(g, m, 1, cochain_cap=rows).group_value.order() == 2
+        assert group_order(cohomology(g, m, 1, cochain_cap=rows).group_value) == 2
         with pytest.raises(ResourceError) as exc:
             cohomology(g, m, 1, cochain_cap=rows - 1)
         assert exc.value.dimension == rows
@@ -984,7 +1013,7 @@ class TestBudget:
         has rank 180."""
         g = GROUPS["S3"]
         m = augmentation_ideal(g)
-        assert cohomology(g, m, 1, cochain_cap=30).group_value.order() == 6
+        assert group_order(cohomology(g, m, 1, cochain_cap=30).group_value) == 6
         with pytest.raises(ResourceError) as exc:
             cohomology(g, m, 1, cochain_cap=29)
         assert exc.value.dimension == 30

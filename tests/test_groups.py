@@ -13,7 +13,7 @@ from shacalc.groups import (
     is_metacyclic,
 )
 
-from helpers import all_subgroups, catalog
+from helpers import all_subgroups, catalog, off_tree_edges
 from oracles import element_order, sylow_subgroups
 
 GROUPS = catalog()
@@ -79,6 +79,36 @@ class TestConstruction:
         g1 = from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]])
         g2 = from_permutations([[1, 2, 3, 0], [0, 3, 2, 1]])
         assert g1.table == g2.table and g1.element_words == g2.element_words
+
+
+class TestOffTreeEdges:
+    """``FiniteGroup.off_tree_edges`` against the word comparison it
+    replaced, ``helpers.off_tree_edges``."""
+
+    def test_catalog_groups_and_their_subgroups(self):
+        for g in GROUPS.values():
+            assert g.off_tree_edges() == tuple(off_tree_edges(g))
+            for sub in all_subgroups(g):
+                sg, _ = sub.as_group()
+                assert sg.off_tree_edges() == tuple(off_tree_edges(sg))
+
+    def test_redundant_generators(self):
+        """A repeat and the identity among the generators: every edge they
+        label is off the tree."""
+        s3 = from_permutations([[1, 0, 2], [1, 2, 0], [1, 0, 2], [0, 1, 2], [0, 2, 1]])
+        edges = s3.off_tree_edges()
+        assert edges == tuple(off_tree_edges(s3))
+        assert {(e, k) for e in range(6) for k in (2, 3)} <= set(edges)
+
+    @pytest.mark.parametrize("name,words", [
+        ("V4", [(), (0,), (0, 1, 0), (1, 0)]),
+        ("Z4", [(), (0,) * 5, (0, 0), (0, 0, 0)]),
+    ], ids=["V4", "Z4"])
+    def test_words_not_prefix_closed(self, name, words):
+        g = GROUPS[name]
+        other = FiniteGroup(g.table, g.generators, words)
+        assert other.off_tree_edges() == tuple(off_tree_edges(other))
+        assert other.off_tree_edges() != g.off_tree_edges()
 
 
 class TestCyclicSubgroups:

@@ -7,11 +7,12 @@ benchmark harness; code that only tests use belongs in ``tests/``.
   module must be referenced somewhere in the package outside its own
   definition, or in ``bench/*.py``, or be the console script.  An export
   from ``shacalc/__init__.py`` is not a use.
-* A public method or property of a package class must be read as an
-  attribute somewhere in the package outside its own body, or in
-  ``bench/*.py`` (the harness is an outside caller).  Attributes are
-  matched by name, not by type, so a read of any attribute of that name
-  counts.
+* A public method of a package class must be called, ``x.name(...)``,
+  and a public property read without a call, ``x.name``, somewhere in the
+  package outside its own body, or in ``bench/*.py`` (the harness is an
+  outside caller).  Attributes are matched by name, not by type, so a
+  call of any method of that name counts; but a read of a plain
+  attribute of the same name does not reach a method.
 
 The lattice format stays inside ``intlinalg``: no other module of the
 package imports one of its underscore names.
@@ -39,8 +40,22 @@ def _names_used(node) -> set[str]:
     return used
 
 
-def _attributes_read(node) -> Counter:
-    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+def _attribute_uses(node) -> tuple[Counter, Counter]:
+    """(calls, reads): per attribute name, how often it is called,
+    ``x.name(...)``, and how often it is read without a call."""
+    called = {id(sub.func) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+    calls, reads = Counter(), Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            (calls if id(sub) in called else reads)[sub.attr] += 1
+    return calls, reads
+
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+        for d in node.decorator_list
+    )
 
 
 def _modules(directory: Path) -> list[tuple[str, ast.Module]]:
@@ -71,11 +86,11 @@ def unreached_definitions(package: Path = PACKAGE, bench: Path = BENCH) -> list[
 
 
 def unreached_methods(package: Path = PACKAGE, bench: Path = BENCH) -> list[str]:
-    """``module.Class.name`` for each public method or property of a
-    package class that nothing reads as an attribute, outside its own
-    body, in the package or in ``bench/*.py``."""
+    """``module.Class.name`` for each public method of a package class that
+    nothing calls, and each public property that nothing reads without a
+    call, outside its own body, in the package or in ``bench/*.py``."""
     modules = _modules(package)
-    reads = sum((_attributes_read(tree) for _, tree in modules + _modules(bench)), Counter())
+    uses = [_attribute_uses(tree) for _, tree in modules + _modules(bench)]
     unreached = []
     for module, tree in modules:
         for cls in tree.body:
@@ -84,7 +99,8 @@ def unreached_methods(package: Path = PACKAGE, bench: Path = BENCH) -> list[str]
             for node in cls.body:
                 if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                     continue
-                if reads[node.name] == _attributes_read(node)[node.name]:
+                kind = int(_is_property(node))  # index into (calls, reads)
+                if sum(u[kind][node.name] for u in uses) == _attribute_uses(node)[kind][node.name]:
                     unreached.append(f"{module}.{cls.name}.{node.name}")
     return unreached
 
@@ -98,16 +114,21 @@ def test_every_public_method_is_reached():
 
 
 def test_checks_catch_what_no_command_reaches(tmp_path):
-    """On a small tree: a method read only inside its own body and a
-    function reached only by an ``__init__`` export are flagged; a method
-    that only a bench file calls is not."""
+    """On a small tree: a method called only inside its own body, a method
+    whose name is read only as another class's attribute, and a function
+    reached only by an ``__init__`` export are flagged; a method that only
+    a bench file calls, and a property read without a call, are not."""
     package, bench = tmp_path / "pkg", tmp_path / "bench"
     package.mkdir()
     bench.mkdir()
     (package / "__init__.py").write_text("from .mod import Box, exported\n")
     (package / "mod.py").write_text(dedent("""\
         def exported():
-            return 1
+            return Crate().width + Box().depth
+
+        class Crate:
+            def __init__(self):
+                self.width = 3
 
         class Box:
             def countdown(self, n):
@@ -115,10 +136,17 @@ def test_checks_catch_what_no_command_reaches(tmp_path):
 
             def benched(self):
                 return 2
+
+            def width(self):
+                return 1
+
+            @property
+            def depth(self):
+                return 4
         """))
     (bench / "run.py").write_text("import mod\n\nmod.Box().benched()\n")
     assert unreached_definitions(package, bench) == ["mod.exported"]
-    assert unreached_methods(package, bench) == ["mod.Box.countdown"]
+    assert unreached_methods(package, bench) == ["mod.Box.countdown", "mod.Box.width"]
 
 
 def intlinalg_private_imports() -> list[str]:
