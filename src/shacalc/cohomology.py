@@ -22,7 +22,8 @@ of its cocycles at the generators, is computed along one of three routes:
   cor o res = |G|, e = |G| * exp HH^i(1, K) kills HH^i(G, K) (Brown,
   Cohomology of Groups, III.9-10).  C^{i+1} is torsion-free, so Z^i is
   the saturation of B^i: the vectors with a multiple in B^i.  It is
-  found by saturating B^i at the primes of e.  Only d^{i-1} is built;
+  found by saturating, at the primes of e, the part of B^i left after
+  its unit-pivot rows are split off (below).  Only d^{i-1} is built;
   d^i and C^{i+1} never are;
 * the generator route, for a module with torsion in degree 1: a crossed
   homomorphism is known by its values at the k generators (Holt, The
@@ -107,10 +108,33 @@ and c = L(V(c)) modulo R, which ``class_coords`` checks: if so, c is a
 cocycle plus relation rows; if c is a cocycle, the induction of the
 second point gives c = L(V(c)) modulo R.
 
+The saturation route splits the gcd echelon E of B^i (see
+:func:`~shacalc.intlinalg.split_unit_pivots`) into U, the rows with
+pivot 1, whose pivot columns are J, and D', the other rows, each reduced
+at the pivots of U, so zero on J.  That reduction is unimodular, so
+B^i = span(U) + span(D').  Then Z^i = span(U) + sat(D'), a direct sum,
+and [Z^i : B^i] = [sat(D') : D']:
+
+* U restricted to J is unitriangular, so each x in C^i has one
+  combination u of U that agrees with x on J;
+* if n * x lies in B^i, n with its prime factors among those of e,
+  write n * (x - u) = a + b with a in span(U), b in span(D').  Both
+  n * (x - u) and b vanish on J, so a does too, and a = 0 since U is
+  independent on J.  So x - u lies in sat(D');
+* sat(D') vanishes on J, since a multiple of each of its vectors does,
+  and span(U) meets the vectors that vanish on J in 0.
+
+Hence Z^i / B^i = (span(U) + sat(D')) / (span(U) + span(D')) is
+isomorphic to sat(D') / D' by inclusion, and the value is presented
+there: on the Hermite basis S of sat(D'), with one relator per row of
+D', solved on S.  No boundary is solved on Z^i.  With u the combination
+of U that agrees with a cochain c on J, c is a cocycle iff c - u lies in
+sat(D'), and then c - u has the class of c, since u is a boundary.
+
 All routes give the same lattice Z^i in C^i, and its canonical Hermite
 basis gives the printed representatives, so the route never shows in
-the results.  The generator route builds that basis, from L(K) and R,
-only when the representatives are read.
+the results.  The generator route builds that basis from L(K) and R, the
+saturation route from U and S, only when the representatives are read.
 
 For a two-term complex f : A -> B (A in degree 0, B in degree 1) the total
 complex is T^n = C^n(A) + C^{n-1}(B) with the fixed sign convention
@@ -123,26 +147,27 @@ so that representative-level tests are stable.
 A module M is computed as the complex M -> 0: then T^n = C^n(M) and D = d,
 so H^i(G, M) = HH^i(G, M -> 0) with the same coordinates.
 
-The value's coordinates depend on the route.  On the saturation and
-kernel routes Z^i / B^i is presented on the Hermite basis of Z^i, with
-one relator per generator of B^i, each solved sparsely on that basis; it
-has about rank B^i generators, most of them left out by its reduced view
-(see :mod:`shacalc.abelian`).  On the generator route K / (D0 + R^k) is
-presented on the Hermite basis of K, with at most k * rk generators.
-Either lattice is a :class:`~shacalc.intlinalg.Lattice`: the basis comes
-out of the gcd echelon together with its index, and the group holds
-both, so the class solves of ``class_coords`` run on the index that
-presented the value.  The group also holds the map from the lattice's
-coordinates to cochains, L on the generator route and the identity on
-the others, so a class given on the value's generators has a cocycle.
+The value's coordinates depend on the route.  On the kernel route
+Z^i / B^i is presented on the Hermite basis of Z^i, with one relator per
+generator of B^i, each solved sparsely on that basis; it has about
+rank B^i generators, most of them left out by its reduced view (see
+:mod:`shacalc.abelian`).  On the saturation route sat(D') / D' is
+presented on S, with rank D' generators, and on the generator route
+K / (D0 + R^k) on the Hermite basis of K, with at most k * rk
+generators.  Each lattice is a :class:`~shacalc.intlinalg.Lattice`: the
+basis comes out of the gcd echelon together with its index, and the
+group holds both, so the class solves of ``class_coords`` run on the
+index that presented the value.  The group also holds the map from the
+lattice's coordinates to cochains, L on the generator route and the
+identity on the others, so a class given on the value's generators has
+a cocycle.
 
-The main values of the paper are zeros, and they cost no solve.  On the
-saturation route the saturation also gives the index [Z^i : B^i], and an
-index of 1 means Z^i = B^i: the relators would span all of Z^n on the n
-rows of the basis, so the value is presented by the n unit rows, as
-solving would present it.  Only the index is read, so the basis of Z^i
-stays an unreduced echelon until the representatives or a class solve
-ask for it (see :class:`~shacalc.intlinalg.Lattice`).
+The main values of the paper are zeros, and they cost few solves.  On
+the saturation route an index of 1 means sat(D') = D', and the value is
+presented by the rank D' rows of D', solved on S, into a group that the
+reduced view takes to no generator.  Most pivots of E are 1 (all of
+them for H^2(S4, I_G)), so D' is small.  Z^i is not built until the
+representatives are read; a class solve needs only U and S.
 
 No command restricts a computed group to a subgroup: a Sha condition
 reads the ambient's cocycles on rows of the subgroup's total complex (see
@@ -163,10 +188,12 @@ from .groups import FiniteGroup, _prime_factors
 from .intlinalg import (
     IntMatrix,
     Lattice,
+    echelon_sum,
     hermite_rows,
     preimage_kernel,
     sparse_from_matrix,
     sparse_saturation,
+    split_unit_pivots,
 )
 
 DEFAULT_COCHAIN_CAP = 20000
@@ -439,15 +466,18 @@ class CohomologyGroup:
     its class coordinates.
 
     The value is presented on the rows of ``lattice``, the value lattice
-    in its own coordinates: Z^i in C^i on the saturation and kernel routes,
-    K in M^k on the generator route (see the module docstring).  ``_walk``
-    maps those coordinates to cochains: the walk's linear map L, as one
-    linear form {unknown: coefficient} per coordinate of C^1, or None for
-    the identity.  :meth:`cochain` gives the cocycle of a class given on
-    the value's generators, :meth:`class_coords` the class of a cocycle.
-    The printed ``representatives`` are the canonical Hermite basis of Z^i
-    in C^i, whatever the route; on the generator route it is built on
-    first read, from L(K) and the relation rows of every block."""
+    in its own coordinates: Z^i in C^i on the kernel route, sat(D') in C^i
+    on the saturation route, K in M^k on the generator route (see the
+    module docstring).  ``_walk`` maps those coordinates to cochains: the
+    walk's linear map L, as one linear form {unknown: coefficient} per
+    coordinate of C^1, or None for the identity.  ``_units`` is the
+    lattice of the unit rows U of the saturation route, held beside the
+    value lattice as the generator route holds R, or None on the other
+    routes.  :meth:`cochain` gives the cocycle of a class given on the
+    value's generators, :meth:`class_coords` the class of a cocycle.  The
+    printed ``representatives`` are the canonical Hermite basis of Z^i in
+    C^i, whatever the route; on the generator and saturation routes it is
+    built on first read, from L(K) and R, or from U and sat(D')."""
 
     degree: int
     group: FiniteGroup
@@ -456,6 +486,7 @@ class CohomologyGroup:
     lattice: Lattice
     _cochains: _TotalComplex = field(repr=False)
     _walk: list[dict[int, int]] | None = field(default=None, repr=False)
+    _units: Lattice | None = field(default=None, repr=False)
 
     def _read(self, vec: dict[int, int], coords: Sequence[int]) -> dict[int, int]:
         """The entries at ``coords``, numbered by position, of the cochain
@@ -485,10 +516,15 @@ class CohomologyGroup:
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cocycle's class on the computed generators; a
         vector that is no cocycle raises :class:`StructuralError`.  On the
-        generator route the class is that of the values c(s_l), and c is a
-        cocycle iff they lie in K and c = L(c(s_l)) modulo the relation rows
-        (see the module docstring)."""
+        saturation route the combination of U that agrees with c on the
+        pivot columns of U is subtracted first, a boundary, and the rest
+        lies in sat(D') iff c is a cocycle.  On the generator route the
+        class is that of the values c(s_l), and c is a cocycle iff they lie
+        in K and c = L(c(s_l)) modulo the relation rows (see the module
+        docstring)."""
         if self._walk is None:
+            if self._units is not None:
+                vec = self._units.reduce(vec)
             return class_on_basis(self.group_value, self.lattice, vec)
         if len(vec) != len(self._walk):
             raise StructuralError("vector length does not match the cochain rank")
@@ -507,8 +543,11 @@ class CohomologyGroup:
 
     @cached_property
     def _cocycles(self) -> Lattice:
-        """Z^i in C^i: the value lattice itself when it lies there, else
-        L(K) with the relation rows of every block, built on first read."""
+        """Z^i in C^i: the value lattice itself on the kernel route, else
+        built on first read: span(U) + sat(D'), whose pivot columns are
+        disjoint, or the lattice of L(K) and R."""
+        if self._units is not None:
+            return echelon_sum(self._units, self.lattice)
         if self._walk is None:
             return self.lattice
         t = self._cochains
@@ -525,21 +564,28 @@ class CohomologyGroup:
         subgroup spanned by the sparse ``rows``, which are given on every
         generator of the value and span its relations.
 
-        On the generator route those cocycles are L(v), for v in the span
-        of the rows read on K, plus R, the relation rows of every block:
-        a cocycle c has the class of its values V(c), and c = L(V(c))
-        modulo R (see the module docstring).  Each is solved on Z^1."""
+        On the kernel route those coordinates are the value's own.  On the
+        others the cocycles are the cochains of the value-lattice vectors
+        the rows give, plus the boundaries held beside it: U on the
+        saturation route, since B^i = span(U) + span(D'); R on the
+        generator route, since a cocycle c has the class of its values
+        V(c), and c = L(V(c)) modulo R (see the module docstring).  Each is
+        solved on Z^i."""
         cocycles = self._cocycles
-        if self._walk is None:
+        if cocycles is self.lattice:
             basis = hermite_rows(rows, self.group_value.generator_count)
         else:
             lattice = self.lattice.sparse_rows()
             vectors = [self._cochain_of(_combination(lattice, row)) for row in rows]
+            if self._units is not None:
+                vectors += self._units.sparse_rows()
+            else:
+                vectors += self._cochains.relation_cols(1)
             coords = []
-            for vec in vectors + self._cochains.relation_cols(1):
+            for vec in vectors:
                 c = cocycles.solve(vec)
                 if c is None:
-                    raise InternalError("a cocycle of the value escapes Z^1")
+                    raise InternalError(f"a cocycle of the value escapes Z^{self.degree}")
                 coords.append(c)
             basis = hermite_rows(coords, len(cocycles))
         reps = cocycles.sparse_rows()
@@ -570,7 +616,7 @@ def _hypercohomology(
         raise StructuralError("only degrees 0..2 are supported")
     t = _TotalComplex(group, complex_)
     torsion_bound = _hyper_torsion_bound(complex_, degree)
-    walk = None
+    walk = units = None
     if torsion_bound is None and degree == 1 and not complex_.degree1.rank:
         # the generator route: a module M -> 0, whose T^1 is C^1(M), and the
         # value K / (D0 + R^k) in the coordinates of K
@@ -595,12 +641,14 @@ def _hypercohomology(
             )
         # the generators of B^i: the image of d^{i-1} and the relation rows
         boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + t.relation_cols(degree)
-        index = None
         if torsion_bound is not None:
             # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1}
-            # is torsion-free, so Z^i is the saturation of B^i at its primes
+            # is torsion-free, so Z^i = span(U) + sat(D') at its primes, and
+            # the value is sat(D') / D'
             primes = sorted(_prime_factors(torsion_bound))
-            lattice, index = sparse_saturation(boundaries, t.dim(degree), primes)
+            units, rest = split_unit_pivots(boundaries, t.dim(degree))
+            lattice, _ = sparse_saturation(rest, t.dim(degree), primes)
+            value = present_quotient(lattice, rest)
         else:
             # the kernel route: Z^i is the preimage under d^i of the relation
             # rows of C^{i+1}, on the rows of C^{i+1} whose tuple ends in a
@@ -610,15 +658,6 @@ def _hypercohomology(
             lattice = preimage_kernel(
                 t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
             )
-        if index == 1:
-            # B^i was saturated, so Z^i = B^i and the value is 0: the
-            # boundaries, solved on the basis of Z^i, would span all of Z^n,
-            # whose Hermite rows are the unit rows.  Nothing is solved.  The
-            # check that no boundary escapes Z^i is skipped with nothing
-            # lost, since the echelon of Z^i was built from these very
-            # boundaries.
-            value = PresentedAbelianGroup(len(lattice), [{k: 1} for k in range(len(lattice))])
-        else:
             value = present_quotient(lattice, boundaries)
     return CohomologyGroup(
         degree=degree,
@@ -628,6 +667,7 @@ def _hypercohomology(
         lattice=lattice,
         _cochains=t,
         _walk=walk,
+        _units=units,
     )
 
 

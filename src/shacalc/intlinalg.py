@@ -24,24 +24,31 @@ Conventions:
 There is one gcd echelon, :func:`_sparse_insert`, on sparse rows.  Every
 lattice comes out of it once: :func:`hermite_rows` inserts the nonzero rows
 it is given, :func:`sparse_kernel` (and so :func:`preimage_kernel`, which
-tags the kept unknowns alone) and :func:`sparse_saturation` the rows their
-methods produce, and :func:`_hermite_from_echelon` makes the lattice,
-which reduces the entries above the pivots when its basis is first read.
+tags the kept unknowns alone), :func:`split_unit_pivots` and
+:func:`sparse_saturation` the rows their methods produce, and
+:func:`_hermite_from_echelon` makes the lattice, which reduces the entries
+above the pivots when its basis is first read.  :func:`echelon_sum` joins
+two such echelons whose pivot columns are disjoint, with no elimination.
 The Hermite form is unique (Cohen, A Course in Computational Algebraic
 Number Theory, section 2.4), so the basis depends only on the lattice,
 whatever the order of the rows or the pivot steps, and deferring the
 reduction changes nothing that can be read.
 
-The saturation (:func:`sparse_saturation`) feeds its rows to the echelon
-last-first, which for the rows of a differential, whose later rows reach
-further right, cuts the gcd steps; the lattice does not depend on the
-order.  At each prime p it tests the pivots first: when p divides none,
-the echelon is independent mod p and nothing is eliminated.  Otherwise
-it reduces mod p only the rows whose pivot p divides, taking in a row
-with a pivot prime to p when a reduction first reaches its column; the
-vanished rows give a basis of the full left kernel mod p, so each round
-adds the lattice a full elimination would.  :func:`_deficient_kernel_mod`
-has the proof.
+A lattice L is saturated in two steps.  :func:`split_unit_pivots` splits
+its echelon E into U, the rows with pivot 1, and D', the other rows
+reduced at the pivots of U; the saturation of L is span(U) + sat(D'),
+with the same index, so only D' is saturated.  Both feed their rows to
+the echelon last-first, which for the rows of a differential, whose
+later rows reach further right, cuts the gcd steps; the lattice does not
+depend on the order.  At each prime p :func:`sparse_saturation` tests
+the pivots first: when p divides none, the echelon is independent mod p
+and nothing is eliminated.  Otherwise it reduces mod p only the rows
+whose pivot p divides, taking in a row with a pivot prime to p when a
+reduction first reaches its column; the vanished rows give a basis of
+the full left kernel mod p, so each round adds the lattice a full
+elimination would.  :func:`_deficient_kernel_mod` has the proof.  Each
+combination they give is divided by p only after a check that p divides
+every entry; one it does not divide raises :class:`InternalError`.
 
 Kernels of sparse maps (:func:`sparse_kernel`) run in two phases.  The
 first eliminates unknowns through equations in which they have
@@ -60,7 +67,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import StructuralError
+from .errors import InternalError, StructuralError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -362,6 +369,19 @@ def hermite_rows(rows: Iterable[Sequence[int] | dict[int, int]], width: int) -> 
     for r in rows:
         _sparse_insert(pivots, _sparse_vec(r, width))
     return _hermite_from_echelon(pivots, width)
+
+
+def echelon_sum(a: Lattice, b: Lattice) -> Lattice:
+    """The lattice a + b of two lattices of one width whose pivot columns
+    are disjoint, on copies of the echelons they hold: rows with distinct
+    pivots, each zero left of its own, are an echelon basis of the sum.
+    Nothing is eliminated, and neither lattice is reduced; the sum reduces
+    above its pivots when its basis is first read."""
+    rows = dict(a._index)
+    if a.width != b.width or any(c in rows for c, _ in b._index):
+        raise StructuralError("the lattices differ in width or share a pivot column")
+    rows.update(b._index)
+    return _hermite_from_echelon({c: dict(row) for c, row in rows.items()}, a.width)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -667,6 +687,30 @@ def _deficient_kernel_mod(
     return kernel
 
 
+def split_unit_pivots(
+    rows: Sequence[dict[int, int]], width: int
+) -> tuple[Lattice, list[dict[int, int]]]:
+    """The gcd echelon E of the lattice L spanned by the sparse ``rows``
+    of the given width, inserted last-first (see
+    :func:`sparse_saturation`), split in two: the lattice of U, the rows
+    of E with pivot 1, whose pivot columns are J, and D', the other rows
+    of E, each reduced at the pivots of U, so zero on J, in pivot order.
+
+    The reduction is unimodular, so L = span(U) + span(D').  U restricted
+    to J is unitriangular and D' vanishes on J, so for any set of primes
+    the saturation of L is span(U) + sat(D'), a direct sum, with the same
+    index: given x with n * x in L, let u be the combination of U that
+    agrees with x on J; n * (x - u) = a + b with a in span(U), b in
+    span(D'), and a vanishes on J, so a = 0 and x - u lies in sat(D').
+    Hence sat(L) / L and sat(D') / D' are isomorphic by inclusion."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in reversed(rows):
+        _sparse_insert(pivots, dict(row))
+    units = {c: row for c, row in pivots.items() if row[c] == 1}
+    rest = [_back_reduce(units, row, c) for c, row in sorted(pivots.items()) if row[c] != 1]
+    return _hermite_from_echelon(units, width), rest
+
+
 def sparse_saturation(
     rows: Sequence[dict[int, int]], width: int, primes: Iterable[int]
 ) -> tuple[Lattice, int]:
@@ -717,6 +761,8 @@ def sparse_saturation(
                 acc: dict[int, int] = {}
                 for c, x in combo.items():
                     _sparse_sub_inplace(acc, pivots[c], -x)
+                if any(v % p for v in acc.values()):
+                    raise InternalError(f"a kernel vector mod {p} gives a row {p} does not divide")
                 added.append({c: v // p for c, v in acc.items()})
             for row in added:
                 _sparse_insert(pivots, row)

@@ -7,8 +7,9 @@ map congruence, the long exact sequence of a two-term complex, the zero,
 identity and composite homomorphisms, the general subquotient ker/im,
 the restriction of a module and of a computed group to a subgroup (the
 reference for the Sha conditions), the cocycle of each generator of a
-computed value, the degree-1 value on the bar route (the Hermite basis
-of Z^1 in C^1, the reference for the value in generator coordinates),
+computed value, the value on the bar route (on the Hermite basis of
+Z^i in C^i, the reference for the value in generator coordinates and on
+sat(D')), the groups of the bench ladder,
 the full cocycle test of a cochain, the inclusion and the quotient of
 Sha groups, a restriction's class map on every generator
 of its source value (composed from the reduced map, or eager), the Sha
@@ -37,12 +38,13 @@ from shacalc.cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
     TwoTermComplex,
+    _hyper_torsion_bound,
     cohomology,
     hypercohomology,
 )
 from shacalc.errors import StructuralError
 from shacalc.gmodules import GModule, GModuleHom, PermutationModule
-from shacalc.groups import FiniteGroup, Subgroup, _group_from_tokens, from_permutations
+from shacalc.groups import FiniteGroup, Subgroup, _group_from_tokens, _prime_factors, from_permutations
 from shacalc.intlinalg import (
     IntMatrix,
     Lattice,
@@ -54,6 +56,18 @@ from shacalc.intlinalg import (
     xgcd,
 )
 from shacalc.sha import EMPTY_SELECTION, LocalDatum, PlaceSelection, ShaGroup, _sha_groups
+
+
+# the groups of the bench ladder, as permutations
+LADDER = {
+    "V4": [[1, 0, 2, 3], [0, 1, 3, 2]],
+    "D4": [[1, 2, 3, 0], [0, 3, 2, 1]],
+    "Q8": [[1, 2, 3, 0, 5, 6, 7, 4], [4, 7, 6, 5, 2, 1, 0, 3]],
+    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
+    "D6": [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]],
+    "S4": [[1, 2, 3, 0], [1, 0, 2, 3]],
+}
+LADDER_GROUPS = {name: from_permutations(perms) for name, perms in LADDER.items()}
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -281,21 +295,30 @@ def generator_cochains(cg: CohomologyGroup) -> list[tuple[int, ...]]:
 
 
 def bar_route(cg: CohomologyGroup) -> CohomologyGroup:
-    """H^1 of a module with torsion on the bar route: presented on the
-    Hermite basis of Z^1 in C^1, here the kernel route's
-    (``kernel_route_cocycles``), with one relator per boundary of d^0 and
-    per relation row, each solved on that basis; the cochain map is the
-    identity.  The reference for the value in generator coordinates.  A
-    group whose value lattice lies in C^i already comes back as it is."""
-    if cg._walk is None:
+    """``cg`` with its value presented in the coordinates of Z^i: on the
+    Hermite basis of Z^i in C^i, with one relator per generator of B^i,
+    each solved on that basis; the cochain map is the identity.  The
+    reference for a value in other coordinates.  On the generator route
+    (H^1 of a module with torsion) Z^1 is the kernel route's
+    (``kernel_route_cocycles``) and B^1 is spanned by d^0 and the relation
+    rows; on the saturation route Z^i is the saturation of B^i, the image
+    of d^{i-1} and the relation rows, at the primes of the torsion bound
+    (``full_elimination_saturation``).  A group whose value lattice is Z^i
+    already comes back as it is."""
+    if cg._walk is None and cg._units is None:
         return cg
-    t = cg._cochains
-    cocycles = kernel_route_cocycles(t)
+    t, d = cg._cochains, cg.degree
+    boundaries = (t.diff_cols(d - 1) if d else []) + t.relation_cols(d)
+    if cg._walk is not None:
+        cocycles = kernel_route_cocycles(t)
+    else:
+        primes = sorted(_prime_factors(_hyper_torsion_bound(cg.coefficients, d)))
+        cocycles, _ = full_elimination_saturation(boundaries, t.dim(d), primes)
     return CohomologyGroup(
-        degree=cg.degree,
+        degree=d,
         group=cg.group,
         coefficients=cg.coefficients,
-        group_value=present_quotient(cocycles, t.diff_cols(0) + t.relation_cols(1)),
+        group_value=present_quotient(cocycles, boundaries),
         lattice=cocycles,
         _cochains=t,
     )

@@ -60,6 +60,7 @@ from shacalc.sha import (
 from shacalc.suites import random_equivariant_map, random_module, random_subgroup
 
 from helpers import (
+    LADDER_GROUPS,
     all_subgroups,
     bar_route,
     catalog,
@@ -317,24 +318,28 @@ def route_of(compute):
 
 def assert_same_as_full_kernel(h):
     """``h`` has the Hermite basis and the relators of the kernel route
-    run on every row of d^i: as its own value, or, for a value in generator
-    coordinates, as the value of the bar-route reference it matches."""
+    run on every row of d^i: as its own value, or, for a value in other
+    coordinates (the generator and saturation routes), as the value of the
+    bar-route reference it matches."""
     value, basis = kernel_route(h)
     assert basis.rows == h.representatives
-    if h._walk is not None:
+    ref = bar_route(h)
+    if ref is not h:
         assert_matches_bar_route(h)
-    assert value.relation_rows == bar_route(h).group_value.relation_rows
+    assert value.relation_rows == ref.group_value.relation_rows
 
 
 def assert_matches_bar_route(h):
-    """A value in generator coordinates against the bar-route reference
-    ``helpers.bar_route``: the same representatives and invariant factors,
-    and class coordinates that make the map from the reference value,
-    generator j to the class of representative j, an isomorphism, inverse
-    to the map that sends each generator to the reference class of its
-    cocycle."""
+    """A value in generator coordinates, or on sat(D'), against the
+    bar-route reference ``helpers.bar_route``, presented on Z^i: the same
+    representatives and invariant factors, and class coordinates that make
+    the map from the reference value, generator j to the class of
+    representative j, an isomorphism, inverse to the map that sends each
+    generator to the reference class of its cocycle."""
     ref = bar_route(h)
-    assert ref.lattice.rows == kernel_route_cocycles(h._cochains).rows
+    assert ref is not h
+    if h._walk is not None:
+        assert ref.lattice.rows == kernel_route_cocycles(h._cochains).rows
     assert h.representatives == ref.representatives
     assert invariant_factors(h.group_value) == invariant_factors(ref.group_value)
     value, bar = h.group_value, ref.group_value
@@ -356,17 +361,6 @@ def assert_routes_agree(compute):
     ((_, index),) = outputs
     assert group_order(h.group_value) == index
     assert_same_as_full_kernel(h)
-
-
-LADDER = {
-    "V4": [[1, 0, 2, 3], [0, 1, 3, 2]],
-    "D4": [[1, 2, 3, 0], [0, 3, 2, 1]],
-    "Q8": [[1, 2, 3, 0, 5, 6, 7, 4], [4, 7, 6, 5, 2, 1, 0, 3]],
-    "A4": [[1, 2, 0, 3], [1, 0, 3, 2]],
-    "D6": [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]],
-    "S4": [[1, 2, 3, 0], [1, 0, 2, 3]],
-}
-LADDER_GROUPS = {name: from_permutations(perms) for name, perms in LADDER.items()}
 
 
 class TestRouteEquivalence:
@@ -432,30 +426,44 @@ class TestRouteEquivalence:
         assert route_of(lambda: hypercohomology(g, c, 2)) == "saturation"
 
 
-class TestZeroValue:
-    def test_zero_value_solves_nothing_and_reduces_on_read(self):
-        """H^2(D4, I_G) = 0 comes from the saturation index alone: no
-        boundary is solved, and Z^2 is not reduced above its pivots until
-        its rows are read, which reduces it once, to the same rows as
-        before.  The value's own relation rows are unit rows, with nothing
-        above a pivot to reduce."""
-        g = LADDER_GROUPS["D4"]
-        m = augmentation_ideal(g)
+class TestSaturationSplit:
+    """The saturation route presents Z^i / B^i as sat(D') / D', so it
+    solves nothing on a lattice of the rank of Z^i, and it builds Z^i,
+    from U and sat(D'), only when the representatives are read."""
+
+    @pytest.mark.parametrize(
+        "name,degree,rank,index", [("D4", 2, 49, 1), ("S4", 1, 23, 24)], ids=["D4", "S4"]
+    )
+    def test_no_solve_on_z_and_one_build_on_read(self, name, degree, rank, index, monkeypatch):
+        """H^2(D4, I_G) = 0 (index 1) and H^1(S4, I_G) = Z/24: the value
+        solves only on sat(D'), of smaller rank; no lattice of the rank of
+        Z^i is reduced before the representatives are read, and their
+        first read builds Z^i once and reduces it once."""
+        g = LADDER_GROUPS[name]
+        module = sys.modules["shacalc.cohomology"]
+        built = []
+        for builder in ("hermite_rows", "echelon_sum"):
+
+            def spy(*args, _real=getattr(module, builder)):
+                built.append(_real(*args))
+                return built[-1]
+
+            monkeypatch.setattr(module, builder, spy)
         with lattice_reads() as (reduced, solved):
-            h = cohomology(g, m, 2)
-            assert h.group_value.invariant_factors() == (0, ())
-            assert solved == []
-            assert all(len(row) == 1 for lat in reduced for row in lat.sparse_rows())
-            assert not any(lat is h.lattice for lat in reduced)
-            before = len(reduced)
+            h = cohomology(g, augmentation_ideal(g), degree)
+            assert group_order(h.group_value) == index
+            assert solved and all(len(lat) < rank for lat in solved)
+            assert built == [] and all(len(lat) < rank for lat in reduced)
             reps = h.representatives
-            assert len(reduced) == before + 1 and reduced[-1] is h.lattice
-            h.representatives
-            assert len(reduced) == before + 1 and solved == []
-        assert len(reps) == h.group_value.generator_count == 49
-        assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
-            "0fd6ace5d18b13a6c4ab8b617010439311c188d8c3224befb16526845aa69c6a"
-        )
+            assert len(reps) == rank and len(built) == 1 and len(built[0]) == rank
+            assert [lat for lat in reduced if len(lat) == rank] == built
+            before = len(reduced)
+            assert h.representatives is reps
+            assert len(built) == 1 and len(reduced) == before
+        if name == "D4":
+            assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
+                "0fd6ace5d18b13a6c4ab8b617010439311c188d8c3224befb16526845aa69c6a"
+            )
 
 
 class TestClosedForms:
@@ -1124,7 +1132,8 @@ class TestModuleAsComplex:
         """H^i(G, M), computed as HH^i(G, M -> 0), has the representatives
         and relators of the kernel route run on the cochains C^i(M) of the
         module alone, with every row of d^i; a value in generator
-        coordinates has them through the bar-route reference it matches."""
+        coordinates or on sat(D') has them through the bar-route reference it
+        matches."""
         for name, degrees in (("Z2", (0, 1, 2)), ("V4", (0, 1, 2)), ("S3", (0, 1, 2)),
                               ("D4", (0, 1)), ("Q8", (0, 1))):
             g = GROUPS[name]
@@ -1134,9 +1143,10 @@ class TestModuleAsComplex:
                     h = cohomology(g, m, d)
                     value, basis = kernel_route(h, c)
                     assert basis.rows == h.representatives, (name, m, d)
-                    if h._walk is not None:
+                    ref = bar_route(h)
+                    if ref is not h:
                         assert_matches_bar_route(h)
-                    assert value.relation_rows == bar_route(h).group_value.relation_rows
+                    assert value.relation_rows == ref.group_value.relation_rows
 
 
 class TestPublicComputations:

@@ -6,30 +6,37 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shacalc.cohomology import _TotalComplex, _module_complex
-from shacalc.errors import StructuralError
-from shacalc.gmodules import augmentation_ideal, trivial_module
+from shacalc.abelian import present_quotient
+from shacalc.arith import dual_complex
+from shacalc.cohomology import _TotalComplex, _hyper_torsion_bound, _module_complex
+from shacalc.errors import InternalError, StructuralError
+from shacalc.gmodules import augmentation_ideal, augmentation_quotient, trivial_module
+from shacalc.groups import _prime_factors
 from shacalc.intlinalg import (
     IntMatrix,
     _deficient_kernel_mod,
     block_diag,
+    echelon_sum,
     hermite_rows,
     preimage_kernel,
     smith_normal_form,
     sparse_from_matrix,
     sparse_kernel,
     sparse_saturation,
+    split_unit_pivots,
     unimodular_inverse,
 )
 from shacalc.prng import SplitMix64
 
 from helpers import (
+    LADDER_GROUPS,
     catalog,
     dense_hermite_rows,
     dense_lattice_reduce,
     dense_lattice_solve,
     echelon_kernel,
     full_elimination_saturation,
+    group_order,
     held_rows,
     lattice_reads,
     left_kernel_mod,
@@ -664,6 +671,100 @@ class TestDeficientElimination:
         t = _TotalComplex(g, _module_complex(augmentation_ideal(g)))
         sparse_saturation(t.diff_cols(1) + t.relation_cols(2), t.dim(2), [2, 3, 5])
         assert calls and all(pivs and all(v % p == 0 for v in pivs) for p, pivs in calls)
+
+    def test_non_kernel_combination_raises(self, monkeypatch):
+        """A combination that is no left-kernel vector mod p, here the row
+        (2, 1) alone at p = 2, has an entry p does not divide: it raises
+        :class:`InternalError`, not a floor-divided row."""
+        module = sys.modules["shacalc.intlinalg"]
+        monkeypatch.setattr(module, "_deficient_kernel_mod", lambda pivots, deficient, p: [{0: 1}])
+        with pytest.raises(InternalError, match="does not divide"):
+            sparse_saturation([{0: 2, 1: 1}], 2, [2])
+
+
+def ladder_boundaries():
+    """(label, B^i, width, primes) for each case of the bench ladder, G in
+    ``LADDER_GROUPS`` with Z, I_G and J^D in degrees 1 and 2: the
+    generators of B^i on the saturation route, at the primes of its
+    torsion bound."""
+    for name, g in LADDER_GROUPS.items():
+        j_dual = dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)])
+        for coef, complex_ in (
+            ("Z", _module_complex(trivial_module(g, 1))),
+            ("I_G", _module_complex(augmentation_ideal(g))),
+            ("J^D", j_dual),
+        ):
+            t = _TotalComplex(g, complex_)
+            for degree in (1, 2):
+                primes = sorted(_prime_factors(_hyper_torsion_bound(complex_, degree)))
+                rows = t.diff_cols(degree - 1) + t.relation_cols(degree)
+                yield f"{name} {coef} {degree}", rows, t.dim(degree), primes
+
+
+class TestUnitSplit:
+    """``split_unit_pivots`` splits the echelon of L into U, the rows with
+    pivot 1, and D', the others reduced at the pivots of U.  Then U and the
+    saturation S of D' span the saturation of L, which the full elimination
+    of ``helpers`` is the reference for, with its index, and that index is
+    the order of S / D'."""
+
+    @staticmethod
+    def assert_split(rows, width, primes):
+        units, rest = split_unit_pivots(rows, width)
+        saturated, index = sparse_saturation(rest, width, primes)
+        want, want_index = full_elimination_saturation(rows, width, primes)
+        unit_rows = units.sparse_rows()
+        assert all(row[min(row)] == 1 for row in unit_rows)
+        assert all(row[min(row)] > 1 for row in rest)
+        assert [min(row) for row in rest] == sorted(min(row) for row in rest)
+        unit_pivots = {min(row) for row in unit_rows}
+        assert not any(c in row for row in rest for c in unit_pivots)
+        assert hermite_rows(unit_rows + saturated.sparse_rows(), width) == want
+        assert echelon_sum(units, saturated) == want
+        assert index == want_index
+        assert group_order(present_quotient(saturated, rest)) == index
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=row_lists())
+    def test_row_lists(self, data):
+        rows, width = data
+        self.assert_split([{k: v for k, v in enumerate(r) if v} for r in rows], width, [2, 3])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(system=unit_heavy_systems())
+    def test_unit_heavy_systems(self, system):
+        columns, nrows = system
+        self.assert_split(columns, nrows, [2, 3])
+
+    def test_boundaries_of_the_ladder(self):
+        """Every ladder case but S4 with I_G and J^D in degree 2, on which
+        the full elimination of the reference takes 2-3 s each."""
+        for label, rows, width, primes in ladder_boundaries():
+            if label not in ("S4 I_G 2", "S4 J^D 2"):
+                self.assert_split(rows, width, primes)
+
+    def test_echelon_sum_reduces_neither_lattice(self):
+        """The sum of two lattices with disjoint pivot columns is held as
+        the union of copies of their echelons: building it reduces
+        nothing, and reading its basis reduces it alone."""
+        a, b = hermite_rows([[1, 5, 3], [0, 0, 1]], 3), hermite_rows([[0, 2, 7]], 3)
+        want = hermite_rows([[1, 5, 3], [0, 0, 1], [0, 2, 7]], 3).rows
+        with lattice_reads() as (reduced, _):
+            total = echelon_sum(a, b)
+            assert reduced == []
+            assert total.rows == want and reduced == [total]
+        assert held_rows(a) == ((1, 5, 3), (0, 0, 1)) and held_rows(b) == ((0, 2, 7),)
+        with pytest.raises(StructuralError, match="share a pivot"):
+            echelon_sum(a, hermite_rows([[0, 0, 2]], 3))
+        with pytest.raises(StructuralError, match="width"):
+            echelon_sum(a, hermite_rows([[0, 2]], 2))
+
+    def test_unit_rows_reduce_a_deficient_row(self):
+        """(2, 1) and (0, 1): the unit row clears the 1 of the deficient
+        row, which leaves (2, 0), saturated at 2 to (1, 0), at index 2."""
+        units, rest = split_unit_pivots([{0: 2, 1: 1}, {1: 1}], 2)
+        assert units.rows == ((0, 1),) and rest == [{0: 2}]
+        assert sparse_saturation(rest, 2, [2]) == (hermite_rows([[1, 0]], 2), 2)
 
 
 # every way to read a lattice's canonical basis

@@ -15,7 +15,8 @@ benchmark harness; code that only tests use belongs in ``tests/``.
   attribute of the same name does not reach a method.
 
 The lattice format stays inside ``intlinalg``: no other module of the
-package imports one of its underscore names.
+package imports one of its underscore names, or touches the attributes
+that hold a ``Lattice``'s echelon (``_index``, ``_pending``).
 """
 
 import ast
@@ -149,18 +150,46 @@ def test_checks_catch_what_no_command_reaches(tmp_path):
     assert unreached_methods(package, bench) == ["mod.Box.countdown", "mod.Box.width"]
 
 
-def intlinalg_private_imports() -> list[str]:
+# the attributes in which a ``Lattice`` holds its echelon
+LATTICE_ATTRIBUTES = ("_index", "_pending")
+
+
+def intlinalg_private_uses(package: Path = PACKAGE) -> list[str]:
     """``module: name`` for each underscore name that a package module
-    other than ``intlinalg`` imports from ``intlinalg``."""
+    other than ``intlinalg`` imports from ``intlinalg``, and
+    ``module: .attribute`` for each use there of a ``Lattice`` echelon
+    attribute."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         if path.stem == "intlinalg":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module in ("intlinalg", "shacalc.intlinalg"):
                 found.extend(f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_"))
+            elif isinstance(node, ast.Attribute) and node.attr in LATTICE_ATTRIBUTES:
+                found.append(f"{path.stem}: .{node.attr}")
     return found
 
 
 def test_lattice_format_stays_in_intlinalg():
-    assert intlinalg_private_imports() == []
+    assert intlinalg_private_uses() == []
+
+
+def test_lattice_check_catches_echelon_reads(tmp_path):
+    """On a small tree: an underscore import from ``intlinalg`` and reads
+    of ``._index`` and ``._pending`` are flagged; the same reads inside
+    ``intlinalg``, a public import, and an attribute whose name only starts
+    like one of them are not."""
+    (tmp_path / "intlinalg.py").write_text(dedent("""\
+        class Lattice:
+            def __len__(self):
+                return len(self._index) if self._pending else 0
+        """))
+    (tmp_path / "mod.py").write_text(dedent("""\
+        from .intlinalg import _sparse_insert, hermite_rows
+
+        def peek(lattice, other):
+            rows = lattice._index
+            return rows, other._pending, other._indexes
+        """))
+    assert intlinalg_private_uses(tmp_path) == ["mod: _sparse_insert", "mod: ._index", "mod: ._pending"]

@@ -71,6 +71,7 @@ from shacalc.suites import (
 
 from helpers import (
     all_subgroups,
+    bar_route,
     catalog,
     eager_kernel,
     eager_restriction_map,
@@ -607,8 +608,10 @@ class TestGeneratorEvaluation:
                 assert group.representatives == eager.representatives
             else:
                 # reading them rechecks them; the eager kernels of degree-2
-                # ambients with hundreds of generators take seconds each
-                assert len(group.representatives) == ambient.group_value.generator_count
+                # ambients with hundreds of generators take seconds each.
+                # The cocycles of the group hold B^i, so they span a
+                # sublattice of full rank in Z^i
+                assert len(group.representatives) == len(ambient.representatives)
         for group, kernel in zip(shared, want):
             assert group.quotient_by(shared[-1]) == kernel.quotient_by(want[-1])
         trivial = [("t", ambient.group.trivial_subgroup())]
@@ -786,14 +789,29 @@ class TestQuotientBy:
         datum = self.datum()
         ig = augmentation_ideal(datum.group)
         big = sha(datum, ig, 1, PlaceSelection.of("v_c", "v_full"))
-        permuted = self.conjugated(ig, IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+        rebased = self.conjugated(ig, IntMatrix([[-1, -1, 0], [-1, 0, -1], [-1, -1, -1]]))
         sheared = self.conjugated(ig, IntMatrix([[1, 0, 0], [0, 1, -1], [0, 1, 0]]))
-        for m, same_value in ((permuted, False), (sheared, True)):
+        for m, same_value in ((rebased, False), (sheared, True)):
             other = sha(datum, m, 1)
             assert (other.ambient.group_value == big.ambient.group_value) == same_value
-            assert other.ambient.lattice != big.ambient.lattice
+            assert other.ambient.representatives != big.ambient.representatives
             with pytest.raises(StructuralError, match="different ambient"):
                 big.quotient_by(other)
+
+    def test_other_unit_rows_rejected(self):
+        """H^1(Z4, Z[Z4]) on another basis of Z[Z4]: the same value on the
+        same sat(D'), but other unit rows U of the saturation route, so
+        another cocycle lattice Z^1."""
+        g = GROUPS["Z4"]
+        datum = LocalDatum(g)
+        reg = regular_module(g)
+        u = IntMatrix([[-1, -1, -1, -1], [-1, -1, -1, 0], [-1, -1, 0, -1], [-1, 0, -1, -1]])
+        mine, other = sha(datum, reg, 1), sha(datum, self.conjugated(reg, u), 1)
+        assert other.ambient.group_value == mine.ambient.group_value
+        assert other.ambient.lattice == mine.ambient.lattice
+        assert other.ambient.representatives != mine.ambient.representatives
+        with pytest.raises(StructuralError, match="different ambient"):
+            mine.quotient_by(other)
 
     def test_group_not_contained_rejected(self):
         """Sha_empty = 0 lies in Sha_S = Z/2, not the other way round."""
@@ -870,10 +888,13 @@ class TestSolveCounts:
         return sha_two_term(plain_datum("V4"), complex_, 2)
 
     def test_restriction_solves_once_per_kept_generator(self):
+        """On values with generators that the reduced view leaves out: the
+        saturation-route value H^1(V4, I_G) in the coordinates of Z^1
+        (``bar_route``), and a kernel-route value."""
         g = GROUPS["V4"]
         sub = g.generated_subgroup([1])
         for m, degree in ((augmentation_ideal(g), 1), (torsion_module(g, 4), 2)):
-            h = cohomology(g, m, degree)
+            h = bar_route(cohomology(g, m, degree))
             kept = h.group_value.reduced().kept
             assert len(kept) < h.group_value.generator_count
             res, calls = self.solves(lambda: restriction(h, sub))
