@@ -13,18 +13,20 @@ order.  The differential is the standard one,
 with no normalization assumed.  H^i is Z^i / B^i computed on presented
 groups, where B^i = im d^{i-1} plus the module's relation rows in every
 tuple block, and Z^i is the lattice of cochains whose coboundary lies in
-the relation rows of C^{i+1}.  Z^i, or on the generator route the values
-of its cocycles at the generators, is computed along one of three routes:
+the relation rows of C^{i+1}.  The value is computed along one of three
+routes.  The two that build a differential split off the unit rows U of
+B^i first and find Z', the cocycles that vanish on the pivot columns of
+U (below); the generator route finds the values of the cocycles at the
+generators:
 
 * the saturation route, for Z-free coefficients K whenever HH^i of the
   trivial group is finite: a module in degree >= 1, a complex in degree
   >= 2, or a complex in degree 1 when coker f is finite.  Since
   cor o res = |G|, e = |G| * exp HH^i(1, K) kills HH^i(G, K) (Brown,
   Cohomology of Groups, III.9-10).  C^{i+1} is torsion-free, so Z^i is
-  the saturation of B^i: the vectors with a multiple in B^i.  It is
-  found by saturating, at the primes of e, the part of B^i left after
-  its unit-pivot rows are split off (below).  Only d^{i-1} is built;
-  d^i and C^{i+1} never are;
+  the saturation of B^i: the vectors with a multiple in B^i.  Z' is
+  found by saturating the rest D' of B^i at the primes of e.  Only
+  d^{i-1} is built; d^i and C^{i+1} never are;
 * the generator route, for a module with torsion in degree 1: a crossed
   homomorphism is known by its values at the k generators (Holt, The
   mechanical computation of first and second cohomology groups,
@@ -33,12 +35,15 @@ of its cocycles at the generators, is computed along one of three routes:
   k * rk.  No differential is built, and no lattice in C^1 until the
   representatives are read;
 * the kernel route, everywhere else (degree 0, degree 2 with torsion,
-  complexes with torsion, an infinite coker f): Z^i is read off the
-  sparse kernel of d^i augmented by the relation rows of C^{i+1}.  Only
-  the rows of C^{i+1} whose tuple ends in a listed generator s in S are
-  built, with the relation rows of those tuples: |G|^i * |S| rows per
-  rank instead of |G|^{i+1}, and 2|S| entries in a column whose tuple
-  does not end in S.
+  complexes with torsion, an infinite coker f): Z' is read off the
+  sparse kernel of d^i augmented by the relation rows of C^{i+1} and by
+  one equation x_c = 0 for each pivot column c of U.  Those equations
+  have one unit entry each, so the unit phase of the kernel eliminates
+  them first, and their unknowns never reach the echelon.  Only the rows
+  of C^{i+1} whose tuple ends in a listed generator s in S are built,
+  with the relation rows of those tuples: |G|^i * |S| rows per rank
+  instead of |G|^{i+1}, and 2|S| entries in a column whose tuple does
+  not end in S.
 
 The kernel route may leave out the other rows by this lemma: if
 delta in C^m(G, M), m >= 1, has d delta = 0 in M and vanishes on every
@@ -108,33 +113,40 @@ and c = L(V(c)) modulo R, which ``class_coords`` checks: if so, c is a
 cocycle plus relation rows; if c is a cocycle, the induction of the
 second point gives c = L(V(c)) modulo R.
 
-The saturation route splits the gcd echelon E of B^i (see
+Both routes with a differential split the gcd echelon E of B^i (see
 :func:`~shacalc.intlinalg.split_unit_pivots`) into U, the rows with
 pivot 1, whose pivot columns are J, and D', the other rows, each reduced
 at the pivots of U, so zero on J.  That reduction is unimodular, so
-B^i = span(U) + span(D').  Then Z^i = span(U) + sat(D'), a direct sum,
-and [Z^i : B^i] = [sat(D') : D']:
+B^i = span(U) + span(D').  Let Z' be the cocycles that vanish on J.
+Then Z^i = span(U) + Z', a direct sum, and Z^i / B^i is isomorphic to
+Z' / D' by inclusion:
 
 * U restricted to J is unitriangular, so each x in C^i has one
-  combination u of U that agrees with x on J;
-* if n * x lies in B^i, n with its prime factors among those of e,
-  write n * (x - u) = a + b with a in span(U), b in span(D').  Both
-  n * (x - u) and b vanish on J, so a does too, and a = 0 since U is
-  independent on J.  So x - u lies in sat(D');
-* sat(D') vanishes on J, since a multiple of each of its vectors does,
-  and span(U) meets the vectors that vanish on J in 0.
+  combination u of U that agrees with x on J, and span(U) meets the
+  vectors that vanish on J in 0;
+* U consists of boundaries, so for a cocycle x the cocycle x - u lies in
+  Z'; hence Z^i = span(U) + Z', and D', boundaries that vanish on J,
+  lies in Z';
+* so Z^i / B^i = (span(U) + Z') / (span(U) + span(D')) = Z' / D'.
 
-Hence Z^i / B^i = (span(U) + sat(D')) / (span(U) + span(D')) is
-isomorphic to sat(D') / D' by inclusion, and the value is presented
-there: on the Hermite basis S of sat(D'), with one relator per row of
-D', solved on S.  No boundary is solved on Z^i.  With u the combination
-of U that agrees with a cochain c on J, c is a cocycle iff c - u lies in
-sat(D'), and then c - u has the class of c, since u is a boundary.
+On the kernel route Z' is the kernel above.  On the saturation route
+Z' = sat(D'): if n * x lies in B^i, n with its prime factors among those
+of e, and x vanishes on J, write n * x = a + b with a in span(U), b in
+span(D').  Both n * x and b vanish on J, so a does too, and a = 0 since
+U is independent on J; so x lies in sat(D').  Conversely sat(D') lies in
+sat(B^i) = Z^i and vanishes on J, since a multiple of each of its
+vectors does.
+
+The value is presented on the Hermite basis of Z', with one relator per
+row of D', solved on it.  No boundary is solved on Z^i.  With u the
+combination of U that agrees with a cochain c on J, c is a cocycle iff
+c - u lies in Z', and then c - u has the class of c, since u is a
+boundary.
 
 All routes give the same lattice Z^i in C^i, and its canonical Hermite
 basis gives the printed representatives, so the route never shows in
-the results.  The generator route builds that basis from L(K) and R, the
-saturation route from U and S, only when the representatives are read.
+the results.  The generator route builds that basis from L(K) and R,
+the other two from U and Z', only when the representatives are read.
 
 For a two-term complex f : A -> B (A in degree 0, B in degree 1) the total
 complex is T^n = C^n(A) + C^{n-1}(B) with the fixed sign convention
@@ -147,27 +159,23 @@ so that representative-level tests are stable.
 A module M is computed as the complex M -> 0: then T^n = C^n(M) and D = d,
 so H^i(G, M) = HH^i(G, M -> 0) with the same coordinates.
 
-The value's coordinates depend on the route.  On the kernel route
-Z^i / B^i is presented on the Hermite basis of Z^i, with one relator per
-generator of B^i, each solved sparsely on that basis; it has about
-rank B^i generators, most of them left out by its reduced view (see
-:mod:`shacalc.abelian`).  On the saturation route sat(D') / D' is
-presented on S, with rank D' generators, and on the generator route
-K / (D0 + R^k) on the Hermite basis of K, with at most k * rk
-generators.  Each lattice is a :class:`~shacalc.intlinalg.Lattice`: the
+The value comes in one of two layouts.  Off the generator route Z' / D'
+is presented on the Hermite basis of Z', with rank Z' generators, and
+U is held beside it; on the generator route K / (D0 + R^k) is presented
+on the Hermite basis of K, with at most k * rk generators, and R is held
+beside it.  Each lattice is a :class:`~shacalc.intlinalg.Lattice`: the
 basis comes out of the gcd echelon together with its index, and the
 group holds both, so the class solves of ``class_coords`` run on the
 index that presented the value.  The group also holds the map from the
-lattice's coordinates to cochains, L on the generator route and the
-identity on the others, so a class given on the value's generators has
-a cocycle.
+lattice's coordinates to cochains, the identity or L, so a class given
+on the value's generators has a cocycle.
 
-The main values of the paper are zeros, and they cost few solves.  On
-the saturation route an index of 1 means sat(D') = D', and the value is
-presented by the rank D' rows of D', solved on S, into a group that the
-reduced view takes to no generator.  Most pivots of E are 1 (all of
-them for H^2(S4, I_G)), so D' is small.  Z^i is not built until the
-representatives are read; a class solve needs only U and S.
+The main values of the paper are zeros, and they cost few solves.  The
+value is presented by the rows of D', solved on Z'; most pivots of E are
+1 (all of them for H^2(S4, I_G)), so D' is small.  When [Z' : D'] is 1
+(on the saturation route, an index of 1: sat(D') = D'), the reduced view
+takes the value to no generator.  Z^i is not built until the
+representatives are read; a class solve needs only U and Z'.
 
 No command restricts a computed group to a subgroup: a Sha condition
 reads the ambient's cocycles on rows of the subgroup's total complex (see
@@ -466,18 +474,19 @@ class CohomologyGroup:
     its class coordinates.
 
     The value is presented on the rows of ``lattice``, the value lattice
-    in its own coordinates: Z^i in C^i on the kernel route, sat(D') in C^i
-    on the saturation route, K in M^k on the generator route (see the
-    module docstring).  ``_walk`` maps those coordinates to cochains: the
-    walk's linear map L, as one linear form {unknown: coefficient} per
-    coordinate of C^1, or None for the identity.  ``_units`` is the
-    lattice of the unit rows U of the saturation route, held beside the
-    value lattice as the generator route holds R, or None on the other
-    routes.  :meth:`cochain` gives the cocycle of a class given on the
-    value's generators, :meth:`class_coords` the class of a cocycle.  The
-    printed ``representatives`` are the canonical Hermite basis of Z^i in
-    C^i, whatever the route; on the generator and saturation routes it is
-    built on first read, from L(K) and R, or from U and sat(D')."""
+    in its own coordinates, and it comes in one of two layouts (see the
+    module docstring).  When ``_walk`` is None the lattice is Z' in C^i,
+    the cocycles that vanish on the pivot columns of U, and ``_units`` is
+    the lattice of the unit rows U of B^i, held beside it; the map to
+    cochains is the identity.  On the generator route the lattice is K in
+    M^k, the relation rows R of every block are held beside it, and
+    ``_walk`` is the walk's linear map L, as one linear form
+    {unknown: coefficient} per coordinate of C^1.  :meth:`cochain` gives
+    the cocycle of a class given on the value's generators,
+    :meth:`class_coords` the class of a cocycle.  The printed
+    ``representatives`` are the canonical Hermite basis of Z^i in C^i,
+    whatever the route, built on first read from the value lattice and
+    what is held beside it."""
 
     degree: int
     group: FiniteGroup
@@ -515,17 +524,15 @@ class CohomologyGroup:
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cocycle's class on the computed generators; a
-        vector that is no cocycle raises :class:`StructuralError`.  On the
-        saturation route the combination of U that agrees with c on the
+        vector that is no cocycle raises :class:`StructuralError`.  Off the
+        generator route the combination of U that agrees with c on the
         pivot columns of U is subtracted first, a boundary, and the rest
-        lies in sat(D') iff c is a cocycle.  On the generator route the
-        class is that of the values c(s_l), and c is a cocycle iff they lie
-        in K and c = L(c(s_l)) modulo the relation rows (see the module
+        lies in Z' iff c is a cocycle.  On the generator route the class is
+        that of the values c(s_l), and c is a cocycle iff they lie in K and
+        c = L(c(s_l)) modulo the relation rows (see the module
         docstring)."""
         if self._walk is None:
-            if self._units is not None:
-                vec = self._units.reduce(vec)
-            return class_on_basis(self.group_value, self.lattice, vec)
+            return class_on_basis(self.group_value, self.lattice, self._units.reduce(vec))
         if len(vec) != len(self._walk):
             raise StructuralError("vector length does not match the cochain rank")
         rk = self._cochains.ca.gm
@@ -543,13 +550,10 @@ class CohomologyGroup:
 
     @cached_property
     def _cocycles(self) -> Lattice:
-        """Z^i in C^i: the value lattice itself on the kernel route, else
-        built on first read: span(U) + sat(D'), whose pivot columns are
-        disjoint, or the lattice of L(K) and R."""
-        if self._units is not None:
-            return echelon_sum(self._units, self.lattice)
+        """Z^i in C^i, built on first read: span(U) + Z', whose pivot
+        columns are disjoint, or the lattice of L(K) and R."""
         if self._walk is None:
-            return self.lattice
+            return echelon_sum(self._units, self.lattice)
         t = self._cochains
         walked = [self._cochain_of(row) for row in self.lattice.sparse_rows()]
         return hermite_rows(t.relation_cols(1) + walked, t.dim(1))
@@ -564,31 +568,23 @@ class CohomologyGroup:
         subgroup spanned by the sparse ``rows``, which are given on every
         generator of the value and span its relations.
 
-        On the kernel route those coordinates are the value's own.  On the
-        others the cocycles are the cochains of the value-lattice vectors
-        the rows give, plus the boundaries held beside it: U on the
-        saturation route, since B^i = span(U) + span(D'); R on the
-        generator route, since a cocycle c has the class of its values
-        V(c), and c = L(V(c)) modulo R (see the module docstring).  Each is
-        solved on Z^i."""
+        Those cocycles are the cochains of the value-lattice vectors the
+        rows give, plus the boundaries held beside the value lattice: U,
+        since B^i = span(U) + span(D'), or R on the generator route, since
+        a cocycle c has the class of its values V(c), and c = L(V(c))
+        modulo R (see the module docstring).  Each is solved on Z^i."""
         cocycles = self._cocycles
-        if cocycles is self.lattice:
-            basis = hermite_rows(rows, self.group_value.generator_count)
-        else:
-            lattice = self.lattice.sparse_rows()
-            vectors = [self._cochain_of(_combination(lattice, row)) for row in rows]
-            if self._units is not None:
-                vectors += self._units.sparse_rows()
-            else:
-                vectors += self._cochains.relation_cols(1)
-            coords = []
-            for vec in vectors:
-                c = cocycles.solve(vec)
-                if c is None:
-                    raise InternalError(f"a cocycle of the value escapes Z^{self.degree}")
-                coords.append(c)
-            basis = hermite_rows(coords, len(cocycles))
+        lattice = self.lattice.sparse_rows()
+        vectors = [self._cochain_of(_combination(lattice, row)) for row in rows]
+        vectors += self._units.sparse_rows() if self._walk is None else self._cochains.relation_cols(1)
+        coords = []
+        for vec in vectors:
+            c = cocycles.solve(vec)
+            if c is None:
+                raise InternalError(f"a cocycle of the value escapes Z^{self.degree}")
+            coords.append(c)
         reps = cocycles.sparse_rows()
+        basis = hermite_rows(coords, len(cocycles))
         return tuple(self._dense(_combination(reps, b)) for b in basis.sparse_rows())
 
     def __str__(self) -> str:
@@ -610,8 +606,8 @@ def _hypercohomology(
     """HH^degree(group, A -> B) on the total complex, by the saturation
     route when a torsion bound is known, else by the generator route for a
     module in degree 1, else by the kernel route.  The cap bounds the rows
-    the generator route eliminates, the rank of T^i that the saturation
-    route saturates in, and the rank of T^2 on the kernel route."""
+    the generator route eliminates, and the rank of T^i on the two routes
+    that split B^i in T^i."""
     if degree not in (0, 1, 2):
         raise StructuralError("only degrees 0..2 are supported")
     t = _TotalComplex(group, complex_)
@@ -630,35 +626,34 @@ def _hypercohomology(
         gens = list(group.generators)
         value = present_quotient(lattice, t.ca.diff_cols(0, gens) + t.ca.relation_cols(1, gens))
     else:
-        # the saturation route saturates in T^i; the kernel route maps into
-        # T^{i+1}, bounded by T^2
-        budget_degree = degree if torsion_bound is not None else 2
-        rank = t.dim(budget_degree)
+        # both differential routes work in T^i
+        rank = t.dim(degree)
         if rank > cochain_cap:
             raise ResourceError(
-                f"degree-{budget_degree} cochain space has rank {rank}, over the cap {cochain_cap}",
+                f"degree-{degree} cochain space has rank {rank}, over the cap {cochain_cap}",
                 dimension=rank,
             )
-        # the generators of B^i: the image of d^{i-1} and the relation rows
+        # the generators of B^i: the image of d^{i-1} and the relation rows;
+        # B^i = span(U) + span(D'), Z^i = span(U) + Z', and the value is
+        # Z' / D' (see the module docstring)
         boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + t.relation_cols(degree)
+        units, rest = split_unit_pivots(boundaries, rank)
         if torsion_bound is not None:
             # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1}
-            # is torsion-free, so Z^i = span(U) + sat(D') at its primes, and
-            # the value is sat(D') / D'
-            primes = sorted(_prime_factors(torsion_bound))
-            units, rest = split_unit_pivots(boundaries, t.dim(degree))
-            lattice, _ = sparse_saturation(rest, t.dim(degree), primes)
-            value = present_quotient(lattice, rest)
+            # is torsion-free, so Z' = sat(D') at its primes
+            lattice, _ = sparse_saturation(rest, rank, sorted(_prime_factors(torsion_bound)))
         else:
-            # the kernel route: Z^i is the preimage under d^i of the relation
+            # the kernel route: Z' is the preimage under d^i of the relation
             # rows of C^{i+1}, on the rows of C^{i+1} whose tuple ends in a
-            # generator (see the module docstring); the trivial group keeps
-            # its one tuple
+            # generator (see the module docstring; the trivial group keeps
+            # its one tuple), with one equation x_c = 0 on a row of its own
+            # for each pivot column c of U
             last = sorted(set(group.generators)) or [0]
-            lattice = preimage_kernel(
-                t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
-            )
-            value = present_quotient(lattice, boundaries)
+            cols, nrows = t.diff_cols(degree, last), t.dim(degree + 1, last)
+            for r, c in enumerate(units.pivots):
+                cols[c][nrows + r] = 1
+            lattice = preimage_kernel(cols, nrows + len(units), t.relation_cols(degree + 1, last))
+        value = present_quotient(lattice, rest)
     return CohomologyGroup(
         degree=degree,
         group=group,

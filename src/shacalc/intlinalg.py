@@ -288,6 +288,11 @@ class Lattice:
             self._reduce_above_pivots()
         return [row for _, row in self._index]
 
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot columns, in increasing order."""
+        return [c for c, _ in self._index]
+
     def __len__(self) -> int:
         return len(self._index)
 
@@ -699,10 +704,8 @@ def split_unit_pivots(
     The reduction is unimodular, so L = span(U) + span(D').  U restricted
     to J is unitriangular and D' vanishes on J, so for any set of primes
     the saturation of L is span(U) + sat(D'), a direct sum, with the same
-    index: given x with n * x in L, let u be the combination of U that
-    agrees with x on J; n * (x - u) = a + b with a in span(U), b in
-    span(D'), and a vanishes on J, so a = 0 and x - u lies in sat(D').
-    Hence sat(L) / L and sat(D') / D' are isomorphic by inclusion."""
+    index (:mod:`shacalc.cohomology` proves the split for any lattice
+    that contains L)."""
     pivots: dict[int, dict[int, int]] = {}
     for row in reversed(rows):
         _sparse_insert(pivots, dict(row))

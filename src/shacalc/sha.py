@@ -34,22 +34,20 @@ Reduced coordinates
 A Sha group is the kernel of the stacked conditions (below) on the
 reduced view of the ambient value (see :mod:`shacalc.abelian`), so its
 value, its lattice and its quotients live on the kept generators only.
-Those are generators in the ambient's own coordinates: of Z^i on the
-kernel route, of sat(D'), the part of Z^i left after the unit rows U
-of B^i are split off, on the saturation route, and of K, the values at
-the generators, on the generator route (see :mod:`shacalc.cohomology`).
-Each value generator gets one cochain, the ambient's cocycle of that
-class (L(v) on the generator route, at |G| * rk coordinates), and the
-cochain-level recheck (every cochain restricts to zero on every
-restricted subgroup, below) runs on those cochains whenever a group is
-built.  The printed representatives are built on first access only: the
-Hermite basis, in the coordinates of the Hermite basis of Z^i, of the
-cocycles whose classes lie in the Sha group, times that basis.  On the
-kernel route those coordinates are the ambient generators; on the
-others the cocycles, with the boundaries the ambient holds beside its
-value lattice (U, or the relation rows R of every block), are solved on
-Z^i, which is built then.  The recheck runs again on the
-representatives.  A quotient takes no second kernel: the smaller Sha
+Those are generators in the ambient's own coordinates: of Z', the part
+of Z^i left after the unit rows U of B^i are split off, on the
+saturation and kernel routes, and of K, the values at the generators,
+on the generator route (see :mod:`shacalc.cohomology`).  Each value
+generator gets one cochain, the ambient's cocycle of that class (L(v)
+on the generator route, at |G| * rk coordinates), and the cochain-level
+recheck (every cochain restricts to zero on every restricted subgroup,
+below) runs on those cochains whenever a group is built.  The printed
+representatives are built on first access only: the Hermite basis, in
+the coordinates of the Hermite basis of Z^i, of the cocycles whose
+classes lie in the Sha group, times that basis.  Those cocycles, with
+the boundaries the ambient holds beside its value lattice (U, or the
+relation rows R of every block), are solved on Z^i, which is built
+then.  The recheck runs again on the representatives.  A quotient takes no second kernel: the smaller Sha
 lattice holds the ambient relations, so it alone is solved on the
 bigger one's basis.  Two ambients are equal when their values, value
 lattices, walks and unit rows are.

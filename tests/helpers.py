@@ -9,7 +9,7 @@ the restriction of a module and of a computed group to a subgroup (the
 reference for the Sha conditions), the cocycle of each generator of a
 computed value, the value on the bar route (on the Hermite basis of
 Z^i in C^i, the reference for the value in generator coordinates and on
-sat(D')), the groups of the bench ladder,
+Z'), the groups of the bench ladder,
 the full cocycle test of a cochain, the inclusion and the quotient of
 Sha groups, a restriction's class map on every generator
 of its source value (composed from the reduced map, or eager), the Sha
@@ -17,7 +17,7 @@ kernels built from those restrictions and stacked class maps (eager, on
 every generator of the ambient value, and on its reduced view), the
 column-order echelon kernel that ``sparse_kernel`` must reproduce, the
 checked rows of the kernel route cut out of the full differential, the
-kernel route's Z^1, the mod-p left kernel over every row and the
+kernel route's Z^i, the mod-p left kernel over every row and the
 saturation that eliminated with it, the checked faithful quotient, the
 dense Hermite form, and the dense lattice solve and reduction.  The
 subquotient, the restrictions, the cocycle test and the last eight are
@@ -50,6 +50,7 @@ from shacalc.intlinalg import (
     Lattice,
     _hermite_from_echelon,
     _sparse_insert,
+    hermite_rows,
     preimage_kernel,
     sparse_apply,
     sparse_from_matrix,
@@ -297,22 +298,22 @@ def generator_cochains(cg: CohomologyGroup) -> list[tuple[int, ...]]:
 def bar_route(cg: CohomologyGroup) -> CohomologyGroup:
     """``cg`` with its value presented in the coordinates of Z^i: on the
     Hermite basis of Z^i in C^i, with one relator per generator of B^i,
-    each solved on that basis; the cochain map is the identity.  The
-    reference for a value in other coordinates.  On the generator route
-    (H^1 of a module with torsion) Z^1 is the kernel route's
-    (``kernel_route_cocycles``) and B^1 is spanned by d^0 and the relation
-    rows; on the saturation route Z^i is the saturation of B^i, the image
-    of d^{i-1} and the relation rows, at the primes of the torsion bound
-    (``full_elimination_saturation``).  A group whose value lattice is Z^i
-    already comes back as it is."""
-    if cg._walk is None and cg._units is None:
-        return cg
+    each solved on that basis; the cochain map is the identity, and no
+    unit rows are held beside the value lattice.  The reference for a
+    value in other coordinates, which every route gives.  On the kernel
+    route Z^i is the preimage under d^i of the relation rows, on the
+    checked rows of C^{i+1} (``checked_coords``), with no equation at the
+    pivot columns of U (``kernel_route_cocycles``), also on the generator
+    route (H^1 of a module with torsion); on the saturation route it is the saturation of B^i, the image of d^{i-1}
+    and the relation rows, at the primes of the torsion bound
+    (``full_elimination_saturation``)."""
     t, d = cg._cochains, cg.degree
     boundaries = (t.diff_cols(d - 1) if d else []) + t.relation_cols(d)
-    if cg._walk is not None:
-        cocycles = kernel_route_cocycles(t)
+    bound = _hyper_torsion_bound(cg.coefficients, d)
+    if cg._walk is not None or bound is None:
+        cocycles = kernel_route_cocycles(t, d)
     else:
-        primes = sorted(_prime_factors(_hyper_torsion_bound(cg.coefficients, d)))
+        primes = sorted(_prime_factors(bound))
         cocycles, _ = full_elimination_saturation(boundaries, t.dim(d), primes)
     return CohomologyGroup(
         degree=d,
@@ -321,6 +322,7 @@ def bar_route(cg: CohomologyGroup) -> CohomologyGroup:
         group_value=present_quotient(cocycles, boundaries),
         lattice=cocycles,
         _cochains=t,
+        _units=hermite_rows([], t.dim(d)),
     )
 
 
@@ -611,14 +613,16 @@ def checked_coords(cochains, i: int) -> list[int]:
     ]
 
 
-def kernel_route_cocycles(t) -> Lattice:
-    """Z^1 of the total complex ``t`` by the kernel route, the one that
-    degree 1 of a module took before the generator route: the preimage
-    under d^1, built on the checked rows of C^2 only (see
-    ``checked_coords``), of their relation rows.  The reference for the
-    generator route."""
+def kernel_route_cocycles(t, degree: int = 1) -> Lattice:
+    """Z^i of the total complex ``t`` by the kernel route as it was before
+    it split off the unit rows of B^i, and the one that degree 1 of a
+    module took before the generator route: the preimage under d^i, built
+    on the checked rows of C^{i+1} only (see ``checked_coords``), of their
+    relation rows.  The reference for the kernel and generator routes."""
     last = sorted(set(t.ca.group.generators)) or [0]
-    return preimage_kernel(t.diff_cols(1, last), t.dim(2, last), t.relation_cols(2, last))
+    return preimage_kernel(
+        t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
+    )
 
 
 def left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:

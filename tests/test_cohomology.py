@@ -317,27 +317,23 @@ def route_of(compute):
 
 
 def assert_same_as_full_kernel(h):
-    """``h`` has the Hermite basis and the relators of the kernel route
-    run on every row of d^i: as its own value, or, for a value in other
-    coordinates (the generator and saturation routes), as the value of the
-    bar-route reference it matches."""
+    """``h`` has the Hermite basis of the kernel route run on every row of
+    d^i, and its value matches the bar-route reference, which has the
+    relators of that kernel route."""
     value, basis = kernel_route(h)
     assert basis.rows == h.representatives
-    ref = bar_route(h)
-    if ref is not h:
-        assert_matches_bar_route(h)
-    assert value.relation_rows == ref.group_value.relation_rows
+    assert_matches_bar_route(h)
+    assert value.relation_rows == bar_route(h).group_value.relation_rows
 
 
 def assert_matches_bar_route(h):
-    """A value in generator coordinates, or on sat(D'), against the
-    bar-route reference ``helpers.bar_route``, presented on Z^i: the same
+    """A value in generator coordinates, or on Z', against the bar-route
+    reference ``helpers.bar_route``, presented on Z^i: the same
     representatives and invariant factors, and class coordinates that make
     the map from the reference value, generator j to the class of
     representative j, an isomorphism, inverse to the map that sends each
     generator to the reference class of its cocycle."""
     ref = bar_route(h)
-    assert ref is not h
     if h._walk is not None:
         assert ref.lattice.rows == kernel_route_cocycles(h._cochains).rows
     assert h.representatives == ref.representatives
@@ -426,40 +422,58 @@ class TestRouteEquivalence:
         assert route_of(lambda: hypercohomology(g, c, 2)) == "saturation"
 
 
-class TestSaturationSplit:
-    """The saturation route presents Z^i / B^i as sat(D') / D', so it
-    solves nothing on a lattice of the rank of Z^i, and it builds Z^i,
-    from U and sat(D'), only when the representatives are read."""
+def redundant_z4(g):
+    """Z/4 with the trivial action, presented on two generators with the
+    relations (1, 1) and (0, 4): B^0 has a unit row, so H^0 splits it off."""
+    return GModule(g, PresentedAbelianGroup(2, [[1, 1], [0, 4]]), [IntMatrix.identity(2)] * len(g.generators))
 
-    @pytest.mark.parametrize(
-        "name,degree,rank,index", [("D4", 2, 49, 1), ("S4", 1, 23, 24)], ids=["D4", "S4"]
-    )
-    def test_no_solve_on_z_and_one_build_on_read(self, name, degree, rank, index, monkeypatch):
-        """H^2(D4, I_G) = 0 (index 1) and H^1(S4, I_G) = Z/24: the value
-        solves only on sat(D'), of smaller rank; no lattice of the rank of
-        Z^i is reduced before the representatives are read, and their
-        first read builds Z^i once and reduces it once."""
+
+class TestSplitValue:
+    """Both routes that split off the unit rows U of B^i present
+    Z^i / B^i as Z' / D', Z' the cocycles that vanish on the pivot columns
+    J of U: they solve the rows of D' on Z' and nothing else, solve on and
+    reduce no lattice of the rank of Z^i, and build Z^i, from U and Z',
+    only when the representatives are read."""
+
+    CASES = {
+        # name: (group, coefficients, degree, route, rank of Z^i, order of the value)
+        "D4": ("D4", augmentation_ideal, 2, "saturation", 49, 1),
+        "S4": ("S4", augmentation_ideal, 1, "saturation", 23, 24),
+        "A4-Z4": ("A4", lambda g: torsion_module(g, 4), 2, "kernel", 144, 2),
+        "S4-H0": ("S4", redundant_z4, 0, "kernel", 2, 4),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_no_solve_on_z_and_one_build_on_read(self, case, monkeypatch):
+        """H^2(D4, I_G) = 0 (index 1), H^1(S4, I_G) = Z/24,
+        H^2(A4, Z/4) = Z/2 and H^0(S4, Z/4) on a redundant presentation."""
+        name, coefficients, degree, route, rank, order = self.CASES[case]
         g = LADDER_GROUPS[name]
+        m = coefficients(g)
         module = sys.modules["shacalc.cohomology"]
-        built = []
-        for builder in ("hermite_rows", "echelon_sum"):
+        built, splits = [], []
+        for builder, out in (("hermite_rows", built), ("echelon_sum", built), ("split_unit_pivots", splits)):
 
-            def spy(*args, _real=getattr(module, builder)):
-                built.append(_real(*args))
-                return built[-1]
+            def spy(*args, _real=getattr(module, builder), _out=out):
+                _out.append(_real(*args))
+                return _out[-1]
 
             monkeypatch.setattr(module, builder, spy)
         with lattice_reads() as (reduced, solved):
-            h = cohomology(g, augmentation_ideal(g), degree)
-            assert group_order(h.group_value) == index
-            assert solved and all(len(lat) < rank for lat in solved)
-            assert built == [] and all(len(lat) < rank for lat in reduced)
+            h, routes = computed_by(lambda: cohomology(g, m, degree))
+            assert routes == [route] and group_order(h.group_value) == order
+            ((units, rest),) = splits
+            assert len(units) + len(h.lattice) == rank
+            assert sum(lat is h.lattice for lat in solved) == len(rest)
+            assert all(len(lat) < rank for lat in solved + reduced) and built == []
             reps = h.representatives
             assert len(reps) == rank and len(built) == 1 and len(built[0]) == rank
             assert [lat for lat in reduced if len(lat) == rank] == built
             before = len(reduced)
             assert h.representatives is reps
             assert len(built) == 1 and len(reduced) == before
+        assert h._units is units and units.pivots
+        assert not any(c in row for row in h.lattice.sparse_rows() for c in units.pivots)
         if name == "D4":
             assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
                 "0fd6ace5d18b13a6c4ab8b617010439311c188d8c3224befb16526845aa69c6a"
@@ -1004,15 +1018,38 @@ class TestBudget:
             cohomology(g, m, 1, cochain_cap=rows - 1)
         assert exc.value.dimension == rows
 
-    def test_generator_route_under_default_cap(self):
-        """H^1(S4 x Z2, (Z/4)^9) = Hom((Z/2)^2, Z/4)^9, whose C^2 has rank
+    @staticmethod
+    def s4_z2_z4_9():
+        """S4 x Z2 and (Z/4)^9 with the trivial action, whose C^2 has rank
         48^2 * 9 = 20736, over the default cap."""
         g = from_permutations([[1, 2, 3, 0, 4, 5], [1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]])
         assert g.order == 48
         m = GModule(g, PresentedAbelianGroup(9, [[4 * (i == j) for j in range(9)] for i in range(9)]),
                     [IntMatrix.identity(9)] * len(g.generators))
         assert _TotalComplex(g, _module_complex(m)).dim(2) == 20736
+        return g, m
+
+    def test_generator_route_under_default_cap(self):
+        """H^1(S4 x Z2, (Z/4)^9) = Hom((Z/2)^2, Z/4)^9."""
+        g, m = self.s4_z2_z4_9()
         assert invariant_factors(cohomology(g, m, 1).group_value) == (0, (2,) * 18)
+
+    def test_kernel_route_capped_by_the_rank_of_its_degree(self):
+        """The kernel route is held to the cap by the rank of T^i, not by
+        the rank of C^2, which degree 0 never builds: H^0(S4 x Z2, (Z/4)^9)
+        = (Z/4)^9 passes at the default cap and reports rank 9 over a cap
+        of 8.  In degree 2 that rank is the rank of C^2, as before:
+        H^2(S3, Z/4) reports 36."""
+        g, m = self.s4_z2_z4_9()
+        assert invariant_factors(cohomology(g, m, 0).group_value) == (0, (4,) * 9)
+        with pytest.raises(ResourceError) as exc:
+            cohomology(g, m, 0, cochain_cap=8)
+        assert exc.value.dimension == 9
+        s3 = GROUPS["S3"]
+        assert group_order(cohomology(s3, torsion_module(s3, 4), 2, cochain_cap=36).group_value) == 2
+        with pytest.raises(ResourceError) as exc:
+            cohomology(s3, torsion_module(s3, 4), 2, cochain_cap=35)
+        assert exc.value.dimension == 36
 
     def test_saturation_route_capped_by_the_rank_it_saturates_in(self):
         """The saturation route is held to the cap by the rank of T^i, in
@@ -1130,10 +1167,9 @@ class TestRestriction:
 class TestModuleAsComplex:
     def test_same_as_the_module_cochains(self):
         """H^i(G, M), computed as HH^i(G, M -> 0), has the representatives
-        and relators of the kernel route run on the cochains C^i(M) of the
-        module alone, with every row of d^i; a value in generator
-        coordinates or on sat(D') has them through the bar-route reference it
-        matches."""
+        of the kernel route run on the cochains C^i(M) of the module alone,
+        with every row of d^i, and its relators through the bar-route
+        reference it matches."""
         for name, degrees in (("Z2", (0, 1, 2)), ("V4", (0, 1, 2)), ("S3", (0, 1, 2)),
                               ("D4", (0, 1)), ("Q8", (0, 1))):
             g = GROUPS[name]
@@ -1143,10 +1179,8 @@ class TestModuleAsComplex:
                     h = cohomology(g, m, d)
                     value, basis = kernel_route(h, c)
                     assert basis.rows == h.representatives, (name, m, d)
-                    ref = bar_route(h)
-                    if ref is not h:
-                        assert_matches_bar_route(h)
-                    assert value.relation_rows == ref.group_value.relation_rows
+                    assert_matches_bar_route(h)
+                    assert value.relation_rows == bar_route(h).group_value.relation_rows
 
 
 class TestPublicComputations:

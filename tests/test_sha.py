@@ -888,9 +888,9 @@ class TestSolveCounts:
         return sha_two_term(plain_datum("V4"), complex_, 2)
 
     def test_restriction_solves_once_per_kept_generator(self):
-        """On values with generators that the reduced view leaves out: the
-        saturation-route value H^1(V4, I_G) in the coordinates of Z^1
-        (``bar_route``), and a kernel-route value."""
+        """On values with generators that the reduced view leaves out:
+        H^1(V4, I_G) and H^2(V4, Z/4) in the coordinates of Z^i
+        (``bar_route``)."""
         g = GROUPS["V4"]
         sub = g.generated_subgroup([1])
         for m, degree in ((augmentation_ideal(g), 1), (torsion_module(g, 4), 2)):
