@@ -31,11 +31,10 @@ from .arith import (
     CocharacterDatum,
     CoverResult,
     HomSpaceDatum,
-    IsogenyDatum,
     Pi1Groups,
     brauer_obstruction_groups,
     dual_complex,
-    ext0_isogeny,
+    ext0_with_data,
     fundamental_group,
     pi1_obstruction_groups,
     quasi_trivial_cover,
@@ -55,7 +54,7 @@ from .gmodules import (
     augmentation_ideal,
     augmentation_quotient,
     dual_module,
-    faithful_quotient,
+    faithful_image,
     permutation_cover,
     permutation_module,
     regular_module,

@@ -1,19 +1,26 @@
 """The homogeneous-space layer, at lattice level.
 
 Algebraic groups never appear as varieties here; the computations
-manipulate exactly the lattice data their theory runs on:
+manipulate exactly the lattice data their theory runs on, and each datum
+holds only what its results read, checked once in its constructor:
 
-* a stabilizer datum (a permutation module of characters, a character
-  module of the stabilizer, and the restriction map between them) whose
-  obstruction groups are Sha groups of the two-term complex and,
-  equivalently, degree-1 Sha groups of the character module,
-* cocharacter data (a cocharacter lattice with an injective coroot
-  sublattice) defining the algebraic fundamental group as the cokernel,
+* a stabilizer datum, the restriction map res: G_hat -> H_hat from a
+  permutation module of characters to the character module of the
+  stabilizer, whose obstruction groups are Sha groups of the two-term
+  complex and, equivalently, degree-1 Sha groups of H_hat,
+* cocharacter data, a cocharacter lattice X_star and an integer matrix
+  whose independent columns span its coroot sublattice, defining the
+  algebraic fundamental group as the cokernel,
 * dual complexes M^D = (P~ -> L~) built from a permutation-cover
   resolution 0 -> L -> P -> M -> 0 by dualizing,
 * quasi-trivial covers: a permutation module surjecting onto the
   fundamental group, whose kernel-side character module is recovered as
-  Ext^0 of the two-term isogeny complex.
+  Ext^0 of the two-term isogeny complex (``ext0_with_data``, the one
+  Ext^0 entry).
+
+The vanishing checks read the acting group only through the order and
+exponent of its faithful image (``gmodules.faithful_image``); the image
+is metacyclic exactly when the two agree.
 
 Verdict vocabulary is fixed: a computed obstruction group is reported as
 "VANISHES (theorem applies)" or "NONZERO (obstruction group nontrivial;
@@ -33,17 +40,16 @@ from .gmodules import (
     GModuleHom,
     PermutationModule,
     dual_module,
-    faithful_quotient,
+    faithful_image,
     free_basis_presentation,
     induced_action,
     permutation_cover,
 )
-from .groups import is_metacyclic
 from .intlinalg import (
     IntMatrix,
     block_diag,
+    hermite_rows,
     preimage_kernel,
-    smith_normal_form,
     sparse_from_matrix,
     unimodular_inverse,
 )
@@ -59,46 +65,44 @@ def verdict_for(group: PresentedAbelianGroup) -> str:
 
 @dataclass(frozen=True)
 class HomSpaceDatum:
-    """Characters of a quasi-trivial ambient group (a permutation module),
-    characters of the stabilizer, and the restriction between them."""
+    """The restriction res: G_hat -> H_hat from the characters of a
+    quasi-trivial ambient group, a permutation module G_hat, to the
+    characters H_hat of the stabilizer."""
 
     datum: LocalDatum
-    G_hat: PermutationModule
-    H_hat: GModule
     res: GModuleHom
 
     def __post_init__(self):
-        if self.res.source is not self.G_hat or self.res.target is not self.H_hat:
-            raise StructuralError("res must map G_hat to H_hat")
-        if self.G_hat.group is not self.datum.group:
+        if not isinstance(self.res.source, PermutationModule):
+            raise StructuralError("G_hat must be a permutation module")
+        if self.res.source.group is not self.datum.group:
             raise StructuralError("modules must live over the datum's group")
 
 
 @dataclass(frozen=True)
 class CocharacterDatum:
-    """A Z-free cocharacter module with an injective inclusion of a Z-free
-    coroot lattice."""
+    """A Z-free cocharacter module X_star and its coroot lattice, spanned
+    by the columns of ``coroots`` (one row per generator of X_star): the
+    columns are independent, and every generator maps their span into
+    itself."""
 
     X_star: GModule
-    coroot_inclusion: GModuleHom
+    coroots: IntMatrix
 
     def __post_init__(self):
-        if self.coroot_inclusion.target is not self.X_star:
-            raise StructuralError("coroot lattice must include into X_star")
-        if not self.X_star.is_z_free() or not self.coroot_inclusion.source.is_z_free():
+        x, c = self.X_star, self.coroots
+        if c.nrows != x.rank:
+            raise StructuralError(
+                f"coroot inclusion needs one row per generator of X_star ({x.rank}), got {c.nrows}"
+            )
+        cols = [c.col(j) for j in range(c.ncols)]
+        span = hermite_rows(cols, x.rank)
+        if len(span) != len(cols):
+            raise StructuralError("coroot inclusion columns are dependent")
+        if not all(span.contains(a.matvec(col)) for a in x.action for col in cols):
+            raise StructuralError("coroot lattice is not stable under the action")
+        if not x.is_z_free():
             raise StructuralError("cocharacter data must be Z-free")
-        m = self.coroot_inclusion.matrix
-        if m.ncols:
-            diag = smith_normal_form(m).diagonal
-            if sum(1 for d in diag if d) != m.ncols:
-                raise StructuralError("coroot inclusion is not injective")
-
-
-@dataclass(frozen=True)
-class IsogenyDatum:
-    """A two-term complex M' -> M with M' in degree 0."""
-
-    f: TwoTermComplex
 
 
 @dataclass(frozen=True)
@@ -116,9 +120,7 @@ def fundamental_group(d: CocharacterDatum) -> GModule:
     with the coroot images appended as relators."""
     x = d.X_star
     rel = list(x.underlying.relation_rows)
-    m = d.coroot_inclusion.matrix
-    for j in range(m.ncols):
-        rel.append(m.col(j))
+    rel += [d.coroots.col(j) for j in range(d.coroots.ncols)]
     return GModule(
         x.group,
         PresentedAbelianGroup(x.rank, rel),
@@ -168,7 +170,7 @@ def brauer_obstruction_groups(
     S_omega = [selection, PlaceSelection.of(*datum.place_names)]
     route2_S, route2_omega = _sha_groups(datum, TwoTermComplex(h.res), 2, S_omega, cochain_cap)
     route1_S, route1_omega, route1_empty = _sha_groups(
-        datum, _module_complex(h.H_hat), 1, S_omega + [EMPTY_SELECTION], cochain_cap
+        datum, _module_complex(h.res.target), 1, S_omega + [EMPTY_SELECTION], cochain_cap
     )
     checks = {
         label: (one.value.invariant_factors(), two.value.invariant_factors())
@@ -222,8 +224,8 @@ def pi1_obstruction_groups(
     selections = [selection, EMPTY_SELECTION, PlaceSelection.of(*datum.place_names)]
     S_group, empty, omega = _sha_groups(datum, dual_complex(m), 2, selections, cochain_cap)
     quotient = S_group.quotient_by(empty)
-    q_group, _ = faithful_quotient(m)
-    metacyclic = is_metacyclic(q_group)
+    order, exp = faithful_image(m)
+    metacyclic = order == exp
     if metacyclic and not omega.value.is_trivial():
         raise InternalError(
             "metacyclic faithful image but nonzero omega group (implementation bug)"
@@ -259,7 +261,7 @@ class Ext0Data:
     cover_rank: int
 
 
-def ext0_with_data(d: IsogenyDatum) -> Ext0Data:
+def ext0_with_data(f: TwoTermComplex) -> Ext0Data:
     """Ext^0 over Z of a two-term complex M' -> M (M' in degree 0), with
     its induced action.
 
@@ -269,7 +271,6 @@ def ext0_with_data(d: IsogenyDatum) -> Ext0Data:
     ker(M' -> M) is (anything else is rejected: it has no two-term Z-free
     replacement).  The result is coker(Hom(X, Z) -> Hom(X', Z)) with the
     contragredient action."""
-    f = d.f
     m_prime, m = f.degree0, f.degree1
     group = m_prime.group
     res = permutation_cover(m)
@@ -320,12 +321,6 @@ def ext0_with_data(d: IsogenyDatum) -> Ext0Data:
     )
 
 
-def ext0_isogeny(d: IsogenyDatum) -> GModule:
-    """Ext^0 over Z of a two-term complex M' -> M with its induced action;
-    see ext0_with_data for the construction."""
-    return ext0_with_data(d).module
-
-
 def quasi_trivial_cover(d: CocharacterDatum) -> CoverResult:
     """Permutation cover of the fundamental group, with the kernel-side
     character module computed as Ext^0 of the induced isogeny complex.
@@ -336,7 +331,7 @@ def quasi_trivial_cover(d: CocharacterDatum) -> CoverResult:
     extension)."""
     m = fundamental_group(d)
     res = permutation_cover(m)
-    h_char = ext0_isogeny(IsogenyDatum(TwoTermComplex(res.proj)))
+    h_char = ext0_with_data(TwoTermComplex(res.proj)).module
     kernel = m.action_kernel()
     failures = [e for e in kernel if not h_char.acts_trivially(e)]
     report = {

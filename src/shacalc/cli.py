@@ -19,7 +19,7 @@ import time
 from .abelian import factors_json, factors_text
 from .arith import (
     brauer_obstruction_groups,
-    ext0_isogeny,
+    ext0_with_data,
     fundamental_group,
     pi1_obstruction_groups,
     quasi_trivial_cover,
@@ -166,7 +166,7 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
         }
 
     elif args.command == "ext0":
-        module = ext0_isogeny(problem.isogeny())
+        module = ext0_with_data(problem.isogeny()).module
         report["invariant_factors"] = factors_json(*module.underlying.invariant_factors())
         report["details"] = {
             "action": {

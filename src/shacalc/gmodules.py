@@ -29,16 +29,21 @@ The permutation-cover resolution 0 -> L -> P -> M -> 0, with P free on a
 permuted basis of subgroup cosets and L its Z-free kernel, is the bridge
 from arbitrary modules to the two-term complexes used by the obstruction
 computations.
+
+Of the faithful image G/N of the acting group (N the kernel of the
+action) the obstruction checks read only the order and the exponent, and
+``faithful_image`` returns just those two integers, from N alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
 from .abelian import AbHom, PresentedAbelianGroup
 from .errors import StructuralError
-from .groups import FiniteGroup, Subgroup, _group_from_tokens
+from .groups import FiniteGroup, Subgroup
 from .intlinalg import (
     IntMatrix,
     Lattice,
@@ -402,30 +407,21 @@ def dual_module(m: GModule) -> GModule:
     )
 
 
-def faithful_quotient(m: GModule) -> tuple[FiniteGroup, GModule]:
-    """Quotient of the acting group by the kernel of the action, together
-    with the module as a faithful module over it.  Models passing to the
-    smallest splitting extension.
-
-    Each coset is named by its least element, and the quotient is the
-    breadth-first closure of the generators' cosets.  It is built from the
-    checked group without checking it again: the kernel N of the action is
-    normal, so the coset product (aN)(bN) = abN is well defined and is a
-    group law, with N as identity and the coset of the parent's inverse as
-    inverse; the closure's words evaluate to their cosets and reach every
-    coset, since the parent's generators generate."""
+def faithful_image(m: GModule) -> tuple[int, int]:
+    """Order and exponent of the faithful image G/N of the acting group,
+    N the kernel of the action; G/N models the smallest splitting
+    extension.  The order is |G|/|N|.  The order of a coset eN is the
+    least n >= 1 with e^n in N, and the exponent is the lcm of those."""
     g = m.group
-    kernel = m.action_kernel()
-    rep = [min(g.table[e][k] for k in kernel) for e in range(g.order)]
-    gens: list[int] = []
-    for s in g.generators:
-        if rep[s] and rep[s] not in gens:
-            gens.append(rep[s])
-    q_group, _ = _group_from_tokens(
-        0, gens, lambda a, b: rep[g.table[a][b]], g.order + 1, lambda a: rep[g.inverse[a]]
-    )
-    action = [m.element_matrix(s) for s in gens]
-    return q_group, GModule(q_group, m.underlying, action, _trusted=True)
+    kernel = set(m.action_kernel())
+    exp = 1
+    for e in range(g.order):
+        x, n = e, 1
+        while x not in kernel:
+            x = g.table[x][e]
+            n += 1
+        exp = lcm(exp, n)
+    return g.order // len(kernel), exp
 
 
 def permutation_cover(

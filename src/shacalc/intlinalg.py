@@ -813,13 +813,12 @@ def sparse_apply(columns: Sequence[dict[int, int]], vec: Sequence[int]) -> dict[
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ source @ V == D with U, V unimodular and D diagonal, diagonal
-    entries nonnegative, each dividing the next."""
+    """U @ m @ V == D for the input matrix m, with U, V unimodular and D
+    diagonal, diagonal entries nonnegative, each dividing the next."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    source: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -939,5 +938,4 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         U=IntMatrix(U, cols=nr),
         D=IntMatrix(D, cols=nc),
         V=IntMatrix(V, cols=nc),
-        source=m,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from .abelian import PresentedAbelianGroup
-from .arith import CocharacterDatum, HomSpaceDatum, IsogenyDatum
+from .arith import CocharacterDatum, HomSpaceDatum
 from .cohomology import TwoTermComplex
 from .errors import InputError, StructuralError
 from .gmodules import (
@@ -27,7 +27,7 @@ from .gmodules import (
     trivial_module,
 )
 from .groups import FiniteGroup, Subgroup, from_permutations
-from .intlinalg import IntMatrix, hermite_rows
+from .intlinalg import IntMatrix
 from .sha import LocalDatum
 
 SCHEMA_VERSION = 1
@@ -218,8 +218,13 @@ class ProblemFile:
             return LocalDatum(self.group), frozenset()
         if not isinstance(spec, dict):
             raise InputError("local_datum is an object", path="$.local_datum")
+        places_raw = spec.get("special_places", [])
+        if not isinstance(places_raw, list):
+            raise InputError(
+                "special_places is an array of places", path="$.local_datum.special_places"
+            )
         places = []
-        for i, p in enumerate(spec.get("special_places", [])):
+        for i, p in enumerate(places_raw):
             if not isinstance(p, dict) or "name" not in p:
                 raise InputError(
                     "each place needs name and decomposition",
@@ -254,10 +259,16 @@ class ProblemFile:
             )
         return self.modules[name]
 
-    def homspace(self) -> HomSpaceDatum:
-        spec = self._raw.get("homspace")
+    def _section(self, name: str) -> dict:
+        spec = self._raw.get(name)
         if spec is None:
-            raise InputError("missing homspace section", path="$.homspace")
+            raise InputError(f"missing {name} section", path=f"$.{name}")
+        if not isinstance(spec, dict):
+            raise InputError(f"{name} is an object", path=f"$.{name}")
+        return spec
+
+    def homspace(self) -> HomSpaceDatum:
+        spec = self._section("homspace")
         g_hat = self.module(str(spec.get("G_hat", "")))
         if not isinstance(g_hat, PermutationModule):
             raise InputError(
@@ -267,72 +278,30 @@ class ProblemFile:
         h_hat = self.module(str(spec.get("H_hat", "")))
         res_matrix = parse_matrix(spec.get("res"), "$.homspace.res", cols=g_hat.rank)
         try:
-            res = GModuleHom(g_hat, h_hat, res_matrix)
-            return HomSpaceDatum(datum=self.datum, G_hat=g_hat, H_hat=h_hat, res=res)
+            return HomSpaceDatum(datum=self.datum, res=GModuleHom(g_hat, h_hat, res_matrix))
         except StructuralError as exc:
             raise InputError(str(exc), path="$.homspace") from exc
 
     def cochar(self) -> CocharacterDatum:
-        spec = self._raw.get("cochar")
-        if spec is None:
-            raise InputError("missing cochar section", path="$.cochar")
+        spec = self._section("cochar")
         x_star = self.module(str(spec.get("X_star", "")))
         mat = parse_matrix(spec.get("coroot_inclusion", []), "$.cochar.coroot_inclusion", cols=0)
         if mat.ncols == 0:
             mat = IntMatrix.zeros(x_star.rank, 0)
         try:
-            src = GModule(
-                self.group,
-                PresentedAbelianGroup(mat.ncols),
-                _coroot_actions(x_star, mat),
-                _trusted=True,
-            )
-            incl = GModuleHom(src, x_star, mat)
-            return CocharacterDatum(X_star=x_star, coroot_inclusion=incl)
+            return CocharacterDatum(X_star=x_star, coroots=mat)
         except StructuralError as exc:
             raise InputError(str(exc), path="$.cochar") from exc
 
-    def isogeny(self) -> IsogenyDatum:
-        spec = self._raw.get("isogeny")
-        if spec is None:
-            raise InputError("missing isogeny section", path="$.isogeny")
+    def isogeny(self) -> TwoTermComplex:
+        spec = self._section("isogeny")
         source = self.module(str(spec.get("source", "")))
         target = self.module(str(spec.get("target", "")))
         mat = parse_matrix(spec.get("map"), "$.isogeny.map", cols=source.rank)
         try:
-            return IsogenyDatum(TwoTermComplex(GModuleHom(source, target, mat)))
+            return TwoTermComplex(GModuleHom(source, target, mat))
         except StructuralError as exc:
             raise InputError(str(exc), path="$.isogeny") from exc
-
-
-def _coroot_actions(x_star: GModule, incl: IntMatrix) -> list[IntMatrix]:
-    """Action matrices of the coroot lattice inside X_star: the sublattice
-    must be stable under each generator, with unique integer coordinates.
-
-    Both come from one Hermite form of [incl^T | I], whose rows are
-    (incl c, c) for c running over Z^n.  The columns are independent when
-    no row vanishes on its first part.  Then a vector (v, 0) reduces to
-    (0, -c) exactly when v = incl c, and otherwise keeps a nonzero first
-    part."""
-    rows, n = incl.nrows, incl.ncols
-    if not n:
-        return [IntMatrix([], cols=0) for _ in x_star.group.generators]
-    aug = hermite_rows(
-        [list(incl.col(j)) + [1 if k == j else 0 for k in range(n)] for j in range(n)],
-        rows + n,
-    )
-    if not all(any(row[:rows]) for row in aug):
-        raise StructuralError("coroot inclusion columns are dependent")
-    actions = []
-    for a in x_star.action:
-        mat_cols = []
-        for j in range(n):
-            rest = aug.reduce(list(a.matvec(incl.col(j))) + [0] * n)
-            if any(rest[:rows]):
-                raise StructuralError("coroot lattice is not stable under the action")
-            mat_cols.append([-c for c in rest[rows:]])
-        actions.append(IntMatrix.from_cols(mat_cols, rows=n))
-    return actions
 
 
 def representatives_json(

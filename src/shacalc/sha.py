@@ -122,8 +122,8 @@ from .cohomology import (
     hypercohomology,
 )
 from .errors import InternalError, StructuralError
-from .gmodules import GModule, PermutationModule, faithful_quotient
-from .groups import FiniteGroup, Subgroup, cyclic_subgroups, exponent, is_metacyclic
+from .gmodules import GModule, PermutationModule, faithful_image
+from .groups import FiniteGroup, Subgroup, cyclic_subgroups
 from .intlinalg import IntMatrix, Lattice, hermite_rows, preimage_kernel, sparse_apply
 
 
@@ -495,10 +495,8 @@ def verify_annihilation(
     and that Sha^1_omega vanishes outright when that image is metacyclic
     (exponent equal to order).  Returns an instance report; a failure
     certificate means an implementation bug, never an expected outcome."""
-    quotient_group, _ = faithful_quotient(module)
-    n = quotient_group.order
-    e = exponent(quotient_group)
-    metacyclic = is_metacyclic(quotient_group)
+    n, e = faithful_image(module)
+    metacyclic = n == e
     sh = sha_omega(datum, module, 1, cochain_cap=cochain_cap)
     report = {
         "order": n,

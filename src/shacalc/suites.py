@@ -14,7 +14,6 @@ from typing import Sequence
 from .abelian import PresentedAbelianGroup, invariant_factors, is_isomorphism
 from .arith import (
     CocharacterDatum,
-    IsogenyDatum,
     dual_complex,
     ext0_with_data,
     quasi_trivial_cover,
@@ -411,7 +410,7 @@ def route_equivalence_suite(seed: int, instances: int, groups: Groups | None = N
 def _ext0_instance(g: FiniteGroup, rng: SplitMix64) -> dict:
     m = random_free_module(g, rng)
     res = permutation_cover(m)
-    data = ext0_with_data(IsogenyDatum(TwoTermComplex(res.proj)))
+    data = ext0_with_data(TwoTermComplex(res.proj))
     # direct route: coker of the dual of the projection, i.e. the dual
     # basis of P modulo the rows of the projection matrix
     p_dual = dual_module(res.P)
@@ -458,20 +457,10 @@ def _cover_instance(g: FiniteGroup, rng: SplitMix64) -> dict:
     n = x_star.rank
     if rng.randint(0, 1):
         scale = rng.choice([1, 2, 3])
-        coroot_mat = IntMatrix(
-            [[scale if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-        src = GModule(g, PresentedAbelianGroup(n), x_star.action, _trusted=True)
-        incl = GModuleHom(src, x_star, coroot_mat)
+        coroots = IntMatrix([[scale if i == j else 0 for j in range(n)] for i in range(n)])
     else:
-        src = GModule(
-            g,
-            PresentedAbelianGroup(0),
-            [IntMatrix([], cols=0) for _ in g.generators],
-            _trusted=True,
-        )
-        incl = GModuleHom(src, x_star, IntMatrix.zeros(n, 0))
-    datum = CocharacterDatum(X_star=x_star, coroot_inclusion=incl)
+        coroots = IntMatrix.zeros(n, 0)
+    datum = CocharacterDatum(X_star=x_star, coroots=coroots)
     try:
         return {"ok": True, **quasi_trivial_cover(datum).report}
     except (StructuralError, InternalError) as exc:

@@ -18,7 +18,7 @@ every generator of the ambient value, and on its reduced view), the
 column-order echelon kernel that ``sparse_kernel`` must reproduce, the
 checked rows of the kernel route cut out of the full differential, the
 kernel route's Z^i, the mod-p left kernel over every row and the
-saturation that eliminated with it, the checked faithful quotient, the
+saturation that eliminated with it, the checked faithful image, the
 dense Hermite form, and the dense lattice solve and reduction.  The
 subquotient, the restrictions, the cocycle test and the last eight are
 the references for what the package now builds or solves directly.
@@ -687,9 +687,9 @@ def full_elimination_saturation(
 
 
 def checked_faithful_quotient(m: GModule) -> FiniteGroup:
-    """The faithful image of the acting group as ``faithful_quotient``
-    built it before it was built unchecked: the action kernel found column
-    by column, cosets named by their least element, and the breadth-first
+    """The faithful image of the acting group built as a group, the
+    reference for ``faithful_image``: the action kernel found column by
+    column, cosets named by their least element, and the breadth-first
     closure of the generators' cosets passed to the checking constructor."""
     g, und = m.group, m.underlying
     kernel = []

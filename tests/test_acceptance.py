@@ -13,9 +13,8 @@ import pytest
 from shacalc.abelian import invariant_factors
 from shacalc.arith import (
     CocharacterDatum,
-    IsogenyDatum,
     VERDICT_VANISHES,
-    ext0_isogeny,
+    ext0_with_data,
     quasi_trivial_cover,
 )
 from shacalc.cli import main as cli_main
@@ -189,31 +188,19 @@ def test_criterion_8_ext0_and_cover():
     mu2 = GModule(
         triv, PresentedAbelianGroup(1, [[2]]), [], _trusted=True
     )
-    d = IsogenyDatum(
-        TwoTermComplex(GModuleHom(zero_module(triv), mu2, IntMatrix.zeros(1, 0)))
-    )
-    e = ext0_isogeny(d)
+    f = TwoTermComplex(GModuleHom(zero_module(triv), mu2, IntMatrix.zeros(1, 0)))
+    e = ext0_with_data(f).module
     assert invariant_factors(e.underlying) == (0, (2,))
     assert e.action_kernel() == [0]  # trivial group: nothing acts
 
     # cover of the adjoint rank-one datum passes the splitting check
-    x = trivial_module(triv, 1)
-    src = GModule(triv, PresentedAbelianGroup(1), [], _trusted=True)
-    adjoint = CocharacterDatum(
-        X_star=x, coroot_inclusion=GModuleHom(src, x, IntMatrix([[2]]))
-    )
+    adjoint = CocharacterDatum(X_star=trivial_module(triv, 1), coroots=IntMatrix([[2]]))
     result = quasi_trivial_cover(adjoint)
     assert result.report["splitting_field_acts_trivially"]
 
     # cover of the twisted rank-one torus datum passes as well
     z2 = GROUPS["Z2"]
-    sgn = sign_module(z2, [0])
-    zsrc = GModule(
-        z2, PresentedAbelianGroup(0), [IntMatrix([], cols=0)], _trusted=True
-    )
-    torus = CocharacterDatum(
-        X_star=sgn, coroot_inclusion=GModuleHom(zsrc, sgn, IntMatrix.zeros(1, 0))
-    )
+    torus = CocharacterDatum(X_star=sign_module(z2, [0]), coroots=IntMatrix.zeros(1, 0))
     result2 = quasi_trivial_cover(torus)
     assert result2.Q_cochar.rank == 2
     assert result2.report["splitting_field_acts_trivially"]

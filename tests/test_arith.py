@@ -6,12 +6,10 @@ from shacalc.abelian import PresentedAbelianGroup, invariant_factors
 from shacalc.arith import (
     CocharacterDatum,
     HomSpaceDatum,
-    IsogenyDatum,
     VERDICT_NONZERO,
     VERDICT_VANISHES,
     brauer_obstruction_groups,
     dual_complex,
-    ext0_isogeny,
     ext0_with_data,
     fundamental_group,
     pi1_obstruction_groups,
@@ -29,7 +27,6 @@ from shacalc.gmodules import (
     zero_module,
 )
 from shacalc.intlinalg import IntMatrix
-from shacalc.jsonio import _coroot_actions
 from shacalc.sha import LocalDatum, PlaceSelection, sha_omega, sha_two_term
 
 from helpers import catalog
@@ -38,27 +35,13 @@ GROUPS = catalog()
 
 
 def toral_datum(x_star):
-    g = x_star.group
-    src = GModule(
-        g,
-        PresentedAbelianGroup(0),
-        [IntMatrix([], cols=0) for _ in g.generators],
-        _trusted=True,
-    )
-    incl = GModuleHom(src, x_star, IntMatrix.zeros(x_star.rank, 0))
-    return CocharacterDatum(X_star=x_star, coroot_inclusion=incl)
+    return CocharacterDatum(X_star=x_star, coroots=IntMatrix.zeros(x_star.rank, 0))
 
 
 def scaled_datum(x_star, scale):
-    g = x_star.group
     n = x_star.rank
-    src = GModule(g, PresentedAbelianGroup(n), x_star.action, _trusted=True)
-    incl = GModuleHom(
-        src,
-        x_star,
-        IntMatrix([[scale if i == j else 0 for j in range(n)] for i in range(n)]),
-    )
-    return CocharacterDatum(X_star=x_star, coroot_inclusion=incl)
+    coroots = IntMatrix([[scale if i == j else 0 for j in range(n)] for i in range(n)])
+    return CocharacterDatum(X_star=x_star, coroots=coroots)
 
 
 class TestFundamentalGroup:
@@ -81,33 +64,30 @@ class TestFundamentalGroup:
         assert m.element_matrix(1).rows == ((-1,),)
 
     def test_rejects_non_injective_coroots(self):
-        g = GROUPS["Z2"]
-        x = trivial_module(g, 1)
-        src = GModule(g, PresentedAbelianGroup(1), x.action, _trusted=True)
+        x = trivial_module(GROUPS["Z2"], 1)
         with pytest.raises(StructuralError):
-            CocharacterDatum(
-                X_star=x, coroot_inclusion=GModuleHom(src, x, IntMatrix([[0]]))
-            )
+            CocharacterDatum(X_star=x, coroots=IntMatrix([[0]]))
 
 
 class TestCorootActions:
-    """The action on a coroot lattice given by the columns of an inclusion
-    into X_star = Z^2 with the swap action of Z/2."""
+    """Coroot lattices spanned by the columns of a matrix in X_star = Z^2
+    with the swap action of Z/2: the datum accepts independent columns
+    whose span the swap maps into itself, and nothing else."""
 
     @staticmethod
-    def actions(cols):
+    def datum(cols, rows=2):
         g = GROUPS["Z2"]
         x = GModule(g, PresentedAbelianGroup(2), [IntMatrix([[0, 1], [1, 0]])])
-        incl = IntMatrix.from_cols(cols, rows=2)
-        acts = _coroot_actions(x, incl)
-        for a, act in zip(x.action, acts):
-            assert incl.mul(act) == a.mul(incl)
-        return acts
+        return CocharacterDatum(X_star=x, coroots=IntMatrix.from_cols(cols, rows=rows))
 
-    def test_coordinates_on_the_columns(self):
-        assert self.actions([[1, 1], [1, -1]])[0].rows == ((1, 0), (0, -1))
-        assert self.actions([[3, 1], [1, 3]])[0].rows == ((0, 1), (1, 0))
-        assert self.actions([[0, 1], [1, 0]])[0].rows == ((0, 1), (1, 0))
+    def test_stable_spans_accepted(self):
+        """The fundamental group X_star / span has the index of the span."""
+        for cols, pi1 in [
+            ([[1, 1], [1, -1]], (0, (2,))),
+            ([[3, 1], [1, 3]], (0, (8,))),
+            ([[0, 1], [1, 0]], (0, ())),
+        ]:
+            assert invariant_factors(fundamental_group(self.datum(cols)).underlying) == pi1
 
     @pytest.mark.parametrize("cols", [
         [[1, 0]],  # swapped to (0, 1), off the sublattice
@@ -116,7 +96,13 @@ class TestCorootActions:
     ])
     def test_rejected(self, cols):
         with pytest.raises(StructuralError):
-            self.actions(cols)
+            self.datum(cols)
+
+    def test_row_count_named(self):
+        """One row per generator of X_star: three rows for a rank-2
+        X_star is rejected with both numbers, before any column is read."""
+        with pytest.raises(StructuralError, match=r"one row per generator of X_star \(2\), got 3"):
+            self.datum([[1, 1, 0]], rows=3)
 
 
 class TestDualComplex:
@@ -160,9 +146,15 @@ class TestBrauer:
         reg = regular_module(g)
         cols = [list(h_hat.element_matrix(s).matvec(v)) for s in range(g.order)]
         res = GModuleHom(reg, h_hat, IntMatrix.from_cols(cols, rows=h_hat.rank))
-        return HomSpaceDatum(
-            datum=LocalDatum(g), G_hat=reg, H_hat=h_hat, res=res
-        )
+        return HomSpaceDatum(datum=LocalDatum(g), res=res)
+
+    def test_rejects_non_permutation_g_hat(self):
+        """A G_hat that is no permutation module is bad input, caught by
+        the datum, not a failed route cross-check."""
+        g = GROUPS["V4"]
+        ig = augmentation_ideal(g)
+        with pytest.raises(StructuralError, match="permutation module"):
+            HomSpaceDatum(datum=LocalDatum(g), res=GModuleHom(ig, ig, IntMatrix.identity(ig.rank)))
 
     def test_zero_characters(self):
         g = GROUPS["V4"]
@@ -229,18 +221,16 @@ class TestExt0:
     def test_finite_kernel(self):
         g = GROUPS["Z2"]
         m = GModule(g, PresentedAbelianGroup(1, [[2]]), [IntMatrix([[1]])])
-        d = IsogenyDatum(
-            TwoTermComplex(GModuleHom(zero_module(g), m, IntMatrix.zeros(1, 0)))
-        )
-        e = ext0_isogeny(d)
+        f = TwoTermComplex(GModuleHom(zero_module(g), m, IntMatrix.zeros(1, 0)))
+        e = ext0_with_data(f).module
         assert invariant_factors(e.underlying) == (0, (2,))
         assert e.acts_trivially(1)
 
     def test_identity_isogeny(self):
         g = GROUPS["Z2"]
         m = sign_module(g, [0])
-        d = IsogenyDatum(TwoTermComplex(GModuleHom(m, m, IntMatrix.identity(1))))
-        assert ext0_isogeny(d).underlying.is_trivial()
+        f = TwoTermComplex(GModuleHom(m, m, IntMatrix.identity(1)))
+        assert ext0_with_data(f).module.underlying.is_trivial()
 
     def test_norm_torus_cover(self):
         """Rank-two permutation module onto the sign module: the kernel
@@ -250,7 +240,7 @@ class TestExt0:
         reg = regular_module(g)
         sgn = sign_module(g, [0])
         f = GModuleHom(reg, sgn, IntMatrix([[1, -1]]))
-        e = ext0_isogeny(IsogenyDatum(TwoTermComplex(f)))
+        e = ext0_with_data(TwoTermComplex(f)).module
         assert invariant_factors(e.underlying) == (1, ())
         assert e.action_kernel() == [0, 1]
 
@@ -258,11 +248,9 @@ class TestExt0:
         g = GROUPS["Z2"]
         m2 = GModule(g, PresentedAbelianGroup(1, [[2]]), [IntMatrix([[1]])])
         z = zero_module(g)
-        d = IsogenyDatum(
-            TwoTermComplex(GModuleHom(m2, z, IntMatrix.zeros(0, 1)))
-        )
+        f = TwoTermComplex(GModuleHom(m2, z, IntMatrix.zeros(0, 1)))
         with pytest.raises(StructuralError):
-            ext0_isogeny(d)
+            ext0_with_data(f)
 
     def test_quasi_isomorphism_invariants(self):
         """The free replacement has the kernel and cokernel of the input."""
@@ -272,7 +260,7 @@ class TestExt0:
         v = [1, 0, 0]
         cols = [list(ig.element_matrix(s).matvec(v)) for s in range(g.order)]
         f = GModuleHom(reg, ig, IntMatrix.from_cols(cols, rows=3))
-        data = ext0_with_data(IsogenyDatum(TwoTermComplex(f)))
+        data = ext0_with_data(TwoTermComplex(f))
         from shacalc.abelian import AbHom
         from helpers import subquotient, trivial_group, zero_hom
 

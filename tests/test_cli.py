@@ -182,6 +182,53 @@ class TestErrors:
         assert payload["type"] == "input"
         assert payload["path"] == path
 
+    @pytest.mark.parametrize("value", [[1], 5, "s0", True])
+    @pytest.mark.parametrize("section, command", [
+        ("homspace", "brauer"),
+        ("cochar", "cover"),
+        ("isogeny", "ext0"),
+    ])
+    def test_section_not_an_object_rejected(self, tmp_path, section, command, value):
+        """A section of another JSON type is bad input at its path."""
+        p = tmp_path / "section.json"
+        p.write_text(json.dumps({"schema": 1, "group": {"permutation_generators": [[1, 0]]}, section: value}))
+        code, out, err = run_cli([command, str(p)])
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert (payload["type"], payload["path"]) == ("input", f"$.{section}")
+
+    @pytest.mark.parametrize("value", [5, True, "v1", {"name": "v1"}, None])
+    def test_special_places_not_an_array_rejected(self, tmp_path, value):
+        """Every command parses the local datum, so each rejects a
+        special_places that is not an array at its path."""
+        p = tmp_path / "places.json"
+        p.write_text(json.dumps({
+            "schema": 1,
+            "group": {"permutation_generators": [[1, 0]]},
+            "modules": {"M": {"builtin": "trivial"}},
+            "local_datum": {"special_places": value},
+        }))
+        code, out, err = run_cli(["cohomology", str(p), "--module", "M", "--degree", "0"])
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert (payload["type"], payload["path"]) == ("input", "$.local_datum.special_places")
+
+    def test_coroot_row_count_named(self, tmp_path):
+        """A coroot inclusion with a row count other than the number of
+        generators of X_star is bad input at $.cochar, naming both."""
+        p = tmp_path / "cochar.json"
+        p.write_text(json.dumps({
+            "schema": 1,
+            "group": {"permutation_generators": [[1, 0]]},
+            "modules": {"X": {"builtin": "trivial", "rank": 1}},
+            "cochar": {"X_star": "X", "coroot_inclusion": [["2"], ["0"]]},
+        }))
+        code, out, err = run_cli(["cover", str(p)])
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["path"] == "$.cochar"
+        assert "one row per generator of X_star (1), got 2" in payload["message"]
+
     def test_unknown_module(self):
         code, _, err = run_cli(
             ["cohomology", str(PROBLEMS / "biquadratic.json"), "--module", "X", "--degree", "1"]

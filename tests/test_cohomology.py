@@ -1278,7 +1278,7 @@ class TestPublicComputations:
         reg, ig = regular_module(g), augmentation_ideal(g)
         cols = [list(ig.element_matrix(e).matvec([1, 0, 0, 0, 0])) for e in range(g.order)]
         res = GModuleHom(reg, ig, IntMatrix.from_cols(cols, rows=ig.rank))
-        h = HomSpaceDatum(datum=datum, G_hat=reg, H_hat=ig, res=res)
+        h = HomSpaceDatum(datum=datum, res=res)
         # the complex, over S and omega, and H_hat, over S, omega and the
         # empty set: one computation each
         _, calls = public_computations(lambda: brauer_obstruction_groups(h, S))
