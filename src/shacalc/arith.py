@@ -84,7 +84,10 @@ class CocharacterDatum:
     """A Z-free cocharacter module X_star and its coroot lattice, spanned
     by the columns of ``coroots`` (one row per generator of X_star): the
     columns are independent, and every generator maps their span into
-    itself."""
+    itself, both in X_star, modulo its relations R.  One Hermite form of R
+    and the columns decides both: its rank is rank(R) plus the number of
+    columns iff they are independent modulo R, and it holds the image of
+    each column iff the span is stable modulo R."""
 
     X_star: GModule
     coroots: IntMatrix
@@ -95,9 +98,9 @@ class CocharacterDatum:
             raise StructuralError(
                 f"coroot inclusion needs one row per generator of X_star ({x.rank}), got {c.nrows}"
             )
-        cols = [c.col(j) for j in range(c.ncols)]
-        span = hermite_rows(cols, x.rank)
-        if len(span) != len(cols):
+        cols, relations = [c.col(j) for j in range(c.ncols)], x.underlying.relation_rows
+        span = hermite_rows(list(relations) + cols, x.rank)
+        if len(span) != len(relations) + len(cols):
             raise StructuralError("coroot inclusion columns are dependent")
         if not all(span.contains(a.matvec(col)) for a in x.action for col in cols):
             raise StructuralError("coroot lattice is not stable under the action")

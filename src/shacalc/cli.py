@@ -59,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", help="verify: s13|metacyclic|sha-iso|prop-sh1|ext0|cover|resolution|all")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--instances", type=int, default=25)
-    p.add_argument("--cap", type=int, default=DEFAULT_COCHAIN_CAP, help="work cap: the relator rows of the generator route (H^1 of a module with torsion), else the rank of the degree-i cochains")
+    p.add_argument("--cap", type=int, default=DEFAULT_COCHAIN_CAP, help="work cap: the equation rows (torsion, degree 0) or the width (Z-free) of each value on the relation complex, and the rank of the degree-i bar cochains read for cocycles and representatives")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--no-timing", action="store_true", help="omit the timing field")
     return p

@@ -1,184 +1,148 @@
-"""Group cohomology H^0..H^2 via inhomogeneous cochains, and
-hypercohomology of two-term complexes via the total complex.
+"""Group cohomology H^0..H^2 and hypercohomology of two-term complexes,
+computed on the relation module of the breadth-first tree and read back
+to inhomogeneous (bar) cochains.
 
-The cochain space C^i(G, M) is Maps(G^i, M), realized as a presented
-abelian group of rank |G|^i * rank(M): coordinates are blocks of module
-coordinates indexed by i-tuples of element indices in lexicographic
-order.  The differential is the standard one,
+Bar cochains.  The cochain space C^i(G, M) is Maps(G^i, M), realized as a
+presented abelian group of rank |G|^i * rank(M): coordinates are blocks of
+module coordinates indexed by i-tuples of element indices in
+lexicographic order.  The differential is the standard one,
 
   (d c)(g_1,...,g_{i+1}) = g_1 . c(g_2,...,g_{i+1})
                            + sum_k (-1)^k c(...,g_k g_{k+1},...)
                            + (-1)^{i+1} c(g_1,...,g_i),
 
-with no normalization assumed.  H^i is Z^i / B^i computed on presented
-groups, where B^i = im d^{i-1} plus the module's relation rows in every
-tuple block, and Z^i is the lattice of cochains whose coboundary lies in
-the relation rows of C^{i+1}.  The value is computed along one of three
-routes.  The two that build a differential split off the unit rows U of
-B^i first and find Z', the cocycles that vanish on the pivot columns of
-U (below); the generator route finds the values of the cocycles at the
-generators:
-
-* the saturation route, for Z-free coefficients K whenever HH^i of the
-  trivial group is finite: a module in degree >= 1, a complex in degree
-  >= 2, or a complex in degree 1 when coker f is finite.  Since
-  cor o res = |G|, e = |G| * exp HH^i(1, K) kills HH^i(G, K) (Brown,
-  Cohomology of Groups, III.9-10).  C^{i+1} is torsion-free, so Z^i is
-  the saturation of B^i: the vectors with a multiple in B^i.  Z' is
-  found by saturating the rest D' of B^i at the primes of e.  Only
-  d^{i-1} is built; d^i and C^{i+1} never are;
-* the generator route, for a module with torsion in degree 1: a crossed
-  homomorphism is known by its values at the k generators (Holt, The
-  mechanical computation of first and second cohomology groups,
-  J. Symbolic Comput. 1, 1985).  One kernel over k * rk unknowns gives
-  the values K of the cocycles, and the value is K / (D0 + R^k), at width
-  k * rk.  No differential is built, and no lattice in C^1 until the
-  representatives are read;
-* the kernel route, everywhere else (degree 0, degree 2 with torsion,
-  complexes with torsion, an infinite coker f): Z' is read off the
-  sparse kernel of d^i augmented by the relation rows of C^{i+1} and by
-  one equation x_c = 0 for each pivot column c of U.  Those equations
-  have one unit entry each, so the unit phase of the kernel eliminates
-  them first, and their unknowns never reach the echelon.  Only the rows
-  of C^{i+1} whose tuple ends in a listed generator s in S are built,
-  with the relation rows of those tuples: |G|^i * |S| rows per rank
-  instead of |G|^{i+1}, and 2|S| entries in a column whose tuple does
-  not end in S.
-
-The kernel route may leave out the other rows by this lemma: if
-delta in C^m(G, M), m >= 1, has d delta = 0 in M and vanishes on every
-tuple ending in S, then delta = 0.  At (g_1,...,g_m, s) every term of
-d delta ends in s except (-1)^m [delta(g_1,...,g_m s) - delta(g_1,...,g_m)],
-so delta(h, x s) = delta(h, x) for all x; then delta(h, e) = delta(h, s)
-= 0, and delta vanishes everywhere since S generates G as a monoid (the
-group checks this when it is built).  It applies to delta = d^i c read
-in M, since d o d = 0 modulo the relation rows.  For the total complex,
-the lemma kills the C^{m}(A) part first; then D delta = 0 gives
-d delta_B = f(delta_A) = 0, which kills the C^{m-1}(B) part when m >= 2.
-All of C^0(B) is kept.  The trivial group has no generators; its one
-tuple is kept.
-
-The generator route walks the stored words from the identity's empty
-word.  c(1) = 0 and c(p s_l) = c(p) + M(p) v_l, with p the stored prefix
-(see ``FiniteGroup.word_prefixes``), define a linear map L from the
-values v = (v_1..v_k) in M^k to C^1.  An edge (e, l) of the breadth-first
-tree, where the stored word of e s_l is that of e followed by l, has
-L(v)(e s_l) = L(v)(e) + M(e) v_l by construction; each other edge, as
-``FiniteGroup.off_tree_edges`` (the one definition of the tree) lists
-them, gives one relator block L(v)(e s_l) - L(v)(e) - M(e) v_l in R, the
-module's relations.  With K the kernel of those relators, Z^1 = L(K) + R
-in every block.  Both ways:
-
-* for v in K every edge holds modulo R, so by induction on the length of
-  a word w of y, c = L(v) has c(x y) = c(x) + M(x) F_w(v) modulo R for
-  every x, where F_w(v) is the sum along w that the walk forms: the step
-  from w to w s_l uses the edge (x y, l), M(x y) = M(x) M(y) modulo R and
-  M(x) R in R (see :mod:`shacalc.gmodules`).  With x = 1, c(y) = F_w(v);
-  so c(x y) = c(x) + M(x) c(y) modulo R, and c is a cocycle;
-* a cocycle c has c(1) in R and c(x s_l) = c(x) + M(x) c(s_l) modulo R,
-  so along the walk L(v) = c modulo R for v_l = c(s_l), and the relators
-  of L(v) are those of c, which lie in R: v is in K.
-
-The relation rows of every block are cocycles, so they lie in Z^1 too.
-
-The value in the coordinates of the values.  Let V read a cochain at
-the generators, V(c) = (c(s_1)..c(s_k)) in M^k, let R^k be the relation
-rows of M in each of the k blocks of M^k, and let
-D0 = {((s_l - 1) m)_l : m in M}, spanned by the values of the
-coboundaries of the basis vectors of M.  K holds R^k: the relators are
-linear in v, and M(e) R lies in R.  Then V induces
-H^1(G, M) = Z^1 / (B^1 + R) = K / (D0 + R^k), where R is the relation
-rows in every block of C^1:
-
-* V(Z^1) lies in K, by the second point above;
-* V(Z^1) + R^k = K: for v in K, L(v) is a cocycle by the first point, and
-  L(v)(s_l) = L(v)(1) + M(1) v_l = v_l exactly on a tree edge (1, l), and
-  modulo R on an edge off the tree, by its relator; so V(L(v)) = v
-  modulo R^k;
-* V(B^1 + R) lies in D0 + R^k, since V(dm) = ((s_l - 1) m)_l and V(R)
-  lies in R^k;
-* nothing else goes there: if c is a cocycle and V(c) = V(dm) + r with r
-  in R^k, then c - dm is a cocycle whose values at the generators lie in
-  R, and such a cocycle lies in R everywhere: c(1) is in R, and
-  c(x s_l) = c(x) + M(x) c(s_l) modulo R with M(x) R in R.  So c lies in
-  B^1 + R.
-
-The generator route presents the value there, on the Hermite basis of K,
-with D0 + R^k solved on it: one relator per basis vector of M and per
-relation row in each block.  Since (d m)(s_l) = (s_l - 1) m, D0 + R^k
-is d^0 and the relation rows of C^1 on the rows of the tuples (s_l)
-alone.  A value class v is the class of the cocycle L(v), and a cocycle
-c has the class of V(c).  A cochain c is a cocycle iff V(c) lies in K
-and c = L(V(c)) modulo R, which ``class_coords`` checks: if so, c is a
-cocycle plus relation rows; if c is a cocycle, the induction of the
-second point gives c = L(V(c)) modulo R.
-
-Both routes with a differential split the gcd echelon E of B^i (see
-:func:`~shacalc.intlinalg.split_unit_pivots`) into U, the rows with
-pivot 1, whose pivot columns are J, and D', the other rows, each reduced
-at the pivots of U, so zero on J.  That reduction is unimodular, so
-B^i = span(U) + span(D').  Let Z' be the cocycles that vanish on J.
-Then Z^i = span(U) + Z', a direct sum, and Z^i / B^i is isomorphic to
-Z' / D' by inclusion:
-
-* U restricted to J is unitriangular, so each x in C^i has one
-  combination u of U that agrees with x on J, and span(U) meets the
-  vectors that vanish on J in 0;
-* U consists of boundaries, so for a cocycle x the cocycle x - u lies in
-  Z'; hence Z^i = span(U) + Z', and D', boundaries that vanish on J,
-  lies in Z';
-* so Z^i / B^i = (span(U) + Z') / (span(U) + span(D')) = Z' / D'.
-
-On the kernel route Z' is the kernel above.  On the saturation route
-Z' = sat(D'): if n * x lies in B^i, n with its prime factors among those
-of e, and x vanishes on J, write n * x = a + b with a in span(U), b in
-span(D').  Both n * x and b vanish on J, so a does too, and a = 0 since
-U is independent on J; so x lies in sat(D').  Conversely sat(D') lies in
-sat(B^i) = Z^i and vanishes on J, since a multiple of each of its
-vectors does.
-
-The value is presented on the Hermite basis of Z', with one relator per
-row of D', solved on it.  No boundary is solved on Z^i.  With u the
-combination of U that agrees with a cochain c on J, c is a cocycle iff
-c - u lies in Z', and then c - u has the class of c, since u is a
-boundary.
-
-All routes give the same lattice Z^i in C^i, and its canonical Hermite
-basis gives the printed representatives, so the route never shows in
-the results.  The generator route builds that basis from L(K) and R,
-the other two from U and Z', only when the representatives are read.
-
-For a two-term complex f : A -> B (A in degree 0, B in degree 1) the total
-complex is T^n = C^n(A) + C^{n-1}(B) with the fixed sign convention
+with no normalization assumed.  For a two-term complex f : A -> B (A in
+degree 0, B in degree 1) the bar total complex is T^n = C^n(A) + C^{n-1}(B)
+with the fixed sign convention
 
   D(a, b) = (d a, f(a) - d b);
 
 any consistent convention yields isomorphic groups, but this one is pinned
-so that representative-level tests are stable.
+so that representative-level tests are stable.  A module M is the complex
+M -> 0, whose T^n is C^n(M).  HH^i = Z^i / B^i on presented groups: Z^i the
+cochains whose coboundary lies in the relation rows R of T^{i+1} (the
+module's relations in every block), B^i the image of D^{i-1} plus R.  The
+printed representatives, the cochain of each class and the Sha
+conditions (see :mod:`shacalc.sha`) live in these coordinates.  Nothing
+builds the bar d^2: the builders give d^0 and d^1.
 
-A module M is computed as the complex M -> 0: then T^n = C^n(M) and D = d,
-so H^i(G, M) = HH^i(G, M -> 0) with the same coordinates.
+The relation complex.  Values are computed on a complex of width about
+E * rk instead of |G|^i * rk.  Let s_1..s_k be the listed generators, w_x
+the stored word of x, and P_x the path from 1 along w_x in the Cayley graph
+Gamma: vertices G, an edge (x, l) from x to x s_l, and G acting by left
+translation.  An edge (e, l) is on the tree when the word of e s_l is that
+of e followed by l; the E others are ``FiniteGroup.off_tree_edges`` (the
+one definition of the tree; E = |G|(k - 1) + 1 on breadth-first words).
+Edge n = (e, l) off the tree closes the cycle z_n = P_e + (e, l) - P_{e s_l}.
+For a module X with matrices M(x): the walk L_X : X^k -> C^1(X),
+L(v)(x) = the sum of M(p) v_l over the edges (p, l) of P_x; the relator map
+rho_X(v)_n = L(v)(e s_l) - L(v)(e) - M(e) v_l; and delta_X x = ((s_l - 1) x)_l.
+Then
 
-The value comes in one of two layouts.  Off the generator route Z' / D'
-is presented on the Hermite basis of Z', with rank Z' generators, and
-U is held beside it; on the generator route K / (D0 + R^k) is presented
-on the Hermite basis of K, with at most k * rk generators, and R is held
-beside it.  Each lattice is a :class:`~shacalc.intlinalg.Lattice`: the
-basis comes out of the gcd echelon together with its index, and the
-group holds both, so the class solves of ``class_coords`` run on the
-index that presented the value.  The group also holds the map from the
-lattice's coordinates to cochains, the identity or L, so a class given
-on the value's generators has a cocycle.
+  T^0 = A,   T^1 = A^k + B,   T^2 = A^E + B^k,   T^3 = A^{kE} + B^E,
+  D^0 a = (delta_A a, f a),
+  D^1 (v, b) = (rho_A v, (f v_l)_l - delta_B b),
+  D^2 (a, beta) = ((a(s_l z_n) - s_l a_n)_{l,n}, (f a_n)_n - rho_B beta),
 
-The main values of the paper are zeros, and they cost few solves.  The
-value is presented by the rows of D', solved on Z'; most pivots of E are
-1 (all of them for H^2(S4, I_G)), so D' is small.  When [Z' : D'] is 1
-(on the saturation route, an index of 1: sat(D') = D'), the reduced view
-takes the value to no generator.  Z^i is not built until the
-representatives are read; a class solve needs only U and Z'.
+where a(s_l z_n) is the signed sum of a over the off-tree edges crossed
+by the translated cycle s_l z_n: s_l P_e, the edge (s_l e, l_n), then
+s_l P_{e s_{l_n}} backwards, with coefficients 0 and +-1.  R^i is the
+relation rows of A and of B in each of their blocks, and
+HH^i = Z^i / (im D^{i-1} + R^i), Z^i the vectors that D^i sends into
+R^{i+1}.  D o D lands in R: the action is a homomorphism, and f commutes
+with it, modulo the relations.
+
+Why T computes HH.  Let Z_1 = H_1(Gamma), the kernel of
+Z[G]^k -> Z[G], x e_l -> x s_l - x, where x e_l is the edge (x, l).  Gamma is
+connected, so 0 -> Z_1 -> Z[G]^k -> Z[G] -> Z -> 0 is exact: Gruenberg's
+relation sequence (Cohomological Topics in Group Theory, LNM 143), Z_1
+being the relation module N^ab of the presentation on the s_l.  Take a
+free F_2 onto Z_1 and a free F_3 onto the kernel of F_2 -> Z_1; with
+Z[G]^k and Z[G] that is a free resolution of Z.  In degrees <= 2 the total
+complex of Hom_G(F, A -> B) sees F_2 only through Z_1: the A part of a
+degree-2 cocycle kills the image of F_3, so factors through Z_1, and the
+other conditions and every coboundary read F_2 through its image.  So
+HH^i, i <= 2, is computed by the complex with Hom_G(Z_1, A) for
+Hom_G(F_2, A).  In the coordinates v_l = phi(e_l) of a G-map on Z[G]^k and
+a_n = -alpha(z_n) of a G-map on Z_1 that complex is T: L(v)(x) =
+phi_v(P_x), so rho(v)_n = -phi_v(z_n), and the G-maps on Z_1 are the
+vectors on which the equivariance rows vanish, as follows.
+
+Equivariance on the z-basis.  The tree edges form a forest (each vertex
+has at most one tree edge in, and word length grows along it), and
+Pi(m) = z_m, for every edge m = (e, l), is zero on it and the identity on
+Z_1: on a cycle the P terms of its edges cancel.  For a in X^E let psi_a
+be a_n on the off-tree edge n and 0 on the tree, so psi_a(s_l z_n) is the
+signed sum above.  If alpha is a G-map on Z_1 and a_n = alpha(z_n), then
+psi_a = alpha o Pi and every row alpha(s_l z_n) - s_l alpha(z_n) vanishes.
+Conversely, let the rows vanish (modulo R) and alpha = psi_a on Z_1.  A
+cycle c is Pi(c), the sum of c_n z_n over its off-tree edges, so
+alpha(s_l c) = s_l alpha(c): alpha commutes with the generators, so with G,
+and a_n = psi_a(n) = s_l^-1 alpha(s_l z_n) = alpha(z_n).  Nothing here
+needs the z_n to be independent, so any stored words do: on words that are
+not prefix-closed more than |G|(k - 1) + 1 edges are off the tree, and the
+rows tie the extra coordinates to the others.
+
+The bar maps.  Let gamma(x, y) = P_x + x P_y - P_{xy}, a cycle.  W from T to
+the bar complex is
+
+  W_0 = id,   W_1 (v, b) = (L_A v, b),
+  W_2 (a, beta) = (c, L_B beta),  c(x, y) = -psi_a(gamma(x, y)),
+
+which on breadth-first words, where P_x is on the tree, is minus the sum
+of a_n over the off-tree edges on the path x w_y.  It comes from the
+G-chain map [x] -> P_x, [x|y] -> gamma(x, y) from the bar resolution, whose
+boundaries match: d[x|y] = x[y] - [xy] + [x] goes to x P_y - P_xy + P_x.  So
+W is a chain map modulo R, and it induces an isomorphism on HH (the
+comparison theorem).  Back, for a bar 2-cochain c let theta_c(zeta) be the
+signed sum of c(p, s_l) over the edges (p, l) of a cycle zeta.  For a
+cocycle, c(g p, s) = g c(p, s) + c(g, p s) - c(g, p), whose last two terms
+cancel around zeta, so theta_c is a G-map on Z_1.  V is
+
+  V_0 = id,   V_1 (c, b) = ((c(s_l))_l, b),
+  V_2 (c, gamma) = (a, (gamma(s_l))_l),  a_n = -theta_c(z_n).
+
+It sends cocycles to cocycles and commutes with the differentials
+(V_2 (d c) = D^1 V_1 (c): the c(p s) - c(p) terms cancel around z_n), and
+V o W is the identity on cocycles when each generator's stored word is
+its one letter.  Otherwise V o W comes from the chain map e_l -> P_{s_l} of
+the resolution, which the homotopy h(e_l) = P_{s_l} - e_l in Z_1 joins to
+the identity; so V always induces the inverse of W.  A class solve is
+V(c) solved on Z^i.  In degree 1, c is a cocycle iff V_1(c) lies in Z^1
+and c - W_1 V_1 (c) lies in R blockwise, since a 1-cocycle of A is the walk
+of its values modulo R.  In degree 2, c is a cocycle iff it lies in
+Z^2_bar = W_2(Z^2) + B^2_bar + R, since W induces an isomorphism.  In
+degree 1 the bar boundaries (d a, f a) already lie in W_1(Z^1) + R, since
+L_A(delta_A a) = d a modulo R.
+
+The two forms.  The value is Z^i / (im D^{i-1} + R^i), presented with
+``present_quotient`` on the Hermite basis of Z^i:
+
+* the saturation form, for Z-free coefficients K whenever HH^i of the
+  trivial group is finite: a module in degree >= 1, a complex in degree
+  >= 2, or a complex in degree 1 when coker f is finite.  Since cor o res
+  = |G|, e = |G| * exp HH^i(1, K) kills HH^i(G, K) (Brown, Cohomology of
+  Groups, III.9-10).  T^{i+1} is torsion-free, so a vector with a multiple
+  in B^i = im D^{i-1} + R^i is a cocycle, and e times a cocycle lies in
+  B^i: Z^i = sat(B^i) at the primes of e.  D^i is not built;
+* the kernel form, everywhere else: Z^i is the preimage under D^i of
+  R^{i+1}, one ``preimage_kernel``.  Only this form builds D^2.
+
+The cap (``--cap``) bounds what is eliminated and is reported as the
+measure: the equation rows dim T^{i+1} of the kernel form, the width
+dim T^i of the saturation form, and, on the first read of anything in bar
+coordinates (a cochain, a Sha condition, the representatives), the rank
+of the bar T^i.
+
+The value layout.  :class:`CohomologyGroup` holds the value lattice Z^i in
+T^i, W_i as one linear form per coordinate of the bar T^i, built on first
+read, and V_i as one form per coordinate of T^i.  The printed
+representatives are the canonical Hermite basis of Z^i_bar, which depends
+only on that lattice, built on first read from W_i(Z^i), B^2_bar in
+degree 2, and R.
 
 No command restricts a computed group to a subgroup: a Sha condition
-reads the ambient's cocycles on rows of the subgroup's total complex (see
+reads the ambient's cocycles on rows of the subgroup's bar complex (see
 :mod:`shacalc.sha`).  The restriction map on cohomology is kept only as
 the reference the tests compare against, ``tests/helpers.restriction``.
 """
@@ -187,7 +151,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .abelian import PresentedAbelianGroup, class_on_basis, present_quotient
 from .errors import InternalError, ResourceError, StructuralError
@@ -196,12 +160,10 @@ from .groups import FiniteGroup, _prime_factors
 from .intlinalg import (
     IntMatrix,
     Lattice,
-    echelon_sum,
     hermite_rows,
     preimage_kernel,
     sparse_from_matrix,
     sparse_saturation,
-    split_unit_pivots,
 )
 
 DEFAULT_COCHAIN_CAP = 20000
@@ -252,11 +214,11 @@ class _Cochains:
         self.group = group
         self.module = module
         self.gm = module.rank
-        # sparse columns of each element's action matrix; none for the zero
-        # module, whose differentials have no columns to fill
+        # sparse columns of each element's action matrix, no columns for the
+        # zero module
         self.elt_cols: list[list[dict[int, int]]] = [
-            sparse_from_matrix(module.element_matrix(e)) for e in range(group.order)
-        ] if self.gm else []
+            sparse_from_matrix(module.element_matrix(e)) if self.gm else [] for e in range(group.order)
+        ]
 
     def on(self, group: FiniteGroup, embed: Sequence[int]) -> "_Cochains":
         """The same coefficients over a subgroup, given as a standalone
@@ -264,7 +226,7 @@ class _Cochains:
         columns, which are shared, not rebuilt."""
         sub = _Cochains.__new__(_Cochains)
         sub.group, sub.module, sub.gm = group, self.module, self.gm
-        sub.elt_cols = [self.elt_cols[e] for e in embed] if self.gm else []
+        sub.elt_cols = [self.elt_cols[e] for e in embed]
         return sub
 
     def selection(self, i: int, embed: Sequence[int], last: Sequence[int] | None = None) -> list[int]:
@@ -289,74 +251,33 @@ class _Cochains:
         return self.group.order ** (i - 1) * len(last)
 
     def diff_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
-        """Columns of d^i : C^i -> C^{i+1}, on the rows of the target
-        tuples that ``last`` keeps."""
-        order, gm = self.group.order, self.gm
-        table, inverse = self.group.table, self.group.inverse
-        if last is None:
-            last = range(order)
-        n_last = len(last)
-        pos = {s: p for p, s in enumerate(last)}
-        # strides of the slots of a target (i+1)-tuple
-        stride = [order ** (i - k) for k in range(i + 1)]
-        final_sign = -1 if (i + 1) % 2 else 1
+        """Columns of d^i : C^i -> C^{i+1} for i = 0 or 1, on the rows of the
+        target tuples that ``last`` keeps, a target (u, s) on row
+        idx(u) * len(last) + pos(s).  Nothing reads d^2 of bar cochains; the
+        tests keep it as a reference."""
+        order, table, inverse = self.group.order, self.group.table, self.group.inverse
+        last = range(order) if last is None else last
+        n_last, pos = len(last), {s: p for p, s in enumerate(last)}
         cols: list[dict[int, int]] = []
-
-        for ti in range(order**i):
-            t = [ti // stride[k + 1] % order for k in range(i)]
-            # The kept target rows of each term, a target (u, s) on row
-            # idx(u) * n_last + pos(s): (row, x) for the leading term, value
-            # A(x) e_j, and (sign, rows) for the contractions, value sign * e_j.
-            contractions = []
+        for t in range(order**i):
+            # (row, x) for the leading term, value A(x) e_j, and the unit
+            # terms, value sign * e_j, summed once for every j
             if i == 0:
-                lead = list(enumerate(last))  # target (x)
-            elif t[-1] in pos:
-                # every term but the last contraction and the final one ends
-                # in t_i, so it is kept only when t_i is
-                p_last = pos[t[-1]]
-                # target (x, t_1..t_i)
-                step = stride[0] // order * n_last
-                lead = [(ti // order * n_last + p_last + x * step, x) for x in range(order)]
-                # contractions k < i: targets s with s_k s_{k+1} = t_k (so
-                # s_{k+1} = a^-1 t_k) and the rest of t kept
-                for k in range(1, i):
-                    head = sum(t[idx] * stride[idx] for idx in range(k - 1))
-                    tail = sum(t[idx] * stride[idx + 1] for idx in range(k, i))
-                    tk = t[k - 1]
-                    contractions.append((-1 if k % 2 else 1, [
-                        (head + a * stride[k - 1] + table[inverse[a]][tk] * stride[k] + tail)
-                        // order * n_last + p_last
-                        for a in range(order)
-                    ]))
+                lead, units = list(enumerate(last)), dict.fromkeys(range(n_last), -1)
             else:
-                lead = []
-            if i >= 1:
-                # the last contraction: target (t_1..t_{i-1}, t_i b^-1, b)
-                prefix = ti - t[-1]
-                contractions.append((-1 if i % 2 else 1, [
-                    (prefix + table[t[-1]][inverse[b]]) * n_last + p for p, b in enumerate(last)
-                ]))
-            # the final term, target (t_1..t_i, x), and the contractions sit
-            # on the same rows for every j: sum them once
-            unit_sum = dict.fromkeys(range(ti * n_last, (ti + 1) * n_last), final_sign)
-            for sign, rows in contractions:
-                for row in rows:
-                    w = unit_sum.get(row, 0) + sign
-                    if w:
-                        unit_sum[row] = w
-                    else:
-                        del unit_sum[row]
-            for j in range(gm):
-                col = {row * gm + j: v for row, v in unit_sum.items()}
+                # (x, t), kept when t is; the final term (t, b); the
+                # contraction (t b^-1, b), with sign -1
+                lead = [(x * n_last + pos[t], x) for x in range(order)] if t in pos else []
+                units = dict.fromkeys(range(t * n_last, (t + 1) * n_last), 1)
+                for p, b in enumerate(last):
+                    row = table[t][inverse[b]] * n_last + p
+                    units[row] = units.get(row, 0) - 1
+            for j in range(self.gm):
+                col = {row * self.gm + j: v for row, v in units.items()}
                 for row, x in lead:
-                    base = row * gm
                     for r, v in self.elt_cols[x][j].items():
-                        w = col.get(base + r, 0) + v
-                        if w:
-                            col[base + r] = w
-                        else:
-                            del col[base + r]
-                cols.append(col)
+                        col[row * self.gm + r] = col.get(row * self.gm + r, 0) + v
+                cols.append({k: v for k, v in col.items() if v})
         return cols
 
     def relation_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
@@ -410,10 +331,7 @@ class _TotalComplex:
         return tuple(sel)
 
     def dim(self, n: int, last: Sequence[int] | None = None) -> int:
-        if n < 0:
-            return 0
-        b_part = self.cb.dim(n - 1, last) if n >= 1 else 0
-        return self.ca.dim(n, last) + b_part
+        return self.ca.dim(n, last) + (self.cb.dim(n - 1, last) if n >= 1 else 0)
 
     def diff_cols(self, n: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
         """Columns of D^n : T^n -> T^{n+1}, on the rows that ``last`` keeps."""
@@ -434,32 +352,194 @@ class _TotalComplex:
                     continue
                 block = head * len(last) + pos[s]
             for r, v in self.f_cols[j].items():
-                key = a_tgt + block * gm_b + r
-                w = col.get(key, 0) + v
-                if w:
-                    col[key] = w
-                else:
-                    col.pop(key, None)
-        if n >= 1:
-            for col in self.cb.diff_cols(n - 1, last):
-                cols.append({a_tgt + k: -v for k, v in col.items()})
-        return cols
+                col[a_tgt + block * gm_b + r] = col.get(a_tgt + block * gm_b + r, 0) + v
+            cols[src] = {k: v for k, v in col.items() if v}
+        b_part = self.cb.diff_cols(n - 1, last) if n >= 1 else []
+        return cols + [{a_tgt + k: -v for k, v in col.items()} for col in b_part]
 
     def relation_cols(self, n: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
         a_tgt = self.ca.dim(n, last)
-        out = list(self.ca.relation_cols(n, last))
-        if n >= 1:
-            for col in self.cb.relation_cols(n - 1, last):
-                out.append({a_tgt + k: v for k, v in col.items()})
-        return out
+        b_part = self.cb.relation_cols(n - 1, last) if n >= 1 else []
+        return self.ca.relation_cols(n, last) + [{a_tgt + k: v for k, v in col.items()} for col in b_part]
 
     def block_contains(self, n: int, vec: Sequence[int]) -> bool:
         a_dim = self.ca.dim(n)
-        if not self.ca.block_contains(n, vec[:a_dim]):
-            return False
-        if n >= 1 and not self.cb.block_contains(n - 1, vec[a_dim:]):
-            return False
-        return True
+        return self.ca.block_contains(n, vec[:a_dim]) and (n == 0 or self.cb.block_contains(n - 1, vec[a_dim:]))
+
+
+
+# ---------------------------------------------------------------------------
+# The relation complex
+# ---------------------------------------------------------------------------
+
+
+class _RelationComplex:
+    """T^0..T^3 of the relation module for f : A -> B (see the module
+    docstring), built on the bar complex ``t`` for its action columns; the
+    maps W and V to and from bar cochains, as linear forms."""
+
+    def __init__(self, t: _TotalComplex):
+        self.t = t
+        group = self.group = t.ca.group
+        self.gens = list(group.generators)
+        self.edges = group.off_tree_edges()
+        self.index = {edge: n for n, edge in enumerate(self.edges)}
+        k, e = len(self.gens), len(self.edges)
+        # the blocks of A and of B in T^0..T^3
+        self.blocks = ((1, 0), (k, 1), (e, k), (k * e, e))
+
+    def dim(self, i: int) -> int:
+        a, b = self.blocks[i]
+        return a * self.t.ca.gm + b * self.t.cb.gm
+
+    @cached_property
+    def walk_a(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        """(L, rho) of A, computed once."""
+        return _walk(self.t.ca)
+
+    @cached_property
+    def walk_b(self) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+        return _walk(self.t.cb)
+
+    def relation_cols(self, i: int) -> list[dict[int, int]]:
+        a, b = self.blocks[i]
+        b_part = self.t.cb.relation_blocks(b)
+        return self.t.ca.relation_blocks(a) + [{a * self.t.ca.gm + r: v for r, v in col.items()} for col in b_part]
+
+    def diff_cols(self, i: int) -> list[dict[int, int]]:
+        """Columns of D^i : T^i -> T^{i+1}."""
+        t, gens = self.t, self.gens
+        ra, rb = t.ca.gm, t.cb.gm
+        if i == 0:
+            return t.diff_cols(0, gens)
+        k, e = len(gens), len(self.edges)
+        if i == 1:
+            # (rho_A v, (f v_l)_l - delta_B b)
+            cols = [dict(col) for col in self.walk_a[1]]
+            for u, col in enumerate(cols):
+                l, j = divmod(u, ra)
+                col.update((e * ra + l * rb + r, v) for r, v in t.f_cols[j].items())
+            return cols + [{e * ra + r: -v for r, v in col.items()} for col in t.cb.diff_cols(0, gens)]
+        # ((a(s_l z_n) - s_l a_n)_{l,n}, (f a_n)_n - rho_B beta), the block of
+        # (l, n) at n * k + l
+        cols: list[dict[int, int]] = [{} for _ in range(e * ra)]
+        for n in range(e):
+            for l, s in enumerate(gens):
+                block = n * k + l
+                for m, c in self._crossed(self._loop(n), s).items():
+                    for j in range(ra):
+                        cols[m * ra + j][block * ra + j] = c
+                for j in range(ra):
+                    col = cols[n * ra + j]
+                    for r, v in t.ca.elt_cols[s][j].items():
+                        col[block * ra + r] = col.get(block * ra + r, 0) - v
+            for j in range(ra):
+                cols[n * ra + j].update((k * e * ra + n * rb + r, v) for r, v in t.f_cols[j].items())
+        cols = [{r: v for r, v in col.items() if v} for col in cols]
+        return cols + [{k * e * ra + r: -v for r, v in col.items()} for col in self.walk_b[1]]
+
+    def _path(self, x: int, word: Sequence[int], sign: int) -> list[tuple[int, int, int]]:
+        """The edges (p, l) of the path from x along ``word``, each with
+        ``sign``."""
+        out = []
+        for l in word:
+            out.append((x, l, sign))
+            x = self.group.table[x][self.gens[l]]
+        return out
+
+    def _loop(self, n: int) -> list[tuple[int, int, int]]:
+        """The signed edges of z_n: P_e, the edge n, P_{e s_l} backwards."""
+        (e, l), words = self.edges[n], self.group.element_words
+        return self._path(0, words[e], 1) + [(e, l, 1)] + self._path(0, words[self.group.table[e][self.gens[l]]], -1)
+
+    def _crossed(self, edges: list[tuple[int, int, int]], g: int = 0) -> dict[int, int]:
+        """The off-tree edges crossed by the signed edges translated by g,
+        with their signed counts: the cycle in the z-basis."""
+        table, out = self.group.table, {}
+        for p, l, sign in edges:
+            n = self.index.get((table[g][p], l))
+            if n is not None:
+                out[n] = out.get(n, 0) + sign
+        return {n: c for n, c in out.items() if c}
+
+    def bar_forms(self, i: int) -> list[dict[int, int]]:
+        """W_i: for each coordinate of the bar T^i, a linear form
+        {T^i coordinate: coefficient}."""
+        ra, rb = self.t.ca.gm, self.t.cb.gm
+        if i == 0:
+            return [{j: 1} for j in range(ra)]
+        a_dim = self.blocks[i][0] * ra
+        if i == 1:
+            return self.walk_a[0] + [{a_dim + j: 1} for j in range(rb)]
+        # c(x, y) = -psi_a(gamma(x, y)), gamma(x, y) = P_x + x P_y - P_xy
+        group, words, forms = self.group, self.group.element_words, []
+        for x in range(group.order):
+            for y in range(group.order):
+                gamma = self._path(0, words[x], 1) + self._path(x, words[y], 1)
+                crossed = self._crossed(gamma + self._path(0, words[group.table[x][y]], -1))
+                forms += ({n * ra + j: -c for n, c in crossed.items()} for j in range(ra))
+        return forms + [{a_dim + u: a for u, a in form.items()} for form in self.walk_b[0]]
+
+    def value_forms(self, i: int) -> list[dict[int, int]]:
+        """V_i: for each coordinate of T^i, a linear form {bar coordinate:
+        coefficient}."""
+        t, gens, order = self.t, self.gens, self.group.order
+        ra, rb = t.ca.gm, t.cb.gm
+        if i == 0:
+            return [{j: 1} for j in range(ra)]
+        a_dim = t.ca.dim(i)
+        if i == 1:
+            return [{s * ra + j: 1} for s in gens for j in range(ra)] + [{a_dim + j: 1} for j in range(rb)]
+        # a_n = -theta_c(z_n), c read at (p, s_l) on the edges of z_n
+        forms = []
+        for n in range(len(self.edges)):
+            acc: dict[int, int] = {}
+            for p, l, sign in self._loop(n):
+                key = p * order + gens[l]
+                acc[key] = acc.get(key, 0) - sign
+            forms += ({key * ra + j: c for key, c in acc.items() if c} for j in range(ra))
+        return forms + [{a_dim + s * rb + j: 1} for s in gens for j in range(rb)]
+
+
+def _walk(c: _Cochains) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The walk L from X^k to C^1(X), one linear form per coordinate of
+    C^1, and rho, as sparse columns on one block of rk rows per edge off the
+    breadth-first tree (see the module docstring).  v_l is the unknowns
+    l*rk .. l*rk + rk-1."""
+    group, rk = c.group, c.gm
+    gens, words, table = group.generators, group.element_words, group.table
+    edges = group.off_tree_edges()
+
+    def add_step(value: list[dict[int, int]], x: int, l: int, sign: int) -> None:
+        """value += sign * M(x) v_l, in place, one form per coordinate of X."""
+        for j, col in enumerate(c.elt_cols[x]):
+            u = l * rk + j
+            for r, a in col.items():
+                value[r][u] = value[r].get(u, 0) + sign * a
+
+    # values[e] = L(v)(e), walked along the stored words from the identity's
+    # empty one: c(p s_l) = c(p) + M(p) v_l
+    values: list[list[dict[int, int]]] = [[{} for _ in range(rk)] for _ in range(group.order)]
+    steps = group.word_prefixes()
+    for e in sorted(range(1, group.order), key=lambda e: len(words[e])):
+        p, tail = steps[e]
+        value = [dict(form) for form in values[p]]
+        for l in tail:
+            add_step(value, p, l, 1)
+            p = table[p][gens[l]]
+        values[e] = value
+    # one relator block c(e s_l) - c(e) - M(e) v_l per edge off the tree
+    cols: list[dict[int, int]] = [{} for _ in range(len(gens) * rk)]
+    for n, (e, l) in enumerate(edges):
+        relator = [dict(form) for form in values[table[e][gens[l]]]]
+        add_step(relator, e, l, -1)
+        for r, (form, other) in enumerate(zip(relator, values[e])):
+            for u, a in other.items():
+                form[u] = form.get(u, 0) - a
+            for u, a in form.items():
+                if a:
+                    cols[u][n * rk + r] = a
+    return [form for value in values for form in value], cols
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +553,14 @@ class CohomologyGroup:
     cocycle of each class, and a membership procedure taking a cocycle to
     its class coordinates.
 
-    The value is presented on the rows of ``lattice``, the value lattice
-    in its own coordinates, and it comes in one of two layouts (see the
-    module docstring).  When ``_walk`` is None the lattice is Z' in C^i,
-    the cocycles that vanish on the pivot columns of U, and ``_units`` is
-    the lattice of the unit rows U of B^i, held beside it; the map to
-    cochains is the identity.  On the generator route the lattice is K in
-    M^k, the relation rows R of every block are held beside it, and
-    ``_walk`` is the walk's linear map L, as one linear form
-    {unknown: coefficient} per coordinate of C^1.  :meth:`cochain` gives
-    the cocycle of a class given on the value's generators,
-    :meth:`class_coords` the class of a cocycle.  The printed
-    ``representatives`` are the canonical Hermite basis of Z^i in C^i,
-    whatever the route, built on first read from the value lattice and
-    what is held beside it."""
+    The value is presented on the rows of ``lattice``, Z^i in T^i of the
+    relation complex ``_complex``.  Cochains are bar cochains, in the
+    coordinates of ``_cochains``: :meth:`cochain` gives the cocycle W_i(z)
+    of a class given on the value's generators, :meth:`class_coords` the
+    class of a cocycle c, that of V_i(c).  W_i is built on first read,
+    within ``_cap``.  The printed ``representatives`` are the canonical
+    Hermite basis of Z^i_bar, built on first read (see the module
+    docstring)."""
 
     degree: int
     group: FiniteGroup
@@ -494,28 +568,38 @@ class CohomologyGroup:
     group_value: PresentedAbelianGroup
     lattice: Lattice
     _cochains: _TotalComplex = field(repr=False)
-    _walk: list[dict[int, int]] | None = field(default=None, repr=False)
-    _units: Lattice | None = field(default=None, repr=False)
+    _complex: _RelationComplex = field(repr=False)
+    _cap: int = field(default=DEFAULT_COCHAIN_CAP, repr=False)
+
+    @cached_property
+    def _bar(self) -> list[dict[int, int]]:
+        """W_i, one linear form per coordinate of the bar T^i, whose rank
+        the cap bounds."""
+        rank = self._cochains.dim(self.degree)
+        if rank > self._cap:
+            raise ResourceError(
+                f"degree-{self.degree} cochain space has rank {rank}, over the cap {self._cap}",
+                dimension=rank,
+            )
+        return self._complex.bar_forms(self.degree)
 
     def _read(self, vec: dict[int, int], coords: Sequence[int]) -> dict[int, int]:
         """The entries at ``coords``, numbered by position, of the cochain
-        of a sparse vector in the lattice's coordinates."""
-        if self._walk is None:
-            return {r: vec[s] for r, s in enumerate(coords) if s in vec}
-        out = {}
-        for r, s in enumerate(coords):
-            x = sum(a * vec[u] for u, a in self._walk[s].items() if u in vec)
-            if x:
-                out[r] = x
-        return out
+        W_i(vec) of a sparse vector of T^i."""
+        return _evaluate(self._bar, vec, coords)
 
     def _cochain_of(self, vec: dict[int, int]) -> dict[int, int]:
-        """The cochain, sparse, of a sparse vector in the lattice's
-        coordinates."""
-        return vec if self._walk is None else self._read(vec, range(len(self._walk)))
+        """The cochain W_i(vec), sparse, of a sparse vector of T^i."""
+        return self._read(vec, range(len(self._bar)))
 
     def _dense(self, vec: dict[int, int]) -> tuple[int, ...]:
         return tuple(vec.get(k, 0) for k in range(self._cochains.dim(self.degree)))
+
+    def _boundaries(self) -> list[dict[int, int]]:
+        """The bar boundaries that W_i(Z^i) does not reach: B^2_bar in
+        degree 2, and the relation rows R of the bar T^i."""
+        t = self._cochains
+        return (t.diff_cols(1) if self.degree == 2 else []) + t.relation_cols(self.degree)
 
     def cochain(self, coords: Sequence[int]) -> tuple[int, ...]:
         """The cocycle sum of coords[t] times generator t of the value."""
@@ -523,40 +607,31 @@ class CohomologyGroup:
         return self._dense(self._cochain_of(vec))
 
     def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a cocycle's class on the computed generators; a
-        vector that is no cocycle raises :class:`StructuralError`.  Off the
-        generator route the combination of U that agrees with c on the
-        pivot columns of U is subtracted first, a boundary, and the rest
-        lies in Z' iff c is a cocycle.  On the generator route the class is
-        that of the values c(s_l), and c is a cocycle iff they lie in K and
-        c = L(c(s_l)) modulo the relation rows (see the module
-        docstring)."""
-        if self._walk is None:
-            return class_on_basis(self.group_value, self.lattice, self._units.reduce(vec))
-        if len(vec) != len(self._walk):
+        """Coordinates of a cocycle's class on the computed generators, the
+        class of V_i(c); a vector that is no cocycle raises
+        :class:`StructuralError`.  In degree 2, c is a cocycle iff it lies
+        in Z^2_bar; else iff V_i(c) lies in Z^i and c - W_i V_i(c) in the
+        relation rows (see the module docstring)."""
+        if len(vec) != self._cochains.dim(self.degree):
             raise StructuralError("vector length does not match the cochain rank")
-        rk = self._cochains.ca.gm
-        values = {
-            l * rk + j: vec[s * rk + j]
-            for l, s in enumerate(self.group.generators)
-            for j in range(rk)
-            if vec[s * rk + j]
-        }
-        coords = class_on_basis(self.group_value, self.lattice, values)
-        walked = self._cochain_of(values)
-        if not self._cochains.block_contains(1, [v - walked.get(k, 0) for k, v in enumerate(vec)]):
+        if self.degree == 2 and not self._cocycles.contains(vec):
             raise StructuralError("vector is not a cocycle")
+        forms = self._complex.value_forms(self.degree)
+        values = _evaluate(forms, {k: v for k, v in enumerate(vec) if v}, range(len(forms)))
+        coords = class_on_basis(self.group_value, self.lattice, values)
+        if self.degree < 2:
+            walked = self._cochain_of(values)
+            if not self._cochains.block_contains(self.degree, [v - walked.get(k, 0) for k, v in enumerate(vec)]):
+                raise StructuralError("vector is not a cocycle")
         return coords
 
     @cached_property
     def _cocycles(self) -> Lattice:
-        """Z^i in C^i, built on first read: span(U) + Z', whose pivot
-        columns are disjoint, or the lattice of L(K) and R."""
-        if self._walk is None:
-            return echelon_sum(self._units, self.lattice)
-        t = self._cochains
+        """Z^i_bar = W_i(Z^i) + B^i_bar + R, built on first read.  The rows
+        go in last-first, the sparse boundaries before the dense cocycles,
+        whose entries then mostly meet pivots already there."""
         walked = [self._cochain_of(row) for row in self.lattice.sparse_rows()]
-        return hermite_rows(t.relation_cols(1) + walked, t.dim(1))
+        return hermite_rows((walked + self._boundaries())[::-1], self._cochains.dim(self.degree))
 
     @property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
@@ -568,15 +643,12 @@ class CohomologyGroup:
         subgroup spanned by the sparse ``rows``, which are given on every
         generator of the value and span its relations.
 
-        Those cocycles are the cochains of the value-lattice vectors the
-        rows give, plus the boundaries held beside the value lattice: U,
-        since B^i = span(U) + span(D'), or R on the generator route, since
-        a cocycle c has the class of its values V(c), and c = L(V(c))
-        modulo R (see the module docstring).  Each is solved on Z^i."""
+        Those cocycles are W_i of the value-lattice vectors the rows give,
+        plus the boundaries that W_i(Z^i) does not reach (see
+        :meth:`_boundaries`).  Each is solved on Z^i_bar."""
         cocycles = self._cocycles
         lattice = self.lattice.sparse_rows()
-        vectors = [self._cochain_of(_combination(lattice, row)) for row in rows]
-        vectors += self._units.sparse_rows() if self._walk is None else self._cochains.relation_cols(1)
+        vectors = [self._cochain_of(_combination(lattice, row)) for row in rows] + self._boundaries()
         coords = []
         for vec in vectors:
             c = cocycles.solve(vec)
@@ -600,122 +672,46 @@ def _combination(rows: Sequence[dict[int, int]], coeffs: dict[int, int]) -> dict
     return {k: v for k, v in acc.items() if v}
 
 
+def _evaluate(forms: Sequence[dict[int, int]], vec: dict[int, int], at: Iterable[int]) -> dict[int, int]:
+    """The linear forms at ``at`` on a sparse vector, numbered by position."""
+    out = {}
+    for r, s in enumerate(at):
+        x = sum(a * vec[u] for u, a in forms[s].items() if u in vec)
+        if x:
+            out[r] = x
+    return out
+
+
 def _hypercohomology(
     group: FiniteGroup, complex_: TwoTermComplex, degree: int, cochain_cap: int
 ) -> CohomologyGroup:
-    """HH^degree(group, A -> B) on the total complex, by the saturation
-    route when a torsion bound is known, else by the generator route for a
-    module in degree 1, else by the kernel route.  The cap bounds the rows
-    the generator route eliminates, and the rank of T^i on the two routes
-    that split B^i in T^i."""
+    """HH^degree(group, A -> B) on the relation complex, in the saturation
+    form when a torsion bound is known, else in the kernel form.  The cap
+    bounds the width the saturation form saturates in, or the equation
+    rows of the kernel form."""
     if degree not in (0, 1, 2):
         raise StructuralError("only degrees 0..2 are supported")
     t = _TotalComplex(group, complex_)
+    rel = _RelationComplex(t)
     torsion_bound = _hyper_torsion_bound(complex_, degree)
-    walk = units = None
-    if torsion_bound is None and degree == 1 and not complex_.degree1.rank:
-        # the generator route: a module M -> 0, whose T^1 is C^1(M), and the
-        # value K / (D0 + R^k) in the coordinates of K
-        rows = len(group.off_tree_edges()) * t.ca.gm
-        if rows > cochain_cap:
-            raise ResourceError(
-                f"the generator route eliminates {rows} relator rows, over the cap {cochain_cap}",
-                dimension=rows,
-            )
-        lattice, walk = _generator_values(t.ca)
-        gens = list(group.generators)
-        value = present_quotient(lattice, t.ca.diff_cols(0, gens) + t.ca.relation_cols(1, gens))
+    size = rel.dim(degree if torsion_bound is not None else degree + 1)
+    if size > cochain_cap:
+        what = "saturates in rank" if torsion_bound is not None else "has equation rows"
+        raise ResourceError(f"the degree-{degree} value {what} {size}, over the cap {cochain_cap}", dimension=size)
+    # the generators of im D^{i-1} + R^i
+    boundaries = (rel.diff_cols(degree - 1) if degree else []) + rel.relation_cols(degree)
+    if torsion_bound is not None:
+        # torsion_bound kills HH^i and T^{i+1} is torsion-free, so Z^i is the
+        # saturation of im D^{i-1} at its primes
+        lattice, _ = sparse_saturation(boundaries, size, sorted(_prime_factors(torsion_bound)))
     else:
-        # both differential routes work in T^i
-        rank = t.dim(degree)
-        if rank > cochain_cap:
-            raise ResourceError(
-                f"degree-{degree} cochain space has rank {rank}, over the cap {cochain_cap}",
-                dimension=rank,
-            )
-        # the generators of B^i: the image of d^{i-1} and the relation rows;
-        # B^i = span(U) + span(D'), Z^i = span(U) + Z', and the value is
-        # Z' / D' (see the module docstring)
-        boundaries = (t.diff_cols(degree - 1) if degree >= 1 else []) + t.relation_cols(degree)
-        units, rest = split_unit_pivots(boundaries, rank)
-        if torsion_bound is not None:
-            # the saturation route: torsion_bound kills Z^i / B^i and C^{i+1}
-            # is torsion-free, so Z' = sat(D') at its primes
-            lattice, _ = sparse_saturation(rest, rank, sorted(_prime_factors(torsion_bound)))
-        else:
-            # the kernel route: Z' is the preimage under d^i of the relation
-            # rows of C^{i+1}, on the rows of C^{i+1} whose tuple ends in a
-            # generator (see the module docstring; the trivial group keeps
-            # its one tuple), with one equation x_c = 0 on a row of its own
-            # for each pivot column c of U
-            last = sorted(set(group.generators)) or [0]
-            cols, nrows = t.diff_cols(degree, last), t.dim(degree + 1, last)
-            for r, c in enumerate(units.pivots):
-                cols[c][nrows + r] = 1
-            lattice = preimage_kernel(cols, nrows + len(units), t.relation_cols(degree + 1, last))
-        value = present_quotient(lattice, rest)
-    return CohomologyGroup(
-        degree=degree,
-        group=group,
-        coefficients=complex_,
-        group_value=value,
-        lattice=lattice,
-        _cochains=t,
-        _walk=walk,
-        _units=units,
-    )
-
-
-def _generator_values(c: _Cochains) -> tuple[Lattice, list[dict[int, int]]]:
-    """K, the values v = (v_1..v_k) at the generators that satisfy the
-    relators of the edges off the breadth-first tree, and the walk's
-    linear map L from M^k to C^1, as one linear form per coordinate of C^1
-    (see the module docstring).  v_l is the unknowns l*rk .. l*rk + rk-1."""
-    group, rk = c.group, c.gm
-    gens, words, table = group.generators, group.element_words, group.table
-    edges = group.off_tree_edges()
-
-    def add_step(value: list[dict[int, int]], x: int, l: int, sign: int) -> None:
-        """value += sign * M(x) v_l, in place, one form per coordinate of M."""
-        for j, col in enumerate(c.elt_cols[x]):
-            u = l * rk + j
-            for r, a in col.items():
-                form = value[r]
-                w = form.get(u, 0) + sign * a
-                if w:
-                    form[u] = w
-                else:
-                    del form[u]
-
-    # values[e] = L(v)(e), walked along the stored words from the identity's
-    # empty one: c(p s_l) = c(p) + M(p) v_l
-    values: list[list[dict[int, int]]] = [[{} for _ in range(rk)] for _ in range(group.order)]
-    steps = group.word_prefixes()
-    for e in sorted(range(1, group.order), key=lambda e: len(words[e])):
-        p, tail = steps[e]
-        value = [dict(form) for form in values[p]]
-        for l in tail:
-            add_step(value, p, l, 1)
-            p = table[p][gens[l]]
-        values[e] = value
-    # one relator block c(e s_l) - c(e) - M(e) v_l in R per edge off the tree
-    cols: list[dict[int, int]] = [{} for _ in range(len(gens) * rk)]
-    for n, (e, l) in enumerate(edges):
-        relator = [dict(form) for form in values[table[e][gens[l]]]]
-        add_step(relator, e, l, -1)
-        for r, (form, other) in enumerate(zip(relator, values[e])):
-            for u, a in other.items():
-                form[u] = form.get(u, 0) - a
-            for u, a in form.items():
-                if a:
-                    cols[u][n * rk + r] = a
-    walk = [form for value in values for form in value]
-    return preimage_kernel(cols, len(edges) * rk, c.relation_blocks(len(edges))), walk
+        lattice = preimage_kernel(rel.diff_cols(degree), size, rel.relation_cols(degree + 1))
+    return CohomologyGroup(degree, group, complex_, present_quotient(lattice, boundaries), lattice, t, rel, cochain_cap)
 
 
 def _hyper_torsion_bound(complex_: TwoTermComplex, degree: int) -> int | None:
     """A multiple of the exponent of HH^degree(G, A -> B), or None when
-    the saturation route does not apply.
+    the saturation form does not apply.
 
     For the trivial group HH^0 = ker f, HH^1 = coker f and HH^i = 0 for
     i >= 2, and |G| * exp HH^i(1, K) kills HH^i(G, K).  For M -> 0 that

@@ -125,8 +125,8 @@ class FiniteGroup:
         tree: those where the stored word of e s_k is not the word of e
         followed by k; computed once.  This is the one definition of the
         tree: module validation checks the group law on these edges only,
-        and the generator route of :mod:`shacalc.cohomology` puts one
-        relator block on each."""
+        and the relation complex of :mod:`shacalc.cohomology` has one
+        cycle, so one coordinate block of T^2, per edge."""
         if self._off_tree is None:
             words, table = self.element_words, self.table
             self._off_tree = tuple(

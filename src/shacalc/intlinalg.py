@@ -24,26 +24,20 @@ Conventions:
 There is one gcd echelon, :func:`_sparse_insert`, on sparse rows.  Every
 lattice comes out of it once: :func:`hermite_rows` inserts the nonzero rows
 it is given, :func:`sparse_kernel` (and so :func:`preimage_kernel`, which
-tags the kept unknowns alone), :func:`split_unit_pivots` and
-:func:`sparse_saturation` the rows their methods produce, and
-:func:`_hermite_from_echelon` makes the lattice, which reduces the entries
-above the pivots when its basis is first read.  :func:`echelon_sum` joins
-two such echelons whose pivot columns are disjoint, with no elimination.
-The Hermite form is unique (Cohen, A Course in Computational Algebraic
+tags the kept unknowns alone) and :func:`sparse_saturation` the rows their
+methods produce, and :func:`_hermite_from_echelon` makes the lattice, which
+reduces the entries above the pivots when its basis is first read.  The
+Hermite form is unique (Cohen, A Course in Computational Algebraic
 Number Theory, section 2.4), so the basis depends only on the lattice,
 whatever the order of the rows or the pivot steps, and deferring the
 reduction changes nothing that can be read.
 
-A lattice L is saturated in two steps.  :func:`split_unit_pivots` splits
-its echelon E into U, the rows with pivot 1, and D', the other rows
-reduced at the pivots of U; the saturation of L is span(U) + sat(D'),
-with the same index, so only D' is saturated.  Both feed their rows to
-the echelon last-first, which for the rows of a differential, whose
-later rows reach further right, cuts the gcd steps; the lattice does not
-depend on the order.  At each prime p :func:`sparse_saturation` tests
-the pivots first: when p divides none, the echelon is independent mod p
-and nothing is eliminated.  Otherwise it reduces mod p only the rows
-whose pivot p divides, taking in a row with a pivot prime to p when a
+:func:`sparse_saturation` feeds its rows to the echelon last-first, which
+for the rows of a differential, whose later rows reach further right,
+cuts the gcd steps; the lattice does not depend on the order.  At each
+prime p it tests the pivots first: when p divides none, the echelon is
+independent mod p and nothing is eliminated.  Otherwise it reduces mod p
+only the rows whose pivot p divides, taking in a row with a pivot prime to p when a
 reduction first reaches its column; the vanished rows give a basis of
 the full left kernel mod p, so each round adds the lattice a full
 elimination would.  :func:`_deficient_kernel_mod` has the proof.  Each
@@ -288,11 +282,6 @@ class Lattice:
             self._reduce_above_pivots()
         return [row for _, row in self._index]
 
-    @property
-    def pivots(self) -> list[int]:
-        """The pivot columns, in increasing order."""
-        return [c for c, _ in self._index]
-
     def __len__(self) -> int:
         return len(self._index)
 
@@ -374,19 +363,6 @@ def hermite_rows(rows: Iterable[Sequence[int] | dict[int, int]], width: int) -> 
     for r in rows:
         _sparse_insert(pivots, _sparse_vec(r, width))
     return _hermite_from_echelon(pivots, width)
-
-
-def echelon_sum(a: Lattice, b: Lattice) -> Lattice:
-    """The lattice a + b of two lattices of one width whose pivot columns
-    are disjoint, on copies of the echelons they hold: rows with distinct
-    pivots, each zero left of its own, are an echelon basis of the sum.
-    Nothing is eliminated, and neither lattice is reduced; the sum reduces
-    above its pivots when its basis is first read."""
-    rows = dict(a._index)
-    if a.width != b.width or any(c in rows for c, _ in b._index):
-        raise StructuralError("the lattices differ in width or share a pivot column")
-    rows.update(b._index)
-    return _hermite_from_echelon({c: dict(row) for c, row in rows.items()}, a.width)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -690,28 +666,6 @@ def _deficient_kernel_mod(
         else:
             kernel.append(combo)
     return kernel
-
-
-def split_unit_pivots(
-    rows: Sequence[dict[int, int]], width: int
-) -> tuple[Lattice, list[dict[int, int]]]:
-    """The gcd echelon E of the lattice L spanned by the sparse ``rows``
-    of the given width, inserted last-first (see
-    :func:`sparse_saturation`), split in two: the lattice of U, the rows
-    of E with pivot 1, whose pivot columns are J, and D', the other rows
-    of E, each reduced at the pivots of U, so zero on J, in pivot order.
-
-    The reduction is unimodular, so L = span(U) + span(D').  U restricted
-    to J is unitriangular and D' vanishes on J, so for any set of primes
-    the saturation of L is span(U) + sat(D'), a direct sum, with the same
-    index (:mod:`shacalc.cohomology` proves the split for any lattice
-    that contains L)."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in reversed(rows):
-        _sparse_insert(pivots, dict(row))
-    units = {c: row for c, row in pivots.items() if row[c] == 1}
-    rest = [_back_reduce(units, row, c) for c, row in sorted(pivots.items()) if row[c] != 1]
-    return _hermite_from_echelon(units, width), rest
 
 
 def sparse_saturation(

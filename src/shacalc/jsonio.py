@@ -51,6 +51,13 @@ def _parse_int(value: Any, path: str) -> int:
     raise InputError(f"expected a decimal integer, got {value!r}", path=path)
 
 
+def _name(value: Any, path: str) -> str:
+    """A name field, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise InputError("missing name" if value is None else f"a name is a string, not {value!r}", path=path)
+    return value
+
+
 def _generator_index(name: Any, group: FiniteGroup, path: str) -> int:
     """k for a generator name "sk" of the group."""
     if not (isinstance(name, str) and name.startswith("s") and _is_decimal(name[1:])):
@@ -235,11 +242,11 @@ class ProblemFile:
                 self.group,
                 f"$.local_datum.special_places[{i}].decomposition",
             )
-            places.append((str(p["name"]), sub))
+            places.append((_name(p["name"], f"$.local_datum.special_places[{i}].name"), sub))
         excluded_raw = spec.get("S", [])
         if not isinstance(excluded_raw, list):
             raise InputError("S is an array of place names", path="$.local_datum.S")
-        excluded = frozenset(str(n) for n in excluded_raw)
+        excluded = frozenset(_name(n, f"$.local_datum.S[{j}]") for j, n in enumerate(excluded_raw))
         unknown = excluded - {name for name, _ in places}
         if unknown:
             raise InputError(
@@ -269,13 +276,13 @@ class ProblemFile:
 
     def homspace(self) -> HomSpaceDatum:
         spec = self._section("homspace")
-        g_hat = self.module(str(spec.get("G_hat", "")))
+        g_hat = self.module(_name(spec.get("G_hat"), "$.homspace.G_hat"))
         if not isinstance(g_hat, PermutationModule):
             raise InputError(
                 "G_hat must be a permutation module (builtin regular or coset)",
                 path="$.homspace.G_hat",
             )
-        h_hat = self.module(str(spec.get("H_hat", "")))
+        h_hat = self.module(_name(spec.get("H_hat"), "$.homspace.H_hat"))
         res_matrix = parse_matrix(spec.get("res"), "$.homspace.res", cols=g_hat.rank)
         try:
             return HomSpaceDatum(datum=self.datum, res=GModuleHom(g_hat, h_hat, res_matrix))
@@ -284,7 +291,7 @@ class ProblemFile:
 
     def cochar(self) -> CocharacterDatum:
         spec = self._section("cochar")
-        x_star = self.module(str(spec.get("X_star", "")))
+        x_star = self.module(_name(spec.get("X_star"), "$.cochar.X_star"))
         mat = parse_matrix(spec.get("coroot_inclusion", []), "$.cochar.coroot_inclusion", cols=0)
         if mat.ncols == 0:
             mat = IntMatrix.zeros(x_star.rank, 0)
@@ -295,8 +302,8 @@ class ProblemFile:
 
     def isogeny(self) -> TwoTermComplex:
         spec = self._section("isogeny")
-        source = self.module(str(spec.get("source", "")))
-        target = self.module(str(spec.get("target", "")))
+        source = self.module(_name(spec.get("source"), "$.isogeny.source"))
+        target = self.module(_name(spec.get("target"), "$.isogeny.target"))
         mat = parse_matrix(spec.get("map"), "$.isogeny.map", cols=source.rank)
         try:
             return TwoTermComplex(GModuleHom(source, target, mat))

@@ -34,23 +34,22 @@ Reduced coordinates
 A Sha group is the kernel of the stacked conditions (below) on the
 reduced view of the ambient value (see :mod:`shacalc.abelian`), so its
 value, its lattice and its quotients live on the kept generators only.
-Those are generators in the ambient's own coordinates: of Z', the part
-of Z^i left after the unit rows U of B^i are split off, on the
-saturation and kernel routes, and of K, the values at the generators,
-on the generator route (see :mod:`shacalc.cohomology`).  Each value
-generator gets one cochain, the ambient's cocycle of that class (L(v)
-on the generator route, at |G| * rk coordinates), and the cochain-level
-recheck (every cochain restricts to zero on every restricted subgroup,
-below) runs on those cochains whenever a group is built.  The printed
-representatives are built on first access only: the Hermite basis, in
-the coordinates of the Hermite basis of Z^i, of the cocycles whose
-classes lie in the Sha group, times that basis.  Those cocycles, with
-the boundaries the ambient holds beside its value lattice (U, or the
-relation rows R of every block), are solved on Z^i, which is built
-then.  The recheck runs again on the representatives.  A quotient takes no second kernel: the smaller Sha
+Those are generators in the ambient's own coordinates, of Z^i in T^i of
+the relation complex (see :mod:`shacalc.cohomology`).  Each value
+generator gets one cochain, the ambient's bar cocycle W_i(z) of that
+class, and the cochain-level recheck (every cochain restricts to zero on
+every restricted subgroup, below) runs on those cochains whenever a
+group is built.  The printed representatives are built on first access
+only: the Hermite basis, in the coordinates of the Hermite basis of
+Z^i_bar, of the cocycles whose classes lie in the Sha group, times that
+basis.  Those cocycles, with the bar boundaries that W_i(Z^i) does not
+reach (B^2_bar in degree 2, and the relation rows R of every block), are
+solved on Z^i_bar, which is built then.  The recheck runs again on the
+representatives.  A quotient takes no second kernel: the smaller Sha
 lattice holds the ambient relations, so it alone is solved on the
-bigger one's basis.  Two ambients are equal when their values, value
-lattices, walks and unit rows are.
+bigger one's basis.  Two ambients are equal when their degrees, values,
+value lattices, groups (table and words) and coefficients (both terms
+and f) are, since those fix W_i.
 
 Which restrictions are computed
 -------------------------------
@@ -89,16 +88,27 @@ trivial group), T^i(H) its total complex, read off the ambient's through
 the embedding, and the checked rows the tuples of T^i(H) that end in
 S_H, with all of C^0(B).  The columns are ev_H, which reads a cochain of
 G on the checked rows, and Lambda_H is spanned there by the columns of
-D^{i-1} of H and the relation rows.  On the generator route ev_H of a
-class v is read off the walk's linear forms at the generators of H, the
-values L(v)(h) at the checked rows; no cochain of G is built.  Then c
-lies in ker res_H iff ev_H(c) lies in Lambda_H: given m with c|_H - D m
-zero mod the relation rows on the checked rows, the cocycle c|_H - D m
-is zero everywhere by the kernel-route lemma of :mod:`shacalc.cohomology`.  The recheck does not
-rely on the lemma: it finds m from the Hermite form of
-[Lambda_H rows | tags], the column of D at coordinate k of T^{i-1}(H)
-tagged e_k, and checks that c|_H - D m lies in the relation rows on
-every tuple of T^i(H).
+D^{i-1} of H and the relation rows.  ev_H of a class z is read off the
+linear forms of W_i at the checked rows alone (in degree 1 the walk's
+values L(v)(h)); no cochain of G is built.  Then c lies in ker res_H iff
+ev_H(c) lies in Lambda_H: given m with c|_H - D m zero mod the relation
+rows on the checked rows, the cocycle c|_H - D m is zero everywhere by
+the lemma below.  The recheck does not rely on the lemma: it finds m
+from the Hermite form of [Lambda_H rows | tags], the column of D at
+coordinate k of T^{i-1}(H) tagged e_k, and checks that c|_H - D m lies
+in the relation rows on every tuple of T^i(H).
+
+The lemma: if delta in C^m(H, M), m >= 1, has d delta = 0 in M and
+vanishes on every tuple ending in S_H, then delta = 0.  At
+(g_1,...,g_m, s) every term of d delta ends in s except
+(-1)^m [delta(g_1,...,g_m s) - delta(g_1,...,g_m)], so
+delta(h, x s) = delta(h, x) for all x; then delta(h, e) = delta(h, s) = 0,
+and delta vanishes everywhere since S_H generates H as a monoid.  It
+applies to delta = c|_H - D m read in M, since D o D = 0 modulo the
+relation rows.  For the total complex, the lemma kills the C^m(A) part
+first; then D delta = 0 gives d delta_B = f(delta_A) = 0, which kills the
+C^{m-1}(B) part when m >= 2; all of C^0(B) is checked.  The trivial group
+has no generators; its one tuple is checked.
 
 So the Sha lattice is the kernel of the restriction maps to the H on
 the reduced ambient value, and its Hermite basis, its value, its
@@ -204,12 +214,7 @@ class ShaGroup:
     def quotient_by(self, smaller: "ShaGroup") -> PresentedAbelianGroup:
         """This group modulo a smaller one over an equal ambient (Sha_S / Sha_empty)."""
         mine, theirs = self.ambient, smaller.ambient
-        if (
-            mine.group_value != theirs.group_value
-            or mine.lattice != theirs.lattice
-            or mine._walk != theirs._walk
-            or mine._units != theirs._units
-        ):
+        if mine is not theirs and _ambient_data(mine) != _ambient_data(theirs):
             raise StructuralError("the two Sha groups lie in different ambient groups")
         basis, rows = self._basis, smaller._basis.sparse_rows()
         if not all(basis.contains(row) for row in rows):
@@ -226,6 +231,15 @@ class ShaGroup:
 
     def __str__(self) -> str:
         return str(self.value)
+
+
+def _ambient_data(ambient: CohomologyGroup) -> tuple:
+    """What fixes an ambient's classes and their cocycles: the degree, the
+    value and its lattice, the group's table and words, and both terms of
+    the coefficients with f."""
+    f, g = ambient.coefficients.f, ambient.group
+    terms = [(m.underlying, m.action) for m in (f.source, f.target)]
+    return (ambient.degree, ambient.group_value, ambient.lattice, g.table, g.element_words, f.matrix, terms)
 
 
 class _WholeGroup:

@@ -7,38 +7,50 @@ map congruence, the long exact sequence of a two-term complex, the zero,
 identity and composite homomorphisms, the general subquotient ker/im,
 the restriction of a module and of a computed group to a subgroup (the
 reference for the Sha conditions), the cocycle of each generator of a
-computed value, the value on the bar route (on the Hermite basis of
-Z^i in C^i, the reference for the value in generator coordinates and on
-Z'), the groups of the bench ladder,
-the full cocycle test of a cochain, the inclusion and the quotient of
-Sha groups, a restriction's class map on every generator
-of its source value (composed from the reduced map, or eager), the Sha
-kernels built from those restrictions and stacked class maps (eager, on
-every generator of the ambient value, and on its reduced view), the
-column-order echelon kernel that ``sparse_kernel`` must reproduce, the
-checked rows of the kernel route cut out of the full differential, the
-kernel route's Z^i, the mod-p left kernel over every row and the
-saturation that eliminated with it, the checked faithful image, the
-dense Hermite form, and the dense lattice solve and reduction.  The
-subquotient, the restrictions, the cocycle test and the last eight are
-the references for what the package now builds or solves directly.
-Spies on ``Lattice`` show when a lattice is reduced or solved on."""
+computed value, the bar d^i in every degree (``FullCochains``, the bar
+d^2 the package no longer builds), the value on the bar routes (on the
+Hermite basis of Z^i in C^i, the reference for every value,
+representative and class solve on the relation complex, with the check
+``assert_matches_bar_route``), the groups of the bench ladder, the full
+cocycle test of a cochain, the inclusion and the quotient of Sha groups,
+a restriction's class map on every generator of its source value
+(composed from the reduced map, or eager), the Sha kernels built from
+those restrictions and stacked class maps (eager, on every generator of
+the ambient value, and on its reduced view), the column-order echelon
+kernel that ``sparse_kernel`` must reproduce, the checked rows of the bar
+kernel route cut out of the full differential, that route's Z^i, the
+mod-p left kernel over every row and the saturation that eliminated with
+it, the checked faithful image, the dense Hermite form, and the dense
+lattice solve and reduction.  The subquotient, the restrictions, the
+cocycle test and the last eight are the references for what the package
+now builds or solves directly.  Spies on ``Lattice`` show when a lattice
+is reduced or solved on."""
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import pytest
 
-from shacalc.abelian import AbHom, PresentedAbelianGroup, class_on_basis, present_quotient
+from shacalc.abelian import (
+    AbHom,
+    PresentedAbelianGroup,
+    class_on_basis,
+    invariant_factors,
+    is_isomorphism,
+    present_quotient,
+)
 from shacalc.cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
     TwoTermComplex,
+    _Cochains,
     _hyper_torsion_bound,
+    _TotalComplex,
     cohomology,
     hypercohomology,
 )
@@ -295,35 +307,161 @@ def generator_cochains(cg: CohomologyGroup) -> list[tuple[int, ...]]:
     return [generator_cochain(cg, j) for j in range(cg.group_value.generator_count)]
 
 
-def bar_route(cg: CohomologyGroup) -> CohomologyGroup:
-    """``cg`` with its value presented in the coordinates of Z^i: on the
-    Hermite basis of Z^i in C^i, with one relator per generator of B^i,
-    each solved on that basis; the cochain map is the identity, and no
-    unit rows are held beside the value lattice.  The reference for a
-    value in other coordinates, which every route gives.  On the kernel
-    route Z^i is the preimage under d^i of the relation rows, on the
-    checked rows of C^{i+1} (``checked_coords``), with no equation at the
-    pivot columns of U (``kernel_route_cocycles``), also on the generator
-    route (H^1 of a module with torsion); on the saturation route it is the saturation of B^i, the image of d^{i-1}
-    and the relation rows, at the primes of the torsion bound
-    (``full_elimination_saturation``)."""
-    t, d = cg._cochains, cg.degree
+class FullCochains(_Cochains):
+    """Bar cochains with d^i in every degree, the middle contractions
+    included: the reference bar d^2, which the package no longer builds."""
+
+    def diff_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
+        """Columns of d^i : C^i -> C^{i+1} in every degree, on the rows
+        of the target tuples that ``last`` keeps."""
+        order, gm = self.group.order, self.gm
+        table, inverse = self.group.table, self.group.inverse
+        if last is None:
+            last = range(order)
+        n_last = len(last)
+        pos = {s: p for p, s in enumerate(last)}
+        # strides of the slots of a target (i+1)-tuple
+        stride = [order ** (i - k) for k in range(i + 1)]
+        final_sign = -1 if (i + 1) % 2 else 1
+        cols: list[dict[int, int]] = []
+
+        for ti in range(order**i):
+            t = [ti // stride[k + 1] % order for k in range(i)]
+            # The kept target rows of each term, a target (u, s) on row
+            # idx(u) * n_last + pos(s): (row, x) for the leading term, value
+            # A(x) e_j, and (sign, rows) for the contractions, value sign * e_j.
+            contractions = []
+            if i == 0:
+                lead = list(enumerate(last))  # target (x)
+            elif t[-1] in pos:
+                # every term but the last contraction and the final one ends
+                # in t_i, so it is kept only when t_i is
+                p_last = pos[t[-1]]
+                # target (x, t_1..t_i)
+                step = stride[0] // order * n_last
+                lead = [(ti // order * n_last + p_last + x * step, x) for x in range(order)]
+                # contractions k < i: targets s with s_k s_{k+1} = t_k (so
+                # s_{k+1} = a^-1 t_k) and the rest of t kept
+                for k in range(1, i):
+                    head = sum(t[idx] * stride[idx] for idx in range(k - 1))
+                    tail = sum(t[idx] * stride[idx + 1] for idx in range(k, i))
+                    tk = t[k - 1]
+                    contractions.append((-1 if k % 2 else 1, [
+                        (head + a * stride[k - 1] + table[inverse[a]][tk] * stride[k] + tail)
+                        // order * n_last + p_last
+                        for a in range(order)
+                    ]))
+            else:
+                lead = []
+            if i >= 1:
+                # the last contraction: target (t_1..t_{i-1}, t_i b^-1, b)
+                prefix = ti - t[-1]
+                contractions.append((-1 if i % 2 else 1, [
+                    (prefix + table[t[-1]][inverse[b]]) * n_last + p for p, b in enumerate(last)
+                ]))
+            # the final term, target (t_1..t_i, x), and the contractions sit
+            # on the same rows for every j: sum them once
+            unit_sum = dict.fromkeys(range(ti * n_last, (ti + 1) * n_last), final_sign)
+            for sign, rows in contractions:
+                for row in rows:
+                    w = unit_sum.get(row, 0) + sign
+                    if w:
+                        unit_sum[row] = w
+                    else:
+                        del unit_sum[row]
+            for j in range(gm):
+                col = {row * gm + j: v for row, v in unit_sum.items()}
+                for row, x in lead:
+                    base = row * gm
+                    for r, v in self.elt_cols[x][j].items():
+                        w = col.get(base + r, 0) + v
+                        if w:
+                            col[base + r] = w
+                        else:
+                            del col[base + r]
+                cols.append(col)
+        return cols
+
+
+
+def full_complex(t):
+    """The bar total complex ``t``, or the cochain term ``t``, with
+    :class:`FullCochains` terms, whose ``diff_cols`` gives d^n in every
+    degree."""
+    out = copy.copy(t)
+    if isinstance(t, _Cochains):
+        out.__class__ = FullCochains
+    else:
+        out.ca, out.cb = full_complex(t.ca), full_complex(t.cb)
+    return out
+
+
+@dataclass
+class BarGroup:
+    """A value presented on the Hermite basis of Z^i in bar coordinates,
+    with one relator per generator of B^i solved on it: the cochain map is
+    the identity, and a class solve is a solve on Z^i."""
+
+    degree: int
+    group: FiniteGroup
+    coefficients: TwoTermComplex
+    group_value: PresentedAbelianGroup
+    lattice: Lattice
+    _cochains: _TotalComplex
+
+    def cochain(self, coords: Sequence[int]) -> tuple[int, ...]:
+        rows = self.lattice.rows
+        return tuple(sum(c * row[k] for c, row in zip(coords, rows)) for k in range(self.lattice.width))
+
+    def class_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
+        if len(vec) != self.lattice.width:
+            raise StructuralError("vector length does not match the cochain rank")
+        return class_on_basis(self.group_value, self.lattice, vec)
+
+    @property
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        return self.lattice.rows
+
+
+def bar_route(cg: CohomologyGroup) -> BarGroup:
+    """``cg`` on the bar routes the package took before it computed on the
+    relation complex: the value presented on the Hermite basis of Z^i in
+    the bar T^i, with one relator per generator of B^i.  Z^i is the
+    saturation of B^i, the image of d^{i-1} and the relation rows, at the
+    primes of the torsion bound (``full_elimination_saturation``) when there
+    is one, else the preimage under d^i of the relation rows, on the
+    checked rows of C^{i+1} (``kernel_route_cocycles``).  The reference for
+    every value, representative and class solve."""
+    t, d = full_complex(cg._cochains), cg.degree
     boundaries = (t.diff_cols(d - 1) if d else []) + t.relation_cols(d)
     bound = _hyper_torsion_bound(cg.coefficients, d)
-    if cg._walk is not None or bound is None:
+    if bound is None:
         cocycles = kernel_route_cocycles(t, d)
     else:
         primes = sorted(_prime_factors(bound))
         cocycles, _ = full_elimination_saturation(boundaries, t.dim(d), primes)
-    return CohomologyGroup(
-        degree=d,
-        group=cg.group,
-        coefficients=cg.coefficients,
-        group_value=present_quotient(cocycles, boundaries),
-        lattice=cocycles,
-        _cochains=t,
-        _units=hermite_rows([], t.dim(d)),
-    )
+    return BarGroup(d, cg.group, cg.coefficients, present_quotient(cocycles, boundaries), cocycles, t)
+
+
+def assert_matches_bar_route(h: CohomologyGroup) -> BarGroup:
+    """A value on the relation complex against the bar-route reference
+    ``bar_route``, presented on Z^i: the same representatives and invariant
+    factors, and class coordinates that make the map from the reference
+    value, generator j to the class of representative j, an isomorphism,
+    inverse to the map that sends each generator to the reference class of
+    its cocycle.  Returns the reference."""
+    ref = bar_route(h)
+    assert h.representatives == ref.representatives
+    assert invariant_factors(h.group_value) == invariant_factors(ref.group_value)
+    value, bar = h.group_value, ref.group_value
+    forward = AbHom(bar, value, IntMatrix.from_cols(
+        [h.class_coords(rep) for rep in ref.representatives], rows=value.generator_count))
+    back = AbHom(value, bar, IntMatrix.from_cols(
+        [ref.class_coords(generator_cochain(h, j)) for j in range(value.generator_count)],
+        rows=bar.generator_count))
+    assert is_isomorphism(forward)
+    assert congruent(compose(back, forward), identity_hom(bar))
+    return ref
 
 
 def dense(col: dict[int, int], dim: int) -> list[int]:
@@ -335,15 +473,15 @@ def dense(col: dict[int, int], dim: int) -> list[int]:
 
 
 def is_cocycle(cg: CohomologyGroup, vec: Sequence[int]) -> bool:
-    """Whether a cochain is a cocycle of ``cg``, on the full d^i: the
-    saturation route never builds d^i and the kernel route builds only some
-    of its rows, so this check is independent of either."""
+    """Whether a cochain is a cocycle of ``cg``, on the full bar d^i,
+    which the package does not build, so this check is independent of
+    it."""
     cochains = cg._cochains
     if len(vec) != cochains.dim(cg.degree):
         raise StructuralError(
             f"cochain of length {len(vec)}, expected {cochains.dim(cg.degree)}"
         )
-    img = dense(sparse_apply(cochains.diff_cols(cg.degree), vec), cochains.dim(cg.degree + 1))
+    img = dense(sparse_apply(full_complex(cochains).diff_cols(cg.degree), vec), cochains.dim(cg.degree + 1))
     return cochains.block_contains(cg.degree + 1, img)
 
 
@@ -614,12 +752,13 @@ def checked_coords(cochains, i: int) -> list[int]:
 
 
 def kernel_route_cocycles(t, degree: int = 1) -> Lattice:
-    """Z^i of the total complex ``t`` by the kernel route as it was before
-    it split off the unit rows of B^i, and the one that degree 1 of a
-    module took before the generator route: the preimage under d^i, built
-    on the checked rows of C^{i+1} only (see ``checked_coords``), of their
-    relation rows.  The reference for the kernel and generator routes."""
+    """Z^i of the bar total complex ``t`` by the kernel route the package
+    took before it computed on the relation complex: the preimage under
+    d^i, built on the checked rows of C^{i+1} only (see
+    ``checked_coords``), of their relation rows.  The reference for the
+    kernel form."""
     last = sorted(set(t.ca.group.generators)) or [0]
+    t = full_complex(t)
     return preimage_kernel(
         t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
     )

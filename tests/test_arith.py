@@ -98,6 +98,19 @@ class TestCorootActions:
         with pytest.raises(StructuralError):
             self.datum(cols)
 
+    def test_checked_modulo_the_relations(self):
+        """X_star = Z^2 / <(1, -1)> over Z2, Z-free of rank 1: the coroot
+        (1, -1) is zero in X_star and the two unit columns are dependent
+        there; (2, 0), twice the generator, spans a coroot lattice of
+        index 2."""
+        g = GROUPS["Z2"]
+        x = GModule(g, PresentedAbelianGroup(2, [[1, -1]]), [IntMatrix.identity(2)])
+        for cols in ([[1, -1]], [[1, 0], [0, 1]]):
+            with pytest.raises(StructuralError, match="dependent"):
+                CocharacterDatum(X_star=x, coroots=IntMatrix.from_cols(cols, rows=2))
+        d = CocharacterDatum(X_star=x, coroots=IntMatrix.from_cols([[2, 0]], rows=2))
+        assert invariant_factors(fundamental_group(d).underlying) == (0, (2,))
+
     def test_row_count_named(self):
         """One row per generator of X_star: three rows for a rank-2
         X_star is rejected with both numbers, before any column is read."""

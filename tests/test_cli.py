@@ -213,6 +213,76 @@ class TestErrors:
         payload = json.loads(err)["error"]
         assert (payload["type"], payload["path"]) == ("input", "$.local_datum.special_places")
 
+    @pytest.mark.parametrize("section,field,command", [
+        ("homspace", "G_hat", "brauer"),
+        ("homspace", "H_hat", "brauer"),
+        ("cochar", "X_star", "cover"),
+        ("isogeny", "source", "ext0"),
+        ("isogeny", "target", "ext0"),
+    ])
+    @pytest.mark.parametrize("value", [5, ["G"], "missing"])
+    def test_name_field_not_a_string_rejected(self, tmp_path, section, field, command, value):
+        """A module reference that is not a JSON string, or is missing, is
+        bad input at the field's own path, not an undefined module."""
+        spec = {
+            "homspace": {"G_hat": "G", "H_hat": "H", "res": [["1", "1"]]},
+            "cochar": {"X_star": "H", "coroot_inclusion": [["2"]]},
+            "isogeny": {"source": "H", "target": "H", "map": [["2"]]},
+        }[section]
+        if value == "missing":
+            del spec[field]
+        else:
+            spec[field] = value
+        p = tmp_path / "names.json"
+        p.write_text(json.dumps({
+            "schema": 1,
+            "group": {"permutation_generators": [[1, 0]]},
+            "modules": {"G": {"builtin": "regular"}, "H": {"builtin": "trivial", "rank": 1}},
+            section: spec,
+        }))
+        code, out, err = run_cli([command, str(p)])
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert (payload["type"], payload["path"]) == ("input", f"$.{section}.{field}")
+
+    @pytest.mark.parametrize("datum,path", [
+        ({"special_places": [{"name": 5, "decomposition": []}]}, "$.local_datum.special_places[0].name"),
+        ({"special_places": [{"name": "5", "decomposition": []}], "S": [5]}, "$.local_datum.S[0]"),
+        ({"special_places": [{"name": "v", "decomposition": []}], "S": ["v", ["5"]]}, "$.local_datum.S[1]"),
+    ])
+    def test_place_name_not_a_string_rejected(self, tmp_path, datum, path):
+        """A place named by a number, and an excluded set S naming one, are
+        bad input at the name's path: the number is neither accepted as the
+        place "5" nor matched against it."""
+        p = tmp_path / "places.json"
+        p.write_text(json.dumps({
+            "schema": 1,
+            "group": {"permutation_generators": [[1, 0]]},
+            "modules": {"M": {"builtin": "trivial"}},
+            "local_datum": datum,
+        }))
+        code, out, err = run_cli(["cohomology", str(p), "--module", "M", "--degree", "0"])
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert (payload["type"], payload["path"]) == ("input", path)
+
+    def test_coroot_zero_modulo_relations_rejected(self, tmp_path):
+        """pi1 --cochar over Z2 with X_star = Z^2 / <(1, -1)>: the coroot
+        (1, -1) is zero in X_star, bad input at $.cochar."""
+        p = tmp_path / "cochar.json"
+        p.write_text(json.dumps({
+            "schema": 1,
+            "group": {"permutation_generators": [[1, 0]]},
+            "modules": {"X": {"rank": 2, "relations": [["1", "-1"]],
+                              "action": {"s0": [["1", "0"], ["0", "1"]]}}},
+            "cochar": {"X_star": "X", "coroot_inclusion": [["1"], ["-1"]]},
+        }))
+        code, out, err = run_cli(["pi1", str(p), "--cochar"])
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert (payload["type"], payload["path"]) == ("input", "$.cochar")
+        assert "dependent" in payload["message"]
+
     def test_coroot_row_count_named(self, tmp_path):
         """A coroot inclusion with a row count other than the number of
         generators of X_star is bad input at $.cochar, naming both."""
@@ -253,9 +323,11 @@ class TestErrors:
         assert json.loads(err)["error"]["type"] == "resource"
 
     def test_generator_route_budget_payload(self, tmp_path):
-        """H^1(Z4, Z/4) by the generator route eliminates one relator row,
-        for the one edge off the breadth-first tree: a cap of 0 exits 4 and
-        reports that row count as the dimension, a cap of 1 passes."""
+        """H^1(Z4, Z/4) eliminates one relator row, for the one edge off the
+        breadth-first tree: a cap of 0 exits 4 and reports that row count as
+        the dimension.  A cap of 1 passes the value, and the read of the
+        printed representatives, at the bar rank 4, exits 4 and reports
+        that rank; a cap of 4 passes both."""
         p = tmp_path / "z4.json"
         p.write_text(
             json.dumps(
@@ -271,9 +343,27 @@ class TestErrors:
         assert code == 4
         error = json.loads(err)["error"]
         assert error["type"] == "resource" and error["dimension"] == 1
-        code, out, _ = run_cli(argv + ["1"])
+        code, _, err = run_cli(argv + ["1"])
+        assert code == 4 and json.loads(err)["error"]["dimension"] == 4
+        code, out, _ = run_cli(argv + ["4"])
         assert code == 0
         assert json.loads(out)["invariant_factors"]["torsion"] == [4]
+
+    def test_representatives_read_budgeted(self, tmp_path):
+        """H^2(A4, I_G) at --cap 1000: the value saturates at width 143,
+        and printing its representatives, at the bar rank 12^2 * 11 = 1584,
+        exits 4 with that dimension in under a second."""
+        p = tmp_path / "a4.json"
+        p.write_text(json.dumps({
+            "schema": 1,
+            "group": {"permutation_generators": [[1, 2, 0, 3], [1, 0, 3, 2]]},
+            "modules": {"I": {"builtin": "augmentation_ideal"}},
+        }))
+        start = time.perf_counter()
+        code, _, err = run_cli(["cohomology", str(p), "--module", "I", "--degree", "2", "--cap", "1000"])
+        assert time.perf_counter() - start < 1
+        error = json.loads(err)["error"]
+        assert code == 4 and error["type"] == "resource" and error["dimension"] == 1584
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "broken.json"

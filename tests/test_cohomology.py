@@ -3,13 +3,15 @@
 import hashlib
 import math
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shacalc.abelian import AbHom, invariant_factors, is_isomorphism, present_quotient
+from shacalc.abelian import invariant_factors, present_quotient
 from shacalc.arith import (
     HomSpaceDatum,
     brauer_obstruction_groups,
@@ -19,6 +21,7 @@ from shacalc.arith import (
 from shacalc.cohomology import (
     TwoTermComplex,
     _Cochains,
+    _RelationComplex,
     _TotalComplex,
     _module_complex,
     cohomology,
@@ -57,11 +60,12 @@ from shacalc.sha import (
     sha_omega,
     sha_two_term,
 )
-from shacalc.suites import random_equivariant_map, random_module, random_subgroup
+from shacalc.suites import random_equivariant_map, random_module, random_subgroup, route_equivalence_suite
 
 from helpers import (
     LADDER_GROUPS,
     all_subgroups,
+    assert_matches_bar_route,
     bar_route,
     catalog,
     checked_coords,
@@ -70,11 +74,10 @@ from helpers import (
     cyclic,
     dense,
     echelon_kernel,
+    full_complex,
     full_restriction_map,
     generator_cochain,
     group_order,
-    identity_hom,
-    kernel_route_cocycles,
     is_cocycle,
     is_zero_hom,
     lattice_reads,
@@ -193,15 +196,14 @@ class TestLowDegrees:
         cases, routes = computed_by(lambda: [
             cohomology(s3, augmentation_ideal(s3), 1),
             # Z-free coefficients in degree 2, and J^D in degree 1, take the
-            # saturation route, which never builds d^i; torsion coefficients
-            # take the generator route in degree 1, which builds no d^1, and
-            # the kernel route in degree 2, which checks only some rows of d^2
+            # saturation form, torsion coefficients the kernel form; neither
+            # builds a bar differential
             cohomology(v4, trivial_module(v4, 1), 2),
             hypercohomology(v4, jd, 1),
             cohomology(s3, torsion, 1),
             cohomology(s3, torsion, 2),
         ])
-        assert routes == ["saturation"] * 3 + ["generators", "kernel"]
+        assert routes == ["saturation"] * 3 + ["kernel", "kernel"]
         for h in cases:
             assert h.representatives
             for rep in h.representatives:
@@ -233,16 +235,28 @@ class TestLowDegrees:
                 is_cocycle(h, vec)
 
 
+def sl23():
+    """SL(2, 3) acting on the 8 nonzero vectors of F_3^2, generated by the
+    two elementary matrices."""
+    vectors = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def perm(m):
+        return [vectors.index(((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3))
+                for a, b in vectors]
+
+    return from_permutations([perm([[1, 1], [0, 1]]), perm([[1, 0], [1, 1]])])
+
+
 def j_dual(g):
     """J^D: the dual complex of the augmentation quotient, covered from e_1."""
     return dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)])
 
 
 def kernel_route(h, cochains=None):
-    """The value and Hermite basis of the kernel route, on every row of
-    d^i, on the cochains of ``h`` (or on ``cochains``), whatever route
+    """The value and Hermite basis of the bar kernel route, on every row of
+    d^i, on the cochains of ``h`` (or on ``cochains``), whatever form
     computed ``h``."""
-    c, d = cochains or h._cochains, h.degree
+    c, d = full_complex(cochains or h._cochains), h.degree
     basis = preimage_kernel(c.diff_cols(d), c.dim(d + 1), c.relation_cols(d + 1))
     boundaries = (c.diff_cols(d - 1) if d else []) + c.relation_cols(d)
     return present_quotient(basis, boundaries), basis
@@ -250,17 +264,16 @@ def kernel_route(h, cochains=None):
 
 ROUTES = {
     "sparse_saturation": "saturation",
-    "_generator_values": "generators",
     "preimage_kernel": "kernel",
 }
 
 
 def computed_by(compute, outputs=None):
-    """``compute()`` and the routes, in call order, by which the cohomology
+    """``compute()`` and the forms, in call order, by which the cohomology
     module computed the cocycle lattices on the way, read from spies on
-    its bindings of the route functions; their results go to ``outputs``
-    when a list is given.  A call made inside a route, as the generator
-    route's ``preimage_kernel``, is part of that route and not counted."""
+    its bindings of the form functions; their results go to ``outputs``
+    when a list is given.  A call made inside a form is part of it and not
+    counted."""
     module = sys.modules["shacalc.cohomology"]
     taken = []
     inside = []
@@ -310,61 +323,40 @@ def public_computations(compute):
 
 
 def route_of(compute):
-    """The one route by which ``compute()`` computed its cocycle lattice."""
+    """The one form by which ``compute()`` computed its cocycle lattice."""
     _, taken = computed_by(compute)
     assert len(taken) == 1, taken
     return taken[0]
 
 
 def assert_same_as_full_kernel(h):
-    """``h`` has the Hermite basis of the kernel route run on every row of
-    d^i, and its value matches the bar-route reference, which has the
+    """``h`` has the Hermite basis of the bar kernel route run on every row
+    of d^i, and its value matches the bar-route reference, which has the
     relators of that kernel route."""
     value, basis = kernel_route(h)
     assert basis.rows == h.representatives
-    assert_matches_bar_route(h)
-    assert value.relation_rows == bar_route(h).group_value.relation_rows
-
-
-def assert_matches_bar_route(h):
-    """A value in generator coordinates, or on Z', against the bar-route
-    reference ``helpers.bar_route``, presented on Z^i: the same
-    representatives and invariant factors, and class coordinates that make
-    the map from the reference value, generator j to the class of
-    representative j, an isomorphism, inverse to the map that sends each
-    generator to the reference class of its cocycle."""
-    ref = bar_route(h)
-    if h._walk is not None:
-        assert ref.lattice.rows == kernel_route_cocycles(h._cochains).rows
-    assert h.representatives == ref.representatives
-    assert invariant_factors(h.group_value) == invariant_factors(ref.group_value)
-    value, bar = h.group_value, ref.group_value
-    forward = AbHom(bar, value, IntMatrix.from_cols(
-        [h.class_coords(rep) for rep in ref.representatives], rows=value.generator_count))
-    back = AbHom(value, bar, IntMatrix.from_cols(
-        [ref.class_coords(generator_cochain(h, j)) for j in range(value.generator_count)],
-        rows=bar.generator_count))
-    assert is_isomorphism(forward)
-    assert congruent(compose(back, forward), identity_hom(bar))
+    ref = assert_matches_bar_route(h)
+    assert value.relation_rows == ref.group_value.relation_rows
 
 
 def assert_routes_agree(compute):
-    """The saturation route, with the kernel route's basis and relators,
-    and a value whose order is the index [Z^i : B^i] of the saturation."""
+    """The saturation form, with the bar kernel route's basis and
+    relators, and a value whose order is the index [Z^i : B^i] of the
+    saturation."""
     outputs = []
     h, taken = computed_by(compute, outputs)
-    assert taken == ["saturation"], "expected the saturation route"
+    assert taken == ["saturation"], "expected the saturation form"
     ((_, index),) = outputs
     assert group_order(h.group_value) == index
     assert_same_as_full_kernel(h)
 
 
 class TestRouteEquivalence:
-    """The saturation route against the kernel route: the same Hermite
+    """The saturation form against the bar kernel route: the same Hermite
     basis, so the same representatives, and the same relators."""
 
     # the ladder cases (G x {Z, I_G, J^D} x {1, 2}) that take under 1 s on
-    # the kernel route
+    # the bar kernel route
     CASES = (
         [(name, coef, d) for name in ("V4", "D4", "Q8") for coef in ("Z", "I_G", "J^D")
          for d in (1, 2) if not (name != "V4" and coef == "I_G" and d == 2)]
@@ -382,6 +374,18 @@ class TestRouteEquivalence:
         else:
             m = trivial_module(g, 1) if coef == "Z" else augmentation_ideal(g)
             assert_routes_agree(lambda: cohomology(g, m, degree))
+
+    @pytest.mark.parametrize("name", list(LADDER_GROUPS))
+    def test_z4_column(self, name):
+        """Z/4 with the trivial action over the ladder groups, in degrees
+        0-2, on the kernel form, against the bar-route reference.  S4 in
+        degree 2, whose reference takes 18 s, is left to the closed form
+        of ``TestClosedForms.test_h2_cyclic_coefficients``."""
+        g = LADDER_GROUPS[name]
+        for degree in (0, 1) if name == "S4" else (0, 1, 2):
+            h, routes = computed_by(lambda: cohomology(g, torsion_module(g, 4), degree))
+            assert routes == ["kernel"]
+            assert_matches_bar_route(h)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -407,15 +411,14 @@ class TestRouteEquivalence:
             assert_routes_agree(lambda: hypercohomology(g, c, 1))
 
     def test_torsion_and_degree_zero_keep_the_kernel_route(self):
-        """Degree 0 and torsion in degree 2 keep the kernel route; a module
-        with torsion takes the generator route in degree 1."""
+        """Degree 0 and torsion in every degree take the kernel form."""
         g = GROUPS["Z2"]
         torsion = GModule(g, PresentedAbelianGroup(1, [[4]]), [IntMatrix([[3]])])
         aug = augmentation_ideal(g)
-        assert route_of(lambda: cohomology(g, torsion, 1)) == "generators"
+        assert route_of(lambda: cohomology(g, torsion, 1)) == "kernel"
         assert route_of(lambda: cohomology(g, torsion, 2)) == "kernel"
         assert route_of(lambda: cohomology(g, aug, 0)) == "kernel"
-        # coker(Z[g] -> Z, x -> 0) = Z is infinite: HH^1 keeps the kernel route
+        # coker(Z[g] -> Z, x -> 0) = Z is infinite: HH^1 takes the kernel form
         reg, triv = regular_module(g), trivial_module(g, 1)
         c = TwoTermComplex(GModuleHom(reg, triv, IntMatrix.zeros(1, 2)))
         assert route_of(lambda: hypercohomology(g, c, 1)) == "kernel"
@@ -429,14 +432,13 @@ def redundant_z4(g):
 
 
 class TestSplitValue:
-    """Both routes that split off the unit rows U of B^i present
-    Z^i / B^i as Z' / D', Z' the cocycles that vanish on the pivot columns
-    J of U: they solve the rows of D' on Z' and nothing else, solve on and
-    reduce no lattice of the rank of Z^i, and build Z^i, from U and Z',
-    only when the representatives are read."""
+    """The value is computed apart from its representatives.  It builds no
+    lattice wider than T^i of the relation complex and solves on none; the
+    first read of the representatives builds Z^i_bar, one lattice at the
+    rank of the bar T^i, and a second read builds nothing."""
 
     CASES = {
-        # name: (group, coefficients, degree, route, rank of Z^i, order of the value)
+        # name: (group, coefficients, degree, form, rank of Z^i_bar, order of the value)
         "D4": ("D4", augmentation_ideal, 2, "saturation", 49, 1),
         "S4": ("S4", augmentation_ideal, 1, "saturation", 23, 24),
         "A4-Z4": ("A4", lambda g: torsion_module(g, 4), 2, "kernel", 144, 2),
@@ -447,37 +449,132 @@ class TestSplitValue:
     def test_no_solve_on_z_and_one_build_on_read(self, case, monkeypatch):
         """H^2(D4, I_G) = 0 (index 1), H^1(S4, I_G) = Z/24,
         H^2(A4, Z/4) = Z/2 and H^0(S4, Z/4) on a redundant presentation."""
-        name, coefficients, degree, route, rank, order = self.CASES[case]
+        name, coefficients, degree, form, rank, order = self.CASES[case]
         g = LADDER_GROUPS[name]
         m = coefficients(g)
         module = sys.modules["shacalc.cohomology"]
-        built, splits = [], []
-        for builder, out in (("hermite_rows", built), ("echelon_sum", built), ("split_unit_pivots", splits)):
+        built = []
 
-            def spy(*args, _real=getattr(module, builder), _out=out):
-                _out.append(_real(*args))
-                return _out[-1]
+        def spy(*args, _real=module.hermite_rows):
+            built.append(_real(*args))
+            return built[-1]
 
-            monkeypatch.setattr(module, builder, spy)
+        monkeypatch.setattr(module, "hermite_rows", spy)
         with lattice_reads() as (reduced, solved):
             h, routes = computed_by(lambda: cohomology(g, m, degree))
-            assert routes == [route] and group_order(h.group_value) == order
-            ((units, rest),) = splits
-            assert len(units) + len(h.lattice) == rank
-            assert sum(lat is h.lattice for lat in solved) == len(rest)
-            assert all(len(lat) < rank for lat in solved + reduced) and built == []
+            assert routes == [form] and group_order(h.group_value) == order
+            width = h._complex.dim(degree)
+            assert h.lattice.width == width
+            assert all(lat.width <= width for lat in solved + reduced) and built == []
             reps = h.representatives
-            assert len(reps) == rank and len(built) == 1 and len(built[0]) == rank
-            assert [lat for lat in reduced if len(lat) == rank] == built
+            assert len(reps) == rank and len(built) == 1 and built[0].width == h._cochains.dim(degree)
             before = len(reduced)
             assert h.representatives is reps
             assert len(built) == 1 and len(reduced) == before
-        assert h._units is units and units.pivots
-        assert not any(c in row for row in h.lattice.sparse_rows() for c in units.pivots)
         if name == "D4":
             assert hashlib.sha256(repr(reps).encode()).hexdigest() == (
                 "0fd6ace5d18b13a6c4ab8b617010439311c188d8c3224befb16526845aa69c6a"
             )
+
+
+class TestValueWidth:
+    """A value and its invariant factors build no lattice wider than T^i
+    of the relation complex: on the ladder cases, the Z/4 column in
+    degrees 0-2, and the ambients of the bench requests."""
+
+    @staticmethod
+    def widths(monkeypatch):
+        """A spy on ``_hypercohomology``: per call, the widest lattice built
+        while the value and its invariant factors are computed, and the
+        width of T^i."""
+        seen = []
+        real_init, real_hyper = Lattice.__init__, sys.modules["shacalc.cohomology"]._hypercohomology
+        built = []
+
+        def init(self, width, index):
+            built.append(width)
+            real_init(self, width, index)
+
+        def hyper(*args):
+            built.clear()
+            h = real_hyper(*args)
+            h.group_value.invariant_factors()
+            seen.append((max(built, default=0), h._complex.dim(h.degree)))
+            return h
+
+        monkeypatch.setattr(Lattice, "__init__", init)
+        monkeypatch.setattr(sys.modules["shacalc.cohomology"], "_hypercohomology", hyper)
+        return seen
+
+    def test_ladder_and_z4(self, monkeypatch):
+        seen = self.widths(monkeypatch)
+        for g in LADDER_GROUPS.values():
+            for degree in (0, 1, 2):
+                if degree:
+                    cohomology(g, trivial_module(g, 1), degree)
+                    cohomology(g, augmentation_ideal(g), degree)
+                    hypercohomology(g, j_dual(g), degree)
+                cohomology(g, torsion_module(g, 4), degree)
+        assert len(seen) == 6 * 9
+        assert all(widest <= width for widest, width in seen), seen
+
+    def test_requests(self, monkeypatch, tmp_path):
+        """Every CLI request of the bench requests workload at its default
+        seed, whose ambients include six degree-2 complexes with torsion."""
+        seen = self.widths(monkeypatch)
+        for case in bench_requests(tmp_path):
+            case.call()
+        assert len(seen) >= 36
+        assert all(widest <= width for widest, width in seen), seen
+
+
+def bench_requests(workdir):
+    """The cases of the bench requests workload at its default seed, whose
+    problem files are written to ``workdir``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    try:
+        from bench import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.build_requests(workloads.Modules(), workloads.DEFAULT_SEED, workdir).cases
+
+
+class TestBrauerRouteA:
+    """Degree 2 of G_hat -> H_hat, the first route of ``brauer``, against
+    the bar-route reference: every value, representative and class solve,
+    on prop-sh1 instances and on the problems of the bench requests."""
+
+    @staticmethod
+    def ambients(compute):
+        """The degree-2 ambients of complexes with both terms nonzero that
+        ``compute()`` computes."""
+        seen = []
+        module = sys.modules["shacalc.cohomology"]
+        real = module._hypercohomology
+
+        def hyper(group, complex_, degree, cap):
+            h = real(group, complex_, degree, cap)
+            if degree == 2 and complex_.degree0.rank and complex_.degree1.rank:
+                seen.append(h)
+            return h
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "_hypercohomology", hyper)
+            compute()
+        return seen
+
+    def test_prop_sh1(self):
+        seen = self.ambients(lambda: route_equivalence_suite(5, 8))
+        assert len(seen) == 8
+        for h in seen:
+            assert_matches_bar_route(h)
+
+    def test_requests(self, tmp_path):
+        cases = [case for case in bench_requests(tmp_path) if case.name.endswith("brauer")]
+        seen = self.ambients(lambda: [case.call() for case in cases])
+        assert len(seen) >= 6 and any(not h.coefficients.degree1.is_z_free() for h in seen)
+        for h in seen:
+            assert_matches_bar_route(h)
 
 
 class TestClosedForms:
@@ -555,6 +652,43 @@ class TestClosedForms:
         sh = sha_omega(LocalDatum(g), augmentation_ideal(g), 1)
         assert invariant_factors(sh.value) == (0, (want,))
 
+    # Past order 24: (group, G^ab, Schur multiplier M(G)), as invariant
+    # factors, from Karpilovsky, The Schur Multiplier (1987)
+    BEYOND_24 = {
+        "S4xZ2": (lambda: from_permutations([[1, 2, 3, 0, 4, 5], [1, 0, 2, 3, 4, 5], [0, 1, 2, 3, 5, 4]]),
+                  (2, 2), (2, 2)),
+        "SL(2,3)": (lambda: sl23(), (3,), ()),
+        "A5": (lambda: from_permutations([[1, 2, 0, 3, 4], [0, 1, 3, 4, 2]]), (), (2,)),
+    }
+
+    @pytest.mark.parametrize("name", list(BEYOND_24))
+    def test_degree_two_past_order_24(self, name):
+        """At the default cap: H^2(G, Z) = (G^ab)^dual, H^2(G, Z/4) by the
+        universal coefficient theorem, H^2(G, J_G) = H^3(G, Z) = M(G)^dual
+        and H^2(G, I_G) = H^1(G, Z) = 0."""
+        build, ab, schur = self.BEYOND_24[name]
+        g = build()
+        assert g.order == {"S4xZ2": 48, "SL(2,3)": 24, "A5": 60}[name]
+        uct = sorted(math.gcd(m, 4) for m in schur + ab if math.gcd(m, 4) > 1)
+        for m, want in (
+            (trivial_module(g, 1), ab),
+            (torsion_module(g, 4), tuple(uct)),
+            (augmentation_quotient(g), schur),
+            (augmentation_ideal(g), ()),
+        ):
+            assert invariant_factors(cohomology(g, m, 2).group_value) == (0, want), (name, m)
+
+    # Sha^2_omega(G, J_G) = M(G)^dual (Tate), M(G) = Z/2 on each
+    TATE = ("V4", "D4", "A4", "D6", "S4")
+
+    @pytest.mark.parametrize("name", TATE)
+    def test_sha_two_of_the_norm_one_torus(self, name):
+        """The degree-2 Sha path with a nonzero value: the character module
+        J_G of the norm-one torus of a Galois extension with group G."""
+        g = LADDER_GROUPS[name]
+        sh = sha_omega(LocalDatum(g), augmentation_quotient(g), 2)
+        assert invariant_factors(sh.value) == (0, (2,)), name
+
     def test_regular_module_is_acyclic(self):
         """H^i(G, Z[G]) = 0 for i >= 1 (Shapiro's lemma for the trivial
         subgroup)."""
@@ -612,7 +746,7 @@ class TestCheckedRows:
         m = random_module(g, SplitMix64(seed), max_rank=max_rank, max_torsion_relators=2)
         assume(degree == 0 or not m.is_z_free())
         h, routes = computed_by(lambda: cohomology(g, m, degree))
-        assert routes == ["generators" if degree == 1 else "kernel"]
+        assert routes == ["kernel"]
         assert_same_as_full_kernel(h)
 
     def test_redundant_generators(self):
@@ -623,7 +757,7 @@ class TestCheckedRows:
         m = torsion_module(s3, 4)
         for degree in (0, 1, 2):
             h, routes = computed_by(lambda: cohomology(s3, m, degree))
-            assert routes == ["generators" if degree == 1 else "kernel"]
+            assert routes == ["kernel"]
             assert_same_as_full_kernel(h)
 
     def test_trivial_group(self):
@@ -670,18 +804,21 @@ class TestCheckedRows:
             assert_same_as_full_kernel(h)
 
 
-def assert_generator_route(g, m):
-    """H^1(g, m), for m with torsion, by the generator route alone, against
+def assert_generator_route(g, m, degree=1):
+    """H^degree(g, m), for m with torsion, by the kernel form alone, against
     the bar-route reference."""
-    h, routes = computed_by(lambda: cohomology(g, m, 1))
-    assert routes == ["generators"]
+    h, routes = computed_by(lambda: cohomology(g, m, degree))
+    assert routes == ["kernel"]
     assert_matches_bar_route(h)
     return h
 
 
 class TestGeneratorRoute:
-    """Z^1 of a module with torsion from the values at the generators,
-    against the kernel route of ``helpers.kernel_route_cocycles``."""
+    """Torsion coefficients on the kernel form, whose degree 1 is the
+    values at the generators, against the bar-route reference: random
+    modules, and in degrees 1 and 2 groups with redundant generators,
+    words that are not prefix-closed, no generators, and actions lawful
+    only modulo the relations."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(GROUPS)), seed=st.integers(0, 2**63 - 1))
@@ -723,28 +860,34 @@ class TestGeneratorRoute:
         assert len(torsion) > 1
         for m in torsion:
             for _ in range(2):
-                assert computed_by(lambda: cohomology(g, m, 1))[1] == ["generators"]
+                assert computed_by(lambda: cohomology(g, m, 1))[1] == ["kernel"]
         assert len(read) - validated >= 2 * len(torsion)
         assert all(group is g and edges is read[0][1] for group, edges in read)
 
     def test_trivial_group(self):
-        """No generators, no unknowns: Z^1 is the relation rows R."""
+        """No generators, no unknowns: Z^1 is the relation rows R, and in
+        degree 2, with no edge off the tree, T^2 = 0 and Z^2_bar is all of
+        C^2 = B^2."""
         g, _ = GROUPS["S3"].trivial_subgroup().as_group()
         m = GModule(g, PresentedAbelianGroup(2, [[2, 4], [0, 6]]), [])
-        h = assert_generator_route(g, m)
-        assert h.representatives == hermite_rows([[2, 4], [0, 6]], 2).rows
-        assert h.group_value.is_trivial()
+        for degree, reps in ((1, hermite_rows([[2, 4], [0, 6]], 2).rows), (2, ((1, 0), (0, 1)))):
+            h = assert_generator_route(g, m, degree)
+            assert h.representatives == reps
+            assert h.group_value.is_trivial()
 
     def test_redundant_generators(self):
         """A repeated generator and the identity as a generator: the edges
-        they label are all off the tree, and force v_l = v_k and v_l in R."""
+        they label are all off the tree, and force v_l = v_k and v_l in R.
+        Their words are not their one letter, so V o W is not the identity
+        in degree 2."""
         s3 = from_permutations([[1, 0, 2], [1, 2, 0], [1, 0, 2], [0, 1, 2], [0, 2, 1]])
         rng = SplitMix64(11)
         for m in [torsion_module(s3, 4)] + [
             random_module(s3, rng, max_rank=3, max_torsion_relators=2) for _ in range(12)
         ]:
             if not m.is_z_free():
-                assert_generator_route(s3, m)
+                for degree in (1, 2):
+                    assert_generator_route(s3, m, degree)
 
     @pytest.mark.parametrize("name,words,n,a", [
         ("V4", [(), (0,), (0, 1, 0), (1, 0)], 4, 3),
@@ -753,17 +896,19 @@ class TestGeneratorRoute:
     def test_words_not_prefix_closed(self, name, words, n, a):
         """Stored words whose prefixes are not all stored: the walk takes
         several letters from a stored prefix, through elements whose own
-        words differ, and the edges it crosses are off the tree.  Each
-        generator acts on Z/n by a."""
+        words differ, and the edges it crosses are off the tree, more than
+        |G|(k - 1) + 1 of them.  Each generator acts on Z/n by a."""
         g = GROUPS[name]
         other = FiniteGroup(g.table, g.generators, words)
         rng = SplitMix64(5)
         scalar = GModule(other, PresentedAbelianGroup(1, [[n]]), [IntMatrix([[a]])] * len(g.generators))
         mods = [torsion_module(other, 4), scalar]
         mods += [random_module(other, rng, max_rank=3, max_torsion_relators=2) for _ in range(12)]
+        assert len(other.off_tree_edges()) > g.order * (len(g.generators) - 1) + 1
         for m in mods:
             if not m.is_z_free():
-                assert_generator_route(other, m)
+                for degree in (1, 2):
+                    assert_generator_route(other, m, degree)
 
     def test_group_law_modulo_relations(self):
         """Actions that satisfy the group law only modulo the relations:
@@ -788,7 +933,8 @@ class TestGeneratorRoute:
                 m.element_matrix(e).mul(m.action[l]) != m.element_matrix(g.table[e][s])
                 for e in range(g.order) for l, s in enumerate(g.generators)
             )
-            assert_generator_route(g, m)
+            for degree in (1, 2):
+                assert_generator_route(g, m, degree)
 
     def test_value_builds_no_lattice_wider_than_the_values(self, monkeypatch):
         """The value and its invariant factors build no lattice wider than
@@ -872,20 +1018,20 @@ def assert_builds_the_checked_rows(t, degree):
 
 
 class TestBuiltRows:
-    """One builder gives both the full d^i and the checked rows that the
-    kernel route uses, and the rows it builds are the rows that cutting the
-    full d^i down keeps (``helpers.checked_coords`` and ``on_rows``, the
-    reference)."""
+    """One builder gives both the full bar d^i, i = 0 or 1, and the checked
+    rows that the Sha conditions read, and the rows it builds are the rows
+    that cutting the full d^i down keeps (``helpers.checked_coords`` and
+    ``on_rows``, the reference)."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         name=st.sampled_from(["Z2", "Z4", "V4", "S3", "D4"]),
         seed=st.integers(0, 2**63 - 1),
-        degree=st.sampled_from([0, 1, 2]),
+        degree=st.sampled_from([0, 1]),
     )
     def test_random_torsion_modules(self, name, seed, degree):
         g = GROUPS[name]
-        max_rank = 1 if (name, degree) == ("D4", 2) else 3
+        max_rank = 3
         m = random_module(g, SplitMix64(seed), max_rank=max_rank, max_torsion_relators=2)
         assume(not m.is_z_free())
         assert_builds_the_checked_rows(_TotalComplex(g, TwoTermComplex(
@@ -895,7 +1041,7 @@ class TestBuiltRows:
     @given(
         name=st.sampled_from(["Z2", "Z4", "V4", "S3", "D4"]),
         seed=st.integers(0, 2**63 - 1),
-        degree=st.sampled_from([0, 1, 2]),
+        degree=st.sampled_from([0, 1]),
     )
     def test_random_torsion_complexes(self, name, seed, degree):
         g = GROUPS[name]
@@ -912,7 +1058,7 @@ class TestBuiltRows:
         for g in (trivial, s3):
             m = torsion_module(g, 4)
             c = TwoTermComplex(GModuleHom(trivial_module(g, 1), m, IntMatrix([[2]])))
-            for degree in (0, 1, 2):
+            for degree in (0, 1):
                 assert_builds_the_checked_rows(_TotalComplex(g, c), degree)
 
     def test_columns_off_the_generators_are_short(self):
@@ -929,19 +1075,17 @@ class TestBuiltRows:
 
     @pytest.mark.parametrize("name", ["V4", "S3", "D4"])
     def test_kernel_route_builds_no_full_differential(self, name, monkeypatch):
-        """The kernel route asks for d^i on the checked rows only; the
-        full d^{i-1} that spans B^i is still built.  The generator route,
-        in degree 1, builds d^0 and the relation rows of C^1 on the k rows
-        of the generators alone, D0 + R^k, and nothing of size |G| rk."""
+        """The value builds no bar differential and no bar relation rows in
+        any degree: only d^0 on the rows of the generators, which is D^0 of
+        the relation complex, in degrees 0 and 1."""
         g = GROUPS[name]
-        last = sorted(set(g.generators))
-        everything = list(range(g.order))
+        gens = list(g.generators)
         built = {"diff_cols": [], "relation_cols": []}
         for method, calls in built.items():
 
             def spy(self, i, last=None, _real=getattr(_Cochains, method), _calls=calls):
                 if self.gm:  # the B term of M -> 0 has no rows
-                    _calls.append((i, everything if last is None else list(last)))
+                    _calls.append((i, None if last is None else list(last)))
                 return _real(self, i, last)
 
             monkeypatch.setattr(_Cochains, method, spy)
@@ -949,23 +1093,18 @@ class TestBuiltRows:
             for calls in built.values():
                 calls.clear()
             _, routes = computed_by(lambda: cohomology(g, torsion_module(g, 4), degree))
-            if degree == 1:
-                # the generator route: its value lives in M^k
-                assert routes == ["generators"]
-                gens = list(g.generators)
-                assert built == {"diff_cols": [(0, gens)], "relation_cols": [(1, gens)]}
-                continue
             assert routes == ["kernel"]
-            assert (degree, everything) not in built["diff_cols"]
-            assert built["diff_cols"] == [(degree - 1, everything)] * (degree > 0) + [(degree, last)]
+            assert built == {"diff_cols": [(0, gens)] * (degree < 2), "relation_cols": []}
 
 
 class TestComplexSegment:
-    """Degrees 0..3 of the cochain and total complexes: d o d lands in the
-    relation rows, and vanishes exactly on Z-free coefficients.  The
-    kernel route's checked rows rest on this."""
+    """Degrees 0..3 of the bar cochain and total complexes, with the
+    reference d^2, and of the relation complex: D o D lands in the relation
+    rows, and vanishes exactly on Z-free coefficients.  The checked rows of
+    the Sha conditions rest on this."""
 
     def assert_square_zero(self, cochains, exact):
+        cochains = full_complex(cochains)
         for i in (0, 1):
             composite = sparse_compose(cochains.diff_cols(i + 1), cochains.diff_cols(i))
             assert len(composite) == cochains.dim(i)
@@ -992,6 +1131,30 @@ class TestComplexSegment:
             g = GROUPS[name]
             f = random_equivariant_map(regular_module(g), torsion_module(g, 4), rng)
             self.assert_square_zero(_TotalComplex(g, TwoTermComplex(f)), exact=False)
+
+    def test_relation_complex(self):
+        """D^1 D^0 and D^2 D^1 of the relation complex, on modules and
+        complexes, Z-free and with torsion, over groups with redundant
+        generators, no generators and words that are not prefix-closed."""
+        rng = SplitMix64(9)
+        s3 = from_permutations([[1, 0, 2], [1, 2, 0], [1, 0, 2], [0, 1, 2], [0, 2, 1]])
+        trivial, _ = GROUPS["S3"].trivial_subgroup().as_group()
+        v4 = GROUPS["V4"]
+        words = FiniteGroup(v4.table, v4.generators, [(), (0,), (0, 1, 0), (1, 0)])
+        for g in (GROUPS["V4"], GROUPS["S3"], GROUPS["D4"], s3, trivial, words):
+            cases = [(augmentation_ideal(g), True), (torsion_module(g, 4), False)]
+            cases += [(random_module(g, rng, max_rank=3, max_torsion_relators=2), None) for _ in range(3)]
+            for m, exact in cases:
+                for target in (zero_module(g), m):
+                    a = permutation_module(g, random_subgroup(g, rng)) if target is m else m
+                    f = random_equivariant_map(a, m, rng) if target is m else GModuleHom(m, target, IntMatrix.zeros(0, m.rank))
+                    rel = _RelationComplex(_TotalComplex(g, TwoTermComplex(f)))
+                    for i in (0, 1):
+                        relations = hermite_rows(rel.relation_cols(i + 2), rel.dim(i + 2))
+                        composite = sparse_compose(rel.diff_cols(i + 1), rel.diff_cols(i))
+                        assert len(composite) == rel.dim(i)
+                        for col in composite:
+                            assert not col if exact else relations.contains(col)
 
     def test_degree_zero_is_module(self):
         for m in (augmentation_ideal(GROUPS["Z2"]), torsion_module(GROUPS["Z2"], 4)):
@@ -1035,46 +1198,66 @@ class TestBudget:
         assert invariant_factors(cohomology(g, m, 1).group_value) == (0, (2,) * 18)
 
     def test_kernel_route_capped_by_the_rank_of_its_degree(self):
-        """The kernel route is held to the cap by the rank of T^i, not by
-        the rank of C^2, which degree 0 never builds: H^0(S4 x Z2, (Z/4)^9)
-        = (Z/4)^9 passes at the default cap and reports rank 9 over a cap
-        of 8.  In degree 2 that rank is the rank of C^2, as before:
-        H^2(S3, Z/4) reports 36."""
+        """The kernel form is held to the cap by its equation rows, the rank
+        of T^{i+1} of the relation complex: H^0(S4 x Z2, (Z/4)^9) = (Z/4)^9
+        passes at the default cap and reports 3 * 9 = 27 over a cap of 26.
+        In degree 2 that is k * E * rk: H^2(S3, Z/4) reports 2 * 7 = 14."""
         g, m = self.s4_z2_z4_9()
         assert invariant_factors(cohomology(g, m, 0).group_value) == (0, (4,) * 9)
         with pytest.raises(ResourceError) as exc:
-            cohomology(g, m, 0, cochain_cap=8)
-        assert exc.value.dimension == 9
+            cohomology(g, m, 0, cochain_cap=26)
+        assert exc.value.dimension == 27
         s3 = GROUPS["S3"]
-        assert group_order(cohomology(s3, torsion_module(s3, 4), 2, cochain_cap=36).group_value) == 2
+        assert group_order(cohomology(s3, torsion_module(s3, 4), 2, cochain_cap=14).group_value) == 2
         with pytest.raises(ResourceError) as exc:
-            cohomology(s3, torsion_module(s3, 4), 2, cochain_cap=35)
-        assert exc.value.dimension == 36
+            cohomology(s3, torsion_module(s3, 4), 2, cochain_cap=13)
+        assert exc.value.dimension == 14
 
     def test_saturation_route_capped_by_the_rank_it_saturates_in(self):
-        """The saturation route is held to the cap by the rank of T^i, in
-        which it saturates B^i, not by the rank of C^2: H^1(S3, I_G)
-        saturates in rank 6 * 5 = 30 and reports that number, though C^2
-        has rank 180."""
+        """The saturation form is held to the cap by the rank of T^i of the
+        relation complex, in which it saturates B^i: H^1(S3, I_G) saturates
+        in rank 2 * 5 = 10 and reports that number."""
         g = GROUPS["S3"]
         m = augmentation_ideal(g)
-        assert group_order(cohomology(g, m, 1, cochain_cap=30).group_value) == 6
+        assert group_order(cohomology(g, m, 1, cochain_cap=10).group_value) == 6
         with pytest.raises(ResourceError) as exc:
-            cohomology(g, m, 1, cochain_cap=29)
-        assert exc.value.dimension == 30
+            cohomology(g, m, 1, cochain_cap=9)
+        assert exc.value.dimension == 10
 
     def test_cap_enforced(self):
+        """H^2(Q8, Z[Q8]) saturates at width 9 * 8 = 72, under a cap of 100;
+        reading its representatives, at the bar rank 8^3 = 512, is over it."""
         g = GROUPS["Q8"]
+        h = cohomology(g, regular_module(g), 2, cochain_cap=100)
+        assert h.lattice.width == 72 and h.group_value.is_trivial()
         with pytest.raises(ResourceError) as exc:
-            cohomology(g, regular_module(g), 2, cochain_cap=100)
+            h.representatives
         assert exc.value.dimension == 8 * 8 * 8
 
     def test_cap_in_hyper(self):
+        """HH^2 of the identity on Z[Q8] saturates at width 72 + 16 = 88; a
+        cochain of its value is read at the bar rank 512 + 64."""
         g = GROUPS["Q8"]
         reg = regular_module(g)
         c = TwoTermComplex(GModuleHom(reg, reg, IntMatrix.identity(8)))
-        with pytest.raises(ResourceError):
-            hypercohomology(g, c, 2, cochain_cap=100)
+        h = hypercohomology(g, c, 2, cochain_cap=100)
+        assert h.lattice.width == 88
+        with pytest.raises(ResourceError) as exc:
+            h.cochain([1] * h.group_value.generator_count)
+        assert exc.value.dimension == 8 * 8 * 8 + 8 * 8
+
+    def test_read_of_representatives_is_budgeted(self):
+        """H^2(A4, I_G) at a cap of 1000: the value at width 13 * 11 = 143,
+        then the read of its representatives, at the bar rank 12^2 * 11 =
+        1584, exits at once."""
+        g = LADDER_GROUPS["A4"]
+        start = time.perf_counter()
+        h = cohomology(g, augmentation_ideal(g), 2, cochain_cap=1000)
+        assert h.lattice.width == 143 and h.group_value.is_trivial()
+        with pytest.raises(ResourceError) as exc:
+            h.representatives
+        assert exc.value.dimension == 1584
+        assert time.perf_counter() - start < 1
 
 
 class TestShapiro:

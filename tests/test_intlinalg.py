@@ -16,14 +16,12 @@ from shacalc.intlinalg import (
     IntMatrix,
     _deficient_kernel_mod,
     block_diag,
-    echelon_sum,
     hermite_rows,
     preimage_kernel,
     smith_normal_form,
     sparse_from_matrix,
     sparse_kernel,
     sparse_saturation,
-    split_unit_pivots,
     unimodular_inverse,
 )
 from shacalc.prng import SplitMix64
@@ -702,27 +700,19 @@ def ladder_boundaries():
 
 
 class TestUnitSplit:
-    """``split_unit_pivots`` splits the echelon of L into U, the rows with
-    pivot 1, and D', the others reduced at the pivots of U.  Then U and the
-    saturation S of D' span the saturation of L, which the full elimination
-    of ``helpers`` is the reference for, with its index, and that index is
-    the order of S / D'."""
+    """Lattices with many unit pivots, which the package once split into
+    the unit rows U and the rest before saturating: ``sparse_saturation``
+    takes them whole and gives the saturation that the full elimination of
+    ``helpers`` is the reference for, with its index, and that index is the
+    order of the saturation modulo the lattice."""
 
     @staticmethod
     def assert_split(rows, width, primes):
-        units, rest = split_unit_pivots(rows, width)
-        saturated, index = sparse_saturation(rest, width, primes)
+        saturated, index = sparse_saturation(rows, width, primes)
         want, want_index = full_elimination_saturation(rows, width, primes)
-        unit_rows = units.sparse_rows()
-        assert all(row[min(row)] == 1 for row in unit_rows)
-        assert all(row[min(row)] > 1 for row in rest)
-        assert [min(row) for row in rest] == sorted(min(row) for row in rest)
-        unit_pivots = {min(row) for row in unit_rows}
-        assert not any(c in row for row in rest for c in unit_pivots)
-        assert hermite_rows(unit_rows + saturated.sparse_rows(), width) == want
-        assert echelon_sum(units, saturated) == want
+        assert saturated == want
         assert index == want_index
-        assert group_order(present_quotient(saturated, rest)) == index
+        assert group_order(present_quotient(saturated, rows)) == index
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=row_lists())
@@ -737,34 +727,17 @@ class TestUnitSplit:
         self.assert_split(columns, nrows, [2, 3])
 
     def test_boundaries_of_the_ladder(self):
-        """Every ladder case but S4 with I_G and J^D in degree 2, on which
-        the full elimination of the reference takes 2-3 s each."""
+        """The bar boundaries of every ladder case but S4 with I_G and J^D
+        in degree 2, on which the full elimination of the reference takes
+        2-3 s each."""
         for label, rows, width, primes in ladder_boundaries():
             if label not in ("S4 I_G 2", "S4 J^D 2"):
                 self.assert_split(rows, width, primes)
 
-    def test_echelon_sum_reduces_neither_lattice(self):
-        """The sum of two lattices with disjoint pivot columns is held as
-        the union of copies of their echelons: building it reduces
-        nothing, and reading its basis reduces it alone."""
-        a, b = hermite_rows([[1, 5, 3], [0, 0, 1]], 3), hermite_rows([[0, 2, 7]], 3)
-        want = hermite_rows([[1, 5, 3], [0, 0, 1], [0, 2, 7]], 3).rows
-        with lattice_reads() as (reduced, _):
-            total = echelon_sum(a, b)
-            assert reduced == []
-            assert total.rows == want and reduced == [total]
-        assert held_rows(a) == ((1, 5, 3), (0, 0, 1)) and held_rows(b) == ((0, 2, 7),)
-        with pytest.raises(StructuralError, match="share a pivot"):
-            echelon_sum(a, hermite_rows([[0, 0, 2]], 3))
-        with pytest.raises(StructuralError, match="width"):
-            echelon_sum(a, hermite_rows([[0, 2]], 2))
-
     def test_unit_rows_reduce_a_deficient_row(self):
         """(2, 1) and (0, 1): the unit row clears the 1 of the deficient
-        row, which leaves (2, 0), saturated at 2 to (1, 0), at index 2."""
-        units, rest = split_unit_pivots([{0: 2, 1: 1}, {1: 1}], 2)
-        assert units.rows == ((0, 1),) and rest == [{0: 2}]
-        assert sparse_saturation(rest, 2, [2]) == (hermite_rows([[1, 0]], 2), 2)
+        row, whose rest (2, 0) saturates at 2 to (1, 0), at index 2."""
+        assert sparse_saturation([{0: 2, 1: 1}, {1: 1}], 2, [2]) == (hermite_rows([[1, 0], [0, 1]], 2), 2)
 
 
 # every way to read a lattice's canonical basis

@@ -454,8 +454,8 @@ class TestSharedAmbient:
 
     @pytest.mark.parametrize("name", ANNIHILATION_GROUP_NAMES)
     def test_annihilation_groups(self, name):
-        """Z has H^1 = 0, a zero ambient; I_G takes the saturation route,
-        Z/4 the kernel route, and Z in degree 2 is Hom(G, Q/Z)."""
+        """Z has H^1 = 0, a zero ambient; I_G takes the saturation form,
+        Z/4 the kernel form, and Z in degree 2 is Hom(G, Q/Z)."""
         g = GROUPS[name]
         datum = LocalDatum(g, self.places(g))
         selections = [PlaceSelection.of("v"), PlaceSelection.of("w"),
@@ -538,7 +538,7 @@ class TestReducedCoordinates:
         )
 
     def test_ladder_groups(self):
-        """Z and I_G take the saturation route, Z/4 the kernel route.  On
+        """Z and I_G take the saturation form, Z/4 the kernel form.  On
         A4 and D6 the degree-2 eager kernels of I_G and Z/4 (121 and 144
         generators) take 2-4 s each, so there only Z is taken in degree 2."""
         groups = {name: GROUPS[name] for name in ("V4", "D4", "Q8", "A4")}
@@ -651,18 +651,18 @@ class TestGeneratorEvaluation:
         seed=st.integers(0, 2**63 - 1),
     )
     def test_degree_one_torsion_modules(self, name, seed):
-        """Degree-1 modules with torsion, whose values the generator route
-        keeps in the coordinates of the values at the generators: the
-        conditions read the walk's linear forms, the cochains are the
-        walked cocycles, and the printed representatives are those of the
-        bar-route reference.  ``test_ladder_groups`` has Z/4."""
+        """Degree-1 modules with torsion, whose values are kept in the
+        coordinates of the values at the generators: the conditions read
+        the walk's linear forms, the cochains are the walked cocycles, and
+        the printed representatives are those of the bar-route reference.
+        ``test_ladder_groups`` has Z/4."""
         g = GROUPS[name]
         rng = SplitMix64(seed)
         datum = LocalDatum(g, TestSharedAmbient.places(g))
         m = random_module(g, rng, max_rank=3, max_torsion_relators=2)
         assume(not m.is_z_free())
         shared = _sha_groups(datum, _module_complex(m), 1, self.selections(datum), DEFAULT_COCHAIN_CAP)
-        assert shared[0].ambient._walk is not None
+        assert shared[0].ambient.lattice.width == len(g.generators) * m.rank
         self.assert_same_as_restrictions(shared)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -799,13 +799,14 @@ class TestQuotientBy:
                 big.quotient_by(other)
 
     def test_other_unit_rows_rejected(self):
-        """H^1(Z4, Z[Z4]) on another basis of Z[Z4]: the same value on the
-        same sat(D'), but other unit rows U of the saturation route, so
-        another cocycle lattice Z^1."""
+        """H^1(Z4, Z[Z4]) on another basis of Z[Z4], two basis vectors
+        swapped: the same value on the same value lattice in T^1 of the
+        relation complex, but another action, so another cocycle lattice
+        Z^1 in bar cochains."""
         g = GROUPS["Z4"]
         datum = LocalDatum(g)
         reg = regular_module(g)
-        u = IntMatrix([[-1, -1, -1, -1], [-1, -1, -1, 0], [-1, -1, 0, -1], [-1, 0, -1, -1]])
+        u = IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         mine, other = sha(datum, reg, 1), sha(datum, self.conjugated(reg, u), 1)
         assert other.ambient.group_value == mine.ambient.group_value
         assert other.ambient.lattice == mine.ambient.lattice
