@@ -247,14 +247,22 @@ def present_quotient(basis: Lattice, vectors: Iterable[dict[int, int]]) -> Prese
     """The lattice of ``basis`` modulo the lattice spanned by the sparse
     ``vectors``, presented on the basis rows: each vector, solved on the
     basis, is one relator.  The caller has made sure that every vector lies
-    in the lattice, so one that escapes it is an internal error."""
+    in the lattice, so one that escapes it is an internal error.
+
+    The relators go into the echelon last-first, as ``sparse_saturation``
+    gives it its rows.  On the relators of D^0 of the relation complex,
+    which all meet the first basis row and of which the first ones also
+    fill the columns just right of it, that cuts the gcd steps: the
+    echelon of H^1(S4, I_G) runs about four times as fast as in the given
+    order.  The Hermite form depends only on the lattice, so the order
+    changes the work, not the group."""
     relators = []
     for vec in vectors:
         coeffs = basis.solve(vec)
         if coeffs is None:
             raise InternalError("image vector escapes the kernel lattice")
         relators.append(coeffs)
-    return PresentedAbelianGroup(len(basis), relators)
+    return PresentedAbelianGroup(len(basis), relators[::-1])
 
 
 def class_on_basis(

@@ -89,6 +89,8 @@ def _need(args, flag: str):
 
 def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Dispatch one command; returns (report, exit code)."""
+    if args.cap < 1:
+        raise InputError(f"--cap must be at least 1, got {args.cap}", path="$")
     with open(args.problem, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)

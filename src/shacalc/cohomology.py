@@ -134,6 +134,13 @@ dim T^i of the saturation form, and, on the first read of anything in bar
 coordinates (a cochain, a Sha condition, the representatives), the rank
 of the bar T^i.
 
+Action columns.  The builders read M(x) as sparse columns, which each
+computation converts from the module's matrix when it first reads x, once,
+and drops with its complex.  D^0 and D^2 read the generators only, so a
+value in the saturation form of degree 1 converts k matrices, not |G|;
+the walk L and the bar d^1 read every element.  A subgroup's complex
+takes its elements' columns from the ambient's.
+
 The value layout.  :class:`CohomologyGroup` holds the value lattice Z^i in
 T^i, W_i as one linear form per coordinate of the bar T^i, built on first
 read, and V_i as one form per coordinate of T^i.  The printed
@@ -208,25 +215,34 @@ class _Cochains:
     tuple and the tuples (u, s) with s in ``last``, numbered
     idx(u) * len(last) + pos(s): idx is the lexicographic index, pos the
     position in ``last``.  ``last=None``, every element, gives the
-    lexicographic numbering of all tuples."""
+    lexicographic numbering of all tuples.
+
+    An element's action matrix is turned into sparse columns when a builder
+    first reads it (:meth:`columns`), once per term, and the columns go
+    with the term: a value that reads D^0 on the generators alone converts
+    only their matrices."""
 
     def __init__(self, group: FiniteGroup, module: GModule):
         self.group = group
         self.module = module
         self.gm = module.rank
-        # sparse columns of each element's action matrix, no columns for the
-        # zero module
-        self.elt_cols: list[list[dict[int, int]]] = [
-            sparse_from_matrix(module.element_matrix(e)) if self.gm else [] for e in range(group.order)
-        ]
+        self._cols: list[list[dict[int, int]] | None] = [None] * group.order
+
+    def columns(self, x: int) -> list[dict[int, int]]:
+        """The sparse columns of the action matrix of element x, converted
+        on first read; none for the zero module."""
+        cols = self._cols[x]
+        if cols is None:
+            cols = self._cols[x] = sparse_from_matrix(self.module.element_matrix(x)) if self.gm else []
+        return cols
 
     def on(self, group: FiniteGroup, embed: Sequence[int]) -> "_Cochains":
         """The same coefficients over a subgroup, given as a standalone
         ``group`` and its embedding: each element acts by the parent's
-        columns, which are shared, not rebuilt."""
+        columns, read from the parent once, so shared, not rebuilt."""
         sub = _Cochains.__new__(_Cochains)
         sub.group, sub.module, sub.gm = group, self.module, self.gm
-        sub.elt_cols = [self.elt_cols[e] for e in embed]
+        sub._cols = [self.columns(e) for e in embed]
         return sub
 
     def selection(self, i: int, embed: Sequence[int], last: Sequence[int] | None = None) -> list[int]:
@@ -258,24 +274,26 @@ class _Cochains:
         order, table, inverse = self.group.order, self.group.table, self.group.inverse
         last = range(order) if last is None else last
         n_last, pos = len(last), {s: p for p, s in enumerate(last)}
+        elt = [self.columns(x) for x in range(order)] if i else []
         cols: list[dict[int, int]] = []
         for t in range(order**i):
-            # (row, x) for the leading term, value A(x) e_j, and the unit
-            # terms, value sign * e_j, summed once for every j
+            # (row, columns of x) for the leading term, value A(x) e_j, and
+            # the unit terms, value sign * e_j, summed once for every j
             if i == 0:
-                lead, units = list(enumerate(last)), dict.fromkeys(range(n_last), -1)
+                lead = [(p, self.columns(s)) for p, s in enumerate(last)]
+                units = dict.fromkeys(range(n_last), -1)
             else:
                 # (x, t), kept when t is; the final term (t, b); the
                 # contraction (t b^-1, b), with sign -1
-                lead = [(x * n_last + pos[t], x) for x in range(order)] if t in pos else []
+                lead = [(x * n_last + pos[t], elt[x]) for x in range(order)] if t in pos else []
                 units = dict.fromkeys(range(t * n_last, (t + 1) * n_last), 1)
                 for p, b in enumerate(last):
                     row = table[t][inverse[b]] * n_last + p
                     units[row] = units.get(row, 0) - 1
             for j in range(self.gm):
                 col = {row * self.gm + j: v for row, v in units.items()}
-                for row, x in lead:
-                    for r, v in self.elt_cols[x][j].items():
+                for row, x_cols in lead:
+                    for r, v in x_cols[j].items():
                         col[row * self.gm + r] = col.get(row * self.gm + r, 0) + v
                 cols.append({k: v for k, v in col.items() if v})
         return cols
@@ -423,6 +441,7 @@ class _RelationComplex:
         # ((a(s_l z_n) - s_l a_n)_{l,n}, (f a_n)_n - rho_B beta), the block of
         # (l, n) at n * k + l
         cols: list[dict[int, int]] = [{} for _ in range(e * ra)]
+        gen_cols = [t.ca.columns(s) for s in gens]
         for n in range(e):
             for l, s in enumerate(gens):
                 block = n * k + l
@@ -431,7 +450,7 @@ class _RelationComplex:
                         cols[m * ra + j][block * ra + j] = c
                 for j in range(ra):
                     col = cols[n * ra + j]
-                    for r, v in t.ca.elt_cols[s][j].items():
+                    for r, v in gen_cols[l][j].items():
                         col[block * ra + r] = col.get(block * ra + r, 0) - v
             for j in range(ra):
                 cols[n * ra + j].update((k * e * ra + n * rb + r, v) for r, v in t.f_cols[j].items())
@@ -509,10 +528,11 @@ def _walk(c: _Cochains) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
     group, rk = c.group, c.gm
     gens, words, table = group.generators, group.element_words, group.table
     edges = group.off_tree_edges()
+    elt = [c.columns(x) for x in range(group.order)]
 
     def add_step(value: list[dict[int, int]], x: int, l: int, sign: int) -> None:
         """value += sign * M(x) v_l, in place, one form per coordinate of X."""
-        for j, col in enumerate(c.elt_cols[x]):
+        for j, col in enumerate(elt[x]):
             u = l * rk + j
             for r, a in col.items():
                 value[r][u] = value[r].get(u, 0) + sign * a

@@ -309,7 +309,18 @@ def generator_cochains(cg: CohomologyGroup) -> list[tuple[int, ...]]:
 
 class FullCochains(_Cochains):
     """Bar cochains with d^i in every degree, the middle contractions
-    included: the reference bar d^2, which the package no longer builds."""
+    included: the reference bar d^2, which the package no longer builds.
+    It reads each element's action from ``module.element_matrix``, on
+    columns of its own, so it shares no conversion with the builders it
+    checks."""
+
+    def action_columns(self) -> list[list[dict[int, int]]]:
+        """For each element x, column j of its matrix as {row: entry}."""
+        out = []
+        for x in range(self.group.order):
+            rows = self.module.element_matrix(x).rows
+            out.append([{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(self.gm)])
+        return out
 
     def diff_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
         """Columns of d^i : C^i -> C^{i+1} in every degree, on the rows
@@ -323,6 +334,7 @@ class FullCochains(_Cochains):
         # strides of the slots of a target (i+1)-tuple
         stride = [order ** (i - k) for k in range(i + 1)]
         final_sign = -1 if (i + 1) % 2 else 1
+        action = self.action_columns()
         cols: list[dict[int, int]] = []
 
         for ti in range(order**i):
@@ -373,7 +385,7 @@ class FullCochains(_Cochains):
                 col = {row * gm + j: v for row, v in unit_sum.items()}
                 for row, x in lead:
                     base = row * gm
-                    for r, v in self.elt_cols[x][j].items():
+                    for r, v in action[x][j].items():
                         w = col.get(base + r, 0) + v
                         if w:
                             col[base + r] = w

@@ -5,11 +5,17 @@ import sys
 import pytest
 
 from shacalc.abelian import AbHom, PresentedAbelianGroup, invariant_factors, is_isomorphism
+from shacalc.arith import dual_complex
+from shacalc.cohomology import _module_complex, cohomology, hypercohomology
 from shacalc.errors import InternalError, StructuralError
+from shacalc.gmodules import augmentation_ideal, augmentation_quotient, trivial_module
 from shacalc.intlinalg import IntMatrix, Lattice, hermite_rows
 from shacalc.prng import SplitMix64
+from shacalc.suites import random_module
 
 from helpers import (
+    LADDER_GROUPS,
+    catalog,
     compose,
     cyclic_group,
     free_group,
@@ -322,3 +328,53 @@ class TestIsIsomorphism:
         cokernel = subquotient(zero_hom(target, trivial_group()), h).group
         assert (kernel.is_trivial() and cokernel.is_trivial()) == bijective
         assert is_isomorphism(h) == bijective
+
+
+def value_relators(h):
+    """The relators of a computed value, in the order ``present_quotient``
+    solves them: each boundary D^{i-1} and relation row of T^i on the
+    basis of Z^i."""
+    rel, d = h._complex, h.degree
+    return [h.lattice.solve(v) for v in (rel.diff_cols(d - 1) if d else []) + rel.relation_cols(d)]
+
+
+def shuffled(rows, seed):
+    """A Fisher-Yates shuffle of ``rows`` drawn from SplitMix64(seed)."""
+    rows, rng = list(rows), SplitMix64(seed)
+    for k in range(len(rows) - 1, 0, -1):
+        j = rng.randrange(k + 1)
+        rows[k], rows[j] = rows[j], rows[k]
+    return rows
+
+
+class TestRelatorOrder:
+    """The relation lattice of a presentation depends on its relators, not
+    on their order, so ``present_quotient`` may give them to the echelon
+    last-first: the given order, the reverse and a seeded shuffle give one
+    Hermite form, which is the value's own."""
+
+    def assert_order_free(self, h, seed):
+        rows = value_relators(h)
+        n = h.group_value.generator_count
+        want = h.group_value.relation_lattice
+        for order in (rows, rows[::-1], shuffled(rows, seed)):
+            assert PresentedAbelianGroup(n, order).relation_lattice == want
+
+    def test_ladder_values(self):
+        for g in LADDER_GROUPS.values():
+            complexes = (
+                _module_complex(trivial_module(g, 1)),
+                _module_complex(augmentation_ideal(g)),
+                dual_complex(augmentation_quotient(g), [[1] + [0] * (g.order - 1)]),
+            )
+            for seed, (complex_, degree) in enumerate((c, d) for c in complexes for d in (1, 2)):
+                self.assert_order_free(hypercohomology(g, complex_, degree), seed)
+
+    def test_random_modules(self):
+        rng = SplitMix64(28)
+        for name in ("Z4", "V4", "S3", "D4", "Q8"):
+            g = catalog()[name]
+            for _ in range(4):
+                m = random_module(g, rng, max_rank=3, max_torsion_relators=2)
+                for degree in (0, 1, 2):
+                    self.assert_order_free(cohomology(g, m, degree), rng.next_u64())

@@ -14,9 +14,11 @@ from pathlib import Path
 import pytest
 
 from shacalc.cli import main
+from shacalc.cohomology import cohomology
+from shacalc.errors import ResourceError
 from shacalc.intlinalg import hermite_rows
 
-from helpers import cyclic_group
+from helpers import cyclic, cyclic_group, torsion_module
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -107,6 +109,18 @@ class TestBundledProblems:
             done = subprocess.run([sys.executable, "-m", "shacalc.cli"] + argv, env=env,
                                   capture_output=True, text=True, timeout=120)
             assert (done.returncode, done.stdout, done.stderr) == (code, out, err), argv
+
+    def test_run_as_package(self):
+        """``python -m shacalc`` prints the committed bytes of a manifest
+        entry."""
+        entry = json.loads((PROBLEMS / "manifest.json").read_text())[0]
+        assert "--no-timing" in entry["args"]
+        argv = [entry["args"][0], str(PROBLEMS / entry["problem"])] + entry["args"][1:]
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "shacalc"] + argv, env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (PROBLEMS / entry["expected"]).read_text()
 
     def test_timing_field_toggle(self):
         argv = [
@@ -324,10 +338,15 @@ class TestErrors:
 
     def test_generator_route_budget_payload(self, tmp_path):
         """H^1(Z4, Z/4) eliminates one relator row, for the one edge off the
-        breadth-first tree: a cap of 0 exits 4 and reports that row count as
-        the dimension.  A cap of 1 passes the value, and the read of the
-        printed representatives, at the bar rank 4, exits 4 and reports
-        that rank; a cap of 4 passes both."""
+        breadth-first tree: a cap of 0 raises the budget error with that
+        row count as the dimension (the command line takes no cap below 1).
+        A cap of 1 passes the value, and the read of the printed
+        representatives, at the bar rank 4, exits 4 and reports that rank;
+        a cap of 4 passes both."""
+        g = cyclic(4)
+        with pytest.raises(ResourceError) as caught:
+            cohomology(g, torsion_module(g, 4), 1, cochain_cap=0)
+        assert caught.value.dimension == 1
         p = tmp_path / "z4.json"
         p.write_text(
             json.dumps(
@@ -339,15 +358,23 @@ class TestErrors:
             )
         )
         argv = ["cohomology", str(p), "--module", "M", "--degree", "1", "--cap"]
-        code, _, err = run_cli(argv + ["0"])
-        assert code == 4
-        error = json.loads(err)["error"]
-        assert error["type"] == "resource" and error["dimension"] == 1
         code, _, err = run_cli(argv + ["1"])
         assert code == 4 and json.loads(err)["error"]["dimension"] == 4
         code, out, _ = run_cli(argv + ["4"])
         assert code == 0
         assert json.loads(out)["invariant_factors"]["torsion"] == [4]
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_rejected(self, cap):
+        """A cap below 1 is an input error at the top level, not a budget
+        exceeded, as a count of instances below 1 is."""
+        code, out, err = run_cli(
+            ["cohomology", str(PROBLEMS / "biquadratic.json"), "--module", "I", "--degree", "1", "--cap", cap]
+        )
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "input" and error["path"] == "$"
+        assert error["message"] == f"--cap must be at least 1, got {cap}"
 
     def test_representatives_read_budgeted(self, tmp_path):
         """H^2(A4, I_G) at --cap 1000: the value saturates at width 143,

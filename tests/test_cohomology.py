@@ -528,6 +528,99 @@ class TestValueWidth:
         assert all(widest <= width for widest, width in seen), seen
 
 
+class TestColumnsOnFirstRead:
+    """Each term turns an element's action matrix into sparse columns when
+    it first reads it, and once: a spy on the package's binding of
+    ``sparse_from_matrix`` sees which element matrices are converted (the
+    matrices are cached on the module, so each element has one object)."""
+
+    @staticmethod
+    def conversions(monkeypatch):
+        """The matrices converted from here on, in order."""
+        module = sys.modules["shacalc.cohomology"]
+        seen = []
+
+        def spy(m, _real=module.sparse_from_matrix):
+            seen.append(m)
+            return _real(m)
+
+        monkeypatch.setattr(module, "sparse_from_matrix", spy)
+        return seen
+
+    @staticmethod
+    def converted(seen, complex_):
+        """For A and for B of ``complex_``, the elements whose matrices are
+        in ``seen``, in order; any other matrix converted is f's."""
+        terms = (complex_.degree0, complex_.degree1)
+        assert terms[0] is not terms[1]
+        owner = {id(m.element_matrix(x)): (t, x) for t, m in enumerate(terms) for x in range(m.group.order)}
+        out = ([], [])
+        others = []
+        for mat in seen:
+            if id(mat) in owner:
+                t, x = owner[id(mat)]
+                out[t].append(x)
+            else:
+                others.append(mat)
+        assert others in ([], [complex_.f.matrix]), others
+        return out
+
+    @staticmethod
+    def ladder_complexes(g):
+        return {
+            "Z": _module_complex(trivial_module(g, 1)),
+            "I_G": _module_complex(augmentation_ideal(g)),
+            "J^D": j_dual(g),
+        }
+
+    def test_degree_one_reads_the_generators(self, monkeypatch):
+        """A Z-free value in degree 1 reads D^0 on the generators only: it
+        converts the matrices of the listed generators of A, each once, and
+        none of B."""
+        seen = self.conversions(monkeypatch)
+        for name, g in LADDER_GROUPS.items():
+            gens = sorted(set(g.generators))
+            for coef, complex_ in self.ladder_complexes(g).items():
+                seen.clear()
+                _, routes = computed_by(lambda: hypercohomology(g, complex_, 1))
+                assert routes == ["saturation"], (name, coef)
+                a, b = self.converted(seen, complex_)
+                assert (sorted(a), b) == (gens, []), (name, coef)
+                assert len(a) == len(gens) < g.order
+
+    def test_each_element_at_most_once(self, monkeypatch):
+        """Degree-2 values, kernel-form values (Z/4 in degrees 0-2) and
+        their printed representatives read an element's columns many times
+        but convert them once per term."""
+        seen = self.conversions(monkeypatch)
+        for name, g in LADDER_GROUPS.items():
+            cases = [(c, 2) for c in self.ladder_complexes(g).values()]
+            cases += [(_module_complex(torsion_module(g, 4)), d) for d in (0, 1, 2)]
+            for complex_, degree in cases:
+                seen.clear()
+                h = hypercohomology(g, complex_, degree)
+                if g.order <= 8:
+                    h.representatives
+                for elements in self.converted(seen, complex_):
+                    assert len(elements) == len(set(elements)), (name, degree)
+            # the relation complex of degree 2 walks every element of A
+            assert sorted(self.converted(seen, complex_)[0]) == list(range(g.order))
+
+    @pytest.mark.parametrize("name", ["D4", "A4", "S4"])
+    def test_sha_conditions_share_the_parent_columns(self, name, monkeypatch):
+        """The conditions of Sha^1_omega on the cyclic subgroups act by
+        the ambient's columns: no element is converted twice, though the
+        subgroups overlap."""
+        g = LADDER_GROUPS[name]
+        seen = self.conversions(monkeypatch)
+        for m, degree in ((augmentation_ideal(g), 1), (torsion_module(g, 4), 1), (torsion_module(g, 4), 2)):
+            seen.clear()
+            sha_omega(LocalDatum(g), m, degree).value.invariant_factors()
+            elements, _ = self.converted(seen, _module_complex(m))
+            assert len(elements) == len(set(elements)) and set(g.generators) <= set(elements)
+            assert len(set(elements)) > len(set(g.generators)), (m, degree)
+
+
 def bench_requests(workdir):
     """The cases of the bench requests workload at its default seed, whose
     problem files are written to ``workdir``."""
