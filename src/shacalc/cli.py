@@ -91,11 +91,13 @@ def run(args: argparse.Namespace) -> tuple[dict, int]:
     """Dispatch one command; returns (report, exit code)."""
     if args.cap < 1:
         raise InputError(f"--cap must be at least 1, got {args.cap}", path="$")
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(args.problem, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}", path="$") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}", path="$") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc), path="$") from exc
     problem = ProblemFile(raw)
     report: dict = {"schema": SCHEMA_VERSION, "command": args.command}
     code = EXIT_OK
@@ -215,9 +217,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         report, code = run(args)
-    except FileNotFoundError as exc:
-        _emit_error("input", str(exc), "$")
-        return EXIT_INPUT
     except InputError as exc:
         _emit_error("input", str(exc), exc.path)
         return EXIT_INPUT

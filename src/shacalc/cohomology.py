@@ -22,9 +22,9 @@ so that representative-level tests are stable.  A module M is the complex
 M -> 0, whose T^n is C^n(M).  HH^i = Z^i / B^i on presented groups: Z^i the
 cochains whose coboundary lies in the relation rows R of T^{i+1} (the
 module's relations in every block), B^i the image of D^{i-1} plus R.  The
-printed representatives, the cochain of each class and the Sha
-conditions (see :mod:`shacalc.sha`) live in these coordinates.  Nothing
-builds the bar d^2: the builders give d^0 and d^1.
+printed representatives, the cochain of each class and the recheck of
+the Sha conditions (see :mod:`shacalc.sha`) live in these coordinates.
+Nothing builds the bar d^2: the builders give d^0 and d^1.
 
 The relation complex.  Values are computed on a complex of width about
 E * rk instead of |G|^i * rk.  Let s_1..s_k be the listed generators, w_x
@@ -136,10 +136,11 @@ of the bar T^i.
 
 Action columns.  The builders read M(x) as sparse columns, which each
 computation converts from the module's matrix when it first reads x, once,
-and drops with its complex.  D^0 and D^2 read the generators only, so a
-value in the saturation form of degree 1 converts k matrices, not |G|;
-the walk L and the bar d^1 read every element.  A subgroup's complex
-takes its elements' columns from the ambient's.
+and drops with its complex.  D^0 and D^2 read the generators only (delta
+is ``_Cochains.delta_cols``), so a value in the saturation form of degree
+1 converts k matrices, not |G|; the walk L and the bar d^0 and d^1 read
+every element.  A subgroup's complex takes its elements' columns from the
+ambient's.
 
 The value layout.  :class:`CohomologyGroup` holds the value lattice Z^i in
 T^i, W_i as one linear form per coordinate of the bar T^i, built on first
@@ -148,10 +149,12 @@ representatives are the canonical Hermite basis of Z^i_bar, which depends
 only on that lattice, built on first read from W_i(Z^i), B^2_bar in
 degree 2, and R.
 
-No command restricts a computed group to a subgroup: a Sha condition
-reads the ambient's cocycles on rows of the subgroup's bar complex (see
-:mod:`shacalc.sha`).  The restriction map on cohomology is kept only as
-the reference the tests compare against, ``tests/helpers.restriction``.
+No command restricts a computed group to a subgroup: a Sha condition at
+H takes V_H of the ambient's cocycles W_i(z), read at the bar
+coordinates of H, into T^i of the relation complex of H, where a class
+of H is zero iff it lies in im D^{i-1}_H + R (see :mod:`shacalc.sha`).
+The restriction map on cohomology is kept only as the reference the
+tests compare against, ``tests/helpers.restriction``.
 """
 
 from __future__ import annotations
@@ -209,13 +212,8 @@ def _module_complex(module: GModule) -> TwoTermComplex:
 
 class _Cochains:
     """Index bookkeeping and sparse differentials for one term of a
-    :class:`_TotalComplex`.
-
-    The builders take ``last``, sorted distinct elements, and keep the empty
-    tuple and the tuples (u, s) with s in ``last``, numbered
-    idx(u) * len(last) + pos(s): idx is the lexicographic index, pos the
-    position in ``last``.  ``last=None``, every element, gives the
-    lexicographic numbering of all tuples.
+    :class:`_TotalComplex`: coordinate idx(t) * rk + j of C^i is entry j
+    of the value at the i-tuple t, idx the lexicographic index.
 
     An element's action matrix is turned into sparse columns when a builder
     first reads it (:meth:`columns`), once per term, and the columns go
@@ -245,50 +243,36 @@ class _Cochains:
         sub._cols = [self.columns(e) for e in embed]
         return sub
 
-    def selection(self, i: int, embed: Sequence[int], last: Sequence[int] | None = None) -> list[int]:
-        """For each C^i coordinate of the subgroup with embedding ``embed``
-        that ``last`` keeps, numbered as the builders number it, the
-        coordinate of this (parent) term."""
-        if i == 0:
-            return list(range(self.gm))
-        order = self.group.order
-        heads = [0]
-        for _ in range(i - 1):
-            heads = [p * order + e for p in heads for e in embed]
-        ends = [embed[s] for s in last] if last is not None else embed
-        return [(p * order + e) * self.gm + j for p in heads for e in ends for j in range(self.gm)]
+    def selection(self, i: int, embed: Sequence[int]) -> list[int]:
+        """For each C^i coordinate of the subgroup with embedding ``embed``,
+        the coordinate of this (parent) term."""
+        tuples = [0]
+        for _ in range(i):
+            tuples = [p * self.group.order + e for p in tuples for e in embed]
+        return [t * self.gm + j for t in tuples for j in range(self.gm)]
 
-    def dim(self, i: int, last: Sequence[int] | None = None) -> int:
-        return self.tuple_count(i, last) * self.gm
+    def dim(self, i: int) -> int:
+        return self.group.order**i * self.gm
 
-    def tuple_count(self, i: int, last: Sequence[int] | None = None) -> int:
-        if last is None or i == 0:
-            return self.group.order**i
-        return self.group.order ** (i - 1) * len(last)
-
-    def diff_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
-        """Columns of d^i : C^i -> C^{i+1} for i = 0 or 1, on the rows of the
-        target tuples that ``last`` keeps, a target (u, s) on row
-        idx(u) * len(last) + pos(s).  Nothing reads d^2 of bar cochains; the
-        tests keep it as a reference."""
+    def diff_cols(self, i: int) -> list[dict[int, int]]:
+        """Columns of d^i : C^i -> C^{i+1} for i = 0 or 1.  Nothing reads
+        d^2 of bar cochains; the tests keep it as a reference."""
         order, table, inverse = self.group.order, self.group.table, self.group.inverse
-        last = range(order) if last is None else last
-        n_last, pos = len(last), {s: p for p, s in enumerate(last)}
-        elt = [self.columns(x) for x in range(order)] if i else []
+        elt = [self.columns(x) for x in range(order)]
         cols: list[dict[int, int]] = []
         for t in range(order**i):
             # (row, columns of x) for the leading term, value A(x) e_j, and
             # the unit terms, value sign * e_j, summed once for every j
             if i == 0:
-                lead = [(p, self.columns(s)) for p, s in enumerate(last)]
-                units = dict.fromkeys(range(n_last), -1)
+                lead = list(enumerate(elt))
+                units = dict.fromkeys(range(order), -1)
             else:
-                # (x, t), kept when t is; the final term (t, b); the
-                # contraction (t b^-1, b), with sign -1
-                lead = [(x * n_last + pos[t], elt[x]) for x in range(order)] if t in pos else []
-                units = dict.fromkeys(range(t * n_last, (t + 1) * n_last), 1)
-                for p, b in enumerate(last):
-                    row = table[t][inverse[b]] * n_last + p
+                # (x, t); the final term (t, b); the contraction (t b^-1, b),
+                # with sign -1
+                lead = [(x * order + t, elt[x]) for x in range(order)]
+                units = dict.fromkeys(range(t * order, (t + 1) * order), 1)
+                for b in range(order):
+                    row = table[t][inverse[b]] * order + b
                     units[row] = units.get(row, 0) - 1
             for j in range(self.gm):
                 col = {row * self.gm + j: v for row, v in units.items()}
@@ -298,9 +282,23 @@ class _Cochains:
                 cols.append({k: v for k, v in col.items() if v})
         return cols
 
-    def relation_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
-        """The module's relators embedded in every kept tuple block of C^i."""
-        return self.relation_blocks(self.tuple_count(i, last))
+    def delta_cols(self) -> list[dict[int, int]]:
+        """Columns of delta x = ((s_l - 1) x)_l : X -> X^k on the listed
+        generators, block l on rows l*rk .. l*rk + rk-1: the bar d^0 on the
+        rows of the generators, which reads their matrices alone."""
+        gm, gens = self.gm, [self.columns(s) for s in self.group.generators]
+        cols = []
+        for j in range(gm):
+            col: dict[int, int] = {}
+            for l, s_cols in enumerate(gens):
+                col.update((l * gm + r, v) for r, v in s_cols[j].items())
+                col[l * gm + j] = col.get(l * gm + j, 0) - 1
+            cols.append({r: v for r, v in col.items() if v})
+        return cols
+
+    def relation_cols(self, i: int) -> list[dict[int, int]]:
+        """The module's relators embedded in every tuple block of C^i."""
+        return self.relation_blocks(self.group.order**i)
 
     def relation_blocks(self, blocks: int) -> list[dict[int, int]]:
         """The module's relation rows in each of ``blocks`` blocks of module
@@ -316,15 +314,14 @@ class _Cochains:
         """Whether a C^i vector lies in the embedded relation lattice."""
         und = self.module.underlying
         gm = self.gm
-        for block in range(self.tuple_count(i)):
+        for block in range(self.group.order**i):
             if not und.contains_relation(vec[block * gm : (block + 1) * gm]):
                 return False
         return True
 
 
 class _TotalComplex:
-    """T^n = C^n(A) + C^{n-1}(B), D(a,b) = (dA a, f(a) - dB b).  ``last``
-    keeps tuples in both parts as in :class:`_Cochains`."""
+    """T^n = C^n(A) + C^{n-1}(B), D(a,b) = (dA a, f(a) - dB b)."""
 
     def __init__(self, group: FiniteGroup, complex_: TwoTermComplex):
         self.ca = _Cochains(group, complex_.degree0)
@@ -338,52 +335,40 @@ class _TotalComplex:
         sub.ca, sub.cb, sub.f_cols = self.ca.on(group, embed), self.cb.on(group, embed), self.f_cols
         return sub
 
-    def selection(self, n: int, embed: Sequence[int], last: Sequence[int] | None = None) -> tuple[int, ...]:
-        """For each T^n coordinate of the subgroup that ``last`` keeps, the
-        coordinate of this complex: the C^n(A) part, then the C^{n-1}(B)
-        part."""
-        sel = self.ca.selection(n, embed, last)
+    def selection(self, n: int, embed: Sequence[int]) -> tuple[int, ...]:
+        """For each T^n coordinate of the subgroup, the coordinate of this
+        complex: the C^n(A) part, then the C^{n-1}(B) part."""
+        sel = self.ca.selection(n, embed)
         if n >= 1:
             a_dim = self.ca.dim(n)
-            sel += [a_dim + s for s in self.cb.selection(n - 1, embed, last)]
+            sel += [a_dim + s for s in self.cb.selection(n - 1, embed)]
         return tuple(sel)
 
-    def dim(self, n: int, last: Sequence[int] | None = None) -> int:
-        return self.ca.dim(n, last) + (self.cb.dim(n - 1, last) if n >= 1 else 0)
+    def dim(self, n: int) -> int:
+        return self.ca.dim(n) + (self.cb.dim(n - 1) if n >= 1 else 0)
 
-    def diff_cols(self, n: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
-        """Columns of D^n : T^n -> T^{n+1}, on the rows that ``last`` keeps."""
-        order = self.ca.group.order
-        if last is None:
-            last = range(order)
-        pos = {s: p for p, s in enumerate(last)}
-        a_tgt = self.ca.dim(n + 1, last)
-        cols = self.ca.diff_cols(n, last)  # built afresh, so f is added in place
+    def diff_cols(self, n: int) -> list[dict[int, int]]:
+        """Columns of D^n : T^n -> T^{n+1}."""
+        a_tgt = self.ca.dim(n + 1)
+        cols = self.ca.diff_cols(n)  # built afresh, so f is added in place
         gm_a, gm_b = self.ca.gm, self.cb.gm
         for src, col in enumerate(cols):
-            # f applied pointwise: block structure is shared, and C^0(B) is
-            # kept whole
+            # f applied pointwise: block structure is shared
             block, j = divmod(src, gm_a)
-            if n:
-                head, s = divmod(block, order)
-                if s not in pos:
-                    continue
-                block = head * len(last) + pos[s]
             for r, v in self.f_cols[j].items():
                 col[a_tgt + block * gm_b + r] = col.get(a_tgt + block * gm_b + r, 0) + v
             cols[src] = {k: v for k, v in col.items() if v}
-        b_part = self.cb.diff_cols(n - 1, last) if n >= 1 else []
+        b_part = self.cb.diff_cols(n - 1) if n >= 1 else []
         return cols + [{a_tgt + k: -v for k, v in col.items()} for col in b_part]
 
-    def relation_cols(self, n: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
-        a_tgt = self.ca.dim(n, last)
-        b_part = self.cb.relation_cols(n - 1, last) if n >= 1 else []
-        return self.ca.relation_cols(n, last) + [{a_tgt + k: v for k, v in col.items()} for col in b_part]
+    def relation_cols(self, n: int) -> list[dict[int, int]]:
+        a_tgt = self.ca.dim(n)
+        b_part = self.cb.relation_cols(n - 1) if n >= 1 else []
+        return self.ca.relation_cols(n) + [{a_tgt + k: v for k, v in col.items()} for col in b_part]
 
     def block_contains(self, n: int, vec: Sequence[int]) -> bool:
         a_dim = self.ca.dim(n)
         return self.ca.block_contains(n, vec[:a_dim]) and (n == 0 or self.cb.block_contains(n - 1, vec[a_dim:]))
-
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +413,20 @@ class _RelationComplex:
         """Columns of D^i : T^i -> T^{i+1}."""
         t, gens = self.t, self.gens
         ra, rb = t.ca.gm, t.cb.gm
-        if i == 0:
-            return t.diff_cols(0, gens)
         k, e = len(gens), len(self.edges)
+        if i == 0:
+            # (delta_A a, f a)
+            return [
+                {**col, **{k * ra + r: v for r, v in t.f_cols[j].items()}}
+                for j, col in enumerate(t.ca.delta_cols())
+            ]
         if i == 1:
             # (rho_A v, (f v_l)_l - delta_B b)
             cols = [dict(col) for col in self.walk_a[1]]
             for u, col in enumerate(cols):
                 l, j = divmod(u, ra)
                 col.update((e * ra + l * rb + r, v) for r, v in t.f_cols[j].items())
-            return cols + [{e * ra + r: -v for r, v in col.items()} for col in t.cb.diff_cols(0, gens)]
+            return cols + [{e * ra + r: -v for r, v in col.items()} for col in t.cb.delta_cols()]
         # ((a(s_l z_n) - s_l a_n)_{l,n}, (f a_n)_n - rho_B beta), the block of
         # (l, n) at n * k + l
         cols: list[dict[int, int]] = [{} for _ in range(e * ra)]

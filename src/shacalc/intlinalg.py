@@ -746,20 +746,6 @@ def sparse_from_matrix(m: IntMatrix) -> list[dict[int, int]]:
     return cols
 
 
-def sparse_apply(columns: Sequence[dict[int, int]], vec: Sequence[int]) -> dict[int, int]:
-    """A @ vec for A given by sparse columns."""
-    acc: dict[int, int] = {}
-    for j, x in enumerate(vec):
-        if x:
-            for i, v in columns[j].items():
-                w = acc.get(i, 0) + x * v
-                if w:
-                    acc[i] = w
-                else:
-                    del acc[i]
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------

@@ -80,35 +80,23 @@ conditions stacked at offsets.  Its value is presented modulo the
 relations of the reduced ambient; one that escapes the Sha lattice would
 make a condition ill-defined on classes, an internal error.
 
-At H = G restriction is an isomorphism: unit columns, the lattice of the
-reduced ambient's relations, and a recheck that asks for the zero class.
-At a proper H no cohomology of H is computed, in any degree i.  Let S_H
-be the generators of H as a standalone group (the identity for the
-trivial group), T^i(H) its total complex, read off the ambient's through
-the embedding, and the checked rows the tuples of T^i(H) that end in
-S_H, with all of C^0(B).  The columns are ev_H, which reads a cochain of
-G on the checked rows, and Lambda_H is spanned there by the columns of
-D^{i-1} of H and the relation rows.  ev_H of a class z is read off the
-linear forms of W_i at the checked rows alone (in degree 1 the walk's
-values L(v)(h)); no cochain of G is built.  Then c lies in ker res_H iff
-ev_H(c) lies in Lambda_H: given m with c|_H - D m zero mod the relation
-rows on the checked rows, the cocycle c|_H - D m is zero everywhere by
-the lemma below.  The recheck does not rely on the lemma: it finds m
-from the Hermite form of [Lambda_H rows | tags], the column of D at
-coordinate k of T^{i-1}(H) tagged e_k, and checks that c|_H - D m lies
-in the relation rows on every tuple of T^i(H).
+At H = G restriction is an isomorphism: unit columns and the lattice of
+the reduced ambient's relations.  At a proper H, in either degree i, the
+condition lives on T^i of the relation complex T_H of H as a standalone
+group (see :mod:`shacalc.cohomology`), built on its bar complex, which is
+read off the ambient's through the embedding.  There V_H induces the
+inverse of W on HH^i(H) and sends cocycles to cocycles, so a cocycle c
+of G restricts to a coboundary on H iff V_H(c|_H) lies in
+B^i(T_H) = im D^{i-1}_H + R.  The columns are V_H of the kept ambient
+cocycles W_i(z), read only at the bar coordinates of H that V_H reads
+(tuples ending in a generator of H, and C^0(B)); no cochain of G is
+built.  The lattice is the Hermite basis of B^i(T_H), at width
+dim T^i(H): k_H rk_A + rk_B in degree 1, and rk_A + rk_B in degree 2 for
+H cyclic on one generator.
 
-The lemma: if delta in C^m(H, M), m >= 1, has d delta = 0 in M and
-vanishes on every tuple ending in S_H, then delta = 0.  At
-(g_1,...,g_m, s) every term of d delta ends in s except
-(-1)^m [delta(g_1,...,g_m s) - delta(g_1,...,g_m)], so
-delta(h, x s) = delta(h, x) for all x; then delta(h, e) = delta(h, s) = 0,
-and delta vanishes everywhere since S_H generates H as a monoid.  It
-applies to delta = c|_H - D m read in M, since D o D = 0 modulo the
-relation rows.  For the total complex, the lemma kills the C^m(A) part
-first; then D delta = 0 gives d delta_B = f(delta_A) = 0, which kills the
-C^{m-1}(B) part when m >= 2; all of C^0(B) is checked.  The trivial group
-has no generators; its one tuple is checked.
+The recheck is the definition on bar cochains: c|_H lies in
+bar D^{i-1}(H) + R, whose Hermite basis is built on first use; at H = G
+that is c itself.  It shares no code with W, V or the relation complex.
 
 So the Sha lattice is the kernel of the restriction maps to the H on
 the reduced ambient value, and its Hermite basis, its value, its
@@ -128,13 +116,16 @@ from .cohomology import (
     DEFAULT_COCHAIN_CAP,
     CohomologyGroup,
     TwoTermComplex,
+    _evaluate,
     _module_complex,
+    _RelationComplex,
+    _TotalComplex,
     hypercohomology,
 )
 from .errors import InternalError, StructuralError
 from .gmodules import GModule, PermutationModule, faithful_image
 from .groups import FiniteGroup, Subgroup, cyclic_subgroups
-from .intlinalg import IntMatrix, Lattice, hermite_rows, preimage_kernel, sparse_apply
+from .intlinalg import IntMatrix, Lattice, hermite_rows, preimage_kernel
 
 
 @dataclass(frozen=True)
@@ -242,79 +233,75 @@ def _ambient_data(ambient: CohomologyGroup) -> tuple:
     return (ambient.degree, ambient.group_value, ambient.lattice, g.table, g.element_words, f.matrix, terms)
 
 
-class _WholeGroup:
+class _Condition:
+    """The condition at one restricted subgroup H: ``columns``, one sparse
+    column per kept ambient generator, on ``width`` rows, and
+    ``lattice_rows`` (see the module docstring); and :meth:`kills`, the
+    recheck by the definition on the bar complex ``bar`` of H, whose
+    coordinates lie at ``selection`` in the ambient's."""
+
+    columns: list[dict[int, int]]
+    lattice_rows: list[dict[int, int]]
+    width: int
+
+    def __init__(self, bar: _TotalComplex, degree: int, selection: Sequence[int]):
+        self._bar, self._degree, self._selection = bar, degree, selection
+
+    @cached_property
+    def _coboundaries(self) -> Lattice:
+        """bar D^{i-1}(H) + R, built on first use."""
+        t, i = self._bar, self._degree
+        return hermite_rows(t.diff_cols(i - 1) + t.relation_cols(i), t.dim(i))
+
+    def kills(self, cochain: Sequence[int]) -> bool:
+        """Whether a cocycle c of G restricts to a coboundary on H: c|_H
+        lies in bar D^{i-1}(H) + R."""
+        return self._coboundaries.contains({k: cochain[s] for k, s in enumerate(self._selection) if cochain[s]})
+
+
+class _WholeGroup(_Condition):
     """The condition at H = G: restriction to G is an isomorphism, so the
     class itself is 0 in the reduced ambient."""
 
     def __init__(self, ambient: CohomologyGroup):
-        self.ambient = ambient
+        t, i = ambient._cochains, ambient.degree
+        super().__init__(t, i, range(t.dim(i)))
         red = ambient.group_value.reduced().group
         self.width = red.generator_count
-        self.columns = [{t: 1} for t in range(self.width)]
+        self.columns = [{r: 1} for r in range(self.width)]
         self.lattice_rows = red.relation_lattice.sparse_rows()
 
-    def kills(self, cochain: Sequence[int]) -> bool:
-        return not any(self.ambient.class_coords(cochain))
 
-
-class _Evaluation:
-    """The condition at a proper subgroup H, on the checked rows of its
-    total complex (see the module docstring): ``columns`` are ev_H of the
-    kept ambient cocycles and ``lattice_rows`` the Hermite basis of
-    Lambda_H."""
+class _Evaluation(_Condition):
+    """The condition at a proper subgroup H, on T^i of its relation complex
+    (see the module docstring): ``columns`` are V_H of the kept ambient
+    cocycles at the bar coordinates of H, and ``lattice_rows`` the Hermite
+    basis of im D^{i-1}_H + R."""
 
     def __init__(self, ambient: CohomologyGroup, sub: Subgroup):
-        h_group, self.embed = sub.as_group()
-        self.degree = i = ambient.degree
-        self.parent = ambient._cochains
-        self.complex = t = self.parent.on(h_group, self.embed)
-        last = sorted(set(h_group.generators)) or [0]
-        self.checked = self.parent.selection(i, self.embed, last)
-        self.width = width = len(self.checked)
-        # [Lambda_H rows | tags]: the column of D^{i-1} at coordinate k of
-        # T^{i-1}(H) tagged e_k, the relation rows tagged 0.  Its Hermite rows
-        # with pivot in the first part, cut there, are the Hermite basis of
-        # Lambda_H; the rest are zero there.
-        tagged = [{**col, width + k: 1} for k, col in enumerate(t.diff_cols(i - 1, last))]
-        self.tagged = hermite_rows(tagged + t.relation_cols(i, last), width + len(tagged))
-        self.lattice_rows = [
-            {k: v for k, v in row.items() if k < width}
-            for row in self.tagged.sparse_rows()
-            if min(row) < width
-        ]
+        h_group, embed = sub.as_group()
+        i, parent = ambient.degree, ambient._cochains
+        t = parent.on(h_group, embed)
+        super().__init__(t, i, parent.selection(i, embed))
+        rel = _RelationComplex(t)
+        self.width = rel.dim(i)
+        self.lattice_rows = hermite_rows(rel.diff_cols(i - 1) + rel.relation_cols(i), self.width).sparse_rows()
+        # V_H reads the bar cochain of H at ``read`` alone, and W_i of the
+        # ambient gives it there
+        forms = rel.value_forms(i)
+        read = sorted({u for form in forms for u in form})
+        at = [self._selection[u] for u in read]
         rows = ambient.lattice.sparse_rows()
-        kept = ambient.group_value.reduced().kept
-        self.columns = [ambient._read(rows[k], self.checked) for k in kept]
-
-    @cached_property
-    def _whole(self) -> tuple[tuple[int, ...], list[dict[int, int]]]:
-        """The selection of every T^i(H) coordinate, and the full D^{i-1} of H."""
-        return self.parent.selection(self.degree, self.embed), self.complex.diff_cols(self.degree - 1)
-
-    def kills(self, cochain: Sequence[int]) -> bool:
-        """Whether a cocycle c restricts to a coboundary on H, by the
-        definition: some m has c|_H - D^{i-1} m in the relation blocks on
-        every tuple of T^i(H).  The m is read off the tagged form: reducing
-        (c at the checked rows | 0) leaves (0 | -m) when c - D^{i-1} m lies
-        in the relation rows there."""
-        width = self.width
-        left = self.tagged.reduce({k: cochain[s] for k, s in enumerate(self.checked) if cochain[s]})
-        if any(left[:width]):
-            return False
-        selection, diff = self._whole
-        rest = [cochain[s] for s in selection]
-        for k, v in sparse_apply(diff, [-v for v in left[width:]]).items():
-            rest[k] -= v
-        return self.complex.block_contains(self.degree, rest)
-
-
-_Condition = _WholeGroup | _Evaluation
+        self.columns = []
+        for k in ambient.group_value.reduced().kept:
+            restricted = {read[p]: v for p, v in ambient._read(rows[k], at).items()}
+            self.columns.append(_evaluate(forms, restricted, range(self.width)))
 
 
 class _Conditions(dict):
     """The conditions on one ambient group, keyed by subgroup, each built
-    on first lookup: the zero class for the whole group, else evaluation
-    on the checked rows of the subgroup."""
+    on first lookup: the zero class for the whole group, else the relation
+    complex of the subgroup."""
 
     def __init__(self, ambient: CohomologyGroup):
         super().__init__()

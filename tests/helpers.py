@@ -12,13 +12,15 @@ d^2 the package no longer builds), the value on the bar routes (on the
 Hermite basis of Z^i in C^i, the reference for every value,
 representative and class solve on the relation complex, with the check
 ``assert_matches_bar_route``), the groups of the bench ladder, the full
-cocycle test of a cochain, the inclusion and the quotient of Sha groups,
-a restriction's class map on every generator of its source value
-(composed from the reduced map, or eager), the Sha kernels built from
+cocycle test of a cochain (with ``sparse_apply``), the inclusion and
+the quotient of Sha groups, a restriction's class map on every
+generator of its source value (composed from the reduced map, or
+eager), the Sha kernels built from
 those restrictions and stacked class maps (eager, on every generator of
 the ambient value, and on its reduced view), the column-order echelon
 kernel that ``sparse_kernel`` must reproduce, the checked rows of the bar
-kernel route cut out of the full differential, that route's Z^i, the
+kernel route cut out of the full differential (with the lemma that
+they suffice, in ``kernel_route_cocycles``), that route's Z^i, the
 mod-p left kernel over every row and the saturation that eliminated with
 it, the checked faithful image, the dense Hermite form, and the dense
 lattice solve and reduction.  The subquotient, the restrictions, the
@@ -64,7 +66,6 @@ from shacalc.intlinalg import (
     _sparse_insert,
     hermite_rows,
     preimage_kernel,
-    sparse_apply,
     sparse_from_matrix,
     xgcd,
 )
@@ -322,15 +323,10 @@ class FullCochains(_Cochains):
             out.append([{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(self.gm)])
         return out
 
-    def diff_cols(self, i: int, last: Sequence[int] | None = None) -> list[dict[int, int]]:
-        """Columns of d^i : C^i -> C^{i+1} in every degree, on the rows
-        of the target tuples that ``last`` keeps."""
+    def diff_cols(self, i: int) -> list[dict[int, int]]:
+        """Columns of d^i : C^i -> C^{i+1} in every degree."""
         order, gm = self.group.order, self.gm
         table, inverse = self.group.table, self.group.inverse
-        if last is None:
-            last = range(order)
-        n_last = len(last)
-        pos = {s: p for p, s in enumerate(last)}
         # strides of the slots of a target (i+1)-tuple
         stride = [order ** (i - k) for k in range(i + 1)]
         final_sign = -1 if (i + 1) % 2 else 1
@@ -339,41 +335,28 @@ class FullCochains(_Cochains):
 
         for ti in range(order**i):
             t = [ti // stride[k + 1] % order for k in range(i)]
-            # The kept target rows of each term, a target (u, s) on row
-            # idx(u) * n_last + pos(s): (row, x) for the leading term, value
-            # A(x) e_j, and (sign, rows) for the contractions, value sign * e_j.
+            # (row, x) for the leading term, target (x, t_1..t_i), value
+            # A(x) e_j, and (sign, rows) for the contractions, value sign * e_j
+            lead = [(x * stride[0] + ti, x) for x in range(order)]
             contractions = []
-            if i == 0:
-                lead = list(enumerate(last))  # target (x)
-            elif t[-1] in pos:
-                # every term but the last contraction and the final one ends
-                # in t_i, so it is kept only when t_i is
-                p_last = pos[t[-1]]
-                # target (x, t_1..t_i)
-                step = stride[0] // order * n_last
-                lead = [(ti // order * n_last + p_last + x * step, x) for x in range(order)]
-                # contractions k < i: targets s with s_k s_{k+1} = t_k (so
-                # s_{k+1} = a^-1 t_k) and the rest of t kept
-                for k in range(1, i):
-                    head = sum(t[idx] * stride[idx] for idx in range(k - 1))
-                    tail = sum(t[idx] * stride[idx + 1] for idx in range(k, i))
-                    tk = t[k - 1]
-                    contractions.append((-1 if k % 2 else 1, [
-                        (head + a * stride[k - 1] + table[inverse[a]][tk] * stride[k] + tail)
-                        // order * n_last + p_last
-                        for a in range(order)
-                    ]))
-            else:
-                lead = []
+            # contractions k < i: targets s with s_k s_{k+1} = t_k (so
+            # s_{k+1} = a^-1 t_k) and the rest of t kept
+            for k in range(1, i):
+                head = sum(t[idx] * stride[idx] for idx in range(k - 1))
+                tail = sum(t[idx] * stride[idx + 1] for idx in range(k, i))
+                contractions.append((-1 if k % 2 else 1, [
+                    head + a * stride[k - 1] + table[inverse[a]][t[k - 1]] * stride[k] + tail
+                    for a in range(order)
+                ]))
             if i >= 1:
                 # the last contraction: target (t_1..t_{i-1}, t_i b^-1, b)
                 prefix = ti - t[-1]
                 contractions.append((-1 if i % 2 else 1, [
-                    (prefix + table[t[-1]][inverse[b]]) * n_last + p for p, b in enumerate(last)
+                    (prefix + table[t[-1]][inverse[b]]) * order + b for b in range(order)
                 ]))
             # the final term, target (t_1..t_i, x), and the contractions sit
             # on the same rows for every j: sum them once
-            unit_sum = dict.fromkeys(range(ti * n_last, (ti + 1) * n_last), final_sign)
+            unit_sum = dict.fromkeys(range(ti * order, (ti + 1) * order), final_sign)
             for sign, rows in contractions:
                 for row in rows:
                     w = unit_sum.get(row, 0) + sign
@@ -495,6 +478,20 @@ def is_cocycle(cg: CohomologyGroup, vec: Sequence[int]) -> bool:
         )
     img = dense(sparse_apply(full_complex(cochains).diff_cols(cg.degree), vec), cochains.dim(cg.degree + 1))
     return cochains.block_contains(cg.degree + 1, img)
+
+
+def sparse_apply(columns: Sequence[dict[int, int]], vec: Sequence[int]) -> dict[int, int]:
+    """A @ vec for A given by sparse columns."""
+    acc: dict[int, int] = {}
+    for j, x in enumerate(vec):
+        if x:
+            for i, v in columns[j].items():
+                w = acc.get(i, 0) + x * v
+                if w:
+                    acc[i] = w
+                else:
+                    del acc[i]
+    return acc
 
 
 def congruent(a: AbHom, b: AbHom) -> bool:
@@ -766,14 +763,26 @@ def checked_coords(cochains, i: int) -> list[int]:
 def kernel_route_cocycles(t, degree: int = 1) -> Lattice:
     """Z^i of the bar total complex ``t`` by the kernel route the package
     took before it computed on the relation complex: the preimage under
-    d^i, built on the checked rows of C^{i+1} only (see
-    ``checked_coords``), of their relation rows.  The reference for the
-    kernel form."""
-    last = sorted(set(t.ca.group.generators)) or [0]
+    d^i of the relation rows, both cut out of the full d^i to the checked
+    rows of T^{i+1} (``checked_coords``).  The reference for the kernel
+    form.
+
+    The checked rows suffice by this lemma: if delta in C^m(G, M), m >= 1,
+    has d delta = 0 in M and vanishes on every tuple ending in a listed
+    generator, then delta = 0.  At (g_1,...,g_m, s) every term of d delta
+    ends in s except (-1)^m [delta(g_1,...,g_m s) - delta(g_1,...,g_m)],
+    so delta(h, x s) = delta(h, x) for all x; then
+    delta(h, e) = delta(h, s) = 0, and delta vanishes everywhere since the
+    generators generate G as a monoid.  It applies to delta = d^i x read
+    in M, since d o d = 0 modulo the relation rows.  For the total
+    complex, the lemma kills the C^m(A) part first; then D delta = 0 gives
+    d delta_B = f(delta_A) = 0, which kills the C^{m-1}(B) part when
+    m >= 2; all of C^0(B) is checked.  The trivial group has no
+    generators; its one tuple is checked."""
     t = full_complex(t)
-    return preimage_kernel(
-        t.diff_cols(degree, last), t.dim(degree + 1, last), t.relation_cols(degree + 1, last)
-    )
+    rows = {k: r for r, k in enumerate(checked_coords(t, degree + 1))}
+    relations = [col for col in on_rows(t.relation_cols(degree + 1), rows) if col]
+    return preimage_kernel(on_rows(t.diff_cols(degree), rows), len(rows), relations)
 
 
 def left_kernel_mod(rows: Sequence[dict[int, int]], p: int) -> list[dict[int, int]]:

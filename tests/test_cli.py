@@ -143,6 +143,20 @@ class TestErrors:
         assert code == 3
         assert json.loads(err)["error"]["type"] == "input"
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_unreadable_problem_file(self, tmp_path, kind):
+        """A directory, or bytes that are not UTF-8, in place of the problem
+        file is an input error at $, not a traceback."""
+        if kind == "directory":
+            p = tmp_path
+        else:
+            p = tmp_path / "bad.json"
+            p.write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(["cohomology", str(p), "--module", "M", "--degree", "1"])
+        assert code == 3 and out == ""
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "input" and payload["path"] == "$"
+
     def test_bad_schema_version(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"schema": 99, "group": {"permutation_generators": []}}))

@@ -1087,99 +1087,88 @@ class TestGeneratorRoute:
                 assert nrows == off_tree * mod.rank
 
 
-def assert_builds_the_checked_rows(t, degree):
-    """The kernel-route system of the total complex ``t`` in ``degree``,
-    built on the checked rows only, is the full d^degree and the full
-    relation columns of T^{degree+1} cut down to those rows, entry for
-    entry; so is each of its two cochain terms.  With every element as
-    ``last`` the builders give the full system."""
-    g = t.ca.group
-    last = sorted(set(g.generators)) or [0]
-    everything = list(range(g.order))
-    for c, d in ((t, degree), (t.ca, degree), (t.cb, degree - 1)):
-        if d < 0:
-            continue
-        rows = {k: r for r, k in enumerate(checked_coords(c, d + 1))}
-        assert c.dim(d + 1, last) == len(rows)
-        assert c.diff_cols(d, last) == on_rows(c.diff_cols(d), rows)
-        assert c.relation_cols(d + 1, last) == [
-            col for col in on_rows(c.relation_cols(d + 1), rows) if col
-        ]
-        assert c.dim(d + 1, everything) == c.dim(d + 1)
-        assert c.diff_cols(d, everything) == c.diff_cols(d)
-        assert c.relation_cols(d + 1, everything) == c.relation_cols(d + 1)
+def assert_builds_the_generator_rows(t):
+    """D^0 of the relation complex of the bar total complex ``t`` is the
+    full bar D^0 (``helpers.full_complex``) cut to the rows of the listed
+    generators, entry for entry: block l of the A part is d^0 at the tuple
+    (s_l), so a generator listed twice has two blocks, and C^0(B) follows
+    whole.  Its A part is delta of A (``_Cochains.delta_cols``), and delta
+    of B is the bar d^0 of B cut the same way.  On sorted distinct
+    generators those rows are the checked rows of T^1
+    (``helpers.checked_coords``)."""
+    gens = t.ca.group.generators
+    full = full_complex(t)
+
+    def cut(cols, gm, tail=()):
+        """The columns on the rows of the generators' tuples, then ``tail``."""
+        rows = [s * gm + j for s in gens for j in range(gm)] + list(tail)
+        return rows, [{p: col[r] for p, r in enumerate(rows) if r in col} for col in cols]
+
+    a_dim, ra = t.ca.dim(1), t.ca.gm
+    rows, want = cut(full.diff_cols(0), ra, range(a_dim, t.dim(1)))
+    assert _RelationComplex(t).diff_cols(0) == want
+    assert t.ca.delta_cols() == [{r: v for r, v in col.items() if r < len(gens) * ra} for col in want]
+    assert t.cb.delta_cols() == cut(full.cb.diff_cols(0), t.cb.gm)[1]
+    if gens and list(gens) == sorted(set(gens)):
+        assert rows == checked_coords(t, 1)
+        assert want == on_rows(full.diff_cols(0), {r: p for p, r in enumerate(rows)})
 
 
 class TestBuiltRows:
-    """One builder gives both the full bar d^i, i = 0 or 1, and the checked
-    rows that the Sha conditions read, and the rows it builds are the rows
-    that cutting the full d^i down keeps (``helpers.checked_coords`` and
-    ``on_rows``, the reference)."""
+    """D^0 of the relation complex and delta, its generator-only builder,
+    are the bar d^0 cut to the rows of the generators (the reference is
+    ``helpers.full_complex``, with its own action columns)."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         name=st.sampled_from(["Z2", "Z4", "V4", "S3", "D4"]),
         seed=st.integers(0, 2**63 - 1),
-        degree=st.sampled_from([0, 1]),
     )
-    def test_random_torsion_modules(self, name, seed, degree):
+    def test_random_torsion_modules(self, name, seed):
         g = GROUPS[name]
-        max_rank = 3
-        m = random_module(g, SplitMix64(seed), max_rank=max_rank, max_torsion_relators=2)
+        m = random_module(g, SplitMix64(seed), max_rank=3, max_torsion_relators=2)
         assume(not m.is_z_free())
-        assert_builds_the_checked_rows(_TotalComplex(g, TwoTermComplex(
-            GModuleHom(m, zero_module(g), IntMatrix.zeros(0, m.rank)))), degree)
+        assert_builds_the_generator_rows(_TotalComplex(g, _module_complex(m)))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         name=st.sampled_from(["Z2", "Z4", "V4", "S3", "D4"]),
         seed=st.integers(0, 2**63 - 1),
-        degree=st.sampled_from([0, 1]),
     )
-    def test_random_torsion_complexes(self, name, seed, degree):
+    def test_random_torsion_complexes(self, name, seed):
         g = GROUPS[name]
         rng = SplitMix64(seed)
         a = permutation_module(g, random_subgroup(g, rng))
         b = random_module(g, rng, max_rank=2 if name == "D4" else 3, max_torsion_relators=2)
         assume(not b.is_z_free())
         c = TwoTermComplex(random_equivariant_map(a, b, rng))
-        assert_builds_the_checked_rows(_TotalComplex(g, c), degree)
+        assert_builds_the_generator_rows(_TotalComplex(g, c))
 
     def test_trivial_group_and_redundant_generators(self):
+        """The trivial group has no generators, so D^0 is f alone; S3 lists
+        a transposition twice, and the identity, whose delta block is 0."""
         trivial, _ = GROUPS["S3"].trivial_subgroup().as_group()
         s3 = from_permutations([[1, 0, 2], [1, 2, 0], [1, 0, 2], [0, 1, 2], [0, 2, 1]])
+        assert trivial.generators == ()
         for g in (trivial, s3):
             m = torsion_module(g, 4)
             c = TwoTermComplex(GModuleHom(trivial_module(g, 1), m, IntMatrix([[2]])))
-            for degree in (0, 1):
-                assert_builds_the_checked_rows(_TotalComplex(g, c), degree)
-
-    def test_columns_off_the_generators_are_short(self):
-        """A column of d^1 whose tuple does not end in S has 2|S| entries:
-        the last contraction and the final term, one per generator."""
-        g = GROUPS["S3"]
-        last = sorted(set(g.generators))
-        assert 0 not in last
-        c = _Cochains(g, torsion_module(g, 4))
-        cols = c.diff_cols(1, last)
-        for t in range(g.order):
-            if t not in last:
-                assert len(cols[t]) == 2 * len(last)
+            assert_builds_the_generator_rows(_TotalComplex(g, c))
+            assert_builds_the_generator_rows(_TotalComplex(g, _module_complex(augmentation_ideal(g))))
 
     @pytest.mark.parametrize("name", ["V4", "S3", "D4"])
     def test_kernel_route_builds_no_full_differential(self, name, monkeypatch):
         """The value builds no bar differential and no bar relation rows in
-        any degree: only d^0 on the rows of the generators, which is D^0 of
-        the relation complex, in degrees 0 and 1."""
+        any degree: only delta of A on the generators, in D^0 of the
+        relation complex, in degrees 0 and 1."""
         g = GROUPS[name]
-        gens = list(g.generators)
-        built = {"diff_cols": [], "relation_cols": []}
+        built = {"diff_cols": [], "relation_cols": [], "delta_cols": []}
         for method, calls in built.items():
 
-            def spy(self, i, last=None, _real=getattr(_Cochains, method), _calls=calls):
+            def spy(self, *args, _real=getattr(_Cochains, method), _calls=calls):
                 if self.gm:  # the B term of M -> 0 has no rows
-                    _calls.append((i, None if last is None else list(last)))
-                return _real(self, i, last)
+                    _calls.append(args)
+                return _real(self, *args)
 
             monkeypatch.setattr(_Cochains, method, spy)
         for degree in (0, 1, 2):
@@ -1187,7 +1176,7 @@ class TestBuiltRows:
                 calls.clear()
             _, routes = computed_by(lambda: cohomology(g, torsion_module(g, 4), degree))
             assert routes == ["kernel"]
-            assert built == {"diff_cols": [(0, gens)] * (degree < 2), "relation_cols": []}
+            assert built == {"diff_cols": [], "relation_cols": [], "delta_cols": [()] * (degree < 2)}
 
 
 class TestComplexSegment:

@@ -707,6 +707,33 @@ class TestGeneratorEvaluation:
                 shared = _sha_groups(datum, complex_, degree, self.selections(datum), DEFAULT_COCHAIN_CAP)
                 self.assert_same_as_restrictions(shared)
 
+    @pytest.mark.parametrize("name", ["D4", "A4"])
+    def test_non_cyclic_and_trivial_places_in_degree_two(self, name):
+        """Degree 2 at a special place whose decomposition group is V4, not
+        cyclic, and at one whose group is trivial, on the modules Z/4 and
+        J_G and on the complexes Z[G] -> J_G and Z -> Z/4: the group of
+        every selection, and the group restricted to the trivial place
+        alone, against ``helpers.restriction_kernel``.  The V4 place is no
+        formality: on J_G the group is Z/2 where it is excluded, and 0 where
+        it is imposed."""
+        g = GROUPS[name]
+        v4 = next(sub for sub in all_subgroups(g) if sub.order == 4 and not sub.is_cyclic())
+        datum = LocalDatum(g, (("t", g.trivial_subgroup()), ("u", v4)))
+        j = augmentation_quotient(g)
+        cases = (
+            _module_complex(torsion_module(g, 4)),
+            _module_complex(j),
+            TwoTermComplex(GModuleHom(regular_module(g), j, IntMatrix.identity(g.order))),
+            TwoTermComplex(GModuleHom(trivial_module(g, 1), torsion_module(g, 4), IntMatrix([[2]]))),
+        )
+        for complex_ in cases:
+            shared = _sha_groups(datum, complex_, 2, self.selections(datum), DEFAULT_COCHAIN_CAP)
+            assert ("u", v4) in shared[-1]._restricted
+            self.assert_same_as_restrictions(shared)
+            if complex_.degree0 is j:
+                # excluded: t, u, both, none
+                assert [group_order(group.value) for group in shared] == [1, 2, 2, 1]
+
     def test_recheck_checks_every_element(self):
         """A cochain that is a coboundary at the generator of H = <r> in D4
         but not at r^2 is no coboundary on H: the recheck evaluates it on
@@ -717,8 +744,9 @@ class TestGeneratorEvaluation:
         r = next(e for e in range(g.order) if g.element_order(e) == 4)
         sub = g.generated_subgroup([r])
         cond = _Conditions(ambient)[sub]
-        # the one checked row is the value at r
-        assert isinstance(cond, _Evaluation) and cond.checked == (r,)
+        # T^1 of H = <r>, one generator: k_H rk_A + rk_B = 1 + 0
+        assert isinstance(cond, _Evaluation)
+        assert sub.as_group()[0].generators == (1,) and cond.width == 1
         cochain = [0] * g.order
         cochain[g.mul(r, r)] = 1
         assert not cond.kills(cochain)
@@ -735,17 +763,17 @@ class TestGeneratorEvaluation:
             assert cond.kills(rep) == (not any(restricted_class))
 
     def test_degree_two_recheck_checks_every_tuple(self):
-        """A 2-cochain supported on (r, r^2) in H = <r> in D4 is zero on the
-        checked rows of H, whose tuples end in r, but it is no cocycle, so
-        the recheck, which reads every tuple of H, rejects it."""
+        """A 2-cochain supported on (r, r^2) in H = <r> in D4 is zero on
+        every tuple that ends in r, the only ones V_H reads, but it is no
+        cocycle, so the recheck, which reads every tuple of H, rejects it."""
         g = GROUPS["D4"]
         ambient = cohomology(g, torsion_module(g, 4), 2)
         r = next(e for e in range(g.order) if g.element_order(e) == 4)
         sub = g.generated_subgroup([r])
         cond = _Conditions(ambient)[sub]
-        # the checked rows are the tuples (h, r) for h in H
+        # T^2 of H = <r>, cyclic on one generator: rk_A + rk_B = 1 + 0
         assert isinstance(cond, _Evaluation)
-        assert cond.checked == tuple(h * g.order + r for h in cond.embed)
+        assert sub.as_group()[0].generators == (1,) and cond.width == 1
         cochain = [0] * g.order**2
         cochain[r * g.order + g.mul(r, r)] = 1
         assert not cond.kills(cochain)
